@@ -1,9 +1,9 @@
 //! `fela-mc` — the deterministic concurrency model checker for the live
 //! runtime and the sharded control plane.
 //!
-//! The real-clock runtime (`fela-live`) is a single-threaded server over a
-//! merged inbox, pump threads forwarding per-worker TCP/channel links, and a
-//! timer heap for lease deadlines. Its nondeterminism is therefore exactly:
+//! The real-clock runtime (`fela-live`) is a single-threaded server whose
+//! poll loop sweeps nonblocking per-worker TCP/channel links, plus a timer
+//! heap for lease deadlines. Its nondeterminism is therefore exactly:
 //! *in which order do worker messages reach the server loop, and when do
 //! lease timers fire relative to them*. This module drives the **real**
 //! [`ControlPlane`] (with [`McConfig::shards`] shards) and the
@@ -12,8 +12,9 @@
 //! `handle_frame` statement for statement.
 //!
 //! **Partial-order reduction.** Worker reactions run *eagerly*: the instant
-//! the server sends a `Grant`, the model computes the worker's `Report` and
-//! parks it in that worker's link queue. This is sound because a worker's
+//! the server sends a grant (a `GrantBatch` of one), the model computes the
+//! worker's report (a `ReportBatch` of one) and parks it in that worker's
+//! link queue. This is sound because a worker's
 //! local step is invisible to the server until its message is *delivered* —
 //! delaying the reaction commutes with every other transition (Mazurkiewicz
 //! equivalence), so only two action kinds branch: `Deliver(worker)` (the
@@ -57,7 +58,7 @@ use fela_core::{
     apply_op, ControlPlane, CoordOp, FelaConfig, Grant, LevelMeta, LevelPlan, OpDivergence,
     RecoveryConfig, ScheduleError, ServerSnapshot, TokenId, TokenPlan,
 };
-use fela_live::{Endpoint, Frame, SyncEvent};
+use fela_live::{Endpoint, Frame, SyncEvent, WireGrant};
 use fela_sim::SimTime;
 
 use crate::protocol::{verify_session, SessionVerifier, SessionViolation, WireMutation};
@@ -129,7 +130,7 @@ impl McConfig {
 /// [`WireMutation`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum McMutation {
-    /// The first fresh (attempt-0) `Grant` frame for `worker` is lost in
+    /// The first fresh (attempt-0) grant frame for `worker` is lost in
     /// flight: the plane issued it (and, with recovery on, armed its lease),
     /// but the worker never reacts. Without recovery this is the classic lost
     /// wakeup — the run can never complete; with recovery the lease adversary
@@ -346,7 +347,7 @@ struct McState {
     mutation_armed: bool,
     /// Per-link session machine over this path's frame dialogue. Not part of
     /// the memoization key: its state is a function of the plane snapshot
-    /// plus the link queues (every queued `Report` is an outstanding grant),
+    /// plus the link queues (every queued report is an outstanding grant),
     /// so equal keys imply equal session futures.
     verifier: SessionVerifier,
     /// Transitions from the initial state (diagnostics only, not in the key).
@@ -366,13 +367,39 @@ type McKey = (
 );
 
 /// Compact key form of an in-flight frame (queues only ever hold worker-type
-/// frames: `Request` and `Report`).
+/// frames: `Request` and single-token `ReportBatch`).
 fn frame_key(frame: &Frame) -> (u8, u64, u64) {
     match frame {
         Frame::Request { worker } => (1, u64::from(*worker), 0),
-        Frame::Report { worker, token } => (2, u64::from(*worker), *token),
+        Frame::ReportBatch { worker, tokens } if tokens.len() == 1 => {
+            (2, u64::from(*worker), tokens[0])
+        }
         // Unreachable for model-generated queues; still total for safety.
         _ => (0, 0, 0),
+    }
+}
+
+/// The server's frame for one model grant: a `GrantBatch` of one, as
+/// `fela-live` ships it at pipeline depth 1.
+fn grant_frame(grant: &Grant) -> Frame {
+    let level = grant.token.level as u32;
+    Frame::GrantBatch {
+        grants: vec![WireGrant {
+            token: grant.token.id.0,
+            level,
+            iteration: grant.token.iteration,
+            batch: grant.token.batch,
+            unit_start: level,
+            unit_end: level + 1,
+        }],
+    }
+}
+
+/// The worker's eager answer to a [`grant_frame`]: a `ReportBatch` of one.
+fn report_frame(worker: usize, token: u64) -> Frame {
+    Frame::ReportBatch {
+        worker: worker as u32,
+        tokens: vec![token],
     }
 }
 
@@ -425,7 +452,7 @@ impl Mc<'_> {
     }
 
     /// Models the server issuing `grant` to `worker`: the worker reacts
-    /// eagerly, parking its `Report` on the link; with recovery on, the lease
+    /// eagerly, parking its report on the link; with recovery on, the lease
     /// timer arms (bounded by `max_attempts`).
     fn issue_grant(&mut self, state: &mut McState, worker: usize, grant: &Grant) {
         let token = grant.token.id.0;
@@ -450,23 +477,14 @@ impl Mc<'_> {
             state.verifier.observe(&SyncEvent::FrameSent {
                 side: Endpoint::Server,
                 worker,
-                frame: Frame::Grant {
-                    token,
-                    level: grant.token.level as u32,
-                    iteration: grant.token.iteration,
-                    batch: grant.token.batch,
-                    unit_start: grant.token.level as u32,
-                    unit_end: grant.token.level as u32 + 1,
-                },
+                frame: grant_frame(grant),
             });
-            state.queues[worker].push_back(Frame::Report {
-                worker: worker as u32,
-                token,
-            });
+            state.queues[worker].push_back(report_frame(worker, token));
         }
     }
 
-    /// Mirrors `fela-live`'s `pump_grants`.
+    /// Issues every ready grant to its waiting worker. Mirrors `fela-live`'s
+    /// `drain_ready` → `ControlPlane::drain_ready_grants`, one grant at a time.
     fn pump_grants(&mut self, state: &mut McState) {
         loop {
             match state.plane.pop_ready_grant(SimTime::ZERO) {
@@ -501,22 +519,26 @@ impl Mc<'_> {
                     message: e.to_string(),
                 }),
             },
-            Frame::Report { token, .. } => {
-                match state.plane.report(worker, TokenId(token)) {
-                    Ok(syncs) => {
-                        // Control-plane runtime: every sync commits degenerately.
-                        for spec in syncs {
-                            if let Err(e) = state.plane.sync_finished(spec.level, spec.iteration) {
-                                self.push_violation(McViolation::SchedulerError {
-                                    message: e.to_string(),
-                                });
+            Frame::ReportBatch { tokens, .. } => {
+                for token in tokens {
+                    match state.plane.report(worker, TokenId(token)) {
+                        Ok(syncs) => {
+                            // Control-plane runtime: every sync commits degenerately.
+                            for spec in syncs {
+                                if let Err(e) =
+                                    state.plane.sync_finished(spec.level, spec.iteration)
+                                {
+                                    self.push_violation(McViolation::SchedulerError {
+                                        message: e.to_string(),
+                                    });
+                                }
                             }
                         }
+                        Err(ScheduleError::StaleReport { .. }) => self.outcome.stale_reports += 1,
+                        Err(e) => self.push_violation(McViolation::SchedulerError {
+                            message: e.to_string(),
+                        }),
                     }
-                    Err(ScheduleError::StaleReport { .. }) => self.outcome.stale_reports += 1,
-                    Err(e) => self.push_violation(McViolation::SchedulerError {
-                        message: e.to_string(),
-                    }),
                 }
                 // Piggybacked pull, exactly like the live server.
                 match state.plane.request(worker, SimTime::ZERO) {
@@ -748,10 +770,12 @@ pub fn record_execution(cfg: &McConfig) -> (Vec<SyncEvent>, Vec<CoordOp>) {
                     issued.push((w, grant));
                 }
             }
-            Frame::Report { token, .. } => {
-                if let Ok(syncs) = plane.report(w, TokenId(token)) {
-                    for spec in syncs {
-                        let _ = plane.sync_finished(spec.level, spec.iteration);
+            Frame::ReportBatch { tokens, .. } => {
+                for token in tokens {
+                    if let Ok(syncs) = plane.report(w, TokenId(token)) {
+                        for spec in syncs {
+                            let _ = plane.sync_finished(spec.level, spec.iteration);
+                        }
                     }
                 }
                 if let Ok(Some(grant)) = plane.request(w, SimTime::ZERO) {
@@ -764,23 +788,12 @@ pub fn record_execution(cfg: &McConfig) -> (Vec<SyncEvent>, Vec<CoordOp>) {
             _ => {}
         }
         for (v, grant) in issued {
-            let token = grant.token.id.0;
             events.push(SyncEvent::FrameSent {
                 side: Endpoint::Server,
                 worker: v,
-                frame: Frame::Grant {
-                    token,
-                    level: grant.token.level as u32,
-                    iteration: grant.token.iteration,
-                    batch: grant.token.batch,
-                    unit_start: grant.token.level as u32,
-                    unit_end: grant.token.level as u32 + 1,
-                },
+                frame: grant_frame(&grant),
             });
-            queues[v].push_back(Frame::Report {
-                worker: v as u32,
-                token,
-            });
+            queues[v].push_back(report_frame(v, grant.token.id.0));
         }
         ops.append(&mut plane.take_op_log());
     }

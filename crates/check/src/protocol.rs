@@ -3,8 +3,10 @@
 //! The server ↔ worker dialogue over a [`Link`] follows a strict session
 //! discipline (DESIGN.md §"live runtime"): an optional `Hello`, then —
 //! virtual mode — blocking `CostQuery`/`CostReply` round trips, or — real
-//! mode — an initial `Request` followed by `Grant`/`Report` cycles, and an
-//! epilogue of `Iter*`, `End`, `Params` with `Params` the link's last frame.
+//! mode — an initial `Request` followed by `GrantBatch`/`ReportBatch` cycles,
+//! and an epilogue of `Iter*`, `End`, `Params` with `Params` the link's last
+//! frame. Grants and reports are checked token by token, whatever the batch
+//! length.
 //! This module encodes that discipline as one state machine per link
 //! ([`SessionVerifier`]) and replays it over a stream of recorded
 //! [`SyncEvent`]s — either captured from a real run by
@@ -14,21 +16,23 @@
 //! Checked per link (= per worker index), from the server's perspective:
 //!
 //! * **direction** — only worker-type frames arrive (`Hello`, `Request`,
-//!   `Report`, `CostReply`, `Params`), only server-type frames depart
-//!   (`CostQuery`, `Grant`, `Iter`, `Hang`, `End`);
-//! * **identity** — `Request`/`Report` frames carry the link's worker index;
-//! * **grant/report matching** — every `Report` pops the *oldest* outstanding
-//!   `Grant` on its link (per-direction FIFO means reports cannot overtake
-//!   each other), and a `Report` with no outstanding grant is a violation;
+//!   `ReportBatch`, `CostReply`, `Params`), only server-type frames depart
+//!   (`CostQuery`, `GrantBatch`, `Iter`, `Hang`, `End`);
+//! * **identity** — `Request`/`ReportBatch` frames carry the link's worker
+//!   index;
+//! * **grant/report matching** — every reported token pops the *oldest*
+//!   outstanding grant on its link (per-direction FIFO means reports cannot
+//!   overtake each other), and a token with no outstanding grant is a
+//!   violation;
 //! * **cost round trips** — a `CostReply` answers exactly the pending
 //!   `CostQuery`, and queries never nest;
-//! * **epilogue** — nothing is sent after `End`, no `Grant` after `Iter`,
+//! * **epilogue** — nothing is sent after `End`, no grant after `Iter`,
 //!   `Params` only after `End`, and nothing arrives after `Params`;
 //! * **inbox conservation** — each [`SyncEvent::InboxDequeued`] on the real
 //!   server matches the oldest not-yet-dequeued arrival from that worker (the
-//!   pump threads must not reorder or invent messages);
-//! * **routing** (cross-link, needs the control-plane op log) — a `Grant`
-//!   frame carries no worker id, so a grant sent down the wrong link is
+//!   poll loop must not reorder or invent messages);
+//! * **routing** (cross-link, needs the control-plane op log) — a grant
+//!   carries no worker id, so a grant sent down the wrong link is
 //!   locally well-formed on a fresh link; with the recorded
 //!   [`CoordOp`](fela_core::CoordOp) history the verifier knows which worker
 //!   the plane granted each token *to* and flags deliveries to anyone else.
@@ -48,14 +52,14 @@ use fela_live::{Endpoint, Frame, SyncEvent};
 #[derive(Clone, PartialEq, Debug)]
 pub enum SessionViolation {
     /// A frame travelled in the wrong direction (e.g. the server received a
-    /// `Grant`, or sent a `Report`).
+    /// `GrantBatch`, or sent a `ReportBatch`).
     WrongDirection {
         /// Link (worker index) the frame moved on.
         worker: usize,
         /// Debug form of the offending frame.
         frame: String,
     },
-    /// A `Request`/`Report` arrived on link `link` claiming worker id
+    /// A `Request`/`ReportBatch` arrived on link `link` claiming worker id
     /// `claimed`.
     WrongWorkerId {
         /// Link the frame arrived on.
@@ -63,14 +67,14 @@ pub enum SessionViolation {
         /// Worker id embedded in the frame.
         claimed: usize,
     },
-    /// A `Report` arrived with no outstanding grant on its link.
+    /// A reported token had no outstanding grant on its link.
     ReportWithoutGrant {
         /// Reporting link.
         worker: usize,
         /// Reported token.
         token: u64,
     },
-    /// A `Report` arrived for a token that is outstanding, but is not the
+    /// A reported token is outstanding, but is not the
     /// oldest outstanding grant on its link — per-direction FIFO was broken.
     ReportOutOfOrder {
         /// Reporting link.
@@ -104,7 +108,7 @@ pub enum SessionViolation {
         /// Debug form of the frame sent.
         frame: String,
     },
-    /// A `Grant` was sent after the epilogue (`Iter`) began on its link.
+    /// A grant was sent after the epilogue (`Iter`) began on its link.
     GrantAfterIter {
         /// Link.
         worker: usize,
@@ -140,7 +144,7 @@ pub enum SessionViolation {
         /// Debug form of the dequeued message.
         frame: String,
     },
-    /// A `Grant` for `token` was delivered down the wrong link: the control
+    /// A grant for `token` was delivered down the wrong link: the control
     /// plane granted it to `granted_to`, the frame went to `delivered_to`.
     MisroutedGrant {
         /// Granted token.
@@ -221,9 +225,7 @@ impl std::fmt::Display for SessionViolation {
     }
 }
 
-/// FIFO grant/report matching for one reported token: shared by the `Report`
-/// and `ReportBatch` arms so a batched report is checked token by token,
-/// exactly as if each had arrived as its own frame.
+/// FIFO grant/report matching for one reported token of a `ReportBatch`.
 fn check_report_token(
     violations: &mut Vec<SessionViolation>,
     link: &mut LinkSession,
@@ -353,7 +355,8 @@ impl SessionVerifier {
                 // A closed link forgives its session state (crash semantics);
                 // a restart starts a fresh machine on the same worker index.
                 // The arrival queue keeps the close marker so the inbox
-                // conservation check can match the pump's Gone notification.
+                // conservation check can match the poll loop's closed-link
+                // dequeue.
                 link.outstanding.clear();
                 link.pending_query = None;
                 link.sent_iter = false;
@@ -399,16 +402,11 @@ impl SessionVerifier {
     fn on_sent(&mut self, worker: usize, frame: &Frame) {
         self.frames += 1;
         // Routing first: a misrouted grant is flagged at the send even when
-        // locally well-formed on its link. A `GrantBatch` is checked grant by
-        // grant, exactly as if each had shipped as its own frame.
-        match frame {
-            Frame::Grant { token, .. } => self.check_grant_intent(worker, *token),
-            Frame::GrantBatch { grants } => {
-                for g in grants {
-                    self.check_grant_intent(worker, g.token);
-                }
+        // locally well-formed on its link.
+        if let Frame::GrantBatch { grants } = frame {
+            for g in grants {
+                self.check_grant_intent(worker, g.token);
             }
-            _ => {}
         }
         let link = self.links.entry(worker).or_default();
         if link.sent_end {
@@ -419,15 +417,6 @@ impl SessionVerifier {
             return;
         }
         match frame {
-            Frame::Grant { token, .. } => {
-                if link.sent_iter {
-                    self.violations.push(SessionViolation::GrantAfterIter {
-                        worker,
-                        token: *token,
-                    });
-                }
-                link.outstanding.push_back(*token);
-            }
             Frame::GrantBatch { grants } => {
                 for g in grants {
                     if link.sent_iter {
@@ -478,18 +467,6 @@ impl SessionVerifier {
                         claimed: *claimed as usize,
                     });
                 }
-            }
-            Frame::Report {
-                worker: claimed,
-                token,
-            } => {
-                if *claimed as usize != worker {
-                    self.violations.push(SessionViolation::WrongWorkerId {
-                        link: worker,
-                        claimed: *claimed as usize,
-                    });
-                }
-                check_report_token(&mut self.violations, link, worker, *token);
             }
             Frame::ReportBatch {
                 worker: claimed,
@@ -570,17 +547,16 @@ pub fn verify_session(events: &[SyncEvent], ops: Option<&[CoordOp]>) -> SessionR
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum WireMutation {
     /// Deletes the `nth` server-sent grant (0-based): the wakeup is lost in
-    /// flight. Its report then arrives unmatched. A `GrantBatch` counts each
-    /// of its grants in stream order; dropping one from a batch leaves the
-    /// rest of the frame intact.
+    /// flight. Its report then arrives unmatched. The rest of its
+    /// `GrantBatch` stays intact; a batch left empty is removed.
     DropGrant {
         /// Which grant to drop, in stream order.
         nth: usize,
     },
     /// Moves the report answering the `nth` server-sent grant to just
     /// *before* that grant: the pair is reordered on the wire, breaking
-    /// per-direction FIFO. A report inside a `ReportBatch` is split out of
-    /// the batch and overtakes the grant as its own frame.
+    /// per-direction FIFO. The report is split out of its `ReportBatch` and
+    /// overtakes the grant as a `ReportBatch` of one.
     ReorderGrantReport {
         /// Which grant/report pair to reorder, in stream order.
         nth: usize,
@@ -597,9 +573,9 @@ pub enum WireMutation {
 /// If the stream has no matching frame the copy is returned unchanged (the
 /// caller's "mutation must be caught" assertion will then fail loudly).
 ///
-/// Grants are counted in stream order across both frame shapes: a singleton
-/// `Grant` is one grant, a `GrantBatch` contributes its grants in batch
-/// order — the mutations target the logical grant stream, not the framing.
+/// Grants are counted in stream order, each `GrantBatch` contributing its
+/// grants in batch order — the mutations target the logical grant stream,
+/// not the framing.
 pub fn mutate_events(events: &[SyncEvent], mutation: &WireMutation) -> Vec<SyncEvent> {
     let mut out: Vec<SyncEvent> = events.to_vec();
     let nth = match mutation {
@@ -607,105 +583,78 @@ pub fn mutate_events(events: &[SyncEvent], mutation: &WireMutation) -> Vec<SyncE
         | WireMutation::ReorderGrantReport { nth }
         | WireMutation::MisrouteGrant { nth } => *nth,
     };
-    // Locate the nth logical grant: (event idx, index within a GrantBatch or
-    // None for a singleton, link, token).
-    let mut seen = 0usize;
-    let mut target: Option<(usize, Option<usize>, usize, u64)> = None;
-    'scan: for (i, ev) in events.iter().enumerate() {
-        let SyncEvent::FrameSent {
-            side: Endpoint::Server,
-            worker,
-            frame,
-        } = ev
-        else {
-            continue;
-        };
-        match frame {
-            Frame::Grant { token, .. } => {
-                if seen == nth {
-                    target = Some((i, None, *worker, *token));
-                    break 'scan;
-                }
-                seen += 1;
-            }
-            Frame::GrantBatch { grants } => {
-                for (j, g) in grants.iter().enumerate() {
-                    if seen == nth {
-                        target = Some((i, Some(j), *worker, g.token));
-                        break 'scan;
-                    }
-                    seen += 1;
-                }
-            }
-            _ => {}
-        }
-    }
+    // Locate the nth logical grant: (event idx, index within its batch, link,
+    // token).
+    let target = events
+        .iter()
+        .enumerate()
+        .filter_map(|(i, ev)| match ev {
+            SyncEvent::FrameSent {
+                side: Endpoint::Server,
+                worker,
+                frame: Frame::GrantBatch { grants },
+            } => Some((i, *worker, grants)),
+            _ => None,
+        })
+        .flat_map(|(i, worker, grants)| {
+            grants
+                .iter()
+                .enumerate()
+                .map(move |(j, g)| (i, j, worker, g.token))
+        })
+        .nth(nth);
     let Some((grant_idx, within, grant_worker, token)) = target else {
         return out;
     };
     match mutation {
-        WireMutation::DropGrant { .. } => match within {
-            None => {
-                out.remove(grant_idx);
-            }
-            Some(j) => {
-                let SyncEvent::FrameSent {
-                    frame: Frame::GrantBatch { grants },
-                    ..
-                } = &mut out[grant_idx]
-                else {
-                    unreachable!("target indexed a GrantBatch");
-                };
-                grants.remove(j);
+        WireMutation::DropGrant { .. } => {
+            if let SyncEvent::FrameSent {
+                frame: Frame::GrantBatch { grants },
+                ..
+            } = &mut out[grant_idx]
+            {
+                grants.remove(within);
                 if grants.is_empty() {
                     out.remove(grant_idx);
                 }
             }
-        },
+        }
         WireMutation::ReorderGrantReport { .. } => {
-            // The answering report may be its own frame or one token of a
-            // ReportBatch; either way it overtakes the grant as a singleton.
-            let mut extracted: Option<SyncEvent> = None;
+            // The answering report is split out of its ReportBatch and
+            // overtakes the grant as a batch of one.
             for i in grant_idx + 1..out.len() {
-                match &mut out[i] {
-                    SyncEvent::FrameReceived {
-                        side: Endpoint::Server,
-                        worker,
-                        frame: Frame::Report { token: t, .. },
-                    } if *worker == grant_worker && *t == token => {
-                        extracted = Some(out.remove(i));
-                        break;
-                    }
-                    SyncEvent::FrameReceived {
-                        side: Endpoint::Server,
-                        worker,
-                        frame:
-                            Frame::ReportBatch {
-                                worker: claimed,
-                                tokens,
-                            },
-                    } if *worker == grant_worker && tokens.contains(&token) => {
-                        let claimed = *claimed;
-                        tokens.retain(|t| *t != token);
-                        let empty = tokens.is_empty();
-                        if empty {
-                            out.remove(i);
-                        }
-                        extracted = Some(SyncEvent::FrameReceived {
-                            side: Endpoint::Server,
-                            worker: grant_worker,
-                            frame: Frame::Report {
-                                worker: claimed,
-                                token,
-                            },
-                        });
-                        break;
-                    }
-                    _ => {}
+                let SyncEvent::FrameReceived {
+                    side: Endpoint::Server,
+                    worker,
+                    frame:
+                        Frame::ReportBatch {
+                            worker: claimed,
+                            tokens,
+                        },
+                } = &mut out[i]
+                else {
+                    continue;
+                };
+                if *worker != grant_worker || !tokens.contains(&token) {
+                    continue;
                 }
-            }
-            if let Some(report) = extracted {
-                out.insert(grant_idx, report);
+                let claimed = *claimed;
+                tokens.retain(|t| *t != token);
+                if tokens.is_empty() {
+                    out.remove(i);
+                }
+                out.insert(
+                    grant_idx,
+                    SyncEvent::FrameReceived {
+                        side: Endpoint::Server,
+                        worker: grant_worker,
+                        frame: Frame::ReportBatch {
+                            worker: claimed,
+                            tokens: vec![token],
+                        },
+                    },
+                );
+                break;
             }
         }
         WireMutation::MisrouteGrant { .. } => {
@@ -736,6 +685,7 @@ pub fn mutate_events(events: &[SyncEvent], mutation: &WireMutation) -> Vec<SyncE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fela_live::WireGrant;
 
     fn sent(worker: usize, frame: Frame) -> SyncEvent {
         SyncEvent::FrameSent {
@@ -753,8 +703,8 @@ mod tests {
         }
     }
 
-    fn grant(token: u64) -> Frame {
-        Frame::Grant {
+    fn wire_grant(token: u64) -> WireGrant {
+        WireGrant {
             token,
             level: 0,
             iteration: 0,
@@ -764,10 +714,16 @@ mod tests {
         }
     }
 
+    fn grant(token: u64) -> Frame {
+        Frame::GrantBatch {
+            grants: vec![wire_grant(token)],
+        }
+    }
+
     fn report(worker: usize, token: u64) -> Frame {
-        Frame::Report {
+        Frame::ReportBatch {
             worker: worker as u32,
-            token,
+            tokens: vec![token],
         }
     }
 
@@ -862,15 +818,6 @@ mod tests {
 
     #[test]
     fn wire_mutations_target_grants_inside_batch_frames() {
-        use fela_live::WireGrant;
-        let wire_grant = |token| WireGrant {
-            token,
-            level: 0,
-            iteration: 0,
-            batch: 4,
-            unit_start: 0,
-            unit_end: 1,
-        };
         // A clean pipelined session: the logical grant stream is 0, 1, 2 but
         // every frame is a batch — the mutations must see through the framing.
         let stream = vec![
@@ -930,15 +877,6 @@ mod tests {
 
     #[test]
     fn batched_grants_and_reports_verify_like_singles() {
-        use fela_live::WireGrant;
-        let wire_grant = |token| WireGrant {
-            token,
-            level: 0,
-            iteration: 0,
-            batch: 4,
-            unit_start: 0,
-            unit_end: 1,
-        };
         // A clean pipelined session: one GrantBatch, one ReportBatch in FIFO
         // order, then the epilogue.
         let stream = vec![

@@ -31,9 +31,9 @@
 //! produces (a report piggybacks up to [`RealOptions::pipeline`] pulls), and
 //! flushes a worker's queued grants **eagerly** — as soon as the frame that
 //! produced them is handled — as one `GrantBatch` frame + one transport
-//! write. The worker computes the batch as one coalesced sleep and answers
-//! with one `ReportBatch`, so per-token cost on both sides is
-//! `O(1/pipeline)` syscalls and wakeups.
+//! write, whatever the batch length. The worker computes the batch as one
+//! coalesced sleep and answers with one `ReportBatch`, so per-token cost on
+//! both sides is `O(1/pipeline)` syscalls and wakeups.
 //!
 //! Probes are pruned by protocol accounting rather than readiness syscalls:
 //! each link owes exactly one inbound frame per (re)spawn plus one reply per
@@ -86,7 +86,7 @@ pub struct RealOptions {
     /// Maximum tokens pulled per worker per report (grant pipelining): each
     /// report piggybacks up to this many requests and the resulting grants
     /// ship as one `GrantBatch` frame. `1` restores the strict one-token
-    /// request/grant/report cycle.
+    /// request/grant/report cycle, as batches of one.
     pub pipeline: usize,
 }
 
@@ -317,8 +317,8 @@ impl RealServer<'_> {
         self.scratch = ready;
     }
 
-    /// Ships every queued grant: one frame (a `GrantBatch` when the batch has
-    /// more than one grant) and one transport flush per worker. Leases are
+    /// Ships every queued grant: one `GrantBatch` frame and one transport
+    /// flush per worker. Leases are
     /// armed here, at send time, sized to the **cumulative** batch span — the
     /// worker computes the batch serially and reports it with one frame at
     /// the end, so every lease in the batch must survive until the whole
@@ -329,32 +329,21 @@ impl RealServer<'_> {
                 continue;
             }
             let grants = std::mem::take(&mut self.pending[worker]);
-            let wire: Vec<WireGrant> = grants
-                .iter()
-                .map(|g| {
-                    let sm = &self.partition.sub_models()[g.token.level];
-                    WireGrant {
-                        token: g.token.id.0,
-                        level: g.token.level as u32,
-                        iteration: g.token.iteration,
-                        batch: g.token.batch,
-                        unit_start: sm.unit_start as u32,
-                        unit_end: sm.unit_end as u32,
-                    }
-                })
-                .collect();
-            let frame = if wire.len() == 1 {
-                let g = wire[0];
-                Frame::Grant {
-                    token: g.token,
-                    level: g.level,
-                    iteration: g.iteration,
-                    batch: g.batch,
-                    unit_start: g.unit_start,
-                    unit_end: g.unit_end,
-                }
-            } else {
-                Frame::GrantBatch { grants: wire }
+            let frame = Frame::GrantBatch {
+                grants: grants
+                    .iter()
+                    .map(|g| {
+                        let sm = &self.partition.sub_models()[g.token.level];
+                        WireGrant {
+                            token: g.token.id.0,
+                            level: g.token.level as u32,
+                            iteration: g.token.iteration,
+                            batch: g.token.batch,
+                            unit_start: sm.unit_start as u32,
+                            unit_end: sm.unit_end as u32,
+                        }
+                    })
+                    .collect(),
             };
             let sent = match self.txs[worker].as_mut() {
                 Some(tx) => tx.queue(&frame).and_then(|()| tx.flush()).is_ok(),
@@ -645,7 +634,7 @@ impl RealServer<'_> {
         Ok(())
     }
 
-    /// One accepted (or stale) report: exactly the old single-report arm.
+    /// One accepted (or stale) report, one token of a `ReportBatch`.
     /// Returns `true` when a sync committed — the only event that releases
     /// new tokens, and therefore the only one worth a [`Self::drain_ready`].
     fn accept_report(&mut self, worker: usize, id: TokenId) -> bool {
@@ -687,19 +676,6 @@ impl RealServer<'_> {
                 debug_assert_eq!(w as usize, worker);
                 self.pull_into(worker);
             }
-            Frame::Report { worker: w, token } => {
-                debug_assert_eq!(w as usize, worker);
-                let released = self.accept_report(worker, TokenId(token));
-                self.maybe_checkpoint()?;
-                // Piggybacked pull, exactly like the simulated control plane —
-                // widened to the pipeline depth.
-                self.pull_into(worker);
-                // Only a committed sync (or a fault action) can make a
-                // *waiting* worker servable, so skip the drain scan otherwise.
-                if self.arm_faults(transport)? || released {
-                    self.drain_ready();
-                }
-            }
             Frame::ReportBatch { worker: w, tokens } => {
                 debug_assert_eq!(w as usize, worker);
                 let mut released = false;
@@ -707,7 +683,11 @@ impl RealServer<'_> {
                     released |= self.accept_report(worker, TokenId(token));
                 }
                 self.maybe_checkpoint()?;
+                // Piggybacked pull, exactly like the simulated control plane —
+                // widened to the pipeline depth.
                 self.pull_into(worker);
+                // Only a committed sync (or a fault action) can make a
+                // *waiting* worker servable, so skip the drain scan otherwise.
                 if self.arm_faults(transport)? || released {
                     self.drain_ready();
                 }
@@ -767,9 +747,12 @@ fn run_real_impl(
     sched: SharedSched,
 ) -> io::Result<RealOutcome> {
     scenario.cluster.validate();
-    if let Err(e) = scenario.fault.validate() {
-        panic!("invalid fault model: {e}");
-    }
+    scenario.fault.validate().map_err(|e| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("invalid fault model: {e}"),
+        )
+    })?;
     let mut config = config.clone();
     if !scenario.fault.is_none() && config.recovery.is_none() {
         config.recovery = Some(RecoveryConfig::default());
@@ -1176,6 +1159,21 @@ mod tests {
             run_real(&config, &scenario, &mut ChanTransport, opts).expect("real run succeeds");
         assert_eq!(out.iterations, 3);
         assert_eq!(out.trained_per_worker.iter().sum::<u64>(), out.grants);
+    }
+
+    #[test]
+    fn an_invalid_fault_model_is_an_input_error() {
+        let (config, mut scenario) = quick();
+        for p in [1.5, f64::NAN] {
+            scenario.fault = FaultModel::Chaos {
+                p,
+                down: fela_sim::SimDuration::from_millis(100),
+                seed: 0,
+            };
+            let err = run_real(&config, &scenario, &mut ChanTransport, fast())
+                .expect_err("an invalid fault model must not run");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "p = {p}");
+        }
     }
 
     #[test]

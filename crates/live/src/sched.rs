@@ -2,7 +2,7 @@
 //! runtime yields to a pluggable scheduler.
 //!
 //! The live runtime's sync points are frame sends/receives on a [`Link`],
-//! server inbox dequeues, and wall-clock timer fires (lease expiry, worker
+//! the server poll loop's dequeues, and wall-clock timer fires (lease expiry, worker
 //! restart). Each one calls [`Sched::reached`] with a [`SyncEvent`] describing
 //! the operation before/as it happens:
 //!
@@ -67,10 +67,11 @@ pub enum SyncEvent {
         /// Worker index the link belongs to.
         worker: usize,
     },
-    /// The real-clock server dequeued one inbound message from its merged
-    /// inbox. `frame` is `None` when the message was a peer-gone
-    /// notification. This is the server's *processing* order — distinct from
-    /// [`SyncEvent::FrameReceived`], which is pump-thread arrival order.
+    /// The real-clock server's poll loop took one inbound message off a
+    /// worker's link and is about to handle it. `frame` is `None` when the
+    /// link was found closed. This is the server's *processing* order —
+    /// distinct from [`SyncEvent::FrameReceived`], which the link's receive
+    /// half records as it parses the frame.
     InboxDequeued {
         /// Worker the message came from.
         worker: usize,

@@ -575,36 +575,40 @@ pub fn transport_by_name(name: &str) -> Option<Box<dyn Transport>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::WireGrant;
+
+    fn grant(token: u64) -> Frame {
+        Frame::GrantBatch {
+            grants: vec![WireGrant {
+                token,
+                level: 1,
+                iteration: 0,
+                batch: 8,
+                unit_start: 0,
+                unit_end: 4,
+            }],
+        }
+    }
+
+    fn report(worker: u32, token: u64) -> Frame {
+        Frame::ReportBatch {
+            worker,
+            tokens: vec![token],
+        }
+    }
 
     fn roundtrip(transport: &mut dyn Transport) {
         let (mut servers, mut workers) = transport.establish(3).expect("establish");
         for w in 0..3 {
-            servers[w]
-                .send(&Frame::Grant {
-                    token: w as u64,
-                    level: 1,
-                    iteration: 0,
-                    batch: 8,
-                    unit_start: 0,
-                    unit_end: 4,
-                })
-                .expect("send grant");
-            match workers[w].recv().expect("recv grant") {
-                Frame::Grant { token, .. } => assert_eq!(token, w as u64),
-                other => panic!("unexpected {other:?}"),
-            }
+            servers[w].send(&grant(w as u64)).expect("send grant");
+            assert_eq!(workers[w].recv().expect("recv grant"), grant(w as u64));
             workers[w]
-                .send(&Frame::Report {
-                    worker: w as u32,
-                    token: w as u64,
-                })
+                .send(&report(w as u32, w as u64))
                 .expect("send report");
-            match servers[w].recv().expect("recv report") {
-                Frame::Report { worker, token } => {
-                    assert_eq!((worker as usize, token), (w, w as u64));
-                }
-                other => panic!("unexpected {other:?}"),
-            }
+            assert_eq!(
+                servers[w].recv().expect("recv report"),
+                report(w as u32, w as u64)
+            );
         }
     }
 
@@ -651,14 +655,7 @@ mod tests {
 
     #[test]
     fn frame_buf_peels_frames_fed_one_byte_at_a_time() {
-        let frames = vec![
-            Frame::Request { worker: 2 },
-            Frame::Report {
-                worker: 2,
-                token: 9,
-            },
-            Frame::End,
-        ];
+        let frames = vec![Frame::Request { worker: 2 }, report(2, 9), Frame::End];
         let mut bytes = Vec::new();
         for f in &frames {
             crate::wire::encode_frame_into(&mut bytes, f);
@@ -687,16 +684,7 @@ mod tests {
                 rx.try_recv().expect("idle").is_none(),
                 "{name}: nothing queued yet"
             );
-            let sent: Vec<Frame> = (0..5)
-                .map(|i| Frame::Grant {
-                    token: i,
-                    level: 0,
-                    iteration: 1,
-                    batch: 8,
-                    unit_start: 0,
-                    unit_end: 4,
-                })
-                .collect();
+            let sent: Vec<Frame> = (0..5).map(grant).collect();
             for f in &sent {
                 tx.queue(f).expect("queue");
             }
@@ -751,13 +739,8 @@ mod tests {
         server.instrument(rec.clone(), Endpoint::Server, 3);
         server.send(&Frame::End).expect("send");
         assert_eq!(worker.recv().expect("recv"), Frame::End);
-        worker
-            .send(&Frame::Report {
-                worker: 3,
-                token: 7,
-            })
-            .expect("send report");
-        assert!(matches!(server.recv(), Ok(Frame::Report { .. })));
+        worker.send(&report(3, 7)).expect("send report");
+        assert_eq!(server.recv().expect("recv report"), report(3, 7));
         drop(worker);
         assert!(server.recv().is_err(), "peer gone");
         let events = rec.take();
@@ -772,10 +755,7 @@ mod tests {
                 SyncEvent::FrameReceived {
                     side: Endpoint::Server,
                     worker: 3,
-                    frame: Frame::Report {
-                        worker: 3,
-                        token: 7,
-                    },
+                    frame: report(3, 7),
                 },
                 SyncEvent::LinkClosed {
                     side: Endpoint::Server,

@@ -54,37 +54,15 @@ pub enum Frame {
         /// Requesting worker.
         worker: u32,
     },
-    /// Real-clock mode, server → worker: train this token.
-    Grant {
-        /// Token id.
-        token: u64,
-        /// Sub-model level.
-        level: u32,
-        /// Iteration.
-        iteration: u64,
-        /// Samples.
-        batch: u64,
-        /// First model unit (inclusive).
-        unit_start: u32,
-        /// Last model unit (exclusive).
-        unit_end: u32,
-    },
-    /// Real-clock mode, worker → server: token trained, gradient ready.
-    Report {
-        /// Reporting worker.
-        worker: u32,
-        /// Completed token id.
-        token: u64,
-    },
-    /// Real-clock mode, server → worker: train these tokens, in order. One
-    /// frame (one syscall, one flush) amortizes the grant hot path over N
-    /// tokens — the batched sibling of [`Frame::Grant`].
+    /// Real-clock mode, server → worker: train these tokens, in order. Every
+    /// grant ships in one of these, one token or many; a batch amortizes the
+    /// grant hot path (one syscall, one flush) over its tokens.
     GrantBatch {
         /// The granted tokens, in grant order.
         grants: Vec<WireGrant>,
     },
-    /// Real-clock mode, worker → server: these tokens are trained, in
-    /// completion order — the batched sibling of [`Frame::Report`].
+    /// Real-clock mode, worker → server: these tokens are trained, gradients
+    /// ready, in completion order. Every report ships in one of these.
     ReportBatch {
         /// Reporting worker.
         worker: u32,
@@ -115,9 +93,8 @@ pub enum Frame {
     },
 }
 
-/// One grant inside a [`Frame::GrantBatch`]: the same fields as
-/// [`Frame::Grant`], packed as a plain value so a batch encodes as a count
-/// followed by fixed-size records.
+/// One grant inside a [`Frame::GrantBatch`], packed as a plain value so a
+/// batch encodes as a count followed by fixed-size records.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct WireGrant {
     /// Token id.
@@ -304,8 +281,8 @@ const TAG_HELLO: u8 = 1;
 const TAG_COST_QUERY: u8 = 2;
 const TAG_COST_REPLY: u8 = 3;
 const TAG_REQUEST: u8 = 4;
-const TAG_GRANT: u8 = 5;
-const TAG_REPORT: u8 = 6;
+// Tags 5 and 6 are retired and must not be reused: a peer still sending them
+// gets `UnknownTag`, never a misparse.
 const TAG_ITER: u8 = 7;
 const TAG_HANG: u8 = 8;
 const TAG_END: u8 = 9;
@@ -323,8 +300,6 @@ pub fn body_len(frame: &Frame) -> usize {
         Frame::Hello { .. } | Frame::Request { .. } => 4,
         Frame::CostQuery { .. } => 4 + 8 + 4 + 4 + 4 + 8 + 8,
         Frame::CostReply { .. } => 8 + 8,
-        Frame::Grant { .. } => WIRE_GRANT_BYTES,
-        Frame::Report { .. } => 4 + 8,
         Frame::GrantBatch { grants } => 4 + WIRE_GRANT_BYTES * grants.len(),
         Frame::ReportBatch { tokens, .. } => 4 + 4 + 8 * tokens.len(),
         Frame::Iter { schedule, .. } => 8 + 4 + 8 * schedule.len(),
@@ -384,32 +359,6 @@ pub fn encode_frame_into(out: &mut Vec<u8>, frame: &Frame) {
         Frame::Request { worker } => {
             out.push(TAG_REQUEST);
             put_u32(out, *worker);
-        }
-        Frame::Grant {
-            token,
-            level,
-            iteration,
-            batch,
-            unit_start,
-            unit_end,
-        } => {
-            out.push(TAG_GRANT);
-            put_grant(
-                out,
-                &WireGrant {
-                    token: *token,
-                    level: *level,
-                    iteration: *iteration,
-                    batch: *batch,
-                    unit_start: *unit_start,
-                    unit_end: *unit_end,
-                },
-            );
-        }
-        Frame::Report { worker, token } => {
-            out.push(TAG_REPORT);
-            put_u32(out, *worker);
-            put_u64(out, *token);
         }
         Frame::GrantBatch { grants } => {
             out.push(TAG_GRANT_BATCH);
@@ -480,18 +429,6 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
             secs_bits: c.u64()?,
         },
         TAG_REQUEST => Frame::Request { worker: c.u32()? },
-        TAG_GRANT => Frame::Grant {
-            token: c.u64()?,
-            level: c.u32()?,
-            iteration: c.u64()?,
-            batch: c.u64()?,
-            unit_start: c.u32()?,
-            unit_end: c.u32()?,
-        },
-        TAG_REPORT => Frame::Report {
-            worker: c.u32()?,
-            token: c.u64()?,
-        },
         TAG_GRANT_BATCH => {
             let n = c.u32()? as usize;
             if n > c.remaining() / WIRE_GRANT_BYTES {
@@ -657,18 +594,6 @@ mod tests {
                 secs_bits: 0.125f64.to_bits(),
             },
             Frame::Request { worker: 0 },
-            Frame::Grant {
-                token: 9,
-                level: 0,
-                iteration: 1,
-                batch: 16,
-                unit_start: 0,
-                unit_end: 10,
-            },
-            Frame::Report {
-                worker: 5,
-                token: 9,
-            },
             Frame::GrantBatch {
                 grants: vec![
                     WireGrant {
@@ -729,9 +654,9 @@ mod tests {
 
     #[test]
     fn truncated_and_trailing_bytes_are_rejected() {
-        let bytes = encode_frame(&Frame::Report {
-            worker: 1,
-            token: 2,
+        let bytes = encode_frame(&Frame::CostReply {
+            token: 1,
+            secs_bits: 2,
         });
         assert!(matches!(
             decode_frame(&bytes[..bytes.len() - 1]),
@@ -743,7 +668,9 @@ mod tests {
             decode_frame(&padded),
             Err(WireError::LengthMismatch { .. })
         ));
-        assert_eq!(decode_body(&[99]), Err(WireError::UnknownTag(99)));
+        for tag in [5, 6, 99] {
+            assert_eq!(decode_body(&[tag]), Err(WireError::UnknownTag(tag)));
+        }
         assert!(matches!(
             decode_body(&bytes[4..bytes.len() - 1]),
             Err(WireError::Truncated { .. })
@@ -956,26 +883,6 @@ mod tests {
             (any::<u64>(), any::<u64>())
                 .prop_map(|(token, secs_bits)| Frame::CostReply { token, secs_bits }),
             any::<u32>().prop_map(|worker| Frame::Request { worker }),
-            (
-                any::<u64>(),
-                any::<u32>(),
-                any::<u64>(),
-                any::<u64>(),
-                any::<u32>(),
-                any::<u32>(),
-            )
-                .prop_map(|(token, level, iteration, batch, unit_start, unit_end)| {
-                    Frame::Grant {
-                        token,
-                        level,
-                        iteration,
-                        batch,
-                        unit_start,
-                        unit_end,
-                    }
-                }),
-            (any::<u32>(), any::<u64>())
-                .prop_map(|(worker, token)| Frame::Report { worker, token }),
             prop::collection::vec(arb_wire_grant(), 0..32)
                 .prop_map(|grants| Frame::GrantBatch { grants }),
             (any::<u32>(), prop::collection::vec(any::<u64>(), 0..64))
@@ -1059,19 +966,6 @@ mod tests {
             tokens in prop::collection::vec(any::<u64>(), 0..64),
         ) {
             let f = Frame::ReportBatch { worker, tokens };
-            prop_assert_eq!(decode_frame(&encode_frame(&f)).unwrap(), f);
-        }
-
-        #[test]
-        fn grant_frames_round_trip(
-            token in 0u64..u64::MAX,
-            level in 0u32..16,
-            iteration in 0u64..u64::MAX,
-            batch in 0u64..u64::MAX,
-            us in 0u32..u32::MAX,
-            ue in 0u32..u32::MAX,
-        ) {
-            let f = Frame::Grant { token, level, iteration, batch, unit_start: us, unit_end: ue };
             prop_assert_eq!(decode_frame(&encode_frame(&f)).unwrap(), f);
         }
     }

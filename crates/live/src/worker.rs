@@ -9,14 +9,16 @@
 //!   analytic model and reply bit-exactly (`f64::to_bits`). In virtual-clock
 //!   mode this is the only thing that feeds the server's event loop, which is
 //!   why live runs are conformant: the server never consults its local model.
-//! * `Grant` — "compute" the token by sleeping the span scaled by
-//!   `time_scale` (0 in virtual mode: pure control-plane), then `Report`.
+//! * `GrantBatch` — "compute" the granted tokens as one sleep of their summed
+//!   spans scaled by `time_scale`, then answer with one `ReportBatch` naming
+//!   them in grant order.
 //! * `Iter` — apply one iteration's relabeled schedule to the engine replica.
 //! * `Hang` — injected fault: freeze for the given real nanos, keeping state.
 //! * `End` — reply with the replica's flattened parameters and exit.
 //!
 //! A failed receive means the server dropped the link (crash injection or
-//! shutdown): the thread exits silently, exactly like a killed process.
+//! shutdown): the thread exits silently, exactly like a killed process. A
+//! frame no server sends is treated the same way.
 
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -123,26 +125,6 @@ pub fn spawn_worker(spec: WorkerSpec, mut link: Link) -> JoinHandle<()> {
                             return;
                         }
                     }
-                    Frame::Grant {
-                        token,
-                        iteration,
-                        batch,
-                        unit_start,
-                        unit_end,
-                        ..
-                    } => {
-                        let secs = priced(&spec, unit_start, unit_end, batch, iteration);
-                        scaled_sleep(secs, spec.time_scale);
-                        if link
-                            .send(&Frame::Report {
-                                worker: spec.index as u32,
-                                token,
-                            })
-                            .is_err()
-                        {
-                            return;
-                        }
-                    }
                     Frame::GrantBatch { grants } => {
                         // The whole pipelined batch "computes" as one coalesced
                         // sleep, then reports with a single frame — the
@@ -152,15 +134,9 @@ pub fn spawn_worker(spec: WorkerSpec, mut link: Link) -> JoinHandle<()> {
                             .map(|g| priced(&spec, g.unit_start, g.unit_end, g.batch, g.iteration))
                             .sum();
                         scaled_sleep(secs, spec.time_scale);
-                        let reply = match grants.as_slice() {
-                            [only] => Frame::Report {
-                                worker: spec.index as u32,
-                                token: only.token,
-                            },
-                            _ => Frame::ReportBatch {
-                                worker: spec.index as u32,
-                                tokens: grants.iter().map(|g| g.token).collect(),
-                            },
+                        let reply = Frame::ReportBatch {
+                            worker: spec.index as u32,
+                            tokens: grants.iter().map(|g| g.token).collect(),
                         };
                         if link.send(&reply).is_err() {
                             return;
@@ -182,10 +158,8 @@ pub fn spawn_worker(spec: WorkerSpec, mut link: Link) -> JoinHandle<()> {
                         });
                         return;
                     }
-                    other => panic!(
-                        "worker {}: unexpected frame from server: {other:?}",
-                        spec.index
-                    ),
+                    // A frame no server sends: drop the link like a dead peer.
+                    _ => return,
                 }
             }
         })
@@ -277,16 +251,19 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        // A batch of one degenerates to the plain Report frame.
+        // A batch of one is answered in the same shape.
         servers[0]
             .send(&Frame::GrantBatch {
                 grants: vec![grant(7)],
             })
             .expect("send singleton batch");
-        match servers[0].recv().expect("report") {
-            Frame::Report { worker, token } => assert_eq!((worker, token), (1, 7)),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(
+            servers[0].recv().expect("report"),
+            Frame::ReportBatch {
+                worker: 1,
+                tokens: vec![7],
+            }
+        );
         servers[0].send(&Frame::End).expect("send end");
         assert!(matches!(servers[0].recv(), Ok(Frame::Params { .. })));
         handle.join().expect("worker exits cleanly");
@@ -303,25 +280,43 @@ mod tests {
     }
 
     #[test]
+    fn worker_exits_cleanly_on_a_frame_no_server_sends() {
+        let spec = test_spec(0);
+        let mut t = ChanTransport;
+        let (mut servers, workers) = t.establish(1).expect("establish");
+        let handle = spawn_worker(spec, workers.into_iter().next().expect("one"));
+        servers[0]
+            .send(&Frame::Request { worker: 0 })
+            .expect("send request");
+        handle.join().expect("worker exits, not panics");
+        assert!(servers[0].recv().is_err(), "worker dropped its link");
+    }
+
+    #[test]
     fn grant_report_round_trip_applies_no_engine_state() {
         let spec = test_spec(2);
         let mut t = ChanTransport;
         let (mut servers, workers) = t.establish(1).expect("establish");
         let handle = spawn_worker(spec, workers.into_iter().next().expect("one"));
         servers[0]
-            .send(&Frame::Grant {
-                token: 3,
-                level: 0,
-                iteration: 0,
-                batch: 16,
-                unit_start: 0,
-                unit_end: 2,
+            .send(&Frame::GrantBatch {
+                grants: vec![crate::wire::WireGrant {
+                    token: 3,
+                    level: 0,
+                    iteration: 0,
+                    batch: 16,
+                    unit_start: 0,
+                    unit_end: 2,
+                }],
             })
             .expect("send grant");
-        match servers[0].recv().expect("report") {
-            Frame::Report { worker, token } => assert_eq!((worker, token), (2, 3)),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(
+            servers[0].recv().expect("report"),
+            Frame::ReportBatch {
+                worker: 2,
+                tokens: vec![3],
+            }
+        );
         servers[0].send(&Frame::End).expect("send end");
         let params = match servers[0].recv().expect("params") {
             Frame::Params { bytes } => bytes,

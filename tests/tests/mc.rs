@@ -114,10 +114,11 @@ fn a_real_threaded_run_satisfies_the_frame_session_protocol() {
     assert!(report.frames > 0);
 }
 
-/// A real-clock pull-mode run (the `Request`/`Grant`/`Report` dialogue the
-/// wire mutations target — virtual mode prices spans with `CostQuery`
-/// instead), recorded through the same seam.
-fn recorded_real_trace() -> Vec<SyncEvent> {
+/// A real-clock pull-mode run at grant pipeline depth `pipeline` (the
+/// `Request`/`GrantBatch`/`ReportBatch` dialogue the wire mutations target —
+/// virtual mode prices spans with `CostQuery` instead), recorded through the
+/// same seam.
+fn recorded_real_trace(pipeline: usize) -> Vec<SyncEvent> {
     let mut scenario = Scenario::paper(zoo::alexnet(), 128);
     scenario.iterations = 2;
     scenario.cluster = ClusterSpec::k40c_cluster(2);
@@ -129,6 +130,7 @@ fn recorded_real_trace() -> Vec<SyncEvent> {
     let sched: SharedSched = rec.clone();
     let opts = RealOptions {
         time_scale: 1e-4,
+        pipeline,
         ..RealOptions::default()
     };
     run_real_with(&config, &scenario, &mut ChanTransport, opts, sched)
@@ -141,19 +143,26 @@ fn wire_mutations_on_a_live_trace_are_still_caught() {
     // The session verifier is not specific to model-generated streams: the
     // same seeded wire mutations must be caught on a trace recorded from real
     // threads (misroute needs grant intents from an op log, so it is covered
-    // by the model-side matrix instead).
-    let events = recorded_real_trace();
-    let clean = verify_session(&events, None);
-    assert!(clean.ok(), "real trace violations: {:?}", clean.violations);
-    for mutation in [
-        WireMutation::DropGrant { nth: 0 },
-        WireMutation::ReorderGrantReport { nth: 0 },
-    ] {
-        let mutated = mutate_events(&events, &mutation);
-        let report = verify_session(&mutated, None);
+    // by the model-side matrix instead). At depth 1 grants and reports are
+    // batches of one, so each mutation empties its frame and removes it.
+    for pipeline in [1, RealOptions::default().pipeline] {
+        let events = recorded_real_trace(pipeline);
+        let clean = verify_session(&events, None);
         assert!(
-            !report.ok(),
-            "{mutation:?} went unnoticed on the live trace"
+            clean.ok(),
+            "pipeline {pipeline}: real trace violations: {:?}",
+            clean.violations
         );
+        for mutation in [
+            WireMutation::DropGrant { nth: 0 },
+            WireMutation::ReorderGrantReport { nth: 0 },
+        ] {
+            let mutated = mutate_events(&events, &mutation);
+            let report = verify_session(&mutated, None);
+            assert!(
+                !report.ok(),
+                "pipeline {pipeline}: {mutation:?} went unnoticed on the live trace"
+            );
+        }
     }
 }
