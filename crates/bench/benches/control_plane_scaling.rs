@@ -44,17 +44,7 @@ fn inputs(workers: usize, shards: usize) -> (TokenPlan, FelaConfig, Vec<LevelMet
         .with_shards(shards);
     let batch = workers.max(1024) as u64;
     let plan = TokenPlan::build(&partition, &cfg, batch, workers).unwrap();
-    let meta: Vec<LevelMeta> = partition
-        .sub_models()
-        .iter()
-        .map(|s| LevelMeta {
-            param_bytes: s.param_bytes,
-            output_bytes_per_sample: s.output_bytes_per_sample,
-            input_bytes_per_sample: s.input_bytes_per_sample,
-            comm_intensive: s.comm_intensive,
-        })
-        .collect();
-    (plan, cfg, meta)
+    (plan, cfg, LevelMeta::for_partition(&partition))
 }
 
 fn make_plane(workers: usize, shards: usize) -> (ControlPlane, u64) {

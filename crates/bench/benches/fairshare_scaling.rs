@@ -1,7 +1,6 @@
-//! Hot-path benchmarks for the incremental engines introduced alongside the
-//! full-recompute oracles: per-event fair-share updates (full `max_min_rates`
-//! vs `IncrementalMaxMin`) at 8–64 nodes, and the Token Server's indexed
-//! distribution path.
+//! Fair-share churn scaling: per-event rate updates from the full
+//! progressive-filling oracle (`max_min_rates`) against the incremental
+//! engine (`IncrementalMaxMin`) at 8–64 nodes.
 //!
 //! The fair-share churn uses rack-local traffic (groups of 8 nodes, 4 flows
 //! per node), so the link-sharing graph splits into one connected component
@@ -12,17 +11,13 @@
 //! two component recomputes per churn event (one for the finish, one for the
 //! start) versus the oracle's one full pass — the crossover the numbers show.
 //!
-//! Run with `FELA_BENCH_DIR=<dir>` to emit `BENCH_fairshare_scaling.json` and
-//! `BENCH_distribution.json`; `FELA_BENCH_QUICK=1` shortens the measurement
-//! for CI smoke runs.
+//! Run with `FELA_BENCH_DIR=<dir>` to emit `BENCH_fairshare_scaling.json`;
+//! `FELA_BENCH_QUICK=1` shortens the measurement for CI smoke runs.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use fela_core::{ControlPlane, FelaConfig, LevelMeta, TokenPlan};
-use fela_model::{bin_partition, zoo, PartitionOptions, ThresholdProfile};
 use fela_net::fairshare::{max_min_rates, FlowLinks, IncrementalMaxMin};
-use fela_sim::SimTime;
 
 /// Rack-local flow pattern: `nodes` must be a multiple of 8; each rack of 8
 /// nodes carries 32 flows (4 per node) that never leave the rack.
@@ -103,66 +98,5 @@ fn bench_fairshare_scaling(c: &mut Criterion) {
     }
 }
 
-fn make_server() -> ControlPlane {
-    let partition = bin_partition(
-        &zoo::vgg19(),
-        &ThresholdProfile::k40c(),
-        PartitionOptions::default(),
-    );
-    let cfg = FelaConfig::new(3).with_weights(vec![1, 2, 4]);
-    let plan = TokenPlan::build(&partition, &cfg, 1024, 8).unwrap();
-    let meta: Vec<LevelMeta> = partition
-        .sub_models()
-        .iter()
-        .map(|s| LevelMeta {
-            param_bytes: s.param_bytes,
-            output_bytes_per_sample: s.output_bytes_per_sample,
-            input_bytes_per_sample: s.input_bytes_per_sample,
-            comm_intensive: s.comm_intensive,
-        })
-        .collect();
-    ControlPlane::new(plan, cfg, meta, 8, 1_000_000)
-}
-
-fn bench_distribution(c: &mut Criterion) {
-    // Grant + report for one full iteration's tokens: every `request` walks the
-    // distribution pick path (per-worker score index under ADS+HF), every
-    // `report` maintains it.
-    c.bench_function("core/distribution_one_iteration", |b| {
-        b.iter_batched(
-            make_server,
-            |mut ts| {
-                let mut clock = 0u64;
-                let mut done = 0u64;
-                let total = ts.plan().tokens_per_iteration();
-                let mut active: Vec<(usize, fela_core::Grant)> = Vec::new();
-                for w in 0..8 {
-                    clock += 100_000;
-                    if let Some(g) = ts.request(w, SimTime::from_nanos(clock)).unwrap() {
-                        active.push((w, g));
-                    }
-                }
-                while done < total {
-                    let (w, g) = active.pop().expect("tokens available");
-                    for s in ts.report(w, g.token.id).unwrap() {
-                        ts.sync_finished(s.level, s.iteration).unwrap();
-                    }
-                    done += 1;
-                    clock += 100_000;
-                    if let Some(g2) = ts.request(w, SimTime::from_nanos(clock)).unwrap() {
-                        active.push((w, g2));
-                    }
-                    while let Some(pair) = ts.pop_ready_grant(SimTime::from_nanos(clock)).unwrap() {
-                        active.push(pair);
-                    }
-                }
-                black_box(ts.stats().grants)
-            },
-            BatchSize::SmallInput,
-        )
-    });
-}
-
 criterion_group!(fairshare_scaling, bench_fairshare_scaling);
-criterion_group!(distribution, bench_distribution);
-criterion_main!(fairshare_scaling, distribution);
+criterion_main!(fairshare_scaling);

@@ -367,78 +367,55 @@ pub fn merge_resize(base: ResizeModel, next: ResizeModel) -> Result<ResizeModel,
     Ok(merged)
 }
 
-/// Resolves the resize model for a command: `--resize` flags win; otherwise
-/// `FELA_RESIZE` (whitespace-separated specs, composed exactly like repeated
-/// flags) is consulted; otherwise no resizes.
-pub fn resolve_resize(explicit: &ResizeModel) -> Result<ResizeModel, ParseError> {
-    let env = std::env::var("FELA_RESIZE").ok();
-    resolve_resize_with(explicit, env.as_deref())
-}
-
-fn resolve_resize_with(
-    explicit: &ResizeModel,
+/// Resolves one setting a flag and an environment variable can both give:
+/// the flag wins (it was validated at parse time); otherwise `env`, the value
+/// of the variable `var` if it is set, goes through `parse`; otherwise
+/// `default()`. Every `FELA_*` fallback of the CLI goes through here.
+pub fn resolve<T>(
+    flag: Option<T>,
+    var: &str,
     env: Option<&str>,
-) -> Result<ResizeModel, ParseError> {
-    if !explicit.is_none() {
-        return Ok(explicit.clone());
-    }
-    let Some(specs) = env else {
-        return Ok(ResizeModel::None);
-    };
-    let mut model = ResizeModel::None;
-    for spec in specs.split_whitespace() {
-        let next = parse_resize(spec).map_err(|e| ParseError(format!("FELA_RESIZE: {e}")))?;
-        model = merge_resize(model, next).map_err(|e| ParseError(format!("FELA_RESIZE: {e}")))?;
-    }
-    Ok(model)
-}
-
-/// Resolves the worker-thread count for a command: `--jobs` (already validated
-/// at parse time), else `FELA_JOBS`, else available parallelism. A `FELA_JOBS`
-/// that is set but not a positive integer is rejected here rather than silently
-/// clamped by the harness — `FELA_JOBS=0` used to reach the thread pool.
-pub fn resolve_jobs(explicit: Option<usize>) -> Result<usize, ParseError> {
-    let env = std::env::var("FELA_JOBS").ok();
-    resolve_jobs_with(explicit, env.as_deref())
-}
-
-fn resolve_jobs_with(explicit: Option<usize>, env: Option<&str>) -> Result<usize, ParseError> {
-    if let Some(jobs) = explicit {
-        return Ok(jobs);
-    }
-    match env {
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => err(format!("FELA_JOBS must be a positive integer, got '{v}'")),
-        },
-        None => Ok(fela_harness::default_jobs()),
+    parse: impl FnOnce(&str, &str) -> Result<T, ParseError>,
+    default: impl FnOnce() -> T,
+) -> Result<T, ParseError> {
+    match (flag, env) {
+        (Some(value), _) => Ok(value),
+        (None, Some(text)) => parse(var, text),
+        (None, None) => Ok(default()),
     }
 }
 
-/// Resolves the control-plane shard count for a command: `--shards` (already
-/// validated as non-zero at parse time), else `FELA_SHARDS`, else 1. Shard
-/// counts above the partition's level count
-/// are rejected here — a shard owns at least one level's token state, so a
-/// larger count cannot be honoured and silently clamping would misreport the
-/// control-plane layout the user asked to measure.
-pub fn resolve_shards(explicit: Option<usize>, levels: usize) -> Result<usize, ParseError> {
-    let env = std::env::var("FELA_SHARDS").ok();
-    resolve_shards_with(explicit, env.as_deref(), levels)
+/// [`resolve`] against the process environment.
+pub fn resolve_env<T>(
+    flag: Option<T>,
+    var: &str,
+    parse: impl FnOnce(&str, &str) -> Result<T, ParseError>,
+    default: impl FnOnce() -> T,
+) -> Result<T, ParseError> {
+    resolve(
+        flag,
+        var,
+        std::env::var(var).ok().as_deref(),
+        parse,
+        default,
+    )
 }
 
-fn resolve_shards_with(
-    explicit: Option<usize>,
-    env: Option<&str>,
-    levels: usize,
-) -> Result<usize, ParseError> {
-    let shards = match (explicit, env) {
-        (Some(s), _) => s,
-        (None, Some(v)) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => return err(format!("FELA_SHARDS must be a positive integer, got '{v}'")),
-        },
-        (None, None) => 1,
-    };
+/// Parses a count variable such as `FELA_JOBS` or `FELA_SHARDS`. A value that
+/// is set but not a positive integer is rejected here rather than silently
+/// clamped downstream.
+pub fn positive_count(var: &str, text: &str) -> Result<usize, ParseError> {
+    match text.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => err(format!("{var} must be a positive integer, got '{text}'")),
+    }
+}
+
+/// Rejects shard counts above the partition's level count: a shard owns at
+/// least one level's token state, so a larger count cannot be honoured and
+/// silently clamping would misreport the control-plane layout the user asked
+/// to measure.
+pub fn shards_within(shards: usize, levels: usize) -> Result<usize, ParseError> {
     if shards > levels {
         return err(format!(
             "--shards {shards} exceeds this model's {levels}-level partition \
@@ -448,20 +425,15 @@ fn resolve_shards_with(
     Ok(shards)
 }
 
-/// Resolves the artifact directory for a command: `--results-dir` wins over
-/// `FELA_RESULTS_DIR`, which wins over the `results/` default — so a flag on
-/// the command line always beats ambient environment.
-pub fn resolve_results_dir(explicit: Option<&str>) -> std::path::PathBuf {
-    let env = std::env::var("FELA_RESULTS_DIR").ok();
-    resolve_results_dir_with(explicit, env.as_deref())
-}
-
-fn resolve_results_dir_with(explicit: Option<&str>, env: Option<&str>) -> std::path::PathBuf {
-    match (explicit, env) {
-        (Some(dir), _) => std::path::PathBuf::from(dir),
-        (None, Some(dir)) => std::path::PathBuf::from(dir),
-        (None, None) => std::path::PathBuf::from("results"),
+/// Parses `FELA_RESIZE`: whitespace-separated specs, composed exactly like
+/// repeated `--resize` flags.
+pub fn parse_resize_env(var: &str, specs: &str) -> Result<ResizeModel, ParseError> {
+    let mut model = ResizeModel::None;
+    for spec in specs.split_whitespace() {
+        let next = parse_resize(spec).map_err(|e| ParseError(format!("{var}: {e}")))?;
+        model = merge_resize(model, next).map_err(|e| ParseError(format!("{var}: {e}")))?;
     }
+    Ok(model)
 }
 
 fn parse_common<'a>(
@@ -1107,18 +1079,35 @@ mod tests {
         assert!(parse(&["compare", "--seed", "x"]).is_err());
     }
 
+    /// [`resolve`] as `jobs_from` in `main.rs` calls it.
+    fn jobs(flag: Option<usize>, env: Option<&str>) -> Result<usize, ParseError> {
+        resolve(
+            flag,
+            "FELA_JOBS",
+            env,
+            positive_count,
+            fela_harness::default_jobs,
+        )
+    }
+
+    /// [`resolve`] as `shards_from` in `main.rs` calls it.
+    fn shards(flag: Option<usize>, env: Option<&str>, levels: usize) -> Result<usize, ParseError> {
+        resolve(flag, "FELA_SHARDS", env, positive_count, || 1)
+            .and_then(|s| shards_within(s, levels))
+    }
+
     #[test]
     fn fela_jobs_env_is_validated() {
-        let e = resolve_jobs_with(None, Some("0")).unwrap_err();
+        let e = jobs(None, Some("0")).unwrap_err();
         assert!(e.0.contains("FELA_JOBS"), "{e}");
-        assert!(resolve_jobs_with(None, Some("abc")).is_err());
-        assert!(resolve_jobs_with(None, Some("-2")).is_err());
-        assert_eq!(resolve_jobs_with(None, Some("4")).unwrap(), 4);
-        assert_eq!(resolve_jobs_with(None, Some(" 4 ")).unwrap(), 4);
+        assert!(jobs(None, Some("abc")).is_err());
+        assert!(jobs(None, Some("-2")).is_err());
+        assert_eq!(jobs(None, Some("4")).unwrap(), 4);
+        assert_eq!(jobs(None, Some(" 4 ")).unwrap(), 4);
         // An explicit --jobs wins and is already validated at parse time.
-        assert_eq!(resolve_jobs_with(Some(3), Some("0")).unwrap(), 3);
+        assert_eq!(jobs(Some(3), Some("0")).unwrap(), 3);
         // Unset env falls back to the harness default, which is always ≥ 1.
-        assert!(resolve_jobs_with(None, None).unwrap() >= 1);
+        assert!(jobs(None, None).unwrap() >= 1);
     }
 
     #[test]
@@ -1131,7 +1120,7 @@ mod tests {
             panic!()
         };
         assert_eq!(l.shards, Some(2));
-        // Unset flag defers to resolve_shards (FELA_SHARDS / 1).
+        // Unset flag defers to FELA_SHARDS, else 1.
         let Command::Run(r) = parse(&["run"]).unwrap() else {
             panic!()
         };
@@ -1151,21 +1140,21 @@ mod tests {
     #[test]
     fn resolve_shards_bounds_and_env() {
         // Explicit flag wins over the environment.
-        assert_eq!(resolve_shards_with(Some(2), Some("9"), 3).unwrap(), 2);
+        assert_eq!(shards(Some(2), Some("9"), 3).unwrap(), 2);
         // Environment fallback, validated like FELA_JOBS.
-        assert_eq!(resolve_shards_with(None, Some("3"), 3).unwrap(), 3);
-        assert_eq!(resolve_shards_with(None, Some(" 2 "), 3).unwrap(), 2);
-        let e = resolve_shards_with(None, Some("0"), 3).unwrap_err();
+        assert_eq!(shards(None, Some("3"), 3).unwrap(), 3);
+        assert_eq!(shards(None, Some(" 2 "), 3).unwrap(), 2);
+        let e = shards(None, Some("0"), 3).unwrap_err();
         assert!(e.0.contains("FELA_SHARDS"), "{e}");
-        assert!(resolve_shards_with(None, Some("abc"), 3).is_err());
+        assert!(shards(None, Some("abc"), 3).is_err());
         // Default is one shard.
-        assert_eq!(resolve_shards_with(None, None, 3).unwrap(), 1);
+        assert_eq!(shards(None, None, 3).unwrap(), 1);
         // A shard owns at least one level: counts above the level count fail.
-        let e = resolve_shards_with(Some(4), None, 3).unwrap_err();
+        let e = shards(Some(4), None, 3).unwrap_err();
         assert!(e.0.contains("exceeds"), "{e}");
-        let e = resolve_shards_with(None, Some("5"), 3).unwrap_err();
+        let e = shards(None, Some("5"), 3).unwrap_err();
         assert!(e.0.contains("exceeds"), "{e}");
-        assert_eq!(resolve_shards_with(Some(3), None, 3).unwrap(), 3);
+        assert_eq!(shards(Some(3), None, 3).unwrap(), 3);
     }
 
     #[test]
@@ -1264,18 +1253,25 @@ mod tests {
     #[test]
     fn results_dir_flag_wins_over_environment() {
         // Flag beats env beats default.
+        let dir = |flag: Option<&str>, env: Option<&str>| {
+            resolve(
+                flag.map(std::path::PathBuf::from),
+                "FELA_RESULTS_DIR",
+                env,
+                |_, d| Ok(std::path::PathBuf::from(d)),
+                || std::path::PathBuf::from("results"),
+            )
+            .unwrap()
+        };
         assert_eq!(
-            resolve_results_dir_with(Some("/tmp/a"), Some("/tmp/b")),
+            dir(Some("/tmp/a"), Some("/tmp/b")),
             std::path::PathBuf::from("/tmp/a")
         );
         assert_eq!(
-            resolve_results_dir_with(None, Some("/tmp/b")),
+            dir(None, Some("/tmp/b")),
             std::path::PathBuf::from("/tmp/b")
         );
-        assert_eq!(
-            resolve_results_dir_with(None, None),
-            std::path::PathBuf::from("results")
-        );
+        assert_eq!(dir(None, None), std::path::PathBuf::from("results"));
         // The flag parses into CommonArgs and rejects empty paths.
         let Command::Live(l) = parse(&["live", "--results-dir", "out"]).unwrap() else {
             panic!()
@@ -1374,16 +1370,18 @@ mod tests {
 
     #[test]
     fn fela_resize_env_is_a_fallback_only() {
+        let resize = |flag: Option<ResizeModel>, env: Option<&str>| {
+            resolve(flag, "FELA_RESIZE", env, parse_resize_env, || {
+                ResizeModel::None
+            })
+        };
         // Explicit flag wins regardless of the environment.
         let flag = ResizeModel::Churn { rate: 0.1, seed: 1 };
-        assert_eq!(resolve_resize_with(&flag, Some("join:2:1")).unwrap(), flag);
+        assert_eq!(resize(Some(flag.clone()), Some("join:2:1")).unwrap(), flag);
         // Unset env, no flag → no resizes.
-        assert_eq!(
-            resolve_resize_with(&ResizeModel::None, None).unwrap(),
-            ResizeModel::None
-        );
+        assert_eq!(resize(None, None).unwrap(), ResizeModel::None);
         // Whitespace-separated specs compose like repeated flags.
-        let m = resolve_resize_with(&ResizeModel::None, Some("join:3:2  leave:7:0")).unwrap();
+        let m = resize(None, Some("join:3:2  leave:7:0")).unwrap();
         assert_eq!(
             m,
             ResizeModel::Scripted(vec![
@@ -1398,9 +1396,9 @@ mod tests {
             ])
         );
         // Malformed env is a named error, not a silent ignore.
-        let e = resolve_resize_with(&ResizeModel::None, Some("join:0:2")).unwrap_err();
+        let e = resize(None, Some("join:0:2")).unwrap_err();
         assert!(e.0.contains("FELA_RESIZE"), "{e}");
-        assert!(resolve_resize_with(&ResizeModel::None, Some("churn:0.1 join:2:1")).is_err());
+        assert!(resize(None, Some("churn:0.1 join:2:1")).is_err());
     }
 
     #[test]

@@ -22,7 +22,33 @@ use std::process::ExitCode;
 /// The worker-thread count for a command: `--jobs`, else `FELA_JOBS`/auto.
 /// A malformed `FELA_JOBS` (e.g. `0`) is a user-facing error, not a clamp.
 fn jobs_from(common: &CommonArgs) -> Result<usize, String> {
-    args::resolve_jobs(common.jobs).map_err(|e| e.to_string())
+    args::resolve_env(
+        common.jobs,
+        "FELA_JOBS",
+        args::positive_count,
+        fela_harness::default_jobs,
+    )
+    .map_err(|e| e.to_string())
+}
+
+/// The control-plane shard count: `--shards`, else `FELA_SHARDS`, else 1 —
+/// at most one shard per partition level.
+fn shards_from(flag: Option<usize>, levels: usize) -> Result<usize, String> {
+    args::resolve_env(flag, "FELA_SHARDS", args::positive_count, || 1)
+        .and_then(|shards| args::shards_within(shards, levels))
+        .map_err(|e| e.to_string())
+}
+
+/// The artifact directory: `--results-dir`, else `FELA_RESULTS_DIR`, else
+/// `results/` — a flag on the command line always beats ambient environment.
+fn results_dir_from(common: &CommonArgs) -> Result<std::path::PathBuf, String> {
+    args::resolve_env(
+        common.results_dir.as_deref().map(std::path::PathBuf::from),
+        "FELA_RESULTS_DIR",
+        |_, dir| Ok(std::path::PathBuf::from(dir)),
+        || std::path::PathBuf::from("results"),
+    )
+    .map_err(|e| e.to_string())
 }
 
 fn model_by_cli_name(name: &str) -> Option<fela_model::Model> {
@@ -61,7 +87,11 @@ fn scenario_from(common: &CommonArgs) -> Result<Scenario, String> {
     }
     sc.straggler = common.straggler;
     sc.fault = common.fault;
-    sc.resize = args::resolve_resize(&common.resize).map_err(|e| e.to_string())?;
+    let resize_flag = (!common.resize.is_none()).then(|| common.resize.clone());
+    sc.resize = args::resolve_env(resize_flag, "FELA_RESIZE", args::parse_resize_env, || {
+        fela_cluster::ResizeModel::None
+    })
+    .map_err(|e| e.to_string())?;
     if let Some(seed) = common.seed {
         sc.straggler = sc.straggler.with_seed(seed);
         sc.fault = sc.fault.with_seed(seed);
@@ -233,7 +263,7 @@ fn cmd_run(run: &RunArgs) -> Result<(), String> {
     config = config
         .with_staleness(run.staleness)
         .with_pipelining(!run.no_pipelining)
-        .with_shards(args::resolve_shards(run.shards, m).map_err(|e| e.to_string())?);
+        .with_shards(shards_from(run.shards, m)?);
     config.validate(sc.cluster.nodes);
 
     let mut runtime = FelaRuntime::new(config.clone());
@@ -413,7 +443,7 @@ fn cmd_compare(common: &CommonArgs) -> Result<(), String> {
     } else {
         "fela-elastic"
     };
-    let dir = args::resolve_results_dir(common.results_dir.as_deref());
+    let dir = results_dir_from(common)?;
     if let Err(e) = result.write_artifacts_to(&dir) {
         eprintln!("warning: cannot write compare artifacts: {e}");
     }
@@ -487,8 +517,7 @@ fn cmd_live(live: &LiveArgs) -> Result<(), String> {
         }
         None => FelaConfig::new(m),
     };
-    let config =
-        config.with_shards(args::resolve_shards(live.shards, m).map_err(|e| e.to_string())?);
+    let config = config.with_shards(shards_from(live.shards, m)?);
     config.validate(sc.cluster.nodes);
     let mut transport = fela_live::transport_by_name(&live.transport)
         .ok_or_else(|| format!("unknown transport '{}'", live.transport))?;
@@ -557,7 +586,7 @@ fn cmd_live(live: &LiveArgs) -> Result<(), String> {
         common.seed,
         report.clone(),
     );
-    let dir = args::resolve_results_dir(common.results_dir.as_deref());
+    let dir = results_dir_from(&common)?;
     match fela_harness::write_jsonl_to(&dir, "live", std::slice::from_ref(&record)) {
         Ok(path) => eprintln!("[live] 1 run -> {}", path.display()),
         Err(e) => eprintln!("warning: cannot write live artifacts: {e}"),
@@ -648,7 +677,7 @@ fn cmd_live_elastic(live: &LiveArgs, common: &CommonArgs, sc: &Scenario) -> Resu
         common.seed,
         outcome.report.clone(),
     );
-    let dir = args::resolve_results_dir(common.results_dir.as_deref());
+    let dir = results_dir_from(common)?;
     match fela_harness::write_jsonl_to(&dir, "live", std::slice::from_ref(&record)) {
         Ok(path) => eprintln!("[live] 1 run -> {}", path.display()),
         Err(e) => eprintln!("warning: cannot write live artifacts: {e}"),

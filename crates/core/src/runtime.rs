@@ -1078,16 +1078,7 @@ impl FelaRuntime {
             Ok(plan) => plan,
             Err(e) => panic!("scenario must admit a token plan: {e}"),
         };
-        let meta: Vec<LevelMeta> = partition
-            .sub_models()
-            .iter()
-            .map(|s| LevelMeta {
-                param_bytes: s.param_bytes,
-                output_bytes_per_sample: s.output_bytes_per_sample,
-                input_bytes_per_sample: s.input_bytes_per_sample,
-                comm_intensive: s.comm_intensive,
-            })
-            .collect();
+        let meta = LevelMeta::for_partition(&partition);
         let n = scenario.cluster.nodes;
         let fault_active = !scenario.fault.is_none();
         let mut server =

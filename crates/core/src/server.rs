@@ -81,6 +81,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use fela_model::Partition;
 use fela_sim::SimTime;
 use serde::Serialize;
 
@@ -103,6 +104,23 @@ pub struct LevelMeta {
     pub input_bytes_per_sample: u64,
     /// Whether the level is communication-intensive (CTD target).
     pub comm_intensive: bool,
+}
+
+impl LevelMeta {
+    /// One entry per sub-model of `partition`, in level order.
+    #[inline]
+    pub fn for_partition(partition: &Partition) -> Vec<LevelMeta> {
+        partition
+            .sub_models()
+            .iter()
+            .map(|s| LevelMeta {
+                param_bytes: s.param_bytes,
+                output_bytes_per_sample: s.output_bytes_per_sample,
+                input_bytes_per_sample: s.input_bytes_per_sample,
+                comm_intensive: s.comm_intensive,
+            })
+            .collect()
+    }
 }
 
 /// A token grant handed to a worker.
@@ -1465,17 +1483,7 @@ mod tests {
         );
         let cfg = FelaConfig::new(3).with_weights(vec![1, 2, 4]);
         let plan = TokenPlan::build(&p, &cfg, 128, N).unwrap();
-        let meta = p
-            .sub_models()
-            .iter()
-            .map(|s| LevelMeta {
-                param_bytes: s.param_bytes,
-                output_bytes_per_sample: s.output_bytes_per_sample,
-                input_bytes_per_sample: s.input_bytes_per_sample,
-                comm_intensive: s.comm_intensive,
-            })
-            .collect();
-        (plan, meta)
+        (plan, LevelMeta::for_partition(&p))
     }
 
     fn server(cfg_mod: impl FnOnce(FelaConfig) -> FelaConfig) -> Coordinator {

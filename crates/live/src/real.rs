@@ -110,8 +110,7 @@ pub struct RealOutcome {
     pub iterations: u64,
     /// Tokens granted by the server (including re-grants after revocation).
     pub grants: u64,
-    /// Accepted token reports per second of wall clock — the headline
-    /// throughput number for the `live_throughput` bench.
+    /// Accepted token reports per second of wall clock.
     pub tokens_per_sec: f64,
     /// Accepted reports per worker.
     pub trained_per_worker: Vec<u64>,
@@ -766,16 +765,7 @@ fn run_real_impl(
         scenario.cluster.nodes,
     )
     .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-    let meta: Vec<LevelMeta> = partition
-        .sub_models()
-        .iter()
-        .map(|s| LevelMeta {
-            param_bytes: s.param_bytes,
-            output_bytes_per_sample: s.output_bytes_per_sample,
-            input_bytes_per_sample: s.input_bytes_per_sample,
-            comm_intensive: s.comm_intensive,
-        })
-        .collect();
+    let meta = LevelMeta::for_partition(&partition);
     let n = scenario.cluster.nodes;
     let mut server = ControlPlane::new(
         plan.clone(),

@@ -2,8 +2,9 @@
 //! workspace's micro-benchmarks (`Criterion::bench_function`, `Bencher::iter`,
 //! `Bencher::iter_batched`, `criterion_group!`, `criterion_main!`).
 //!
-//! Each benchmark is timed with a fixed warm-up and a fixed measurement pass;
-//! the mean per-iteration time is printed. No statistics, plots or baselines.
+//! Each benchmark runs a fixed warm-up, then times every measured iteration
+//! separately and reports the median with the p10–p90 spread. No plots or
+//! baselines.
 //!
 //! Two environment variables extend the shim for the perf-trajectory tooling:
 //!
@@ -12,7 +13,9 @@
 //!   paying for stable numbers.
 //! * `FELA_BENCH_DIR=<dir>` — when set, each benchmark group writes its results
 //!   to `<dir>/BENCH_<group>.json` (created if missing) in addition to stdout,
-//!   so runs leave machine-readable artifacts.
+//!   so runs leave machine-readable artifacts. Every entry carries its sample
+//!   count, `median_ns`, `p10_ns` and `p90_ns`; the file records the host
+//!   (`cpus`, `os`, `arch`) it ran on.
 
 use std::time::{Duration, Instant};
 
@@ -26,8 +29,7 @@ pub enum BatchSize {
 
 /// Times closures handed to [`Criterion::bench_function`].
 pub struct Bencher {
-    total: Duration,
-    iters: u64,
+    samples: Vec<Duration>,
 }
 
 const WARMUP_ITERS: u64 = 3;
@@ -48,18 +50,9 @@ fn iter_plan() -> (u64, u64) {
 }
 
 impl Bencher {
-    /// Times `routine` over a fixed number of iterations.
+    /// Times `routine` over a fixed number of iterations, one sample each.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        let (warmup, measure) = iter_plan();
-        for _ in 0..warmup {
-            std::hint::black_box(routine());
-        }
-        let start = Instant::now();
-        for _ in 0..measure {
-            std::hint::black_box(routine());
-        }
-        self.total = start.elapsed();
-        self.iters = measure;
+        self.iter_batched(|| (), |()| routine(), BatchSize::SmallInput);
     }
 
     /// Times `routine` with a fresh `setup` input per iteration; setup time is
@@ -74,23 +67,55 @@ impl Bencher {
             let input = setup();
             std::hint::black_box(routine(input));
         }
-        let mut total = Duration::ZERO;
+        self.samples.clear();
         for _ in 0..measure {
             let input = setup();
             let start = Instant::now();
             std::hint::black_box(routine(input));
-            total += start.elapsed();
+            self.samples.push(start.elapsed());
         }
-        self.total = total;
-        self.iters = measure;
     }
+}
+
+/// The spread of one benchmark's per-iteration times.
+#[derive(Debug)]
+struct Summary {
+    samples: usize,
+    median_ns: f64,
+    p10_ns: f64,
+    p90_ns: f64,
+}
+
+impl Summary {
+    fn of(samples: &[Duration]) -> Summary {
+        let mut ns: Vec<f64> = samples.iter().map(|d| d.as_nanos() as f64).collect();
+        ns.sort_by(f64::total_cmp);
+        Summary {
+            samples: ns.len(),
+            median_ns: percentile(&ns, 0.5),
+            p10_ns: percentile(&ns, 0.1),
+            p90_ns: percentile(&ns, 0.9),
+        }
+    }
+}
+
+/// The `q`-quantile (`0 ≤ q ≤ 1`) of ascending `sorted`, interpolating
+/// linearly between the two nearest ranks; 0 for no samples.
+fn percentile(sorted: &[f64], q: f64) -> f64 {
+    let Some(last) = sorted.len().checked_sub(1) else {
+        return 0.0;
+    };
+    let pos = q * last as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
 }
 
 /// Entry point mirroring `criterion::Criterion`.
 #[derive(Default)]
 pub struct Criterion {
     group: Option<String>,
-    results: Vec<(String, f64)>,
+    results: Vec<(String, Summary)>,
 }
 
 impl Criterion {
@@ -106,17 +131,15 @@ impl Criterion {
     /// Runs and reports one named benchmark.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, mut f: F) -> &mut Self {
         let mut b = Bencher {
-            total: Duration::ZERO,
-            iters: 0,
+            samples: Vec::new(),
         };
         f(&mut b);
-        let per_iter = if b.iters > 0 {
-            b.total.as_nanos() as f64 / b.iters as f64
-        } else {
-            0.0
-        };
-        println!("bench {id:<45} {:>12.0} ns/iter", per_iter);
-        self.results.push((id.to_owned(), per_iter));
+        let s = Summary::of(&b.samples);
+        println!(
+            "bench {id:<45} {:>12.0} ns/iter  (p10 {:.0} .. p90 {:.0}, n = {})",
+            s.median_ns, s.p10_ns, s.p90_ns, s.samples
+        );
+        self.results.push((id.to_owned(), s));
         self
     }
 }
@@ -151,19 +174,28 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-fn write_group_json(dir: &str, group: &str, results: &[(String, f64)]) -> std::io::Result<()> {
+fn write_group_json(dir: &str, group: &str, results: &[(String, Summary)]) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut body = String::new();
     body.push_str("{\n");
     body.push_str(&format!("  \"group\": \"{}\",\n", escape_json(group)));
     body.push_str(&format!("  \"quick\": {},\n", quick_mode()));
+    body.push_str(&format!(
+        "  \"host\": {{ \"cpus\": {cpus}, \"os\": \"{}\", \"arch\": \"{}\" }},\n",
+        std::env::consts::OS,
+        std::env::consts::ARCH
+    ));
     body.push_str("  \"benches\": [\n");
-    for (i, (id, ns)) in results.iter().enumerate() {
+    for (i, (id, s)) in results.iter().enumerate() {
         let comma = if i + 1 < results.len() { "," } else { "" };
         body.push_str(&format!(
-            "    {{ \"id\": \"{}\", \"ns_per_iter\": {:.1} }}{comma}\n",
+            "    {{ \"id\": \"{}\", \"samples\": {}, \"median_ns\": {:.1}, \"p10_ns\": {:.1}, \"p90_ns\": {:.1} }}{comma}\n",
             escape_json(id),
-            ns
+            s.samples,
+            s.median_ns,
+            s.p10_ns,
+            s.p90_ns
         ));
     }
     body.push_str("  ]\n}\n");
@@ -194,4 +226,93 @@ macro_rules! criterion_main {
             $($group();)+
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn percentile_interpolates_between_ranks() {
+        let at = |sorted: &[f64], q: f64, want: f64| {
+            let got = percentile(sorted, q);
+            assert!(
+                (got - want).abs() < 1e-9,
+                "q{q} of {sorted:?}: {got} != {want}"
+            );
+        };
+        // Odd count: the median is the middle sample.
+        let odd = [1.0, 2.0, 3.0, 4.0, 5.0];
+        at(&odd, 0.5, 3.0);
+        at(&odd, 0.1, 1.4);
+        at(&odd, 0.9, 4.6);
+        // Even count: the median is the mean of the middle two.
+        let even = [10.0, 20.0, 30.0, 40.0];
+        at(&even, 0.5, 25.0);
+        at(&even, 0.0, 10.0);
+        at(&even, 1.0, 40.0);
+        // Quick mode's three samples.
+        let quick = [7.0, 8.0, 12.0];
+        at(&quick, 0.5, 8.0);
+        at(&quick, 0.1, 7.2);
+        at(&quick, 0.9, 11.2);
+        // Degenerate inputs.
+        at(&[5.0], 0.9, 5.0);
+        at(&[], 0.5, 0.0);
+    }
+
+    #[test]
+    fn summary_orders_its_percentiles() {
+        for n in [1u64, 2, 3, 4, 19, 20] {
+            // Unsorted input, with repeats once n > 7: `Summary::of` sorts.
+            let samples: Vec<Duration> = (0..n)
+                .map(|i| Duration::from_nanos(1 + (i * 5) % 7))
+                .collect();
+            let s = Summary::of(&samples);
+            assert_eq!(s.samples, n as usize);
+            assert!(s.p10_ns <= s.median_ns && s.median_ns <= s.p90_ns, "{s:?}");
+            let min = samples.iter().min().unwrap().as_nanos() as f64;
+            let max = samples.iter().max().unwrap().as_nanos() as f64;
+            assert!(min <= s.p10_ns && s.p90_ns <= max, "{s:?}");
+        }
+    }
+
+    #[test]
+    fn group_json_carries_every_field_for_every_id() {
+        let dir = std::env::temp_dir().join(format!("criterion-shim-{}", std::process::id()));
+        std::env::set_var("FELA_BENCH_DIR", &dir);
+        let ids = ["unit/first", "unit/second_\"quoted\""];
+        {
+            let mut c = Criterion::with_group("shim_selftest");
+            for id in ids {
+                c.bench_function(id, |b| b.iter(|| black_box(3u64.pow(4))));
+            }
+        }
+        std::env::remove_var("FELA_BENCH_DIR");
+        let text = std::fs::read_to_string(dir.join("BENCH_shim_selftest.json")).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let json: serde_json::Value = serde_json::from_str(&text).unwrap();
+        assert_eq!(
+            json.get("group").and_then(|v| v.as_str()),
+            Some("shim_selftest")
+        );
+        assert!(json.get("quick").is_some());
+        let host = json.get("host").unwrap();
+        for field in ["cpus", "os", "arch"] {
+            assert!(host.get(field).is_some(), "host.{field} missing");
+        }
+        let benches = json.get("benches").and_then(|v| v.as_array()).unwrap();
+        assert_eq!(benches.len(), ids.len());
+        for (entry, id) in benches.iter().zip(ids) {
+            assert_eq!(entry.get("id").and_then(|v| v.as_str()), Some(id));
+            let num = |k: &str| match entry.get(k) {
+                Some(serde_json::Value::U64(n)) => *n as f64,
+                Some(serde_json::Value::F64(x)) => *x,
+                other => panic!("{id}: {k} is {other:?}"),
+            };
+            assert!(num("samples") >= QUICK_MEASURE_ITERS as f64, "{id}");
+            assert!(num("p10_ns") <= num("median_ns") && num("median_ns") <= num("p90_ns"));
+        }
+    }
 }

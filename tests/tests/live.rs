@@ -10,7 +10,10 @@
 
 use fela_cluster::{ClusterSpec, FaultKind, FaultModel, Scenario};
 use fela_core::{FelaConfig, FelaRuntime};
-use fela_live::{run_real, run_virtual, ChanTransport, RealOptions, TcpTransport, Transport};
+use fela_live::{
+    plan_for, replay_trace, run_real, run_virtual, ChanTransport, RealOptions, TcpTransport,
+    Transport,
+};
 use fela_model::zoo;
 use fela_sim::SimDuration;
 
@@ -220,5 +223,45 @@ fn real_clock_smoke_matches_virtual_params() {
             "{tname}: real-clock params must be bit-equal to the virtual run"
         );
         assert!(real.tokens_per_sec > 0.0, "{tname}");
+    }
+}
+
+#[test]
+fn real_clock_completes_at_64_workers() {
+    // The pipelined poll loop at full width: 64 real-clock worker threads on
+    // each transport, SSP staleness 8 so every worker holds several tokens at
+    // once. Timing is free; the accounting and the parameters are not.
+    let mut scenario = Scenario::paper(zoo::alexnet(), 256);
+    scenario.iterations = 3;
+    scenario.cluster = ClusterSpec::k40c_cluster(64);
+    let m = FelaRuntime::new(FelaConfig::new(1))
+        .partition_for(&scenario)
+        .len();
+    let config = FelaConfig::new(m).with_staleness(8);
+    let (_, sim_trace) = FelaRuntime::new(config.clone()).run_traced(&scenario);
+    let plan = plan_for(&config, &scenario).expect("plan");
+    let expected = replay_trace(&plan, &sim_trace);
+    for (tname, mut transport) in transports() {
+        let real = run_real(
+            &config,
+            &scenario,
+            transport.as_mut(),
+            RealOptions {
+                time_scale: 2e-3,
+                pipeline: 16,
+                ..RealOptions::default()
+            },
+        )
+        .expect("64-worker real run completes");
+        assert_eq!(real.iterations, 3, "{tname}");
+        assert_eq!(
+            real.trained_per_worker.iter().sum::<u64>(),
+            real.grants,
+            "{tname}: every grant is reported exactly once"
+        );
+        assert_eq!(
+            real.params, expected,
+            "{tname}: real-clock params must equal the simulated run's replay"
+        );
     }
 }

@@ -25,7 +25,7 @@ use fela_core::{
     wal_path, ControlPlane, Coordinator, DurabilityOptions, FelaConfig, FelaRuntime, LevelMeta,
     RecoveryConfig, TokenId, TokenPlan,
 };
-use fela_model::{bin_partition, zoo, Partition, PartitionOptions, ThresholdProfile};
+use fela_model::{bin_partition, zoo, PartitionOptions, ThresholdProfile};
 use fela_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -41,19 +41,7 @@ fn vgg_inputs(cfg: &FelaConfig) -> (TokenPlan, Vec<LevelMeta>) {
         PartitionOptions::default(),
     );
     let plan = TokenPlan::build(&p, cfg, BATCH, N_WORKERS).expect("plan must be feasible");
-    (plan, level_meta(&p))
-}
-
-fn level_meta(p: &Partition) -> Vec<LevelMeta> {
-    p.sub_models()
-        .iter()
-        .map(|s| LevelMeta {
-            param_bytes: s.param_bytes,
-            output_bytes_per_sample: s.output_bytes_per_sample,
-            input_bytes_per_sample: s.input_bytes_per_sample,
-            comm_intensive: s.comm_intensive,
-        })
-        .collect()
+    (plan, LevelMeta::for_partition(&p))
 }
 
 fn build_cfg(hf: bool, ads: bool, ctd: bool, recovery: bool, shards: usize) -> FelaConfig {
@@ -379,7 +367,7 @@ fn sharded_full_runs_are_byte_identical_to_oracle() {
                 &log,
                 &plan,
                 &run_cfg,
-                &level_meta(&partition),
+                &LevelMeta::for_partition(&partition),
                 sc.cluster.nodes,
                 sc.iterations,
                 None,
