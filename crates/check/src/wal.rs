@@ -239,12 +239,6 @@ pub fn check_wal(
                     violations.push(WalViolation::OutcomeDivergence { seq: *seq });
                 }
             }
-            // check_wal verifies one fixed-membership segment; a resize
-            // marker belongs *between* segments (fela-core's recover_elastic
-            // splits on it), so inside one it is corruption.
-            WalRecord::Resize { .. } => violations.push(WalViolation::Corrupt {
-                detail: "Resize record inside a fixed-membership segment".to_string(),
-            }),
             WalRecord::Checkpoint {
                 seq,
                 tokens,

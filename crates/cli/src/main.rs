@@ -124,6 +124,20 @@ fn cmd_models() {
     print!("{}", table.render());
 }
 
+/// Elastic runs write no write-ahead log: each epoch is its own run, and
+/// no log spans a resize boundary. Durability flags would be dropped
+/// silently, so they are rejected.
+fn reject_durability_with_resize(common: &CommonArgs) -> Result<(), String> {
+    if durability_from(common).is_some() {
+        return Err(
+            "--wal-dir/--checkpoint-every cannot combine with --resize: elastic runs \
+             keep no write-ahead log across resize boundaries"
+                .into(),
+        );
+    }
+    Ok(())
+}
+
 /// `fela run --resize …`: the elastic path. The controller re-bins and
 /// re-tunes at every boundary, so per-epoch weights are chosen online —
 /// explicit `--weights`/`--ctd` would contradict that and are rejected.
@@ -135,6 +149,7 @@ fn cmd_run_elastic(run: &RunArgs, sc: &Scenario) -> Result<(), String> {
                 .into(),
         );
     }
+    reject_durability_with_resize(&run.common)?;
     let runtime = fela_elastic::ElasticRuntime::new(fela_elastic::ElasticOptions::default());
     let outcome = runtime.run_elastic(sc).map_err(|e| e.to_string())?;
     if run.json {
@@ -661,6 +676,7 @@ fn cmd_live_elastic(live: &LiveArgs, common: &CommonArgs, sc: &Scenario) -> Resu
                 .into(),
         );
     }
+    reject_durability_with_resize(common)?;
     let outcome = fela_elastic::run_live_elastic(
         fela_elastic::ElasticOptions::default(),
         sc,
@@ -1354,6 +1370,32 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn durability_flags_are_rejected_with_resize() {
+        for argv in [
+            "run --model googlenet --iters 4 --resize join:2:1 --wal-dir x",
+            "run --model googlenet --iters 4 --resize join:2:1 --checkpoint-every 2",
+            "live --model googlenet --iters 4 --resize join:2:1 --wal-dir x",
+            "live --model googlenet --iters 4 --resize join:2:1 --checkpoint-every 3",
+        ] {
+            let result = match args::parse(&argv.split(' ').collect::<Vec<_>>()) {
+                Ok(Command::Run(run)) => cmd_run(&run),
+                Ok(Command::Live(live)) => cmd_live(&live),
+                other => panic!("{argv}: unexpected parse {other:?}"),
+            };
+            let err = result.expect_err("durability flags must not be dropped");
+            assert!(
+                err.contains("--wal-dir/--checkpoint-every"),
+                "{argv}: {err}"
+            );
         }
     }
 }

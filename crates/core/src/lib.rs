@@ -14,7 +14,11 @@
 //!   (one by default), and every shard count schedules identically — proved
 //!   against `fela-check`'s reference `TokenServer`;
 //! * [`ControlPlane`] — the coordinator the runtimes hold, with op-log and
-//!   write-ahead-log recording of every mutating call;
+//!   write-ahead-log recording of every mutating call. It owns the log's
+//!   lifecycle for every runtime: it opens the log
+//!   ([`DurabilityOptions::for_run`], [`ControlPlane::open_wal`]),
+//!   checkpoints it ([`ControlPlane::checkpoint_due`]) and recovers from it
+//!   ([`ControlPlane::crash_restart`]);
 //! * [`FelaRuntime`] — the discrete-event world tying the server to workers, the
 //!   GPU compute model, the flow-level network and straggler injection; implements
 //!   [`fela_cluster::TrainingRuntime`].
@@ -47,6 +51,6 @@ pub use shard::TokenShard;
 pub use snapshot::ServerSnapshot;
 pub use token::{Token, TokenId};
 pub use wal::{
-    recover, recover_elastic, wal_path, DurabilityOptions, EpochShape, FileWal, MemWal, Recovered,
-    WalError, WalRecord, WalSink, WalWriter,
+    recover, wal_path, DurabilityOptions, FileWal, MemWal, Recovered, WalError, WalRecord, WalSink,
+    WalWriter,
 };

@@ -1,9 +1,12 @@
 //! [`ControlPlane`]: the [`Coordinator`] every runtime holds, plus the two
 //! optional sinks its mutating calls feed — the in-memory op log that
 //! `fela-check` replays against the reference oracle, and the write-ahead log
-//! that makes the plane durable.
+//! that makes the plane durable. The plane owns that log's whole lifecycle
+//! for every runtime: [`ControlPlane::open_wal`],
+//! [`ControlPlane::checkpoint_due`] and [`ControlPlane::crash_restart`].
 
 use std::collections::BTreeMap;
+use std::io;
 use std::ops::Deref;
 
 use fela_sim::SimTime;
@@ -16,7 +19,9 @@ use crate::plan::TokenPlan;
 use crate::server::{Coordinator, Grant, LevelMeta, SyncSpec};
 use crate::snapshot::ServerSnapshot;
 use crate::token::{Token, TokenId};
-use crate::wal::{WalSink, WalWriter};
+use crate::wal::{
+    self, wal_path, DurabilityOptions, FileWal, MemWal, Recovered, WalSink, WalWriter,
+};
 
 /// The control plane: a [`Coordinator`] (one shard by default, `cfg.shards`
 /// otherwise — every shard count schedules identically) whose mutating calls
@@ -31,7 +36,16 @@ use crate::wal::{WalSink, WalWriter};
 pub struct ControlPlane {
     inner: Coordinator,
     log: Option<Vec<CoordOp>>,
-    wal: Option<WalWriter>,
+    wal: Option<Wal>,
+}
+
+/// The attached write-ahead log and its checkpoint cadence.
+struct Wal {
+    writer: WalWriter,
+    /// Checkpoint after every N completed iterations (0 = never).
+    checkpoint_every: u64,
+    /// Completed-iteration count at the last checkpoint written.
+    last_checkpoint: u64,
 }
 
 impl Clone for ControlPlane {
@@ -115,8 +129,9 @@ impl ControlPlane {
 
     /// Attaches a write-ahead log: writes the opening `Begin` record and
     /// makes every subsequent mutating call append (and sync) one op record
-    /// before its result is returned to the caller.
-    pub fn attach_wal(&mut self, sink: Box<dyn WalSink>) -> std::io::Result<()> {
+    /// before its result is returned to the caller. No checkpoint cadence:
+    /// [`Self::open_wal`] sets one.
+    pub fn attach_wal(&mut self, sink: Box<dyn WalSink>) -> io::Result<()> {
         let mut writer = WalWriter::new(sink);
         writer.append_begin(
             self.shard_count() as u32,
@@ -124,30 +139,131 @@ impl ControlPlane {
             self.max_iterations(),
         );
         writer.commit()?;
-        self.wal = Some(writer);
+        self.wal = Some(Wal {
+            writer,
+            checkpoint_every: 0,
+            last_checkpoint: 0,
+        });
         Ok(())
     }
 
-    /// Re-attaches a log after recovery, continuing the op sequence at
-    /// `next_seq` ([`crate::wal::Recovered::next_seq`]). Writes nothing.
-    pub fn resume_wal(&mut self, sink: Box<dyn WalSink>, next_seq: u64) {
-        self.wal = Some(WalWriter::resume(sink, next_seq));
-    }
-
-    /// Whether a write-ahead log is attached.
-    pub fn wal_attached(&self) -> bool {
-        self.wal.is_some()
+    /// Opens the run's log: a [`FileWal`] at [`wal_path`] under
+    /// `opts.wal_dir` (creating the directory), or a [`MemWal`] when no
+    /// directory is set. Attaches it and checkpoints every
+    /// `opts.checkpoint_every` completed iterations from then on.
+    pub fn open_wal(&mut self, opts: &DurabilityOptions) -> io::Result<()> {
+        let sink: Box<dyn WalSink> = match &opts.wal_dir {
+            Some(dir) => {
+                let path = wal_path(dir);
+                let file = std::fs::create_dir_all(dir).and_then(|()| FileWal::create(&path));
+                Box::new(file.map_err(|e| {
+                    io::Error::new(
+                        e.kind(),
+                        format!("cannot create WAL {}: {e}", path.display()),
+                    )
+                })?)
+            }
+            None => Box::new(MemWal::new()),
+        };
+        self.attach_wal(sink)?;
+        if let Some(wal) = &mut self.wal {
+            wal.checkpoint_every = opts.checkpoint_every;
+        }
+        Ok(())
     }
 
     /// Appends a full-state checkpoint (snapshot + token table + the opaque
     /// runtime `payload`) to the attached log and syncs it. No-op when no
     /// log is attached.
-    pub fn checkpoint_wal(&mut self, payload: &[u8]) -> std::io::Result<()> {
+    pub fn checkpoint_wal(&mut self, payload: &[u8]) -> io::Result<()> {
         let Some(wal) = &mut self.wal else {
             return Ok(());
         };
-        wal.append_checkpoint(payload, self.inner.tokens(), &self.inner.snapshot());
-        wal.commit()
+        let writer = &mut wal.writer;
+        writer.append_checkpoint(payload, self.inner.tokens(), &self.inner.snapshot());
+        writer.commit()
+    }
+
+    /// Writes a checkpoint when the completed-iteration count has crossed a
+    /// multiple of the cadence [`Self::open_wal`] set since the last one.
+    /// `payload` is built only then. Scheduling is untouched — the log only
+    /// grows — so a durable crash-free run behaves exactly like one without
+    /// a log.
+    pub fn checkpoint_due(&mut self, payload: impl FnOnce() -> Vec<u8>) -> io::Result<()> {
+        let Some(wal) = &mut self.wal else {
+            return Ok(());
+        };
+        let done = self.inner.completed_iterations();
+        let every = wal.checkpoint_every;
+        if every == 0 || done / every <= wal.last_checkpoint / every {
+            return Ok(());
+        }
+        wal.last_checkpoint = done;
+        self.checkpoint_wal(&payload())
+    }
+
+    /// The Token Server process dies and a new one recovers from the log it
+    /// left: read the log back, [`wal::recover`] the plane it describes,
+    /// cut the torn tail off, and resume the writer on the same log at the
+    /// next sequence number, with the same checkpoint cadence. The
+    /// volatile op log dies with the process.
+    ///
+    /// Returns the latest checkpoint's payload and the ops replayed after it,
+    /// from which a runtime rebuilds its own volatile state.
+    ///
+    /// # Errors
+    /// `InvalidInput` when no log is attached, `InvalidData` when the log
+    /// does not recover, and any error of the log store.
+    ///
+    /// # Panics
+    /// When the recovered plane's snapshot or token table differs from this
+    /// plane's: the log then lost a decision that was already visible.
+    pub fn crash_restart(&mut self) -> io::Result<(Vec<u8>, Vec<CoordOp>)> {
+        let Some(wal) = self.wal.take() else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "server crash injected without a write-ahead log attached",
+            ));
+        };
+        let mut sink = wal.writer.into_sink();
+        let bytes = sink.read_back()?;
+        let Recovered {
+            mut plane,
+            payload,
+            ops,
+            torn_bytes,
+            next_seq,
+        } = wal::recover(
+            &bytes,
+            self.plan(),
+            self.config(),
+            self.meta(),
+            self.n_workers(),
+            self.max_iterations(),
+        )
+        .map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("WAL recovery failed: {e}"),
+            )
+        })?;
+        assert_eq!(
+            plane.snapshot(),
+            self.snapshot(),
+            "recovered plane must be snapshot-equal to the crashed one"
+        );
+        assert_eq!(
+            plane.tokens(),
+            self.tokens(),
+            "recovered token table must match the crashed one"
+        );
+        sink.truncate(bytes.len() - torn_bytes)?;
+        plane.wal = Some(Wal {
+            writer: WalWriter::resume(sink, next_seq),
+            ..wal
+        });
+        *self = plane;
+        Ok((payload, ops))
     }
 
     /// True when a mutating call must compute its [`CoordOp`] digest (either
@@ -158,9 +274,9 @@ impl ControlPlane {
 
     fn record(&mut self, kind: OpKind, outcome: OpOutcome) {
         let op = CoordOp { kind, outcome };
-        if let Some(wal) = &mut self.wal {
-            wal.append_op(&op);
-            if let Err(e) = wal.commit() {
+        if let Some(Wal { writer, .. }) = &mut self.wal {
+            writer.append_op(&op);
+            if let Err(e) = writer.commit() {
                 // A durable plane that cannot persist its decisions must not
                 // keep handing them out: failing loudly here is the contract.
                 panic!("WAL append failed — cannot guarantee durability: {e}");

@@ -30,7 +30,7 @@ use crate::plan::TokenPlan;
 use crate::plane::ControlPlane;
 use crate::server::{Grant, LevelMeta, SyncSpec};
 use crate::token::TokenId;
-use crate::wal::{self, DurabilityOptions, FileWal, MemWal};
+use crate::wal::DurabilityOptions;
 
 /// The simulation runtime treats any scheduling error as a fatal bug in the
 /// scheduler itself (a real deployment would abort the job the same way).
@@ -176,26 +176,6 @@ struct FaultStats {
     server_restarts: u64,
 }
 
-/// Where the run's write-ahead log lives. The in-memory handle is the
-/// simulator's default (the crash injector reads the committed bytes straight
-/// back); a `--wal-dir` run goes through a real file and real fsyncs.
-enum WalHandle {
-    Mem(MemWal),
-    File(std::path::PathBuf),
-}
-
-impl WalHandle {
-    fn bytes(&self) -> Vec<u8> {
-        match self {
-            WalHandle::Mem(m) => m.bytes(),
-            WalHandle::File(path) => match std::fs::read(path) {
-                Ok(b) => b,
-                Err(e) => panic!("cannot read WAL {}: {e}", path.display()),
-            },
-        }
-    }
-}
-
 struct FelaWorld<'a> {
     trace: Trace,
     /// Compute-span oracle: inline analytic model, or a live worker fleet.
@@ -219,15 +199,6 @@ struct FelaWorld<'a> {
     /// Iterations whose fault declarations have been turned into events.
     faults_armed: usize,
     fault_stats: FaultStats,
-    /// Level metadata, kept for rebuilding a plane on WAL recovery.
-    meta: Vec<LevelMeta>,
-    /// The write-ahead log, when durability is on (explicitly, or implied by
-    /// a declared server fault).
-    wal: Option<WalHandle>,
-    /// Checkpoint after every N completed iterations (0 = never).
-    checkpoint_every: u64,
-    /// Completed-iteration count at the last checkpoint written.
-    last_checkpoint: u64,
     /// The server process is down until this instant: server-touching events
     /// arriving earlier are deferred to it (ZERO when the server is up,
     /// which keeps crash-free runs byte-identical).
@@ -421,77 +392,26 @@ impl FelaWorld<'_> {
         }
         self.arm_faults(sched);
         self.serve_waiting(sched);
-        self.maybe_checkpoint();
+        if let Err(e) = self.server.checkpoint_due(Vec::new) {
+            panic!("WAL checkpoint failed — cannot guarantee durability: {e}");
+        }
         if self.server.run_complete() {
             self.finished_at = Some(now);
         }
     }
 
-    /// Writes a checkpoint when the completed-iteration count crosses a
-    /// `checkpoint_every` multiple. Scheduling is untouched — the log only
-    /// grows — so durable crash-free runs stay byte-identical.
-    fn maybe_checkpoint(&mut self) {
-        if self.wal.is_none() || self.checkpoint_every == 0 || !self.server.wal_attached() {
-            return;
-        }
-        let done = self.server.completed_iterations();
-        if done / self.checkpoint_every > self.last_checkpoint / self.checkpoint_every {
-            if let Err(e) = self.server.checkpoint_wal(&[]) {
-                panic!("WAL checkpoint failed — cannot guarantee durability: {e}");
-            }
-            self.last_checkpoint = done;
-        }
-    }
-
-    /// The Token Server process dies and is reborn from its write-ahead log:
-    /// restore the latest checkpoint, replay the op suffix, verify the
-    /// recovered plane is snapshot-equal to the one that died, and freeze all
-    /// server-touching traffic for the downtime.
+    /// The Token Server process dies and is reborn from its write-ahead log
+    /// ([`ControlPlane::crash_restart`]), then freezes all server-touching
+    /// traffic for the downtime.
     fn on_server_crash(&mut self, down: SimDuration, sched: &mut Scheduler<'_, Ev>) {
         let now = sched.now();
         self.fault_stats.server_crashes += 1;
         self.trace.record(now, "fault", || {
             format!("token server crashed, recovering from WAL, back in {down}")
         });
-        let Some(handle) = &self.wal else {
-            panic!("server crash injected without a write-ahead log attached");
-        };
-        let bytes = handle.bytes();
-        let expected = self.server.snapshot();
-        let rec = match wal::recover(
-            &bytes,
-            self.server.plan(),
-            self.server.config(),
-            &self.meta,
-            self.server.n_workers(),
-            self.server.max_iterations(),
-        ) {
-            Ok(r) => r,
-            Err(e) => panic!("WAL recovery failed: {e}"),
-        };
-        assert_eq!(
-            rec.plane.snapshot(),
-            expected,
-            "recovered plane must be snapshot-equal to the crashed one"
-        );
-        assert_eq!(
-            rec.plane.tokens(),
-            self.server.tokens(),
-            "recovered token table must match the crashed one"
-        );
-        let mut plane = rec.plane;
-        let valid = bytes.len() - rec.torn_bytes;
-        match handle {
-            WalHandle::Mem(m) => {
-                m.truncate(valid);
-                plane.resume_wal(Box::new(m.clone()), rec.next_seq);
-            }
-            WalHandle::File(path) => match FileWal::resume(path, valid as u64) {
-                Ok(f) => plane.resume_wal(Box::new(f), rec.next_seq),
-                Err(e) => panic!("cannot resume WAL {}: {e}", path.display()),
-            },
+        if let Err(e) = self.server.crash_restart() {
+            panic!("token server restart failed: {e}");
         }
-        self.server = plane;
         self.fault_stats.server_restarts += 1;
         self.server_frozen_until = now + down;
     }
@@ -1081,46 +1001,14 @@ impl FelaRuntime {
         let meta = LevelMeta::for_partition(&partition);
         let n = scenario.cluster.nodes;
         let fault_active = !scenario.fault.is_none();
-        let mut server =
-            ControlPlane::new(plan, config.clone(), meta.clone(), n, scenario.iterations);
-        // Durability: explicit options, or implied by a declared server fault
-        // (which is unsurvivable without a log). A `--wal-dir` goes through a
-        // real file with real fsyncs; otherwise the log lives in memory.
-        let server_fault_declared =
-            (0..scenario.iterations).any(|it| scenario.fault.server_fault_for(it).is_some());
-        let durability = if self.durability.is_some() || server_fault_declared {
-            Some(self.durability.clone().unwrap_or_default())
-        } else {
-            None
-        };
-        let wal_handle = match &durability {
-            Some(DurabilityOptions {
-                wal_dir: Some(dir), ..
-            }) => {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    panic!("cannot create WAL directory {}: {e}", dir.display());
-                }
-                let path = wal::wal_path(dir);
-                match FileWal::create(&path) {
-                    Ok(f) => {
-                        if let Err(e) = server.attach_wal(Box::new(f)) {
-                            panic!("cannot attach WAL {}: {e}", path.display());
-                        }
-                    }
-                    Err(e) => panic!("cannot create WAL {}: {e}", path.display()),
-                }
-                Some(WalHandle::File(path))
+        let mut server = ControlPlane::new(plan, config.clone(), meta, n, scenario.iterations);
+        // A `--wal-dir` goes through a real file with real fsyncs; otherwise
+        // the log lives in memory.
+        if let Some(durability) = DurabilityOptions::for_run(self.durability.as_ref(), scenario) {
+            if let Err(e) = server.open_wal(&durability) {
+                panic!("cannot open the write-ahead log: {e}");
             }
-            Some(_) => {
-                let mem = MemWal::new();
-                if let Err(e) = server.attach_wal(Box::new(mem.clone())) {
-                    panic!("cannot attach in-memory WAL: {e}");
-                }
-                Some(WalHandle::Mem(mem))
-            }
-            None => None,
-        };
-        let checkpoint_every = durability.as_ref().map_or(0, |d| d.checkpoint_every);
+        }
         let world = FelaWorld {
             trace,
             backend,
@@ -1148,10 +1036,6 @@ impl FelaRuntime {
             // declarations are primed below rather than armed by an event.
             faults_armed: 1,
             fault_stats: FaultStats::default(),
-            meta,
-            wal: wal_handle,
-            checkpoint_every,
-            last_checkpoint: 0,
             server_frozen_until: SimTime::ZERO,
         };
         let mut engine = Engine::new(world);

@@ -456,6 +456,11 @@ impl Coordinator {
         &self.plan
     }
 
+    /// Per-level metadata the coordinator was built with.
+    pub fn meta(&self) -> &[LevelMeta] {
+        &self.meta
+    }
+
     /// Cluster size the coordinator schedules for.
     pub fn n_workers(&self) -> usize {
         self.n_workers

@@ -60,8 +60,8 @@ use std::time::{Duration, Instant};
 use fela_cluster::{FaultKind, Scenario};
 use fela_core::wal::{decode_u64_pairs, encode_u64_pairs};
 use fela_core::{
-    recover, wal_path, ControlPlane, DurabilityOptions, FelaConfig, FelaRuntime, FileWal, Grant,
-    LevelMeta, MemWal, OpKind, OpOutcome, RecoveryConfig, ScheduleError, TokenId, TokenPlan,
+    ControlPlane, DurabilityOptions, FelaConfig, FelaRuntime, Grant, LevelMeta, OpKind, OpOutcome,
+    RecoveryConfig, ScheduleError, TokenId, TokenPlan,
 };
 use fela_model::Partition;
 use fela_sim::{SimDuration, SimTime};
@@ -133,21 +133,6 @@ pub struct RealOutcome {
     pub transport: &'static str,
 }
 
-/// Where the run's write-ahead log lives.
-enum WalHandle {
-    Mem(MemWal),
-    File(std::path::PathBuf),
-}
-
-impl WalHandle {
-    fn bytes(&self) -> io::Result<Vec<u8>> {
-        match self {
-            WalHandle::Mem(m) => Ok(m.bytes()),
-            WalHandle::File(path) => std::fs::read(path),
-        }
-    }
-}
-
 enum Timer {
     Lease { token: TokenId, attempt: u64 },
     Restart { worker: usize },
@@ -217,15 +202,6 @@ struct RealServer<'a> {
     crashes: u64,
     restarts: u64,
     revocations: u64,
-    /// Level metadata, retained for WAL recovery (rebuilding the plane from
-    /// the log needs the same inputs the original construction had).
-    meta: Vec<LevelMeta>,
-    /// Write-ahead log backing the control plane, when the run is durable.
-    wal: Option<WalHandle>,
-    /// Checkpoint cadence in completed iterations (0 = log-only, never
-    /// checkpoint).
-    checkpoint_every: u64,
-    last_checkpoint: u64,
     server_crashes: u64,
     server_restarts: u64,
     sched: SharedSched,
@@ -402,38 +378,27 @@ impl RealServer<'_> {
         }
     }
 
-    /// Appends a checkpoint once `checkpoint_every` more iterations have
-    /// completed since the last one. The payload is the accepted-report
+    /// Appends a checkpoint when the plane's cadence says one is due
+    /// ([`ControlPlane::checkpoint_due`]). The payload is the accepted-report
     /// schedule, so recovery rebuilds [`RealServer::completions`] from the
     /// checkpoint plus the short log suffix instead of the whole history.
     fn maybe_checkpoint(&mut self) -> io::Result<()> {
-        if self.wal.is_none() || self.checkpoint_every == 0 {
-            return Ok(());
-        }
-        let done = self.server.completed_iterations();
-        if done / self.checkpoint_every <= self.last_checkpoint / self.checkpoint_every {
-            return Ok(());
-        }
-        let pairs: Vec<(u64, u64)> = self
-            .completions
-            .iter()
-            .map(|&(iteration, level)| (iteration, level as u64))
-            .collect();
-        self.server.checkpoint_wal(&encode_u64_pairs(&pairs))?;
-        self.last_checkpoint = done;
-        Ok(())
+        let completions = &self.completions;
+        self.server.checkpoint_due(|| {
+            let pairs: Vec<(u64, u64)> = completions
+                .iter()
+                .map(|&(iteration, level)| (iteration, level as u64))
+                .collect();
+            encode_u64_pairs(&pairs)
+        })
     }
 
     /// The injected Token Server crash: the server "process" dies (every
     /// worker link drops and all volatile server-side state is discarded),
-    /// the downtime elapses, then a fresh process recovers from the WAL,
-    /// reconciles in-flight grants against the replayed log, and respawns
-    /// the fleet over fresh links.
+    /// the downtime elapses, then a fresh process recovers from the WAL
+    /// ([`ControlPlane::crash_restart`]), reconciles in-flight grants against
+    /// the replayed log, and respawns the fleet over fresh links.
     fn crash_server(&mut self, down: SimDuration, transport: &mut dyn Transport) -> io::Result<()> {
-        let bytes = match &self.wal {
-            Some(handle) => handle.bytes()?,
-            None => panic!("server crash injected without a write-ahead log attached"),
-        };
         self.server_crashes += 1;
         // The server dies: every link drops, which kills the worker threads
         // on their next recv. Replicas are only mutated by the epilogue's
@@ -447,69 +412,43 @@ impl RealServer<'_> {
             self.expect_replies[worker] = 0;
         }
         self.token_info.clear();
-        let pre_crash = self.server.snapshot();
         let real_down = Duration::from_secs_f64(down.as_secs_f64() * self.opts.time_scale)
             .max(self.opts.min_down);
         thread::sleep(real_down);
 
-        let rec = recover(
-            &bytes,
-            self.server.plan(),
-            self.server.config(),
-            &self.meta,
-            self.server.n_workers(),
-            self.server.max_iterations(),
-        )
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        assert_eq!(
-            rec.plane.snapshot(),
-            pre_crash,
-            "recovered control plane diverged from the crashed one"
-        );
+        let (payload, ops) = self.server.crash_restart()?;
         // Rebuild the accepted-report schedule from the log alone — the
         // in-memory vector died with the process. Checkpoint payload first,
         // then every accepted report in the replayed suffix, in log order.
-        let mut replayed: Vec<(u64, usize)> = if rec.payload.is_empty() {
+        let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
+        let mut replayed: Vec<(u64, usize)> = if payload.is_empty() {
             Vec::new()
         } else {
-            decode_u64_pairs(&rec.payload)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
+            decode_u64_pairs(&payload)
+                .map_err(|e| invalid(e.to_string()))?
                 .into_iter()
                 .map(|(iteration, level)| (iteration, level as usize))
                 .collect()
         };
-        for op in &rec.ops {
+        for op in &ops {
             let OpKind::Report { token, .. } = op.kind else {
                 continue;
             };
             if !matches!(op.outcome, OpOutcome::Synced { .. }) {
                 continue;
             }
-            match rec.plane.token(TokenId(token)) {
-                Some(t) => replayed.push((t.iteration, t.level)),
-                None => panic!("replayed report names a token the plan never minted"),
-            }
+            let t = self.server.token(TokenId(token)).ok_or_else(|| {
+                invalid(format!(
+                    "replayed report names token {token}, which the plan never minted"
+                ))
+            })?;
+            replayed.push((t.iteration, t.level));
         }
         assert_eq!(
             replayed, self.completions,
             "WAL replay reconstructed a different completion schedule"
         );
         self.completions = replayed;
-
-        let mut plane = rec.plane;
-        let valid = bytes.len() - rec.torn_bytes;
-        match &self.wal {
-            Some(WalHandle::Mem(mem)) => {
-                mem.truncate(valid);
-                plane.resume_wal(Box::new(mem.clone()), rec.next_seq);
-            }
-            Some(WalHandle::File(path)) => {
-                let file = FileWal::resume(path, valid as u64)?;
-                plane.resume_wal(Box::new(file), rec.next_seq);
-            }
-            None => unreachable!("wal presence was checked at entry"),
-        }
-        self.server = plane;
 
         // Reconcile in-flight grants: tokens granted but never reported died
         // with the worker threads. Crash-then-restart revokes those leases
@@ -765,40 +704,20 @@ fn run_real_impl(
         scenario.cluster.nodes,
     )
     .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-    let meta = LevelMeta::for_partition(&partition);
     let n = scenario.cluster.nodes;
     let mut server = ControlPlane::new(
         plan.clone(),
         config.clone(),
-        meta.clone(),
+        LevelMeta::for_partition(&partition),
         n,
         scenario.iterations,
     );
 
     // A declared server fault implies durability: the run cannot survive the
-    // crash without a log to recover from, so one is attached even when the
-    // caller did not ask for it explicitly (in-memory unless a `wal_dir` was
-    // configured, exactly like the simulated runtime).
-    let server_fault =
-        (0..scenario.iterations).any(|it| scenario.fault.server_fault_for(it).is_some());
-    let mut wal = None;
-    if durability.is_some() || server_fault {
-        let handle = match durability.and_then(|d| d.wal_dir.as_deref()) {
-            Some(dir) => {
-                std::fs::create_dir_all(dir)?;
-                let path = wal_path(dir);
-                server.attach_wal(Box::new(FileWal::create(&path)?))?;
-                WalHandle::File(path)
-            }
-            None => {
-                let mem = MemWal::new();
-                server.attach_wal(Box::new(mem.clone()))?;
-                WalHandle::Mem(mem)
-            }
-        };
-        wal = Some(handle);
+    // crash without a log to recover from.
+    if let Some(durability) = DurabilityOptions::for_run(durability, scenario) {
+        server.open_wal(&durability)?;
     }
-    let checkpoint_every = durability.map_or(1, |d| d.checkpoint_every);
 
     let (server_links, worker_links) = transport.establish(n)?;
     let mut txs = Vec::with_capacity(n);
@@ -840,10 +759,6 @@ fn run_real_impl(
         crashes: 0,
         restarts: 0,
         revocations: 0,
-        meta,
-        wal,
-        checkpoint_every,
-        last_checkpoint: 0,
         server_crashes: 0,
         server_restarts: 0,
         sched: sched.clone(),
@@ -1243,35 +1158,60 @@ mod tests {
 
     #[test]
     fn durable_run_writes_a_replayable_wal_file() {
+        // Every cadence: log-only (0: `completions` rebuilt from ops alone),
+        // every iteration, and an interval whose checkpoint the resumed
+        // writer only reaches after the restart.
         let dir = std::env::temp_dir().join(format!(
             "fela-live-wal-{}-{:?}",
             std::process::id(),
             thread::current().id()
         ));
-        std::fs::create_dir_all(&dir).expect("temp dir");
         let (config, mut scenario) = quick();
         scenario.iterations = 4;
+        let baseline = run_real(&config, &scenario, &mut ChanTransport, fast())
+            .expect("uninterrupted run succeeds");
         scenario.fault = FaultModel::ServerCrashRestart {
             iteration: 1,
             down: fela_sim::SimDuration::from_millis(50),
-        };
-        let durability = DurabilityOptions {
-            wal_dir: Some(dir.clone()),
-            checkpoint_every: 1,
         };
         let opts = RealOptions {
             time_scale: 1e-3,
             min_down: Duration::from_millis(1),
             ..RealOptions::default()
         };
-        let out = run_real_durable(&config, &scenario, &mut ChanTransport, opts, &durability)
-            .expect("durable run succeeds");
-        assert_eq!(out.iterations, 4);
-        assert_eq!(out.server_crashes, 1);
-        let bytes = std::fs::read(wal_path(&dir)).expect("wal file exists");
-        let log = fela_core::wal::read_log(&bytes).expect("wal parses cleanly");
-        assert_eq!(log.torn_bytes, 0, "resumed file log must end on a record");
-        assert!(log.records.len() > 2);
+        for checkpoint_every in [0, 1, 3] {
+            let durability = DurabilityOptions {
+                wal_dir: Some(dir.clone()),
+                checkpoint_every,
+            };
+            let out = run_real_durable(&config, &scenario, &mut ChanTransport, opts, &durability)
+                .unwrap_or_else(|e| panic!("checkpoint_every={checkpoint_every}: {e}"));
+            assert_eq!(out.iterations, 4);
+            assert_eq!(out.server_crashes, 1, "checkpoint_every={checkpoint_every}");
+            assert_eq!(
+                out.server_restarts, 1,
+                "checkpoint_every={checkpoint_every}"
+            );
+            assert_eq!(
+                out.params, baseline.params,
+                "checkpoint_every={checkpoint_every}: recovered params must match"
+            );
+            let bytes = std::fs::read(fela_core::wal_path(&dir)).expect("wal file exists");
+            let log = fela_core::wal::read_log(&bytes).expect("wal parses cleanly");
+            assert_eq!(log.torn_bytes, 0, "resumed file log must end on a record");
+            let checkpoints = log
+                .records
+                .iter()
+                .filter(|r| matches!(r, fela_core::WalRecord::Checkpoint { .. }))
+                .count() as u64;
+            match checkpoint_every {
+                0 => assert_eq!(checkpoints, 0),
+                every => assert!(
+                    (1..=4 / every).contains(&checkpoints),
+                    "checkpoint_every={every}: {checkpoints} checkpoint(s)"
+                ),
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
