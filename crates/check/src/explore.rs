@@ -262,7 +262,7 @@ impl Explorer {
 
     fn key_of(state: &State) -> StateKey {
         (
-            state.server.snapshot(),
+            state.server.snapshot().without_counters(),
             state.holdings.iter().map(|h| h.map(|t| t.0)).collect(),
             state
                 .pending

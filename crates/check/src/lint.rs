@@ -30,11 +30,16 @@
 //!   while a `MutexGuard` is live: a blocking wire read under a lock turns a
 //!   slow peer into a stalled server. (`Condvar::wait` is fine — it releases
 //!   the guard.)
-//! * **`no-unflushed-wal`** — every `WalWriter` append
-//!   (`.append_op`/`.append_begin`/`.append_checkpoint`) in the durability
-//!   crates must be followed by a `.commit(` (the fsync-discipline call)
-//!   before its enclosing block closes: a staged-but-uncommitted record is
-//!   state the server believes durable that a crash would silently lose.
+//! * **`no-unflushed-wal`** — the group-commit rule, in two halves. Only the
+//!   control plane and the log writer (`impl ControlPlane` / `impl
+//!   WalWriter`) may leave a `WalWriter` append
+//!   (`.append_op`/`.append_begin`/`.append_checkpoint`) staged; anywhere
+//!   else in the durability crates an append must be followed by a
+//!   `.commit(` before its enclosing block closes. And in `fela-live`, every
+//!   function of a file that drives a `ControlPlane` that writes to a link
+//!   (`.flush(` / `.send(`) must call `.commit_wal(` on an earlier line of
+//!   the same body: no decision leaves the server before the ops behind it
+//!   are durable.
 //!
 //! The checker is line-based and intentionally simple: it strips `//` comments
 //! and string literals, skips `#[cfg(test)]` modules by brace counting, and
@@ -98,10 +103,36 @@ pub const LOCK_DISCIPLINE_CRATES: &[&str] = &["fela-live", "fela-core"];
 
 /// Crates whose `WalWriter` usage is held to the fsync discipline
 /// (`no-unflushed-wal`): only these touch the control plane's write-ahead
-/// log, and every append they stage must be committed before the staging
-/// scope ends — otherwise a grant can become externally visible backed by a
-/// record that only exists in memory.
+/// log. Outside the plane and the writer, every append they stage must be
+/// committed before the staging scope ends, and a server link write must
+/// follow a `commit_wal` — otherwise a grant can become externally visible
+/// backed by a record that only exists in memory.
 pub const WAL_DISCIPLINE_CRATES: &[&str] = &["fela-core", "fela-live"];
+
+/// The types whose methods may stage log records and leave them for the
+/// plane's group commit.
+const WAL_STAGING_TYPES: &[&str] = &["ControlPlane", "WalWriter"];
+
+/// The crate whose server link writes must follow a `.commit_wal(`.
+const WAL_SERVER_CRATE: &str = "fela-live";
+
+/// Whether a scrubbed line opens a function item (`fn name`, any
+/// visibility or qualifiers) rather than naming a `fn(..)` pointer type.
+fn opens_fn(line: &str) -> bool {
+    let trimmed = line.trim_start();
+    trimmed.starts_with("fn ") || trimmed.contains(" fn ")
+}
+
+/// The self type of an `impl` header line (`impl Foo {`, `impl<T> Bar for
+/// Foo {`), or `None` when the line opens no impl block.
+fn impl_self_type(line: &str) -> Option<&str> {
+    let header = line.trim_start().strip_prefix("impl")?;
+    if !header.starts_with([' ', '<']) {
+        return None;
+    }
+    let header = header.split('{').next()?;
+    header.rsplit(" for ").next()?.split_whitespace().last()
+}
 
 /// The declared total acquisition order of every named mutex in the
 /// lock-discipline crates, outermost first. A lock may only be taken while
@@ -411,15 +442,52 @@ pub fn lint_source(path: &str, crate_name: &str, content: &str) -> Vec<LintFindi
         }
     }
 
-    // Pass 4 (WAL-discipline crates only): every staged WalWriter append must
-    // be committed before its enclosing block closes. `.commit(` flushes the
-    // whole staged batch, so one commit clears every pending append; an
-    // append whose scope ends first was never made durable.
+    // Pass 4 (WAL-discipline crates only): the group-commit rule. Inside
+    // `impl ControlPlane` / `impl WalWriter` an append may stay staged (the
+    // plane commits the batch in `commit_wal`); anywhere else it must be
+    // committed before its enclosing block closes — `.commit(` flushes the
+    // whole staged batch, so one commit clears every pending append. In a
+    // `fela-live` file that drives a `ControlPlane`, a link write (`.flush(`
+    // / `.send(`) must follow a `.commit_wal(` in the same function body.
     if WAL_DISCIPLINE_CRATES.contains(&crate_name) {
-        let mut pending: Vec<(usize, i64)> = Vec::new(); // (line idx, depth at append)
+        let server_file = crate_name == WAL_SERVER_CRATE
+            && scrubbed_lines
+                .iter()
+                .enumerate()
+                .any(|(i, l)| !in_test[i] && l.contains("ControlPlane"));
+        // Uncommitted appends: (line idx, depth at append).
+        let mut pending: Vec<(usize, i64)> = Vec::new();
+        // Open function bodies: (depth outside the body, committed yet).
+        let mut fns: Vec<(i64, bool)> = Vec::new();
+        let mut awaiting_body = false;
+        // Depth outside the open `impl ControlPlane` / `impl WalWriter`.
+        let mut staging_impl: Option<i64> = None;
         let mut depth: i64 = 0;
+        let push = |findings: &mut Vec<LintFinding>, l: usize| {
+            findings.push(LintFinding {
+                rule: "no-unflushed-wal",
+                krate: crate_name.to_owned(),
+                path: path.to_owned(),
+                line: l + 1,
+                snippet: lines[l].trim().to_owned(),
+            });
+        };
         for (i, line) in scrubbed_lines.iter().enumerate() {
             if !in_test[i] {
+                if staging_impl.is_none()
+                    && impl_self_type(line).is_some_and(|ty| WAL_STAGING_TYPES.contains(&ty))
+                {
+                    staging_impl = Some(depth);
+                }
+                if opens_fn(line) {
+                    awaiting_body = true;
+                }
+                if awaiting_body && line.contains('{') {
+                    fns.push((depth, false));
+                    awaiting_body = false;
+                } else if awaiting_body && line.trim_end().ends_with(';') {
+                    awaiting_body = false; // a body-less trait method
+                }
                 let append_at = [".append_op(", ".append_begin(", ".append_checkpoint("]
                     .iter()
                     .filter_map(|p| line.find(p))
@@ -430,8 +498,23 @@ pub fn lint_source(path: &str, crate_name: &str, content: &str) -> Vec<LintFindi
                 }
                 if let Some(at) = append_at {
                     // `append(..); commit()` on one line is already flushed.
-                    if commit_at.is_none_or(|c| c <= at) {
+                    if staging_impl.is_none() && commit_at.is_none_or(|c| c <= at) {
                         pending.push((i, depth));
+                    }
+                }
+                if server_file {
+                    let write_at = [".flush(", ".send("]
+                        .iter()
+                        .filter_map(|p| line.find(p))
+                        .min();
+                    let commit_wal_at = line.find(".commit_wal(");
+                    if let Some((_, committed)) = fns.last_mut() {
+                        if let Some(w) = write_at {
+                            if !*committed && commit_wal_at.is_none_or(|c| c > w) {
+                                push(&mut findings, i);
+                            }
+                        }
+                        *committed |= commit_wal_at.is_some();
                     }
                 }
             }
@@ -442,13 +525,13 @@ pub fn lint_source(path: &str, crate_name: &str, content: &str) -> Vec<LintFindi
                         depth -= 1;
                         while let Some(pos) = pending.iter().position(|&(_, d)| d > depth) {
                             let (l, _) = pending.remove(pos);
-                            findings.push(LintFinding {
-                                rule: "no-unflushed-wal",
-                                krate: crate_name.to_owned(),
-                                path: path.to_owned(),
-                                line: l + 1,
-                                snippet: lines[l].trim().to_owned(),
-                            });
+                            push(&mut findings, l);
+                        }
+                        while fns.last().is_some_and(|&(d, _)| d >= depth) {
+                            fns.pop();
+                        }
+                        if staging_impl.is_some_and(|d| d >= depth) {
+                            staging_impl = None;
                         }
                     }
                     _ => {}
@@ -456,13 +539,7 @@ pub fn lint_source(path: &str, crate_name: &str, content: &str) -> Vec<LintFindi
             }
         }
         for (l, _) in pending {
-            findings.push(LintFinding {
-                rule: "no-unflushed-wal",
-                krate: crate_name.to_owned(),
-                path: path.to_owned(),
-                line: l + 1,
-                snippet: lines[l].trim().to_owned(),
-            });
+            push(&mut findings, l);
         }
     }
     findings
@@ -850,6 +927,84 @@ fn f(w: &mut WalWriter) {
         // Definitions don't trip the receiver-dot patterns.
         let def = "pub fn append_op(&mut self, op: &CoordOp) {\n    self.staged.push(0);\n}\n";
         assert!(lint_source("a.rs", "fela-core", def).is_empty());
+    }
+
+    #[test]
+    fn the_plane_and_the_writer_may_leave_appends_staged() {
+        // The plane stages every op; its group commit is `commit_wal`.
+        let src = "\
+impl ControlPlane {
+    fn record(&mut self, op: CoordOp) {
+        if let Some(wal) = &mut self.wal {
+            wal.writer.append_op(&op);
+        }
+    }
+}
+fn elsewhere(w: &mut WalWriter) {
+    w.append_op(&op);
+}
+";
+        let findings = lint_source("plane.rs", "fela-core", src);
+        assert_eq!(rules(&findings), ["no-unflushed-wal"]);
+        assert_eq!(findings[0].line, 9, "only the append outside the plane");
+    }
+
+    #[test]
+    fn a_server_link_write_before_the_group_commit_is_flagged() {
+        let src = "\
+struct RealServer { server: ControlPlane }
+impl RealServer {
+    fn flush_grants(&mut self) -> io::Result<()> {
+        if let Some(tx) = self.txs[0].as_mut() {
+            tx.queue(&frame).and_then(|()| tx.flush())?;
+        }
+        self.server.commit_wal()?;
+        Ok(())
+    }
+}
+";
+        let findings = lint_source("real.rs", "fela-live", src);
+        assert_eq!(rules(&findings), ["no-unflushed-wal"]);
+        assert_eq!(findings[0].line, 5);
+    }
+
+    #[test]
+    fn a_server_link_write_after_the_group_commit_is_clean() {
+        let src = "\
+struct RealServer { server: ControlPlane }
+impl RealServer {
+    fn flush_grants(&mut self) -> io::Result<()> {
+        self.server.commit_wal()?;
+        if let Some(tx) = self.txs[0].as_mut() {
+            tx.queue(&frame).and_then(|()| tx.flush())?;
+        }
+        Ok(())
+    }
+    fn hang(&mut self) -> io::Result<()> {
+        self.server.commit_wal()?; let _ = tx.send(&Frame::Hang { nanos });
+        Ok(())
+    }
+}
+";
+        assert!(lint_source("real.rs", "fela-live", src).is_empty());
+        // The commit belongs to its own function body: a write in the next
+        // function needs one of its own.
+        let src = "\
+struct RealServer { server: ControlPlane }
+fn commits(s: &mut RealServer) -> io::Result<()> {
+    s.server.commit_wal()
+}
+fn writes(tx: &mut LinkTx) {
+    let _ = tx.send(&Frame::End);
+}
+";
+        let findings = lint_source("real.rs", "fela-live", src);
+        assert_eq!(rules(&findings), ["no-unflushed-wal"]);
+        assert_eq!(findings[0].line, 6);
+        // A file that drives no control plane (the worker side) writes freely.
+        let worker =
+            "fn run(link: &mut Link) {\n    link.send(&Frame::Request { worker: 0 });\n}\n";
+        assert!(lint_source("worker.rs", "fela-live", worker).is_empty());
     }
 
     #[test]

@@ -589,7 +589,7 @@ impl Mc<'_> {
 
     fn key_of(state: &McState) -> McKey {
         (
-            state.plane.snapshot(),
+            state.plane.snapshot().without_counters(),
             state
                 .queues
                 .iter()

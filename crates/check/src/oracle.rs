@@ -593,6 +593,13 @@ impl TokenServer {
             expiry_counts: self.expiry_counts.clone(),
             data_home: self.data_home.clone(),
             parked: self.parked.iter().map(|&(l, id)| (l, id.0)).collect(),
+            last_grant_at: self
+                .last_grant_at
+                .iter()
+                .map(|t| t.map(SimTime::as_nanos))
+                .collect(),
+            trained_per_worker: self.trained_per_worker.clone(),
+            stats: self.stats,
         }
     }
 
@@ -630,11 +637,15 @@ impl TokenServer {
             score_keys: BTreeMap::new(),
             holder: snap.holder.iter().map(|&(t, w)| (TokenId(t), w)).collect(),
             levels: vec![LevelState::default(); m],
-            last_grant_at: vec![None; buckets],
+            last_grant_at: snap
+                .last_grant_at
+                .iter()
+                .map(|t| t.map(SimTime::from_nanos))
+                .collect(),
             helpers: snap.helpers.clone(),
             waiting: snap.waiting.iter().copied().collect(),
-            stats: ServerStats::default(),
-            trained_per_worker: vec![0; n_workers],
+            stats: snap.stats,
+            trained_per_worker: snap.trained_per_worker.clone(),
             alive: snap.alive.clone(),
             quarantined: snap.quarantined.clone(),
             expiry_counts: snap.expiry_counts.clone(),

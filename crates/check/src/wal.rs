@@ -369,6 +369,11 @@ pub fn reference_logged_run(shards: usize, checkpoint_every: u64) -> (Vec<u8>, S
             panic!("reference run stalled before completion");
         }
     }
+    // The ops since the last checkpoint are staged: one group commit makes
+    // them durable before the log is read.
+    if let Err(e) = plane.commit_wal() {
+        panic!("an in-memory commit cannot fail: {e}");
+    }
     (mem.bytes(), plane.snapshot())
 }
 

@@ -16,7 +16,8 @@
 //! * [`ControlPlane`] — the coordinator the runtimes hold, with op-log and
 //!   write-ahead-log recording of every mutating call. It owns the log's
 //!   lifecycle for every runtime: it opens the log
-//!   ([`DurabilityOptions::for_run`], [`ControlPlane::open_wal`]),
+//!   ([`DurabilityOptions::for_run`], [`ControlPlane::open_wal`]), stages
+//!   every op and group-commits the stage ([`ControlPlane::commit_wal`]),
 //!   checkpoints it ([`ControlPlane::checkpoint_due`]) and recovers from it
 //!   ([`ControlPlane::crash_restart`]);
 //! * [`FelaRuntime`] — the discrete-event world tying the server to workers, the

@@ -20,7 +20,7 @@ use crate::server::{Coordinator, Grant, LevelMeta, SyncSpec};
 use crate::snapshot::ServerSnapshot;
 use crate::token::{Token, TokenId};
 use crate::wal::{
-    self, wal_path, DurabilityOptions, FileWal, MemWal, Recovered, WalSink, WalWriter,
+    self, wal_path, DurabilityOptions, FileWal, MemWal, Recovered, WalRecord, WalSink, WalWriter,
 };
 
 /// The control plane: a [`Coordinator`] (one shard by default, `cfg.shards`
@@ -31,8 +31,9 @@ use crate::wal::{
 /// goes only through the methods below — there is no `DerefMut` — so every
 /// state change passes the recording point: with
 /// [`ControlPlane::enable_op_log`] each call appends one [`CoordOp`] (inputs
-/// plus outcome digest), and with [`ControlPlane::attach_wal`] it is made
-/// durable before its result is returned.
+/// plus outcome digest), and with [`ControlPlane::attach_wal`] it is staged
+/// in the write-ahead log. The runtime makes the stage durable with one
+/// [`ControlPlane::commit_wal`] before any result leaves the process.
 pub struct ControlPlane {
     inner: Coordinator,
     log: Option<Vec<CoordOp>>,
@@ -46,6 +47,17 @@ struct Wal {
     checkpoint_every: u64,
     /// Completed-iteration count at the last checkpoint written.
     last_checkpoint: u64,
+    /// Commits that synced data (an empty stage costs none).
+    commits: u64,
+}
+
+impl Wal {
+    fn commit(&mut self) -> io::Result<()> {
+        if self.writer.commit()? {
+            self.commits += 1;
+        }
+        Ok(())
+    }
 }
 
 impl Clone for ControlPlane {
@@ -128,23 +140,41 @@ impl ControlPlane {
     }
 
     /// Attaches a write-ahead log: writes the opening `Begin` record and
-    /// makes every subsequent mutating call append (and sync) one op record
-    /// before its result is returned to the caller. No checkpoint cadence:
+    /// makes every subsequent mutating call stage one op record, made
+    /// durable by the next [`Self::commit_wal`]. No checkpoint cadence:
     /// [`Self::open_wal`] sets one.
     pub fn attach_wal(&mut self, sink: Box<dyn WalSink>) -> io::Result<()> {
-        let mut writer = WalWriter::new(sink);
-        writer.append_begin(
+        let mut wal = Wal {
+            writer: WalWriter::new(sink),
+            checkpoint_every: 0,
+            last_checkpoint: 0,
+            commits: 0,
+        };
+        wal.writer.append_begin(
             self.shard_count() as u32,
             self.n_workers() as u32,
             self.max_iterations(),
         );
-        writer.commit()?;
-        self.wal = Some(Wal {
-            writer,
-            checkpoint_every: 0,
-            last_checkpoint: 0,
-        });
+        wal.commit()?;
+        self.wal = Some(wal);
         Ok(())
+    }
+
+    /// Makes every op staged since the last commit durable, with one write
+    /// and one sync — the group commit a runtime calls before any result
+    /// leaves the process. No-op when no log is attached or nothing is
+    /// staged.
+    pub fn commit_wal(&mut self) -> io::Result<()> {
+        match &mut self.wal {
+            Some(wal) => wal.commit(),
+            None => Ok(()),
+        }
+    }
+
+    /// Commits that synced data since the log was attached, across restarts
+    /// (0 without a log).
+    pub fn wal_commits(&self) -> u64 {
+        self.wal.as_ref().map_or(0, |wal| wal.commits)
     }
 
     /// Opens the run's log: a [`FileWal`] at [`wal_path`] under
@@ -173,15 +203,15 @@ impl ControlPlane {
     }
 
     /// Appends a full-state checkpoint (snapshot + token table + the opaque
-    /// runtime `payload`) to the attached log and syncs it. No-op when no
-    /// log is attached.
+    /// runtime `payload`) to the attached log and syncs it, in one commit
+    /// with the ops staged ahead of it. No-op when no log is attached.
     pub fn checkpoint_wal(&mut self, payload: &[u8]) -> io::Result<()> {
         let Some(wal) = &mut self.wal else {
             return Ok(());
         };
-        let writer = &mut wal.writer;
-        writer.append_checkpoint(payload, self.inner.tokens(), &self.inner.snapshot());
-        writer.commit()
+        wal.writer
+            .append_checkpoint(payload, self.inner.tokens(), &self.inner.snapshot());
+        wal.commit()
     }
 
     /// Writes a checkpoint when the completed-iteration count has crossed a
@@ -206,7 +236,9 @@ impl ControlPlane {
     /// left: read the log back, [`wal::recover`] the plane it describes,
     /// cut the torn tail off, and resume the writer on the same log at the
     /// next sequence number, with the same checkpoint cadence. The
-    /// volatile op log dies with the process.
+    /// volatile op log and the uncommitted stage die with the process: the
+    /// restarted plane is the one at the last commit, and the ops it lost
+    /// are ones whose results no worker has seen.
     ///
     /// Returns the latest checkpoint's payload and the ops replayed after it,
     /// from which a runtime rebuilds its own volatile state.
@@ -216,8 +248,9 @@ impl ControlPlane {
     /// does not recover, and any error of the log store.
     ///
     /// # Panics
-    /// When the recovered plane's snapshot or token table differs from this
-    /// plane's: the log then lost a decision that was already visible.
+    /// When the recovered plane with the dropped stage replayed on top
+    /// differs from this plane in snapshot or token table: the log then lost
+    /// or altered a decision.
     pub fn crash_restart(&mut self) -> io::Result<(Vec<u8>, Vec<CoordOp>)> {
         let Some(wal) = self.wal.take() else {
             return Err(io::Error::new(
@@ -225,7 +258,13 @@ impl ControlPlane {
                 "server crash injected without a write-ahead log attached",
             ));
         };
-        let mut sink = wal.writer.into_sink();
+        let invalid = |e: wal::WalError| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("WAL recovery failed: {e}"),
+            )
+        };
+        let (mut sink, staged) = wal.writer.into_parts();
         let bytes = sink.read_back()?;
         let Recovered {
             mut plane,
@@ -241,21 +280,28 @@ impl ControlPlane {
             self.n_workers(),
             self.max_iterations(),
         )
-        .map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("WAL recovery failed: {e}"),
-            )
-        })?;
+        .map_err(invalid)?;
+        // The committed log plus the dropped stage must rebuild exactly the
+        // plane that crashed: replay the staged ops on a copy.
+        let mut full = plane.clone();
+        for record in wal::read_log(&staged).map_err(invalid)?.records {
+            if let WalRecord::Op { seq, op } = record {
+                assert_eq!(
+                    oplog::apply_op(&mut full, &op.kind),
+                    op.outcome,
+                    "staged op {seq} must replay onto the recovered plane"
+                );
+            }
+        }
         assert_eq!(
-            plane.snapshot(),
+            full.snapshot(),
             self.snapshot(),
-            "recovered plane must be snapshot-equal to the crashed one"
+            "recovered plane plus the dropped stage must be snapshot-equal to the crashed one"
         );
         assert_eq!(
-            plane.tokens(),
+            full.tokens(),
             self.tokens(),
-            "recovered token table must match the crashed one"
+            "recovered token table plus the dropped stage must match the crashed one"
         );
         sink.truncate(bytes.len() - torn_bytes)?;
         plane.wal = Some(Wal {
@@ -272,15 +318,12 @@ impl ControlPlane {
         self.log.is_some() || self.wal.is_some()
     }
 
+    /// Stages the op in the log (made durable by the next
+    /// [`Self::commit_wal`]) and appends it to the op log.
     fn record(&mut self, kind: OpKind, outcome: OpOutcome) {
         let op = CoordOp { kind, outcome };
         if let Some(Wal { writer, .. }) = &mut self.wal {
             writer.append_op(&op);
-            if let Err(e) = writer.commit() {
-                // A durable plane that cannot persist its decisions must not
-                // keep handing them out: failing loudly here is the contract.
-                panic!("WAL append failed — cannot guarantee durability: {e}");
-            }
         }
         if let Some(log) = &mut self.log {
             log.push(op);

@@ -704,7 +704,20 @@ impl FelaWorld<'_> {
 impl World for FelaWorld<'_> {
     type Event = Ev;
 
+    /// Handles one event, then commits the ops it staged: every grant it
+    /// scheduled reaches a worker in a later event, so the log is durable
+    /// before any result leaves the Token Server. A server crash is an event
+    /// of its own and therefore always finds the stage empty.
     fn handle(&mut self, now: SimTime, event: Ev, sched: &mut Scheduler<'_, Ev>) {
+        self.dispatch(now, event, sched);
+        if let Err(e) = self.server.commit_wal() {
+            panic!("WAL commit failed — cannot guarantee durability: {e}");
+        }
+    }
+}
+
+impl FelaWorld<'_> {
+    fn dispatch(&mut self, now: SimTime, event: Ev, sched: &mut Scheduler<'_, Ev>) {
         // Server downtime: anything that would reach the (dead) Token Server
         // process — requests, reports, fault notifications, lease timers, and
         // the network wake that commits sync watermarks — stalls until the

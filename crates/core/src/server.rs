@@ -167,7 +167,7 @@ impl SyncSpec {
 }
 
 /// Counters the server accumulates for the run report.
-#[derive(Clone, Copy, Debug, Default, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct ServerStats {
     /// Tokens granted in total.
     pub grants: u64,
@@ -368,9 +368,8 @@ impl Coordinator {
 
     /// Restores a coordinator from a snapshot plus the token table it refers
     /// to. The result snapshots back bit-identically and continues exactly as
-    /// a server that reached the snapshot live (timing-only state — conflict
-    /// instants and counters — restarts empty, as documented on
-    /// [`ServerSnapshot`]).
+    /// a server that reached the snapshot live — same outcomes, conflict
+    /// flags included, and same counters.
     pub fn restore(
         plan: TokenPlan,
         cfg: FelaConfig,
@@ -437,6 +436,13 @@ impl Coordinator {
             .iter()
             .map(|&(level, id)| (level, TokenId(id)))
             .collect();
+        c.last_grant_at = snap
+            .last_grant_at
+            .iter()
+            .map(|t| t.map(SimTime::from_nanos))
+            .collect();
+        c.trained_per_worker = snap.trained_per_worker.clone();
+        c.stats = snap.stats;
         // Helper counts arrive last: rebuild the steal indices with the final
         // (helpers, occupancy) keys.
         c.helpers = snap.helpers.clone();
@@ -1406,14 +1412,57 @@ impl Coordinator {
 
     // ---- snapshot ----------------------------------------------------------
 
-    /// A canonical snapshot of the scheduling state — bit-identical across
-    /// shard counts for equal histories (see [`ServerSnapshot`]).
+    /// A canonical snapshot of the whole state — bit-identical across shard
+    /// counts for equal histories (see [`ServerSnapshot`]).
     pub fn snapshot(&self) -> ServerSnapshot {
-        let m = self.plan.num_levels();
-        let buckets = self.queued_all.len();
+        // Every field is named: it is either saved below or a cache that
+        // `restore` rebuilds, so a field added later fails to compile here
+        // until someone decides which.
+        let Coordinator {
+            // Construction inputs, handed to `restore` again.
+            plan,
+            cfg: _,
+            meta: _,
+            n_workers: _,
+            max_iterations: _,
+            // Saved beside the snapshot as the checkpoint's token table.
+            tokens: _,
+            // Saved: the shards' queues and level states (their steal and
+            // locality indices are rebuilt by `stb_push`).
+            shards: _,
+            // Saved.
+            released_roots,
+            next_token_id,
+            holder,
+            last_grant_at,
+            helpers,
+            waiting,
+            stats,
+            trained_per_worker,
+            alive,
+            quarantined,
+            leases,
+            data_home,
+            parked,
+            // Derived caches: static per config, or rebuilt from the queues
+            // and helper counts by `restore`.
+            shard_of: _,
+            cond_level: _,
+            member_order: _,
+            nonmember_order: _,
+            queued_all,
+            queued_noncond: _,
+            steal_any: _,
+            steal_noncond: _,
+            indexed_key: _,
+            stale: _,
+            stale_flag: _,
+        } = self;
+        let m = plan.num_levels();
+        let buckets = queued_all.len();
         ServerSnapshot {
-            released_roots: self.released_roots,
-            next_token_id: self.next_token_id,
+            released_roots: *released_roots,
+            next_token_id: *next_token_id,
             stbs: (0..buckets)
                 .map(|b| {
                     (0..m)
@@ -1458,16 +1507,22 @@ impl Coordinator {
                         .collect()
                 })
                 .collect(),
-            holder: self.holder.iter().map(|(&t, &w)| (t.0, w)).collect(),
-            waiting: self.waiting.iter().copied().collect(),
-            helpers: self.helpers.clone(),
-            alive: self.alive.clone(),
-            quarantined: self.quarantined.clone(),
-            leases: self.leases.lease_triples(),
-            attempts: self.leases.attempt_pairs(),
-            expiry_counts: self.leases.expiry_counts().to_vec(),
-            data_home: self.data_home.clone(),
-            parked: self.parked.iter().map(|&(l, id)| (l, id.0)).collect(),
+            holder: holder.iter().map(|(&t, &w)| (t.0, w)).collect(),
+            waiting: waiting.iter().copied().collect(),
+            helpers: helpers.clone(),
+            alive: alive.clone(),
+            quarantined: quarantined.clone(),
+            leases: leases.lease_triples(),
+            attempts: leases.attempt_pairs(),
+            expiry_counts: leases.expiry_counts().to_vec(),
+            data_home: data_home.clone(),
+            parked: parked.iter().map(|&(l, id)| (l, id.0)).collect(),
+            last_grant_at: last_grant_at
+                .iter()
+                .map(|t| t.map(SimTime::as_nanos))
+                .collect(),
+            trained_per_worker: trained_per_worker.clone(),
+            stats: *stats,
         }
     }
 }

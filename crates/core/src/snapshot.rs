@@ -1,4 +1,4 @@
-//! Canonical snapshots of control-plane scheduling state.
+//! Canonical snapshots of control-plane state.
 //!
 //! A [`ServerSnapshot`] is the byte-exact conformance currency of the control
 //! plane: the [`Coordinator`](crate::Coordinator) is proved against
@@ -7,14 +7,18 @@
 //! [restored](crate::Coordinator::restore) from a snapshot plus the token
 //! table, round-tripping bit-identically.
 
-/// A canonical, totally ordered view of the server's scheduling state.
+use crate::server::ServerStats;
+
+/// A canonical, totally ordered view of the server's whole state.
 ///
-/// Two servers with equal snapshots will emit identical schedules for
-/// identical future inputs (timing-only state — lock-conflict instants and
-/// counters — is deliberately excluded). `fela-check`'s interleaving explorer
-/// uses snapshots to prune its state space; tests use them to assert replay
-/// equivalence, and the shard-conformance suite compares the coordinator's and
-/// the reference oracle's snapshots bit for bit.
+/// Complete: two servers with equal snapshots (and equal token tables) emit
+/// identical outcomes for identical future inputs — lock-conflict flags
+/// included — and report identical counters, so a plane restored from a
+/// checkpoint is indistinguishable from the one that wrote it.
+/// `fela-check`'s interleaving explorers use snapshots to prune their state
+/// spaces; tests use them to assert replay equivalence, and the
+/// shard-conformance suite compares the coordinator's and the reference
+/// oracle's snapshots bit for bit.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ServerSnapshot {
     /// Iterations whose root tokens have been released.
@@ -57,4 +61,24 @@ pub struct ServerSnapshot {
     /// Tokens parked with no eligible bucket (fully dark cluster), in
     /// revocation order: `(level, token id)`.
     pub parked: Vec<(usize, u64)>,
+    /// Last contended grant instant per bucket, in nanoseconds. Behavioural
+    /// when the lock window is non-zero: the next contended grant inside the
+    /// window is flagged as a conflict.
+    pub last_grant_at: Vec<Option<u64>>,
+    /// Accepted reports per worker.
+    pub trained_per_worker: Vec<u64>,
+    /// The run-report counters.
+    pub stats: ServerStats,
+}
+
+impl ServerSnapshot {
+    /// The snapshot with its report-only counters (`trained_per_worker` and
+    /// `stats`) cleared. No outcome reads them, so two states that differ
+    /// only there have equal futures: the interleaving explorers key their
+    /// visited sets on this form.
+    pub fn without_counters(mut self) -> Self {
+        self.trained_per_worker.clear();
+        self.stats = ServerStats::default();
+        self
+    }
 }

@@ -2,9 +2,9 @@
 //!
 //! Worker death became survivable with leases; this module makes the **Token
 //! Server itself** survivable. Every mutating control-plane call — grants,
-//! reports, sync watermarks, lease fires, fault/restart events — appends one
-//! [`CoordOp`] record to a write-ahead log *before* the result becomes
-//! externally visible, and periodic [checkpoints](WalRecord::Checkpoint)
+//! reports, sync watermarks, lease fires, fault/restart events — stages one
+//! [`CoordOp`] record in a write-ahead log, made durable *before* its result
+//! becomes externally visible, and periodic [checkpoints](WalRecord::Checkpoint)
 //! serialize the [`ServerSnapshot`] (the byte-exact conformance currency)
 //! together with the token table and an opaque runtime payload. A crashed
 //! server [recovers](recover) by restoring the latest checkpoint and replaying
@@ -30,14 +30,24 @@
 //! replay. A full-length record with a bad checksum is *corruption* (torn
 //! writes only truncate, they do not scribble), and does fail the replay.
 //!
-//! ## Fsync discipline
+//! ## Fsync discipline: group commit
 //!
 //! Appends stage into the writer's buffer; [`WalWriter::commit`] writes the
-//! staged bytes to the [`WalSink`] and syncs it in one step. The control
-//! plane commits after **every** logged operation before returning the
-//! result to the caller — the `no-unflushed-wal` lint rule enforces that an
-//! `append_op`/`append_checkpoint` on the grant/report path is always
-//! followed by the `commit` call.
+//! staged bytes to the [`WalSink`] and syncs it in one step, and an empty
+//! stage costs nothing. The control plane only stages: it commits **once per
+//! batch**, when the runtime calls [`ControlPlane::commit_wal`] just before
+//! results leave the process — the live server before every grant flush,
+//! `Hang` frame and epilogue, the simulator at the end of every event — and
+//! with every checkpoint. The rule "no decision is visible outside the
+//! process before it is durable" therefore holds per batch instead of per
+//! op. A crash loses the stage: ops whose results no worker has seen.
+//! [`ControlPlane::crash_restart`] recovers the plane at the last commit,
+//! after checking that the log plus the lost stage rebuild exactly the plane
+//! that died; a report lost this way leaves its token leased to the
+//! reporter, and the restart revokes and regrants it. The `no-unflushed-wal`
+//! lint rule enforces both halves: only the plane and the writer may leave
+//! an append staged, and a live server link write must follow a
+//! `commit_wal`.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -50,7 +60,7 @@ use fela_cluster::Scenario;
 use fela_sim::SimTime;
 
 use crate::oplog::{apply_op, CoordOp, OpKind, OpOutcome};
-use crate::server::LevelMeta;
+use crate::server::{LevelMeta, ServerStats};
 use crate::snapshot::ServerSnapshot;
 use crate::token::{Token, TokenId};
 use crate::{ControlPlane, FelaConfig, ScheduleError, TokenPlan};
@@ -868,6 +878,23 @@ fn put_snapshot(out: &mut Vec<u8>, s: &ServerSnapshot) {
     put_u64_list(out, &s.expiry_counts);
     put_usize_list(out, &s.data_home);
     put_usize_u64_pairs(out, &s.parked);
+    put_count(out, s.last_grant_at.len());
+    for at in &s.last_grant_at {
+        put_bool(out, at.is_some());
+        put_u64(out, at.unwrap_or(0));
+    }
+    put_u64_list(out, &s.trained_per_worker);
+    let st = &s.stats;
+    for v in [
+        st.grants,
+        st.local_grants,
+        st.steals,
+        st.conflicts,
+        st.remote_fetch_bytes,
+        st.starved_requests,
+    ] {
+        put_u64(out, v);
+    }
 }
 
 fn get_snapshot(c: &mut Cursor<'_>) -> Result<ServerSnapshot, WalError> {
@@ -924,6 +951,22 @@ fn get_snapshot(c: &mut Cursor<'_>) -> Result<ServerSnapshot, WalError> {
     let expiry_counts = get_u64_list(c, "expiry counts")?;
     let data_home = get_usize_list(c, "data homes")?;
     let parked = get_usize_u64_pairs(c, "parked tokens")?;
+    let n_buckets = c.count("last-grant instants", 9)?;
+    let mut last_grant_at = Vec::with_capacity(n_buckets);
+    for _ in 0..n_buckets {
+        let present = c.boolean()?;
+        let at = c.u64()?;
+        last_grant_at.push(present.then_some(at));
+    }
+    let trained_per_worker = get_u64_list(c, "trained per worker")?;
+    let stats = ServerStats {
+        grants: c.u64()?,
+        local_grants: c.u64()?,
+        steals: c.u64()?,
+        conflicts: c.u64()?,
+        remote_fetch_bytes: c.u64()?,
+        starved_requests: c.u64()?,
+    };
     Ok(ServerSnapshot {
         released_roots,
         next_token_id,
@@ -943,6 +986,9 @@ fn get_snapshot(c: &mut Cursor<'_>) -> Result<ServerSnapshot, WalError> {
         expiry_counts,
         data_home,
         parked,
+        last_grant_at,
+        trained_per_worker,
+        stats,
     })
 }
 
@@ -1158,10 +1204,10 @@ pub fn read_log(bytes: &[u8]) -> Result<ReadLog, WalError> {
 
 /// Where committed log bytes go. `append` stages bytes at the end of the
 /// log; `sync` makes everything appended so far durable. The control plane
-/// calls them as a pair via [`WalWriter::commit`] before any logged result
-/// becomes externally visible. A restarting plane reads the log back and
-/// cuts its torn tail off before it appends again
-/// ([`ControlPlane::crash_restart`]).
+/// calls them as a pair via [`WalWriter::commit`], once per batch of ops,
+/// before any of their results becomes externally visible. A restarting
+/// plane reads the log back and cuts its torn tail off before it appends
+/// again ([`ControlPlane::crash_restart`]).
 pub trait WalSink {
     /// Appends bytes at the end of the log.
     fn append(&mut self, bytes: &[u8]) -> io::Result<()>;
@@ -1272,9 +1318,10 @@ impl WalSink for FileWal {
 
 /// Appends records to a [`WalSink`] with dense op sequence numbers.
 ///
-/// Appends *stage*; [`commit`](Self::commit) writes and syncs. The staging
-/// split exists so the fsync discipline is a visible call site the
-/// `no-unflushed-wal` lint rule can check.
+/// Appends *stage*; [`commit`](Self::commit) writes and syncs the whole
+/// stage at once. The split is what lets the control plane group-commit a
+/// batch of ops with one sync, and keeps the fsync discipline a visible call
+/// site the `no-unflushed-wal` lint rule can check.
 pub struct WalWriter {
     sink: Box<dyn WalSink>,
     seq: u64,
@@ -1315,9 +1362,10 @@ impl WalWriter {
         self.seq
     }
 
-    /// Gives the sink back, dropping anything staged but not committed.
-    pub(crate) fn into_sink(self) -> Box<dyn WalSink> {
-        self.sink
+    /// Gives the sink back, with the records staged but never committed —
+    /// what a crash loses.
+    pub(crate) fn into_parts(self) -> (Box<dyn WalSink>, Vec<u8>) {
+        (self.sink, self.staged)
     }
 
     /// Stages the opening `Begin` record.
@@ -1357,13 +1405,19 @@ impl WalWriter {
             }));
     }
 
-    /// Writes and syncs everything staged — the fsync-discipline call that
-    /// must land before a logged result becomes externally visible.
-    pub fn commit(&mut self) -> io::Result<()> {
+    /// Writes and syncs everything staged in one step — the group commit
+    /// that must land before a logged result becomes externally visible.
+    /// An empty stage costs no write and no sync. Returns whether it synced.
+    /// An error leaves nothing of the stage promised durable, and the run
+    /// must stop.
+    pub fn commit(&mut self) -> io::Result<bool> {
+        if self.staged.is_empty() {
+            return Ok(false);
+        }
         self.sink.append(&self.staged)?;
         self.sink.sync()?;
         self.staged.clear();
-        Ok(())
+        Ok(true)
     }
 }
 
@@ -1602,6 +1656,7 @@ mod tests {
     use crate::server::LevelMeta;
     use crate::{FelaConfig, LevelPlan};
     use fela_sim::SimTime;
+    use std::ops::ControlFlow;
 
     fn small_plan() -> TokenPlan {
         TokenPlan {
@@ -1650,42 +1705,58 @@ mod tests {
         ControlPlane::new(small_plan(), cfg(shards), meta(), 2, 2)
     }
 
-    /// Drives a plane to completion (the oplog test loop), calling `after`
-    /// after every plane call.
+    /// Drives a plane to completion (the oplog test loop), committing after
+    /// every plane call — a runtime that ships each result the moment it is
+    /// decided — and then calling `after`.
     fn drive(plane: &mut ControlPlane, after: &mut dyn FnMut(&mut ControlPlane)) {
+        let _ = drive_staged(plane, &mut |p| {
+            p.commit_wal().expect("commit");
+            after(p);
+            ControlFlow::Continue(())
+        });
+    }
+
+    /// The same call sequence with no commits of its own: `after` runs after
+    /// every plane call, decides when to commit, and may stop the drive.
+    fn drive_staged(
+        plane: &mut ControlPlane,
+        after: &mut dyn FnMut(&mut ControlPlane) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         let now = SimTime::ZERO;
         while !plane.run_complete() {
             let mut progressed = false;
             for w in 0..2 {
                 if let Ok(Some(grant)) = plane.request(w, now) {
-                    after(plane);
+                    after(plane)?;
                     let syncs = plane.report(w, grant.token.id).expect("report accepted");
-                    after(plane);
+                    after(plane)?;
                     for s in syncs {
                         plane.sync_finished(s.level, s.iteration).expect("sync");
-                        after(plane);
+                        after(plane)?;
                     }
                     progressed = true;
                 } else {
-                    after(plane);
+                    after(plane)?;
                 }
             }
             while let Ok(Some((w, grant))) = plane.pop_ready_grant(now) {
-                after(plane);
+                after(plane)?;
                 let syncs = plane.report(w, grant.token.id).expect("report accepted");
-                after(plane);
+                after(plane)?;
                 for s in syncs {
                     plane.sync_finished(s.level, s.iteration).expect("sync");
-                    after(plane);
+                    after(plane)?;
                 }
                 progressed = true;
             }
-            after(plane);
+            after(plane)?;
             assert!(progressed, "run must make progress");
         }
+        ControlFlow::Continue(())
     }
 
-    /// One request/report/sync round for every worker that gets a grant.
+    /// One request/report/sync round for every worker that gets a grant,
+    /// made durable by one group commit.
     fn step(plane: &mut ControlPlane) {
         let now = SimTime::ZERO;
         for w in 0..2 {
@@ -1696,6 +1767,7 @@ mod tests {
                 }
             }
         }
+        plane.commit_wal().expect("commit");
     }
 
     /// A fresh temp directory, unique per process and test thread.
@@ -2324,6 +2396,74 @@ mod tests {
             let full = recover(&bytes, p.plan(), p.config(), &meta(), 2, 2).expect("full");
             prop_assert_eq!(full.plane.snapshot(), p.snapshot());
             prop_assert_eq!(full.plane.tokens(), p.tokens());
+        }
+
+        #[test]
+        fn crash_between_stage_and_commit_recovers_the_last_commit(
+            commit_bits in any::<u64>(),
+            calls in 1u32..40,
+            shards in 1usize..3,
+            checkpoint_every in 0u64..3,
+            on_file in any::<bool>(),
+        ) {
+            // Ops stage; commits land at random points (and with every
+            // checkpoint); the crash comes with ops still staged. The
+            // restarted plane must be the one at the last commit, and the
+            // dropped ops, replayed on it, must rebuild the plane that died.
+            let dir = temp_dir("stage-crash");
+            let mut p = plane(shards);
+            let sink: Box<dyn WalSink> = if on_file {
+                Box::new(FileWal::create(&wal_path(&dir)).expect("create"))
+            } else {
+                Box::new(MemWal::new())
+            };
+            p.attach_wal(sink).expect("attach");
+            p.enable_op_log();
+            let mut at_commit = p.clone();
+            let mut call = 0u32;
+            let mut done_iters = 0u64;
+            let _ = drive_staged(&mut p, &mut |p| {
+                call += 1;
+                if call == calls {
+                    return ControlFlow::Break(());
+                }
+                let checkpoint = checkpoint_every > 0
+                    && p.completed_iterations() > done_iters
+                    && p.completed_iterations() % checkpoint_every == 0;
+                done_iters = p.completed_iterations();
+                if checkpoint {
+                    p.checkpoint_wal(&[]).expect("checkpoint");
+                } else if (commit_bits >> (call % 64)) & 1 == 1 {
+                    p.commit_wal().expect("commit");
+                } else {
+                    return ControlFlow::Continue(());
+                }
+                p.take_op_log();
+                at_commit = p.clone();
+                ControlFlow::Continue(())
+            });
+            let dropped = p.take_op_log();
+            prop_assert!(
+                p.run_complete() || !dropped.is_empty(),
+                "the crash lands with ops staged"
+            );
+            let crashed = p.clone();
+            let commits = p.wal_commits();
+            p.crash_restart().expect("restart");
+            prop_assert_eq!(p.wal_commits(), commits);
+            prop_assert_eq!(p.snapshot(), at_commit.snapshot());
+            prop_assert_eq!(p.tokens(), at_commit.tokens());
+            prop_assert_eq!(p.stats(), at_commit.stats());
+            prop_assert_eq!(p.trained_per_worker(), at_commit.trained_per_worker());
+            let mut replayed = p.clone();
+            for op in &dropped {
+                prop_assert_eq!(&apply_op(&mut replayed, &op.kind), &op.outcome);
+            }
+            prop_assert_eq!(replayed.snapshot(), crashed.snapshot());
+            prop_assert_eq!(replayed.tokens(), crashed.tokens());
+            prop_assert_eq!(replayed.stats(), crashed.stats());
+            prop_assert_eq!(replayed.trained_per_worker(), crashed.trained_per_worker());
+            fs::remove_dir_all(&dir).ok();
         }
     }
 }

@@ -126,6 +126,10 @@ pub struct RealOutcome {
     pub server_crashes: u64,
     /// Token Server recoveries completed.
     pub server_restarts: u64,
+    /// Write-ahead log commits that synced data (0 without a log): one per
+    /// grant flush that followed new ops, plus the opening record and every
+    /// checkpoint.
+    pub wal_commits: u64,
     /// Final model parameters (bit-identical on every surviving replica and
     /// to the server's reference replay).
     pub params: Vec<u8>,
@@ -293,15 +297,22 @@ impl RealServer<'_> {
     }
 
     /// Ships every queued grant: one `GrantBatch` frame and one transport
-    /// flush per worker. Leases are
-    /// armed here, at send time, sized to the **cumulative** batch span — the
-    /// worker computes the batch serially and reports it with one frame at
-    /// the end, so every lease in the batch must survive until the whole
-    /// batch lands.
-    fn flush_grants(&mut self) {
+    /// flush per worker. Before the first frame leaves, one
+    /// [`ControlPlane::commit_wal`] makes every op staged so far durable —
+    /// the group commit — and a failed commit stops the run with no grant
+    /// sent. Leases are armed here, at send time, sized to the
+    /// **cumulative** batch span — the worker computes the batch serially
+    /// and reports it with one frame at the end, so every lease in the
+    /// batch must survive until the whole batch lands.
+    fn flush_grants(&mut self) -> io::Result<()> {
+        let mut committed = false;
         for worker in 0..self.pending.len() {
             if self.pending[worker].is_empty() {
                 continue;
+            }
+            if !committed {
+                self.server.commit_wal()?;
+                committed = true;
             }
             let grants = std::mem::take(&mut self.pending[worker]);
             let frame = Frame::GrantBatch {
@@ -359,6 +370,7 @@ impl RealServer<'_> {
                 }
             }
         }
+        Ok(())
     }
 
     /// Kills a worker at the transport level and tells the server.
@@ -444,9 +456,13 @@ impl RealServer<'_> {
             })?;
             replayed.push((t.iteration, t.level));
         }
-        assert_eq!(
-            replayed, self.completions,
-            "WAL replay reconstructed a different completion schedule"
+        // The crash dropped the reports staged since the last commit; no
+        // worker saw them accepted, so the log's schedule is a prefix of the
+        // one the dead process held. Their tokens are revoked and regranted
+        // below.
+        assert!(
+            self.completions.starts_with(&replayed),
+            "WAL replay reconstructed a completion schedule that is not a prefix of the accepted one"
         );
         self.completions = replayed;
 
@@ -504,6 +520,9 @@ impl RealServer<'_> {
                         let nanos = (stall.as_secs_f64() * self.opts.time_scale * 1e9)
                             .max(self.opts.min_lease.as_nanos() as f64 * 2.0)
                             as u64;
+                        // Like every server frame, the stall leaves only
+                        // once the ops staged so far are durable.
+                        self.server.commit_wal()?;
                         if let Some(tx) = self.txs[worker].as_mut() {
                             let _ = tx.send(&Frame::Hang { nanos });
                         }
@@ -657,7 +676,9 @@ pub fn run_real_with(
     opts: RealOptions,
     sched: SharedSched,
 ) -> io::Result<RealOutcome> {
-    run_real_impl(config, scenario, transport, opts, None, sched)
+    run_real_impl(config, scenario, transport, opts, sched, |server| {
+        open_declared_wal(server, None, scenario)
+    })
 }
 
 /// [`run_real`] with a durable control plane: every control-plane transition
@@ -673,16 +694,33 @@ pub fn run_real_durable(
     opts: RealOptions,
     durability: &DurabilityOptions,
 ) -> io::Result<RealOutcome> {
-    run_real_impl(config, scenario, transport, opts, Some(durability), pass())
+    run_real_impl(config, scenario, transport, opts, pass(), |server| {
+        open_declared_wal(server, Some(durability), scenario)
+    })
 }
 
+/// Opens the plane's log when the caller asked for durability or the
+/// scenario declares a server fault: the run cannot survive that crash
+/// without a log to recover from.
+fn open_declared_wal(
+    server: &mut ControlPlane,
+    explicit: Option<&DurabilityOptions>,
+    scenario: &Scenario,
+) -> io::Result<()> {
+    match DurabilityOptions::for_run(explicit, scenario) {
+        Some(durability) => server.open_wal(&durability),
+        None => Ok(()),
+    }
+}
+
+/// The run itself; `open_wal` attaches the plane's log, if any.
 fn run_real_impl(
     config: &FelaConfig,
     scenario: &Scenario,
     transport: &mut dyn Transport,
     opts: RealOptions,
-    durability: Option<&DurabilityOptions>,
     sched: SharedSched,
+    open_wal: impl FnOnce(&mut ControlPlane) -> io::Result<()>,
 ) -> io::Result<RealOutcome> {
     scenario.cluster.validate();
     scenario.fault.validate().map_err(|e| {
@@ -712,12 +750,7 @@ fn run_real_impl(
         n,
         scenario.iterations,
     );
-
-    // A declared server fault implies durability: the run cannot survive the
-    // crash without a log to recover from.
-    if let Some(durability) = DurabilityOptions::for_run(durability, scenario) {
-        server.open_wal(&durability)?;
-    }
+    open_wal(&mut server)?;
 
     let (server_links, worker_links) = transport.establish(n)?;
     let mut txs = Vec::with_capacity(n);
@@ -816,7 +849,7 @@ fn run_real_impl(
                         // this worker *and* any drained waiters) ship now
                         // instead of after the rest of the sweep — same
                         // number of writes, tens of µs less turnaround.
-                        rs.flush_grants();
+                        rs.flush_grants()?;
                         progressed = true;
                         if rs.server.run_complete() {
                             break;
@@ -845,7 +878,7 @@ fn run_real_impl(
                 break;
             }
         }
-        rs.flush_grants();
+        rs.flush_grants()?;
         if progressed {
             idle_streak = 0;
             idle = IDLE_MIN;
@@ -860,7 +893,7 @@ fn run_real_impl(
         // skipped drain (reports without a committed sync) can only delay a
         // waiter by one spin streak, never stall it.
         rs.drain_ready();
-        rs.flush_grants();
+        rs.flush_grants()?;
         let sleep = match rs.timers.peek() {
             Some(Reverse(entry)) => entry.at.saturating_duration_since(Instant::now()).min(idle),
             None => idle,
@@ -888,6 +921,9 @@ fn run_real_impl(
         }
     }
     let reference = replay_schedules(&rs.plan, &schedules);
+    // The Iter frames reveal the completion schedule: the ops behind it are
+    // durable before the first one leaves.
+    rs.server.commit_wal()?;
     let mut waiting = Vec::new();
     for worker in 0..n {
         let Some(tx) = rs.txs[worker].as_mut() else {
@@ -963,6 +999,7 @@ fn run_real_impl(
         revocations: rs.revocations,
         server_crashes: rs.server_crashes,
         server_restarts: rs.server_restarts,
+        wal_commits: rs.server.wal_commits(),
         params: reference,
         transport: transport.name(),
     })
@@ -972,6 +1009,7 @@ fn run_real_impl(
 mod tests {
     use super::*;
     use crate::transport::{ChanTransport, TcpTransport};
+    use crate::virt::plan_for;
     use fela_cluster::{ClusterSpec, FaultModel};
     use fela_model::zoo;
 
@@ -1159,19 +1197,20 @@ mod tests {
     #[test]
     fn durable_run_writes_a_replayable_wal_file() {
         // Every cadence: log-only (0: `completions` rebuilt from ops alone),
-        // every iteration, and an interval whose checkpoint the resumed
-        // writer only reaches after the restart.
+        // every iteration, and an interval of three, so that the crash late
+        // in the run replays ops after a checkpoint taken inside the default
+        // lock window.
         let dir = std::env::temp_dir().join(format!(
             "fela-live-wal-{}-{:?}",
             std::process::id(),
             thread::current().id()
         ));
         let (config, mut scenario) = quick();
-        scenario.iterations = 4;
+        scenario.iterations = 6;
         let baseline = run_real(&config, &scenario, &mut ChanTransport, fast())
             .expect("uninterrupted run succeeds");
         scenario.fault = FaultModel::ServerCrashRestart {
-            iteration: 1,
+            iteration: 4,
             down: fela_sim::SimDuration::from_millis(50),
         };
         let opts = RealOptions {
@@ -1186,7 +1225,7 @@ mod tests {
             };
             let out = run_real_durable(&config, &scenario, &mut ChanTransport, opts, &durability)
                 .unwrap_or_else(|e| panic!("checkpoint_every={checkpoint_every}: {e}"));
-            assert_eq!(out.iterations, 4);
+            assert_eq!(out.iterations, 6);
             assert_eq!(out.server_crashes, 1, "checkpoint_every={checkpoint_every}");
             assert_eq!(
                 out.server_restarts, 1,
@@ -1207,12 +1246,161 @@ mod tests {
             match checkpoint_every {
                 0 => assert_eq!(checkpoints, 0),
                 every => assert!(
-                    (1..=4 / every).contains(&checkpoints),
+                    (1..=6 / every).contains(&checkpoints),
                     "checkpoint_every={every}: {checkpoints} checkpoint(s)"
                 ),
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn server_crash_with_reports_staged_matches_the_uninterrupted_run() {
+        // The crash fires while the server handles a report batch, after its
+        // reports were accepted. With no checkpoint to commit them, they are
+        // still staged: the crash drops them, their tokens are revoked from
+        // the recovered plane and regranted, and the run still lands on the
+        // uninterrupted parameters, with far fewer commits than tokens.
+        let (config, mut scenario) = quick();
+        scenario.iterations = 6;
+        let baseline = run_real(&config, &scenario, &mut ChanTransport, fast())
+            .expect("uninterrupted run succeeds");
+        let tokens = plan_for(&config, &scenario)
+            .expect("plan")
+            .tokens_per_iteration()
+            * scenario.iterations;
+        scenario.fault = FaultModel::ServerCrashRestart {
+            iteration: 3,
+            down: fela_sim::SimDuration::from_millis(50),
+        };
+        let opts = RealOptions {
+            time_scale: 1e-3,
+            min_down: Duration::from_millis(1),
+            ..RealOptions::default()
+        };
+        let durability = DurabilityOptions {
+            wal_dir: None,
+            checkpoint_every: 0,
+        };
+        let transports: [Box<dyn Transport>; 2] =
+            [Box::new(ChanTransport), Box::new(TcpTransport::default())];
+        for mut transport in transports {
+            let out = run_real_durable(&config, &scenario, transport.as_mut(), opts, &durability)
+                .expect("durable run survives the server crash");
+            let name = out.transport;
+            assert_eq!(out.iterations, 6, "{name}");
+            assert_eq!((out.server_crashes, out.server_restarts), (1, 1), "{name}");
+            assert_eq!(out.params, baseline.params, "{name}");
+            assert!(
+                out.revocations > 0,
+                "{name}: the dropped reports' tokens are revoked"
+            );
+            let accepted: u64 = out.trained_per_worker.iter().sum();
+            assert_eq!(
+                accepted, tokens,
+                "{name}: every token accepted exactly once"
+            );
+            assert!(
+                out.wal_commits > 0 && out.wal_commits < accepted,
+                "{name}: {} commits for {accepted} tokens",
+                out.wal_commits
+            );
+        }
+    }
+
+    /// A log whose `sync` fails once `syncs_left` syncs have succeeded. The
+    /// bytes of every successful sync land in `durable`, shared with the test.
+    struct FailingSink {
+        durable: std::rc::Rc<std::cell::RefCell<Vec<u8>>>,
+        unsynced: Vec<u8>,
+        syncs_left: u32,
+    }
+
+    impl fela_core::WalSink for FailingSink {
+        fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+            self.unsynced.extend_from_slice(bytes);
+            Ok(())
+        }
+
+        fn sync(&mut self) -> io::Result<()> {
+            if self.syncs_left == 0 {
+                return Err(io::Error::other("injected fsync failure"));
+            }
+            self.syncs_left -= 1;
+            self.durable.borrow_mut().append(&mut self.unsynced);
+            Ok(())
+        }
+
+        fn read_back(&mut self) -> io::Result<Vec<u8>> {
+            Ok(self.durable.borrow().clone())
+        }
+
+        fn truncate(&mut self, len: usize) -> io::Result<()> {
+            self.durable.borrow_mut().truncate(len);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_wal_commit_stops_the_run_before_its_grants_leave() {
+        let (config, scenario) = quick();
+        for syncs in [1u32, 2, 5] {
+            let durable = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+            let sink = FailingSink {
+                durable: durable.clone(),
+                unsynced: Vec::new(),
+                syncs_left: syncs,
+            };
+            let recorder = crate::sched::RecordingSched::new();
+            let err = run_real_impl(
+                &config,
+                &scenario,
+                &mut ChanTransport,
+                fast(),
+                recorder.clone(),
+                |server| server.attach_wal(Box::new(sink)),
+            )
+            .expect_err("a failed commit must stop the run");
+            assert_eq!(err.to_string(), "injected fsync failure", "syncs={syncs}");
+            // Every grant that left the server is in the durable log.
+            let log = fela_core::wal::read_log(&durable.borrow()).expect("durable log parses");
+            let durable_grants: std::collections::BTreeSet<u64> = log
+                .records
+                .iter()
+                .filter_map(|r| match r {
+                    fela_core::WalRecord::Op {
+                        op:
+                            fela_core::CoordOp {
+                                outcome: OpOutcome::Granted { token, .. },
+                                ..
+                            },
+                        ..
+                    } => Some(*token),
+                    _ => None,
+                })
+                .collect();
+            let mut sent = 0;
+            for event in recorder.take() {
+                if let SyncEvent::FrameSent {
+                    side: Endpoint::Server,
+                    frame: Frame::GrantBatch { grants },
+                    ..
+                } = event
+                {
+                    for g in grants {
+                        sent += 1;
+                        assert!(
+                            durable_grants.contains(&g.token),
+                            "syncs={syncs}: token {} left before its grant was durable",
+                            g.token
+                        );
+                    }
+                }
+            }
+            // The opening record takes the first sync; later ones cover
+            // flushes, so grants left exactly when a flush committed.
+            assert_eq!(sent > 0, syncs > 1, "syncs={syncs}: {sent} grants sent");
+        }
     }
 
     #[test]

@@ -221,8 +221,8 @@ proptest! {
 
     /// Snapshot → restore → snapshot round-trips bit-identically on *both*
     /// planes, and the restored pair continues exactly like the original under
-    /// the same operation suffix (timing-only conflict state excluded: suffix
-    /// steps outlast the lock window).
+    /// the same operation suffix. Steps here outlast the lock window; the
+    /// next test restores inside it.
     #[test]
     fn snapshot_round_trips_and_continues_identically(
         shards in 1usize..4,
@@ -237,8 +237,7 @@ proptest! {
             TokenServer::new(plan.clone(), cfg.clone(), meta.clone(), N_WORKERS, ITERATIONS);
         let mut sharded =
             Coordinator::new(plan.clone(), cfg.clone(), meta.clone(), N_WORKERS, ITERATIONS);
-        // Steps outlast the 5 ms lock window so no grant ever conflicts:
-        // `last_grant_at` is deliberately absent from snapshots.
+        // Steps outlast the 5 ms lock window, so no grant conflicts.
         const DT: u64 = 10_000_000;
         let mut st = Churn::new();
         for &(action, pick) in &prefix {
@@ -283,6 +282,73 @@ proptest! {
         prop_assert_eq!(&orig.log, &rest.log, "restored continuation diverged");
         prop_assert_eq!(oracle.snapshot(), restored_oracle.snapshot());
         prop_assert_eq!(sharded.snapshot(), restored_sharded.snapshot());
+    }
+
+    /// A checkpoint taken while a lock window is open restores a plane that
+    /// is indistinguishable from the one that kept running: steps shorter
+    /// than the 5 ms window make contended grants conflict on both sides of
+    /// the snapshot, leases and worker crashes churn the ledger, and every
+    /// outcome (conflict flags included), `ServerStats` and
+    /// `trained_per_worker` must match the uninterrupted plane.
+    #[test]
+    fn restore_inside_the_lock_window_continues_identically(
+        shards in 1usize..4,
+        hf in 0u8..2,
+        prefix in prop::collection::vec((0u8..6, 0usize..64, 0u64..8_000_000), 1..80),
+        suffix in prop::collection::vec((0u8..6, 0usize..64, 0u64..8_000_000), 1..60),
+    ) {
+        let cfg = build_cfg(hf == 1, true, false, true, shards);
+        prop_assert!(cfg.lock_window > SimDuration::ZERO);
+        let (plan, meta) = vgg_inputs(&cfg);
+        let mut oracle =
+            TokenServer::new(plan.clone(), cfg.clone(), meta.clone(), N_WORKERS, ITERATIONS);
+        let mut sharded =
+            Coordinator::new(plan.clone(), cfg.clone(), meta.clone(), N_WORKERS, ITERATIONS);
+        let mut st = Churn::new();
+        for &(action, pick, dt) in &prefix {
+            lockstep_op!(oracle, sharded, st, action, pick, dt);
+        }
+        let snap = sharded.snapshot();
+        let mut restored_oracle = TokenServer::restore(
+            plan.clone(),
+            cfg.clone(),
+            meta.clone(),
+            N_WORKERS,
+            ITERATIONS,
+            oracle.tokens().clone(),
+            &snap,
+        )
+        .expect("oracle restore");
+        let mut restored = Coordinator::restore(
+            plan,
+            cfg,
+            meta,
+            N_WORKERS,
+            ITERATIONS,
+            sharded.tokens().clone(),
+            &snap,
+        )
+        .expect("sharded restore");
+        // The macro compares every result in full, conflict flag included:
+        // original against restored, on both planes.
+        let mut plane_st = Churn::new();
+        plane_st.clock = st.clock;
+        plane_st.outstanding = st.outstanding.clone();
+        plane_st.syncs = st.syncs.clone();
+        let mut oracle_st = Churn::new();
+        oracle_st.clock = st.clock;
+        oracle_st.outstanding = st.outstanding;
+        oracle_st.syncs = st.syncs;
+        for &(action, pick, dt) in &suffix {
+            lockstep_op!(sharded, restored, plane_st, action, pick, dt);
+            lockstep_op!(oracle, restored_oracle, oracle_st, action, pick, dt);
+        }
+        prop_assert_eq!(sharded.stats(), restored.stats());
+        prop_assert_eq!(sharded.trained_per_worker(), restored.trained_per_worker());
+        prop_assert_eq!(sharded.snapshot(), restored.snapshot());
+        prop_assert_eq!(oracle.stats(), restored_oracle.stats());
+        prop_assert_eq!(oracle.trained_per_worker(), restored_oracle.trained_per_worker());
+        prop_assert_eq!(oracle.snapshot(), restored_oracle.snapshot());
     }
 }
 
