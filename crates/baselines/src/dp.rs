@@ -76,44 +76,36 @@ impl DpWorld {
     /// Starts the PS push phase: each worker ships `params/servers` bytes to
     /// every PS shard. Returns the number of flows started.
     fn start_ps_push(&mut self, now: SimTime, servers: usize) -> usize {
-        let shard = self.scenario.model.param_bytes() / servers as u64;
-        let mut flows = 0;
-        for w in 0..self.n() {
-            for srv in 0..servers {
-                self.net.start_flow(
-                    now,
-                    FlowSpec {
-                        src: NodeId(w),
-                        dst: NodeId(srv),
-                        bytes: shard,
-                        tag: 0,
-                    },
-                );
-                flows += 1;
-            }
-        }
-        flows
+        self.start_ps_phase(now, servers, |w, srv| (w, srv))
     }
 
     /// Starts the PS pull phase (mirror image of the push).
     fn start_ps_pull(&mut self, now: SimTime, servers: usize) -> usize {
+        self.start_ps_phase(now, servers, |w, srv| (srv, w))
+    }
+
+    /// Starts one shard flow per (worker, server) pair with one batched start;
+    /// `ends` maps the pair to the flow's `(src, dst)`.
+    fn start_ps_phase(
+        &mut self,
+        now: SimTime,
+        servers: usize,
+        ends: impl Fn(usize, usize) -> (usize, usize),
+    ) -> usize {
         let shard = self.scenario.model.param_bytes() / servers as u64;
-        let mut flows = 0;
-        for w in 0..self.n() {
-            for srv in 0..servers {
-                self.net.start_flow(
-                    now,
-                    FlowSpec {
-                        src: NodeId(srv),
-                        dst: NodeId(w),
-                        bytes: shard,
-                        tag: 0,
-                    },
-                );
-                flows += 1;
-            }
-        }
-        flows
+        let specs: Vec<FlowSpec> = (0..self.n())
+            .flat_map(|w| (0..servers).map(move |srv| (w, srv)))
+            .map(|(w, srv)| {
+                let (src, dst) = ends(w, srv);
+                FlowSpec {
+                    src: NodeId(src),
+                    dst: NodeId(dst),
+                    bytes: shard,
+                    tag: 0,
+                }
+            })
+            .collect();
+        self.net.start_flows(now, &specs).len()
     }
 
     fn finish_iteration(&mut self, sched: &mut Scheduler<'_, Ev>) {

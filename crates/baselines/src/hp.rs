@@ -157,18 +157,15 @@ impl World for HpWorld {
                 let fc = self.fc_worker();
                 self.busy[fc].end(now);
                 // Boundary gradients fan back out to every CONV worker.
-                for w in 0..self.conv_workers() {
-                    let bytes = self.shard(w) * self.boundary_bytes_per_sample();
-                    self.net.start_flow(
-                        now,
-                        FlowSpec {
-                            src: NodeId(fc),
-                            dst: NodeId(w),
-                            bytes,
-                            tag: tag(TAG_GRAD, w),
-                        },
-                    );
-                }
+                let specs: Vec<FlowSpec> = (0..self.conv_workers())
+                    .map(|w| FlowSpec {
+                        src: NodeId(fc),
+                        dst: NodeId(w),
+                        bytes: self.shard(w) * self.boundary_bytes_per_sample(),
+                        tag: tag(TAG_GRAD, w),
+                    })
+                    .collect();
+                self.net.start_flows(now, &specs);
                 self.reschedule_net(sched);
             }
             Ev::ConvBwdDone { worker } => {

@@ -1,6 +1,7 @@
-//! Fair-share churn scaling: per-event rate updates from the full
+//! Fair-share scaling: per-event rate updates from the full
 //! progressive-filling oracle (`max_min_rates`) against the incremental
-//! engine (`IncrementalMaxMin`) at 8–64 nodes.
+//! engine (`IncrementalMaxMin`) at 8–64 nodes, and one ring all-reduce round
+//! started flow by flow against one batched start at 8–96 nodes.
 //!
 //! The fair-share churn uses rack-local traffic (groups of 8 nodes, 4 flows
 //! per node), so the link-sharing graph splits into one connected component
@@ -11,6 +12,13 @@
 //! two component recomputes per churn event (one for the finish, one for the
 //! start) versus the oracle's one full pass — the crossover the numbers show.
 //!
+//! The ring-round cases time one ring all-reduce round at 8–96 nodes on the
+//! paper testbed: K flows (node i → node i+1) started at one instant and
+//! drained to completion, once with K `start_flow` calls (one fair-share
+//! update and estimate refresh per flow) and once with one `start_flows` call
+//! (one update for the round). A round's flows share no link, so each is its
+//! own component and the batched start solves K one-flow components once.
+//!
 //! Run with `FELA_BENCH_DIR=<dir>` to emit `BENCH_fairshare_scaling.json`;
 //! `FELA_BENCH_QUICK=1` shortens the measurement for CI smoke runs.
 
@@ -18,6 +26,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use fela_net::fairshare::{max_min_rates, FlowLinks, IncrementalMaxMin};
+use fela_net::{FlowSpec, Network, NetworkConfig, NodeId};
+use fela_sim::SimTime;
 
 /// Rack-local flow pattern: `nodes` must be a multiple of 8; each rack of 8
 /// nodes carries 32 flows (4 per node) that never leave the rack.
@@ -98,5 +108,51 @@ fn bench_fairshare_scaling(c: &mut Criterion) {
     }
 }
 
-criterion_group!(fairshare_scaling, bench_fairshare_scaling);
+/// One ring round over `nodes` participants: every node sends one chunk of a
+/// 548 MB all-reduce (VGG19's parameters) to its ring successor.
+fn ring_round(nodes: usize) -> Vec<FlowSpec> {
+    (0..nodes)
+        .map(|i| FlowSpec {
+            src: NodeId(i),
+            dst: NodeId((i + 1) % nodes),
+            bytes: 548_000_000 / nodes as u64,
+            tag: 0,
+        })
+        .collect()
+}
+
+/// Drains every flow; returns the last completion instant.
+fn drain(net: &mut Network) -> SimTime {
+    let mut last = SimTime::ZERO;
+    while let Some(t) = net.next_completion() {
+        net.take_completions(t);
+        last = t;
+    }
+    last
+}
+
+fn bench_ring_round(c: &mut Criterion) {
+    for nodes in [8usize, 16, 48, 96] {
+        let config = NetworkConfig::paper_testbed(nodes);
+        let round = ring_round(nodes);
+        c.bench_function(&format!("net/ring_round_per_flow_{nodes}nodes"), |b| {
+            b.iter(|| {
+                let mut net = Network::new(config);
+                for &spec in black_box(&round) {
+                    net.start_flow(SimTime::ZERO, spec);
+                }
+                black_box(drain(&mut net))
+            })
+        });
+        c.bench_function(&format!("net/ring_round_batched_{nodes}nodes"), |b| {
+            b.iter(|| {
+                let mut net = Network::new(config);
+                net.start_flows(SimTime::ZERO, black_box(&round));
+                black_box(drain(&mut net))
+            })
+        });
+    }
+}
+
+criterion_group!(fairshare_scaling, bench_fairshare_scaling, bench_ring_round);
 criterion_main!(fairshare_scaling);

@@ -557,6 +557,7 @@ impl FelaWorld<'_> {
         // survivors.
         let aborted = self.net.fail_node(now, NodeId(worker));
         let mut broken_syncs: Vec<u64> = Vec::new();
+        let mut rehomed: Vec<FlowSpec> = Vec::new();
         for (_, spec) in aborted {
             if spec.tag & TAG_DEP != 0 {
                 let token = TokenId(spec.tag & !TAG_DEP);
@@ -575,15 +576,10 @@ impl FelaWorld<'_> {
                         // simply dropped — the grant's lease expires and the
                         // token is re-granted once a worker rejoins.
                         if let Some(src) = self.rehome_target() {
-                            self.net.start_flow(
-                                now,
-                                FlowSpec {
-                                    src: NodeId(src),
-                                    dst: spec.dst,
-                                    bytes: spec.bytes,
-                                    tag: spec.tag,
-                                },
-                            );
+                            rehomed.push(FlowSpec {
+                                src: NodeId(src),
+                                ..spec
+                            });
                         }
                     }
                 }
@@ -592,6 +588,7 @@ impl FelaWorld<'_> {
                 broken_syncs.push(spec.tag);
             }
         }
+        self.net.start_flows(now, &rehomed);
         for tag in broken_syncs {
             self.restart_sync(tag, sched);
         }
@@ -798,17 +795,16 @@ impl FelaWorld<'_> {
                 if fetches.is_empty() {
                     self.start_compute(worker, sched);
                 } else {
-                    for (holder, bytes) in fetches {
-                        self.net.start_flow(
-                            now,
-                            FlowSpec {
-                                src: NodeId(holder),
-                                dst: NodeId(worker),
-                                bytes,
-                                tag: dep_tag(token),
-                            },
-                        );
-                    }
+                    let specs: Vec<FlowSpec> = fetches
+                        .into_iter()
+                        .map(|(holder, bytes)| FlowSpec {
+                            src: NodeId(holder),
+                            dst: NodeId(worker),
+                            bytes,
+                            tag: dep_tag(token),
+                        })
+                        .collect();
+                    self.net.start_flows(now, &specs);
                     self.reschedule_net(sched);
                 }
             }

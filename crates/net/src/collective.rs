@@ -4,7 +4,9 @@
 //! ring all-reduce (the algorithm Gloo uses, which the paper's prototypes run on):
 //! `K` participants exchange `2·(K−1)` rounds of `bytes/K`-sized chunks with their
 //! ring neighbours — a reduce-scatter phase followed by an all-gather phase. Each
-//! round is a set of concurrent flows; rounds are serialised by the data dependency.
+//! round is a set of `K` concurrent flows started by one [`Network::start_flows`]
+//! call, so the fair share is updated once per round, not once per flow; rounds
+//! are serialised by the data dependency.
 //!
 //! [`RingAllReduce`] is a passive state machine: the owning simulation world starts
 //! it, forwards flow completions to it, and asks it to launch the next round when a
@@ -37,7 +39,11 @@ pub struct RingAllReduce {
     chunk_bytes: u64,
     rounds_total: usize,
     rounds_done: usize,
-    inflight: Vec<FlowId>,
+    /// The current round's flows are `round_first .. round_first + K`: one
+    /// batched start assigns a round's ids consecutively.
+    round_first: FlowId,
+    /// Flows of the current round that have not completed yet.
+    outstanding: usize,
     tag: u64,
     done: bool,
 }
@@ -75,7 +81,8 @@ impl RingAllReduce {
             chunk_bytes,
             rounds_total,
             rounds_done: 0,
-            inflight: Vec::new(),
+            round_first: FlowId(0),
+            outstanding: 0,
             tag,
             done: rounds_total == 0 || total_bytes == 0,
         };
@@ -101,21 +108,19 @@ impl RingAllReduce {
     }
 
     fn launch_round(&mut self, net: &mut Network, now: SimTime) {
-        debug_assert!(self.inflight.is_empty());
+        debug_assert_eq!(self.outstanding, 0);
         let k = self.participants.len();
-        for (i, &src) in self.participants.iter().enumerate() {
-            let dst = self.participants[(i + 1) % k];
-            let id = net.start_flow(
-                now,
-                FlowSpec {
-                    src,
-                    dst,
-                    bytes: self.chunk_bytes,
-                    tag: self.tag,
-                },
-            );
-            self.inflight.push(id);
-        }
+        let specs: Vec<FlowSpec> = (0..k)
+            .map(|i| FlowSpec {
+                src: self.participants[i],
+                dst: self.participants[(i + 1) % k],
+                bytes: self.chunk_bytes,
+                tag: self.tag,
+            })
+            .collect();
+        let ids = net.start_flows(now, &specs);
+        self.round_first = ids[0];
+        self.outstanding = ids.len();
     }
 
     /// Notifies the collective that `flow` completed at `now`. If that drains the
@@ -126,11 +131,13 @@ impl RingAllReduce {
         now: SimTime,
         flow: FlowId,
     ) -> CollectiveProgress {
-        let Some(pos) = self.inflight.iter().position(|&f| f == flow) else {
+        let first = self.round_first.0;
+        let in_round = (first..first + self.participants.len() as u64).contains(&flow.0);
+        if !in_round || self.outstanding == 0 {
             return CollectiveProgress::NotMine;
-        };
-        self.inflight.swap_remove(pos);
-        if !self.inflight.is_empty() {
+        }
+        self.outstanding -= 1;
+        if self.outstanding > 0 {
             return CollectiveProgress::InProgress;
         }
         self.rounds_done += 1;
@@ -195,7 +202,7 @@ impl RingAllReduce {
         }
         // A round's flows all start together; the round ends when none remain.
         if net.active_flows() == 0 {
-            self.inflight.clear();
+            self.outstanding = 0;
             self.rounds_done += 1;
             if self.rounds_done == self.rounds_total {
                 self.done = true;
@@ -270,6 +277,73 @@ mod tests {
     fn duplicates_rejected() {
         let mut n = net(4);
         let _ = RingAllReduce::start(&mut n, SimTime::ZERO, vec![NodeId(0), NodeId(0)], 10, 0);
+    }
+
+    #[test]
+    fn earlier_round_and_foreign_flows_are_not_mine() {
+        // Two link-disjoint rings; A's chunks are small, so its first round
+        // drains while B's first round (started after it) is still in flight.
+        let mut n = net(6);
+        let mut a = RingAllReduce::start(
+            &mut n,
+            SimTime::ZERO,
+            (0..3).map(NodeId).collect(),
+            3_000,
+            1,
+        );
+        let mut b = RingAllReduce::start(
+            &mut n,
+            SimTime::ZERO,
+            (3..6).map(NodeId).collect(),
+            3_000_000_000,
+            2,
+        );
+        let t = n.next_completion().unwrap();
+        let wave = n.take_completions(t);
+        assert_eq!(wave.len(), 3);
+        assert!(wave.iter().all(|(_, s)| s.tag == 1));
+        let progress: Vec<_> = wave
+            .iter()
+            .map(|&(id, _)| a.on_flow_complete(&mut n, t, id))
+            .collect();
+        use CollectiveProgress as P;
+        assert_eq!(progress, [P::InProgress, P::InProgress, P::RoundStarted]);
+        // A's second round got ids after B's first round: B's flows sit between
+        // A's rounds, and neither they nor A's finished round belong to A now.
+        let b_flow = b.round_first;
+        assert!(wave[0].0 < b_flow && b_flow < a.round_first);
+        for (id, _) in &wave {
+            assert_eq!(a.on_flow_complete(&mut n, t, *id), P::NotMine);
+        }
+        assert_eq!(a.on_flow_complete(&mut n, t, b_flow), P::NotMine);
+        assert_eq!(b.on_flow_complete(&mut n, t, a.round_first), P::NotMine);
+        // Rejections consumed nothing: both rings still run to completion when
+        // every completion is routed by tag.
+        while !(a.is_done() && b.is_done()) {
+            let t = n.next_completion().unwrap();
+            for (id, spec) in n.take_completions(t) {
+                let ar = if spec.tag == 1 { &mut a } else { &mut b };
+                assert_ne!(ar.on_flow_complete(&mut n, t, id), P::NotMine);
+            }
+        }
+        assert_eq!((a.rounds_done(), b.rounds_done()), (4, 4));
+        assert_eq!(n.active_flows(), 0);
+        assert_eq!(a.on_flow_complete(&mut n, t, a.round_first), P::NotMine);
+    }
+
+    #[test]
+    fn paper_testbed_ring_of_48_finishes_at_the_pinned_instant() {
+        // 548 MB (VGG19's parameters) over 48 paper-testbed nodes. Pinned to the
+        // nanosecond that starting each round's flows one at a time gave, so any
+        // drift in the batched round start or the per-component solve shows.
+        let mut n = Network::new(NetworkConfig::paper_testbed(48));
+        let end = run_allreduce_alone(
+            &mut n,
+            SimTime::ZERO,
+            (0..48).map(NodeId).collect(),
+            548_000_000,
+        );
+        assert_eq!(end, SimTime::from_nanos(1_231_176_092));
     }
 
     #[test]

@@ -16,9 +16,13 @@
 //!   bottleneck-link algorithm over the whole flow set, O(L·F) worst case, with
 //!   deterministic tie-breaking (lowest link index first).
 //! * [`IncrementalMaxMin`] — the incremental engine the [`crate::Network`] hot
-//!   path uses: it keeps per-link flow sets, and on each flow start/finish recomputes
-//!   rates only for the *connected component* of the link-sharing graph the
-//!   changed flow touches. Flows in other components keep their cached rates.
+//!   path uses: it keeps per-link flow sets, and on each change recomputes rates
+//!   only for the *connected components* of the link-sharing graph the changed
+//!   flows touch. Flows in other components keep their cached rates. Changes come
+//!   in batches — [`IncrementalMaxMin::insert_batch`] for the flows that start at
+//!   one instant (a ring round), [`IncrementalMaxMin::remove_batch`] for a
+//!   completion wave — and one batch costs one recomputation, which solves each
+//!   touched component on its own rather than their union.
 //!
 //! ## Why the incremental engine is bit-identical to the oracle
 //!
@@ -207,11 +211,13 @@ pub fn max_min_rates(egress_cap: &[f64], ingress_cap: &[f64], flows: &[FlowLinks
 ///
 /// Holds the active flow set keyed by a caller-chosen `u64` (the simulator uses
 /// the raw `FlowId`, whose ascending order is exactly the oracle's input order)
-/// and keeps every flow's current rate cached. [`IncrementalMaxMin::insert`] and
-/// [`IncrementalMaxMin::remove`]/[`IncrementalMaxMin::remove_batch`] recompute
-/// rates only for the affected connected component of the link-sharing graph —
-/// O(component) instead of O(L·F) — while staying bit-identical to
-/// [`max_min_rates`] over the full set (see the module docs for the argument).
+/// and keeps every flow's current rate cached. [`IncrementalMaxMin::insert_batch`]
+/// and [`IncrementalMaxMin::remove_batch`] (with their one-flow wrappers
+/// [`IncrementalMaxMin::insert`] and [`IncrementalMaxMin::remove`]) recompute
+/// rates only for the affected connected components of the link-sharing graph,
+/// one component at a time — O(component) instead of O(L·F) — while staying
+/// bit-identical to [`max_min_rates`] over the full set (see the module docs for
+/// the argument).
 #[derive(Clone, Debug)]
 pub struct IncrementalMaxMin {
     egress_cap: Vec<f64>,
@@ -289,24 +295,41 @@ impl IncrementalMaxMin {
     /// # Panics
     /// Panics if `key` is already active or a link index is out of bounds.
     pub fn insert(&mut self, key: u64, links: FlowLinks) {
-        assert!(
-            links.egress < self.egress_cap.len(),
-            "egress link {} out of bounds",
-            links.egress
-        );
-        assert!(
-            links.ingress < self.ingress_cap.len(),
-            "ingress link {} out of bounds",
-            links.ingress
-        );
-        assert!(
-            self.flows.insert(key, links).is_none(),
-            "flow key {key} inserted twice"
-        );
-        let (e, g) = self.link_ids(links);
-        self.link_flows[e].insert(key);
-        self.link_flows[g].insert(key);
-        self.recompute_from([e, g]);
+        self.insert_batch(&[(key, links)]);
+    }
+
+    /// Adds several flows at once, then recomputes every component they touch
+    /// in a single pass (a ring round starts all its flows at one instant — one
+    /// recomputation covers them all). Inserts only merge components, so each
+    /// flow ends with the rate of its final component whether the flows arrive
+    /// one at a time or in one batch.
+    ///
+    /// # Panics
+    /// Panics if any key is already active or a link index is out of bounds.
+    pub fn insert_batch(&mut self, batch: &[(u64, FlowLinks)]) {
+        let mut seeds = Vec::with_capacity(batch.len() * 2);
+        for &(key, links) in batch {
+            assert!(
+                links.egress < self.egress_cap.len(),
+                "egress link {} out of bounds",
+                links.egress
+            );
+            assert!(
+                links.ingress < self.ingress_cap.len(),
+                "ingress link {} out of bounds",
+                links.ingress
+            );
+            assert!(
+                self.flows.insert(key, links).is_none(),
+                "flow key {key} inserted twice"
+            );
+            let (e, g) = self.link_ids(links);
+            self.link_flows[e].insert(key);
+            self.link_flows[g].insert(key);
+            seeds.push(e);
+            seeds.push(g);
+        }
+        self.recompute_from(seeds);
     }
 
     /// Removes a flow and recomputes its former component's rates.
@@ -341,7 +364,11 @@ impl IncrementalMaxMin {
 
     /// Recomputes rates for the connected component(s) reachable from the seed
     /// links over the link-sharing graph (links are vertices; a flow connects its
-    /// two links).
+    /// two links), running one water-filling pass per component. Solving each
+    /// component alone is bit-identical to solving their union (the module-level
+    /// decomposition argument) and costs O(Σ component²) instead of
+    /// O((Σ component)²) — a ring round's K one-flow components are K trivial
+    /// solves, not one K-bottleneck scan over 2K links.
     fn recompute_from(&mut self, seeds: impl IntoIterator<Item = usize>) {
         // Vec-based BFS over the link-sharing graph: a visited bitmap per link
         // and at-most-twice flow duplicates resolved by one sort+dedup — far
@@ -351,35 +378,44 @@ impl IncrementalMaxMin {
         let mut visited = vec![false; self.link_flows.len()];
         let mut links: Vec<usize> = Vec::new();
         let mut keys: Vec<u64> = Vec::new();
-        let mut stack: Vec<usize> = seeds.into_iter().collect();
-        while let Some(l) = stack.pop() {
-            if std::mem::replace(&mut visited[l], true) {
+        let mut stack: Vec<usize> = Vec::new();
+        for seed in seeds {
+            if visited[seed] {
                 continue;
             }
-            links.push(l);
-            for &key in &self.link_flows[l] {
-                // Each flow is reached from at most its two links; the second
-                // visit is dropped by the dedup below.
-                keys.push(key);
-                let (e, g) = self.link_ids(self.flows[&key]);
-                stack.push(e);
-                stack.push(g);
+            links.clear();
+            keys.clear();
+            stack.push(seed);
+            while let Some(l) = stack.pop() {
+                if std::mem::replace(&mut visited[l], true) {
+                    continue;
+                }
+                links.push(l);
+                for &key in &self.link_flows[l] {
+                    // Each flow is reached from at most its two links; the
+                    // second visit is dropped by the dedup below.
+                    keys.push(key);
+                    let (e, g) = self.link_ids(self.flows[&key]);
+                    stack.push(e);
+                    stack.push(g);
+                }
             }
-        }
-        keys.sort_unstable();
-        keys.dedup();
-        if keys.is_empty() {
-            return;
-        }
-        // Links with no flows contribute nothing; keep only active ones plus the
-        // seeds already collected (inactive links have active == 0 and are never
-        // selected as bottleneck, exactly as in the oracle's full scan).
-        links.sort_unstable();
-        let pairs: Vec<(usize, usize)> =
-            keys.iter().map(|k| self.link_ids(self.flows[k])).collect();
-        let rates = progressive_fill(|l| self.link_cap(l), &links, &pairs);
-        for (key, rate) in keys.into_iter().zip(rates) {
-            self.rates.insert(key, rate);
+            keys.sort_unstable();
+            keys.dedup();
+            if keys.is_empty() {
+                continue;
+            }
+            // Links with no flows contribute nothing; keep only active ones plus
+            // the seeds already collected (inactive links have active == 0 and
+            // are never selected as bottleneck, exactly as in the oracle's full
+            // scan).
+            links.sort_unstable();
+            let pairs: Vec<(usize, usize)> =
+                keys.iter().map(|k| self.link_ids(self.flows[k])).collect();
+            let rates = progressive_fill(|l| self.link_cap(l), &links, &pairs);
+            for (&key, rate) in keys.iter().zip(rates) {
+                self.rates.insert(key, rate);
+            }
         }
     }
 }

@@ -5,7 +5,10 @@
 //! changes, each flow drains linearly, so completion instants are exact. The owner
 //! (a simulation [`fela_sim::World`]) drives it with three calls:
 //!
-//! 1. [`Network::start_flow`] whenever a transfer begins;
+//! 1. [`Network::start_flows`] whenever transfers begin — every transfer that
+//!    starts at one instant in one call (a ring round, a grant's fetches), so
+//!    the fair share is updated once for the group; [`Network::start_flow`] is
+//!    its one-flow wrapper;
 //! 2. [`Network::next_completion`] after any change, to (re)schedule a single
 //!    "network completion" event at the right virtual time;
 //! 3. [`Network::take_completions`] when that event fires, to learn which transfers
@@ -29,7 +32,7 @@ pub struct NodeId(pub usize);
 
 /// Identifier of an active or completed flow.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
-pub struct FlowId(u64);
+pub struct FlowId(pub(crate) u64);
 
 /// A transfer request.
 #[derive(Clone, Copy, Debug, Serialize)]
@@ -87,9 +90,9 @@ pub struct Network {
     flows: BTreeMap<FlowId, Flow>,
     /// Incremental fair-share engine holding every netted (src ≠ dst) flow,
     /// keyed by the raw `FlowId` so its canonical order matches `self.flows`.
-    /// On each start/finish it recomputes only the affected connected component
-    /// of the link-sharing graph, with rates bit-identical to a full
-    /// `max_min_rates` pass (see `fairshare` module docs).
+    /// On each batch of starts or finishes it recomputes only the affected
+    /// connected components of the link-sharing graph, with rates bit-identical
+    /// to a full `max_min_rates` pass (see `fairshare` module docs).
     shares: IncrementalMaxMin,
     next_id: u64,
     last_update: SimTime,
@@ -139,34 +142,61 @@ impl Network {
     /// # Panics
     /// Panics if an endpoint is out of range or `now` precedes the last update.
     pub fn start_flow(&mut self, now: SimTime, spec: FlowSpec) -> FlowId {
-        assert!(spec.src.0 < self.config.nodes, "src out of range");
-        assert!(spec.dst.0 < self.config.nodes, "dst out of range");
+        self.start_flows(now, &[spec])[0]
+    }
+
+    /// Starts every transfer in `specs` at `now` with one fair-share update;
+    /// returns their ids, which are consecutive and assigned in input order.
+    ///
+    /// The result is bit-identical to calling [`Network::start_flow`] once per
+    /// spec in order: advancing to a fixed instant is idempotent, every refresh
+    /// re-derives all completion estimates at that same instant, and inserts
+    /// only merge fair-share components, so each flow's final rate depends only
+    /// on the final flow set. An empty `specs` is a no-op — not even an advance,
+    /// which would split the active flows' drains into two floating-point steps.
+    ///
+    /// # Panics
+    /// Panics if an endpoint is out of range or `now` precedes the last update.
+    pub fn start_flows(&mut self, now: SimTime, specs: &[FlowSpec]) -> Vec<FlowId> {
+        if specs.is_empty() {
+            return Vec::new();
+        }
+        for spec in specs {
+            assert!(spec.src.0 < self.config.nodes, "src out of range");
+            assert!(spec.dst.0 < self.config.nodes, "dst out of range");
+        }
         self.advance(now);
-        let id = FlowId(self.next_id);
-        self.next_id += 1;
         let ready_at = now + self.config.latency;
-        self.flows.insert(
-            id,
-            Flow {
-                spec,
-                remaining: spec.bytes as f64,
-                rate: 0.0,
-                ready_at,
-                est_done: SimTime::MAX,
-            },
-        );
-        if spec.src != spec.dst {
-            // Recomputes rates for the new flow's connected component only.
-            self.shares.insert(
-                id.0,
-                FlowLinks {
-                    egress: spec.src.0,
-                    ingress: spec.dst.0,
+        let mut ids = Vec::with_capacity(specs.len());
+        let mut netted = Vec::with_capacity(specs.len());
+        for &spec in specs {
+            let id = FlowId(self.next_id);
+            self.next_id += 1;
+            self.flows.insert(
+                id,
+                Flow {
+                    spec,
+                    remaining: spec.bytes as f64,
+                    rate: 0.0,
+                    ready_at,
+                    est_done: SimTime::MAX,
                 },
             );
+            if spec.src != spec.dst {
+                netted.push((
+                    id.0,
+                    FlowLinks {
+                        egress: spec.src.0,
+                        ingress: spec.dst.0,
+                    },
+                ));
+            }
+            ids.push(id);
         }
+        // One recomputation covers every component the new flows touch.
+        self.shares.insert_batch(&netted);
         self.refresh_rates_and_estimates(now);
-        id
+        ids
     }
 
     /// Advances all flows' remaining bytes to `now`. Idempotent.
@@ -406,6 +436,15 @@ mod tests {
         let t = n.next_completion().unwrap();
         assert_eq!(n.take_completions(t).len(), 2);
         assert!(n.next_completion().is_none());
+    }
+
+    #[test]
+    fn empty_start_flows_is_a_no_op() {
+        let mut n = net(2);
+        n.start_flow(SimTime::from_secs(1), spec(0, 1, 10));
+        // Nothing is advanced, so not even the time check runs.
+        assert!(n.start_flows(SimTime::ZERO, &[]).is_empty());
+        assert_eq!(n.active_flows(), 1);
     }
 
     #[test]

@@ -6,7 +6,8 @@ use fela_engine::{seeded_schedule, EngineNet, SplitPlan, Tensor, TokenExecutor};
 use fela_metrics::stats;
 use fela_model::{bin_partition, zoo, PartitionOptions, ThresholdProfile};
 use fela_net::fairshare::{max_min_rates, FlowLinks, IncrementalMaxMin};
-use fela_sim::{EventQueue, SimTime};
+use fela_net::{FlowId, FlowSpec, Network, NetworkConfig, NodeId};
+use fela_sim::{EventQueue, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -171,18 +172,23 @@ proptest! {
 
     /// The incremental fair-share engine stays *bit-identical* to the stateless
     /// oracle over arbitrary star-topology flow churn: random interleavings of
-    /// single inserts, single removals and batched removals, checked after every
+    /// single inserts, batched inserts of 1–8 flows (a ring round), single
+    /// removals and batched removals of 1–8 flows (a completion wave) over 12
+    /// nodes, so batches span several components. Checked after every
     /// operation against `max_min_rates` over the surviving flow set in
     /// ascending-key order (the engine's canonical order).
     #[test]
     fn incremental_fairshare_is_bit_identical_to_oracle(
-        ops in prop::collection::vec((0usize..4, 0usize..6, 0usize..6, 0usize..64), 1..60),
+        ops in prop::collection::vec(
+            (0usize..5, prop::collection::vec((0usize..12, 0usize..12), 1..9), 0usize..64),
+            1..60,
+        ),
     ) {
-        let caps = vec![1e9f64; 6];
+        let caps = vec![1e9f64; 12];
         let mut engine = IncrementalMaxMin::new(caps.clone(), caps.clone());
         let mut mirror: BTreeMap<u64, FlowLinks> = BTreeMap::new();
         let mut next_key = 0u64;
-        for (kind, src, dst, sel) in ops {
+        for (kind, ends, sel) in ops {
             let alive: Vec<u64> = mirror.keys().copied().collect();
             match kind {
                 // Removal of one flow (when any exist).
@@ -191,12 +197,17 @@ proptest! {
                     engine.remove(key);
                     mirror.remove(&key);
                 }
-                // Batched removal of up to three flows — a completion wave.
+                // Batched removal of up to eight flows — a completion wave.
                 2 if !alive.is_empty() => {
                     let start = sel % alive.len();
-                    let batch: Vec<u64> =
-                        alive.iter().copied().cycle().skip(start).take(3.min(alive.len())).collect();
-                    let mut batch = batch;
+                    let mut batch: Vec<u64> = alive
+                        .iter()
+                        .copied()
+                        .cycle()
+                        .skip(start)
+                        .step_by(sel % 3 + 1)
+                        .take(ends.len().min(alive.len()))
+                        .collect();
                     batch.sort_unstable();
                     batch.dedup();
                     engine.remove_batch(&batch);
@@ -204,9 +215,22 @@ proptest! {
                         mirror.remove(k);
                     }
                 }
+                // Batched insert of every drawn flow — a ring round's start.
+                3 => {
+                    let batch: Vec<(u64, FlowLinks)> = ends
+                        .iter()
+                        .map(|&(egress, ingress)| {
+                            next_key += 1;
+                            (next_key - 1, FlowLinks { egress, ingress })
+                        })
+                        .collect();
+                    engine.insert_batch(&batch);
+                    mirror.extend(batch);
+                }
                 // Insert (also the fallback for removal ops on an empty set).
                 _ => {
-                    let links = FlowLinks { egress: src, ingress: dst };
+                    let (egress, ingress) = ends[0];
+                    let links = FlowLinks { egress, ingress };
                     engine.insert(next_key, links);
                     mirror.insert(next_key, links);
                     next_key += 1;
@@ -229,6 +253,96 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// Starting a same-instant group with one `start_flows` call is
+    /// bit-identical to starting its flows one `start_flow` at a time. Two
+    /// networks follow one random schedule of start groups (some at the
+    /// instant of the previous event, with same-node and zero-byte flows),
+    /// completion waves and `abort_matching` calls; at every step they agree
+    /// on flow ids, the next completion instant, every completion and abort
+    /// (ids, specs, order) and the bytes delivered.
+    #[test]
+    fn batched_network_is_bit_identical_to_per_flow(
+        ops in prop::collection::vec(
+            (
+                0usize..5,
+                0u64..2_000_000,
+                prop::collection::vec(
+                    (0usize..8, 0usize..8, prop_oneof![Just(0u64), 1u64..20_000_000]),
+                    1..9,
+                ),
+                0u64..3,
+            ),
+            1..40,
+        ),
+    ) {
+        let config = NetworkConfig {
+            nodes: 8,
+            link_bandwidth: 1e9,
+            latency: SimDuration::from_micros(20),
+        };
+        let mut batched = Network::new(config);
+        let mut per_flow = Network::new(config);
+        let mut now = SimTime::ZERO;
+        let mut next_tag = 0u64;
+        type Done = Vec<(FlowId, NodeId, NodeId, u64, u64)>;
+        let flat = |done: Vec<(FlowId, FlowSpec)>| -> Done {
+            done.into_iter().map(|(id, s)| (id, s.src, s.dst, s.bytes, s.tag)).collect()
+        };
+        for (kind, dt_ns, group, sel) in ops {
+            match kind {
+                // A completion wave at the next completion instant.
+                2 => {
+                    if let Some(t) = batched.next_completion() {
+                        now = now.max(t);
+                        prop_assert_eq!(
+                            flat(batched.take_completions(now)),
+                            flat(per_flow.take_completions(now))
+                        );
+                    }
+                }
+                // Abort every flow with a tag in one residue class.
+                3 => {
+                    prop_assert_eq!(
+                        flat(batched.abort_matching(now, |s| s.tag % 3 == sel)),
+                        flat(per_flow.abort_matching(now, |s| s.tag % 3 == sel))
+                    );
+                }
+                // A start group, after `dt_ns` for kind 1 and at the instant of
+                // the previous event otherwise.
+                _ => {
+                    if kind == 1 {
+                        now += SimDuration::from_nanos(dt_ns);
+                    }
+                    let specs: Vec<FlowSpec> = group
+                        .iter()
+                        .map(|&(src, dst, bytes)| {
+                            next_tag += 1;
+                            FlowSpec { src: NodeId(src), dst: NodeId(dst), bytes, tag: next_tag }
+                        })
+                        .collect();
+                    let ids = batched.start_flows(now, &specs);
+                    let one_by_one: Vec<FlowId> =
+                        specs.iter().map(|&s| per_flow.start_flow(now, s)).collect();
+                    prop_assert_eq!(ids, one_by_one);
+                }
+            }
+            prop_assert_eq!(batched.next_completion(), per_flow.next_completion());
+            prop_assert_eq!(batched.active_flows(), per_flow.active_flows());
+            prop_assert_eq!(batched.bytes_delivered(), per_flow.bytes_delivered());
+        }
+        // Drain both, wave by wave.
+        while let Some(t) = batched.next_completion() {
+            prop_assert_eq!(per_flow.next_completion(), Some(t));
+            now = now.max(t);
+            prop_assert_eq!(
+                flat(batched.take_completions(now)),
+                flat(per_flow.take_completions(now))
+            );
+            prop_assert_eq!(batched.bytes_delivered(), per_flow.bytes_delivered());
+        }
+        prop_assert!(per_flow.next_completion().is_none());
     }
 
     /// `StragglerModel::delay_for` is a pure function of `(iteration, worker)`:
