@@ -25,8 +25,7 @@
 use std::collections::BTreeSet;
 
 use fela_core::{
-    ControlPlane, FelaConfig, LevelMeta, LevelPlan, ScheduleError, ServerSnapshot, SyncSpec,
-    TokenId, TokenPlan,
+    ControlPlane, FelaConfig, ScheduleError, ServerSnapshot, SyncSpec, TokenId, TokenPlan,
 };
 use fela_engine::{serial_step, EngineLayer, EngineNet, SplitPlan, Tensor, TokenExecutor};
 use fela_sim::SimTime;
@@ -152,41 +151,12 @@ impl Explorer {
     /// `[1, 2]`, 2 root micro-batches per iteration, 2 iterations, all policies
     /// (ADS + HF) on.
     pub fn small(staleness: u64) -> Explorer {
-        let plan = TokenPlan {
-            levels: vec![
-                LevelPlan {
-                    level: 0,
-                    tokens_per_iteration: 2,
-                    batch_per_token: 4,
-                    gen_ratio: 1,
-                },
-                LevelPlan {
-                    level: 1,
-                    tokens_per_iteration: 1,
-                    batch_per_token: 8,
-                    gen_ratio: 2,
-                },
-            ],
-            total_batch: 8,
-        };
+        let plan = crate::small_plan();
         let cfg = FelaConfig::new(2)
             .with_weights(vec![1, 2])
             .with_staleness(staleness);
         cfg.validate(2);
-        let meta = vec![
-            LevelMeta {
-                param_bytes: 4096,
-                output_bytes_per_sample: 64,
-                input_bytes_per_sample: 64,
-                comm_intensive: false,
-            },
-            LevelMeta {
-                param_bytes: 8192,
-                output_bytes_per_sample: 32,
-                input_bytes_per_sample: 64,
-                comm_intensive: false,
-            },
-        ];
+        let meta = crate::small_meta();
         Explorer {
             server: ControlPlane::new(plan, cfg, meta, 2, 2),
             staleness,

@@ -24,8 +24,8 @@
 //!   safety, and executes every schedule with `fela-engine`'s real token-split
 //!   SGD to prove they all converge to serial-BSP parameters.
 //! * [`mc`] — the concurrency model checker for the *live* runtime: drives the
-//!   real [`fela_core::ControlPlane`] and the real wire [`fela_live::Frame`]s
-//!   through every non-equivalent message-delivery / lease-fire interleaving
+//!   shipping server core ([`fela_live::ServerCore`]) and the real wire
+//!   [`fela_live::Frame`]s through every non-equivalent message-delivery / lease-fire interleaving
 //!   of a small cluster (memoized DFS, DPOR via eager local steps), checking
 //!   deadlock-freedom, lost-wakeup-freedom, exactly-once token application and
 //!   per-op linearizability against the reference [`TokenServer`].
@@ -92,7 +92,7 @@ pub use wal::{
     WalMutation, WalMutationRun, WalSummary, WalViolation,
 };
 
-use fela_core::{FelaConfig, PlanError, TokenPlan};
+use fela_core::{FelaConfig, LevelMeta, LevelPlan, PlanError, TokenPlan};
 use fela_model::Partition;
 
 /// Why a configuration failed verification.
@@ -140,6 +140,47 @@ pub fn verify_config(
     ScheduleDag::build(&plan, cfg, n_workers, iterations)
         .verify()
         .map_err(CheckError::Dag)
+}
+
+/// The canonical small 2-level plan the exhaustive checkers ([`explore`],
+/// [`mc`], [`wal`]) explore: 2 + 1 training tokens and 2 generation tokens per
+/// iteration over 8 samples.
+fn small_plan() -> TokenPlan {
+    TokenPlan {
+        levels: vec![
+            LevelPlan {
+                level: 0,
+                tokens_per_iteration: 2,
+                batch_per_token: 4,
+                gen_ratio: 1,
+            },
+            LevelPlan {
+                level: 1,
+                tokens_per_iteration: 1,
+                batch_per_token: 8,
+                gen_ratio: 2,
+            },
+        ],
+        total_batch: 8,
+    }
+}
+
+/// Per-level metadata of [`small_plan`].
+fn small_meta() -> Vec<LevelMeta> {
+    vec![
+        LevelMeta {
+            param_bytes: 4096,
+            output_bytes_per_sample: 64,
+            input_bytes_per_sample: 64,
+            comm_intensive: false,
+        },
+        LevelMeta {
+            param_bytes: 8192,
+            output_bytes_per_sample: 32,
+            input_bytes_per_sample: 64,
+            comm_intensive: false,
+        },
+    ]
 }
 
 #[cfg(test)]

@@ -10,9 +10,10 @@
 //!   invariant-message panics, not anonymous option/result unwraps.
 //! * **`no-wallclock`** — no workspace crate may read host time
 //!   (`SystemTime`, `Instant::now`): simulations are virtual-time-only, and a
-//!   wall-clock read silently breaks run-to-run reproducibility. Crates whose
-//!   purpose is real time (the live runtime's real-clock mode) are exempted
-//!   with a crate-scoped `crate:no-wallclock <crate>` allowlist entry.
+//!   wall-clock read silently breaks run-to-run reproducibility. Code whose
+//!   purpose is real time (the live runtime's real-clock shell) is exempted
+//!   by a path allowlist entry, or a crate-scoped `crate:no-wallclock <crate>`
+//!   one.
 //! * **`no-unseeded-rng`** — `sim` and `core` must not use ambient-entropy
 //!   randomness (`thread_rng`, `rand::random`, `from_entropy`); all randomness
 //!   flows from explicit seeds recorded in run artifacts.
@@ -35,11 +36,13 @@
 //!   WalWriter`) may leave a `WalWriter` append
 //!   (`.append_op`/`.append_begin`/`.append_checkpoint`) staged; anywhere
 //!   else in the durability crates an append must be followed by a
-//!   `.commit(` before its enclosing block closes. And in `fela-live`, every
-//!   function of a file that drives a `ControlPlane` that writes to a link
-//!   (`.flush(` / `.send(`) must call `.commit_wal(` on an earlier line of
-//!   the same body: no decision leaves the server before the ops behind it
-//!   are durable.
+//!   `.commit(` before its enclosing block closes. And in `fela-live`, in a
+//!   file that drives a `ControlPlane` or a `ServerCore`, every frame that
+//!   leaves — a link write (`.flush(` / `.send(`) or a call of the core's
+//!   `deliver` callback — must follow a `.commit_wal(` on an earlier line of
+//!   the same function body, or sit inside the closure passed to the core's
+//!   `.dispatch(`, which commits first: no decision leaves the server before
+//!   the ops behind it are durable.
 //!
 //! The checker is line-based and intentionally simple: it strips `//` comments
 //! and string literals, skips `#[cfg(test)]` modules by brace counting, and
@@ -116,6 +119,15 @@ const WAL_STAGING_TYPES: &[&str] = &["ControlPlane", "WalWriter"];
 /// The crate whose server link writes must follow a `.commit_wal(`.
 const WAL_SERVER_CRATE: &str = "fela-live";
 
+/// Where a scrubbed line calls the core's outbound callback `deliver(..)` —
+/// a bare call, not a method or a definition.
+fn deliver_call(line: &str) -> Option<usize> {
+    let at = line.find("deliver(")?;
+    let before = line[..at].trim_end();
+    let bare = !line[..at].ends_with(|c: char| c == '.' || c == '_' || c.is_alphanumeric());
+    (bare && !before.ends_with("fn")).then_some(at)
+}
+
 /// Whether a scrubbed line opens a function item (`fn name`, any
 /// visibility or qualifiers) rather than naming a `fn(..)` pointer type.
 fn opens_fn(line: &str) -> bool {
@@ -151,8 +163,8 @@ pub const LOCK_ORDER: &[&str] = &["events", "seen", "open"];
 /// A rule written as `crate:<rule>` is **crate-scoped**: its second field is a
 /// crate package name (matched exactly against [`LintFinding::krate`]) instead
 /// of a path suffix, exempting a whole crate from one rule — e.g.
-/// `crate:no-wallclock fela-live` lets the live runtime's real-clock mode read
-/// `Instant::now` while every unlisted crate still fails the gate.
+/// `crate:no-wallclock fela-harness Instant::now` lets the sweep harness time
+/// itself while every unlisted crate still fails the gate.
 #[derive(Clone, Debug, Default)]
 pub struct Allowlist {
     entries: Vec<(String, String, Option<String>)>,
@@ -447,14 +459,18 @@ pub fn lint_source(path: &str, crate_name: &str, content: &str) -> Vec<LintFindi
     // plane commits the batch in `commit_wal`); anywhere else it must be
     // committed before its enclosing block closes — `.commit(` flushes the
     // whole staged batch, so one commit clears every pending append. In a
-    // `fela-live` file that drives a `ControlPlane`, a link write (`.flush(`
-    // / `.send(`) must follow a `.commit_wal(` in the same function body.
+    // `fela-live` file that drives a `ControlPlane` or `ServerCore`, a frame
+    // leaving (a link `.flush(` / `.send(`, or a call of the core's `deliver`
+    // callback) must follow a `.commit_wal(` in the same function body, or
+    // sit inside the closure handed to the core's `.dispatch(`, which commits
+    // before it calls that closure.
     if WAL_DISCIPLINE_CRATES.contains(&crate_name) {
         let server_file = crate_name == WAL_SERVER_CRATE
-            && scrubbed_lines
-                .iter()
-                .enumerate()
-                .any(|(i, l)| !in_test[i] && l.contains("ControlPlane"));
+            && scrubbed_lines.iter().enumerate().any(|(i, l)| {
+                !in_test[i] && (l.contains("ControlPlane") || l.contains("ServerCore"))
+            });
+        // Depth outside the open `.dispatch(` call, if any.
+        let mut dispatch_call: Option<i64> = None;
         // Uncommitted appends: (line idx, depth at append).
         let mut pending: Vec<(usize, i64)> = Vec::new();
         // Open function bodies: (depth outside the body, committed yet).
@@ -503,14 +519,21 @@ pub fn lint_source(path: &str, crate_name: &str, content: &str) -> Vec<LintFindi
                     }
                 }
                 if server_file {
+                    let dispatch_at = line.find(".dispatch(");
+                    if dispatch_call.is_none() && dispatch_at.is_some() {
+                        dispatch_call = Some(depth);
+                    }
                     let write_at = [".flush(", ".send("]
                         .iter()
                         .filter_map(|p| line.find(p))
+                        .chain(deliver_call(line))
                         .min();
                     let commit_wal_at = line.find(".commit_wal(");
+                    let in_dispatch = dispatch_call.is_some_and(|d| d < depth)
+                        || dispatch_at.is_some_and(|d| write_at.is_some_and(|w| w > d));
                     if let Some((_, committed)) = fns.last_mut() {
                         if let Some(w) = write_at {
-                            if !*committed && commit_wal_at.is_none_or(|c| c > w) {
+                            if !*committed && !in_dispatch && commit_wal_at.is_none_or(|c| c > w) {
                                 push(&mut findings, i);
                             }
                         }
@@ -529,6 +552,9 @@ pub fn lint_source(path: &str, crate_name: &str, content: &str) -> Vec<LintFindi
                         }
                         while fns.last().is_some_and(|&(d, _)| d >= depth) {
                             fns.pop();
+                        }
+                        if dispatch_call.is_some_and(|d| d >= depth) {
+                            dispatch_call = None;
                         }
                         if staging_impl.is_some_and(|d| d >= depth) {
                             staging_impl = None;
@@ -1005,6 +1031,49 @@ fn writes(tx: &mut LinkTx) {
         let worker =
             "fn run(link: &mut Link) {\n    link.send(&Frame::Request { worker: 0 });\n}\n";
         assert!(lint_source("worker.rs", "fela-live", worker).is_empty());
+    }
+
+    #[test]
+    fn the_core_dispatch_commits_before_it_delivers() {
+        let core = "\
+struct ServerCore { plane: ControlPlane }
+impl ServerCore {
+    pub fn dispatch(&mut self, mut deliver: impl FnMut(Outbound<'_>)) -> io::Result<()> {
+        self.plane.commit_wal()?;
+        deliver(Outbound { worker: 0 });
+        Ok(())
+    }
+}
+";
+        assert!(lint_source("core.rs", "fela-live", core).is_empty());
+        // Without the commit, the callback call is the frame leaving early.
+        let uncommitted = core.replace("        self.plane.commit_wal()?;\n", "");
+        let findings = lint_source("core.rs", "fela-live", &uncommitted);
+        assert_eq!(rules(&findings), ["no-unflushed-wal"]);
+        assert_eq!(findings[0].line, 4);
+    }
+
+    #[test]
+    fn a_link_write_inside_the_dispatch_closure_is_clean() {
+        let src = "\
+struct RealServer { core: ServerCore }
+impl RealServer {
+    fn dispatch(&mut self) -> io::Result<()> {
+        self.core.dispatch(now, |out| {
+            let Some(tx) = self.txs[out.worker].as_mut() else {
+                return;
+            };
+            let _ = tx.flush();
+        })
+    }
+    fn hang(&mut self) {
+        let _ = self.txs[0].as_mut().map(|tx| tx.send(&Frame::Hang { nanos }));
+    }
+}
+";
+        let findings = lint_source("real.rs", "fela-live", src);
+        assert_eq!(rules(&findings), ["no-unflushed-wal"]);
+        assert_eq!(findings[0].line, 12, "only the write outside the dispatch");
     }
 
     #[test]

@@ -5,15 +5,17 @@
 //! poll loop sweeps nonblocking per-worker TCP/channel links, plus a timer
 //! heap for lease deadlines. Its nondeterminism is therefore exactly:
 //! *in which order do worker messages reach the server loop, and when do
-//! lease timers fire relative to them*. This module drives the **real**
-//! [`ControlPlane`] (with [`McConfig::shards`] shards) and the
-//! **real** wire [`Frame`]s through every non-equivalent such interleaving of
-//! a small cluster, with the server logic mirroring `fela-live`'s
-//! `handle_frame` statement for statement.
+//! lease timers fire relative to them*. This module drives `fela-live`'s
+//! **shipping** server, the sans-IO [`ServerCore`] the real-clock poll loop
+//! drives (over a [`fela_core::ControlPlane`] with [`McConfig::shards`]
+//! shards), with the **real** wire [`Frame`]s, through every non-equivalent
+//! such interleaving of a small cluster. The checker owns only what the
+//! real-clock shell owns: which message arrives next, which lease fires, and
+//! what happens to the frames the core dispatches.
 //!
 //! **Partial-order reduction.** Worker reactions run *eagerly*: the instant
-//! the server sends a grant (a `GrantBatch` of one), the model computes the
-//! worker's report (a `ReportBatch` of one) and parks it in that worker's
+//! the core dispatches a grant (a `GrantBatch` of one at pipeline depth 1),
+//! the model computes the worker's report and parks it in that worker's
 //! link queue. This is sound because a worker's
 //! local step is invisible to the server until its message is *delivered* —
 //! delaying the reaction commutes with every other transition (Mazurkiewicz
@@ -29,10 +31,10 @@
 //!
 //! * **deadlock-freedom** — a state with no enabled action has
 //!   `run_complete()`;
-//! * **lost-wakeup-freedom** — at quiescence the plane never holds a ready
-//!   grant (every mutation is followed by a pump, so a waiting worker whose
-//!   token became available is always woken), and every grant the plane
-//!   issued was actually delivered;
+//! * **lost-wakeup-freedom** — at quiescence a re-scan of the waiting queue
+//!   finds no servable worker (the core's re-scan policy never strands a
+//!   waiter whose token became available), and every grant the plane issued
+//!   was actually delivered;
 //! * **exactly-once token application** — each terminal state's Info Mapping
 //!   holds every generated token exactly once (stale reports after a lease
 //!   revocation are rejected, never double-applied);
@@ -55,10 +57,10 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use fela_core::{
-    apply_op, ControlPlane, CoordOp, FelaConfig, Grant, LevelMeta, LevelPlan, OpDivergence,
-    RecoveryConfig, ScheduleError, ServerSnapshot, TokenId, TokenPlan,
+    apply_op, ControlPlane, CoordOp, FelaConfig, OpDivergence, RecoveryConfig, ServerSnapshot,
+    TokenId,
 };
-use fela_live::{Endpoint, Frame, SyncEvent, WireGrant};
+use fela_live::{CoreError, Endpoint, Frame, ServerCore, SyncEvent};
 use fela_sim::SimTime;
 
 use crate::protocol::{verify_session, SessionVerifier, SessionViolation, WireMutation};
@@ -257,46 +259,6 @@ pub struct MutationRun {
     pub kind: &'static str,
 }
 
-/// The canonical 2-level token plan (same shape as [`crate::Explorer::small`]
-/// and the shard-conformance suite): 2 + 1 training tokens and 2 generation
-/// tokens per iteration over 8 samples.
-fn small_plan() -> TokenPlan {
-    TokenPlan {
-        levels: vec![
-            LevelPlan {
-                level: 0,
-                tokens_per_iteration: 2,
-                batch_per_token: 4,
-                gen_ratio: 1,
-            },
-            LevelPlan {
-                level: 1,
-                tokens_per_iteration: 1,
-                batch_per_token: 8,
-                gen_ratio: 2,
-            },
-        ],
-        total_batch: 8,
-    }
-}
-
-fn meta() -> Vec<LevelMeta> {
-    vec![
-        LevelMeta {
-            param_bytes: 4096,
-            output_bytes_per_sample: 64,
-            input_bytes_per_sample: 64,
-            comm_intensive: false,
-        },
-        LevelMeta {
-            param_bytes: 8192,
-            output_bytes_per_sample: 32,
-            input_bytes_per_sample: 64,
-            comm_intensive: false,
-        },
-    ]
-}
-
 fn build_config(cfg: &McConfig) -> FelaConfig {
     let mut fc = FelaConfig::new(2)
         .with_weights(vec![1, 2])
@@ -309,35 +271,74 @@ fn build_config(cfg: &McConfig) -> FelaConfig {
     fc
 }
 
-fn build_plane(cfg: &McConfig) -> ControlPlane {
-    ControlPlane::new(
-        small_plan(),
+/// The shipping server core over the model plane (op log on): pipeline
+/// depth 1, level `l` spanning unit `l`.
+fn build_core(cfg: &McConfig) -> ServerCore {
+    let mut plane = ControlPlane::new(
+        crate::small_plan(),
         build_config(cfg),
-        meta(),
+        crate::small_meta(),
+        cfg.workers,
+        cfg.iterations,
+    );
+    plane.enable_op_log();
+    ServerCore::new(plane, vec![(0, 1), (1, 2)], 1)
+}
+
+fn build_oracle(cfg: &McConfig) -> TokenServer {
+    TokenServer::new(
+        crate::small_plan(),
+        build_config(cfg),
+        crate::small_meta(),
         cfg.workers,
         cfg.iterations,
     )
 }
 
-fn build_oracle(cfg: &McConfig) -> TokenServer {
-    TokenServer::new(
-        small_plan(),
-        build_config(cfg),
-        meta(),
-        cfg.workers,
-        cfg.iterations,
-    )
+/// A worker's message in flight to the server.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+enum Msg {
+    /// The opening pull.
+    Request,
+    /// The eager answer to one granted token.
+    Report(u64),
+}
+
+impl Msg {
+    /// The wire frame `worker` sends for this message.
+    fn frame(self, worker: usize) -> Frame {
+        let worker = worker as u32;
+        match self {
+            Msg::Request => Frame::Request { worker },
+            Msg::Report(token) => Frame::ReportBatch {
+                worker,
+                tokens: vec![token],
+            },
+        }
+    }
+}
+
+fn initial_queues(workers: usize) -> Vec<VecDeque<Msg>> {
+    (0..workers)
+        .map(|_| VecDeque::from([Msg::Request]))
+        .collect()
+}
+
+fn scheduler_error(e: CoreError) -> McViolation {
+    McViolation::SchedulerError {
+        message: e.to_string(),
+    }
 }
 
 /// One in-flight model state.
 #[derive(Clone)]
 struct McState {
-    /// The plane under check (op log enabled).
-    plane: ControlPlane,
+    /// The server core under check.
+    core: ServerCore,
     /// The lockstep reference oracle.
     oracle: TokenServer,
-    /// Per-worker link queue: frames sent by the worker, not yet delivered.
-    queues: Vec<VecDeque<Frame>>,
+    /// Per-worker link queue: messages sent by the worker, not yet delivered.
+    queues: Vec<VecDeque<Msg>>,
     /// Armed lease timers `(token, attempt)` the adversary may fire.
     armed: BTreeSet<(u64, u64)>,
     /// Grants issued by the plane but lost in flight `(worker, token)` —
@@ -357,51 +358,15 @@ struct McState {
 }
 
 /// Memoization key. The oracle is *excluded*: its snapshot is proved equal to
-/// the plane's at every transition, so it carries no independent state.
+/// the plane's at every transition, so it carries no independent state. So
+/// are the core's completion log and counters, which no property reads.
 type McKey = (
     ServerSnapshot,
-    Vec<Vec<(u8, u64, u64)>>,
+    Vec<Vec<Msg>>,
     Vec<(u64, u64)>,
     Vec<(usize, u64)>,
     bool,
 );
-
-/// Compact key form of an in-flight frame (queues only ever hold worker-type
-/// frames: `Request` and single-token `ReportBatch`).
-fn frame_key(frame: &Frame) -> (u8, u64, u64) {
-    match frame {
-        Frame::Request { worker } => (1, u64::from(*worker), 0),
-        Frame::ReportBatch { worker, tokens } if tokens.len() == 1 => {
-            (2, u64::from(*worker), tokens[0])
-        }
-        // Unreachable for model-generated queues; still total for safety.
-        _ => (0, 0, 0),
-    }
-}
-
-/// The server's frame for one model grant: a `GrantBatch` of one, as
-/// `fela-live` ships it at pipeline depth 1.
-fn grant_frame(grant: &Grant) -> Frame {
-    let level = grant.token.level as u32;
-    Frame::GrantBatch {
-        grants: vec![WireGrant {
-            token: grant.token.id.0,
-            level,
-            iteration: grant.token.iteration,
-            batch: grant.token.batch,
-            unit_start: level,
-            unit_end: level + 1,
-        }],
-    }
-}
-
-/// The worker's eager answer to a [`grant_frame`]: a `ReportBatch` of one.
-fn report_frame(worker: usize, token: u64) -> Frame {
-    Frame::ReportBatch {
-        worker: worker as u32,
-        tokens: vec![token],
-    }
-}
 
 #[derive(Clone, Copy, Debug)]
 enum Action {
@@ -428,7 +393,7 @@ impl Mc<'_> {
     /// Applies every plane mutation of one transition to the oracle in
     /// lockstep and compares digests + snapshots.
     fn lockstep(&mut self, state: &mut McState) {
-        let ops = state.plane.take_op_log();
+        let ops = state.core.take_op_log();
         for op in ops {
             let got = apply_op(&mut state.oracle, &op.kind);
             if got != op.outcome {
@@ -443,7 +408,7 @@ impl Mc<'_> {
             }
             state.ops_applied += 1;
         }
-        if state.oracle.snapshot() != state.plane.snapshot() {
+        if state.oracle.snapshot() != state.core.plane().snapshot() {
             self.push_violation(McViolation::OracleDrift { depth: state.depth });
         }
         for v in state.verifier.take_violations() {
@@ -451,137 +416,88 @@ impl Mc<'_> {
         }
     }
 
-    /// Models the server issuing `grant` to `worker`: the worker reacts
-    /// eagerly, parking its report on the link; with recovery on, the lease
-    /// timer arms (bounded by `max_attempts`).
-    fn issue_grant(&mut self, state: &mut McState, worker: usize, grant: &Grant) {
-        let token = grant.token.id.0;
-        let dropped = match self.cfg.mutation {
-            Some(McMutation::DropGrant { worker: target })
-                if state.mutation_armed && worker == target && grant.attempt == 0 =>
-            {
-                state.mutation_armed = false;
-                state.undelivered.push((worker, token));
-                true
-            }
-            _ => false,
-        };
-        // Mirror fela-live: the lease arms after the send — a frame lost in
-        // flight still has its deadline ticking, which is exactly what makes
-        // the dropped wakeup recoverable when recovery is on.
-        if state.plane.recovery_on() && grant.attempt < self.cfg.max_attempts {
-            state.armed.insert((token, grant.attempt));
-        }
-        if !dropped {
-            state.verifier.add_grant_intent(token, worker);
-            state.verifier.observe(&SyncEvent::FrameSent {
-                side: Endpoint::Server,
-                worker,
-                frame: grant_frame(grant),
-            });
-            state.queues[worker].push_back(report_frame(worker, token));
-        }
-    }
-
-    /// Issues every ready grant to its waiting worker. Mirrors `fela-live`'s
-    /// `drain_ready` → `ControlPlane::drain_ready_grants`, one grant at a time.
-    fn pump_grants(&mut self, state: &mut McState) {
-        loop {
-            match state.plane.pop_ready_grant(SimTime::ZERO) {
-                Ok(Some((worker, grant))) => self.issue_grant(state, worker, &grant),
-                Ok(None) => break,
-                Err(e) => {
-                    self.push_violation(McViolation::SchedulerError {
-                        message: e.to_string(),
-                    });
-                    break;
+    /// Ships what the core queued, as `fela-live`'s shell does: each grant
+    /// frame reaches its worker, which reacts eagerly by parking one report
+    /// per token on its link; with recovery on, each lease arms (bounded by
+    /// `max_attempts`) — after the send, so a frame lost in flight still has
+    /// its deadline ticking, which is what makes a dropped wakeup
+    /// recoverable.
+    fn dispatch(&mut self, state: &mut McState) {
+        let recovery = state.core.plane().recovery_on();
+        let cfg = self.cfg;
+        let shipped = state.core.dispatch(SimTime::ZERO, |out| {
+            let worker = out.worker;
+            for &(token, attempt) in out.leases {
+                if recovery && attempt < cfg.max_attempts {
+                    state.armed.insert((token.0, attempt));
                 }
             }
+            let dropped = state.mutation_armed
+                && cfg.mutation == Some(McMutation::DropGrant { worker })
+                && out.leases.iter().all(|&(_, attempt)| attempt == 0);
+            if dropped {
+                state.mutation_armed = false;
+                let tokens = out.leases.iter().map(|&(token, _)| (worker, token.0));
+                state.undelivered.extend(tokens);
+                return;
+            }
+            for &(token, _) in out.leases {
+                state.verifier.add_grant_intent(token.0, worker);
+                state.queues[worker].push_back(Msg::Report(token.0));
+            }
+            for frame in out.frames {
+                state.verifier.observe(&SyncEvent::FrameSent {
+                    side: Endpoint::Server,
+                    worker,
+                    frame: frame.clone(),
+                });
+            }
+        });
+        if let Err(e) = shipped {
+            self.push_violation(scheduler_error(e));
         }
     }
 
-    /// Mirrors `fela-live`'s `handle_frame`.
+    /// The server dequeues `worker`'s oldest in-flight message and hands it
+    /// to the core, then ships.
     fn deliver(&mut self, state: &mut McState, worker: usize) {
-        let Some(frame) = state.queues[worker].pop_front() else {
+        let Some(msg) = state.queues[worker].pop_front() else {
             return;
         };
+        let frame = msg.frame(worker);
         state.verifier.observe(&SyncEvent::FrameReceived {
             side: Endpoint::Server,
             worker,
             frame: frame.clone(),
         });
-        match frame {
-            Frame::Request { .. } => match state.plane.request(worker, SimTime::ZERO) {
-                Ok(Some(grant)) => self.issue_grant(state, worker, &grant),
-                Ok(None) => {}
-                Err(ScheduleError::WorkerUnavailable { .. }) => {}
-                Err(e) => self.push_violation(McViolation::SchedulerError {
-                    message: e.to_string(),
-                }),
-            },
-            Frame::ReportBatch { tokens, .. } => {
-                for token in tokens {
-                    match state.plane.report(worker, TokenId(token)) {
-                        Ok(syncs) => {
-                            // Control-plane runtime: every sync commits degenerately.
-                            for spec in syncs {
-                                if let Err(e) =
-                                    state.plane.sync_finished(spec.level, spec.iteration)
-                                {
-                                    self.push_violation(McViolation::SchedulerError {
-                                        message: e.to_string(),
-                                    });
-                                }
-                            }
-                        }
-                        Err(ScheduleError::StaleReport { .. }) => self.outcome.stale_reports += 1,
-                        Err(e) => self.push_violation(McViolation::SchedulerError {
-                            message: e.to_string(),
-                        }),
-                    }
-                }
-                // Piggybacked pull, exactly like the live server.
-                match state.plane.request(worker, SimTime::ZERO) {
-                    Ok(Some(grant)) => self.issue_grant(state, worker, &grant),
-                    Ok(None) => {}
-                    Err(ScheduleError::WorkerUnavailable { .. }) => {}
-                    Err(e) => self.push_violation(McViolation::SchedulerError {
-                        message: e.to_string(),
-                    }),
-                }
-                self.pump_grants(state);
-            }
-            other => self.push_violation(McViolation::SchedulerError {
-                message: format!("model queue held a non-worker frame: {other:?}"),
-            }),
+        let stale = state.core.counters().stale_reports;
+        if let Err(e) = state.core.on_frame(worker, frame, SimTime::ZERO) {
+            self.push_violation(scheduler_error(e));
         }
+        self.outcome.stale_reports += state.core.counters().stale_reports - stale;
+        self.dispatch(state);
     }
 
-    /// Mirrors `fela-live`'s lease-timer fire.
+    /// A lease timer fires: the core revokes, then ships.
     fn fire(&mut self, state: &mut McState, token: u64, attempt: u64) {
         state.armed.remove(&(token, attempt));
         self.outcome.lease_fires += 1;
-        match state.plane.lease_expired(TokenId(token), attempt) {
-            Ok(Some(expired)) => {
-                // The plane walked away from these grants; in-flight drops of
-                // them are healed (their reports would be stale anyway).
-                state
-                    .undelivered
-                    .retain(|(_, t)| !expired.revoked.iter().any(|r| r.0 == *t));
-            }
-            Ok(None) => {}
-            Err(e) => self.push_violation(McViolation::SchedulerError {
-                message: e.to_string(),
-            }),
+        match state.core.lease_fired(TokenId(token), attempt) {
+            // The plane walked away from these grants; in-flight drops of
+            // them are healed (their reports would be stale anyway).
+            Ok(revoked) => state
+                .undelivered
+                .retain(|(_, t)| !revoked.iter().any(|r| r.0 == *t)),
+            Err(e) => self.push_violation(scheduler_error(e)),
         }
-        self.pump_grants(state);
+        self.dispatch(state);
     }
 
     /// Drops armed timers whose lease the plane has already superseded —
-    /// firing them is a plane no-op followed by an empty pump, so pruning
-    /// them is sound and keeps the space small.
+    /// firing them is a plane no-op followed by a re-scan that finds
+    /// nothing new, so pruning them is sound and keeps the space small.
     fn gc_armed(state: &mut McState) {
-        let plane = &state.plane;
+        let plane = state.core.plane();
         state
             .armed
             .retain(|(t, a)| plane.lease_of(TokenId(*t)).is_some_and(|l| l.attempt == *a));
@@ -589,11 +505,11 @@ impl Mc<'_> {
 
     fn key_of(state: &McState) -> McKey {
         (
-            state.plane.snapshot().without_counters(),
+            state.core.plane().snapshot().without_counters(),
             state
                 .queues
                 .iter()
-                .map(|q| q.iter().map(frame_key).collect())
+                .map(|q| q.iter().copied().collect())
                 .collect(),
             state.armed.iter().copied().collect(),
             state.undelivered.clone(),
@@ -612,33 +528,32 @@ impl Mc<'_> {
 
     /// Checks a quiescent state (no enabled action).
     fn check_quiescent(&mut self, state: &McState) {
-        // A ready grant at quiescence means a pump was skipped somewhere.
-        let mut probe = state.plane.clone();
-        if let Ok(Some((worker, grant))) = probe.pop_ready_grant(SimTime::ZERO) {
-            self.push_violation(McViolation::LostWakeup {
-                worker,
-                token: grant.token.id.0,
-            });
+        // A servable waiter at quiescence means a re-scan was skipped
+        // somewhere: wake the waiting queue on a copy and see who is served.
+        let mut probe = state.core.clone();
+        probe.wake_waiters();
+        let mut woken = None;
+        let _ = probe.dispatch(SimTime::ZERO, |out| {
+            if let (None, Some(&(token, _))) = (woken, out.leases.first()) {
+                woken = Some((out.worker, token.0));
+            }
+        });
+        if let Some((worker, token)) = woken {
+            self.push_violation(McViolation::LostWakeup { worker, token });
             return;
         }
         if let Some((worker, token)) = state.undelivered.first().copied() {
             self.push_violation(McViolation::LostWakeup { worker, token });
             return;
         }
-        if state.plane.run_complete() {
+        let plane = state.core.plane();
+        if plane.run_complete() {
             self.outcome.terminals += 1;
             // Exactly-once: every generated token applied exactly once. The
             // Info Mapping is a map, so "at most once" is structural; check
             // coverage.
-            let holder: BTreeSet<u64> = state
-                .plane
-                .snapshot()
-                .holder
-                .iter()
-                .map(|(t, _)| *t)
-                .collect();
-            let missing: Vec<u64> = state
-                .plane
+            let holder: BTreeSet<u64> = plane.snapshot().holder.iter().map(|(t, _)| *t).collect();
+            let missing: Vec<u64> = plane
                 .tokens()
                 .keys()
                 .map(|id| id.0)
@@ -654,8 +569,8 @@ impl Mc<'_> {
                 detail: format!(
                     "{queued} frames in flight, {} timers armed, {}/{} iterations complete",
                     state.armed.len(),
-                    state.plane.completed_iterations(),
-                    state.plane.max_iterations(),
+                    plane.completed_iterations(),
+                    plane.max_iterations(),
                 ),
             });
         }
@@ -664,9 +579,6 @@ impl Mc<'_> {
 
 /// Exhaustively explores every non-equivalent interleaving of `cfg`.
 pub fn model_check(cfg: &McConfig) -> McOutcome {
-    let mut plane = build_plane(cfg);
-    plane.enable_op_log();
-    let oracle = build_oracle(cfg);
     let mut mc = Mc {
         cfg,
         outcome: McOutcome {
@@ -682,17 +594,10 @@ pub fn model_check(cfg: &McConfig) -> McOutcome {
         violations_seen: BTreeSet::new(),
     };
     // Pull protocol: every worker opens with a Request.
-    let queues = (0..cfg.workers)
-        .map(|w| {
-            let mut q = VecDeque::new();
-            q.push_back(Frame::Request { worker: w as u32 });
-            q
-        })
-        .collect();
     let initial = McState {
-        plane,
-        oracle,
-        queues,
+        core: build_core(cfg),
+        oracle: build_oracle(cfg),
+        queues: initial_queues(cfg.workers),
         armed: BTreeSet::new(),
         undelivered: Vec::new(),
         mutation_armed: cfg.mutation.is_some(),
@@ -738,64 +643,37 @@ pub fn model_check(cfg: &McConfig) -> McOutcome {
 /// synthesized server-side [`SyncEvent`] stream plus the op log — the input
 /// to the protocol session verifier and its wire-mutation matrix.
 pub fn record_execution(cfg: &McConfig) -> (Vec<SyncEvent>, Vec<CoordOp>) {
-    let mut plane = build_plane(cfg);
-    plane.enable_op_log();
-    let mut queues: Vec<VecDeque<Frame>> = (0..cfg.workers)
-        .map(|w| {
-            let mut q = VecDeque::new();
-            q.push_back(Frame::Request { worker: w as u32 });
-            q
-        })
-        .collect();
+    let mut core = build_core(cfg);
+    let mut queues = initial_queues(cfg.workers);
     let mut events = Vec::new();
     let mut ops = Vec::new();
     let mut guard = 0usize;
-    while !plane.run_complete() && guard < 100_000 {
+    while !core.plane().run_complete() && guard < 100_000 {
         guard += 1;
         let Some(w) = (0..cfg.workers).find(|w| !queues[*w].is_empty()) else {
             break;
         };
-        let Some(frame) = queues[w].pop_front() else {
+        let Some(msg) = queues[w].pop_front() else {
             break;
         };
+        let frame = msg.frame(w);
         events.push(SyncEvent::FrameReceived {
             side: Endpoint::Server,
             worker: w,
             frame: frame.clone(),
         });
-        let mut issued: Vec<(usize, Grant)> = Vec::new();
-        match frame {
-            Frame::Request { .. } => {
-                if let Ok(Some(grant)) = plane.request(w, SimTime::ZERO) {
-                    issued.push((w, grant));
-                }
+        let _ = core.on_frame(w, frame, SimTime::ZERO);
+        let _ = core.dispatch(SimTime::ZERO, |out| {
+            for &(token, _) in out.leases {
+                queues[out.worker].push_back(Msg::Report(token.0));
             }
-            Frame::ReportBatch { tokens, .. } => {
-                for token in tokens {
-                    if let Ok(syncs) = plane.report(w, TokenId(token)) {
-                        for spec in syncs {
-                            let _ = plane.sync_finished(spec.level, spec.iteration);
-                        }
-                    }
-                }
-                if let Ok(Some(grant)) = plane.request(w, SimTime::ZERO) {
-                    issued.push((w, grant));
-                }
-                while let Ok(Some((v, grant))) = plane.pop_ready_grant(SimTime::ZERO) {
-                    issued.push((v, grant));
-                }
-            }
-            _ => {}
-        }
-        for (v, grant) in issued {
-            events.push(SyncEvent::FrameSent {
+            events.extend(out.frames.iter().map(|frame| SyncEvent::FrameSent {
                 side: Endpoint::Server,
-                worker: v,
-                frame: grant_frame(&grant),
-            });
-            queues[v].push_back(report_frame(v, grant.token.id.0));
-        }
-        ops.append(&mut plane.take_op_log());
+                worker: out.worker,
+                frame: frame.clone(),
+            }));
+        });
+        ops.append(&mut core.take_op_log());
     }
     // Epilogue: End down every link, Params back up — the session close.
     for w in 0..cfg.workers {
@@ -818,56 +696,47 @@ pub fn record_execution(cfg: &McConfig) -> (Vec<SyncEvent>, Vec<CoordOp>) {
 /// Runs the full seeded-mutation matrix: every mutation must be caught, each
 /// with a distinct diagnostic kind.
 pub fn run_mutation_matrix() -> Vec<MutationRun> {
-    let mut rows = Vec::new();
-
+    let row = |name, kind, hit: Option<String>| MutationRun {
+        name,
+        caught: hit.is_some(),
+        diagnostic: hit.unwrap_or_default(),
+        kind,
+    };
     // 1. Dropped grant wakeup, recovery off → the model-level lost-wakeup
     //    diagnostic.
     let cfg = McConfig::small().with_mutation(McMutation::DropGrant { worker: 1 });
-    let outcome = model_check(&cfg);
-    let hit = outcome
+    let lost = model_check(&cfg)
         .violations
-        .iter()
+        .into_iter()
         .find(|v| matches!(v, McViolation::LostWakeup { .. }));
-    rows.push(MutationRun {
-        name: "drop-grant",
-        caught: hit.is_some(),
-        diagnostic: hit.map(|v| v.to_string()).unwrap_or_default(),
-        kind: "LostWakeup",
-    });
-
     // 2 & 3. Wire-level mutations over a recorded execution.
     let (events, ops) = record_execution(&McConfig::small());
-    let reordered = verify_session(
-        &crate::protocol::mutate_events(&events, &WireMutation::ReorderGrantReport { nth: 0 }),
-        Some(&ops),
-    );
-    let hit = reordered
-        .violations
-        .iter()
-        .find(|v| matches!(v, SessionViolation::ReportWithoutGrant { .. }));
-    rows.push(MutationRun {
-        name: "reorder-grant-report",
-        caught: hit.is_some(),
-        diagnostic: hit.map(|v| v.to_string()).unwrap_or_default(),
-        kind: "ReportWithoutGrant",
-    });
-
-    let misrouted = verify_session(
-        &crate::protocol::mutate_events(&events, &WireMutation::MisrouteGrant { nth: 0 }),
-        Some(&ops),
-    );
-    let hit = misrouted
-        .violations
-        .iter()
-        .find(|v| matches!(v, SessionViolation::MisroutedGrant { .. }));
-    rows.push(MutationRun {
-        name: "misroute-grant",
-        caught: hit.is_some(),
-        diagnostic: hit.map(|v| v.to_string()).unwrap_or_default(),
-        kind: "MisroutedGrant",
-    });
-
-    rows
+    let caught = |mutation: WireMutation, hit: fn(&SessionViolation) -> bool| {
+        let mutated = crate::protocol::mutate_events(&events, &mutation);
+        let report = verify_session(&mutated, Some(&ops));
+        report
+            .violations
+            .iter()
+            .find(|v| hit(v))
+            .map(|v| v.to_string())
+    };
+    vec![
+        row("drop-grant", "LostWakeup", lost.map(|v| v.to_string())),
+        row(
+            "reorder-grant-report",
+            "ReportWithoutGrant",
+            caught(WireMutation::ReorderGrantReport { nth: 0 }, |v| {
+                matches!(v, SessionViolation::ReportWithoutGrant { .. })
+            }),
+        ),
+        row(
+            "misroute-grant",
+            "MisroutedGrant",
+            caught(WireMutation::MisrouteGrant { nth: 0 }, |v| {
+                matches!(v, SessionViolation::MisroutedGrant { .. })
+            }),
+        ),
+    ]
 }
 
 #[cfg(test)]

@@ -15,8 +15,8 @@
 
 use fela_core::wal::{encode_record, read_log};
 use fela_core::{
-    apply_op, ControlPlane, FelaConfig, LevelMeta, LevelPlan, MemWal, OpKind, OpOutcome,
-    ServerSnapshot, TokenId, TokenPlan, WalRecord,
+    apply_op, ControlPlane, FelaConfig, LevelMeta, MemWal, OpKind, OpOutcome, ServerSnapshot,
+    TokenId, TokenPlan, WalRecord,
 };
 
 use crate::TokenServer;
@@ -267,43 +267,6 @@ pub fn check_wal(
     }
 }
 
-fn reference_plan() -> TokenPlan {
-    TokenPlan {
-        levels: vec![
-            LevelPlan {
-                level: 0,
-                tokens_per_iteration: 2,
-                batch_per_token: 4,
-                gen_ratio: 1,
-            },
-            LevelPlan {
-                level: 1,
-                tokens_per_iteration: 1,
-                batch_per_token: 8,
-                gen_ratio: 2,
-            },
-        ],
-        total_batch: 8,
-    }
-}
-
-fn reference_meta() -> Vec<LevelMeta> {
-    vec![
-        LevelMeta {
-            param_bytes: 4096,
-            output_bytes_per_sample: 64,
-            input_bytes_per_sample: 64,
-            comm_intensive: false,
-        },
-        LevelMeta {
-            param_bytes: 8192,
-            output_bytes_per_sample: 32,
-            input_bytes_per_sample: 64,
-            comm_intensive: false,
-        },
-    ]
-}
-
 fn reference_cfg(shards: usize) -> FelaConfig {
     FelaConfig::new(2)
         .with_weights(vec![1, 2])
@@ -342,9 +305,9 @@ fn report_and_sync(
 pub fn reference_logged_run(shards: usize, checkpoint_every: u64) -> (Vec<u8>, ServerSnapshot) {
     let mem = MemWal::new();
     let mut plane = ControlPlane::new(
-        reference_plan(),
+        crate::small_plan(),
         reference_cfg(shards),
-        reference_meta(),
+        crate::small_meta(),
         2,
         2,
     );
@@ -386,9 +349,9 @@ pub fn reference_wal_check(
     let (bytes, last) = reference_logged_run(shards, checkpoint_every);
     check_wal(
         &bytes,
-        &reference_plan(),
+        &crate::small_plan(),
         &reference_cfg(shards),
-        &reference_meta(),
+        &crate::small_meta(),
         2,
         2,
         Some(&last),
@@ -453,9 +416,9 @@ pub fn run_wal_mutation_matrix() -> Vec<WalMutationRun> {
         let mutated = mutate_wal(&bytes, mutation);
         let row = match check_wal(
             &mutated,
-            &reference_plan(),
+            &crate::small_plan(),
             &reference_cfg(1),
-            &reference_meta(),
+            &crate::small_meta(),
             2,
             2,
             None,
@@ -600,9 +563,9 @@ mod tests {
     ) -> Result<WalSummary, Vec<WalViolation>> {
         check_wal(
             bytes,
-            &reference_plan(),
+            &crate::small_plan(),
             &reference_cfg(shards),
-            &reference_meta(),
+            &crate::small_meta(),
             2,
             2,
             last,
@@ -734,8 +697,14 @@ mod tests {
     #[test]
     fn a_wrong_final_snapshot_is_diagnosed() {
         let (bytes, _) = logged_run(1, 0);
-        let fresh = ControlPlane::new(reference_plan(), reference_cfg(1), reference_meta(), 2, 2)
-            .snapshot();
+        let fresh = ControlPlane::new(
+            crate::small_plan(),
+            reference_cfg(1),
+            crate::small_meta(),
+            2,
+            2,
+        )
+        .snapshot();
         let violations = check(&bytes, 1, Some(&fresh)).expect_err("final state must differ");
         assert!(
             violations

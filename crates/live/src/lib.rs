@@ -15,11 +15,13 @@
 //!   wire ([`fela_core::ComputeBackend`]). Traces and reports are
 //!   **byte-identical** to the simulator, so `fela-check`'s race detector and
 //!   recovery verifier run unchanged on live output. Deterministic.
-//! * **Real** ([`run_real`]) — the server drives [`fela_core::ControlPlane`]
-//!   against the wall clock: workers pull tokens, sleep the modeled span
-//!   scaled by `time_scale`, and report; leases, crash/restart injection and
-//!   hang faults run off real timers. Nondeterministic interleavings — but
-//!   final model parameters are still bit-exact (see below).
+//! * **Real** ([`run_real`]) — the Token Server runs against the wall clock:
+//!   workers pull tokens, sleep the modeled span scaled by `time_scale`, and
+//!   report; leases, crash/restart injection and hang faults run off real
+//!   timers. Nondeterministic interleavings — but final model parameters are
+//!   still bit-exact (see below). Its protocol logic is the sans-IO
+//!   [`ServerCore`] ([`core`]), which `fela-check`'s model checker drives
+//!   too; [`real`] is the core's wall-clock shell.
 //!
 //! In both modes every worker trains a real [`fela_engine`] model replica:
 //! the server relabels the run's accepted completions into per-iteration
@@ -30,6 +32,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod core;
 pub mod real;
 pub mod replay;
 pub mod sched;
@@ -38,9 +41,11 @@ pub mod virt;
 pub mod wire;
 mod worker;
 
+pub use crate::core::{CoreCounters, CoreError, Outbound, ServerCore};
 pub use real::{run_real, run_real_durable, run_real_with, RealOptions, RealOutcome};
 pub use replay::{
-    engine_setup, flatten_params, replay_schedules, replay_trace, schedules_from_trace,
+    engine_setup, flatten_params, replay_schedules, replay_trace, schedules_from_completions,
+    schedules_from_trace,
 };
 pub use sched::{
     pass, Endpoint, GateSched, PassSched, RecordingSched, Sched, SharedSched, SyncEvent,

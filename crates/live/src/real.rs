@@ -1,16 +1,20 @@
 //! Real-clock live runs: the Token Server as a wall-clock service.
 //!
-//! Unlike virtual mode (which *is* the simulator), real mode drives
-//! [`fela_core::ControlPlane`] directly: worker threads pull tokens over the wire, sleep
-//! the modeled compute span scaled by `time_scale`, and report; the server
-//! maps real elapsed nanoseconds onto [`SimTime`] for the scheduling policies
-//! and runs leases, faults and restarts off a wall-clock timer heap. Data
+//! Unlike virtual mode (which *is* the simulator), real mode drives the
+//! sans-IO [`ServerCore`] — and through it [`fela_core::ControlPlane`] —
+//! against the wall clock: worker threads pull tokens over the wire, sleep
+//! the modeled compute span scaled by `time_scale`, and report. Data
 //! movement is not emulated — this is a **control-plane** runtime: parameter
-//! syncs commit degenerately the moment a level's last report lands
-//! (`sync_finished` immediately), so the measured quantity is
-//! pure token-protocol throughput.
+//! syncs commit degenerately the moment a level's last report lands, so the
+//! measured quantity is pure token-protocol throughput.
 //!
-//! Model training is still exact: accepted reports are logged server-side,
+//! This module is the core's shell. Every protocol decision (pulls, reports,
+//! leases, crash reconciliation, the group commit before any frame leaves)
+//! is the core's; the shell owns the links, the worker threads, the timer
+//! heap and the real-clock policy: it maps real elapsed nanoseconds onto
+//! [`SimTime`], prices spans, and sizes lease and restart deadlines.
+//!
+//! Model training is still exact: the core logs accepted reports, which are
 //! relabeled into engine schedules (see [`crate::replay`]) and broadcast to
 //! every surviving worker at the end of the run. [`fela_engine`]'s executor
 //! is schedule-invariant, so even a nondeterministically-ordered TCP run
@@ -27,48 +31,39 @@
 //!
 //! The server is a **single poll loop** over nonblocking receive halves — no
 //! per-worker pump threads, no inbox channel. Each sweep fires due timers,
-//! drains every link via [`LinkRx::try_recv`], queues the grants each frame
-//! produces (a report piggybacks up to [`RealOptions::pipeline`] pulls), and
-//! flushes a worker's queued grants **eagerly** — as soon as the frame that
-//! produced them is handled — as one `GrantBatch` frame + one transport
-//! write, whatever the batch length. The worker computes the batch as one
+//! drains every link via [`LinkRx::try_recv`], feeds each frame to the core
+//! (a report piggybacks up to [`RealOptions::pipeline`] pulls), and ships
+//! what the core queued **eagerly** — as soon as the frame that produced it
+//! is handled — as one `GrantBatch` frame + one transport write per worker,
+//! whatever the batch length. The worker computes the batch as one
 //! coalesced sleep and answers with one `ReportBatch`, so per-token cost on
 //! both sides is `O(1/pipeline)` syscalls and wakeups.
 //!
 //! Probes are pruned by protocol accounting rather than readiness syscalls:
 //! each link owes exactly one inbound frame per (re)spawn plus one reply per
-//! flushed batch (`expect_replies`), and a reply cannot arrive before the
+//! shipped batch (`expect_replies`), and a reply cannot arrive before the
 //! batch's scaled span has elapsed (`quiet_until`), so the sweep skips every
-//! socket that provably has nothing to say. The waiting-worker queue is
-//! re-scanned only on events that can actually release tokens — a committed
-//! sync, a fault action, or a timer — with a catch-all re-scan before any
-//! idle sleep so a missed edge delays a waiter, never stalls it.
-//!
-//! An idle sweep first *yields* for a bounded streak (a level barrier's
-//! reports are microseconds away, and on small core counts `yield_now`
-//! reschedules the worker threads directly), then falls back to sleeping
-//! with exponential backoff (10µs → 500µs), capped by the next timer
-//! deadline computed with `saturating_duration_since` — an already-expired
-//! deadline fires immediately instead of underflowing.
+//! socket that provably has nothing to say. An idle sweep yields, then
+//! sleeps with backoff capped by the next timer deadline (see the loop in
+//! `run_real_impl`).
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::io;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use fela_cluster::{FaultKind, Scenario};
-use fela_core::wal::{decode_u64_pairs, encode_u64_pairs};
 use fela_core::{
-    ControlPlane, DurabilityOptions, FelaConfig, FelaRuntime, Grant, LevelMeta, OpKind, OpOutcome,
-    RecoveryConfig, ScheduleError, TokenId, TokenPlan,
+    ControlPlane, DurabilityOptions, FelaConfig, FelaRuntime, LevelMeta, RecoveryConfig, TokenId,
+    TokenPlan,
 };
-use fela_model::Partition;
 use fela_sim::{SimDuration, SimTime};
 
-use crate::replay::replay_schedules;
+use crate::core::{CoreError, ServerCore};
+use crate::replay::{replay_schedules, schedules_from_completions};
 use crate::sched::{pass, Endpoint, SharedSched, SyncEvent};
-use crate::transport::{LinkRx, LinkTx, Transport};
+use crate::transport::{Link, LinkRx, LinkTx, Transport};
 use crate::wire::{Frame, WireGrant};
 use crate::worker::{spawn_worker, WorkerSpec};
 
@@ -137,39 +132,45 @@ pub struct RealOutcome {
     pub transport: &'static str,
 }
 
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Timer {
     Lease { token: TokenId, attempt: u64 },
     Restart { worker: usize },
 }
 
-struct TimerEntry {
-    at: Instant,
-    seq: u64,
-    timer: Timer,
+/// The shell's error policy: a failed log stops the run with its I/O error;
+/// any other core error is a broken invariant and panics with its message.
+fn fatal(e: CoreError) -> io::Error {
+    match e {
+        CoreError::Wal(e) => e,
+        e => panic!("{e}"),
+    }
 }
 
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
+/// Modeled compute seconds for one grant on `worker`, straggler included —
+/// what the worker will sleep (before `time_scale`). The analytic model walk
+/// is deterministic, so it is memoized per `(level, batch, worker)`.
+fn span_secs(
+    scenario: &Scenario,
+    cache: &mut HashMap<(u32, u64, usize), f64>,
+    worker: usize,
+    g: &WireGrant,
+) -> f64 {
+    let compute = *cache.entry((g.level, g.batch, worker)).or_insert_with(|| {
+        scenario.cluster.compute_secs(
+            &scenario.model,
+            g.unit_start as usize,
+            g.unit_end as usize,
+            g.batch,
+            worker,
+        )
+    });
+    compute + scenario.straggler_delay(g.iteration, worker).as_secs_f64()
 }
 
 struct RealServer<'a> {
-    server: ControlPlane,
+    core: ServerCore,
     scenario: &'a Scenario,
-    partition: Partition,
-    plan: TokenPlan,
     opts: RealOptions,
     recovery: Option<RecoveryConfig>,
     started: Instant,
@@ -178,36 +179,22 @@ struct RealServer<'a> {
     /// Receive half per worker, polled nonblockingly by the server loop;
     /// `None` once the link died and its close was processed.
     rxs: Vec<Option<LinkRx>>,
-    /// Grants queued per worker, flushed as one `GrantBatch` per sweep.
-    pending: Vec<Vec<Grant>>,
     /// Per-worker probe hint: no reply can arrive before the granted batch's
     /// scaled span elapses, so the sweep skips the socket until then. Purely
     /// an optimization — a stale hint only delays a probe, never loses one.
     quiet_until: Vec<Instant>,
     /// Inbound frames still expected per link: one for the initial `Request`
-    /// after (re)spawn plus one reply per flushed batch. A worker with zero
+    /// after (re)spawn plus one reply per shipped batch. A worker with zero
     /// expected frames is silent by protocol (pulls are piggybacked
     /// server-side), so the sweep skips its socket entirely.
     expect_replies: Vec<u32>,
-    /// Reusable drain buffer for [`ControlPlane::drain_ready_grants`].
-    scratch: Vec<(usize, Grant)>,
-    /// `(iteration, level)` of every in-flight granted token, so a report
-    /// doesn't pay a token-table lookup on the hot path.
-    token_info: std::collections::HashMap<TokenId, (u64, usize)>,
-    /// Memoized `compute_secs` per `(level, batch, worker)` — the analytic
-    /// model walk is deterministic, and flushing re-prices every grant.
-    span_cache: std::collections::HashMap<(usize, u64, usize), f64>,
-    timers: BinaryHeap<Reverse<TimerEntry>>,
-    timer_seq: u64,
-    /// Accepted reports in arrival order: `(iteration, level)`.
-    completions: Vec<(u64, usize)>,
+    /// Workers whose share of the last dispatch left; the epilogue waits for
+    /// their parameters.
+    delivered: Vec<usize>,
+    span_cache: HashMap<(u32, u64, usize), f64>,
+    /// Real deadlines, earliest first.
+    timers: BinaryHeap<Reverse<(Instant, Timer)>>,
     faults_armed: u64,
-    stale_reports: u64,
-    crashes: u64,
-    restarts: u64,
-    revocations: u64,
-    server_crashes: u64,
-    server_restarts: u64,
     sched: SharedSched,
 }
 
@@ -216,302 +203,139 @@ impl RealServer<'_> {
         SimTime::ZERO + SimDuration::from_secs_f64(self.started.elapsed().as_secs_f64())
     }
 
-    fn arm_timer(&mut self, at: Instant, timer: Timer) {
-        self.timer_seq += 1;
-        self.timers.push(Reverse(TimerEntry {
-            at,
-            seq: self.timer_seq,
-            timer,
-        }));
+    /// Real downtime for a modeled one, floored at `min_down`.
+    fn real_down(&self, down: SimDuration) -> Duration {
+        Duration::from_secs_f64(down.as_secs_f64() * self.opts.time_scale).max(self.opts.min_down)
     }
 
-    fn worker_spec(&self, index: usize, pull: bool) -> WorkerSpec {
+    fn worker_spec(&self, index: usize) -> WorkerSpec {
         WorkerSpec {
             index,
             scenario: self.scenario.clone(),
-            plan: self.plan.clone(),
+            plan: self.core.plane().plan().clone(),
             time_scale: self.opts.time_scale,
-            pull,
+            pull: true,
             sched: self.sched.clone(),
         }
     }
 
-    /// Modeled compute seconds for one grant on `worker`, straggler included —
-    /// what the worker will sleep (before `time_scale`).
-    fn base_secs(&mut self, worker: usize, grant: &Grant) -> f64 {
-        let key = (grant.token.level, grant.token.batch, worker);
-        let compute = match self.span_cache.get(&key) {
-            Some(&secs) => secs,
-            None => {
-                let sm = &self.partition.sub_models()[grant.token.level];
-                let secs = self.scenario.cluster.compute_secs(
-                    &self.scenario.model,
-                    sm.unit_start,
-                    sm.unit_end,
-                    grant.token.batch,
-                    worker,
-                );
-                self.span_cache.insert(key, secs);
-                secs
-            }
-        };
-        compute
-            + self
-                .scenario
-                .straggler_delay(grant.token.iteration, worker)
-                .as_secs_f64()
-    }
-
-    /// Queues a grant for `worker`; shipped by the sweep's [`Self::flush_grants`].
-    fn queue_grant(&mut self, worker: usize, grant: Grant) {
-        self.token_info
-            .insert(grant.token.id, (grant.token.iteration, grant.token.level));
-        self.pending[worker].push(grant);
-    }
-
-    /// Pulls up to `pipeline` tokens for `worker` into its pending batch. The
-    /// first starved request stops the loop (the worker is then queued
-    /// server-side and served later by [`Self::drain_ready`]).
-    fn pull_into(&mut self, worker: usize) {
-        for _ in 0..self.opts.pipeline.max(1) {
-            match self.server.request(worker, self.now_sim()) {
-                Ok(Some(grant)) => self.queue_grant(worker, grant),
-                Ok(None) => break,
-                Err(ScheduleError::WorkerUnavailable { .. }) => break,
-                Err(e) => panic!("Fela scheduler invariant violated: {e}"),
-            }
-        }
-    }
-
-    /// Queues a grant for every waiting worker whose turn has come.
-    fn drain_ready(&mut self) {
-        let now = self.now_sim();
-        let mut ready = std::mem::take(&mut self.scratch);
-        if let Err(e) = self.server.drain_ready_grants(now, &mut ready) {
-            panic!("Fela scheduler invariant violated: {e}");
-        }
-        for (worker, grant) in ready.drain(..) {
-            self.queue_grant(worker, grant);
-        }
-        self.scratch = ready;
-    }
-
-    /// Ships every queued grant: one `GrantBatch` frame and one transport
-    /// flush per worker. Before the first frame leaves, one
-    /// [`ControlPlane::commit_wal`] makes every op staged so far durable —
-    /// the group commit — and a failed commit stops the run with no grant
-    /// sent. Leases are armed here, at send time, sized to the
-    /// **cumulative** batch span — the worker computes the batch serially
-    /// and reports it with one frame at the end, so every lease in the
-    /// batch must survive until the whole batch lands.
-    fn flush_grants(&mut self) -> io::Result<()> {
-        let mut committed = false;
-        for worker in 0..self.pending.len() {
-            if self.pending[worker].is_empty() {
-                continue;
-            }
-            if !committed {
-                self.server.commit_wal()?;
-                committed = true;
-            }
-            let grants = std::mem::take(&mut self.pending[worker]);
-            let frame = Frame::GrantBatch {
-                grants: grants
-                    .iter()
-                    .map(|g| {
-                        let sm = &self.partition.sub_models()[g.token.level];
-                        WireGrant {
-                            token: g.token.id.0,
-                            level: g.token.level as u32,
-                            iteration: g.token.iteration,
-                            batch: g.token.batch,
-                            unit_start: sm.unit_start as u32,
-                            unit_end: sm.unit_end as u32,
-                        }
-                    })
-                    .collect(),
-            };
-            let sent = match self.txs[worker].as_mut() {
-                Some(tx) => tx.queue(&frame).and_then(|()| tx.flush()).is_ok(),
-                // Link already closed (crash injection): `worker_crashed`
-                // revoked these grants, nothing to send.
-                None => false,
-            };
-            if !sent {
-                // Worker died under us; the sweep's close handling reclaims.
-                continue;
-            }
-            self.expect_replies[worker] += 1;
-            let mut total = 0.0;
-            for g in &grants {
-                total += self.base_secs(worker, g);
-            }
-            // The worker starts sleeping the whole scaled batch span strictly
-            // after this flush, so its reply cannot arrive before the full
-            // span has elapsed — probing earlier is a guaranteed-empty
-            // syscall, and skipping until then is safe by construction.
-            self.quiet_until[worker] =
-                Instant::now() + Duration::from_secs_f64(total * self.opts.time_scale);
-            if let Some(rec) = self.recovery {
-                for g in &grants {
-                    let backoff = (1u64 << g.attempt.min(32)) as f64;
-                    let lease = Duration::from_secs_f64(
-                        (total * rec.lease_slack * backoff + rec.lease_grace.as_secs_f64())
-                            * self.opts.time_scale,
-                    )
-                    .max(self.opts.min_lease);
-                    self.arm_timer(
-                        Instant::now() + lease,
-                        Timer::Lease {
-                            token: g.token.id,
-                            attempt: g.attempt,
-                        },
-                    );
-                }
-            }
-        }
+    /// Installs the server half of `worker`'s link, which owes the worker's
+    /// opening `Request`.
+    fn attach(&mut self, worker: usize, mut link: Link) -> io::Result<()> {
+        link.instrument(self.sched.clone(), Endpoint::Server, worker);
+        let (tx, mut rx) = link.split();
+        rx.set_nonblocking(true)?;
+        self.txs[worker] = Some(tx);
+        self.rxs[worker] = Some(rx);
+        self.quiet_until[worker] = Instant::now();
+        self.expect_replies[worker] = 1;
         Ok(())
     }
 
-    /// Kills a worker at the transport level and tells the server.
-    fn kill(&mut self, worker: usize) {
+    /// Reconnects `worker` over a fresh link and spawns its thread, which
+    /// rejoins with the usual pull handshake.
+    fn respawn(&mut self, worker: usize, transport: &mut dyn Transport) -> io::Result<()> {
+        let (server_link, worker_link) = transport.extra_link(worker)?;
+        self.attach(worker, server_link)?;
+        let _ = spawn_worker(self.worker_spec(worker), worker_link);
+        Ok(())
+    }
+
+    /// Ships what the core queued: [`ServerCore::dispatch`] commits the log,
+    /// then each worker's frames go out as one queued write and one flush. A
+    /// batch that left sets the worker's probe hints and arms its leases,
+    /// sized to the **cumulative** batch span — the worker computes the batch
+    /// serially and reports it with one frame at the end, so every lease in
+    /// the batch must survive until the whole batch lands.
+    fn dispatch(&mut self) -> io::Result<()> {
+        let now = self.now_sim();
+        self.delivered.clear();
+        self.core
+            .dispatch(now, |out| {
+                let w = out.worker;
+                // A closed link (crash injection): `worker_crashed` revoked
+                // these grants, nothing to send.
+                let Some(tx) = self.txs[w].as_mut() else {
+                    return;
+                };
+                let sent = out.frames.iter().try_for_each(|f| tx.queue(f));
+                if sent.and_then(|()| tx.flush()).is_err() {
+                    // Worker died under us; the sweep's close handling reclaims.
+                    return;
+                }
+                self.delivered.push(w);
+                let Some(Frame::GrantBatch { grants }) = out.frames.last() else {
+                    return;
+                };
+                self.expect_replies[w] += 1;
+                let total: f64 = grants
+                    .iter()
+                    .map(|g| span_secs(self.scenario, &mut self.span_cache, w, g))
+                    .sum();
+                // The worker starts sleeping the whole scaled batch span
+                // strictly after this flush, so its reply cannot arrive
+                // before the full span has elapsed — probing earlier is a
+                // guaranteed-empty syscall, and skipping until then is safe
+                // by construction.
+                let scale = self.opts.time_scale;
+                self.quiet_until[w] = Instant::now() + Duration::from_secs_f64(total * scale);
+                let Some(rec) = self.recovery else {
+                    return;
+                };
+                for &(token, attempt) in out.leases {
+                    let backoff = (1u64 << attempt.min(32)) as f64;
+                    let lease = Duration::from_secs_f64(
+                        (total * rec.lease_slack * backoff + rec.lease_grace.as_secs_f64()) * scale,
+                    )
+                    .max(self.opts.min_lease);
+                    let timer = Timer::Lease { token, attempt };
+                    self.timers.push(Reverse((Instant::now() + lease, timer)));
+                }
+            })
+            .map_err(fatal)
+    }
+
+    /// Kills a worker at the transport level and tells the core.
+    fn kill(&mut self, worker: usize) -> io::Result<()> {
         if let Some(mut tx) = self.txs[worker].take() {
             tx.close();
         }
-        self.pending[worker].clear();
-        if self.server.is_alive(worker) {
-            match self.server.worker_crashed(worker) {
-                Ok(revoked) => {
-                    self.crashes += 1;
-                    self.revocations += revoked.len() as u64;
-                }
-                Err(e) => panic!("Fela scheduler invariant violated: {e}"),
-            }
-        }
-    }
-
-    /// Appends a checkpoint when the plane's cadence says one is due
-    /// ([`ControlPlane::checkpoint_due`]). The payload is the accepted-report
-    /// schedule, so recovery rebuilds [`RealServer::completions`] from the
-    /// checkpoint plus the short log suffix instead of the whole history.
-    fn maybe_checkpoint(&mut self) -> io::Result<()> {
-        let completions = &self.completions;
-        self.server.checkpoint_due(|| {
-            let pairs: Vec<(u64, u64)> = completions
-                .iter()
-                .map(|&(iteration, level)| (iteration, level as u64))
-                .collect();
-            encode_u64_pairs(&pairs)
-        })
+        self.core.worker_crashed(worker).map_err(fatal)
     }
 
     /// The injected Token Server crash: the server "process" dies (every
-    /// worker link drops and all volatile server-side state is discarded),
-    /// the downtime elapses, then a fresh process recovers from the WAL
-    /// ([`ControlPlane::crash_restart`]), reconciles in-flight grants against
-    /// the replayed log, and respawns the fleet over fresh links.
+    /// worker link drops), the downtime elapses, then the core recovers from
+    /// the WAL ([`ServerCore::server_crash`]) and the fleet respawns over
+    /// fresh links.
     fn crash_server(&mut self, down: SimDuration, transport: &mut dyn Transport) -> io::Result<()> {
-        self.server_crashes += 1;
-        // The server dies: every link drops, which kills the worker threads
-        // on their next recv. Replicas are only mutated by the epilogue's
-        // Iter frames, so no training state is lost worker-side.
+        // Every link drops, which kills the worker threads on their next
+        // recv. Replicas are only mutated by the epilogue's Iter frames, so
+        // no training state is lost worker-side.
         for worker in 0..self.txs.len() {
             if let Some(mut tx) = self.txs[worker].take() {
                 tx.close();
             }
             self.rxs[worker] = None;
-            self.pending[worker].clear();
             self.expect_replies[worker] = 0;
         }
-        self.token_info.clear();
-        let real_down = Duration::from_secs_f64(down.as_secs_f64() * self.opts.time_scale)
-            .max(self.opts.min_down);
-        thread::sleep(real_down);
-
-        let (payload, ops) = self.server.crash_restart()?;
-        // Rebuild the accepted-report schedule from the log alone — the
-        // in-memory vector died with the process. Checkpoint payload first,
-        // then every accepted report in the replayed suffix, in log order.
-        let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
-        let mut replayed: Vec<(u64, usize)> = if payload.is_empty() {
-            Vec::new()
-        } else {
-            decode_u64_pairs(&payload)
-                .map_err(|e| invalid(e.to_string()))?
-                .into_iter()
-                .map(|(iteration, level)| (iteration, level as usize))
-                .collect()
-        };
-        for op in &ops {
-            let OpKind::Report { token, .. } = op.kind else {
-                continue;
-            };
-            if !matches!(op.outcome, OpOutcome::Synced { .. }) {
-                continue;
-            }
-            let t = self.server.token(TokenId(token)).ok_or_else(|| {
-                invalid(format!(
-                    "replayed report names token {token}, which the plan never minted"
-                ))
-            })?;
-            replayed.push((t.iteration, t.level));
-        }
-        // The crash dropped the reports staged since the last commit; no
-        // worker saw them accepted, so the log's schedule is a prefix of the
-        // one the dead process held. Their tokens are revoked and regranted
-        // below.
-        assert!(
-            self.completions.starts_with(&replayed),
-            "WAL replay reconstructed a completion schedule that is not a prefix of the accepted one"
-        );
-        self.completions = replayed;
-
-        // Reconcile in-flight grants: tokens granted but never reported died
-        // with the worker threads. Crash-then-restart revokes those leases
-        // for immediate regrant without charging lease expiries (which would
-        // quarantine innocent workers). Both transitions land in the resumed
-        // log, so a second crash replays them too.
+        thread::sleep(self.real_down(down));
+        self.core.server_crash().map_err(fatal)?;
+        // Workers downed by their own declared faults stay down until their
+        // Restart timers fire.
         for worker in 0..self.txs.len() {
-            if !self.server.is_alive(worker) {
-                continue; // a downed worker's Restart timer will revive it
-            }
-            match self.server.worker_crashed(worker) {
-                Ok(revoked) => self.revocations += revoked.len() as u64,
-                Err(e) => panic!("Fela scheduler invariant violated: {e}"),
-            }
-            if let Err(e) = self.server.worker_restarted(worker) {
-                panic!("Fela scheduler invariant violated: {e}");
+            if self.core.plane().is_alive(worker) {
+                self.respawn(worker, transport)?;
             }
         }
-        // Respawn the fleet over fresh links; each worker reconnects with
-        // the usual pull handshake. Workers downed by their own declared
-        // faults stay down until their Restart timers fire.
-        for worker in 0..self.txs.len() {
-            if !self.server.is_alive(worker) {
-                continue;
-            }
-            let (mut server_link, worker_link) = transport.extra_link(worker)?;
-            server_link.instrument(self.sched.clone(), Endpoint::Server, worker);
-            let (tx, mut rx) = server_link.split();
-            rx.set_nonblocking(true)?;
-            self.txs[worker] = Some(tx);
-            self.rxs[worker] = Some(rx);
-            self.quiet_until[worker] = Instant::now();
-            self.expect_replies[worker] = 1;
-            let _ = spawn_worker(self.worker_spec(worker, true), worker_link);
-        }
-        self.server_restarts += 1;
-        self.drain_ready();
         Ok(())
     }
 
     /// Turns fault declarations into actions as root iterations are released.
-    fn arm_faults(&mut self, transport: &mut dyn Transport) -> io::Result<bool> {
+    fn arm_faults(&mut self, transport: &mut dyn Transport) -> io::Result<()> {
         if self.scenario.fault.is_none() {
-            return Ok(false);
+            return Ok(());
         }
-        let mut acted = false;
-        while self.faults_armed < self.server.released_root_iterations() {
+        while self.faults_armed < self.core.plane().released_root_iterations() {
             let it = self.faults_armed;
             for worker in 0..self.scenario.cluster.nodes {
                 match self.scenario.fault_for(it, worker) {
@@ -520,35 +344,22 @@ impl RealServer<'_> {
                         let nanos = (stall.as_secs_f64() * self.opts.time_scale * 1e9)
                             .max(self.opts.min_lease.as_nanos() as f64 * 2.0)
                             as u64;
-                        // Like every server frame, the stall leaves only
-                        // once the ops staged so far are durable.
-                        self.server.commit_wal()?;
-                        if let Some(tx) = self.txs[worker].as_mut() {
-                            let _ = tx.send(&Frame::Hang { nanos });
-                        }
-                        acted = true;
+                        self.core.hang(worker, nanos);
                     }
-                    Some(FaultKind::Crash) => {
-                        self.kill(worker);
-                        acted = true;
-                    }
+                    Some(FaultKind::Crash) => self.kill(worker)?,
                     Some(FaultKind::CrashRestart { down }) | Some(FaultKind::LinkDown { down }) => {
-                        self.kill(worker);
-                        let real_down =
-                            Duration::from_secs_f64(down.as_secs_f64() * self.opts.time_scale)
-                                .max(self.opts.min_down);
-                        self.arm_timer(Instant::now() + real_down, Timer::Restart { worker });
-                        acted = true;
+                        self.kill(worker)?;
+                        let at = Instant::now() + self.real_down(down);
+                        self.timers.push(Reverse((at, Timer::Restart { worker })));
                     }
                 }
             }
             if let Some(down) = self.scenario.fault.server_fault_for(it) {
                 self.crash_server(down, transport)?;
-                acted = true;
             }
             self.faults_armed += 1;
         }
-        Ok(acted)
+        Ok(())
     }
 
     fn fire_timer(&mut self, timer: Timer, transport: &mut dyn Transport) -> io::Result<()> {
@@ -558,98 +369,16 @@ impl RealServer<'_> {
                     token: token.0,
                     attempt,
                 });
-                match self.server.lease_expired(token, attempt) {
-                    Ok(Some(expired)) => {
-                        self.revocations += expired.revoked.len() as u64;
-                    }
-                    Ok(None) => {} // lease already satisfied or superseded
-                    Err(e) => panic!("Fela scheduler invariant violated: {e}"),
-                }
-                self.drain_ready();
+                self.core.lease_fired(token, attempt).map_err(fatal)?;
             }
             Timer::Restart { worker } => {
                 self.sched.reached(&SyncEvent::RestartFired { worker });
-                if self.server.is_alive(worker) {
+                if self.core.plane().is_alive(worker) {
                     return Ok(());
                 }
-                let (mut server_link, worker_link) = transport.extra_link(worker)?;
-                server_link.instrument(self.sched.clone(), Endpoint::Server, worker);
-                let (tx, mut rx) = server_link.split();
-                rx.set_nonblocking(true)?;
-                self.txs[worker] = Some(tx);
-                self.rxs[worker] = Some(rx);
-                self.quiet_until[worker] = Instant::now();
-                self.expect_replies[worker] = 1;
-                let _ = spawn_worker(self.worker_spec(worker, true), worker_link);
-                match self.server.worker_restarted(worker) {
-                    Ok(()) => self.restarts += 1,
-                    Err(e) => panic!("Fela scheduler invariant violated: {e}"),
-                }
-                self.drain_ready();
+                self.respawn(worker, transport)?;
+                self.core.worker_restarted(worker).map_err(fatal)?;
             }
-        }
-        Ok(())
-    }
-
-    /// One accepted (or stale) report, one token of a `ReportBatch`.
-    /// Returns `true` when a sync committed — the only event that releases
-    /// new tokens, and therefore the only one worth a [`Self::drain_ready`].
-    fn accept_report(&mut self, worker: usize, id: TokenId) -> bool {
-        let info = self
-            .token_info
-            .remove(&id)
-            .or_else(|| self.server.token(id).map(|t| (t.iteration, t.level)));
-        match self.server.report(worker, id) {
-            Ok(syncs) => {
-                let Some((iteration, level)) = info else {
-                    panic!("accepted report for an unknown token");
-                };
-                self.completions.push((iteration, level));
-                let released = !syncs.is_empty();
-                // Control-plane runtime: every sync commits degenerately.
-                for spec in syncs {
-                    if let Err(e) = self.server.sync_finished(spec.level, spec.iteration) {
-                        panic!("Fela scheduler invariant violated: {e}");
-                    }
-                }
-                released
-            }
-            Err(ScheduleError::StaleReport { .. }) => {
-                self.stale_reports += 1;
-                false
-            }
-            Err(e) => panic!("Fela scheduler invariant violated: {e}"),
-        }
-    }
-
-    fn handle_frame(
-        &mut self,
-        worker: usize,
-        frame: Frame,
-        transport: &mut dyn Transport,
-    ) -> io::Result<()> {
-        match frame {
-            Frame::Request { worker: w } => {
-                debug_assert_eq!(w as usize, worker);
-                self.pull_into(worker);
-            }
-            Frame::ReportBatch { worker: w, tokens } => {
-                debug_assert_eq!(w as usize, worker);
-                let mut released = false;
-                for token in tokens {
-                    released |= self.accept_report(worker, TokenId(token));
-                }
-                self.maybe_checkpoint()?;
-                // Piggybacked pull, exactly like the simulated control plane —
-                // widened to the pipeline depth.
-                self.pull_into(worker);
-                // Only a committed sync (or a fault action) can make a
-                // *waiting* worker servable, so skip the drain scan otherwise.
-                if self.arm_faults(transport)? || released {
-                    self.drain_ready();
-                }
-            }
-            other => panic!("server: unexpected frame from worker {worker}: {other:?}"),
         }
         Ok(())
     }
@@ -743,93 +472,77 @@ fn run_real_impl(
     )
     .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
     let n = scenario.cluster.nodes;
-    let mut server = ControlPlane::new(
-        plan.clone(),
+    let mut plane = ControlPlane::new(
+        plan,
         config.clone(),
         LevelMeta::for_partition(&partition),
         n,
         scenario.iterations,
     );
-    open_wal(&mut server)?;
+    open_wal(&mut plane)?;
+    let units = partition
+        .sub_models()
+        .iter()
+        .map(|sm| (sm.unit_start as u32, sm.unit_end as u32))
+        .collect();
 
-    let (server_links, worker_links) = transport.establish(n)?;
-    let mut txs = Vec::with_capacity(n);
-    let mut rxs = Vec::with_capacity(n);
-    for (w, mut link) in server_links.into_iter().enumerate() {
-        link.instrument(sched.clone(), Endpoint::Server, w);
-        let (tx, mut rx) = link.split();
-        rx.set_nonblocking(true)?;
-        txs.push(Some(tx));
-        rxs.push(Some(rx));
-    }
-
-    let recovery = if !scenario.fault.is_none() {
-        config.recovery
-    } else {
-        None
-    };
+    let recovery = config.recovery.filter(|_| !scenario.fault.is_none());
     let mut rs = RealServer {
-        server,
+        core: ServerCore::new(plane, units, opts.pipeline),
         scenario,
-        partition,
-        plan,
         opts,
         recovery,
         started: Instant::now(),
-        txs,
-        rxs,
-        pending: vec![Vec::new(); n],
+        txs: (0..n).map(|_| None).collect(),
+        rxs: (0..n).map(|_| None).collect(),
         quiet_until: vec![Instant::now(); n],
-        expect_replies: vec![1; n],
-        scratch: Vec::new(),
-        token_info: std::collections::HashMap::new(),
-        span_cache: std::collections::HashMap::new(),
+        expect_replies: vec![0; n],
+        delivered: Vec::new(),
+        span_cache: HashMap::new(),
         timers: BinaryHeap::new(),
-        timer_seq: 0,
-        completions: Vec::new(),
         faults_armed: 0,
-        stale_reports: 0,
-        crashes: 0,
-        restarts: 0,
-        revocations: 0,
-        server_crashes: 0,
-        server_restarts: 0,
-        sched: sched.clone(),
+        sched,
     };
+    let (server_links, worker_links) = transport.establish(n)?;
+    for (w, link) in server_links.into_iter().enumerate() {
+        rs.attach(w, link)?;
+    }
 
     // Spawn the fleet, then start the measured clock: thread creation is a
     // startup artifact (64 spawns cost a couple of milliseconds on a small
     // box) and would otherwise be billed to token-protocol throughput.
     for (index, link) in worker_links.into_iter().enumerate() {
-        let _ = spawn_worker(rs.worker_spec(index, true), link);
+        let _ = spawn_worker(rs.worker_spec(index), link);
     }
     rs.started = Instant::now();
     rs.arm_faults(transport)?;
+    rs.dispatch()?;
 
-    // The poll loop. Each sweep: fire due timers, drain every link, flush
-    // queued grants. An idle sweep first *yields* for a bounded streak —
-    // under a level barrier the reports are microseconds away, and on a
-    // small core count `yield_now` reschedules the worker threads directly,
-    // whereas even a 10µs sleep pays timer-slack latency per wave. Only a
-    // long idle streak (a real lease/restart wait) falls back to sleeping,
-    // exponentially backed off and capped by the next timer deadline. All
-    // deadline arithmetic saturates, so a deadline already in the past fires
-    // immediately instead of panicking.
+    // The poll loop. Each sweep: fire due timers, drain every link, ship
+    // what the core queued. An idle sweep first *yields* for a bounded
+    // streak — under a level barrier the reports are microseconds away, and
+    // on a small core count `yield_now` reschedules the worker threads
+    // directly, whereas even a 10µs sleep pays timer-slack latency per wave.
+    // Only a long idle streak (a real lease/restart wait) falls back to
+    // sleeping, exponentially backed off and capped by the next timer
+    // deadline. All deadline arithmetic saturates, so a deadline already in
+    // the past fires immediately instead of panicking.
     const SPIN_SWEEPS: u32 = 256;
     const IDLE_MIN: Duration = Duration::from_micros(10);
     const IDLE_MAX: Duration = Duration::from_micros(500);
     let mut idle_streak = 0u32;
     let mut idle = IDLE_MIN;
-    while !rs.server.run_complete() {
-        while let Some(Reverse(entry)) = rs.timers.peek() {
-            if entry.at > Instant::now() {
+    while !rs.core.plane().run_complete() {
+        // A batch's leases share one deadline: fire every due timer, then
+        // ship what they released with one dispatch (one commit).
+        while let Some(&Reverse((at, timer))) = rs.timers.peek() {
+            if at > Instant::now() {
                 break;
             }
-            let Some(Reverse(entry)) = rs.timers.pop() else {
-                unreachable!("peek returned a deadline but pop found nothing");
-            };
-            rs.fire_timer(entry.timer, transport)?;
+            rs.timers.pop();
+            rs.fire_timer(timer, transport)?;
         }
+        rs.dispatch()?;
         let mut progressed = false;
         let sweep_now = Instant::now();
         for worker in 0..n {
@@ -844,14 +557,20 @@ fn run_real_impl(
                             worker,
                             frame: Some(frame.clone()),
                         });
-                        rs.handle_frame(worker, frame, transport)?;
-                        // Flush eagerly: the grants this frame produced (for
-                        // this worker *and* any drained waiters) ship now
+                        let reported = matches!(frame, Frame::ReportBatch { .. });
+                        let now = rs.now_sim();
+                        rs.core.on_frame(worker, frame, now).map_err(fatal)?;
+                        // Root iterations are released only by reports.
+                        if reported {
+                            rs.arm_faults(transport)?;
+                        }
+                        // Ship eagerly: the grants this frame produced (for
+                        // this worker *and* any woken waiters) leave now
                         // instead of after the rest of the sweep — same
                         // number of writes, tens of µs less turnaround.
-                        rs.flush_grants()?;
+                        rs.dispatch()?;
                         progressed = true;
-                        if rs.server.run_complete() {
+                        if rs.core.plane().run_complete() {
                             break;
                         }
                     }
@@ -865,37 +584,37 @@ fn run_real_impl(
                             frame: None,
                         });
                         rs.rxs[worker] = None;
-                        if rs.server.is_alive(worker) && rs.txs[worker].is_some() {
-                            rs.kill(worker);
-                            rs.drain_ready();
+                        if rs.core.plane().is_alive(worker) && rs.txs[worker].is_some() {
+                            rs.kill(worker)?;
+                            rs.dispatch()?;
                         }
                         progressed = true;
                         break;
                     }
                 }
             }
-            if rs.server.run_complete() {
+            if rs.core.plane().run_complete() {
                 break;
             }
         }
-        rs.flush_grants()?;
+        rs.dispatch()?;
         if progressed {
             idle_streak = 0;
             idle = IDLE_MIN;
             continue;
         }
         idle_streak += 1;
-        if idle_streak <= SPIN_SWEEPS && rs.timers.peek().is_none() {
+        if idle_streak <= SPIN_SWEEPS && rs.timers.is_empty() {
             thread::yield_now();
             continue;
         }
         // Catch-all before sleeping: re-scan the waiting queue once, so a
-        // skipped drain (reports without a committed sync) can only delay a
-        // waiter by one spin streak, never stall it.
-        rs.drain_ready();
-        rs.flush_grants()?;
+        // skipped re-scan (reports without a committed sync) can only delay
+        // a waiter by one spin streak, never stall it.
+        rs.core.wake_waiters();
+        rs.dispatch()?;
         let sleep = match rs.timers.peek() {
-            Some(Reverse(entry)) => entry.at.saturating_duration_since(Instant::now()).min(idle),
+            Some(Reverse((at, _))) => at.saturating_duration_since(Instant::now()).min(idle),
             None => idle,
         };
         if !sleep.is_zero() {
@@ -906,49 +625,18 @@ fn run_real_impl(
     let elapsed = rs.started.elapsed();
 
     // Broadcast the relabeled schedules and collect every replica's params.
-    let mut schedules: Vec<Vec<(usize, usize)>> = Vec::new();
-    {
-        let mut next_rank: Vec<std::collections::HashMap<usize, usize>> = Vec::new();
-        for &(iteration, level) in &rs.completions {
-            let it = iteration as usize;
-            while schedules.len() <= it {
-                schedules.push(Vec::new());
-                next_rank.push(Default::default());
-            }
-            let rank = next_rank[it].entry(level).or_insert(0);
-            schedules[it].push((level, *rank));
-            *rank += 1;
-        }
-    }
-    let reference = replay_schedules(&rs.plan, &schedules);
-    // The Iter frames reveal the completion schedule: the ops behind it are
-    // durable before the first one leaves.
-    rs.server.commit_wal()?;
+    // The Iter frames reveal the completion schedule, so they leave through
+    // the core's dispatch like every other frame: after the commit. Each
+    // worker's epilogue ships as one queued batch and a single flush, one
+    // worker at a time, so only one worker's frames are ever built at once.
+    let schedules = schedules_from_completions(rs.core.completions());
+    let reference = replay_schedules(rs.core.plane().plan(), &schedules);
     let mut waiting = Vec::new();
     for worker in 0..n {
-        let Some(tx) = rs.txs[worker].as_mut() else {
-            continue;
-        };
-        // The whole epilogue — every Iter frame plus End — ships as one
-        // queued batch and a single flush per worker.
-        let mut ok = true;
-        for (iteration, schedule) in schedules.iter().enumerate() {
-            if tx
-                .queue(&Frame::Iter {
-                    iteration: iteration as u64,
-                    schedule: schedule
-                        .iter()
-                        .map(|&(l, j)| (l as u32, j as u32))
-                        .collect(),
-                })
-                .is_err()
-            {
-                ok = false;
-                break;
-            }
-        }
-        if ok && tx.queue(&Frame::End).is_ok() && tx.flush().is_ok() {
-            waiting.push(worker);
+        if rs.txs[worker].is_some() {
+            rs.core.end_run(worker, &schedules);
+            rs.dispatch()?;
+            waiting.extend_from_slice(&rs.delivered);
         }
     }
     let mut collected = 0usize;
@@ -985,21 +673,23 @@ fn run_real_impl(
         }
     }
 
-    let trained = rs.server.trained_per_worker().to_vec();
+    let plane = rs.core.plane();
+    let counters = rs.core.counters();
+    let trained = plane.trained_per_worker().to_vec();
     let tokens: u64 = trained.iter().sum();
     Ok(RealOutcome {
         elapsed_secs: elapsed.as_secs_f64(),
-        iterations: rs.server.completed_iterations(),
-        grants: rs.server.stats().grants,
+        iterations: plane.completed_iterations(),
+        grants: plane.stats().grants,
         tokens_per_sec: tokens as f64 / elapsed.as_secs_f64(),
         trained_per_worker: trained,
-        stale_reports: rs.stale_reports,
-        crashes: rs.crashes,
-        restarts: rs.restarts,
-        revocations: rs.revocations,
-        server_crashes: rs.server_crashes,
-        server_restarts: rs.server_restarts,
-        wal_commits: rs.server.wal_commits(),
+        stale_reports: counters.stale_reports,
+        crashes: counters.crashes,
+        restarts: counters.restarts,
+        revocations: counters.revocations,
+        server_crashes: counters.server_crashes,
+        server_restarts: counters.server_restarts,
+        wal_commits: plane.wal_commits(),
         params: reference,
         transport: transport.name(),
     })
@@ -1011,6 +701,7 @@ mod tests {
     use crate::transport::{ChanTransport, TcpTransport};
     use crate::virt::plan_for;
     use fela_cluster::{ClusterSpec, FaultModel};
+    use fela_core::OpOutcome;
     use fela_model::zoo;
 
     fn quick() -> (FelaConfig, Scenario) {

@@ -124,25 +124,35 @@ pub fn schedules_from_trace(trace: &Trace) -> Vec<Vec<(usize, usize)>> {
             _ => {}
         }
     }
+    let applied: Vec<(u64, usize)> = events
+        .iter()
+        .zip(stale)
+        .filter_map(|(ev, stale)| match ev.kind {
+            EventKind::Complete {
+                level, iteration, ..
+            } if !stale => Some((iteration, level)),
+            _ => None,
+        })
+        .collect();
+    schedules_from_completions(&applied)
+}
+
+/// Relabels applied completions `(iteration, level)`, in the order the server
+/// accepted them, into one engine schedule per iteration: a completion's
+/// engine index is its 0-based rank among its level's completions in that
+/// iteration (see the module docs).
+pub fn schedules_from_completions(completions: &[(u64, usize)]) -> Vec<Vec<(usize, usize)>> {
     let mut schedules: Vec<Vec<(usize, usize)>> = Vec::new();
     let mut next_rank: Vec<HashMap<usize, usize>> = Vec::new();
-    for (i, ev) in events.iter().enumerate() {
-        if stale[i] {
-            continue;
+    for &(iteration, level) in completions {
+        let it = iteration as usize;
+        while schedules.len() <= it {
+            schedules.push(Vec::new());
+            next_rank.push(HashMap::new());
         }
-        if let EventKind::Complete {
-            level, iteration, ..
-        } = &ev.kind
-        {
-            let it = *iteration as usize;
-            while schedules.len() <= it {
-                schedules.push(Vec::new());
-                next_rank.push(HashMap::new());
-            }
-            let rank = next_rank[it].entry(*level).or_insert(0);
-            schedules[it].push((*level, *rank));
-            *rank += 1;
-        }
+        let rank = next_rank[it].entry(level).or_insert(0);
+        schedules[it].push((level, *rank));
+        *rank += 1;
     }
     schedules
 }

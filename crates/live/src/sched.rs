@@ -18,8 +18,9 @@
 //! design (threads communicate only through channels/sockets), and the
 //! `lock-order` / `no-blocking-under-lock` lint rules in `fela-check` keep it
 //! that way. Exhaustive interleaving exploration lives in `fela-check`'s
-//! model checker (`mc.rs`), which drives the same `ControlPlane` +
-//! [`Frame`] protocol as this crate without OS threads; this seam is the
+//! model checker (`mc.rs`), which drives this crate's own
+//! [`ServerCore`](crate::ServerCore) and [`Frame`] protocol without OS
+//! threads; this seam is the
 //! *observation* side — it ties real executions back to the model.
 //!
 //! [`Link`]: crate::transport::Link

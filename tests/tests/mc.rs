@@ -84,6 +84,51 @@ fn recorded_model_executions_are_session_clean() {
     }
 }
 
+#[test]
+fn the_explored_spaces_are_pinned() {
+    // The four `fela check --mc` configurations. The checker drives the
+    // shipping server core, so a change to the core's protocol logic (or to
+    // the checker's model of the shell around it) moves these counts — a
+    // test failure to explain, not a printed table to re-read.
+    let mut three_workers = McConfig::small();
+    three_workers.workers = 3;
+    three_workers.iterations = 1;
+    let cases = [
+        (
+            "1 shard",
+            McConfig::small().with_shards(1),
+            (88, 94, 20),
+            (0, 0),
+        ),
+        ("sharded", McConfig::small(), (88, 94, 20), (0, 0)),
+        (
+            "lease adversary",
+            McConfig::small().with_recovery(),
+            (25_619, 32_289, 6_419),
+            (5_024, 12_082),
+        ),
+        ("3 workers", three_workers, (155, 176, 42), (0, 0)),
+    ];
+    for (name, cfg, space, adversary) in cases {
+        let outcome = model_check(&cfg);
+        assert!(outcome.ok(), "{name}: {:?}", outcome.violations);
+        let explored = (outcome.states, outcome.transitions, outcome.terminals);
+        assert_eq!(explored, space, "{name}: (states, transitions, terminals)");
+        let fired = (outcome.lease_fires, outcome.stale_reports);
+        assert_eq!(fired, adversary, "{name}: (lease fires, stale reports)");
+    }
+}
+
+#[test]
+fn the_model_protocol_recordings_are_pinned() {
+    for shards in [1usize, 2] {
+        let (events, ops) = record_execution(&McConfig::small().with_shards(shards));
+        let report = verify_session(&events, Some(&ops));
+        assert!(report.ok(), "shards {shards}: {:?}", report.violations);
+        assert_eq!((report.links, report.frames), (2, 17), "shards {shards}");
+    }
+}
+
 /// A real threaded virtual-clock run over the in-process channel transport,
 /// recorded through the `Sched` seam.
 fn recorded_live_trace() -> Vec<SyncEvent> {
