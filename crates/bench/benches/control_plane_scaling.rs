@@ -1,16 +1,16 @@
 //! Control-plane scaling: the production [`ControlPlane`] (the `Coordinator`)
-//! at one shard and at three, against the reference single-loop
-//! [`TokenServer`] from `fela-check`, at 8 to 8192 simulated workers.
+//! against the reference single-loop [`TokenServer`] from `fela-check`, at 8
+//! to 8192 simulated workers.
 //!
 //! Each measurement drives one full BSP iteration of grant/report/sync traffic
 //! through the plane — every `request` walks the distribution pick path, every
 //! `report` maintains the steal indices — so the number is the pure
 //! control-plane cost per iteration with no compute or network model attached.
 //! The batch grows with the worker count (`max(1024, W)`) so every worker has
-//! level-0 tokens to pull; the schedules produced by all three are
-//! byte-identical (proved in `tests/tests/shard.rs`), making this a like-for-
-//! like cost comparison. The one-shard rows are what every run pays by
-//! default; the oracle rows are the cost of the implementation it replaced.
+//! level-0 tokens to pull; the schedules produced by both are byte-identical
+//! (proved in `tests/tests/conformance.rs`), making this a like-for-like cost
+//! comparison. The plane rows are what every run pays; the oracle rows are
+//! the cost of the implementation it replaced.
 //!
 //! Run with `FELA_BENCH_DIR=<dir>` to emit `BENCH_control_plane_scaling.json`;
 //! `FELA_BENCH_QUICK=1` shortens the measurement for CI smoke runs.
@@ -33,22 +33,20 @@ const PAIRED_WORKER_COUNTS: [usize; 6] = [8, 16, 48, 64, 256, 1024];
 /// practical.
 const COORDINATOR_ONLY_WORKER_COUNTS: [usize; 2] = [4096, 8192];
 
-fn inputs(workers: usize, shards: usize) -> (TokenPlan, FelaConfig, Vec<LevelMeta>) {
+fn inputs(workers: usize) -> (TokenPlan, FelaConfig, Vec<LevelMeta>) {
     let partition = bin_partition(
         &zoo::vgg19(),
         &ThresholdProfile::k40c(),
         PartitionOptions::default(),
     );
-    let cfg = FelaConfig::new(3)
-        .with_weights(vec![1, 2, 4])
-        .with_shards(shards);
+    let cfg = FelaConfig::new(3).with_weights(vec![1, 2, 4]);
     let batch = workers.max(1024) as u64;
     let plan = TokenPlan::build(&partition, &cfg, batch, workers).unwrap();
     (plan, cfg, LevelMeta::for_partition(&partition))
 }
 
-fn make_plane(workers: usize, shards: usize) -> (ControlPlane, u64) {
-    let (plan, cfg, meta) = inputs(workers, shards);
+fn make_plane(workers: usize) -> (ControlPlane, u64) {
+    let (plan, cfg, meta) = inputs(workers);
     let total = plan.tokens_per_iteration();
     (
         ControlPlane::new(plan, cfg, meta, workers, 1_000_000),
@@ -57,7 +55,7 @@ fn make_plane(workers: usize, shards: usize) -> (ControlPlane, u64) {
 }
 
 fn make_oracle(workers: usize) -> (TokenServer, u64) {
-    let (plan, cfg, meta) = inputs(workers, 1);
+    let (plan, cfg, meta) = inputs(workers);
     let total = plan.tokens_per_iteration();
     (TokenServer::new(plan, cfg, meta, workers, 1_000_000), total)
 }
@@ -92,18 +90,16 @@ fn drive_one_iteration(plane: &mut impl OpTarget, workers: usize, total: u64) ->
     done
 }
 
-/// Bench ids: `plane_shards1_*` is the default plane, `plane_sharded3_*` the
-/// three-shard one.
-fn bench_planes(c: &mut Criterion, workers: usize) {
-    for (shards, name) in [(1, "plane_shards1"), (3, "plane_sharded3")] {
-        c.bench_function(&format!("control/{name}_{workers}workers"), |b| {
-            b.iter_batched(
-                || make_plane(workers, shards),
-                |(mut plane, total)| black_box(drive_one_iteration(&mut plane, workers, total)),
-                BatchSize::SmallInput,
-            )
-        });
-    }
+/// The plane's bench id keeps its `plane_shards1_*` name, so its rows line
+/// up with earlier `BENCH_control_plane_scaling.json` files.
+fn bench_plane(c: &mut Criterion, workers: usize) {
+    c.bench_function(&format!("control/plane_shards1_{workers}workers"), |b| {
+        b.iter_batched(
+            || make_plane(workers),
+            |(mut plane, total)| black_box(drive_one_iteration(&mut plane, workers, total)),
+            BatchSize::SmallInput,
+        )
+    });
 }
 
 fn bench_control_plane_scaling(c: &mut Criterion) {
@@ -115,10 +111,10 @@ fn bench_control_plane_scaling(c: &mut Criterion) {
                 BatchSize::SmallInput,
             )
         });
-        bench_planes(c, workers);
+        bench_plane(c, workers);
     }
     for workers in COORDINATOR_ONLY_WORKER_COUNTS {
-        bench_planes(c, workers);
+        bench_plane(c, workers);
     }
 }
 

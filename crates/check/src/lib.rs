@@ -48,8 +48,7 @@
 //!   produce a distinct diagnostic.
 //! * [`TokenServer`] — the reference Token Server: the original single-loop
 //!   scheduler, which no run executes, kept as an independent implementation
-//!   the [`fela_core::Coordinator`] must match bit for bit at every shard
-//!   count.
+//!   the [`fela_core::Coordinator`] must match bit for bit.
 //! * [`lint`] — the source-level rules behind the determinism and crash-safety
 //!   arguments (`no-unwrap`, `no-wallclock`, `no-unseeded-rng`,
 //!   `hashmap-order`, `lock-order`, `no-blocking-under-lock`), enforced by the

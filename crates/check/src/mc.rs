@@ -1,5 +1,5 @@
 //! `fela-mc` — the deterministic concurrency model checker for the live
-//! runtime and the sharded control plane.
+//! runtime and the control plane.
 //!
 //! The real-clock runtime (`fela-live`) is a single-threaded server whose
 //! poll loop sweeps nonblocking per-worker TCP/channel links, plus a timer
@@ -7,8 +7,8 @@
 //! *in which order do worker messages reach the server loop, and when do
 //! lease timers fire relative to them*. This module drives `fela-live`'s
 //! **shipping** server, the sans-IO [`ServerCore`] the real-clock poll loop
-//! drives (over a [`fela_core::ControlPlane`] with [`McConfig::shards`]
-//! shards), with the **real** wire [`Frame`]s, through every non-equivalent
+//! drives (over a [`fela_core::ControlPlane`]), with the **real** wire
+//! [`Frame`]s, through every non-equivalent
 //! such interleaving of a small cluster. The checker owns only what the
 //! real-clock shell owns: which message arrives next, which lease fires, and
 //! what happens to the frames the core dispatches.
@@ -71,9 +71,6 @@ use crate::TokenServer;
 pub struct McConfig {
     /// Cluster size (2–4 keeps the space exhaustive in well under a second).
     pub workers: usize,
-    /// Control-plane shards (1 or 2 for the two-level model); either way the
-    /// plane is checked against the reference [`TokenServer`].
-    pub shards: usize,
     /// BSP iterations to run (1–2).
     pub iterations: u64,
     /// SSP staleness bound (0 = BSP).
@@ -94,12 +91,11 @@ pub struct McConfig {
 }
 
 impl McConfig {
-    /// The canonical acceptance configuration: 2 workers × 2 shards ×
-    /// 2 iterations, recovery off.
+    /// The canonical acceptance configuration: 2 workers × 2 iterations,
+    /// recovery off.
     pub fn small() -> McConfig {
         McConfig {
             workers: 2,
-            shards: 2,
             iterations: 2,
             staleness: 0,
             recovery: false,
@@ -107,12 +103,6 @@ impl McConfig {
             max_states: 200_000,
             mutation: None,
         }
-    }
-
-    /// Builder: sets the shard count.
-    pub fn with_shards(mut self, shards: usize) -> McConfig {
-        self.shards = shards;
-        self
     }
 
     /// Builder: enables the lease-expiry adversary.
@@ -260,9 +250,7 @@ pub struct MutationRun {
 }
 
 fn build_config(cfg: &McConfig) -> FelaConfig {
-    let mut fc = FelaConfig::new(2)
-        .with_weights(vec![1, 2])
-        .with_shards(cfg.shards);
+    let mut fc = FelaConfig::new(2).with_weights(vec![1, 2]);
     fc.staleness = cfg.staleness;
     if cfg.recovery {
         fc.recovery = Some(RecoveryConfig::default());
@@ -745,17 +733,10 @@ mod tests {
 
     #[test]
     fn the_one_shard_small_config_is_clean() {
-        let outcome = model_check(&McConfig::small().with_shards(1));
-        assert!(outcome.ok(), "{:?}", outcome.violations);
-        assert!(outcome.terminals >= 1);
-        assert!(outcome.states > 10, "space too small to mean anything");
-    }
-
-    #[test]
-    fn the_sharded_small_config_is_clean_and_linearizable() {
         let outcome = model_check(&McConfig::small());
         assert!(outcome.ok(), "{:?}", outcome.violations);
         assert!(outcome.terminals >= 1);
+        assert!(outcome.states > 10, "space too small to mean anything");
         assert!(!outcome
             .violations
             .iter()
@@ -815,14 +796,12 @@ mod tests {
 
     #[test]
     fn recorded_executions_are_session_clean_and_replay_against_the_oracle() {
-        for shards in [1, 2] {
-            let cfg = McConfig::small().with_shards(shards);
-            let (events, ops) = record_execution(&cfg);
-            let report = verify_session(&events, Some(&ops));
-            assert!(report.ok(), "shards={shards}: {:?}", report.violations);
-            let mut oracle = build_oracle(&cfg);
-            fela_core::replay_oplog(&ops, &mut oracle).expect("history must replay");
-        }
+        let cfg = McConfig::small();
+        let (events, ops) = record_execution(&cfg);
+        let report = verify_session(&events, Some(&ops));
+        assert!(report.ok(), "{:?}", report.violations);
+        let mut oracle = build_oracle(&cfg);
+        fela_core::replay_oplog(&ops, &mut oracle).expect("history must replay");
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //! STBs, the Info Mapping, the lease maps and the waiting queue in one
 //! struct, with the helper-steal pick as a plain O(workers × levels) scan.
 //! Nothing in a run executes it. It stays because a second, deliberately
-//! simple implementation is what makes the coordinator's indices and level
-//! sharding checkable:
+//! simple implementation is what makes the coordinator's indices and
+//! per-level table checkable:
 //!
-//! * the shard-conformance suite (`tests/tests/shard.rs`) drives both through
-//!   identical random churn at every shard count, including 1, and compares
-//!   every grant, sync, error and [`ServerSnapshot`];
+//! * the conformance suite (`tests/tests/conformance.rs`) drives both
+//!   through identical random churn and compares every grant, sync, error
+//!   and [`ServerSnapshot`];
 //! * `fela-mc` ([`crate::mc`]) applies each explored transition's op log to
 //!   it in lockstep ([`fela_core::apply_op`]) — per-op linearizability;
 //! * `fela check --wal` ([`crate::wal`]) replays logs through it;

@@ -562,7 +562,7 @@ pub enum WireMutation {
         nth: usize,
     },
     /// Rewrites the link of the `nth` server-sent grant to the next worker
-    /// (mod links): the shard reply reaches the wrong requester.
+    /// (mod links): the grant reaches the wrong requester.
     MisrouteGrant {
         /// Which grant to misroute, in stream order.
         nth: usize,

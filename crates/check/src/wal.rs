@@ -161,16 +161,14 @@ pub fn check_wal(
     let mut records = log.records.iter();
     match records.next() {
         Some(WalRecord::Begin {
-            shards,
             n_workers: w,
             max_iterations: m,
         }) => {
-            let want = cfg.shards.max(1) as u32;
-            if *shards != want || *w as usize != n_workers || *m != max_iterations {
+            if *w as usize != n_workers || *m != max_iterations {
                 violations.push(WalViolation::Corrupt {
                     detail: format!(
-                        "Begin({shards} shards, {w} workers, {m} iterations) describes a \
-                         different plane than ({want}, {n_workers}, {max_iterations})"
+                        "Begin({w} workers, {m} iterations) describes a different plane \
+                         than ({n_workers}, {max_iterations})"
                     ),
                 });
             }
@@ -267,10 +265,8 @@ pub fn check_wal(
     }
 }
 
-fn reference_cfg(shards: usize) -> FelaConfig {
-    FelaConfig::new(2)
-        .with_weights(vec![1, 2])
-        .with_shards(shards)
+fn reference_cfg() -> FelaConfig {
+    FelaConfig::new(2).with_weights(vec![1, 2])
 }
 
 fn report_and_sync(
@@ -301,12 +297,12 @@ fn report_and_sync(
 /// returns the log bytes plus the final snapshot. The reference fixture
 /// behind `fela check --wal`, [`run_wal_mutation_matrix`] and this module's
 /// tests: small enough to replay instantly, large enough to exercise grants,
-/// deferred grants, syncs and (optionally) checkpoints at one shard or two.
-pub fn reference_logged_run(shards: usize, checkpoint_every: u64) -> (Vec<u8>, ServerSnapshot) {
+/// deferred grants, syncs and (optionally) checkpoints.
+pub fn reference_logged_run(checkpoint_every: u64) -> (Vec<u8>, ServerSnapshot) {
     let mem = MemWal::new();
     let mut plane = ControlPlane::new(
         crate::small_plan(),
-        reference_cfg(shards),
+        reference_cfg(),
         crate::small_meta(),
         2,
         2,
@@ -342,15 +338,12 @@ pub fn reference_logged_run(shards: usize, checkpoint_every: u64) -> (Vec<u8>, S
 
 /// Runs [`reference_logged_run`] and replays its own log through
 /// [`check_wal`], with the run's final snapshot as the expected state.
-pub fn reference_wal_check(
-    shards: usize,
-    checkpoint_every: u64,
-) -> Result<WalSummary, Vec<WalViolation>> {
-    let (bytes, last) = reference_logged_run(shards, checkpoint_every);
+pub fn reference_wal_check(checkpoint_every: u64) -> Result<WalSummary, Vec<WalViolation>> {
+    let (bytes, last) = reference_logged_run(checkpoint_every);
     check_wal(
         &bytes,
         &crate::small_plan(),
-        &reference_cfg(shards),
+        &reference_cfg(),
         &crate::small_meta(),
         2,
         2,
@@ -384,7 +377,7 @@ pub fn run_wal_mutation_matrix() -> Vec<WalMutationRun> {
         WalMutation,
         fn(&WalViolation) -> bool,
     );
-    let (bytes, _) = reference_logged_run(1, 0);
+    let (bytes, _) = reference_logged_run(0);
     let cases: [MutationCase; 4] = [
         (
             "dropped record",
@@ -417,7 +410,7 @@ pub fn run_wal_mutation_matrix() -> Vec<WalMutationRun> {
         let row = match check_wal(
             &mutated,
             &crate::small_plan(),
-            &reference_cfg(1),
+            &reference_cfg(),
             &crate::small_meta(),
             2,
             2,
@@ -552,19 +545,11 @@ pub fn mutate_wal(bytes: &[u8], mutation: WalMutation) -> Vec<u8> {
 mod tests {
     use super::*;
 
-    fn logged_run(shards: usize, checkpoint_every: u64) -> (Vec<u8>, ServerSnapshot) {
-        reference_logged_run(shards, checkpoint_every)
-    }
-
-    fn check(
-        bytes: &[u8],
-        shards: usize,
-        last: Option<&ServerSnapshot>,
-    ) -> Result<WalSummary, Vec<WalViolation>> {
+    fn check(bytes: &[u8], last: Option<&ServerSnapshot>) -> Result<WalSummary, Vec<WalViolation>> {
         check_wal(
             bytes,
             &crate::small_plan(),
-            &reference_cfg(shards),
+            &reference_cfg(),
             &crate::small_meta(),
             2,
             2,
@@ -573,33 +558,31 @@ mod tests {
     }
 
     #[test]
-    fn a_sound_log_replays_cleanly_on_both_plane_shapes() {
-        for shards in [1usize, 2] {
-            let (bytes, last) = logged_run(shards, 0);
-            let s = check(&bytes, shards, Some(&last)).expect("sound log");
-            assert!(s.ops > 0);
-            assert_eq!(
-                s.applied,
-                2 * 3,
-                "three tokens per iteration, two iterations"
-            );
-            assert_eq!(s.torn_bytes, 0);
-        }
+    fn a_sound_log_replays_cleanly() {
+        let (bytes, last) = reference_logged_run(0);
+        let s = check(&bytes, Some(&last)).expect("sound log");
+        assert!(s.ops > 0);
+        assert_eq!(
+            s.applied,
+            2 * 3,
+            "three tokens per iteration, two iterations"
+        );
+        assert_eq!(s.torn_bytes, 0);
     }
 
     #[test]
     fn checkpoints_verify_against_the_oracle() {
-        let (bytes, last) = logged_run(1, 1);
-        let s = check(&bytes, 1, Some(&last)).expect("sound log");
+        let (bytes, last) = reference_logged_run(1);
+        let s = check(&bytes, Some(&last)).expect("sound log");
         assert!(s.checkpoints >= 1);
     }
 
     #[test]
     fn a_dropped_record_is_diagnosed_as_a_drop() {
         for seed in [0u64, 3, 9] {
-            let (bytes, _) = logged_run(1, 0);
+            let (bytes, _) = reference_logged_run(0);
             let mutated = mutate_wal(&bytes, WalMutation::DropRecord { seed });
-            let violations = check(&mutated, 1, None).expect_err("drop must be caught");
+            let violations = check(&mutated, None).expect_err("drop must be caught");
             assert!(
                 violations
                     .iter()
@@ -618,9 +601,9 @@ mod tests {
     #[test]
     fn a_duplicated_record_is_diagnosed_as_a_duplicate() {
         for seed in [0u64, 3, 9] {
-            let (bytes, _) = logged_run(1, 0);
+            let (bytes, _) = reference_logged_run(0);
             let mutated = mutate_wal(&bytes, WalMutation::DuplicateRecord { seed });
-            let violations = check(&mutated, 1, None).expect_err("duplicate must be caught");
+            let violations = check(&mutated, None).expect_err("duplicate must be caught");
             assert!(
                 violations
                     .iter()
@@ -638,7 +621,7 @@ mod tests {
 
     #[test]
     fn a_duplicated_report_is_also_a_double_apply() {
-        let (bytes, _) = logged_run(1, 0);
+        let (bytes, _) = reference_logged_run(0);
         let log = read_log(&bytes).expect("sound log");
         // Find an op index (among ops) holding an accepted report.
         let mut report_seed = None;
@@ -657,7 +640,7 @@ mod tests {
         }
         let seed = report_seed.expect("a completed run has accepted reports");
         let mutated = mutate_wal(&bytes, WalMutation::DuplicateRecord { seed });
-        let violations = check(&mutated, 1, None).expect_err("duplicate must be caught");
+        let violations = check(&mutated, None).expect_err("duplicate must be caught");
         assert!(
             violations
                 .iter()
@@ -669,9 +652,9 @@ mod tests {
     #[test]
     fn a_reordered_record_is_diagnosed_as_a_reorder() {
         for seed in [0u64, 3, 9] {
-            let (bytes, _) = logged_run(1, 0);
+            let (bytes, _) = reference_logged_run(0);
             let mutated = mutate_wal(&bytes, WalMutation::SwapWithNext { seed });
-            let violations = check(&mutated, 1, None).expect_err("reorder must be caught");
+            let violations = check(&mutated, None).expect_err("reorder must be caught");
             assert!(
                 violations
                     .iter()
@@ -683,9 +666,9 @@ mod tests {
 
     #[test]
     fn a_flipped_byte_is_diagnosed_as_corruption() {
-        let (bytes, _) = logged_run(1, 0);
+        let (bytes, _) = reference_logged_run(0);
         let mutated = mutate_wal(&bytes, WalMutation::CorruptByte { seed: 17 });
-        let violations = check(&mutated, 1, None).expect_err("corruption must be caught");
+        let violations = check(&mutated, None).expect_err("corruption must be caught");
         assert!(
             violations
                 .iter()
@@ -696,16 +679,16 @@ mod tests {
 
     #[test]
     fn a_wrong_final_snapshot_is_diagnosed() {
-        let (bytes, _) = logged_run(1, 0);
+        let (bytes, _) = reference_logged_run(0);
         let fresh = ControlPlane::new(
             crate::small_plan(),
-            reference_cfg(1),
+            reference_cfg(),
             crate::small_meta(),
             2,
             2,
         )
         .snapshot();
-        let violations = check(&bytes, 1, Some(&fresh)).expect_err("final state must differ");
+        let violations = check(&bytes, Some(&fresh)).expect_err("final state must differ");
         assert!(
             violations
                 .iter()
@@ -730,17 +713,25 @@ mod tests {
     }
 
     #[test]
-    fn the_reference_check_is_clean_on_both_plane_shapes() {
-        for shards in [1usize, 2] {
-            let s = reference_wal_check(shards, 1).expect("sound log");
-            assert!(s.checkpoints >= 1);
-        }
+    fn the_reference_check_is_clean() {
+        let s = reference_wal_check(1).expect("sound log");
+        assert!(s.checkpoints >= 1);
     }
 
     #[test]
     fn a_log_for_a_different_plane_shape_is_rejected() {
-        let (bytes, _) = logged_run(2, 0);
-        let violations = check(&bytes, 1, None).expect_err("shape mismatch must be caught");
+        let (bytes, _) = reference_logged_run(0);
+        // The log describes two iterations; the plane expects three.
+        let violations = check_wal(
+            &bytes,
+            &crate::small_plan(),
+            &reference_cfg(),
+            &crate::small_meta(),
+            2,
+            3,
+            None,
+        )
+        .expect_err("shape mismatch must be caught");
         assert!(
             violations
                 .iter()

@@ -70,8 +70,6 @@ pub struct LiveArgs {
     pub mode: String,
     /// Real seconds slept per modeled second in real-clock mode.
     pub time_scale: f64,
-    /// Control-plane shard count (`--shards`); `None` = `FELA_SHARDS`/1.
-    pub shards: Option<usize>,
     /// Emit the outcome as JSON instead of a table.
     pub json: bool,
 }
@@ -141,8 +139,6 @@ pub struct RunArgs {
     pub staleness: u64,
     /// Disable cross-iteration pipelining.
     pub no_pipelining: bool,
-    /// Control-plane shard count (`--shards`); `None` = `FELA_SHARDS`/1.
-    pub shards: Option<usize>,
     /// Emit the full report as JSON instead of a table.
     pub json: bool,
 }
@@ -401,7 +397,7 @@ pub fn resolve_env<T>(
     )
 }
 
-/// Parses a count variable such as `FELA_JOBS` or `FELA_SHARDS`. A value that
+/// Parses a count variable such as `FELA_JOBS`. A value that
 /// is set but not a positive integer is rejected here rather than silently
 /// clamped downstream.
 pub fn positive_count(var: &str, text: &str) -> Result<usize, ParseError> {
@@ -409,20 +405,6 @@ pub fn positive_count(var: &str, text: &str) -> Result<usize, ParseError> {
         Ok(n) if n >= 1 => Ok(n),
         _ => err(format!("{var} must be a positive integer, got '{text}'")),
     }
-}
-
-/// Rejects shard counts above the partition's level count: a shard owns at
-/// least one level's token state, so a larger count cannot be honoured and
-/// silently clamping would misreport the control-plane layout the user asked
-/// to measure.
-pub fn shards_within(shards: usize, levels: usize) -> Result<usize, ParseError> {
-    if shards > levels {
-        return err(format!(
-            "--shards {shards} exceeds this model's {levels}-level partition \
-             (a shard owns at least one level's token state)"
-        ));
-    }
-    Ok(shards)
 }
 
 /// Parses `FELA_RESIZE`: whitespace-separated specs, composed exactly like
@@ -534,7 +516,6 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
                 ctd: None,
                 staleness: 0,
                 no_pipelining: false,
-                shards: None,
                 json: false,
             };
             while let Some(flag) = it.next() {
@@ -560,15 +541,6 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
                             .map_err(|_| ParseError("--staleness expects an integer".into()))?
                     }
                     "--no-pipelining" => run.no_pipelining = true,
-                    "--shards" => {
-                        let shards: usize = take_value(flag, &mut it)?.parse().map_err(|_| {
-                            ParseError("--shards expects a positive integer".into())
-                        })?;
-                        if shards == 0 {
-                            return err("--shards must be at least 1");
-                        }
-                        run.shards = Some(shards);
-                    }
                     "--json" => run.json = true,
                     other => return err(format!("unknown flag '{other}' for 'run'")),
                 }
@@ -587,7 +559,6 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
                 transport: "chan".into(),
                 mode: "virtual".into(),
                 time_scale: 1e-3,
-                shards: None,
                 json: false,
             };
             while let Some(flag) = it.next() {
@@ -637,15 +608,6 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
                             ));
                         }
                         live.time_scale = scale;
-                    }
-                    "--shards" => {
-                        let shards: usize = take_value(flag, &mut it)?.parse().map_err(|_| {
-                            ParseError("--shards expects a positive integer".into())
-                        })?;
-                        if shards == 0 {
-                            return err("--shards must be at least 1");
-                        }
-                        live.shards = Some(shards);
                     }
                     "--json" => live.json = true,
                     other => return err(format!("unknown flag '{other}' for 'live'")),
@@ -720,8 +682,8 @@ pub const HELP: &str = "fela — token-scheduled hybrid-parallel DML training (s
 USAGE:
   fela run     --model <name> --batch <n> [--iters <n>] [--nodes <n>]
                [--weights w1,w2,…] [--ctd <size>] [--staleness <s>]
-               [--no-pipelining] [--shards <n>] [--straggler <spec>]
-               [--fault <spec>] [--resize <spec>]… [--json]
+               [--no-pipelining] [--straggler <spec>] [--fault <spec>]
+               [--resize <spec>]… [--json]
                (omit --weights to auto-tune first; with --resize the elastic
                 controller re-bins and re-tunes at every resize boundary)
   fela tune    --model <name> --batch <n> [--iters <n>] [--nodes <n>]
@@ -754,8 +716,8 @@ USAGE:
                 departed worker, a diverged re-bin — must be caught)
   fela live    --model <name> [--workers <n>] [--transport chan|tcp]
                [--mode virtual|real] [--time-scale <s>] [--weights w1,w2,…]
-               [--shards <n>] [--straggler <spec>] [--fault <spec>]
-               [--resize <spec>]… [--json]
+               [--straggler <spec>] [--fault <spec>] [--resize <spec>]…
+               [--json]
                (run the Token Server and workers as real threads over the
                 wire protocol; virtual mode is byte-identical to the
                 simulator, real mode races the wall clock; with --resize each
@@ -773,10 +735,6 @@ COMMON FLAGS:
   --results-dir <dir>
                where run artifacts land (default: FELA_RESULTS_DIR or
                results/; the flag wins over the environment)
-  --shards <n> control-plane shards for run/live (default: FELA_SHARDS or 1;
-               the coordinator splits the model's levels into this many
-               ranges — schedules are byte-identical for every count, only
-               control-plane cost changes; must not exceed the level count)
   --wal-dir <dir>
                durable control plane: write the Token Server's write-ahead
                log to <dir>/fela.wal (default: in-memory WAL, attached
@@ -1059,6 +1017,11 @@ mod tests {
         assert!(e.0.contains("unknown command"));
         let e = parse(&["run", "--weights", "1,x"]).unwrap_err();
         assert!(e.0.contains("bad weight list"));
+        // The control plane has one layout; a shard count is not an option.
+        for cmd in ["run", "live"] {
+            let e = parse(&[cmd, "--shards", "2"]).unwrap_err();
+            assert!(e.0.contains("unknown flag"), "{e}");
+        }
     }
 
     #[test]
@@ -1090,12 +1053,6 @@ mod tests {
         )
     }
 
-    /// [`resolve`] as `shards_from` in `main.rs` calls it.
-    fn shards(flag: Option<usize>, env: Option<&str>, levels: usize) -> Result<usize, ParseError> {
-        resolve(flag, "FELA_SHARDS", env, positive_count, || 1)
-            .and_then(|s| shards_within(s, levels))
-    }
-
     #[test]
     fn fela_jobs_env_is_validated() {
         let e = jobs(None, Some("0")).unwrap_err();
@@ -1108,53 +1065,6 @@ mod tests {
         assert_eq!(jobs(Some(3), Some("0")).unwrap(), 3);
         // Unset env falls back to the harness default, which is always ≥ 1.
         assert!(jobs(None, None).unwrap() >= 1);
-    }
-
-    #[test]
-    fn shards_flag_parses_on_run_and_live() {
-        let Command::Run(r) = parse(&["run", "--shards", "3"]).unwrap() else {
-            panic!()
-        };
-        assert_eq!(r.shards, Some(3));
-        let Command::Live(l) = parse(&["live", "--shards", "2"]).unwrap() else {
-            panic!()
-        };
-        assert_eq!(l.shards, Some(2));
-        // Unset flag defers to FELA_SHARDS, else 1.
-        let Command::Run(r) = parse(&["run"]).unwrap() else {
-            panic!()
-        };
-        assert_eq!(r.shards, None);
-    }
-
-    #[test]
-    fn shards_of_zero_is_a_parse_error() {
-        for cmd in ["run", "live"] {
-            let e = parse(&[cmd, "--shards", "0"]).unwrap_err();
-            assert!(e.0.contains("--shards must be at least 1"), "{e}");
-            assert!(parse(&[cmd, "--shards", "-1"]).is_err());
-            assert!(parse(&[cmd, "--shards", "x"]).is_err());
-        }
-    }
-
-    #[test]
-    fn resolve_shards_bounds_and_env() {
-        // Explicit flag wins over the environment.
-        assert_eq!(shards(Some(2), Some("9"), 3).unwrap(), 2);
-        // Environment fallback, validated like FELA_JOBS.
-        assert_eq!(shards(None, Some("3"), 3).unwrap(), 3);
-        assert_eq!(shards(None, Some(" 2 "), 3).unwrap(), 2);
-        let e = shards(None, Some("0"), 3).unwrap_err();
-        assert!(e.0.contains("FELA_SHARDS"), "{e}");
-        assert!(shards(None, Some("abc"), 3).is_err());
-        // Default is one shard.
-        assert_eq!(shards(None, None, 3).unwrap(), 1);
-        // A shard owns at least one level: counts above the level count fail.
-        let e = shards(Some(4), None, 3).unwrap_err();
-        assert!(e.0.contains("exceeds"), "{e}");
-        let e = shards(None, Some("5"), 3).unwrap_err();
-        assert!(e.0.contains("exceeds"), "{e}");
-        assert_eq!(shards(Some(3), None, 3).unwrap(), 3);
     }
 
     #[test]

@@ -31,14 +31,6 @@ fn jobs_from(common: &CommonArgs) -> Result<usize, String> {
     .map_err(|e| e.to_string())
 }
 
-/// The control-plane shard count: `--shards`, else `FELA_SHARDS`, else 1 —
-/// at most one shard per partition level.
-fn shards_from(flag: Option<usize>, levels: usize) -> Result<usize, String> {
-    args::resolve_env(flag, "FELA_SHARDS", args::positive_count, || 1)
-        .and_then(|shards| args::shards_within(shards, levels))
-        .map_err(|e| e.to_string())
-}
-
 /// The artifact directory: `--results-dir`, else `FELA_RESULTS_DIR`, else
 /// `results/` — a flag on the command line always beats ambient environment.
 fn results_dir_from(common: &CommonArgs) -> Result<std::path::PathBuf, String> {
@@ -277,8 +269,7 @@ fn cmd_run(run: &RunArgs) -> Result<(), String> {
     }
     config = config
         .with_staleness(run.staleness)
-        .with_pipelining(!run.no_pipelining)
-        .with_shards(shards_from(run.shards, m)?);
+        .with_pipelining(!run.no_pipelining);
     config.validate(sc.cluster.nodes);
 
     let mut runtime = FelaRuntime::new(config.clone());
@@ -532,7 +523,6 @@ fn cmd_live(live: &LiveArgs) -> Result<(), String> {
         }
         None => FelaConfig::new(m),
     };
-    let config = config.with_shards(shards_from(live.shards, m)?);
     config.validate(sc.cluster.nodes);
     let mut transport = fela_live::transport_by_name(&live.transport)
         .ok_or_else(|| format!("unknown transport '{}'", live.transport))?;
@@ -882,8 +872,8 @@ fn cmd_check(check: &CheckArgs) -> Result<(), String> {
 
 /// `fela check --mc [--protocol]`: the live-runtime model checker and frame
 /// protocol verifier. `--mc` exhaustively explores every non-equivalent
-/// message-delivery / lease-fire interleaving of small clusters (one shard
-/// and two, with and without the lease-expiry adversary), checks
+/// message-delivery / lease-fire interleaving of small clusters (with and
+/// without the lease-expiry adversary), checks
 /// deadlock-freedom, lost-wakeup-freedom and exactly-once token application,
 /// proves per-op linearizability against the reference `TokenServer` oracle,
 /// and runs the seeded-mutation matrix expecting every mutation caught with a
@@ -895,16 +885,12 @@ fn cmd_check_mc(check: &CheckArgs) -> Result<(), String> {
 
     if check.mc {
         let sweep: Vec<(&str, fela_check::McConfig)> = vec![
+            ("2w×2i", fela_check::McConfig::small()),
             (
-                "1 shard 2w×2i",
-                fela_check::McConfig::small().with_shards(1),
-            ),
-            ("sharded 2w×2s×2i", fela_check::McConfig::small()),
-            (
-                "sharded + lease adversary",
+                "2w×2i + lease adversary",
                 fela_check::McConfig::small().with_recovery(),
             ),
-            ("3 workers × 2s × 1i", {
+            ("3w×1i", {
                 let mut cfg = fela_check::McConfig::small();
                 cfg.workers = 3;
                 cfg.iterations = 1;
@@ -989,22 +975,18 @@ fn cmd_check_mc(check: &CheckArgs) -> Result<(), String> {
     }
 
     if check.protocol {
-        for shards in [1usize, 2] {
-            let cfg = fela_check::McConfig::small().with_shards(shards);
-            let (events, ops) = fela_check::record_execution(&cfg);
-            let report = fela_check::verify_session(&events, Some(&ops));
-            println!(
-                "protocol (model, {shards} shard{}): {} links, {} frames — {}",
-                if shards == 1 { "" } else { "s" },
-                report.links,
-                report.frames,
-                if report.ok() { "clean" } else { "VIOLATIONS" }
-            );
-            if !report.ok() {
-                failures += report.violations.len();
-                for v in &report.violations {
-                    eprintln!("protocol: model/{shards}: {v}");
-                }
+        let (events, ops) = fela_check::record_execution(&fela_check::McConfig::small());
+        let report = fela_check::verify_session(&events, Some(&ops));
+        println!(
+            "protocol (model): {} links, {} frames — {}",
+            report.links,
+            report.frames,
+            if report.ok() { "clean" } else { "VIOLATIONS" }
+        );
+        if !report.ok() {
+            failures += report.violations.len();
+            for v in &report.violations {
+                eprintln!("protocol: model: {v}");
             }
         }
 
@@ -1055,30 +1037,19 @@ fn cmd_check_mc(check: &CheckArgs) -> Result<(), String> {
 }
 
 /// `fela check --wal`: the write-ahead-log replay verifier. Drives a
-/// reference logged run to completion at one and two shards, replays each log
-/// through the reference `TokenServer` (snapshot-equal recovery, every token
-/// applied exactly once, every checkpoint verified), then applies the seeded
-/// log-mutation matrix — a dropped, duplicated and reordered record and a
-/// flipped byte must each be caught with a distinct diagnostic.
+/// reference logged run to completion with and without checkpoints, replays
+/// each log through the reference `TokenServer` (snapshot-equal recovery,
+/// every token applied exactly once, every checkpoint verified), then applies
+/// the seeded log-mutation matrix — a dropped, duplicated and reordered
+/// record and a flipped byte must each be caught with a distinct diagnostic.
 fn cmd_check_wal() -> Result<(), String> {
     let mut failures = 0usize;
     let mut table = Table::new(
         "WAL replay — checkpoint + log suffix must rebuild the exact server state",
-        &[
-            "plane",
-            "records",
-            "ops",
-            "checkpoints",
-            "applied",
-            "verdict",
-        ],
+        &["log", "records", "ops", "checkpoints", "applied", "verdict"],
     );
-    for (name, shards, checkpoint_every) in [
-        ("1 shard, log-only", 1usize, 0u64),
-        ("1 shard, checkpointed", 1, 1),
-        ("sharded x2, checkpointed", 2, 1),
-    ] {
-        match fela_check::reference_wal_check(shards, checkpoint_every) {
+    for (name, checkpoint_every) in [("log-only", 0u64), ("checkpointed", 1)] {
+        match fela_check::reference_wal_check(checkpoint_every) {
             Ok(s) => {
                 table.row(vec![
                     name.into(),

@@ -87,12 +87,6 @@ pub struct FelaConfig {
     /// exactly the pre-recovery behaviour). The runtime enables the default
     /// recovery settings automatically when a scenario injects faults.
     pub recovery: Option<RecoveryConfig>,
-    /// Control-plane shard count (default 1). The
-    /// [`Coordinator`](crate::Coordinator) splits the levels into this many
-    /// contiguous ranges, one [`TokenShard`](crate::TokenShard) per range,
-    /// and delegates grants via leases; every shard count produces the same
-    /// byte-identical schedule.
-    pub shards: usize,
 }
 
 impl FelaConfig {
@@ -111,7 +105,6 @@ impl FelaConfig {
             pipelining: true,
             staleness: 0,
             recovery: None,
-            shards: 1,
         }
     }
 
@@ -157,12 +150,6 @@ impl FelaConfig {
         self
     }
 
-    /// Builder: sets the control-plane shard count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Validates the configuration against a cluster size.
     ///
     /// # Panics
@@ -194,14 +181,6 @@ impl FelaConfig {
                 "CTD subset must be a power of two for even sharing (§IV-B)"
             );
         }
-        assert!(self.shards >= 1, "at least one control-plane shard");
-        assert!(
-            self.shards <= self.weights.len(),
-            "shard count {} exceeds the level count {} (a shard owns at least \
-             one level's token state)",
-            self.shards,
-            self.weights.len()
-        );
         if let Some(rec) = self.recovery {
             assert!(
                 rec.lease_slack.is_finite() && rec.lease_slack > 1.0,
@@ -272,24 +251,5 @@ mod tests {
     fn weight_cap_is_floor_log2() {
         // N = 12 → cap 8.
         FelaConfig::new(2).with_weights(vec![1, 8]).validate(12);
-    }
-
-    #[test]
-    fn shards_up_to_level_count_are_valid() {
-        for s in 1..=3 {
-            FelaConfig::new(3).with_shards(s).validate(8);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one control-plane shard")]
-    fn rejects_zero_shards() {
-        FelaConfig::new(3).with_shards(0).validate(8);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the level count")]
-    fn rejects_more_shards_than_levels() {
-        FelaConfig::new(3).with_shards(4).validate(8);
     }
 }

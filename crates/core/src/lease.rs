@@ -2,10 +2,9 @@
 //! how often each token's lease has been revoked, and each worker's expiry
 //! history (the quarantine trigger).
 //!
-//! The [`Coordinator`](crate::Coordinator) delegates token blocks to its
-//! shards and tracks the resulting grants here, in a [`LeaseTable`] — the
-//! cross-shard view that crash/expiry recovery walks without consulting any
-//! shard.
+//! The [`Coordinator`](crate::Coordinator) tracks its grants here, in a
+//! [`LeaseTable`] — the view that crash/expiry recovery walks without
+//! consulting the per-level token queues.
 
 use std::collections::BTreeMap;
 

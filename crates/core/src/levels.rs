@@ -1,13 +1,12 @@
-//! Per-shard token state: a [`TokenShard`] owns a contiguous range of levels
-//! — each level's sync/generation bookkeeping ([`LevelState`]) plus its slice
-//! of every bucket's STB queue and distribution indices.
+//! Per-level token state: the [`LevelTable`] holds each level's
+//! sync/generation bookkeeping ([`LevelState`]) plus its segment of every
+//! bucket's STB queue and distribution indices.
 //!
-//! Shards are deliberately dumb: they answer O(log) pick/push/remove queries
-//! in their level range and never see the cluster-wide picture (liveness,
-//! leases, helper counts, the token table). All cross-shard decisions —
-//! which bucket to steal from, where a revoked token re-homes, when a sync
-//! barrier closes — live in the [`Coordinator`](crate::Coordinator), which is
-//! what keeps the schedule byte-identical at every shard count.
+//! The table is deliberately dumb: it answers O(log) pick/push/remove queries
+//! per level and never sees the cluster-wide picture (liveness, leases,
+//! helper counts, the token table). Every decision that spans levels or
+//! buckets — which bucket to steal from, where a revoked token re-homes, when
+//! a sync barrier closes — lives in the [`Coordinator`](crate::Coordinator).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -66,7 +65,7 @@ pub(crate) fn score_key(score: f64) -> u64 {
     !score.to_bits()
 }
 
-/// The distributable-token state of one level: its slice of every bucket's
+/// The distributable-token state of one level: its segment of every bucket's
 /// STB queue plus the id-order and Principle-2 pick indices.
 #[derive(Clone)]
 struct LevelSlot {
@@ -88,39 +87,29 @@ struct LevelSlot {
     by_score: Vec<Vec<ScoreSet>>,
 }
 
-/// One control-plane shard: owns the token state of a contiguous level range
-/// `first_level .. first_level + n_levels`.
+/// The token state of every level, indexed by level.
 ///
-/// All level arguments are *global* level indices; callers never see the
-/// internal offset. Pushes take the token and the Info Mapping by reference
-/// so the shard can maintain its score index without owning either.
+/// Pushes take the token and the Info Mapping by reference so the table can
+/// maintain its score index without owning either.
 #[derive(Clone)]
-pub struct TokenShard {
-    first_level: usize,
-    n_levels: usize,
+pub(crate) struct LevelTable {
     use_score_index: bool,
-    n_workers: usize,
     levels: Vec<LevelSlot>,
     /// Sparse `(worker, score key)` index entries of every STB-resident token,
     /// kept so `remove` can drop them without recomputing scores.
     score_keys: BTreeMap<TokenId, Vec<(usize, u64)>>,
 }
 
-impl TokenShard {
-    /// Creates an empty shard owning levels `first_level .. first_level + n_levels`
-    /// across `buckets` STBs.
+impl LevelTable {
+    /// Creates an empty table of `n_levels` levels across `buckets` STBs.
     pub(crate) fn new(
-        first_level: usize,
         n_levels: usize,
         buckets: usize,
         n_workers: usize,
         use_score_index: bool,
     ) -> Self {
-        TokenShard {
-            first_level,
-            n_levels,
+        LevelTable {
             use_score_index,
-            n_workers,
             levels: (0..n_levels)
                 .map(|_| LevelSlot {
                     state: LevelState::new(),
@@ -133,50 +122,27 @@ impl TokenShard {
         }
     }
 
-    /// First global level this shard owns.
-    pub fn first_level(&self) -> usize {
-        self.first_level
-    }
-
-    /// Number of contiguous levels this shard owns.
-    pub fn level_count(&self) -> usize {
-        self.n_levels
-    }
-
-    /// Whether `level` (global index) belongs to this shard.
-    pub fn owns(&self, level: usize) -> bool {
-        (self.first_level..self.first_level + self.n_levels).contains(&level)
-    }
-
-    fn slot(&self, level: usize) -> &LevelSlot {
-        &self.levels[level - self.first_level]
-    }
-
-    fn slot_mut(&mut self, level: usize) -> &mut LevelSlot {
-        &mut self.levels[level - self.first_level]
-    }
-
     pub(crate) fn state(&self, level: usize) -> &LevelState {
-        &self.slot(level).state
+        &self.levels[level].state
     }
 
     pub(crate) fn state_mut(&mut self, level: usize) -> &mut LevelState {
-        &mut self.slot_mut(level).state
+        &mut self.levels[level].state
     }
 
     /// Queue length of `bucket`'s STB segment at `level`.
-    pub fn queue_len(&self, bucket: usize, level: usize) -> usize {
-        self.slot(level).stbs[bucket].len()
+    pub(crate) fn queue_len(&self, bucket: usize, level: usize) -> usize {
+        self.levels[level].stbs[bucket].len()
     }
 
     /// Token ids queued in `bucket` at `level`, in queue order.
-    pub fn queue_ids(&self, bucket: usize, level: usize) -> Vec<TokenId> {
-        self.slot(level).stbs[bucket].iter().copied().collect()
+    pub(crate) fn queue_ids(&self, bucket: usize, level: usize) -> Vec<TokenId> {
+        self.levels[level].stbs[bucket].iter().copied().collect()
     }
 
     /// Snapshot export: the queue as raw ids.
     pub(crate) fn queue_row(&self, bucket: usize, level: usize) -> Vec<u64> {
-        self.slot(level).stbs[bucket]
+        self.levels[level].stbs[bucket]
             .iter()
             .map(|id| id.0)
             .collect()
@@ -186,7 +152,7 @@ impl TokenShard {
     /// to the smallest id (Principle 2) when the score index is on; smallest
     /// id otherwise (the ablation and global-bucket paths).
     pub(crate) fn pick(&self, bucket: usize, level: usize, worker: usize) -> Option<TokenId> {
-        let slot = self.slot(level);
+        let slot = &self.levels[level];
         if self.use_score_index {
             slot.by_score[bucket][worker]
                 .first()
@@ -198,9 +164,7 @@ impl TokenShard {
     }
 
     /// Inserts a token into `bucket`'s queue at `level` and all distribution
-    /// indices. A single walk over the token's dependency holders yields every
-    /// worker's held count; only workers with a positive count get an index
-    /// entry (Equation 1's `held / len`).
+    /// indices.
     pub(crate) fn push(
         &mut self,
         bucket: usize,
@@ -208,38 +172,23 @@ impl TokenShard {
         token: &Token,
         holder: &BTreeMap<TokenId, usize>,
     ) {
-        let id = token.id;
-        let use_index = self.use_score_index;
-        let n_workers = self.n_workers;
-        let slot = self.slot_mut(level);
-        slot.stbs[bucket].push_back(id);
-        slot.grantable[bucket].insert(id);
-        if use_index {
-            let mut counts = vec![0usize; n_workers];
-            for d in &token.deps {
-                if let Some(&w) = holder.get(d) {
-                    counts[w] += 1;
-                }
-            }
-            let len = token.deps.len();
-            let mut keys: Vec<(usize, u64)> = Vec::new();
-            for (w, &c) in counts.iter().enumerate() {
-                if c > 0 {
-                    let k = score_key(c as f64 / len as f64);
-                    slot.by_score[bucket][w].insert((k, id));
-                    keys.push((w, k));
-                }
-            }
-            if !keys.is_empty() {
-                self.score_keys.insert(id, keys);
-            }
+        let slot = &mut self.levels[level];
+        slot.stbs[bucket].push_back(token.id);
+        slot.grantable[bucket].insert(token.id);
+        if self.use_score_index {
+            index_scores(
+                &mut slot.by_score[bucket],
+                &mut self.score_keys,
+                token,
+                holder,
+            );
         }
     }
 
     /// [`Self::push`] for root tokens, whose dependency set is empty and whose
     /// score is therefore 0 towards everyone (no index entries).
     pub(crate) fn push_root(&mut self, bucket: usize, level: usize, id: TokenId) {
-        let slot = self.slot_mut(level);
+        let slot = &mut self.levels[level];
         slot.stbs[bucket].push_back(id);
         slot.grantable[bucket].insert(id);
     }
@@ -252,7 +201,7 @@ impl TokenShard {
         id: TokenId,
     ) -> Result<(), ScheduleError> {
         let keys = self.score_keys.remove(&id);
-        let slot = self.slot_mut(level);
+        let slot = &mut self.levels[level];
         let q = &mut slot.stbs[bucket];
         let Some(pos) = q.iter().position(|&x| x == id) else {
             // The index pointed at a token the queue does not hold.
@@ -272,9 +221,9 @@ impl TokenShard {
         Ok(())
     }
 
-    /// Recomputes the Principle-2 score index for every STB-resident token in
-    /// this shard (crash re-homing moved holder entries, invalidating scores
-    /// fixed at insertion time). Crash-path only.
+    /// Recomputes the Principle-2 score index for every STB-resident token
+    /// (crash re-homing moved holder entries, invalidating scores fixed at
+    /// insertion time). Crash-path only.
     pub(crate) fn rebuild_scores(
         &mut self,
         tokens: &BTreeMap<TokenId, Token>,
@@ -283,38 +232,18 @@ impl TokenShard {
         if !self.use_score_index {
             return Ok(());
         }
-        let n_workers = self.n_workers;
-        let score_keys = &mut self.score_keys;
         for slot in &mut self.levels {
-            for bucket in 0..slot.stbs.len() {
-                let ids: Vec<TokenId> = slot.stbs[bucket].iter().copied().collect();
-                for id in ids {
-                    if let Some(keys) = score_keys.remove(&id) {
+            for (queue, by_score) in slot.stbs.iter().zip(&mut slot.by_score) {
+                for &id in queue {
+                    if let Some(keys) = self.score_keys.remove(&id) {
                         for (w, k) in keys {
-                            slot.by_score[bucket][w].remove(&(k, id));
+                            by_score[w].remove(&(k, id));
                         }
                     }
                     let t = tokens
                         .get(&id)
                         .ok_or(ScheduleError::UnknownToken { token: id })?;
-                    let mut counts = vec![0usize; n_workers];
-                    for d in &t.deps {
-                        if let Some(&w) = holder.get(d) {
-                            counts[w] += 1;
-                        }
-                    }
-                    let len = t.deps.len();
-                    let mut keys: Vec<(usize, u64)> = Vec::new();
-                    for (w, &c) in counts.iter().enumerate() {
-                        if c > 0 {
-                            let k = score_key(c as f64 / len as f64);
-                            slot.by_score[bucket][w].insert((k, id));
-                            keys.push((w, k));
-                        }
-                    }
-                    if !keys.is_empty() {
-                        score_keys.insert(id, keys);
-                    }
+                    index_scores(by_score, &mut self.score_keys, t, holder);
                 }
             }
         }
@@ -322,16 +251,35 @@ impl TokenShard {
     }
 }
 
-/// Splits `m` levels into `shards` contiguous, balanced ranges:
-/// shard `s` owns levels `⌊s·m/shards⌋ .. ⌊(s+1)·m/shards⌋`.
-pub(crate) fn level_ranges(m: usize, shards: usize) -> Vec<(usize, usize)> {
-    (0..shards)
-        .map(|s| {
-            let lo = s * m / shards;
-            let hi = (s + 1) * m / shards;
-            (lo, hi - lo)
-        })
-        .collect()
+/// Adds `token`'s positive locality scores to one bucket's per-worker
+/// `by_score` sets and records the entries in `score_keys`. A single walk
+/// over the token's dependency holders yields every worker's held count;
+/// only workers with a positive count get an entry (Equation 1's
+/// `held / len`).
+fn index_scores(
+    by_score: &mut [ScoreSet],
+    score_keys: &mut BTreeMap<TokenId, Vec<(usize, u64)>>,
+    token: &Token,
+    holder: &BTreeMap<TokenId, usize>,
+) {
+    let mut counts = vec![0usize; by_score.len()];
+    for d in &token.deps {
+        if let Some(&w) = holder.get(d) {
+            counts[w] += 1;
+        }
+    }
+    let len = token.deps.len();
+    let mut keys: Vec<(usize, u64)> = Vec::new();
+    for (w, &c) in counts.iter().enumerate() {
+        if c > 0 {
+            let k = score_key(c as f64 / len as f64);
+            by_score[w].insert((k, token.id));
+            keys.push((w, k));
+        }
+    }
+    if !keys.is_empty() {
+        score_keys.insert(token.id, keys);
+    }
 }
 
 #[cfg(test)]
@@ -339,26 +287,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn level_ranges_are_contiguous_and_exhaustive() {
-        for m in 1..=8 {
-            for s in 1..=m {
-                let ranges = level_ranges(m, s);
-                assert_eq!(ranges.len(), s);
-                let mut next = 0;
-                for &(lo, n) in &ranges {
-                    assert_eq!(lo, next, "m={m} s={s}");
-                    assert!(n >= 1, "every shard owns at least one level");
-                    next = lo + n;
-                }
-                assert_eq!(next, m);
-            }
-        }
-    }
-
-    #[test]
-    fn shard_push_pick_remove_round_trip() {
-        let mut shard = TokenShard::new(1, 2, 4, 4, true);
-        assert!(shard.owns(1) && shard.owns(2) && !shard.owns(0) && !shard.owns(3));
+    fn push_pick_remove_round_trip() {
+        let mut table = LevelTable::new(3, 4, 4, true);
         let holder: BTreeMap<TokenId, usize> =
             [(TokenId(10), 2), (TokenId(11), 0)].into_iter().collect();
         let t = Token {
@@ -370,18 +300,18 @@ mod tests {
             deps: vec![TokenId(10), TokenId(11)],
             sample_owner: None,
         };
-        shard.push(3, 2, &t, &holder);
-        assert_eq!(shard.queue_len(3, 2), 1);
+        table.push(3, 2, &t, &holder);
+        assert_eq!(table.queue_len(3, 2), 1);
         // Worker 2 holds half the deps → positive score; worker 1 holds none.
-        assert_eq!(shard.pick(3, 2, 2), Some(TokenId(42)));
+        assert_eq!(table.pick(3, 2, 2), Some(TokenId(42)));
         assert_eq!(
-            shard.pick(3, 2, 1),
+            table.pick(3, 2, 1),
             Some(TokenId(42)),
             "zero-score fallback"
         );
-        shard.remove(3, 2, TokenId(42)).expect("queued");
-        assert_eq!(shard.queue_len(3, 2), 0);
-        assert_eq!(shard.pick(3, 2, 2), None);
-        assert!(shard.remove(3, 2, TokenId(42)).is_err(), "double remove");
+        table.remove(3, 2, TokenId(42)).expect("queued");
+        assert_eq!(table.queue_len(3, 2), 0);
+        assert_eq!(table.pick(3, 2, 2), None);
+        assert!(table.remove(3, 2, TokenId(42)).is_err(), "double remove");
     }
 }

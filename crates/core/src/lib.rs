@@ -9,10 +9,9 @@
 //!   (§III-B, §IV-B);
 //! * [`Coordinator`] — the Token Server: Token Generator + Token Distributor +
 //!   Token Bucket/STBs + Info Mapping, with the ADS (§III-D), HF (§III-E) and
-//!   CTD (§III-F) policies as pure, unit-tested scheduling logic. Its levels
-//!   split into `cfg.shards` contiguous ranges, one [`TokenShard`] per range
-//!   (one by default), and every shard count schedules identically — proved
-//!   against `fela-check`'s reference `TokenServer`;
+//!   CTD (§III-F) policies as pure, unit-tested scheduling logic over one
+//!   per-level token table, proved schedule-identical to `fela-check`'s
+//!   reference `TokenServer`;
 //! * [`ControlPlane`] — the coordinator the runtimes hold, with op-log and
 //!   write-ahead-log recording of every mutating call. It owns the log's
 //!   lifecycle for every runtime: it opens the log
@@ -30,12 +29,12 @@
 mod config;
 mod error;
 mod lease;
+mod levels;
 pub mod oplog;
 mod plan;
 mod plane;
 mod runtime;
 mod server;
-mod shard;
 mod snapshot;
 mod token;
 pub mod wal;
@@ -48,7 +47,6 @@ pub use plan::{LevelPlan, PlanError, TokenPlan};
 pub use plane::ControlPlane;
 pub use runtime::{ComputeBackend, ComputeRequest, FelaRuntime, LocalCompute};
 pub use server::{Coordinator, Grant, LevelMeta, ServerStats, SyncSpec};
-pub use shard::TokenShard;
 pub use snapshot::ServerSnapshot;
 pub use token::{Token, TokenId};
 pub use wal::{

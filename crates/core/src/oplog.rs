@@ -332,10 +332,8 @@ mod tests {
         ]
     }
 
-    fn plane(shards: usize) -> ControlPlane {
-        let cfg = FelaConfig::new(2)
-            .with_weights(vec![1, 2])
-            .with_shards(shards);
+    fn plane() -> ControlPlane {
+        let cfg = FelaConfig::new(2).with_weights(vec![1, 2]);
         ControlPlane::new(small_plan(), cfg, meta(), 2, 2)
     }
 
@@ -368,7 +366,7 @@ mod tests {
 
     #[test]
     fn recording_is_off_by_default_and_drains_when_on() {
-        let mut p = plane(1);
+        let mut p = plane();
         assert!(!p.op_log_enabled());
         let _ = p.request(0, SimTime::ZERO);
         assert!(p.take_op_log().is_empty());
@@ -381,29 +379,18 @@ mod tests {
     }
 
     /// fela-core cannot see the reference oracle (it lives in `fela-check`,
-    /// whose model checker replays histories against it); here a one-shard
-    /// plane replays a two-shard history.
-    #[test]
-    fn sharded_history_replays_cleanly_against_the_one_shard_plane() {
-        let mut sharded = plane(2);
-        let ops = drive(&mut sharded);
-        assert!(
-            ops.iter()
-                .any(|op| matches!(op.outcome, OpOutcome::Granted { .. })),
-            "the run must contain grants"
-        );
-        let mut oracle = plane(1);
-        replay_oplog(&ops, &mut oracle).expect("sharded history replays on one shard");
-        assert!(
-            oracle.run_complete(),
-            "the one-shard plane finishes the same run"
-        );
-    }
-
+    /// whose model checker replays histories against it); here a fresh plane
+    /// replays a recorded history, first as recorded, then tampered.
     #[test]
     fn a_tampered_outcome_is_pinpointed_by_index() {
-        let mut sharded = plane(2);
-        let mut ops = drive(&mut sharded);
+        let mut recorded = plane();
+        let mut ops = drive(&mut recorded);
+        let mut fresh = plane();
+        replay_oplog(&ops, &mut fresh).expect("the untampered history replays");
+        assert!(
+            fresh.run_complete(),
+            "the fresh plane finishes the same run"
+        );
         let idx = ops
             .iter()
             .position(|op| matches!(op.outcome, OpOutcome::Granted { .. }))
@@ -412,7 +399,7 @@ mod tests {
         if let OpOutcome::Granted { token, .. } = &mut ops[idx].outcome {
             *token += 1000;
         }
-        let mut oracle = plane(1);
+        let mut oracle = plane();
         let div = replay_oplog(&ops, &mut oracle).expect_err("tamper must be caught");
         assert_eq!(div.index, idx);
         assert!(matches!(div.oracle, OpOutcome::Granted { .. }));

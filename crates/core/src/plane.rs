@@ -23,9 +23,8 @@ use crate::wal::{
     self, wal_path, DurabilityOptions, FileWal, MemWal, Recovered, WalRecord, WalSink, WalWriter,
 };
 
-/// The control plane: a [`Coordinator`] (one shard by default, `cfg.shards`
-/// otherwise — every shard count schedules identically) whose mutating calls
-/// can be recorded.
+/// The control plane: a [`Coordinator`] whose mutating calls can be
+/// recorded.
 ///
 /// Read access goes straight to the coordinator through [`Deref`]. Mutation
 /// goes only through the methods below — there is no `DerefMut` — so every
@@ -150,11 +149,8 @@ impl ControlPlane {
             last_checkpoint: 0,
             commits: 0,
         };
-        wal.writer.append_begin(
-            self.shard_count() as u32,
-            self.n_workers() as u32,
-            self.max_iterations(),
-        );
+        wal.writer
+            .append_begin(self.n_workers() as u32, self.max_iterations());
         wal.commit()?;
         self.wal = Some(wal);
         Ok(())

@@ -1,7 +1,7 @@
 //! The Token Server (§III): Token Generator, Token Distributor, Token Bucket /
 //! sub-Token Buckets (STBs) and Info Mapping, plus the three scheduling
 //! policies — ADS (§III-D), HF (§III-E) and CTD (§III-F) — served by the
-//! [`Coordinator`] over one or more per-level-range [`TokenShard`]s.
+//! [`Coordinator`] over one per-level token table.
 //!
 //! The server is *pure scheduling state*: it knows nothing about virtual time
 //! except the instants the runtime passes in for lock-conflict detection. That
@@ -39,19 +39,17 @@
 //! II, with no staleness: every gradient still enters the very next update of
 //! its own sub-model.
 //!
-//! ## Shards
+//! ## The level table
 //!
-//! The coordinator splits the levels into `cfg.shards` contiguous ranges, one
-//! [`TokenShard`] per range, and keeps only the *cross-shard* state itself:
-//! the token table and Info Mapping, liveness/quarantine, the lease ledger,
-//! helper counts, the waiting queue, and two per-bucket occupancy indices
-//! (below). One shard — the default — is simply the single-range case of the
-//! same code. Every shard count emits bit-identical grants, traces and
-//! [`ServerSnapshot`]s: the shard-conformance suite drives the coordinator
-//! at 1, 2 and 3 shards in lockstep with `fela-check`'s reference
-//! `TokenServer` (the original single-loop implementation, kept as the oracle)
-//! under random churn, including crash/restart faults, to `to_bits()`
-//! equality.
+//! Each level's STB queue segments, pick indices and sync/generation
+//! bookkeeping live in one per-level table (`levels.rs`). The coordinator
+//! keeps everything that spans levels or buckets itself: the token table and
+//! Info Mapping, liveness/quarantine, the lease ledger, helper counts, the
+//! waiting queue, and two per-bucket occupancy indices (below). The
+//! conformance suite drives the coordinator in lockstep with `fela-check`'s
+//! reference `TokenServer` (the original single-loop implementation, kept as
+//! the oracle) under random churn, including crash/restart faults, to
+//! `to_bits()` equality of grants, traces and [`ServerSnapshot`]s.
 //!
 //! ## The occupancy indices
 //!
@@ -88,8 +86,8 @@ use serde::Serialize;
 use crate::config::FelaConfig;
 use crate::error::ScheduleError;
 use crate::lease::{ExpiredLease, LeaseInfo, LeaseTable};
+use crate::levels::{score_key, LevelTable};
 use crate::plan::TokenPlan;
-use crate::shard::{level_ranges, score_key, LevelState, TokenShard};
 use crate::snapshot::ServerSnapshot;
 use crate::token::{Token, TokenId};
 
@@ -183,8 +181,8 @@ pub struct ServerStats {
     pub starved_requests: u64,
 }
 
-/// The Token Server: cross-shard coordination over `cfg.shards`
-/// per-level-range [`TokenShard`]s (see the module docs).
+/// The Token Server: the coordinator over one per-level token table (see the
+/// module docs).
 #[derive(Clone)]
 pub struct Coordinator {
     plan: TokenPlan,
@@ -194,17 +192,14 @@ pub struct Coordinator {
     max_iterations: u64,
     /// Iterations whose root tokens have been released (0..count).
     released_roots: u64,
-    /// Global token-id allocator — ids must not depend on the shard count,
-    /// so generation is never delegated to a shard.
+    /// Global token-id allocator.
     next_token_id: u64,
-    /// All generated tokens (cross-shard: dependencies span level boundaries).
+    /// All generated tokens (dependencies span level boundaries).
     tokens: BTreeMap<TokenId, Token>,
     /// Completed-token outputs: token → holding worker (Info Mapping).
     holder: BTreeMap<TokenId, usize>,
-    /// The shards, each owning a contiguous level range.
-    shards: Vec<TokenShard>,
-    /// Level → owning shard index.
-    shard_of: Vec<usize>,
+    /// Per-level STB segments, pick indices and sync bookkeeping.
+    levels: LevelTable,
     /// Static per-level CTD flag (`ctd` on and the level is comm-intensive).
     cond_level: Vec<bool>,
     /// Static level preference order for CTD-subset members (and everyone
@@ -263,8 +258,7 @@ impl Coordinator {
     ///
     /// # Panics
     /// Panics if `meta` length differs from the plan's level count or the
-    /// config is invalid for the cluster size (including `shards` outside
-    /// `1..=levels`).
+    /// config is invalid for the cluster size.
     pub fn new(
         plan: TokenPlan,
         cfg: FelaConfig,
@@ -295,18 +289,7 @@ impl Coordinator {
         cfg.validate(n_workers);
         let m = plan.num_levels();
         let buckets = if cfg.hf { n_workers } else { 1 };
-        let use_index = cfg.ads && cfg.hf;
-        let mut shard_of = vec![0usize; m];
-        let shards: Vec<TokenShard> = level_ranges(m, cfg.shards.min(m))
-            .into_iter()
-            .enumerate()
-            .map(|(s, (lo, n))| {
-                for entry in shard_of.iter_mut().skip(lo).take(n) {
-                    *entry = s;
-                }
-                TokenShard::new(lo, n, buckets, n_workers, use_index)
-            })
-            .collect();
+        let levels = LevelTable::new(m, buckets, n_workers, cfg.ads && cfg.hf);
         let cond_level: Vec<bool> = (0..m)
             .map(|l| cfg.ctd.is_some() && meta[l].comm_intensive)
             .collect();
@@ -341,8 +324,7 @@ impl Coordinator {
             next_token_id: 0,
             tokens: BTreeMap::new(),
             holder: BTreeMap::new(),
-            shards,
-            shard_of,
+            levels,
             cond_level,
             member_order,
             nonmember_order,
@@ -386,8 +368,7 @@ impl Coordinator {
         c.holder = snap.holder.iter().map(|&(t, w)| (TokenId(t), w)).collect();
         let m = c.plan.num_levels();
         for level in 0..m {
-            let sh = c.shard_of[level];
-            let st = c.shards[sh].state_mut(level);
+            let st = c.levels.state_mut(level);
             st.synced_upto = snap.synced_upto[level];
             st.synced_out_of_order = snap.synced_out_of_order[level].iter().copied().collect();
             st.completed = snap.completed[level].iter().copied().collect();
@@ -409,8 +390,7 @@ impl Coordinator {
             .map(|t| (t.level, t.iteration))
             .collect();
         for (level, iteration) in gen_pairs {
-            let sh = c.shard_of[level];
-            *c.shards[sh]
+            *c.levels
                 .state_mut(level)
                 .generated
                 .entry(iteration)
@@ -477,16 +457,6 @@ impl Coordinator {
         self.max_iterations
     }
 
-    /// Number of shards the control plane runs.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shards (read access, for introspection and benches).
-    pub fn shards(&self) -> &[TokenShard] {
-        &self.shards
-    }
-
     /// A generated token by id (introspection for checkers).
     pub fn token(&self, id: TokenId) -> Option<&Token> {
         self.tokens.get(&id)
@@ -516,7 +486,7 @@ impl Coordinator {
     /// drained.
     pub fn completed_iterations(&self) -> u64 {
         (0..self.plan.num_levels())
-            .map(|l| self.level_state(l).synced_upto)
+            .map(|l| self.levels.state(l).synced_upto)
             .min()
             .unwrap_or(0)
     }
@@ -620,10 +590,6 @@ impl Coordinator {
         Ok(())
     }
 
-    fn level_state(&self, level: usize) -> &LevelState {
-        self.shards[self.shard_of[level]].state(level)
-    }
-
     /// Equation 1: fraction of a token's dependencies whose outputs `worker`
     /// already holds. Root tokens have an empty dependency set and score 0 —
     /// the paper distributes them "randomly (or sequentially)"; their *sample*
@@ -688,14 +654,13 @@ impl Coordinator {
         self.mark_stale(bucket);
     }
 
-    /// Inserts a token into its level's shard and bumps the occupancy indices.
+    /// Inserts a token into its level's queue and bumps the occupancy indices.
     fn stb_push(&mut self, bucket: usize, level: usize, id: TokenId) -> Result<(), ScheduleError> {
-        let sh = self.shard_of[level];
         let token = self
             .tokens
             .get(&id)
             .ok_or(ScheduleError::UnknownToken { token: id })?;
-        self.shards[sh].push(bucket, level, token, &self.holder);
+        self.levels.push(bucket, level, token, &self.holder);
         self.queued_all[bucket] += 1;
         if !self.cond_level[level] {
             self.queued_noncond[bucket] += 1;
@@ -706,8 +671,7 @@ impl Coordinator {
 
     /// [`Self::stb_push`] for root tokens (no score entries; infallible).
     fn stb_push_root(&mut self, bucket: usize, id: TokenId) {
-        let sh = self.shard_of[0];
-        self.shards[sh].push_root(bucket, 0, id);
+        self.levels.push_root(bucket, 0, id);
         self.queued_all[bucket] += 1;
         if !self.cond_level[0] {
             self.queued_noncond[bucket] += 1;
@@ -715,7 +679,7 @@ impl Coordinator {
         self.mark_stale(bucket);
     }
 
-    /// Removes a token from its level's shard and decays the occupancy
+    /// Removes a token from its level's queue and decays the occupancy
     /// indices.
     fn stb_remove(
         &mut self,
@@ -723,20 +687,12 @@ impl Coordinator {
         level: usize,
         id: TokenId,
     ) -> Result<(), ScheduleError> {
-        let sh = self.shard_of[level];
-        self.shards[sh].remove(bucket, level, id)?;
+        self.levels.remove(bucket, level, id)?;
         self.queued_all[bucket] -= 1;
         if !self.cond_level[level] {
             self.queued_noncond[bucket] -= 1;
         }
         self.mark_stale(bucket);
-        Ok(())
-    }
-
-    fn rebuild_score_index(&mut self) -> Result<(), ScheduleError> {
-        for shard in &mut self.shards {
-            shard.rebuild_scores(&self.tokens, &self.holder)?;
-        }
         Ok(())
     }
 
@@ -878,7 +834,7 @@ impl Coordinator {
             &self.nonmember_order
         };
         for &level in order {
-            if let Some(id) = self.shards[self.shard_of[level]].pick(bucket, level, worker) {
+            if let Some(id) = self.levels.pick(bucket, level, worker) {
                 return Some((level, id));
             }
         }
@@ -969,9 +925,8 @@ impl Coordinator {
         // attribute of §VI).
         if level + 1 < self.plan.num_levels() {
             let ratio = self.plan.levels[level + 1].gen_ratio as usize;
-            let sh = self.shard_of[level];
             let deps = {
-                let st = self.shards[sh].state_mut(level);
+                let st = self.levels.state_mut(level);
                 let buffer = st.gen_buffer.entry(iteration).or_default();
                 buffer.push(token);
                 if buffer.len() >= ratio {
@@ -988,18 +943,13 @@ impl Coordinator {
         let mut syncs = Vec::new();
         let lp = self.plan.levels[level];
         let count = {
-            let sh = self.shard_of[level];
-            let st = self.shards[sh].state_mut(level);
+            let st = self.levels.state_mut(level);
             let c = st.completed.entry(iteration).or_insert(0);
             *c += 1;
             *c
         };
         if count == lp.tokens_per_iteration {
-            let sh = self.shard_of[level];
-            self.shards[sh]
-                .state_mut(level)
-                .completed
-                .remove(&iteration);
+            self.levels.state_mut(level).completed.remove(&iteration);
             // Barrier membership recomputes against the current liveness view:
             // an iteration closes with fewer workers rather than waiting on a
             // dead or quarantined one.
@@ -1024,17 +974,15 @@ impl Coordinator {
 
     /// Marks a level's parameter sync for `iteration` finished, releasing the
     /// level's next iteration (root generation for level 0, pending generated
-    /// tokens for deeper levels) — the cross-shard event: the owning shard
-    /// reconciles its sync watermark, then the coordinator releases gated
-    /// tokens and due root iterations.
+    /// tokens for deeper levels): the level's sync watermark advances, then
+    /// the coordinator releases gated tokens and due root iterations.
     pub fn sync_finished(&mut self, level: usize, iteration: u64) -> Result<(), ScheduleError> {
         let m = self.plan.num_levels();
         if level >= m {
             return Err(ScheduleError::LevelOutOfRange { level, levels: m });
         }
-        let sh = self.shard_of[level];
         {
-            let ls = self.shards[sh].state_mut(level);
+            let ls = self.levels.state_mut(level);
             if iteration < ls.synced_upto || ls.synced_out_of_order.contains(&iteration) {
                 return Err(ScheduleError::DuplicateSync { level, iteration });
             }
@@ -1045,9 +993,9 @@ impl Coordinator {
         }
         // Release gated generated tokens for this level (pending tokens are not
         // necessarily in iteration order under staleness, so scan the deque).
-        let bound = self.level_state(level).release_bound(self.cfg.staleness);
+        let bound = self.levels.state(level).release_bound(self.cfg.staleness);
         let mut still_pending = VecDeque::new();
-        while let Some((id, bucket)) = self.shards[sh].state_mut(level).pending.pop_front() {
+        while let Some((id, bucket)) = self.levels.state_mut(level).pending.pop_front() {
             let token_iter = self
                 .tokens
                 .get(&id)
@@ -1059,7 +1007,7 @@ impl Coordinator {
                 still_pending.push_back((id, bucket));
             }
         }
-        self.shards[sh].state_mut(level).pending = still_pending;
+        self.levels.state_mut(level).pending = still_pending;
         self.release_due_roots();
         Ok(())
     }
@@ -1072,9 +1020,9 @@ impl Coordinator {
         reporter: usize,
     ) -> Result<(), ScheduleError> {
         let lp = self.plan.levels[level];
-        let sh = self.shard_of[level];
         let seq = self
-            .level_state(level)
+            .levels
+            .state(level)
             .generated
             .get(&iteration)
             .copied()
@@ -1082,7 +1030,8 @@ impl Coordinator {
         if seq >= lp.tokens_per_iteration {
             return Err(ScheduleError::OverGeneration { level, iteration });
         }
-        *self.shards[sh]
+        *self
+            .levels
             .state_mut(level)
             .generated
             .entry(iteration)
@@ -1107,19 +1056,16 @@ impl Coordinator {
         } else if self.cond_level[level] && !self.in_ctd_subset(reporter) {
             self.ctd_participants(level)?
                 .into_iter()
-                .min_by_key(|&w| (self.shards[sh].queue_len(w, level), w))
+                .min_by_key(|&w| (self.levels.queue_len(w, level), w))
                 .ok_or(ScheduleError::EmptyCtdSubset { level })?
         } else {
             reporter
         };
         // Gate on this level's sync/staleness bound.
-        if iteration <= self.level_state(level).release_bound(self.cfg.staleness) {
+        if iteration <= self.levels.state(level).release_bound(self.cfg.staleness) {
             self.stb_push(bucket, level, id)?;
         } else {
-            self.shards[sh]
-                .state_mut(level)
-                .pending
-                .push_back((id, bucket));
+            self.levels.state_mut(level).pending.push_back((id, bucket));
         }
         Ok(())
     }
@@ -1133,7 +1079,7 @@ impl Coordinator {
     fn release_due_roots(&mut self) {
         loop {
             let bound = if self.cfg.pipelining {
-                self.level_state(0).release_bound(self.cfg.staleness)
+                self.levels.state(0).release_bound(self.cfg.staleness)
             } else {
                 // Strict barrier: iteration k+1 starts only once iteration k
                 // is fully synced at every level.
@@ -1192,8 +1138,8 @@ impl Coordinator {
 
     // ---- liveness / recovery -----------------------------------------------
 
-    /// Handles a crash notification for `worker` — the cross-shard re-homing
-    /// event: revokes all its leases, re-homes its durable data onto a
+    /// Handles a crash notification for `worker` — the re-homing event:
+    /// revokes all its leases, re-homes its durable data onto a
     /// survivor, redistributes its STB contents across surviving buckets and
     /// drops it from the waiting queue and barrier membership. Returns the
     /// tokens revoked (for tracing).
@@ -1233,7 +1179,7 @@ impl Coordinator {
         // bucket nobody requests from.
         if self.cfg.hf {
             for level in 0..self.plan.num_levels() {
-                let ids = self.shards[self.shard_of[level]].queue_ids(worker, level);
+                let ids = self.levels.queue_ids(worker, level);
                 for id in ids {
                     self.stb_remove(worker, level, id)?;
                     self.place_token(level, id)?;
@@ -1241,8 +1187,7 @@ impl Coordinator {
             }
             if let Some(fb) = fallback {
                 for level in 0..self.plan.num_levels() {
-                    let sh = self.shard_of[level];
-                    for (_, bucket) in self.shards[sh].state_mut(level).pending.iter_mut() {
+                    for (_, bucket) in self.levels.state_mut(level).pending.iter_mut() {
                         if *bucket == worker {
                             *bucket = fb;
                         }
@@ -1251,7 +1196,7 @@ impl Coordinator {
             }
         }
         // Holder re-homing invalidated locality scores computed earlier.
-        self.rebuild_score_index()?;
+        self.levels.rebuild_scores(&self.tokens, &self.holder)?;
         Ok(held)
     }
 
@@ -1290,9 +1235,8 @@ impl Coordinator {
             }
             if self.cfg.hf {
                 for level in 0..self.plan.num_levels() {
-                    let sh = self.shard_of[level];
                     let alive = &self.alive;
-                    for (_, bucket) in self.shards[sh].state_mut(level).pending.iter_mut() {
+                    for (_, bucket) in self.levels.state_mut(level).pending.iter_mut() {
                         if !alive[*bucket] {
                             *bucket = fb;
                         }
@@ -1303,7 +1247,7 @@ impl Coordinator {
             for (level, id) in parked {
                 self.place_token(level, id)?;
             }
-            self.rebuild_score_index()?;
+            self.levels.rebuild_scores(&self.tokens, &self.holder)?;
         }
         Ok(())
     }
@@ -1412,8 +1356,8 @@ impl Coordinator {
 
     // ---- snapshot ----------------------------------------------------------
 
-    /// A canonical snapshot of the whole state — bit-identical across shard
-    /// counts for equal histories (see [`ServerSnapshot`]).
+    /// A canonical snapshot of the whole state — bit-identical to the
+    /// reference server's for equal histories (see [`ServerSnapshot`]).
     pub fn snapshot(&self) -> ServerSnapshot {
         // Every field is named: it is either saved below or a cache that
         // `restore` rebuilds, so a field added later fails to compile here
@@ -1427,9 +1371,9 @@ impl Coordinator {
             max_iterations: _,
             // Saved beside the snapshot as the checkpoint's token table.
             tokens: _,
-            // Saved: the shards' queues and level states (their steal and
-            // locality indices are rebuilt by `stb_push`).
-            shards: _,
+            // Saved: the level table's queues and level states (its locality
+            // index and the steal indices are rebuilt by `stb_push`).
+            levels: _,
             // Saved.
             released_roots,
             next_token_id,
@@ -1446,7 +1390,6 @@ impl Coordinator {
             parked,
             // Derived caches: static per config, or rebuilt from the queues
             // and helper counts by `restore`.
-            shard_of: _,
             cond_level: _,
             member_order: _,
             nonmember_order: _,
@@ -1464,25 +1407,23 @@ impl Coordinator {
             released_roots: *released_roots,
             next_token_id: *next_token_id,
             stbs: (0..buckets)
-                .map(|b| {
-                    (0..m)
-                        .map(|l| self.shards[self.shard_of[l]].queue_row(b, l))
-                        .collect()
-                })
+                .map(|b| (0..m).map(|l| self.levels.queue_row(b, l)).collect())
                 .collect(),
             pending: (0..m)
                 .map(|l| {
-                    self.level_state(l)
+                    self.levels
+                        .state(l)
                         .pending
                         .iter()
                         .map(|&(id, b)| (id.0, b))
                         .collect()
                 })
                 .collect(),
-            synced_upto: (0..m).map(|l| self.level_state(l).synced_upto).collect(),
+            synced_upto: (0..m).map(|l| self.levels.state(l).synced_upto).collect(),
             synced_out_of_order: (0..m)
                 .map(|l| {
-                    self.level_state(l)
+                    self.levels
+                        .state(l)
                         .synced_out_of_order
                         .iter()
                         .copied()
@@ -1491,7 +1432,8 @@ impl Coordinator {
                 .collect(),
             completed: (0..m)
                 .map(|l| {
-                    self.level_state(l)
+                    self.levels
+                        .state(l)
                         .completed
                         .iter()
                         .map(|(&k, &v)| (k, v))
@@ -1500,7 +1442,8 @@ impl Coordinator {
                 .collect(),
             gen_buffers: (0..m)
                 .map(|l| {
-                    self.level_state(l)
+                    self.levels
+                        .state(l)
                         .gen_buffer
                         .iter()
                         .map(|(&k, v)| (k, v.iter().map(|id| id.0).collect()))
@@ -1558,7 +1501,7 @@ mod tests {
 
     /// Tokens queued in `bucket`'s STB at `level`, in queue order.
     fn queue(ts: &Coordinator, bucket: usize, level: usize) -> Vec<TokenId> {
-        ts.shards[ts.shard_of[level]].queue_ids(bucket, level)
+        ts.levels.queue_ids(bucket, level)
     }
 
     /// White-box STB surgery must go through `stb_push`/`stb_remove` so the
@@ -2023,19 +1966,16 @@ mod tests {
         // Drive two iterations' worth of work; syncs may interleave. The helper
         // finishes syncs immediately, so just check the contiguity accounting by
         // feeding sync_finished out of order on level 0 state directly.
-        ts.shards[ts.shard_of[0]]
-            .state_mut(0)
-            .synced_out_of_order
-            .clear();
+        ts.levels.state_mut(0).synced_out_of_order.clear();
         ts.sync_finished(0, 1).unwrap(); // iteration 1 first
         assert_eq!(
-            ts.level_state(0).synced_upto,
+            ts.levels.state(0).synced_upto,
             0,
             "gap at 0 blocks advancement"
         );
         ts.sync_finished(0, 0).unwrap();
         assert_eq!(
-            ts.level_state(0).synced_upto,
+            ts.levels.state(0).synced_upto,
             2,
             "both reconcile once 0 lands"
         );

@@ -3,7 +3,7 @@
 //! A [`ServerSnapshot`] is the byte-exact conformance currency of the control
 //! plane: the [`Coordinator`](crate::Coordinator) is proved against
 //! `fela-check`'s reference `TokenServer` by comparing snapshots (alongside
-//! grants and traces) under random churn at every shard count, and both can be
+//! grants and traces) under random churn, and both can be
 //! [restored](crate::Coordinator::restore) from a snapshot plus the token
 //! table, round-tripping bit-identically.
 
@@ -17,7 +17,7 @@ use crate::server::ServerStats;
 /// checkpoint is indistinguishable from the one that wrote it.
 /// `fela-check`'s interleaving explorers use snapshots to prune their state
 /// spaces; tests use them to assert replay equivalence, and the
-/// shard-conformance suite compares the coordinator's and the reference
+/// conformance suite compares the coordinator's and the reference
 /// oracle's snapshots bit for bit.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ServerSnapshot {

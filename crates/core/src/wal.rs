@@ -22,7 +22,12 @@
 //! [body_len: u32 LE] [crc32: u32 LE] [tag: u8] [fields, LE, declaration order]
 //! ```
 //!
-//! with the CRC taken over the body (tag + fields). Decoding **never
+//! with the CRC taken over the body (tag + fields). The opening `Begin`
+//! record's fields are `n_workers: u32` and `max_iterations: u64`. A log
+//! whose `Begin` also carries the shard count older builds wrote before
+//! `n_workers` does not parse: its four extra bytes are a
+//! [`WalError::Trailing`] error. No run reads such a log, because
+//! [`FileWal::create`] truncates the file it opens. Decoding **never
 //! panics** on arbitrary bytes: element counts are range-guarded before any
 //! allocation, unknown tags and short bodies are structured [`WalError`]s,
 //! and a *torn tail* — a final record cut short by a crash mid-write — is
@@ -1004,8 +1009,6 @@ pub enum WalRecord {
     /// Opens the log: the plane shape the records describe. Recovery refuses
     /// a log whose `Begin` disagrees with the plane being rebuilt.
     Begin {
-        /// Shard count of the writing plane.
-        shards: u32,
         /// Cluster size.
         n_workers: u32,
         /// Total iterations of the run.
@@ -1037,12 +1040,10 @@ fn encode_body(rec: &WalRecord) -> Vec<u8> {
     let mut body = Vec::new();
     match rec {
         WalRecord::Begin {
-            shards,
             n_workers,
             max_iterations,
         } => {
             put_u8(&mut body, TAG_BEGIN);
-            put_u32(&mut body, *shards);
             put_u32(&mut body, *n_workers);
             put_u64(&mut body, *max_iterations);
         }
@@ -1075,7 +1076,6 @@ fn decode_body(body: &[u8]) -> Result<WalRecord, WalError> {
     let mut c = Cursor::new(body);
     let rec = match c.u8()? {
         TAG_BEGIN => WalRecord::Begin {
-            shards: c.u32()?,
             n_workers: c.u32()?,
             max_iterations: c.u64()?,
         },
@@ -1369,10 +1369,9 @@ impl WalWriter {
     }
 
     /// Stages the opening `Begin` record.
-    pub fn append_begin(&mut self, shards: u32, n_workers: u32, max_iterations: u64) {
+    pub fn append_begin(&mut self, n_workers: u32, max_iterations: u64) {
         self.staged
             .extend_from_slice(&encode_record(&WalRecord::Begin {
-                shards,
                 n_workers,
                 max_iterations,
             }));
@@ -1476,12 +1475,10 @@ pub fn recover(
     };
     match decode_body(first)? {
         WalRecord::Begin {
-            shards,
             n_workers: nw,
             max_iterations: mi,
         } => {
-            let want_shards = cfg.shards.max(1) as u32;
-            if shards != want_shards || nw as usize != n_workers || mi != max_iterations {
+            if nw as usize != n_workers || mi != max_iterations {
                 return Err(WalError::BeginMismatch);
             }
         }
@@ -1695,14 +1692,12 @@ mod tests {
         ]
     }
 
-    fn cfg(shards: usize) -> FelaConfig {
-        FelaConfig::new(2)
-            .with_weights(vec![1, 2])
-            .with_shards(shards)
+    fn cfg() -> FelaConfig {
+        FelaConfig::new(2).with_weights(vec![1, 2])
     }
 
-    fn plane(shards: usize) -> ControlPlane {
-        ControlPlane::new(small_plan(), cfg(shards), meta(), 2, 2)
+    fn plane() -> ControlPlane {
+        ControlPlane::new(small_plan(), cfg(), meta(), 2, 2)
     }
 
     /// Drives a plane to completion (the oplog test loop), committing after
@@ -1782,7 +1777,7 @@ mod tests {
     }
 
     fn sample_snapshot() -> ServerSnapshot {
-        let mut p = plane(1);
+        let mut p = plane();
         let _ = p.request(0, SimTime::ZERO);
         p.snapshot()
     }
@@ -1878,7 +1873,6 @@ mod tests {
         ];
         outcomes.extend(sched_errors.into_iter().map(OpOutcome::Failed));
         let mut records = vec![WalRecord::Begin {
-            shards: 1,
             n_workers: 2,
             max_iterations: 2,
         }];
@@ -2017,22 +2011,20 @@ mod tests {
 
     #[test]
     fn wal_records_the_drive_and_recovers_the_final_plane() {
-        for shards in [1usize, 2] {
-            let mut p = plane(shards);
-            let mem = attach(&mut p);
-            drive(&mut p, &mut |_| {});
-            let rec = recover(&mem.bytes(), p.plan(), p.config(), &meta(), 2, 2)
-                .expect("clean log recovers");
-            assert_eq!(rec.plane.snapshot(), p.snapshot(), "shards={shards}");
-            assert_eq!(rec.plane.tokens(), p.tokens(), "shards={shards}");
-            assert_eq!(rec.torn_bytes, 0);
-            assert!(rec.plane.run_complete());
-        }
+        let mut p = plane();
+        let mem = attach(&mut p);
+        drive(&mut p, &mut |_| {});
+        let rec =
+            recover(&mem.bytes(), p.plan(), p.config(), &meta(), 2, 2).expect("clean log recovers");
+        assert_eq!(rec.plane.snapshot(), p.snapshot());
+        assert_eq!(rec.plane.tokens(), p.tokens());
+        assert_eq!(rec.torn_bytes, 0);
+        assert!(rec.plane.run_complete());
     }
 
     #[test]
     fn checkpoint_skips_the_prefix_on_recovery() {
-        let mut p = plane(1);
+        let mut p = plane();
         let mem = attach(&mut p);
         // Run half the drive, checkpoint, then finish.
         step(&mut p);
@@ -2055,8 +2047,23 @@ mod tests {
     }
 
     #[test]
+    fn an_older_three_field_begin_does_not_parse() {
+        // The older three-field `Begin`: shard count, cluster size,
+        // iterations.
+        let mut body = vec![TAG_BEGIN];
+        put_u32(&mut body, 1);
+        put_u32(&mut body, 2);
+        put_u64(&mut body, 2);
+        let mut bytes = Vec::new();
+        put_u32(&mut bytes, body.len() as u32);
+        put_u32(&mut bytes, crc32(&body));
+        bytes.extend_from_slice(&body);
+        assert_eq!(read_log(&bytes), Err(WalError::Trailing { extra: 4 }));
+    }
+
+    #[test]
     fn recovery_rejects_a_log_for_a_different_plane_shape() {
-        let mut p = plane(1);
+        let mut p = plane();
         let mem = attach(&mut p);
         drive(&mut p, &mut |_| {});
         let bytes = mem.bytes();
@@ -2066,9 +2073,9 @@ mod tests {
             "wrong worker count"
         );
         assert_eq!(
-            recover(&bytes, p.plan(), &cfg(2), &meta(), 2, 2).map(|_| ()),
+            recover(&bytes, p.plan(), p.config(), &meta(), 2, 3).map(|_| ()),
             Err(WalError::BeginMismatch),
-            "wrong shard count"
+            "wrong iteration count"
         );
         assert_eq!(
             recover(&[], p.plan(), p.config(), &meta(), 2, 2).map(|_| ()),
@@ -2078,7 +2085,7 @@ mod tests {
 
     #[test]
     fn broken_seq_chains_are_detected() {
-        let mut p = plane(1);
+        let mut p = plane();
         let mem = attach(&mut p);
         drive(&mut p, &mut |_| {});
         let log = read_log(&mem.bytes()).expect("read");
@@ -2118,23 +2125,21 @@ mod tests {
         // recovering the log prefix at *any* commit boundary yields the same
         // snapshot as replaying that prefix from scratch (and at the final
         // boundary, the live plane itself).
-        for shards in [1usize, 2] {
-            let mut p = plane(shards);
-            let mem = attach(&mut p);
-            let mut boundaries = vec![0usize];
-            drive(&mut p, &mut |_| boundaries.push(mem.len()));
-            let bytes = mem.bytes();
-            for &b in &boundaries {
-                if b == 0 {
-                    continue;
-                }
-                let rec = recover(&bytes[..b], p.plan(), p.config(), &meta(), 2, 2)
-                    .unwrap_or_else(|e| panic!("boundary {b}: {e}"));
-                assert_eq!(rec.torn_bytes, 0);
+        let mut p = plane();
+        let mem = attach(&mut p);
+        let mut boundaries = vec![0usize];
+        drive(&mut p, &mut |_| boundaries.push(mem.len()));
+        let bytes = mem.bytes();
+        for &b in &boundaries {
+            if b == 0 {
+                continue;
             }
-            let full = recover(&bytes, p.plan(), p.config(), &meta(), 2, 2).expect("full");
-            assert_eq!(full.plane.snapshot(), p.snapshot(), "shards={shards}");
+            let rec = recover(&bytes[..b], p.plan(), p.config(), &meta(), 2, 2)
+                .unwrap_or_else(|e| panic!("boundary {b}: {e}"));
+            assert_eq!(rec.torn_bytes, 0);
         }
+        let full = recover(&bytes, p.plan(), p.config(), &meta(), 2, 2).expect("full");
+        assert_eq!(full.plane.snapshot(), p.snapshot());
     }
 
     #[test]
@@ -2150,7 +2155,7 @@ mod tests {
     fn file_wal_persists_and_resumes_with_truncation() {
         let dir = temp_dir("wal-test");
         let path = wal_path(&dir);
-        let mut p = plane(1);
+        let mut p = plane();
         p.attach_wal(Box::new(FileWal::create(&path).expect("create")))
             .expect("attach");
         drive(&mut p, &mut |_| {});
@@ -2178,7 +2183,7 @@ mod tests {
         let path = wal_path(&dir);
         let mem = MemWal::new();
         for on_file in [false, true] {
-            let mut p = plane(1);
+            let mut p = plane();
             let sink: Box<dyn WalSink> = if on_file {
                 Box::new(FileWal::create(&path).expect("create"))
             } else {
@@ -2190,7 +2195,6 @@ mod tests {
             step(&mut p);
             // The crash lands mid-write: half a record reaches the log.
             let half = encode_record(&WalRecord::Begin {
-                shards: 1,
                 n_workers: 2,
                 max_iterations: 2,
             });
@@ -2237,7 +2241,7 @@ mod tests {
     fn checkpoint_due_writes_one_checkpoint_per_cadence_crossing() {
         let dir = temp_dir("cadence");
         for (every, want) in [(0u64, 0usize), (1, 6), (3, 2)] {
-            let mut p = ControlPlane::new(small_plan(), cfg(1), meta(), 2, 6);
+            let mut p = ControlPlane::new(small_plan(), cfg(), meta(), 2, 6);
             let opts = DurabilityOptions {
                 wal_dir: Some(dir.clone()),
                 checkpoint_every: every,
@@ -2309,12 +2313,9 @@ mod tests {
 
     fn arb_record() -> impl Strategy<Value = WalRecord> {
         prop_oneof![
-            (any::<u32>(), any::<u32>(), any::<u64>()).prop_map(|(shards, n_workers, mi)| {
-                WalRecord::Begin {
-                    shards,
-                    n_workers,
-                    max_iterations: mi,
-                }
+            (any::<u32>(), any::<u64>()).prop_map(|(n_workers, mi)| WalRecord::Begin {
+                n_workers,
+                max_iterations: mi,
             }),
             (any::<u64>(), arb_op()).prop_map(|(seq, op)| WalRecord::Op { seq, op }),
             (
@@ -2344,7 +2345,7 @@ mod tests {
         fn recover_never_panics_on_arbitrary_bytes(
             bytes in prop::collection::vec(any::<u8>(), 0..512)
         ) {
-            let p = plane(1);
+            let p = plane();
             let _ = recover(&bytes, p.plan(), p.config(), &meta(), 2, 2);
         }
 
@@ -2360,13 +2361,12 @@ mod tests {
         fn crash_at_random_offset_recovers_the_committed_prefix(
             pick in any::<u64>(),
             cut_back in 0usize..8,
-            shards in 1usize..3,
             checkpoint_every in 0u64..3
         ) {
             // checkpoint → crash at a random log offset → replay must yield
             // a snapshot byte-equal to the uninterrupted plane at that
-            // boundary — at one shard and at two.
-            let mut p = plane(shards);
+            // boundary.
+            let mut p = plane();
             let mem = attach(&mut p);
             let mut boundaries = vec![mem.len()];
             let mut done_iters = 0u64;
@@ -2402,7 +2402,6 @@ mod tests {
         fn crash_between_stage_and_commit_recovers_the_last_commit(
             commit_bits in any::<u64>(),
             calls in 1u32..40,
-            shards in 1usize..3,
             checkpoint_every in 0u64..3,
             on_file in any::<bool>(),
         ) {
@@ -2411,7 +2410,7 @@ mod tests {
             // restarted plane must be the one at the last commit, and the
             // dropped ops, replayed on it, must rebuild the plane that died.
             let dir = temp_dir("stage-crash");
-            let mut p = plane(shards);
+            let mut p = plane();
             let sink: Box<dyn WalSink> = if on_file {
                 Box::new(FileWal::create(&wal_path(&dir)).expect("create"))
             } else {

@@ -1,6 +1,5 @@
-//! Shard-conformance suite: the production [`Coordinator`] is proved against
-//! `fela-check`'s reference [`TokenServer`] oracle at every shard count,
-//! including the default of one.
+//! Conformance suite: the production [`Coordinator`] is proved against
+//! `fela-check`'s reference [`TokenServer`] oracle.
 //!
 //! Three layers of evidence, mirroring how `IncrementalMaxMin` was proved
 //! against `max_min_rates`:
@@ -9,10 +8,10 @@
 //!    stream (requests, reports, syncs, crashes, restarts, lease expiries)
 //!    across the policy matrix; every grant, sync spec, error and final
 //!    [`ServerSnapshot`] must compare bit-for-bit.
-//! 2. **Full-run identity** — complete simulated runs on zoo scenarios
-//!    (including a faulted one) produce identical report JSON and
-//!    event-for-event identical traces at every shard count, and each run's
-//!    write-ahead log replays op for op through the oracle.
+//! 2. **Full-run identity** — each complete simulated run on a zoo scenario
+//!    (including a faulted one) writes a write-ahead log that replays op for
+//!    op through the oracle, and its trace passes `fela-check`'s race and
+//!    recovery verifiers.
 //! 3. **Snapshot round-trips** — snapshot → restore → snapshot is
 //!    bit-identical on both planes, and a restored plane *continues*
 //!    identically to the original under the same suffix of operations.
@@ -44,12 +43,11 @@ fn vgg_inputs(cfg: &FelaConfig) -> (TokenPlan, Vec<LevelMeta>) {
     (plan, LevelMeta::for_partition(&p))
 }
 
-fn build_cfg(hf: bool, ads: bool, ctd: bool, recovery: bool, shards: usize) -> FelaConfig {
+fn build_cfg(hf: bool, ads: bool, ctd: bool, recovery: bool) -> FelaConfig {
     let mut cfg = FelaConfig::new(3)
         .with_weights(vec![1, 2, 4])
         .with_ads(ads)
-        .with_hf(hf)
-        .with_shards(shards);
+        .with_hf(hf);
     if ctd {
         cfg = cfg.with_ctd(4);
     }
@@ -182,12 +180,11 @@ macro_rules! lockstep_op {
 }
 
 proptest! {
-    /// Oracle vs coordinator at 1–3 shards under random churn across the
-    /// policy matrix: every grant, sync, error, liveness transition and the
-    /// final snapshot must be bit-identical.
+    /// Oracle vs coordinator under random churn across the policy matrix:
+    /// every grant, sync, error, liveness transition and the final snapshot
+    /// must be bit-identical.
     #[test]
-    fn sharded_plane_matches_oracle_under_churn(
-        shards in 1usize..4,
+    fn coordinator_matches_oracle_under_churn(
         hf in 0u8..2,
         ads in 0u8..2,
         ctd in 0u8..2,
@@ -197,25 +194,24 @@ proptest! {
             1..120,
         ),
     ) {
-        let cfg = build_cfg(hf == 1, ads == 1, ctd == 1, recovery == 1, shards);
+        let cfg = build_cfg(hf == 1, ads == 1, ctd == 1, recovery == 1);
         let (plan, meta) = vgg_inputs(&cfg);
         let mut oracle =
             TokenServer::new(plan.clone(), cfg.clone(), meta.clone(), N_WORKERS, ITERATIONS);
-        let mut sharded = Coordinator::new(plan, cfg, meta, N_WORKERS, ITERATIONS);
-        prop_assert_eq!(sharded.shard_count(), shards.min(3));
+        let mut coord = Coordinator::new(plan, cfg, meta, N_WORKERS, ITERATIONS);
         let mut st = Churn::new();
         for &(action, pick, dt) in &ops {
-            lockstep_op!(oracle, sharded, st, action, pick, dt);
+            lockstep_op!(oracle, coord, st, action, pick, dt);
         }
-        prop_assert_eq!(oracle.snapshot(), sharded.snapshot());
+        prop_assert_eq!(oracle.snapshot(), coord.snapshot());
         prop_assert_eq!(
             format!("{:?}", oracle.stats()),
-            format!("{:?}", sharded.stats())
+            format!("{:?}", coord.stats())
         );
-        prop_assert_eq!(oracle.trained_per_worker(), sharded.trained_per_worker());
+        prop_assert_eq!(oracle.trained_per_worker(), coord.trained_per_worker());
         prop_assert_eq!(
             oracle.completed_iterations(),
-            sharded.completed_iterations()
+            coord.completed_iterations()
         );
     }
 
@@ -225,26 +221,25 @@ proptest! {
     /// next test restores inside it.
     #[test]
     fn snapshot_round_trips_and_continues_identically(
-        shards in 1usize..4,
         hf in 0u8..2,
         recovery in 0u8..2,
         prefix in prop::collection::vec((0u8..6, 0usize..64), 1..60),
         suffix in prop::collection::vec((0u8..6, 0usize..64), 1..40),
     ) {
-        let cfg = build_cfg(hf == 1, true, false, recovery == 1, shards);
+        let cfg = build_cfg(hf == 1, true, false, recovery == 1);
         let (plan, meta) = vgg_inputs(&cfg);
         let mut oracle =
             TokenServer::new(plan.clone(), cfg.clone(), meta.clone(), N_WORKERS, ITERATIONS);
-        let mut sharded =
+        let mut coord =
             Coordinator::new(plan.clone(), cfg.clone(), meta.clone(), N_WORKERS, ITERATIONS);
         // Steps outlast the 5 ms lock window, so no grant conflicts.
         const DT: u64 = 10_000_000;
         let mut st = Churn::new();
         for &(action, pick) in &prefix {
-            lockstep_op!(oracle, sharded, st, action, pick, DT);
+            lockstep_op!(oracle, coord, st, action, pick, DT);
         }
         let snap = oracle.snapshot();
-        prop_assert_eq!(&snap, &sharded.snapshot());
+        prop_assert_eq!(&snap, &coord.snapshot());
 
         let mut restored_oracle = TokenServer::restore(
             plan.clone(),
@@ -257,17 +252,17 @@ proptest! {
         )
         .expect("oracle restore");
         prop_assert_eq!(&restored_oracle.snapshot(), &snap, "oracle round-trip");
-        let mut restored_sharded = Coordinator::restore(
+        let mut restored_coord = Coordinator::restore(
             plan,
             cfg,
             meta,
             N_WORKERS,
             ITERATIONS,
-            sharded.tokens().clone(),
+            coord.tokens().clone(),
             &snap,
         )
-        .expect("sharded restore");
-        prop_assert_eq!(&restored_sharded.snapshot(), &snap, "sharded round-trip");
+        .expect("coordinator restore");
+        prop_assert_eq!(&restored_coord.snapshot(), &snap, "coordinator round-trip");
 
         // Continuation: the restored pair must replay the original pair's
         // future behaviour op for op.
@@ -276,12 +271,12 @@ proptest! {
         let mut rest = Churn::new();
         rest.clock = st.clock;
         for &(action, pick) in &suffix {
-            lockstep_op!(oracle, sharded, orig, action, pick, DT);
-            lockstep_op!(restored_oracle, restored_sharded, rest, action, pick, DT);
+            lockstep_op!(oracle, coord, orig, action, pick, DT);
+            lockstep_op!(restored_oracle, restored_coord, rest, action, pick, DT);
         }
         prop_assert_eq!(&orig.log, &rest.log, "restored continuation diverged");
         prop_assert_eq!(oracle.snapshot(), restored_oracle.snapshot());
-        prop_assert_eq!(sharded.snapshot(), restored_sharded.snapshot());
+        prop_assert_eq!(coord.snapshot(), restored_coord.snapshot());
     }
 
     /// A checkpoint taken while a lock window is open restores a plane that
@@ -292,23 +287,22 @@ proptest! {
     /// `trained_per_worker` must match the uninterrupted plane.
     #[test]
     fn restore_inside_the_lock_window_continues_identically(
-        shards in 1usize..4,
         hf in 0u8..2,
         prefix in prop::collection::vec((0u8..6, 0usize..64, 0u64..8_000_000), 1..80),
         suffix in prop::collection::vec((0u8..6, 0usize..64, 0u64..8_000_000), 1..60),
     ) {
-        let cfg = build_cfg(hf == 1, true, false, true, shards);
+        let cfg = build_cfg(hf == 1, true, false, true);
         prop_assert!(cfg.lock_window > SimDuration::ZERO);
         let (plan, meta) = vgg_inputs(&cfg);
         let mut oracle =
             TokenServer::new(plan.clone(), cfg.clone(), meta.clone(), N_WORKERS, ITERATIONS);
-        let mut sharded =
+        let mut coord =
             Coordinator::new(plan.clone(), cfg.clone(), meta.clone(), N_WORKERS, ITERATIONS);
         let mut st = Churn::new();
         for &(action, pick, dt) in &prefix {
-            lockstep_op!(oracle, sharded, st, action, pick, dt);
+            lockstep_op!(oracle, coord, st, action, pick, dt);
         }
-        let snap = sharded.snapshot();
+        let snap = coord.snapshot();
         let mut restored_oracle = TokenServer::restore(
             plan.clone(),
             cfg.clone(),
@@ -325,10 +319,10 @@ proptest! {
             meta,
             N_WORKERS,
             ITERATIONS,
-            sharded.tokens().clone(),
+            coord.tokens().clone(),
             &snap,
         )
-        .expect("sharded restore");
+        .expect("coordinator restore");
         // The macro compares every result in full, conflict flag included:
         // original against restored, on both planes.
         let mut plane_st = Churn::new();
@@ -340,20 +334,20 @@ proptest! {
         oracle_st.outstanding = st.outstanding;
         oracle_st.syncs = st.syncs;
         for &(action, pick, dt) in &suffix {
-            lockstep_op!(sharded, restored, plane_st, action, pick, dt);
+            lockstep_op!(coord, restored, plane_st, action, pick, dt);
             lockstep_op!(oracle, restored_oracle, oracle_st, action, pick, dt);
         }
-        prop_assert_eq!(sharded.stats(), restored.stats());
-        prop_assert_eq!(sharded.trained_per_worker(), restored.trained_per_worker());
-        prop_assert_eq!(sharded.snapshot(), restored.snapshot());
+        prop_assert_eq!(coord.stats(), restored.stats());
+        prop_assert_eq!(coord.trained_per_worker(), restored.trained_per_worker());
+        prop_assert_eq!(coord.snapshot(), restored.snapshot());
         prop_assert_eq!(oracle.stats(), restored_oracle.stats());
         prop_assert_eq!(oracle.trained_per_worker(), restored_oracle.trained_per_worker());
         prop_assert_eq!(oracle.snapshot(), restored_oracle.snapshot());
     }
 }
 
-/// The zoo configurations the CI `shard-conformance` job byte-diffs, one of
-/// them faulted (crash + restart mid-run).
+/// The zoo configurations of the full-run checks, one of them faulted
+/// (crash + restart mid-run).
 fn conformance_scenarios() -> Vec<(&'static str, FelaConfig, Scenario)> {
     let fault = FaultModel::Scripted {
         worker: 2,
@@ -383,84 +377,62 @@ fn conformance_scenarios() -> Vec<(&'static str, FelaConfig, Scenario)> {
     ]
 }
 
-/// Complete simulated runs are identical at every shard count — same report
-/// JSON (makespan bits included), same trace event for event — on every
-/// conformance scenario, including the faulted one. Each run also writes its
-/// write-ahead log, which the reference oracle replays op for op: every grant,
-/// report outcome, sync, crash and lease expiry the coordinator decided, and
-/// every per-iteration checkpoint snapshot, must be the oracle's too.
+/// Each run writes its write-ahead log, which the reference oracle replays
+/// op for op: every grant, report outcome, sync, crash and lease expiry the
+/// coordinator decided, and every per-iteration checkpoint snapshot, must be
+/// the oracle's too — on every conformance scenario, including the faulted
+/// one.
 #[test]
-fn sharded_full_runs_are_byte_identical_to_oracle() {
-    let scratch =
-        std::env::temp_dir().join(format!("fela-shard-conformance-{}", std::process::id()));
-    for (name, cfg, sc) in conformance_scenarios() {
-        let mut first = None;
-        for shards in [1usize, 2, 3] {
-            let mut run_cfg = cfg.clone().with_shards(shards);
-            let wal_dir = scratch.join(format!("{name}-{shards}"));
-            let durability = DurabilityOptions {
-                wal_dir: Some(wal_dir.clone()),
-                checkpoint_every: 1,
-            };
-            let (report, trace) = FelaRuntime::new(run_cfg.clone())
-                .with_durability(durability)
-                .run_traced(&sc);
-            let report = serde_json::to_string(&report).expect("report json");
-            match &first {
-                None => first = Some((report, trace)),
-                Some((report1, trace1)) => {
-                    assert_eq!(
-                        report1, &report,
-                        "{name}: report bytes diverged at shards={shards}"
-                    );
-                    assert_eq!(
-                        trace1.events(),
-                        trace.events(),
-                        "{name}: trace diverged at shards={shards}"
-                    );
-                }
-            }
-            // The runtime turns recovery on for faulted scenarios; the oracle
-            // must replay under the configuration the log was written with.
-            if !sc.fault.is_none() && run_cfg.recovery.is_none() {
-                run_cfg.recovery = Some(RecoveryConfig::default());
-            }
-            let partition = FelaRuntime::new(run_cfg.clone()).partition_for(&sc);
-            let plan = TokenPlan::build(&partition, &run_cfg, sc.total_batch, sc.cluster.nodes)
-                .expect("plan must be feasible");
-            let log = std::fs::read(wal_path(&wal_dir)).expect("the run wrote its log");
-            let summary = fela_check::check_wal(
-                &log,
-                &plan,
-                &run_cfg,
-                &LevelMeta::for_partition(&partition),
-                sc.cluster.nodes,
-                sc.iterations,
-                None,
-            )
-            .unwrap_or_else(|v| panic!("{name}: oracle replay at shards={shards}: {v:?}"));
-            assert!(
-                summary.ops > 0 && summary.checkpoints > 0,
-                "{name}: {summary:?}"
-            );
+fn full_runs_are_byte_identical_to_oracle() {
+    let scratch = std::env::temp_dir().join(format!("fela-conformance-{}", std::process::id()));
+    for (name, mut cfg, sc) in conformance_scenarios() {
+        let wal_dir = scratch.join(name);
+        let durability = DurabilityOptions {
+            wal_dir: Some(wal_dir.clone()),
+            checkpoint_every: 1,
+        };
+        FelaRuntime::new(cfg.clone())
+            .with_durability(durability)
+            .run_traced(&sc);
+        // The runtime turns recovery on for faulted scenarios; the oracle
+        // must replay under the configuration the log was written with.
+        if !sc.fault.is_none() && cfg.recovery.is_none() {
+            cfg.recovery = Some(RecoveryConfig::default());
         }
+        let partition = FelaRuntime::new(cfg.clone()).partition_for(&sc);
+        let plan = TokenPlan::build(&partition, &cfg, sc.total_batch, sc.cluster.nodes)
+            .expect("plan must be feasible");
+        let log = std::fs::read(wal_path(&wal_dir)).expect("the run wrote its log");
+        let summary = fela_check::check_wal(
+            &log,
+            &plan,
+            &cfg,
+            &LevelMeta::for_partition(&partition),
+            sc.cluster.nodes,
+            sc.iterations,
+            None,
+        )
+        .unwrap_or_else(|v| panic!("{name}: oracle replay: {v:?}"));
+        assert!(
+            summary.ops > 0 && summary.checkpoints > 0,
+            "{name}: {summary:?}"
+        );
     }
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
-/// `fela-check` applies to sharded traces unchanged: the race detector and
-/// the recovery verifier were written against single-server traces, and byte
-/// conformance means they accept sharded ones as-is.
+/// The race detector and the recovery verifier accept the coordinator's
+/// traces on every conformance scenario, including the faulted one.
 #[test]
-fn fela_check_accepts_sharded_traces_unchanged() {
+fn fela_check_accepts_the_coordinator_traces() {
     for (name, cfg, sc) in conformance_scenarios() {
         let staleness = cfg.staleness;
-        let (_, trace) = FelaRuntime::new(cfg.with_shards(3)).run_traced(&sc);
+        let (_, trace) = FelaRuntime::new(cfg).run_traced(&sc);
         let summary = fela_check::check_trace(&trace, staleness)
-            .unwrap_or_else(|v| panic!("{name}: race check rejected a sharded trace: {v:?}"));
-        assert!(summary.grants > 0, "{name}: sharded trace carries grants");
+            .unwrap_or_else(|v| panic!("{name}: race check rejected the trace: {v:?}"));
+        assert!(summary.grants > 0, "{name}: the trace carries grants");
         let recovery = fela_check::check_recovery(&trace)
-            .unwrap_or_else(|v| panic!("{name}: recovery check rejected a sharded trace: {v:?}"));
+            .unwrap_or_else(|v| panic!("{name}: recovery check rejected the trace: {v:?}"));
         assert_eq!(
             recovery.applied, summary.completions,
             "{name}: every completion applied exactly once"
@@ -474,7 +446,7 @@ fn fela_check_accepts_sharded_traces_unchanged() {
 /// quarantine state reached through the full simulator.)
 #[test]
 fn faulted_mid_run_snapshot_restores_on_both_planes() {
-    let cfg = build_cfg(true, true, false, true, 3);
+    let cfg = build_cfg(true, true, false, true);
     let (plan, meta) = vgg_inputs(&cfg);
     let mut oracle = TokenServer::new(
         plan.clone(),
@@ -483,18 +455,18 @@ fn faulted_mid_run_snapshot_restores_on_both_planes() {
         N_WORKERS,
         ITERATIONS,
     );
-    let mut sharded = Coordinator::new(plan.clone(), cfg.clone(), meta.clone(), N_WORKERS, 4);
+    let mut coord = Coordinator::new(plan.clone(), cfg.clone(), meta.clone(), N_WORKERS, 4);
     let mut st = Churn::new();
     // Grant a round, crash two workers (one holding leases), expire a lease.
     for w in 0..N_WORKERS {
-        lockstep_op!(oracle, sharded, st, 0, w, 10_000_000);
+        lockstep_op!(oracle, coord, st, 0, w, 10_000_000);
     }
-    lockstep_op!(oracle, sharded, st, 3, 2, 10_000_000);
-    lockstep_op!(oracle, sharded, st, 3, 5, 10_000_000);
-    lockstep_op!(oracle, sharded, st, 4, 0, 10_000_000);
-    lockstep_op!(oracle, sharded, st, 1, 1, 10_000_000);
+    lockstep_op!(oracle, coord, st, 3, 2, 10_000_000);
+    lockstep_op!(oracle, coord, st, 3, 5, 10_000_000);
+    lockstep_op!(oracle, coord, st, 4, 0, 10_000_000);
+    lockstep_op!(oracle, coord, st, 1, 1, 10_000_000);
     let snap = oracle.snapshot();
-    assert_eq!(&snap, &sharded.snapshot());
+    assert_eq!(&snap, &coord.snapshot());
     let tokens: BTreeMap<TokenId, _> = oracle.tokens().clone();
     let r1 = TokenServer::restore(
         plan.clone(),
@@ -507,7 +479,7 @@ fn faulted_mid_run_snapshot_restores_on_both_planes() {
     )
     .expect("oracle restore");
     let r2 = Coordinator::restore(plan, cfg, meta, N_WORKERS, ITERATIONS, tokens, &snap)
-        .expect("sharded restore");
+        .expect("coordinator restore");
     assert_eq!(r1.snapshot(), snap);
     assert_eq!(r2.snapshot(), snap);
 }
@@ -545,55 +517,53 @@ macro_rules! starve_then_release {
 /// The batched grant path (`ControlPlane::drain_ready_grants`, what the live
 /// server calls) must be observably identical to the one-at-a-time
 /// `pop_ready_grant`-until-`None` loop — same grants in the same order, same
-/// stats — against the coordinator and the oracle, at one and three shards.
+/// stats — against the coordinator and the oracle.
 #[test]
 fn drain_ready_grants_matches_repeated_pop_on_both_planes() {
-    for shards in [1usize, 3] {
-        let cfg = build_cfg(true, true, false, false, shards);
-        let (plan, meta) = vgg_inputs(&cfg);
-        let mut drained = ControlPlane::new(
-            plan.clone(),
-            cfg.clone(),
-            meta.clone(),
-            N_WORKERS,
-            ITERATIONS,
-        );
-        let mut popped = Coordinator::new(
-            plan.clone(),
-            cfg.clone(),
-            meta.clone(),
-            N_WORKERS,
-            ITERATIONS,
-        );
-        let mut oracle = TokenServer::new(plan, cfg, meta, N_WORKERS, ITERATIONS);
+    let cfg = build_cfg(true, true, false, false);
+    let (plan, meta) = vgg_inputs(&cfg);
+    let mut drained = ControlPlane::new(
+        plan.clone(),
+        cfg.clone(),
+        meta.clone(),
+        N_WORKERS,
+        ITERATIONS,
+    );
+    let mut popped = Coordinator::new(
+        plan.clone(),
+        cfg.clone(),
+        meta.clone(),
+        N_WORKERS,
+        ITERATIONS,
+    );
+    let mut oracle = TokenServer::new(plan, cfg, meta, N_WORKERS, ITERATIONS);
 
-        let clock = starve_then_release!(drained);
-        assert_eq!(clock, starve_then_release!(popped));
-        assert_eq!(clock, starve_then_release!(oracle));
-        let now = SimTime::from_nanos(clock);
+    let clock = starve_then_release!(drained);
+    assert_eq!(clock, starve_then_release!(popped));
+    assert_eq!(clock, starve_then_release!(oracle));
+    let now = SimTime::from_nanos(clock);
 
-        let mut batch = Vec::new();
-        drained.drain_ready_grants(now, &mut batch).expect("drain");
-        let mut singles = Vec::new();
-        while let Some(pair) = popped.pop_ready_grant(now).expect("pop") {
-            singles.push(pair);
-        }
-        let mut oracle_batch = Vec::new();
-        while let Some(pair) = oracle.pop_ready_grant(now).expect("oracle pop") {
-            oracle_batch.push(pair);
-        }
-
-        assert!(
-            !batch.is_empty(),
-            "the scenario must exercise a non-empty drain (shards = {shards})"
-        );
-        assert_eq!(format!("{batch:?}"), format!("{singles:?}"));
-        assert_eq!(format!("{batch:?}"), format!("{oracle_batch:?}"));
-        assert_eq!(
-            format!("{:?}", drained.stats()),
-            format!("{:?}", popped.stats()),
-            "stats must not diverge between the batched and single-pop paths"
-        );
-        assert_eq!(drained.snapshot(), popped.snapshot());
+    let mut batch = Vec::new();
+    drained.drain_ready_grants(now, &mut batch).expect("drain");
+    let mut singles = Vec::new();
+    while let Some(pair) = popped.pop_ready_grant(now).expect("pop") {
+        singles.push(pair);
     }
+    let mut oracle_batch = Vec::new();
+    while let Some(pair) = oracle.pop_ready_grant(now).expect("oracle pop") {
+        oracle_batch.push(pair);
+    }
+
+    assert!(
+        !batch.is_empty(),
+        "the scenario must exercise a non-empty drain"
+    );
+    assert_eq!(format!("{batch:?}"), format!("{singles:?}"));
+    assert_eq!(format!("{batch:?}"), format!("{oracle_batch:?}"));
+    assert_eq!(
+        format!("{:?}", drained.stats()),
+        format!("{:?}", popped.stats()),
+        "stats must not diverge between the batched and single-pop paths"
+    );
+    assert_eq!(drained.snapshot(), popped.snapshot());
 }

@@ -105,54 +105,6 @@ fn written_artifacts_are_byte_identical_across_runs() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
-/// The control-plane shard count as a sweep axis: `fela[s=1]` is the default
-/// one-shard coordinator, `fela[s=2]`/`fela[s=3]` split its levels further.
-/// Schedules are byte-identical across the axis (proved token-by-token in
-/// `tests/shard.rs`), so every record of one scenario must agree on the
-/// report — the axis varies control-plane *cost*, never the schedule.
-#[test]
-fn shard_axis_sweeps_are_report_identical_across_planes() {
-    let straggler = StragglerModel::Probabilistic {
-        p: 0.3,
-        delay: SimDuration::from_secs(3),
-        seed: 7,
-    };
-    let mut spec = SweepSpec::new("shard_axis").with_seed(Some(11));
-    for shards in 1usize..=3 {
-        spec = spec.runtime(format!("fela[s={shards}]"), move |_| {
-            Box::new(FelaRuntime::new(
-                FelaConfig::new(3)
-                    .with_weights(vec![1, 2, 4])
-                    .with_shards(shards),
-            ))
-        });
-    }
-    for batch in [64u64, 256] {
-        spec = spec.scenario(
-            format!("b{batch}"),
-            Scenario::paper(zoo::googlenet(), batch)
-                .with_iterations(4)
-                .with_straggler(straggler),
-        );
-    }
-    let result = spec.run(3);
-    assert_eq!(result.records.len(), 6);
-    for scenario in ["b64", "b256"] {
-        let rows = result.scenario_records(scenario);
-        assert_eq!(rows.len(), 3);
-        let reference = serde_json::to_string(&rows[0].report).unwrap();
-        for row in &rows[1..] {
-            assert_eq!(
-                serde_json::to_string(&row.report).unwrap(),
-                reference,
-                "{scenario}: {} diverged from {}",
-                row.runtime,
-                rows[0].runtime
-            );
-        }
-    }
-}
-
 #[test]
 fn records_carry_scenario_coordinates_and_config_hash() {
     let result = demo_sweep(Some(5)).run(4);

@@ -21,26 +21,13 @@ use fela_model::zoo;
 
 #[test]
 fn the_acceptance_configuration_is_exhaustively_clean() {
-    // The acceptance configuration: 2 workers × 2 shards × 2 iterations,
+    // The acceptance configuration: 2 workers × 2 iterations,
     // every non-equivalent interleaving, zero deadlocks, zero lost wakeups,
     // all histories linearizable against the reference oracle.
     let outcome = model_check(&McConfig::small());
     assert!(outcome.ok(), "violations: {:?}", outcome.violations);
     assert!(outcome.states > 0 && outcome.terminals > 0);
     assert!(!outcome.truncated, "space must be exhausted, not truncated");
-}
-
-#[test]
-fn sharding_does_not_change_the_explored_schedule_space() {
-    // Two shards must be observationally equivalent to one: same reachable
-    // states, same transitions, same terminal count — not merely "also
-    // clean".
-    let one = model_check(&McConfig::small().with_shards(1));
-    let sharded = model_check(&McConfig::small().with_shards(2));
-    assert!(one.ok() && sharded.ok());
-    assert_eq!(one.states, sharded.states);
-    assert_eq!(one.transitions, sharded.transitions);
-    assert_eq!(one.terminals, sharded.terminals);
 }
 
 #[test]
@@ -75,18 +62,16 @@ fn the_mutation_matrix_is_caught_with_distinct_diagnostics() {
 
 #[test]
 fn recorded_model_executions_are_session_clean() {
-    for shards in [1usize, 2] {
-        let (events, ops) = record_execution(&McConfig::small().with_shards(shards));
-        assert!(!events.is_empty() && !ops.is_empty());
-        let report = verify_session(&events, Some(&ops));
-        assert!(report.ok(), "shards {shards}: {:?}", report.violations);
-        assert_eq!(report.links, 2);
-    }
+    let (events, ops) = record_execution(&McConfig::small());
+    assert!(!events.is_empty() && !ops.is_empty());
+    let report = verify_session(&events, Some(&ops));
+    assert!(report.ok(), "{:?}", report.violations);
+    assert_eq!(report.links, 2);
 }
 
 #[test]
 fn the_explored_spaces_are_pinned() {
-    // The four `fela check --mc` configurations. The checker drives the
+    // The three `fela check --mc` configurations. The checker drives the
     // shipping server core, so a change to the core's protocol logic (or to
     // the checker's model of the shell around it) moves these counts — a
     // test failure to explain, not a printed table to re-read.
@@ -94,13 +79,7 @@ fn the_explored_spaces_are_pinned() {
     three_workers.workers = 3;
     three_workers.iterations = 1;
     let cases = [
-        (
-            "1 shard",
-            McConfig::small().with_shards(1),
-            (88, 94, 20),
-            (0, 0),
-        ),
-        ("sharded", McConfig::small(), (88, 94, 20), (0, 0)),
+        ("one plane", McConfig::small(), (88, 94, 20), (0, 0)),
         (
             "lease adversary",
             McConfig::small().with_recovery(),
@@ -121,12 +100,10 @@ fn the_explored_spaces_are_pinned() {
 
 #[test]
 fn the_model_protocol_recordings_are_pinned() {
-    for shards in [1usize, 2] {
-        let (events, ops) = record_execution(&McConfig::small().with_shards(shards));
-        let report = verify_session(&events, Some(&ops));
-        assert!(report.ok(), "shards {shards}: {:?}", report.violations);
-        assert_eq!((report.links, report.frames), (2, 17), "shards {shards}");
-    }
+    let (events, ops) = record_execution(&McConfig::small());
+    let report = verify_session(&events, Some(&ops));
+    assert!(report.ok(), "{:?}", report.violations);
+    assert_eq!((report.links, report.frames), (2, 17));
 }
 
 /// A real threaded virtual-clock run over the in-process channel transport,
