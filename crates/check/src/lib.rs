@@ -24,7 +24,8 @@
 //!   safety, and executes every schedule with `fela-engine`'s real token-split
 //!   SGD to prove they all converge to serial-BSP parameters.
 //! * [`mc`] — the concurrency model checker for the *live* runtime: drives the
-//!   shipping server core ([`fela_live::ServerCore`]) and the real wire
+//!   shipping server core ([`fela_core::ServerCore`], the one the simulator
+//!   drives too, through [`fela_live::frame_adapter`]) and the real wire
 //!   [`fela_live::Frame`]s through every non-equivalent message-delivery / lease-fire interleaving
 //!   of a small cluster (memoized DFS, DPOR via eager local steps), checking
 //!   deadlock-freedom, lost-wakeup-freedom, exactly-once token application and

@@ -36,13 +36,14 @@
 //!   WalWriter`) may leave a `WalWriter` append
 //!   (`.append_op`/`.append_begin`/`.append_checkpoint`) staged; anywhere
 //!   else in the durability crates an append must be followed by a
-//!   `.commit(` before its enclosing block closes. And in `fela-live`, in a
-//!   file that drives a `ControlPlane` or a `ServerCore`, every frame that
-//!   leaves — a link write (`.flush(` / `.send(`) or a call of the core's
-//!   `deliver` callback — must follow a `.commit_wal(` on an earlier line of
-//!   the same function body, or sit inside the closure passed to the core's
-//!   `.dispatch(`, which commits first: no decision leaves the server before
-//!   the ops behind it are durable.
+//!   `.commit(` before its enclosing block closes. And in a file of those
+//!   crates that drives a `ControlPlane` or a `ServerCore`, every decision
+//!   that leaves — a link write (`.flush(` / `.send(`), a call of the core's
+//!   `deliver` callback, or a simulated `GrantArrive` scheduled — must
+//!   follow a `.commit_wal(` on an earlier line of the same function body,
+//!   or sit inside the closure passed to the core's `.dispatch(`, which
+//!   commits first: no decision leaves the server before the ops behind it
+//!   are durable.
 //!
 //! The checker is line-based and intentionally simple: it strips `//` comments
 //! and string literals, skips `#[cfg(test)]` modules by brace counting, and
@@ -107,17 +108,14 @@ pub const LOCK_DISCIPLINE_CRATES: &[&str] = &["fela-live", "fela-core"];
 /// Crates whose `WalWriter` usage is held to the fsync discipline
 /// (`no-unflushed-wal`): only these touch the control plane's write-ahead
 /// log. Outside the plane and the writer, every append they stage must be
-/// committed before the staging scope ends, and a server link write must
-/// follow a `commit_wal` — otherwise a grant can become externally visible
-/// backed by a record that only exists in memory.
+/// committed before the staging scope ends, and a grant or frame the server
+/// sends must follow a `commit_wal` — otherwise a grant can become
+/// externally visible backed by a record that only exists in memory.
 pub const WAL_DISCIPLINE_CRATES: &[&str] = &["fela-core", "fela-live"];
 
 /// The types whose methods may stage log records and leave them for the
 /// plane's group commit.
 const WAL_STAGING_TYPES: &[&str] = &["ControlPlane", "WalWriter"];
-
-/// The crate whose server link writes must follow a `.commit_wal(`.
-const WAL_SERVER_CRATE: &str = "fela-live";
 
 /// Where a scrubbed line calls the core's outbound callback `deliver(..)` —
 /// a bare call, not a method or a definition.
@@ -126,6 +124,25 @@ fn deliver_call(line: &str) -> Option<usize> {
     let before = line[..at].trim_end();
     let bare = !line[..at].ends_with(|c: char| c == '.' || c == '_' || c.is_alphanumeric());
     (bare && !before.ends_with("fn")).then_some(at)
+}
+
+/// Where scrubbed line `i` hands the simulator's grant delivery to its
+/// scheduler: a `.schedule_in(` / `.schedule_at(` call whose statement,
+/// through its `;` on this or a later line, builds an `Ev::GrantArrive`. A
+/// match arm naming the variant schedules nothing, however it is wrapped.
+fn sim_grant_delivery(lines: &[String], i: usize) -> Option<usize> {
+    let at = lines[i]
+        .find(".schedule_in(")
+        .or_else(|| lines[i].find(".schedule_at("))?;
+    let mut statement = lines[i][at..].to_owned();
+    for line in &lines[i + 1..] {
+        if statement.contains(';') {
+            break;
+        }
+        statement.push_str(line);
+    }
+    let statement = statement.split(';').next().unwrap_or_default();
+    statement.contains("GrantArrive").then_some(at)
 }
 
 /// Whether a scrubbed line opens a function item (`fn name`, any
@@ -459,16 +476,16 @@ pub fn lint_source(path: &str, crate_name: &str, content: &str) -> Vec<LintFindi
     // plane commits the batch in `commit_wal`); anywhere else it must be
     // committed before its enclosing block closes — `.commit(` flushes the
     // whole staged batch, so one commit clears every pending append. In a
-    // `fela-live` file that drives a `ControlPlane` or `ServerCore`, a frame
-    // leaving (a link `.flush(` / `.send(`, or a call of the core's `deliver`
-    // callback) must follow a `.commit_wal(` in the same function body, or
-    // sit inside the closure handed to the core's `.dispatch(`, which commits
-    // before it calls that closure.
+    // file that drives a `ControlPlane` or `ServerCore`, a decision leaving
+    // (a link `.flush(` / `.send(`, a call of the core's `deliver` callback,
+    // or a simulated `GrantArrive`) must follow a `.commit_wal(` in the same
+    // function body, or sit inside the closure handed to the core's
+    // `.dispatch(`, which commits before it calls that closure.
     if WAL_DISCIPLINE_CRATES.contains(&crate_name) {
-        let server_file = crate_name == WAL_SERVER_CRATE
-            && scrubbed_lines.iter().enumerate().any(|(i, l)| {
-                !in_test[i] && (l.contains("ControlPlane") || l.contains("ServerCore"))
-            });
+        let server_file = scrubbed_lines
+            .iter()
+            .enumerate()
+            .any(|(i, l)| !in_test[i] && (l.contains("ControlPlane") || l.contains("ServerCore")));
         // Depth outside the open `.dispatch(` call, if any.
         let mut dispatch_call: Option<i64> = None;
         // Uncommitted appends: (line idx, depth at append).
@@ -527,6 +544,7 @@ pub fn lint_source(path: &str, crate_name: &str, content: &str) -> Vec<LintFindi
                         .iter()
                         .filter_map(|p| line.find(p))
                         .chain(deliver_call(line))
+                        .chain(sim_grant_delivery(&scrubbed_lines, i))
                         .min();
                     let commit_wal_at = line.find(".commit_wal(");
                     let in_dispatch = dispatch_call.is_some_and(|d| d < depth)
@@ -1045,12 +1063,63 @@ impl ServerCore {
     }
 }
 ";
-        assert!(lint_source("core.rs", "fela-live", core).is_empty());
-        // Without the commit, the callback call is the frame leaving early.
+        assert!(lint_source("server_core.rs", "fela-core", core).is_empty());
+        // Without the commit, the callback call is the grant leaving early.
         let uncommitted = core.replace("        self.plane.commit_wal()?;\n", "");
-        let findings = lint_source("core.rs", "fela-live", &uncommitted);
+        let findings = lint_source("server_core.rs", "fela-core", &uncommitted);
         assert_eq!(rules(&findings), ["no-unflushed-wal"]);
         assert_eq!(findings[0].line, 4);
+    }
+
+    #[test]
+    fn the_simulator_schedules_grants_only_inside_the_dispatch() {
+        let sim = "\
+struct FelaWorld { core: ServerCore }
+impl FelaWorld {
+    fn ship(&mut self, sched: &mut Scheduler<'_, Ev>) {
+        let shipped = self.core.dispatch(now, |out| {
+            for grant in out.grants {
+                sched.schedule_in(rpc, Ev::GrantArrive { worker, grant, epoch });
+                sched.schedule_in(
+                    rpc,
+                    Ev::GrantArrive {
+                        worker,
+                        grant,
+                        epoch,
+                    },
+                );
+            }
+        });
+    }
+    fn on_event(&mut self, event: Ev, sched: &mut Scheduler<'_, Ev>) {
+        match event {
+            Ev::GrantArrive {
+                worker,
+                grant,
+                epoch,
+            } => {
+                sched.schedule_in(span, Ev::ComputeDone { worker });
+            }
+            Ev::GrantArrive { .. } | Ev::ComputeDone { .. } => {}
+        }
+    }
+}
+";
+        assert!(lint_source("runtime.rs", "fela-core", sim).is_empty());
+        // A grant scheduled outside the dispatch reaches a worker uncommitted,
+        // whether its statement fits one line or rustfmt wraps it.
+        for grant in [
+            "Ev::GrantArrive { worker, grant, epoch });\n",
+            "\n            Ev::GrantArrive {\n                worker,\n            },\n        );\n",
+        ] {
+            let early = sim.replace(
+                "        match event {\n",
+                &format!("        sched.schedule_at(at, {grant}        match event {{\n"),
+            );
+            let findings = lint_source("runtime.rs", "fela-core", &early);
+            assert_eq!(rules(&findings), ["no-unflushed-wal"], "{early}");
+            assert_eq!(findings[0].line, 19);
+        }
     }
 
     #[test]

@@ -5,13 +5,14 @@
 //! poll loop sweeps nonblocking per-worker TCP/channel links, plus a timer
 //! heap for lease deadlines. Its nondeterminism is therefore exactly:
 //! *in which order do worker messages reach the server loop, and when do
-//! lease timers fire relative to them*. This module drives `fela-live`'s
-//! **shipping** server, the sans-IO [`ServerCore`] the real-clock poll loop
-//! drives (over a [`fela_core::ControlPlane`]), with the **real** wire
-//! [`Frame`]s, through every non-equivalent
-//! such interleaving of a small cluster. The checker owns only what the
-//! real-clock shell owns: which message arrives next, which lease fires, and
-//! what happens to the frames the core dispatches.
+//! lease timers fire relative to them*. This module drives the **shipping**
+//! server, the sans-IO [`fela_core::ServerCore`] the real-clock poll loop and
+//! the simulator drive (over a [`fela_core::ControlPlane`]), through
+//! `fela-live`'s [`fela_live::frame_adapter`] with the **real** wire
+//! [`Frame`]s, through every non-equivalent such interleaving of a small
+//! cluster. The checker owns only what the real-clock shell owns: which
+//! message arrives next, which lease fires, and what happens to the frames
+//! the core dispatches.
 //!
 //! **Partial-order reduction.** Worker reactions run *eagerly*: the instant
 //! the core dispatches a grant (a `GrantBatch` of one at pipeline depth 1),
@@ -31,10 +32,10 @@
 //!
 //! * **deadlock-freedom** — a state with no enabled action has
 //!   `run_complete()`;
-//! * **lost-wakeup-freedom** — at quiescence a re-scan of the waiting queue
-//!   finds no servable worker (the core's re-scan policy never strands a
-//!   waiter whose token became available), and every grant the plane issued
-//!   was actually delivered;
+//! * **lost-wakeup-freedom** — at quiescence a re-scan of the waiting queue,
+//!   on a copy of the plane, finds no servable worker (the core's re-scan
+//!   policy never strands a waiter whose token became available), and every
+//!   grant the plane issued was actually delivered;
 //! * **exactly-once token application** — each terminal state's Info Mapping
 //!   holds every generated token exactly once (stale reports after a lease
 //!   revocation are rejected, never double-applied);
@@ -57,10 +58,11 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use fela_core::{
-    apply_op, ControlPlane, CoordOp, FelaConfig, OpDivergence, RecoveryConfig, ServerSnapshot,
-    TokenId,
+    apply_op, ControlPlane, CoordOp, CoreError, FelaConfig, OpDivergence, RecoveryConfig,
+    ServerCore, ServerSnapshot, TokenId,
 };
-use fela_live::{CoreError, Endpoint, Frame, ServerCore, SyncEvent};
+use fela_live::frame_adapter::{on_frame, wire_grants};
+use fela_live::{Endpoint, Frame, SyncEvent};
 use fela_sim::SimTime;
 
 use crate::protocol::{verify_session, SessionVerifier, SessionViolation, WireMutation};
@@ -259,8 +261,11 @@ fn build_config(cfg: &McConfig) -> FelaConfig {
     fc
 }
 
-/// The shipping server core over the model plane (op log on): pipeline
-/// depth 1, level `l` spanning unit `l`.
+/// Level `l` of the model plan spans unit `l`.
+const UNITS: [(u32, u32); 2] = [(0, 1), (1, 2)];
+
+/// The shipping server core over the model plane (op log on), pipeline
+/// depth 1.
 fn build_core(cfg: &McConfig) -> ServerCore {
     let mut plane = ControlPlane::new(
         crate::small_plan(),
@@ -270,7 +275,7 @@ fn build_core(cfg: &McConfig) -> ServerCore {
         cfg.iterations,
     );
     plane.enable_op_log();
-    ServerCore::new(plane, vec![(0, 1), (1, 2)], 1)
+    ServerCore::new(plane, 1)
 }
 
 fn build_oracle(cfg: &McConfig) -> TokenServer {
@@ -347,7 +352,8 @@ struct McState {
 
 /// Memoization key. The oracle is *excluded*: its snapshot is proved equal to
 /// the plane's at every transition, so it carries no independent state. So
-/// are the core's completion log and counters, which no property reads.
+/// are the core's counters, which no property reads (the model keeps no
+/// completion log).
 type McKey = (
     ServerSnapshot,
     Vec<Vec<Msg>>,
@@ -413,33 +419,33 @@ impl Mc<'_> {
     fn dispatch(&mut self, state: &mut McState) {
         let recovery = state.core.plane().recovery_on();
         let cfg = self.cfg;
+        let mut leases = Vec::new();
         let shipped = state.core.dispatch(SimTime::ZERO, |out| {
             let worker = out.worker;
-            for &(token, attempt) in out.leases {
+            let grants = wire_grants(&UNITS, out.grants, &mut leases);
+            for &(token, attempt) in &leases {
                 if recovery && attempt < cfg.max_attempts {
                     state.armed.insert((token.0, attempt));
                 }
             }
             let dropped = state.mutation_armed
                 && cfg.mutation == Some(McMutation::DropGrant { worker })
-                && out.leases.iter().all(|&(_, attempt)| attempt == 0);
+                && leases.iter().all(|&(_, attempt)| attempt == 0);
             if dropped {
                 state.mutation_armed = false;
-                let tokens = out.leases.iter().map(|&(token, _)| (worker, token.0));
+                let tokens = leases.iter().map(|&(token, _)| (worker, token.0));
                 state.undelivered.extend(tokens);
                 return;
             }
-            for &(token, _) in out.leases {
+            for &(token, _) in &leases {
                 state.verifier.add_grant_intent(token.0, worker);
                 state.queues[worker].push_back(Msg::Report(token.0));
             }
-            for frame in out.frames {
-                state.verifier.observe(&SyncEvent::FrameSent {
-                    side: Endpoint::Server,
-                    worker,
-                    frame: frame.clone(),
-                });
-            }
+            state.verifier.observe(&SyncEvent::FrameSent {
+                side: Endpoint::Server,
+                worker,
+                frame: Frame::GrantBatch { grants },
+            });
         });
         if let Err(e) = shipped {
             self.push_violation(scheduler_error(e));
@@ -459,7 +465,7 @@ impl Mc<'_> {
             frame: frame.clone(),
         });
         let stale = state.core.counters().stale_reports;
-        if let Err(e) = state.core.on_frame(worker, frame, SimTime::ZERO) {
+        if let Err(e) = on_frame(&mut state.core, worker, frame, SimTime::ZERO) {
             self.push_violation(scheduler_error(e));
         }
         self.outcome.stale_reports += state.core.counters().stale_reports - stale;
@@ -473,9 +479,12 @@ impl Mc<'_> {
         match state.core.lease_fired(TokenId(token), attempt) {
             // The plane walked away from these grants; in-flight drops of
             // them are healed (their reports would be stale anyway).
-            Ok(revoked) => state
-                .undelivered
-                .retain(|(_, t)| !revoked.iter().any(|r| r.0 == *t)),
+            Ok(expired) => {
+                let revoked = expired.map(|e| e.revoked).unwrap_or_default();
+                state
+                    .undelivered
+                    .retain(|(_, t)| !revoked.iter().any(|r| r.0 == *t));
+            }
             Err(e) => self.push_violation(scheduler_error(e)),
         }
         self.dispatch(state);
@@ -517,16 +526,11 @@ impl Mc<'_> {
     /// Checks a quiescent state (no enabled action).
     fn check_quiescent(&mut self, state: &McState) {
         // A servable waiter at quiescence means a re-scan was skipped
-        // somewhere: wake the waiting queue on a copy and see who is served.
-        let mut probe = state.core.clone();
-        probe.wake_waiters();
-        let mut woken = None;
-        let _ = probe.dispatch(SimTime::ZERO, |out| {
-            if let (None, Some(&(token, _))) = (woken, out.leases.first()) {
-                woken = Some((out.worker, token.0));
-            }
-        });
-        if let Some((worker, token)) = woken {
+        // somewhere: re-scan the waiting queue on a copy of the plane and
+        // see who is served.
+        let mut probe = state.core.plane().clone();
+        if let Ok(Some((worker, grant))) = probe.pop_ready_grant(SimTime::ZERO) {
+            let token = grant.token.id.0;
             self.push_violation(McViolation::LostWakeup { worker, token });
             return;
         }
@@ -650,16 +654,18 @@ pub fn record_execution(cfg: &McConfig) -> (Vec<SyncEvent>, Vec<CoordOp>) {
             worker: w,
             frame: frame.clone(),
         });
-        let _ = core.on_frame(w, frame, SimTime::ZERO);
+        let _ = on_frame(&mut core, w, frame, SimTime::ZERO);
+        let mut leases = Vec::new();
         let _ = core.dispatch(SimTime::ZERO, |out| {
-            for &(token, _) in out.leases {
+            let grants = wire_grants(&UNITS, out.grants, &mut leases);
+            for &(token, _) in &leases {
                 queues[out.worker].push_back(Msg::Report(token.0));
             }
-            events.extend(out.frames.iter().map(|frame| SyncEvent::FrameSent {
+            events.push(SyncEvent::FrameSent {
                 side: Endpoint::Server,
                 worker: out.worker,
-                frame: frame.clone(),
-            }));
+                frame: Frame::GrantBatch { grants },
+            });
         });
         ops.append(&mut core.take_op_log());
     }

@@ -19,9 +19,14 @@
 //!   every op and group-commits the stage ([`ControlPlane::commit_wal`]),
 //!   checkpoints it ([`ControlPlane::checkpoint_due`]) and recovers from it
 //!   ([`ControlPlane::crash_restart`]);
-//! * [`FelaRuntime`] — the discrete-event world tying the server to workers, the
-//!   GPU compute model, the flow-level network and straggler injection; implements
-//!   [`fela_cluster::TrainingRuntime`].
+//! * [`ServerCore`] — the one sans-IO Token Server over the plane, which the
+//!   simulator, `fela-live`'s real-clock shell and `fela-check`'s model
+//!   checker all drive: its inputs (pull, report batch, finished sync, lease
+//!   fire, worker crash or restart, server crash) only queue work, and grants
+//!   leave through one [`ServerCore::dispatch`] that commits the log first;
+//! * [`FelaRuntime`] — the discrete-event world tying the server core to
+//!   workers, the GPU compute model, the flow-level network and straggler
+//!   injection; implements [`fela_cluster::TrainingRuntime`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,6 +40,7 @@ mod plan;
 mod plane;
 mod runtime;
 mod server;
+mod server_core;
 mod snapshot;
 mod token;
 pub mod wal;
@@ -47,6 +53,7 @@ pub use plan::{LevelPlan, PlanError, TokenPlan};
 pub use plane::ControlPlane;
 pub use runtime::{ComputeBackend, ComputeRequest, FelaRuntime, LocalCompute};
 pub use server::{Coordinator, Grant, LevelMeta, ServerStats, SyncSpec};
+pub use server_core::{CoreCounters, CoreError, Outbound, Reported, ServerCore};
 pub use snapshot::ServerSnapshot;
 pub use token::{Token, TokenId};
 pub use wal::{

@@ -15,6 +15,19 @@
 //! When a level's last token completes, its parameters ring-all-reduce among the
 //! sync group *without blocking trainers* (§III-A); the BSP barrier closes an
 //! iteration once all tokens are trained and all syncs have drained.
+//!
+//! Every Token Server decision is the [`ServerCore`]'s, the same core
+//! `fela-live` drives against the wall clock: a request is a pull, a report
+//! a report batch of one, a finished all-reduce a finished sync, and faults,
+//! lease deadlines and the server crash are the core's fault inputs. Each
+//! event ends with one [`ServerCore::dispatch`], which schedules a
+//! `GrantArrive` per grant in the order the plane issued them, and one
+//! commit, so a server crash (an event of its own) finds the log's stage
+//! empty. The world itself keeps what a simulator owns: workers, the network
+//! and its rings, straggler floors, lease deadlines armed at compute start,
+//! RPC and conflict delays, and the trace.
+
+use std::io;
 
 use fela_cluster::{FaultKind, Scenario, TrainingRuntime};
 use fela_metrics::RunReport;
@@ -25,21 +38,26 @@ use fela_sim::{
 };
 
 use crate::config::{FelaConfig, RecoveryConfig};
-use crate::error::ScheduleError;
 use crate::plan::TokenPlan;
 use crate::plane::ControlPlane;
 use crate::server::{Grant, LevelMeta, SyncSpec};
+use crate::server_core::{CoreError, ServerCore};
 use crate::token::TokenId;
 use crate::wal::DurabilityOptions;
 
-/// The simulation runtime treats any scheduling error as a fatal bug in the
-/// scheduler itself (a real deployment would abort the job the same way).
-fn sched_ok<T>(result: Result<T, ScheduleError>) -> T {
+/// The simulation runtime treats any core error — a scheduling invariant or
+/// a failed write-ahead log — as fatal (a real deployment would abort the
+/// job the same way).
+fn core_ok<T>(result: Result<T, CoreError>) -> T {
     match result {
         Ok(v) => v,
-        Err(e) => panic!("Fela scheduler invariant violated: {e}"),
+        Err(e) => panic!("{e}"),
     }
 }
+
+/// Tokens a simulated worker pulls per request: it computes one grant at a
+/// time.
+const SIM_PIPELINE: usize = 1;
 
 /// Tag namespace for network flows: dependency fetches carry the token id,
 /// sync flows carry the level.
@@ -59,9 +77,9 @@ fn sync_tag(level: usize, iteration: u64) -> u64 {
 enum Ev {
     /// A worker's token request reaches the TS.
     RequestArrive { worker: usize },
-    /// A grant reaches the worker. `epoch` is the addressee's liveness epoch at
-    /// send time: a grant in flight across a crash is void on arrival (the TS
-    /// revoked its lease when it processed the crash).
+    /// A grant reaches `worker`. `epoch` is the addressee's liveness epoch
+    /// at send time: a grant in flight across a crash is void on arrival (the
+    /// TS revoked its lease when it processed the crash).
     GrantArrive {
         worker: usize,
         grant: Grant,
@@ -163,26 +181,13 @@ struct ActiveSync {
     collective: RingAllReduce,
 }
 
-/// Fault-path counters, reported only when a fault model is active so
-/// fault-free `RunReport`s stay byte-identical to pre-recovery builds.
-#[derive(Default)]
-struct FaultStats {
-    crashes: u64,
-    restarts: u64,
-    revocations: u64,
-    stale_reports: u64,
-    quarantines: u64,
-    server_crashes: u64,
-    server_restarts: u64,
-}
-
 struct FelaWorld<'a> {
     trace: Trace,
     /// Compute-span oracle: inline analytic model, or a live worker fleet.
     backend: &'a mut dyn ComputeBackend,
     scenario: Scenario,
     partition: Partition,
-    server: ControlPlane,
+    core: ServerCore,
     net: Network,
     net_ev: Option<EventId>,
     workers: Vec<WorkerState>,
@@ -198,7 +203,6 @@ struct FelaWorld<'a> {
     fault_active: bool,
     /// Iterations whose fault declarations have been turned into events.
     faults_armed: usize,
-    fault_stats: FaultStats,
     /// The server process is down until this instant: server-touching events
     /// arriving earlier are deferred to it (ZERO when the server is up,
     /// which keeps crash-free runs byte-identical).
@@ -206,8 +210,12 @@ struct FelaWorld<'a> {
 }
 
 impl FelaWorld<'_> {
+    fn plane(&self) -> &ControlPlane {
+        self.core.plane()
+    }
+
     fn rpc(&self) -> SimDuration {
-        self.server.config().rpc_latency
+        self.plane().config().rpc_latency
     }
 
     fn reschedule_net(&mut self, sched: &mut Scheduler<'_, Ev>) {
@@ -227,36 +235,38 @@ impl FelaWorld<'_> {
     /// events at all, which is what keeps it bit-identical to a build without
     /// fault injection.
     fn leases_armed(&self) -> bool {
-        self.fault_active && self.server.recovery_on()
+        self.fault_active && self.plane().recovery_on()
     }
 
     /// The smallest-id eligible worker — mirrors the server's deterministic
     /// re-home target for crashed workers' data.
     fn rehome_target(&self) -> Option<usize> {
         (0..self.scenario.cluster.nodes)
-            .find(|&w| self.server.is_alive(w) && !self.server.is_quarantined(w))
+            .find(|&w| self.plane().is_alive(w) && !self.plane().is_quarantined(w))
     }
 
-    fn schedule_grant(&mut self, worker: usize, grant: Grant, sched: &mut Scheduler<'_, Ev>) {
-        let mut delay = self.rpc();
-        if grant.conflict {
-            delay += self.server.config().conflict_penalty;
-        }
-        let epoch = self.workers[worker].epoch;
-        sched.schedule_in(
-            delay,
-            Ev::GrantArrive {
-                worker,
-                grant,
-                epoch,
-            },
-        );
-    }
-
-    fn serve_waiting(&mut self, sched: &mut Scheduler<'_, Ev>) {
-        while let Some((worker, grant)) = sched_ok(self.server.pop_ready_grant(sched.now())) {
-            self.schedule_grant(worker, grant, sched);
-        }
+    /// Ends an event: ships what the core queued — each grant reaches its
+    /// worker one RPC later, plus the lock penalty when it conflicted — then
+    /// commits whatever else the event staged.
+    fn ship(&mut self, sched: &mut Scheduler<'_, Ev>) {
+        let rpc = self.rpc();
+        let penalty = self.plane().config().conflict_penalty;
+        let workers = &self.workers;
+        let shipped = self.core.dispatch(sched.now(), |out| {
+            let (worker, epoch) = (out.worker, workers[out.worker].epoch);
+            for grant in out.grants {
+                let delay = if grant.conflict { rpc + penalty } else { rpc };
+                sched.schedule_in(
+                    delay,
+                    Ev::GrantArrive {
+                        worker,
+                        grant,
+                        epoch,
+                    },
+                );
+            }
+        });
+        core_ok(shipped.and_then(|()| self.core.commit_wal()));
     }
 
     /// Turns this scenario's fault declarations into events as iterations are
@@ -307,7 +317,7 @@ impl FelaWorld<'_> {
         let ev = sched.schedule_at(done_at, Ev::ComputeDone { worker });
         self.workers[worker].compute_ev = Some((ev, done_at));
         if self.leases_armed() {
-            if let Some(rec) = self.server.config().recovery {
+            if let Some(rec) = self.plane().config().recovery {
                 // Deadline = estimated cost × slack, doubled per prior expiry
                 // (exponential backoff), plus flat control-plane grace.
                 let backoff = (1u64 << attempt.min(32)) as f64;
@@ -340,8 +350,8 @@ impl FelaWorld<'_> {
                 },
             );
             if spec.is_degenerate() {
-                // Nothing crosses the wire: the update commits instantly, but the
-                // commit point still appears in the trace for checkers.
+                // Nothing crosses the wire: the core committed the update, but
+                // the commit point still appears in the trace for checkers.
                 self.trace.record_kind(
                     now,
                     "sync",
@@ -357,7 +367,6 @@ impl FelaWorld<'_> {
                         )
                     },
                 );
-                sched_ok(self.server.sync_finished(spec.level, spec.iteration));
                 continue;
             }
             let participants = spec.participants.iter().map(|&w| NodeId(w)).collect();
@@ -379,40 +388,34 @@ impl FelaWorld<'_> {
         }
     }
 
-    /// Reconciles with the server after any state change: records newly released
-    /// iterations (for straggler floors), newly completed iterations, serves
-    /// waiting workers, and detects run completion.
-    fn after_server_change(&mut self, sched: &mut Scheduler<'_, Ev>) {
+    /// Tracks the plane after a change that can move an iteration: records
+    /// newly released iterations (for straggler floors) and newly completed
+    /// ones, arms the released iterations' faults, and detects run
+    /// completion.
+    fn track_iterations(&mut self, sched: &mut Scheduler<'_, Ev>) {
         let now = sched.now();
-        while (self.iter_starts.len() as u64) < self.server.released_root_iterations() {
+        while (self.iter_starts.len() as u64) < self.plane().released_root_iterations() {
             self.iter_starts.push(now);
         }
-        while (self.iter_done.len() as u64) < self.server.completed_iterations() {
+        while (self.iter_done.len() as u64) < self.plane().completed_iterations() {
             self.iter_done.push(now);
         }
         self.arm_faults(sched);
-        self.serve_waiting(sched);
-        if let Err(e) = self.server.checkpoint_due(Vec::new) {
-            panic!("WAL checkpoint failed — cannot guarantee durability: {e}");
-        }
-        if self.server.run_complete() {
+        if self.plane().run_complete() {
             self.finished_at = Some(now);
         }
     }
 
     /// The Token Server process dies and is reborn from its write-ahead log
-    /// ([`ControlPlane::crash_restart`]), then freezes all server-touching
-    /// traffic for the downtime.
+    /// ([`ServerCore::server_crash`]), then freezes all server-touching
+    /// traffic for the downtime. Work in flight survives: the workers and the
+    /// network are alive.
     fn on_server_crash(&mut self, down: SimDuration, sched: &mut Scheduler<'_, Ev>) {
         let now = sched.now();
-        self.fault_stats.server_crashes += 1;
         self.trace.record(now, "fault", || {
             format!("token server crashed, recovering from WAL, back in {down}")
         });
-        if let Err(e) = self.server.crash_restart() {
-            panic!("token server restart failed: {e}");
-        }
-        self.fault_stats.server_restarts += 1;
+        core_ok(self.core.server_crash());
         self.server_frozen_until = now + down;
     }
 
@@ -468,8 +471,8 @@ impl FelaWorld<'_> {
                     EventKind::SyncDone { level, iteration },
                     || format!("all-reduce level {} iter {} done", level + 1, iteration),
                 );
-                sched_ok(self.server.sync_finished(level, iteration));
-                self.after_server_change(sched);
+                core_ok(self.core.sync_finished(level, iteration));
+                self.track_iterations(sched);
             }
         }
     }
@@ -480,7 +483,7 @@ impl FelaWorld<'_> {
     /// the lease and the token is recomputed elsewhere).
     fn on_hang(&mut self, worker: usize, stall: SimDuration, sched: &mut Scheduler<'_, Ev>) {
         let now = sched.now();
-        if !self.server.is_alive(worker) {
+        if !self.plane().is_alive(worker) {
             return; // already down: the hang is subsumed by the outage
         }
         self.trace.record(now, "fault", || {
@@ -509,10 +512,9 @@ impl FelaWorld<'_> {
         sched: &mut Scheduler<'_, Ev>,
     ) {
         let now = sched.now();
-        if !self.server.is_alive(worker) {
+        if !self.plane().is_alive(worker) {
             return; // chaos can strike a worker that is already down
         }
-        self.fault_stats.crashes += 1;
         self.trace
             .record_kind(now, "fault", EventKind::Crash { worker }, || {
                 format!(
@@ -536,10 +538,8 @@ impl FelaWorld<'_> {
         self.busy[worker].abort(now);
         // Crash notification to the TS: revokes the victim's leases, re-homes
         // its durable data, redistributes its bucket, shrinks the barrier.
-        let revoked = sched_ok(self.server.worker_crashed(worker));
-        self.fault_stats.revocations += revoked.len() as u64;
-        for t in revoked {
-            let attempt = self.server.attempt_of(t).saturating_sub(1);
+        for t in core_ok(self.core.worker_crashed(worker)) {
+            let attempt = self.plane().attempt_of(t).saturating_sub(1);
             self.trace.record_kind(
                 now,
                 "ts",
@@ -596,8 +596,9 @@ impl FelaWorld<'_> {
         if let Some(down) = restart_after {
             sched.schedule_at(now + down, Ev::Restart { worker });
         }
-        // Revoked tokens are grantable again; waiting survivors pick them up.
-        self.after_server_change(sched);
+        // Revoked tokens are grantable again; waiting survivors pick them up
+        // at the event's dispatch.
+        self.track_iterations(sched);
     }
 
     /// Restarts a broken collective among the surviving participants from
@@ -617,7 +618,7 @@ impl FelaWorld<'_> {
             .participants
             .iter()
             .copied()
-            .filter(|&w| self.server.is_alive(w))
+            .filter(|&w| self.plane().is_alive(w))
             .collect();
         if survivors.len() <= 1 {
             self.trace.record_kind(
@@ -635,8 +636,8 @@ impl FelaWorld<'_> {
                     )
                 },
             );
-            sched_ok(self.server.sync_finished(sync.level, sync.iteration));
-            self.after_server_change(sched);
+            core_ok(self.core.sync_finished(sync.level, sync.iteration));
+            self.track_iterations(sched);
             return;
         }
         self.trace.record(now, "sync", || {
@@ -657,18 +658,16 @@ impl FelaWorld<'_> {
         });
     }
 
-    /// A lease deadline passed. The server decides whether the timer is stale;
+    /// A lease deadline passed. The core decides whether the timer is stale;
     /// a live expiry revokes the token (and possibly quarantines the holder),
     /// making it grantable to someone else. The victim may still be computing:
     /// its eventual report will be rejected as stale.
     fn on_lease_expiry(&mut self, token: TokenId, attempt: u64, sched: &mut Scheduler<'_, Ev>) {
         let now = sched.now();
-        let Some(exp) = sched_ok(self.server.lease_expired(token, attempt)) else {
+        let Some(exp) = core_ok(self.core.lease_fired(token, attempt)) else {
             return;
         };
-        self.fault_stats.revocations += exp.revoked.len() as u64;
         if exp.quarantined {
-            self.fault_stats.quarantines += 1;
             self.trace.record(now, "ts", || {
                 format!(
                     "worker {} quarantined after repeated lease expiries",
@@ -677,7 +676,7 @@ impl FelaWorld<'_> {
             });
         }
         for t in exp.revoked {
-            let at = self.server.attempt_of(t).saturating_sub(1);
+            let at = self.plane().attempt_of(t).saturating_sub(1);
             self.trace.record_kind(
                 now,
                 "ts",
@@ -694,27 +693,25 @@ impl FelaWorld<'_> {
                 },
             );
         }
-        self.after_server_change(sched);
+        self.track_iterations(sched);
     }
 }
 
 impl World for FelaWorld<'_> {
     type Event = Ev;
 
-    /// Handles one event, then commits the ops it staged: every grant it
-    /// scheduled reaches a worker in a later event, so the log is durable
-    /// before any result leaves the Token Server. A server crash is an event
-    /// of its own and therefore always finds the stage empty.
+    /// Handles one event, then flushes the core: the grants it queued leave
+    /// after the commit, and reach their workers in later events. A server
+    /// crash is an event of its own and therefore always finds the stage
+    /// empty.
     fn handle(&mut self, now: SimTime, event: Ev, sched: &mut Scheduler<'_, Ev>) {
-        self.dispatch(now, event, sched);
-        if let Err(e) = self.server.commit_wal() {
-            panic!("WAL commit failed — cannot guarantee durability: {e}");
-        }
+        self.on_event(now, event, sched);
+        self.ship(sched);
     }
 }
 
 impl FelaWorld<'_> {
-    fn dispatch(&mut self, now: SimTime, event: Ev, sched: &mut Scheduler<'_, Ev>) {
+    fn on_event(&mut self, now: SimTime, event: Ev, sched: &mut Scheduler<'_, Ev>) {
         // Server downtime: anything that would reach the (dead) Token Server
         // process — requests, reports, fault notifications, lease timers, and
         // the network wake that commits sync watermarks — stalls until the
@@ -743,16 +740,7 @@ impl FelaWorld<'_> {
             }
         }
         match event {
-            Ev::RequestArrive { worker } => {
-                match self.server.request(worker, now) {
-                    Ok(Some(grant)) => self.schedule_grant(worker, grant, sched),
-                    Ok(None) => {}
-                    // The request legitimately raced the worker's own crash or
-                    // quarantine: it was in flight when the membership changed.
-                    Err(ScheduleError::WorkerUnavailable { .. }) => {}
-                    Err(e) => panic!("Fela scheduler invariant violated: {e}"),
-                }
-            }
+            Ev::RequestArrive { worker } => core_ok(self.core.pull(worker, now)),
             Ev::GrantArrive {
                 worker,
                 grant,
@@ -841,44 +829,35 @@ impl FelaWorld<'_> {
                 );
             }
             Ev::ReportArrive { worker, token } => {
-                match self.server.report(worker, token) {
-                    Ok(syncs) => {
-                        if !syncs.is_empty() {
-                            self.start_syncs(syncs, sched);
-                            self.reschedule_net(sched);
-                        }
-                    }
-                    // The reporter no longer holds the token's lease (it hung
-                    // past its deadline, or this report raced a crash/restart
-                    // cycle): the gradient is discarded, never applied.
-                    Err(ScheduleError::StaleReport { .. }) => {
-                        self.fault_stats.stale_reports += 1;
-                        self.trace.record_kind(
-                            now,
-                            "ts",
-                            EventKind::StaleReport {
-                                worker,
-                                token: token.0,
-                            },
-                            || {
-                                format!(
-                                    "discarded stale report of token {} from worker {worker}",
-                                    token.0
-                                )
-                            },
-                        );
-                    }
-                    Err(e) => panic!("Fela scheduler invariant violated: {e}"),
+                let reported = core_ok(self.core.report(worker, [token]));
+                // A stale reporter no longer holds the token's lease (it hung
+                // past its deadline, or this report raced a crash/restart
+                // cycle): the gradient is discarded, never applied.
+                if !reported.stale.is_empty() {
+                    self.trace.record_kind(
+                        now,
+                        "ts",
+                        EventKind::StaleReport {
+                            worker,
+                            token: token.0,
+                        },
+                        || {
+                            format!(
+                                "discarded stale report of token {} from worker {worker}",
+                                token.0
+                            )
+                        },
+                    );
                 }
-                // Piggybacked request for the reporter, then any other waiters
-                // (a quarantined reporter is refused and goes idle).
-                match self.server.request(worker, now) {
-                    Ok(Some(grant)) => self.schedule_grant(worker, grant, sched),
-                    Ok(None) => {}
-                    Err(ScheduleError::WorkerUnavailable { .. }) => {}
-                    Err(e) => panic!("Fela scheduler invariant violated: {e}"),
+                if !reported.syncs.is_empty() {
+                    self.start_syncs(reported.syncs, sched);
+                    self.reschedule_net(sched);
                 }
-                self.after_server_change(sched);
+                // Piggybacked request for the reporter; the event's dispatch
+                // then serves any other waiters (a quarantined reporter is
+                // refused and goes idle).
+                core_ok(self.core.pull(worker, now));
+                self.track_iterations(sched);
             }
             Ev::NetWake => {
                 self.net_ev = None;
@@ -896,11 +875,10 @@ impl FelaWorld<'_> {
                 }
             },
             Ev::Restart { worker } => {
-                if self.server.is_alive(worker) {
+                if self.plane().is_alive(worker) {
                     return; // defensive: at most one restart per crash is scheduled
                 }
-                sched_ok(self.server.worker_restarted(worker));
-                self.fault_stats.restarts += 1;
+                core_ok(self.core.worker_restarted(worker));
                 self.trace
                     .record_kind(now, "fault", EventKind::Restart { worker }, || {
                         format!("worker {worker} rejoined the cluster")
@@ -953,6 +931,32 @@ impl FelaRuntime {
             self.partition_options,
         )
     }
+
+    /// Validates `scenario` and builds the Token Server's plane for it, with
+    /// the partition it plans over, as every runtime starts. Faults imply
+    /// recovery: grants must be leases for the server to revoke and re-grant
+    /// a victim's tokens. A fault-free scenario leaves the config untouched.
+    ///
+    /// # Errors
+    /// `InvalidInput` for an invalid fault model or a scenario that admits
+    /// no token plan.
+    pub fn plane_for(&self, scenario: &Scenario) -> io::Result<(ControlPlane, Partition)> {
+        scenario.cluster.validate();
+        let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidInput, e);
+        let fault = scenario.fault.validate();
+        fault.map_err(|e| invalid(format!("invalid fault model: {e}")))?;
+        let mut config = self.config.clone();
+        if !scenario.fault.is_none() && config.recovery.is_none() {
+            config.recovery = Some(RecoveryConfig::default());
+        }
+        let partition = self.partition_for(scenario);
+        let (nodes, batch) = (scenario.cluster.nodes, scenario.total_batch);
+        let plan = TokenPlan::build(&partition, &config, batch, nodes)
+            .map_err(|e| invalid(format!("scenario must admit a token plan: {e}")))?;
+        let meta = LevelMeta::for_partition(&partition);
+        let plane = ControlPlane::new(plan, config, meta, nodes, scenario.iterations);
+        Ok((plane, partition))
+    }
 }
 
 impl FelaRuntime {
@@ -986,35 +990,17 @@ impl FelaRuntime {
         trace: Trace,
         backend: &mut dyn ComputeBackend,
     ) -> (RunReport, Trace) {
-        scenario.cluster.validate();
-        if let Err(e) = scenario.fault.validate() {
-            panic!("invalid fault model: {e}");
-        }
-        // Faults imply recovery: grants must be leases for the TS to revoke
-        // and re-grant a victim's tokens. A fault-free scenario leaves the
-        // config untouched (recovery stays exactly as the caller set it).
-        let mut config = self.config.clone();
-        if !scenario.fault.is_none() && config.recovery.is_none() {
-            config.recovery = Some(RecoveryConfig::default());
-        }
-        let partition = self.partition_for(scenario);
-        let plan = match TokenPlan::build(
-            &partition,
-            &config,
-            scenario.total_batch,
-            scenario.cluster.nodes,
-        ) {
-            Ok(plan) => plan,
-            Err(e) => panic!("scenario must admit a token plan: {e}"),
+        let (mut plane, partition) = match self.plane_for(scenario) {
+            Ok(built) => built,
+            Err(e) => panic!("{e}"),
         };
-        let meta = LevelMeta::for_partition(&partition);
         let n = scenario.cluster.nodes;
         let fault_active = !scenario.fault.is_none();
-        let mut server = ControlPlane::new(plan, config.clone(), meta, n, scenario.iterations);
+        let rpc = plane.config().rpc_latency;
         // A `--wal-dir` goes through a real file with real fsyncs; otherwise
         // the log lives in memory.
         if let Some(durability) = DurabilityOptions::for_run(self.durability.as_ref(), scenario) {
-            if let Err(e) = server.open_wal(&durability) {
+            if let Err(e) = plane.open_wal(&durability) {
                 panic!("cannot open the write-ahead log: {e}");
             }
         }
@@ -1023,7 +1009,7 @@ impl FelaRuntime {
             backend,
             scenario: scenario.clone(),
             partition,
-            server,
+            core: ServerCore::new(plane, SIM_PIPELINE),
             net: Network::new(scenario.cluster.network),
             net_ev: None,
             workers: (0..n)
@@ -1044,16 +1030,12 @@ impl FelaRuntime {
             // Iteration 0 is released before the engine starts; its fault
             // declarations are primed below rather than armed by an event.
             faults_armed: 1,
-            fault_stats: FaultStats::default(),
             server_frozen_until: SimTime::ZERO,
         };
         let mut engine = Engine::new(world);
         // Every worker fires its first request at t=0 (arrives after one RPC).
         for worker in 0..n {
-            engine.prime_at(
-                SimTime::ZERO + config.rpc_latency,
-                Ev::RequestArrive { worker },
-            );
+            engine.prime_at(SimTime::ZERO + rpc, Ev::RequestArrive { worker });
         }
         if fault_active {
             for worker in 0..n {
@@ -1096,37 +1078,34 @@ impl FelaRuntime {
             .iter()
             .map(|b| b.busy_time().as_secs_f64())
             .collect();
-        let stats = world.server.stats();
+        let stats = world.plane().stats();
         report.bump("grants", stats.grants);
         report.bump("local_grants", stats.local_grants);
         report.bump("steals", stats.steals);
         report.bump("conflicts", stats.conflicts);
         report.bump("remote_fetch_bytes", stats.remote_fetch_bytes);
         report.bump("starved_requests", stats.starved_requests);
-        for (w, &count) in world.server.trained_per_worker().iter().enumerate() {
+        for (w, &count) in world.plane().trained_per_worker().iter().enumerate() {
             report.bump(&format!("tokens_worker{w}"), count);
         }
-        let any_fault_fired = world.fault_stats.crashes
-            + world.fault_stats.restarts
-            + world.fault_stats.revocations
-            + world.fault_stats.stale_reports
-            + world.fault_stats.quarantines
-            > 0;
+        let c = world.core.counters();
+        let any_fault_fired =
+            c.crashes + c.restarts + c.revocations + c.stale_reports + c.quarantines > 0;
         if world.fault_active && any_fault_fired {
             // Fault-path counters exist only when a fault actually struck, so
             // a crash-free run — whether the fault model is `None` or simply
             // never fired — stays byte-identical to a fault-free RunReport.
-            report.bump("crashes", world.fault_stats.crashes);
-            report.bump("restarts", world.fault_stats.restarts);
-            report.bump("revocations", world.fault_stats.revocations);
-            report.bump("stale_reports", world.fault_stats.stale_reports);
-            report.bump("quarantined", world.fault_stats.quarantines);
+            report.bump("crashes", c.crashes);
+            report.bump("restarts", c.restarts);
+            report.bump("revocations", c.revocations);
+            report.bump("stale_reports", c.stale_reports);
+            report.bump("quarantined", c.quarantines);
         }
-        if world.fault_active && world.fault_stats.server_crashes > 0 {
+        if world.fault_active && c.server_crashes > 0 {
             // Gated separately from the worker-fault block so existing
             // worker-fault reports gain no new keys.
-            report.bump("server_crashes", world.fault_stats.server_crashes);
-            report.bump("server_restarts", world.fault_stats.server_restarts);
+            report.bump("server_crashes", c.server_crashes);
+            report.bump("server_restarts", c.server_restarts);
         }
         (report, world.trace)
     }

@@ -19,9 +19,10 @@
 //!   workers pull tokens, sleep the modeled span scaled by `time_scale`, and
 //!   report; leases, crash/restart injection and hang faults run off real
 //!   timers. Nondeterministic interleavings — but final model parameters are
-//!   still bit-exact (see below). Its protocol logic is the sans-IO
-//!   [`ServerCore`] ([`core`]), which `fela-check`'s model checker drives
-//!   too; [`real`] is the core's wall-clock shell.
+//!   still bit-exact (see below). Its protocol logic is `fela-core`'s sans-IO
+//!   [`fela_core::ServerCore`], the core the simulator drives too, behind
+//!   this crate's [`frame_adapter`], which `fela-check`'s model checker uses
+//!   as well; [`real`] is the core's wall-clock shell.
 //!
 //! In both modes every worker trains a real [`fela_engine`] model replica:
 //! the server relabels the run's accepted completions into per-iteration
@@ -32,7 +33,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod core;
+pub mod frame_adapter;
 pub mod real;
 pub mod replay;
 pub mod sched;
@@ -41,7 +42,6 @@ pub mod virt;
 pub mod wire;
 mod worker;
 
-pub use crate::core::{CoreCounters, CoreError, Outbound, ServerCore};
 pub use real::{run_real, run_real_durable, run_real_with, RealOptions, RealOutcome};
 pub use replay::{
     engine_setup, flatten_params, replay_schedules, replay_trace, schedules_from_completions,

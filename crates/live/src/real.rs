@@ -1,18 +1,20 @@
 //! Real-clock live runs: the Token Server as a wall-clock service.
 //!
 //! Unlike virtual mode (which *is* the simulator), real mode drives the
-//! sans-IO [`ServerCore`] — and through it [`fela_core::ControlPlane`] —
-//! against the wall clock: worker threads pull tokens over the wire, sleep
-//! the modeled compute span scaled by `time_scale`, and report. Data
-//! movement is not emulated — this is a **control-plane** runtime: parameter
-//! syncs commit degenerately the moment a level's last report lands, so the
-//! measured quantity is pure token-protocol throughput.
+//! sans-IO [`fela_core::ServerCore`] — the core the simulator drives too —
+//! through its [`frame_adapter`] against the wall clock: worker
+//! threads pull tokens over the wire, sleep the modeled compute span scaled
+//! by `time_scale`, and report. Data movement is not emulated — this is a
+//! **control-plane** runtime: parameter syncs commit the moment a level's
+//! last report lands, so the measured quantity is pure token-protocol
+//! throughput.
 //!
 //! This module is the core's shell. Every protocol decision (pulls, reports,
-//! leases, crash reconciliation, the group commit before any frame leaves)
-//! is the core's; the shell owns the links, the worker threads, the timer
-//! heap and the real-clock policy: it maps real elapsed nanoseconds onto
-//! [`SimTime`], prices spans, and sizes lease and restart deadlines.
+//! leases, crash recovery, the group commit before any frame leaves) is the
+//! core's; the shell owns the links, the worker threads, the timer heap and
+//! the real-clock policy: it maps real elapsed nanoseconds onto [`SimTime`],
+//! prices spans, sizes lease and restart deadlines, and, after a server
+//! crash, relinks every surviving worker, whose link died with the server.
 //!
 //! Model training is still exact: the core logs accepted reports, which are
 //! relabeled into engine schedules (see [`crate::replay`]) and broadcast to
@@ -55,12 +57,12 @@ use std::time::{Duration, Instant};
 
 use fela_cluster::{FaultKind, Scenario};
 use fela_core::{
-    ControlPlane, DurabilityOptions, FelaConfig, FelaRuntime, LevelMeta, RecoveryConfig, TokenId,
-    TokenPlan,
+    ControlPlane, CoreError, DurabilityOptions, FelaConfig, FelaRuntime, RecoveryConfig,
+    ServerCore, TokenId,
 };
 use fela_sim::{SimDuration, SimTime};
 
-use crate::core::{CoreError, ServerCore};
+use crate::frame_adapter::{self, wire_grants};
 use crate::replay::{replay_schedules, schedules_from_completions};
 use crate::sched::{pass, Endpoint, SharedSched, SyncEvent};
 use crate::transport::{Link, LinkRx, LinkTx, Transport};
@@ -138,8 +140,9 @@ enum Timer {
     Restart { worker: usize },
 }
 
-/// The shell's error policy: a failed log stops the run with its I/O error;
-/// any other core error is a broken invariant and panics with its message.
+/// The shell's error policy for every core input and dispatch: a failed log
+/// stops the run with its I/O error; any other core error is a broken
+/// invariant and panics with its message.
 fn fatal(e: CoreError) -> io::Error {
     match e {
         CoreError::Wal(e) => e,
@@ -170,6 +173,11 @@ fn span_secs(
 
 struct RealServer<'a> {
     core: ServerCore,
+    /// `(unit_start, unit_end)` of each level's sub-model, stamped on every
+    /// wire grant.
+    units: Vec<(u32, u32)>,
+    /// Reused buffer: the leases of the batch being shipped.
+    leases: Vec<(TokenId, u64)>,
     scenario: &'a Scenario,
     opts: RealOptions,
     recovery: Option<RecoveryConfig>,
@@ -188,9 +196,6 @@ struct RealServer<'a> {
     /// expected frames is silent by protocol (pulls are piggybacked
     /// server-side), so the sweep skips its socket entirely.
     expect_replies: Vec<u32>,
-    /// Workers whose share of the last dispatch left; the epilogue waits for
-    /// their parameters.
-    delivered: Vec<usize>,
     span_cache: HashMap<(u32, u64, usize), f64>,
     /// Real deadlines, earliest first.
     timers: BinaryHeap<Reverse<(Instant, Timer)>>,
@@ -242,14 +247,13 @@ impl RealServer<'_> {
     }
 
     /// Ships what the core queued: [`ServerCore::dispatch`] commits the log,
-    /// then each worker's frames go out as one queued write and one flush. A
-    /// batch that left sets the worker's probe hints and arms its leases,
+    /// then each worker's `GrantBatch` goes out as one write. A batch that
+    /// left sets the worker's probe hints and arms its leases,
     /// sized to the **cumulative** batch span — the worker computes the batch
     /// serially and reports it with one frame at the end, so every lease in
     /// the batch must survive until the whole batch lands.
     fn dispatch(&mut self) -> io::Result<()> {
         let now = self.now_sim();
-        self.delivered.clear();
         self.core
             .dispatch(now, |out| {
                 let w = out.worker;
@@ -258,20 +262,17 @@ impl RealServer<'_> {
                 let Some(tx) = self.txs[w].as_mut() else {
                     return;
                 };
-                let sent = out.frames.iter().try_for_each(|f| tx.queue(f));
-                if sent.and_then(|()| tx.flush()).is_err() {
-                    // Worker died under us; the sweep's close handling reclaims.
-                    return;
-                }
-                self.delivered.push(w);
-                let Some(Frame::GrantBatch { grants }) = out.frames.last() else {
-                    return;
-                };
-                self.expect_replies[w] += 1;
+                let grants = wire_grants(&self.units, out.grants, &mut self.leases);
                 let total: f64 = grants
                     .iter()
                     .map(|g| span_secs(self.scenario, &mut self.span_cache, w, g))
                     .sum();
+                let frame = Frame::GrantBatch { grants };
+                if tx.queue(&frame).and_then(|()| tx.flush()).is_err() {
+                    // Worker died under us; the sweep's close handling reclaims.
+                    return;
+                }
+                self.expect_replies[w] += 1;
                 // The worker starts sleeping the whole scaled batch span
                 // strictly after this flush, so its reply cannot arrive
                 // before the full span has elapsed — probing earlier is a
@@ -282,7 +283,7 @@ impl RealServer<'_> {
                 let Some(rec) = self.recovery else {
                     return;
                 };
-                for &(token, attempt) in out.leases {
+                for &(token, attempt) in &self.leases {
                     let backoff = (1u64 << attempt.min(32)) as f64;
                     let lease = Duration::from_secs_f64(
                         (total * rec.lease_slack * backoff + rec.lease_grace.as_secs_f64()) * scale,
@@ -295,18 +296,31 @@ impl RealServer<'_> {
             .map_err(fatal)
     }
 
+    /// Sends `worker` frames that carry no grant (a `Hang`, the epilogue)
+    /// after committing every op staged so far: the epilogue's `Iter`
+    /// frames reveal the completion schedule. Returns whether they left.
+    fn send_control(&mut self, worker: usize, frames: &[Frame]) -> io::Result<bool> {
+        self.core.commit_wal().map_err(fatal)?;
+        let Some(tx) = self.txs[worker].as_mut() else {
+            return Ok(false);
+        };
+        let sent = frames.iter().try_for_each(|f| tx.queue(f));
+        Ok(sent.and_then(|()| tx.flush()).is_ok())
+    }
+
     /// Kills a worker at the transport level and tells the core.
     fn kill(&mut self, worker: usize) -> io::Result<()> {
         if let Some(mut tx) = self.txs[worker].take() {
             tx.close();
         }
-        self.core.worker_crashed(worker).map_err(fatal)
+        self.core.worker_crashed(worker).map(drop).map_err(fatal)
     }
 
     /// The injected Token Server crash: the server "process" dies (every
-    /// worker link drops), the downtime elapses, then the core recovers from
-    /// the WAL ([`ServerCore::server_crash`]) and the fleet respawns over
-    /// fresh links.
+    /// worker link drops), the downtime elapses, then the core recovers the
+    /// plane and the completion log from the WAL
+    /// ([`ServerCore::server_crash`]) and the fleet respawns over fresh
+    /// links.
     fn crash_server(&mut self, down: SimDuration, transport: &mut dyn Transport) -> io::Result<()> {
         // Every link drops, which kills the worker threads on their next
         // recv. Replicas are only mutated by the epilogue's Iter frames, so
@@ -320,10 +334,13 @@ impl RealServer<'_> {
         }
         thread::sleep(self.real_down(down));
         self.core.server_crash().map_err(fatal)?;
+        // The dropped links lost every in-flight grant: each surviving
+        // worker's leases are revoked for immediate regrant as it relinks.
         // Workers downed by their own declared faults stay down until their
         // Restart timers fire.
         for worker in 0..self.txs.len() {
             if self.core.plane().is_alive(worker) {
+                self.core.relink(worker).map_err(fatal)?;
                 self.respawn(worker, transport)?;
             }
         }
@@ -344,7 +361,7 @@ impl RealServer<'_> {
                         let nanos = (stall.as_secs_f64() * self.opts.time_scale * 1e9)
                             .max(self.opts.min_lease.as_nanos() as f64 * 2.0)
                             as u64;
-                        self.core.hang(worker, nanos);
+                        self.send_control(worker, &[Frame::Hang { nanos }])?;
                     }
                     Some(FaultKind::Crash) => self.kill(worker)?,
                     Some(FaultKind::CrashRestart { down }) | Some(FaultKind::LinkDown { down }) => {
@@ -451,34 +468,8 @@ fn run_real_impl(
     sched: SharedSched,
     open_wal: impl FnOnce(&mut ControlPlane) -> io::Result<()>,
 ) -> io::Result<RealOutcome> {
-    scenario.cluster.validate();
-    scenario.fault.validate().map_err(|e| {
-        io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("invalid fault model: {e}"),
-        )
-    })?;
-    let mut config = config.clone();
-    if !scenario.fault.is_none() && config.recovery.is_none() {
-        config.recovery = Some(RecoveryConfig::default());
-    }
-    let runtime = FelaRuntime::new(config.clone());
-    let partition = runtime.partition_for(scenario);
-    let plan = TokenPlan::build(
-        &partition,
-        &config,
-        scenario.total_batch,
-        scenario.cluster.nodes,
-    )
-    .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+    let (mut plane, partition) = FelaRuntime::new(config.clone()).plane_for(scenario)?;
     let n = scenario.cluster.nodes;
-    let mut plane = ControlPlane::new(
-        plan,
-        config.clone(),
-        LevelMeta::for_partition(&partition),
-        n,
-        scenario.iterations,
-    );
     open_wal(&mut plane)?;
     let units = partition
         .sub_models()
@@ -486,9 +477,14 @@ fn run_real_impl(
         .map(|sm| (sm.unit_start as u32, sm.unit_end as u32))
         .collect();
 
-    let recovery = config.recovery.filter(|_| !scenario.fault.is_none());
+    let recovery = plane
+        .config()
+        .recovery
+        .filter(|_| !scenario.fault.is_none());
     let mut rs = RealServer {
-        core: ServerCore::new(plane, units, opts.pipeline),
+        core: ServerCore::new(plane, opts.pipeline).with_completion_log(),
+        units,
+        leases: Vec::new(),
         scenario,
         opts,
         recovery,
@@ -497,7 +493,6 @@ fn run_real_impl(
         rxs: (0..n).map(|_| None).collect(),
         quiet_until: vec![Instant::now(); n],
         expect_replies: vec![0; n],
-        delivered: Vec::new(),
         span_cache: HashMap::new(),
         timers: BinaryHeap::new(),
         faults_armed: 0,
@@ -559,7 +554,7 @@ fn run_real_impl(
                         });
                         let reported = matches!(frame, Frame::ReportBatch { .. });
                         let now = rs.now_sim();
-                        rs.core.on_frame(worker, frame, now).map_err(fatal)?;
+                        frame_adapter::on_frame(&mut rs.core, worker, frame, now).map_err(fatal)?;
                         // Root iterations are released only by reports.
                         if reported {
                             rs.arm_faults(transport)?;
@@ -608,11 +603,6 @@ fn run_real_impl(
             thread::yield_now();
             continue;
         }
-        // Catch-all before sleeping: re-scan the waiting queue once, so a
-        // skipped re-scan (reports without a committed sync) can only delay
-        // a waiter by one spin streak, never stall it.
-        rs.core.wake_waiters();
-        rs.dispatch()?;
         let sleep = match rs.timers.peek() {
             Some(Reverse((at, _))) => at.saturating_duration_since(Instant::now()).min(idle),
             None => idle,
@@ -624,19 +614,26 @@ fn run_real_impl(
     }
     let elapsed = rs.started.elapsed();
 
-    // Broadcast the relabeled schedules and collect every replica's params.
-    // The Iter frames reveal the completion schedule, so they leave through
-    // the core's dispatch like every other frame: after the commit. Each
-    // worker's epilogue ships as one queued batch and a single flush, one
-    // worker at a time, so only one worker's frames are ever built at once.
+    // Broadcast the relabeled schedules — one `Iter` frame per iteration,
+    // then `End` — and collect every replica's params. Each worker's
+    // epilogue ships as one queued batch and a single flush.
     let schedules = schedules_from_completions(rs.core.completions());
     let reference = replay_schedules(rs.core.plane().plan(), &schedules);
+    let mut epilogue: Vec<Frame> = (0u64..)
+        .zip(&schedules)
+        .map(|(iteration, schedule)| Frame::Iter {
+            iteration,
+            schedule: schedule
+                .iter()
+                .map(|&(l, j)| (l as u32, j as u32))
+                .collect(),
+        })
+        .collect();
+    epilogue.push(Frame::End);
     let mut waiting = Vec::new();
     for worker in 0..n {
-        if rs.txs[worker].is_some() {
-            rs.core.end_run(worker, &schedules);
-            rs.dispatch()?;
-            waiting.extend_from_slice(&rs.delivered);
+        if rs.send_control(worker, &epilogue)? {
+            waiting.push(worker);
         }
     }
     let mut collected = 0usize;

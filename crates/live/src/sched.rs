@@ -19,7 +19,7 @@
 //! `lock-order` / `no-blocking-under-lock` lint rules in `fela-check` keep it
 //! that way. Exhaustive interleaving exploration lives in `fela-check`'s
 //! model checker (`mc.rs`), which drives this crate's own
-//! [`ServerCore`](crate::ServerCore) and [`Frame`] protocol without OS
+//! [`frame_adapter`](crate::frame_adapter) and [`Frame`] protocol without OS
 //! threads; this seam is the
 //! *observation* side — it ties real executions back to the model.
 //!

@@ -514,8 +514,8 @@ macro_rules! starve_then_release {
     }};
 }
 
-/// The batched grant path (`ControlPlane::drain_ready_grants`, what the live
-/// server calls) must be observably identical to the one-at-a-time
+/// The batched grant path (`ControlPlane::drain_ready_grants`, what the
+/// server core calls) must be observably identical to the one-at-a-time
 /// `pop_ready_grant`-until-`None` loop — same grants in the same order, same
 /// stats — against the coordinator and the oracle.
 #[test]
