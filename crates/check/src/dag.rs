@@ -687,7 +687,7 @@ impl ScheduleDag {
 
     /// Checks that `order` — `(level, iteration, seq)` in observed completion
     /// order — is a linearization consistent with the DAG's train→train edges.
-    /// Ties the dynamic explorer and race checker back to the static DAG.
+    /// Ties the state-space explorer's engine check back to the static DAG.
     pub fn accepts_linearization(&self, order: &[(usize, u64, u64)]) -> Result<(), DagViolation> {
         let pos: BTreeMap<(usize, u64, u64), usize> =
             order.iter().enumerate().map(|(i, &k)| (k, i)).collect();

@@ -19,19 +19,19 @@
 //!   the exactly-once gradient property: no double grants, no ghost gradients
 //!   from expired leases, no lost micro-batches. Seeded trace mutations prove
 //!   each diagnostic fires.
-//! * [`explore`] — exhaustively enumerates every control-plane schedule for a
-//!   small configuration (DPOR-style state memoization), checks per-transition
-//!   safety, and executes every schedule with `fela-engine`'s real token-split
-//!   SGD to prove they all converge to serial-BSP parameters.
-//! * [`mc`] — the concurrency model checker for the *live* runtime: drives the
-//!   shipping server core ([`fela_core::ServerCore`], the one the simulator
-//!   drives too, through [`fela_live::frame_adapter`]) and the real wire
-//!   [`fela_live::Frame`]s through every non-equivalent message-delivery / lease-fire interleaving
-//!   of a small cluster (memoized DFS, DPOR via eager local steps), checking
-//!   deadlock-freedom, lost-wakeup-freedom, exactly-once token application and
-//!   per-op linearizability against the reference [`TokenServer`].
-//!   Seeded mutations (dropped grant, reordered Grant/Report, misrouted Grant)
-//!   each produce a distinct diagnostic.
+//! * [`mc`] — the one state-space explorer, a concurrency model checker for
+//!   both runtimes: drives the shipping server core ([`fela_core::ServerCore`],
+//!   the one the simulator drives too, through [`fela_live::frame_adapter`])
+//!   and the real wire [`fela_live::Frame`]s through every non-equivalent
+//!   message-delivery / lease-fire / sync-drain interleaving of a small
+//!   cluster (memoized DFS, DPOR via eager local steps), checking every
+//!   grant's dependencies and staleness bound, deadlock-freedom,
+//!   lost-wakeup-freedom, exactly-once token application and per-op
+//!   linearizability against the reference [`TokenServer`]. The terminal
+//!   report orders must linearize the static DAG and, run through
+//!   `fela-engine`'s real token-split SGD, train bit-identical parameters
+//!   within `1e-4` of serial BSP. Seeded mutations (dropped grant, reordered
+//!   Grant/Report, misrouted Grant) each produce a distinct diagnostic.
 //! * [`protocol`] — the frame-protocol session verifier: a per-link state
 //!   machine over the server ↔ worker `Frame` dialogue, replayed over recorded
 //!   [`fela_live::SyncEvent`] traces (from `RecordingSched`) and over the model
@@ -60,7 +60,6 @@
 
 pub mod dag;
 pub mod elastic;
-pub mod explore;
 pub mod lint;
 pub mod mc;
 mod oracle;
@@ -74,7 +73,6 @@ pub use elastic::{
     check_elastic, mutate_elastic, run_elastic_mutation_matrix, ElasticMutation,
     ElasticMutationRun, ElasticSummary, ElasticViolation,
 };
-pub use explore::{exhaustive_schedule_check, ExploreOutcome, ExploreViolation, Explorer};
 pub use mc::{
     model_check, record_execution, run_mutation_matrix, McConfig, McMutation, McOutcome,
     McViolation, MutationRun,
@@ -142,8 +140,8 @@ pub fn verify_config(
         .map_err(CheckError::Dag)
 }
 
-/// The canonical small 2-level plan the exhaustive checkers ([`explore`],
-/// [`mc`], [`wal`]) explore: 2 + 1 training tokens and 2 generation tokens per
+/// The canonical small 2-level plan the exhaustive checkers ([`mc`],
+/// [`wal`]) explore: 2 + 1 training tokens and 2 generation tokens per
 /// iteration over 8 samples.
 fn small_plan() -> TokenPlan {
     TokenPlan {
@@ -181,6 +179,86 @@ fn small_meta() -> Vec<LevelMeta> {
             comm_intensive: false,
         },
     ]
+}
+
+/// The schedule-space properties of the Token Server, checked on the
+/// report orders [`mc::model_check`] collects at its terminals.
+#[cfg(test)]
+mod explore {
+    mod tests {
+        use crate::mc::{model_check, McConfig, McOutcome, McViolation};
+
+        fn explore(staleness: u64) -> McOutcome {
+            let mut cfg = McConfig::small();
+            cfg.staleness = staleness;
+            model_check(&cfg)
+        }
+
+        #[test]
+        fn bsp_space_is_exhausted_and_safe() {
+            let outcome = explore(0);
+            assert!(!outcome.truncated, "2×2×2 space must fit the bounds");
+            assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
+            assert!(
+                outcome.schedules.len() > 1,
+                "the Token Server must admit more than one schedule"
+            );
+            // Every schedule covers all 6 tokens (3 per iteration × 2 iterations).
+            for s in &outcome.schedules {
+                assert_eq!(s.len(), 6, "{s:?}");
+            }
+            assert!(outcome.states > outcome.schedules.len());
+        }
+
+        #[test]
+        fn all_schedules_converge_to_serial_bsp() {
+            // Every terminal report order ran through the engine check.
+            let outcome = explore(0);
+            assert!(!outcome.truncated);
+            assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
+            assert!(!outcome.schedules.is_empty());
+            assert!(!outcome
+                .violations
+                .iter()
+                .any(|v| matches!(v, McViolation::Divergence { .. })));
+        }
+
+        #[test]
+        fn ssp_admits_more_schedules_than_bsp() {
+            let bsp = explore(0);
+            let ssp = explore(1);
+            assert!(bsp.violations.is_empty(), "{:?}", bsp.violations);
+            assert!(ssp.violations.is_empty(), "{:?}", ssp.violations);
+            assert!(
+                ssp.schedules.len() >= bsp.schedules.len(),
+                "staleness can only widen the schedule space ({} vs {})",
+                ssp.schedules.len(),
+                bsp.schedules.len()
+            );
+        }
+
+        #[test]
+        fn schedules_respect_dependency_order() {
+            let outcome = explore(0);
+            for s in &outcome.schedules {
+                // Within an iteration, the level-1 token must come after both
+                // level-0 tokens (its generation group).
+                for k in 0..2u64 {
+                    let l1 = s
+                        .iter()
+                        .position(|&(l, i, _)| l == 1 && i == k)
+                        .expect("level-1 token present");
+                    for seq in 0..2u64 {
+                        let l0 = s
+                            .iter()
+                            .position(|&(l, i, q)| l == 0 && i == k && q == seq)
+                            .expect("level-0 token present");
+                        assert!(l0 < l1, "dependency out of order in {s:?}");
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

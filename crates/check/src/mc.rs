@@ -1,18 +1,20 @@
 //! `fela-mc` — the deterministic concurrency model checker for the live
-//! runtime and the control plane.
+//! runtime and the control plane, and the crate's one state-space explorer.
 //!
-//! The real-clock runtime (`fela-live`) is a single-threaded server whose
-//! poll loop sweeps nonblocking per-worker TCP/channel links, plus a timer
-//! heap for lease deadlines. Its nondeterminism is therefore exactly:
-//! *in which order do worker messages reach the server loop, and when do
-//! lease timers fire relative to them*. This module drives the **shipping**
-//! server, the sans-IO [`fela_core::ServerCore`] the real-clock poll loop and
-//! the simulator drive (over a [`fela_core::ControlPlane`]), through
-//! `fela-live`'s [`fela_live::frame_adapter`] with the **real** wire
-//! [`Frame`]s, through every non-equivalent such interleaving of a small
-//! cluster. The checker owns only what the real-clock shell owns: which
-//! message arrives next, which lease fires, and what happens to the frames
-//! the core dispatches.
+//! The Token Server's nondeterminism comes from its shells. The real-clock
+//! runtime (`fela-live`) is a single-threaded server whose poll loop sweeps
+//! nonblocking per-worker TCP/channel links, plus a timer heap for lease
+//! deadlines: *in which order do worker messages reach the server loop, and
+//! when do lease timers fire relative to them*. The simulator adds *in which
+//! order do parameter syncs finish* (its network decides). This module
+//! drives the **shipping** server, the sans-IO [`fela_core::ServerCore`] the
+//! real-clock poll loop and the simulator drive (over a
+//! [`fela_core::ControlPlane`]), through `fela-live`'s
+//! [`fela_live::frame_adapter`] with the **real** wire [`Frame`]s, through
+//! every non-equivalent such interleaving of a small cluster. The checker
+//! owns only what the shells own: which message arrives next, which lease
+//! fires, which sync finishes, and what happens to the frames the core
+//! dispatches.
 //!
 //! **Partial-order reduction.** Worker reactions run *eagerly*: the instant
 //! the core dispatches a grant (a `GrantBatch` of one at pipeline depth 1),
@@ -20,16 +22,23 @@
 //! link queue. This is sound because a worker's
 //! local step is invisible to the server until its message is *delivered* —
 //! delaying the reaction commutes with every other transition (Mazurkiewicz
-//! equivalence), so only two action kinds branch: `Deliver(worker)` (the
-//! server dequeues that worker's oldest in-flight frame) and
-//! `Fire(token, attempt)` (an armed lease deadline expires now, adversarially
-//! early). States are memoized on [`ServerSnapshot`] + link queues + armed
-//! timers — interleavings that converge share their futures, collapsing the
+//! equivalence), so only three action kinds branch: `Deliver(worker)` (the
+//! server dequeues that worker's oldest in-flight frame), `Fire(token,
+//! attempt)` (an armed lease deadline expires now, adversarially early) and
+//! `Drain(i)` (the `i`-th uncommitted parameter sync finishes). The live
+//! shell commits a frame's syncs at once ([`record_execution`] follows it);
+//! that order is one path of the space. States are memoized on
+//! [`ServerSnapshot`] + link queues + armed timers + uncommitted syncs —
+//! interleavings that converge share their futures, collapsing the
 //! factorially many schedules to a small state graph that is still *complete*
-//! for every property checked here.
+//! for every property checked on a transition or a terminal state.
 //!
 //! **Checked on every explored path:**
 //!
+//! * **dependency safety** — no dispatched grant has a dependency whose
+//!   report was not yet accepted;
+//! * **staleness safety** — no dispatched grant's iteration is past its
+//!   level's `synced_upto + staleness`;
 //! * **deadlock-freedom** — a state with no enabled action has
 //!   `run_complete()`;
 //! * **lost-wakeup-freedom** — at quiescence a re-scan of the waiting queue,
@@ -49,6 +58,15 @@
 //! * **session discipline** — the per-link frame dialogue of every explored
 //!   execution is fed through [`crate::protocol::SessionVerifier`].
 //!
+//! **Checked on the terminal report orders** (the engine check, the paper's
+//! Table II reproducibility claim): each must be a linearization of the
+//! static [`ScheduleDag`], and `fela-engine`'s [`TokenExecutor`] running
+//! real token-split SGD in that order must train parameters bit-identical
+//! to every other order's and within `1e-4` of serial BSP. The memo key
+//! excludes the report order, so the engine runs the order of the first
+//! path to reach each distinct terminal state ([`McOutcome::schedules`]),
+//! not every order of the space.
+//!
 //! **Seeded mutations** ([`McMutation`] here, [`WireMutation`] in
 //! [`crate::protocol`]) follow the crate's mutation-testing convention: each
 //! of the three — dropped grant wakeup, reordered Grant/Report, misrouted
@@ -59,19 +77,22 @@ use std::collections::{BTreeSet, VecDeque};
 
 use fela_core::{
     apply_op, ControlPlane, CoordOp, CoreError, FelaConfig, OpDivergence, RecoveryConfig,
-    ServerCore, ServerSnapshot, TokenId,
+    ServerCore, ServerSnapshot, SyncSpec, Token, TokenId,
 };
-use fela_live::frame_adapter::{on_frame, wire_grants};
+use fela_engine::{serial_step, EngineLayer, EngineNet, SplitPlan, Tensor, TokenExecutor};
+use fela_live::frame_adapter::{finish_syncs, on_frame, wire_grants};
 use fela_live::{Endpoint, Frame, SyncEvent};
 use fela_sim::SimTime;
 
 use crate::protocol::{verify_session, SessionVerifier, SessionViolation, WireMutation};
-use crate::TokenServer;
+use crate::{ScheduleDag, TokenServer};
 
 /// The small configuration under exploration, plus bounds.
 #[derive(Clone, Debug)]
 pub struct McConfig {
-    /// Cluster size (2–4 keeps the space exhaustive in well under a second).
+    /// Cluster size. 2–3 keep the space exhaustive: the lease adversary on 2
+    /// workers × 2 iterations, the largest space CI explores, takes a few
+    /// seconds in a release build.
     pub workers: usize,
     /// BSP iterations to run (1–2).
     pub iterations: u64,
@@ -179,6 +200,34 @@ pub enum McViolation {
     },
     /// The frame dialogue of an explored execution broke session discipline.
     Session(SessionViolation),
+    /// A token was granted although a dependency's report had not been
+    /// accepted.
+    UnmetDependency {
+        /// The granted token.
+        token: u64,
+        /// The unreported dependency.
+        dep: u64,
+    },
+    /// A token was granted beyond its level's staleness bound.
+    PrematureGrant {
+        /// The granted token.
+        token: u64,
+        /// Its level.
+        level: usize,
+        /// Its iteration.
+        iteration: u64,
+        /// Iterations of this level synced when the grant left.
+        synced_upto: u64,
+    },
+    /// A terminal report order is not a linearization of the static DAG, or
+    /// trained parameters that differ from another order's or from serial
+    /// BSP's.
+    Divergence {
+        /// Index of the order in [`McOutcome::schedules`].
+        schedule: usize,
+        /// What differed.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for McViolation {
@@ -206,6 +255,21 @@ impl std::fmt::Display for McViolation {
                 write!(f, "scheduler error on a legal path: {message}")
             }
             McViolation::Session(v) => write!(f, "session violation: {v}"),
+            McViolation::UnmetDependency { token, dep } => {
+                write!(f, "token {token} granted before dependency {dep} reported")
+            }
+            McViolation::PrematureGrant {
+                token,
+                level,
+                iteration,
+                synced_upto,
+            } => write!(
+                f,
+                "token {token} (level {level}, iter {iteration}) granted with only {synced_upto} iterations synced"
+            ),
+            McViolation::Divergence { schedule, detail } => {
+                write!(f, "schedule {schedule} diverged: {detail}")
+            }
         }
     }
 }
@@ -225,6 +289,10 @@ pub struct McOutcome {
     pub lease_fires: u64,
     /// Stale reports (post-revocation) observed across all transitions.
     pub stale_reports: u64,
+    /// The report order, as `(level, iteration, seq)`, of the first path to
+    /// reach each distinct terminal state (fewer than `terminals` where
+    /// two such paths reported in the same order).
+    pub schedules: Vec<Vec<(usize, u64, u64)>>,
     /// Distinct violations found on any path.
     pub violations: Vec<McViolation>,
     /// True if exploration hit `max_states` before exhausting the space.
@@ -334,6 +402,12 @@ struct McState {
     queues: Vec<VecDeque<Msg>>,
     /// Armed lease timers `(token, attempt)` the adversary may fire.
     armed: BTreeSet<(u64, u64)>,
+    /// Parameter syncs released but not yet finished, in release order.
+    syncs: Vec<SyncSpec>,
+    /// Accepted reports, in order. Not part of the memoization key: the set
+    /// is the snapshot's Info Mapping, and the order only feeds the engine
+    /// check ([`McOutcome::schedules`]).
+    reported: Vec<TokenId>,
     /// Grants issued by the plane but lost in flight `(worker, token)` —
     /// nonempty only under [`McMutation::DropGrant`].
     undelivered: Vec<(usize, u64)>,
@@ -360,12 +434,14 @@ type McKey = (
     Vec<(u64, u64)>,
     Vec<(usize, u64)>,
     bool,
+    Vec<(usize, u64)>,
 );
 
 #[derive(Clone, Copy, Debug)]
 enum Action {
     Deliver(usize),
     Fire(u64, u64),
+    Drain(usize),
 }
 
 /// Shared per-exploration context.
@@ -373,6 +449,8 @@ struct Mc<'a> {
     cfg: &'a McConfig,
     outcome: McOutcome,
     violations_seen: BTreeSet<String>,
+    /// The distinct terminal report orders found so far.
+    schedules: BTreeSet<Vec<(usize, u64, u64)>>,
 }
 
 impl Mc<'_> {
@@ -415,14 +493,17 @@ impl Mc<'_> {
     /// per token on its link; with recovery on, each lease arms (bounded by
     /// `max_attempts`) — after the send, so a frame lost in flight still has
     /// its deadline ticking, which is what makes a dropped wakeup
-    /// recoverable.
+    /// recoverable. Then every grant the core let out, lost or not, meets
+    /// the dependency and staleness checks.
     fn dispatch(&mut self, state: &mut McState) {
         let recovery = state.core.plane().recovery_on();
         let cfg = self.cfg;
         let mut leases = Vec::new();
+        let mut granted = Vec::new();
         let shipped = state.core.dispatch(SimTime::ZERO, |out| {
             let worker = out.worker;
             let grants = wire_grants(&UNITS, out.grants, &mut leases);
+            granted.extend(leases.iter().map(|&(token, _)| token));
             for &(token, attempt) in &leases {
                 if recovery && attempt < cfg.max_attempts {
                     state.armed.insert((token.0, attempt));
@@ -450,10 +531,21 @@ impl Mc<'_> {
         if let Err(e) = shipped {
             self.push_violation(scheduler_error(e));
         }
+        if granted.is_empty() {
+            return;
+        }
+        let plane = state.core.plane();
+        let synced_upto = plane.snapshot().synced_upto;
+        for token in granted.into_iter().filter_map(|id| plane.token(id)) {
+            let synced = synced_upto[token.level];
+            for v in grant_violations(token, &state.reported, synced, cfg.staleness) {
+                self.push_violation(v);
+            }
+        }
     }
 
     /// The server dequeues `worker`'s oldest in-flight message and hands it
-    /// to the core, then ships.
+    /// to the core, parks the syncs its reports released, then ships.
     fn deliver(&mut self, state: &mut McState, worker: usize) {
         let Some(msg) = state.queues[worker].pop_front() else {
             return;
@@ -464,11 +556,28 @@ impl Mc<'_> {
             worker,
             frame: frame.clone(),
         });
-        let stale = state.core.counters().stale_reports;
-        if let Err(e) = on_frame(&mut state.core, worker, frame, SimTime::ZERO) {
+        match on_frame(&mut state.core, worker, frame, SimTime::ZERO) {
+            Ok(reported) => {
+                self.outcome.stale_reports += reported.stale.len() as u64;
+                if let Msg::Report(token) = msg {
+                    if reported.stale.is_empty() {
+                        state.reported.push(TokenId(token));
+                    }
+                }
+                let syncs = reported.syncs.into_iter().filter(|s| !s.is_degenerate());
+                state.syncs.extend(syncs);
+            }
+            Err(e) => self.push_violation(scheduler_error(e)),
+        }
+        self.dispatch(state);
+    }
+
+    /// The `i`-th uncommitted sync finishes, then the core ships.
+    fn drain(&mut self, state: &mut McState, i: usize) {
+        let spec = state.syncs.remove(i);
+        if let Err(e) = state.core.sync_finished(spec.level, spec.iteration) {
             self.push_violation(scheduler_error(e));
         }
-        self.outcome.stale_reports += state.core.counters().stale_reports - stale;
         self.dispatch(state);
     }
 
@@ -511,6 +620,7 @@ impl Mc<'_> {
             state.armed.iter().copied().collect(),
             state.undelivered.clone(),
             state.mutation_armed,
+            state.syncs.iter().map(|s| (s.level, s.iteration)).collect(),
         )
     }
 
@@ -520,6 +630,7 @@ impl Mc<'_> {
             .map(Action::Deliver)
             .collect();
         actions.extend(state.armed.iter().map(|(t, a)| Action::Fire(*t, *a)));
+        actions.extend((0..state.syncs.len()).map(Action::Drain));
         actions
     }
 
@@ -553,7 +664,11 @@ impl Mc<'_> {
                 .collect();
             if !missing.is_empty() {
                 self.push_violation(McViolation::IncompleteRun { missing });
+                return;
             }
+            let order = state.reported.iter().filter_map(|&id| plane.token(id));
+            let order = order.map(|t| (t.level, t.iteration, t.seq)).collect();
+            self.schedules.insert(order);
         } else {
             let queued: usize = state.queues.iter().map(VecDeque::len).sum();
             self.push_violation(McViolation::Deadlock {
@@ -569,8 +684,109 @@ impl Mc<'_> {
     }
 }
 
-/// Exhaustively explores every non-equivalent interleaving of `cfg`.
-pub fn model_check(cfg: &McConfig) -> McOutcome {
+/// The dependency and staleness checks on one dispatched grant of `token`:
+/// each dependency is among the `reported` tokens, and the iteration is
+/// within `staleness` of its level's `synced_upto`.
+fn grant_violations(
+    token: &Token,
+    reported: &[TokenId],
+    synced_upto: u64,
+    staleness: u64,
+) -> Vec<McViolation> {
+    let unmet = token.deps.iter().filter(|dep| !reported.contains(dep));
+    let mut violations: Vec<McViolation> = unmet
+        .map(|dep| McViolation::UnmetDependency {
+            token: token.id.0,
+            dep: dep.0,
+        })
+        .collect();
+    if token.iteration > synced_upto + staleness {
+        violations.push(McViolation::PrematureGrant {
+            token: token.id.0,
+            level: token.level,
+            iteration: token.iteration,
+            synced_upto,
+        });
+    }
+    violations
+}
+
+/// The engine model's SGD learning rate.
+const LR: f32 = 0.05;
+
+/// Trains the engine model of [`crate::small_plan`] — a 3-layer MLP split
+/// into the same 2 sub-models with 2 and 1 tokens — for `iterations`: each
+/// iteration's tokens in `schedule`'s order, or serial BSP with none.
+fn train(schedule: Option<&[(usize, u64, u64)]>, iterations: u64) -> EngineNet {
+    let exec = TokenExecutor {
+        plan: SplitPlan {
+            levels: vec![(0, 2), (2, 3)],
+            tokens: vec![2, 1],
+        },
+        lr: LR,
+    };
+    let mut net = EngineNet::mlp(&[6, 8, 4], 17);
+    let x = Tensor::seeded(&[8, 6], 100, 1.0);
+    let t = Tensor::seeded(&[8, 4], 200, 1.0);
+    for k in 0..iterations {
+        let Some(schedule) = schedule else {
+            serial_step(&mut net, &x, &t, LR);
+            continue;
+        };
+        let tokens: Vec<(usize, usize)> = schedule
+            .iter()
+            .filter(|&&(_, iteration, _)| iteration == k)
+            .map(|&(level, _, seq)| (level, seq as usize))
+            .collect();
+        exec.step(&mut net, &x, &t, &tokens);
+    }
+    net
+}
+
+/// How `net` differs from `first`, bit for bit, or from `serial` beyond
+/// gradient-sum re-association (`1e-4`, relative), if it does.
+fn divergence(net: &EngineNet, first: &EngineNet, serial: &EngineNet) -> Option<String> {
+    if net != first {
+        return Some("parameters differ bit-wise from the first trained schedule's".into());
+    }
+    for (s, n) in serial.layers().iter().zip(net.layers()) {
+        let (EngineLayer::Dense { weight: ws, .. }, EngineLayer::Dense { weight: wn, .. }) = (s, n)
+        else {
+            continue;
+        };
+        let far = |(vs, vn): &(&f32, &f32)| (*vs - *vn).abs() > 1e-4 * (1.0 + vs.abs());
+        if let Some((vs, vn)) = ws.data().iter().zip(wn.data()).find(far) {
+            return Some(format!("weight {vn} vs serial {vs}"));
+        }
+    }
+    None
+}
+
+/// The engine check over `cfg`'s terminal report orders: each must be a
+/// linearization of the static schedule DAG, and must train parameters
+/// bit-identical to the first order's and within `1e-4` of serial BSP.
+fn check_schedules(cfg: &McConfig, schedules: &[Vec<(usize, u64, u64)>]) -> Vec<McViolation> {
+    let (plan, config) = (crate::small_plan(), build_config(cfg));
+    let dag = ScheduleDag::build(&plan, &config, cfg.workers, cfg.iterations);
+    let serial = train(None, cfg.iterations);
+    let mut first = None;
+    let mut violations = Vec::new();
+    for (schedule, order) in schedules.iter().enumerate() {
+        let detail = if dag.accepts_linearization(order).is_err() {
+            Some("not a linearization of the static DAG".into())
+        } else {
+            let net = train(Some(order), cfg.iterations);
+            divergence(&net, first.get_or_insert_with(|| net.clone()), &serial)
+        };
+        let diverged = detail.map(|detail| McViolation::Divergence { schedule, detail });
+        violations.extend(diverged);
+    }
+    violations
+}
+
+/// Explores every non-equivalent interleaving of `cfg`, returning the
+/// outcome and the memoization keys of the states visited.
+fn explore(cfg: &McConfig) -> (McOutcome, BTreeSet<McKey>) {
     let mut mc = Mc {
         cfg,
         outcome: McOutcome {
@@ -580,10 +796,12 @@ pub fn model_check(cfg: &McConfig) -> McOutcome {
             deepest: 0,
             lease_fires: 0,
             stale_reports: 0,
+            schedules: Vec::new(),
             violations: Vec::new(),
             truncated: false,
         },
         violations_seen: BTreeSet::new(),
+        schedules: BTreeSet::new(),
     };
     // Pull protocol: every worker opens with a Request.
     let initial = McState {
@@ -591,6 +809,8 @@ pub fn model_check(cfg: &McConfig) -> McOutcome {
         oracle: build_oracle(cfg),
         queues: initial_queues(cfg.workers),
         armed: BTreeSet::new(),
+        syncs: Vec::new(),
+        reported: Vec::new(),
         undelivered: Vec::new(),
         mutation_armed: cfg.mutation.is_some(),
         verifier: SessionVerifier::new(),
@@ -621,25 +841,48 @@ pub fn model_check(cfg: &McConfig) -> McOutcome {
             match action {
                 Action::Deliver(w) => mc.deliver(&mut next, w),
                 Action::Fire(t, a) => mc.fire(&mut next, t, a),
+                Action::Drain(i) => mc.drain(&mut next, i),
             }
             mc.lockstep(&mut next);
             Mc::gc_armed(&mut next);
             stack.push(next);
         }
     }
+    let schedules: Vec<_> = mc.schedules.into_iter().collect();
     mc.outcome
+        .violations
+        .extend(check_schedules(cfg, &schedules));
+    mc.outcome.schedules = schedules;
+    (mc.outcome, visited)
 }
 
-/// Runs one deterministic round-robin execution of `cfg`'s model (lowest
-/// nonempty link first, no adversarial lease fires) and returns the
+/// Exhaustively explores every non-equivalent interleaving of `cfg`, then
+/// runs the engine check on the terminal report orders.
+pub fn model_check(cfg: &McConfig) -> McOutcome {
+    explore(cfg).0
+}
+
+/// Runs one deterministic round-robin execution of `cfg`'s model as the
+/// live shell runs it (lowest nonempty link first, a frame's syncs
+/// committed at once, no adversarial lease fires) and returns the
 /// synthesized server-side [`SyncEvent`] stream plus the op log — the input
 /// to the protocol session verifier and its wire-mutation matrix.
 pub fn record_execution(cfg: &McConfig) -> (Vec<SyncEvent>, Vec<CoordOp>) {
+    live_path(cfg, |_, _| {})
+}
+
+/// [`record_execution`], handing the core and link queues of each state on
+/// its path (the initial one, then one per delivered frame) to `visit`.
+fn live_path(
+    cfg: &McConfig,
+    mut visit: impl FnMut(&ServerCore, &[VecDeque<Msg>]),
+) -> (Vec<SyncEvent>, Vec<CoordOp>) {
     let mut core = build_core(cfg);
     let mut queues = initial_queues(cfg.workers);
     let mut events = Vec::new();
     let mut ops = Vec::new();
     let mut guard = 0usize;
+    visit(&core, &queues);
     while !core.plane().run_complete() && guard < 100_000 {
         guard += 1;
         let Some(w) = (0..cfg.workers).find(|w| !queues[*w].is_empty()) else {
@@ -654,7 +897,8 @@ pub fn record_execution(cfg: &McConfig) -> (Vec<SyncEvent>, Vec<CoordOp>) {
             worker: w,
             frame: frame.clone(),
         });
-        let _ = on_frame(&mut core, w, frame, SimTime::ZERO);
+        let _ = on_frame(&mut core, w, frame, SimTime::ZERO)
+            .and_then(|reported| finish_syncs(&mut core, &reported));
         let mut leases = Vec::new();
         let _ = core.dispatch(SimTime::ZERO, |out| {
             let grants = wire_grants(&UNITS, out.grants, &mut leases);
@@ -668,6 +912,7 @@ pub fn record_execution(cfg: &McConfig) -> (Vec<SyncEvent>, Vec<CoordOp>) {
             });
         });
         ops.append(&mut core.take_op_log());
+        visit(&core, &queues);
     }
     // Epilogue: End down every link, Params back up — the session close.
     for w in 0..cfg.workers {
@@ -736,6 +981,100 @@ pub fn run_mutation_matrix() -> Vec<MutationRun> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_live_path_is_explored() {
+        // The live shell commits a frame's syncs at once, before its
+        // dispatch; the explorer drains them one at a time, in every order.
+        // Every state the live order passes through must still be one the
+        // explorer visited.
+        let mut staleness_1 = McConfig::small();
+        staleness_1.staleness = 1;
+        let mut three_workers = McConfig::small();
+        three_workers.workers = 3;
+        three_workers.iterations = 1;
+        for cfg in [McConfig::small(), staleness_1, three_workers] {
+            let (outcome, visited) = explore(&cfg);
+            assert!(outcome.ok(), "{cfg:?}: {:?}", outcome.violations);
+            let mut steps = 0;
+            live_path(&cfg, |core, queues| {
+                let key: McKey = (
+                    core.plane().snapshot().without_counters(),
+                    queues.iter().map(|q| q.iter().copied().collect()).collect(),
+                    Vec::new(),
+                    Vec::new(),
+                    false,
+                    Vec::new(),
+                );
+                assert!(
+                    visited.contains(&key),
+                    "{cfg:?}: live step {steps} unexplored"
+                );
+                steps += 1;
+            });
+            assert!(steps > 1, "{cfg:?}: the live path never moved");
+        }
+    }
+
+    #[test]
+    fn the_grant_check_flags_an_unmet_dependency_and_a_premature_grant() {
+        let token = Token {
+            id: TokenId(7),
+            level: 1,
+            iteration: 2,
+            seq: 0,
+            batch: 8,
+            deps: vec![TokenId(3), TokenId(4)],
+            sample_owner: None,
+        };
+        assert!(grant_violations(&token, &[TokenId(3), TokenId(4)], 1, 1).is_empty());
+        let violations = grant_violations(&token, &[TokenId(3)], 0, 1);
+        let premature = McViolation::PrematureGrant {
+            token: 7,
+            level: 1,
+            iteration: 2,
+            synced_upto: 0,
+        };
+        let unmet = McViolation::UnmetDependency { token: 7, dep: 4 };
+        assert_eq!(violations, [unmet, premature]);
+    }
+
+    /// The first schedule of the one-plane space.
+    fn a_schedule() -> Vec<(usize, u64, u64)> {
+        let outcome = model_check(&McConfig::small());
+        assert!(outcome.ok(), "{:?}", outcome.violations);
+        outcome.schedules[0].clone()
+    }
+
+    #[test]
+    fn an_order_that_breaks_the_dag_diverges() {
+        // Report iteration 0's level-1 token before its level-0 tokens.
+        let mut order = a_schedule();
+        let l1 = order.iter().position(|&(l, i, _)| (l, i) == (1, 0));
+        order[..=l1.expect("a level-1 token")].rotate_right(1);
+        let violations = check_schedules(&McConfig::small(), &[order]);
+        assert!(
+            matches!(
+                violations.as_slice(),
+                [McViolation::Divergence { schedule: 0, detail }] if detail.contains("linearization")
+            ),
+            "{violations:?}"
+        );
+    }
+
+    #[test]
+    fn a_schedule_whose_parameters_differ_diverges() {
+        // Tamper with what the schedule trained: stop it one iteration
+        // short of the reference's two.
+        let order = a_schedule();
+        let (serial, first) = (train(None, 2), train(Some(&order), 2));
+        assert_eq!(divergence(&first, &first, &serial), None);
+        let tampered = train(Some(&order), 1);
+        let bitwise = divergence(&tampered, &first, &serial).expect("differs from schedule 0");
+        assert!(bitwise.contains("bit-wise"), "{bitwise}");
+        let serially = divergence(&tampered, &tampered, &serial).expect("differs from serial");
+        assert!(serially.contains("vs serial"), "{serially}");
+    }
 
     #[test]
     fn the_one_shard_small_config_is_clean() {

@@ -694,14 +694,16 @@ USAGE:
                [--weights w1,w2,…] [--ctd <size>] [--staleness <s>]
                (static DAG verification + race-checking a traced run;
                 omit --weights to verify every Phase-1 candidate vector)
-  fela check   --all   (verify the whole zoo × all policies × all candidates)
+  fela check   --all [--staleness <s>]
+               (verify the whole zoo × all policies × all candidates, then
+                model-check the small configuration with the engine check)
   fela check   --mc [--protocol]
                (model-check the live runtime: explore every non-equivalent
-                message-delivery/lease-fire interleaving of small clusters,
-                check deadlock- and lost-wakeup-freedom plus linearizability
-                against the reference oracle, and prove the seeded-mutation
-                matrix is caught; --protocol additionally replays recorded
-                executions through the frame-session verifier)
+                message-delivery/lease-fire/sync-drain interleaving of small
+                clusters, check every grant, deadlock- and lost-wakeup-freedom
+                plus linearizability against the reference oracle, and prove
+                the seeded-mutation matrix is caught; --protocol additionally
+                replays recorded executions through the frame-session verifier)
   fela check   --wal
                (replay a logged control-plane run through the oracle: the
                 recovered state must be snapshot-equal with no token applied

@@ -872,9 +872,11 @@ fn cmd_check(check: &CheckArgs) -> Result<(), String> {
 
 /// `fela check --mc [--protocol]`: the live-runtime model checker and frame
 /// protocol verifier. `--mc` exhaustively explores every non-equivalent
-/// message-delivery / lease-fire interleaving of small clusters (with and
-/// without the lease-expiry adversary), checks
-/// deadlock-freedom, lost-wakeup-freedom and exactly-once token application,
+/// message-delivery / lease-fire / sync-drain interleaving of small clusters
+/// (with and without the lease-expiry adversary), checks every grant's
+/// dependencies and staleness bound, deadlock-freedom, lost-wakeup-freedom
+/// and exactly-once token application, runs the engine check on the terminal
+/// report orders,
 /// proves per-op linearizability against the reference `TokenServer` oracle,
 /// and runs the seeded-mutation matrix expecting every mutation caught with a
 /// distinct diagnostic. `--protocol` replays recorded executions — both the
@@ -904,6 +906,7 @@ fn cmd_check_mc(check: &CheckArgs) -> Result<(), String> {
                 "states",
                 "transitions",
                 "terminals",
+                "schedules",
                 "deepest",
                 "fires",
                 "stale",
@@ -917,6 +920,7 @@ fn cmd_check_mc(check: &CheckArgs) -> Result<(), String> {
                 outcome.states.to_string(),
                 outcome.transitions.to_string(),
                 outcome.terminals.to_string(),
+                outcome.schedules.len().to_string(),
                 outcome.deepest.to_string(),
                 outcome.lease_fires.to_string(),
                 outcome.stale_reports.to_string(),
@@ -1244,8 +1248,9 @@ fn cmd_check_elastic() -> Result<(), String> {
 }
 
 /// `fela check --all`: the CI gate. Verifies every zoo model × policy preset ×
-/// Phase-1 candidate weight vector statically, then exhausts the small-config
-/// schedule space dynamically.
+/// Phase-1 candidate weight vector statically, then model-checks the small
+/// configuration at `--staleness` (2 workers × 2 iterations), engine check
+/// included.
 fn cmd_check_all(check: &CheckArgs) -> Result<(), String> {
     let nodes = check.common.nodes;
     let batch = check.common.batch;
@@ -1287,22 +1292,27 @@ fn cmd_check_all(check: &CheckArgs) -> Result<(), String> {
         "static: {verified} configuration(s) verified, {infeasible} infeasible skipped, {failures} violation(s)"
     );
 
-    let outcome = fela_check::exhaustive_schedule_check(check.staleness);
+    let mut cfg = fela_check::McConfig::small();
+    cfg.staleness = check.staleness;
+    let outcome = fela_check::model_check(&cfg);
     println!(
-        "dynamic: {} schedule(s) over {} state(s) explored{}, {} violation(s)",
-        outcome.schedules.len(),
-        outcome.states_visited,
+        "dynamic: {} state(s), {} transition(s) explored{}, every grant checked; {} schedule(s) \
+         (the first report order reaching each distinct terminal state) checked against the \
+         DAG and serial BSP; {} violation(s)",
+        outcome.states,
+        outcome.transitions,
         if outcome.truncated {
             " (truncated)"
         } else {
             ""
         },
+        outcome.schedules.len(),
         outcome.violations.len()
     );
     for v in &outcome.violations {
-        eprintln!("explore: {v}");
+        eprintln!("mc: {v}");
     }
-    if failures > 0 || !outcome.violations.is_empty() {
+    if failures > 0 || !outcome.ok() {
         return Err(format!(
             "check --all failed: {} violation(s)",
             failures + outcome.violations.len()

@@ -207,8 +207,8 @@ impl ServerCore {
     /// `worker` reports `tokens` done. Each accepted report joins the
     /// completion log, if kept; a stale one is counted and returned. A report that
     /// minted a token or committed a sync marks the waiting queue for a
-    /// re-scan. The piggybacked pull is the caller's next input, after it
-    /// has finished whatever syncs it commits at once.
+    /// re-scan. The piggybacked pull and the returned syncs' finishes are
+    /// the caller's later inputs, in whatever order its shell produces.
     pub fn report(
         &mut self,
         worker: usize,

@@ -15,8 +15,8 @@ use crate::server::ServerStats;
 /// identical outcomes for identical future inputs — lock-conflict flags
 /// included — and report identical counters, so a plane restored from a
 /// checkpoint is indistinguishable from the one that wrote it.
-/// `fela-check`'s interleaving explorers use snapshots to prune their state
-/// spaces; tests use them to assert replay equivalence, and the
+/// `fela-check`'s state-space explorer uses snapshots to prune its state
+/// space; tests use them to assert replay equivalence, and the
 /// conformance suite compares the coordinator's and the reference
 /// oracle's snapshots bit for bit.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -74,8 +74,8 @@ pub struct ServerSnapshot {
 impl ServerSnapshot {
     /// The snapshot with its report-only counters (`trained_per_worker` and
     /// `stats`) cleared. No outcome reads them, so two states that differ
-    /// only there have equal futures: the interleaving explorers key their
-    /// visited sets on this form.
+    /// only there have equal futures: the state-space explorer keys its
+    /// visited set on this form.
     pub fn without_counters(mut self) -> Self {
         self.trained_per_worker.clear();
         self.stats = ServerStats::default();

@@ -8,36 +8,47 @@
 //! stamped on every [`WireGrant`]. The frames that carry no grant (`Hang`,
 //! the epilogue's `Iter`s and `End`) are the shell's.
 
-use fela_core::{CoreError, Grant, ServerCore, TokenId};
+use fela_core::{CoreError, Grant, Reported, ServerCore, TokenId};
 use fela_sim::SimTime;
 
 use crate::wire::{Frame, WireGrant};
 
 /// A decoded frame from `worker` at `now`: a `Request` pulls; a
-/// `ReportBatch` reports its tokens, commits the syncs they released — a
-/// live run moves no parameters, so a sync commits the moment its level's
-/// last report lands — and pulls (the piggybacked request).
+/// `ReportBatch` reports its tokens and pulls (the piggybacked request).
+/// Returns what the reports did, as [`ServerCore::report`] does (empty for
+/// a `Request`): the caller finishes each sync the core left uncommitted.
 pub fn on_frame(
     core: &mut ServerCore,
     worker: usize,
     frame: Frame,
     now: SimTime,
-) -> Result<(), CoreError> {
-    match frame {
-        Frame::Request { worker: w } => debug_assert_eq!(w as usize, worker),
+) -> Result<Reported, CoreError> {
+    let reported = match frame {
+        Frame::Request { worker: w } => {
+            debug_assert_eq!(w as usize, worker);
+            Reported::default()
+        }
         Frame::ReportBatch { worker: w, tokens } => {
             debug_assert_eq!(w as usize, worker);
-            let reported = core.report(worker, tokens.into_iter().map(TokenId))?;
-            for spec in reported.syncs.iter().filter(|s| !s.is_degenerate()) {
-                core.sync_finished(spec.level, spec.iteration)?;
-            }
+            core.report(worker, tokens.into_iter().map(TokenId))?
         }
         frame => {
             let frame = format!("{frame:?}");
             return Err(CoreError::UnexpectedFrame { worker, frame });
         }
+    };
+    core.pull(worker, now)?;
+    Ok(reported)
+}
+
+/// Commits every sync `reported` left to the caller, at once: a live run
+/// moves no parameters, so a sync finishes the moment its level's last
+/// report lands.
+pub fn finish_syncs(core: &mut ServerCore, reported: &Reported) -> Result<(), CoreError> {
+    for spec in reported.syncs.iter().filter(|s| !s.is_degenerate()) {
+        core.sync_finished(spec.level, spec.iteration)?;
     }
-    core.pull(worker, now)
+    Ok(())
 }
 
 /// One worker's grants (a [`fela_core::Outbound`]'s) as the wire grants of
@@ -104,6 +115,38 @@ mod tests {
             err.to_string(),
             "server: unexpected frame from worker 1: End"
         );
+    }
+
+    #[test]
+    fn a_report_returns_its_syncs_uncommitted_until_the_caller_finishes_them() {
+        let mut core = core();
+        let mut frame = Frame::Request { worker: 0 };
+        let reported = loop {
+            let reported = on_frame(&mut core, 0, frame, SimTime::ZERO).expect("a frame");
+            if reported.syncs.iter().any(|s| !s.is_degenerate()) {
+                break reported;
+            }
+            let mut tokens = Vec::new();
+            core.dispatch(SimTime::ZERO, |out| {
+                tokens.extend(out.grants.map(|g| g.token.id.0));
+            })
+            .expect("dispatch");
+            assert!(!tokens.is_empty(), "worker 0 starved before any sync");
+            frame = Frame::ReportBatch { worker: 0, tokens };
+        };
+        let synced = |core: &ServerCore| core.plane().snapshot().synced_upto;
+        let before = synced(&core);
+        finish_syncs(&mut core, &reported).expect("the syncs commit");
+        for spec in reported.syncs.iter().filter(|s| !s.is_degenerate()) {
+            assert_eq!(
+                before[spec.level], spec.iteration,
+                "{spec:?} committed early"
+            );
+            assert!(
+                synced(&core)[spec.level] > spec.iteration,
+                "{spec:?} never committed"
+            );
+        }
     }
 
     #[test]

@@ -554,7 +554,9 @@ fn run_real_impl(
                         });
                         let reported = matches!(frame, Frame::ReportBatch { .. });
                         let now = rs.now_sim();
-                        frame_adapter::on_frame(&mut rs.core, worker, frame, now).map_err(fatal)?;
+                        frame_adapter::on_frame(&mut rs.core, worker, frame, now)
+                            .and_then(|r| frame_adapter::finish_syncs(&mut rs.core, &r))
+                            .map_err(fatal)?;
                         // Root iterations are released only by reports.
                         if reported {
                             rs.arm_faults(transport)?;

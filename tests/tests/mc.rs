@@ -1,8 +1,10 @@
 //! Model-checker and protocol-verifier integration: `fela-check`'s `mc` and
 //! `protocol` layers against the *real* live runtime, cross-crate.
 //!
-//! The unit suites in `fela-check` prove the explorer and session machine on
-//! the small model configurations; this suite closes the loop with threads:
+//! The pinned spaces below hold every explored configuration clean, at exact
+//! counts; the unit suites in `fela-check` prove the explorer's diagnostics
+//! and the session machine on the small model configurations. This suite
+//! also closes the loop with threads:
 //! a real `fela-live` virtual-clock run, recorded through the scheduler seam,
 //! must satisfy the same frame-session protocol the model checker verifies —
 //! and seeded wire mutations on that *live* trace must still be caught.
@@ -18,31 +20,6 @@ use fela_live::{
     SyncEvent,
 };
 use fela_model::zoo;
-
-#[test]
-fn the_acceptance_configuration_is_exhaustively_clean() {
-    // The acceptance configuration: 2 workers × 2 iterations,
-    // every non-equivalent interleaving, zero deadlocks, zero lost wakeups,
-    // all histories linearizable against the reference oracle.
-    let outcome = model_check(&McConfig::small());
-    assert!(outcome.ok(), "violations: {:?}", outcome.violations);
-    assert!(outcome.states > 0 && outcome.terminals > 0);
-    assert!(!outcome.truncated, "space must be exhausted, not truncated");
-}
-
-#[test]
-fn the_lease_adversary_is_clean_and_actually_adversarial() {
-    let outcome = model_check(&McConfig::small().with_recovery());
-    assert!(outcome.ok(), "violations: {:?}", outcome.violations);
-    assert!(
-        outcome.lease_fires > 0,
-        "the adversary never fired a lease — the recovery space was not explored"
-    );
-    assert!(
-        outcome.stale_reports > 0,
-        "no revoked-then-reported token was explored"
-    );
-}
 
 #[test]
 fn the_mutation_matrix_is_caught_with_distinct_diagnostics() {
@@ -70,32 +47,94 @@ fn recorded_model_executions_are_session_clean() {
 }
 
 #[test]
+fn the_acceptance_configuration_is_exhaustively_clean() {
+    // The acceptance configuration: 2 workers × 2 iterations,
+    // every non-equivalent interleaving, zero deadlocks, zero lost wakeups,
+    // all histories linearizable against the reference oracle.
+    let outcome = model_check(&McConfig::small());
+    assert!(outcome.ok(), "violations: {:?}", outcome.violations);
+    assert!(outcome.states > 0 && outcome.terminals > 0);
+    assert!(!outcome.truncated, "space must be exhausted, not truncated");
+}
+
+#[test]
+fn the_lease_adversary_is_clean_and_actually_adversarial() {
+    let outcome = model_check(&McConfig::small().with_recovery());
+    assert!(outcome.ok(), "violations: {:?}", outcome.violations);
+    assert!(
+        outcome.lease_fires > 0,
+        "the adversary never fired a lease — the recovery space was not explored"
+    );
+    assert!(
+        outcome.stale_reports > 0,
+        "no revoked-then-reported token was explored"
+    );
+}
+
+#[test]
 fn the_explored_spaces_are_pinned() {
-    // The three `fela check --mc` configurations. The checker drives the
-    // shipping server core, so a change to the core's protocol logic (or to
-    // the checker's model of the shell around it) moves these counts — a
-    // test failure to explain, not a printed table to re-read.
+    // The three `fela check --mc` configurations, and `fela check --all
+    // --staleness 1`'s. The checker drives the shipping server core, so a
+    // change to the core's protocol logic (or to the checker's model of the
+    // shells around it) moves these counts — a test failure to explain, not
+    // a printed table to re-read.
+    let mut staleness_1 = McConfig::small();
+    staleness_1.staleness = 1;
     let mut three_workers = McConfig::small();
     three_workers.workers = 3;
     three_workers.iterations = 1;
     let cases = [
-        ("one plane", McConfig::small(), (88, 94, 20), (0, 0)),
+        ("one plane", McConfig::small(), (326, 472, 30, 10), (0, 0)),
+        ("staleness 1", staleness_1, (798, 1856, 24, 18), (0, 0)),
         (
             "lease adversary",
             McConfig::small().with_recovery(),
-            (25_619, 32_289, 6_419),
-            (5_024, 12_082),
+            (102_232, 171_119, 10_248, 12),
+            (13_155, 38_366),
         ),
-        ("3 workers", three_workers, (155, 176, 42), (0, 0)),
+        ("3 workers", three_workers, (389, 612, 42, 2), (0, 0)),
     ];
+    let mut schedules = Vec::new();
     for (name, cfg, space, adversary) in cases {
         let outcome = model_check(&cfg);
         assert!(outcome.ok(), "{name}: {:?}", outcome.violations);
-        let explored = (outcome.states, outcome.transitions, outcome.terminals);
-        assert_eq!(explored, space, "{name}: (states, transitions, terminals)");
+        let explored = (
+            outcome.states,
+            outcome.transitions,
+            outcome.terminals,
+            outcome.schedules.len(),
+        );
+        assert_eq!(
+            explored, space,
+            "{name}: (states, transitions, terminals, schedules)"
+        );
         let fired = (outcome.lease_fires, outcome.stale_reports);
         assert_eq!(fired, adversary, "{name}: (lease fires, stale reports)");
+        assert!(outcome.states > outcome.schedules.len(), "{name}");
+        for s in &outcome.schedules {
+            // Every token of every iteration, 3 per iteration.
+            assert_eq!(s.len() as u64, 3 * cfg.iterations, "{name}: {s:?}");
+            // Within an iteration, the level-1 token comes after both
+            // level-0 tokens (its generation group).
+            for k in 0..cfg.iterations {
+                let at = |level, seq| s.iter().position(|&t| t == (level, k, seq));
+                let l1 = at(1, 0).expect("level-1 token present");
+                for seq in 0..2 {
+                    let l0 = at(0, seq).expect("level-0 token present");
+                    assert!(l0 < l1, "{name}: dependency out of order in {s:?}");
+                }
+            }
+        }
+        schedules.push(outcome.schedules.len());
     }
+    assert!(
+        schedules[0] > 1,
+        "the Token Server admits one schedule only"
+    );
+    assert!(
+        schedules[1] >= schedules[0],
+        "staleness can only widen the schedule space ({schedules:?})"
+    );
 }
 
 #[test]
