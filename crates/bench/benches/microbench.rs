@@ -1,10 +1,14 @@
 //! Criterion micro-benchmarks for the components no end-to-end benchmark
-//! metric isolates: the simulator's event queue and engine loop, and the
-//! bin-partition search the tuner runs once per model.
+//! metric isolates: the simulator's event queue and engine loop, the
+//! bin-partition search the tuner runs once per model, and one replica replay
+//! step (`engine/replay_step_live_chan`: `TokenExecutor::step` on the live
+//! replica's shape, which every live worker and the server run once per
+//! iteration in the epilogue).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use fela_engine::{seeded_schedule, EngineNet, SplitPlan, Tensor, TokenExecutor};
 use fela_model::{bin_partition, zoo, PartitionOptions, ThresholdProfile};
 use fela_sim::{Engine, EventQueue, Scheduler, SimDuration, SimTime, World};
 
@@ -64,10 +68,28 @@ fn bench_partition(c: &mut Criterion) {
     });
 }
 
+fn bench_replay_step(c: &mut Criterion) {
+    // The `live-chan-w16` replica: MLP [6, 8, 8, 4] in three levels of 16
+    // tokens of 2 rows each.
+    let plan = SplitPlan {
+        levels: vec![(0, 2), (2, 4), (4, 5)],
+        tokens: vec![16, 16, 16],
+    };
+    let mut net = EngineNet::mlp(&[6, 8, 8, 4], 17);
+    let x = Tensor::seeded(&[32, 6], 100, 1.0);
+    let t = Tensor::seeded(&[32, 4], 200, 1.0);
+    let schedule = seeded_schedule(&plan, 1);
+    let mut exec = TokenExecutor::new(plan, 0.05);
+    c.bench_function("engine/replay_step_live_chan", |b| {
+        b.iter(|| exec.step(&mut net, &x, &t, black_box(&schedule)))
+    });
+}
+
 criterion_group!(
     microbench,
     bench_event_queue,
     bench_engine_steps,
-    bench_partition
+    bench_partition,
+    bench_replay_step
 );
 criterion_main!(microbench);

@@ -718,13 +718,11 @@ const LR: f32 = 0.05;
 /// into the same 2 sub-models with 2 and 1 tokens — for `iterations`: each
 /// iteration's tokens in `schedule`'s order, or serial BSP with none.
 fn train(schedule: Option<&[(usize, u64, u64)]>, iterations: u64) -> EngineNet {
-    let exec = TokenExecutor {
-        plan: SplitPlan {
-            levels: vec![(0, 2), (2, 3)],
-            tokens: vec![2, 1],
-        },
-        lr: LR,
+    let plan = SplitPlan {
+        levels: vec![(0, 2), (2, 3)],
+        tokens: vec![2, 1],
     };
+    let mut exec = TokenExecutor::new(plan, LR);
     let mut net = EngineNet::mlp(&[6, 8, 4], 17);
     let x = Tensor::seeded(&[8, 6], 100, 1.0);
     let t = Tensor::seeded(&[8, 4], 200, 1.0);

@@ -67,41 +67,78 @@ impl EngineLayer {
         !matches!(self, EngineLayer::Relu)
     }
 
-    /// Forward pass.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
+    /// Shapes of the `(weight, bias)` parameters; `[0]` each for ReLU, which
+    /// has none.
+    pub(crate) fn param_shapes(&self) -> (&[usize], &[usize]) {
         match self {
-            EngineLayer::Dense { weight, bias } => {
-                let (b, n_in) = (x.shape()[0], x.shape()[1]);
-                let n_out = weight.shape()[0];
-                assert_eq!(n_in, weight.shape()[1], "dense input width mismatch");
-                let mut y = Tensor::zeros(&[b, n_out]);
-                for i in 0..b {
-                    for o in 0..n_out {
-                        let mut acc = bias.data()[o];
-                        for k in 0..n_in {
-                            acc += x.data()[i * n_in + k] * weight.data()[o * n_in + k];
-                        }
-                        y.data_mut()[i * n_out + o] = acc;
-                    }
-                }
-                y
+            EngineLayer::Dense { weight, bias } | EngineLayer::Conv2d { weight, bias } => {
+                (weight.shape(), bias.shape())
             }
-            EngineLayer::Relu => {
-                let mut y = x.clone();
-                for v in y.data_mut() {
-                    if *v < 0.0 {
-                        *v = 0.0;
+            EngineLayer::Relu => (&[0], &[0]),
+        }
+    }
+
+    /// Zero `(weight, bias)` gradient tensors shaped like the parameters.
+    pub(crate) fn zero_grads(&self) -> (Tensor, Tensor) {
+        let (w, b) = self.param_shapes();
+        (Tensor::zeros(w), Tensor::zeros(b))
+    }
+
+    /// The per-sample output shape for the per-sample input shape `row`.
+    ///
+    /// # Panics
+    /// Panics if `row` does not fit the layer.
+    pub(crate) fn out_row(&self, row: &[usize]) -> Vec<usize> {
+        match self {
+            EngineLayer::Dense { weight, .. } => {
+                let n_in = row.iter().product::<usize>();
+                assert_eq!(n_in, weight.shape()[1], "dense input width mismatch");
+                vec![weight.shape()[0]]
+            }
+            EngineLayer::Relu => row.to_vec(),
+            EngineLayer::Conv2d { weight, .. } => {
+                assert!(
+                    row.len() == 3 && row[0] == weight.shape()[1],
+                    "conv channel mismatch"
+                );
+                vec![weight.shape()[0], row[1], row[2]]
+            }
+        }
+    }
+
+    /// Forward over a block of samples: `x` holds whole input rows of
+    /// per-sample shape `row`, `y` receives the matching output rows.
+    ///
+    /// This and [`EngineLayer::backward_rows`] are the layer kernels. Each
+    /// runs over whole sample rows in a fixed loop order, so a block of rows
+    /// computes exactly what the same rows compute inside a larger batch:
+    /// serial training and every token share this arithmetic.
+    pub(crate) fn forward_rows(&self, row: &[usize], x: &[f32], y: &mut [f32]) {
+        match self {
+            // y[i, o] = bias[o] + Σ_k x[i, k]·w[o, k], accumulated in k order.
+            EngineLayer::Dense { weight, bias } => {
+                let (n_out, n_in) = (weight.shape()[0], weight.shape()[1]);
+                let w_rows = || weight.data().chunks_exact(n_in).zip(bias.data());
+                for (xr, yr) in x.chunks_exact(n_in).zip(y.chunks_exact_mut(n_out)) {
+                    for (yv, (wr, &b)) in yr.iter_mut().zip(w_rows()) {
+                        let mut acc = b;
+                        for (xv, wv) in xr.iter().zip(wr) {
+                            acc += xv * wv;
+                        }
+                        *yv = acc;
                     }
                 }
-                y
+            }
+            // Negatives become zero; everything else (-0.0, NaN) passes.
+            EngineLayer::Relu => {
+                for (yv, &xv) in y.iter_mut().zip(x) {
+                    *yv = if xv < 0.0 { 0.0 } else { xv };
+                }
             }
             EngineLayer::Conv2d { weight, bias } => {
-                let (b, c_in, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-                let (c_out, k) = (weight.shape()[0], weight.shape()[2]);
-                assert_eq!(c_in, weight.shape()[1], "conv channel mismatch");
-                let pad = k / 2;
-                let mut y = Tensor::zeros(&[b, c_out, h, w]);
-                for i in 0..b {
+                let (c_out, c_in, k) = (weight.shape()[0], weight.shape()[1], weight.shape()[2]);
+                let (h, w, pad) = (row[1], row[2], k / 2);
+                for i in 0..x.len() / (c_in * h * w) {
                     for co in 0..c_out {
                         for oy in 0..h {
                             for ox in 0..w {
@@ -109,99 +146,97 @@ impl EngineLayer {
                                 for ci in 0..c_in {
                                     for ky in 0..k {
                                         for kx in 0..k {
-                                            let iy = oy + ky;
-                                            let ix = ox + kx;
-                                            if iy < pad || ix < pad {
+                                            let (iy, ix) = (oy + ky, ox + kx);
+                                            if iy < pad
+                                                || ix < pad
+                                                || iy - pad >= h
+                                                || ix - pad >= w
+                                            {
                                                 continue;
                                             }
                                             let (iy, ix) = (iy - pad, ix - pad);
-                                            if iy >= h || ix >= w {
-                                                continue;
-                                            }
-                                            let xv = x.data()[((i * c_in + ci) * h + iy) * w + ix];
+                                            let xv = x[((i * c_in + ci) * h + iy) * w + ix];
                                             let wv =
                                                 weight.data()[((co * c_in + ci) * k + ky) * k + kx];
                                             acc += xv * wv;
                                         }
                                     }
                                 }
-                                y.data_mut()[((i * c_out + co) * h + oy) * w + ox] = acc;
+                                y[((i * c_out + co) * h + oy) * w + ox] = acc;
                             }
                         }
                     }
                 }
-                y
             }
         }
     }
 
-    /// Backward pass given the layer input and the gradient w.r.t. the output.
-    pub fn backward(&self, x: &Tensor, grad_out: &Tensor) -> LayerGrads {
+    /// Backward over a block of samples: given the input rows `x` and the
+    /// output gradient rows, overwrites `grad_in` with the input gradient
+    /// rows and `(grad_w, grad_b)` with this block's parameter gradients
+    /// (empty slices for ReLU), each summed from zero in the forward pass's
+    /// loop order.
+    pub(crate) fn backward_rows(
+        &self,
+        row: &[usize],
+        x: &[f32],
+        grad_out: &[f32],
+        grad_in: &mut [f32],
+        grad_w: &mut [f32],
+        grad_b: &mut [f32],
+    ) {
+        grad_in.fill(0.0);
+        grad_w.fill(0.0);
+        grad_b.fill(0.0);
         match self {
             EngineLayer::Dense { weight, .. } => {
-                let (b, n_in) = (x.shape()[0], x.shape()[1]);
-                let n_out = weight.shape()[0];
-                let mut gw = Tensor::zeros(&[n_out, n_in]);
-                let mut gb = Tensor::zeros(&[n_out]);
-                let mut gx = Tensor::zeros(&[b, n_in]);
-                for i in 0..b {
-                    for o in 0..n_out {
-                        let go = grad_out.data()[i * n_out + o];
-                        gb.data_mut()[o] += go;
+                let (n_out, n_in) = (weight.shape()[0], weight.shape()[1]);
+                let rows = x
+                    .chunks_exact(n_in)
+                    .zip(grad_out.chunks_exact(n_out))
+                    .zip(grad_in.chunks_exact_mut(n_in));
+                for ((xr, gor), gxr) in rows {
+                    for (o, &go) in gor.iter().enumerate() {
+                        grad_b[o] += go;
+                        let wr = &weight.data()[o * n_in..(o + 1) * n_in];
+                        let gwr = &mut grad_w[o * n_in..(o + 1) * n_in];
                         for k in 0..n_in {
-                            gw.data_mut()[o * n_in + k] += go * x.data()[i * n_in + k];
-                            gx.data_mut()[i * n_in + k] += go * weight.data()[o * n_in + k];
+                            gwr[k] += go * xr[k];
+                            gxr[k] += go * wr[k];
                         }
                     }
                 }
-                LayerGrads {
-                    weight: gw,
-                    bias: gb,
-                    input: gx,
-                }
             }
             EngineLayer::Relu => {
-                let mut gx = grad_out.clone();
-                for (g, &v) in gx.data_mut().iter_mut().zip(x.data()) {
-                    if v <= 0.0 {
-                        *g = 0.0;
-                    }
-                }
-                LayerGrads {
-                    weight: Tensor::zeros(&[0]),
-                    bias: Tensor::zeros(&[0]),
-                    input: gx,
+                for ((g, &go), &xv) in grad_in.iter_mut().zip(grad_out).zip(x) {
+                    *g = if xv <= 0.0 { 0.0 } else { go };
                 }
             }
             EngineLayer::Conv2d { weight, .. } => {
-                let (b, c_in, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-                let (c_out, k) = (weight.shape()[0], weight.shape()[2]);
-                let pad = k / 2;
-                let mut gw = Tensor::zeros(&[c_out, c_in, k, k]);
-                let mut gb = Tensor::zeros(&[c_out]);
-                let mut gx = Tensor::zeros(&[b, c_in, h, w]);
-                for i in 0..b {
+                let (c_out, c_in, k) = (weight.shape()[0], weight.shape()[1], weight.shape()[2]);
+                let (h, w, pad) = (row[1], row[2], k / 2);
+                for i in 0..x.len() / (c_in * h * w) {
                     for co in 0..c_out {
                         for oy in 0..h {
                             for ox in 0..w {
-                                let go = grad_out.data()[((i * c_out + co) * h + oy) * w + ox];
-                                gb.data_mut()[co] += go;
+                                let go = grad_out[((i * c_out + co) * h + oy) * w + ox];
+                                grad_b[co] += go;
                                 for ci in 0..c_in {
                                     for ky in 0..k {
                                         for kx in 0..k {
-                                            let iy = oy + ky;
-                                            let ix = ox + kx;
-                                            if iy < pad || ix < pad {
+                                            let (iy, ix) = (oy + ky, ox + kx);
+                                            if iy < pad
+                                                || ix < pad
+                                                || iy - pad >= h
+                                                || ix - pad >= w
+                                            {
                                                 continue;
                                             }
                                             let (iy, ix) = (iy - pad, ix - pad);
-                                            if iy >= h || ix >= w {
-                                                continue;
-                                            }
                                             let xi = ((i * c_in + ci) * h + iy) * w + ix;
                                             let wi = ((co * c_in + ci) * k + ky) * k + kx;
-                                            gw.data_mut()[wi] += go * x.data()[xi];
-                                            gx.data_mut()[xi] += go * weight.data()[wi];
+                                            grad_w[wi] += go * x[xi];
+                                            grad_in[xi] += go * weight.data()[wi];
                                         }
                                     }
                                 }
@@ -209,12 +244,48 @@ impl EngineLayer {
                         }
                     }
                 }
-                LayerGrads {
-                    weight: gw,
-                    bias: gb,
-                    input: gx,
-                }
             }
+        }
+    }
+
+    /// Forward pass over a batch (first dimension). A dense layer reads each
+    /// sample flattened, so it takes a 4-D conv output as is.
+    pub fn forward(&self, x: &Tensor) -> Tensor {
+        let row = &x.shape()[1..];
+        let mut shape = vec![x.shape()[0]];
+        shape.extend(self.out_row(row));
+        let mut y = Tensor::zeros(&shape);
+        self.forward_rows(row, x.data(), y.data_mut());
+        y
+    }
+
+    /// Backward pass given the layer input and the gradient w.r.t. the output.
+    ///
+    /// # Panics
+    /// Panics if `x` does not fit the layer or `grad_out` is not the size of
+    /// its output.
+    pub fn backward(&self, x: &Tensor, grad_out: &Tensor) -> LayerGrads {
+        let row = &x.shape()[1..];
+        let out_elems: usize = self.out_row(row).iter().product();
+        assert_eq!(
+            grad_out.len(),
+            x.shape()[0] * out_elems,
+            "output gradient size mismatch"
+        );
+        let (mut weight, mut bias) = self.zero_grads();
+        let mut input = Tensor::zeros(x.shape());
+        self.backward_rows(
+            row,
+            x.data(),
+            grad_out.data(),
+            input.data_mut(),
+            weight.data_mut(),
+            bias.data_mut(),
+        );
+        LayerGrads {
+            weight,
+            bias,
+            input,
         }
     }
 
@@ -308,7 +379,8 @@ mod tests {
     #[test]
     fn per_sample_independence() {
         // The algebraic foundation of token splitting: forward of a 2-batch equals
-        // the concatenation of two 1-batch forwards, exactly.
+        // the concatenation of two 1-batch forwards, exactly, and so does the
+        // input gradient of backward.
         for layer in [
             EngineLayer::dense(6, 4, 21),
             EngineLayer::Relu,
@@ -319,10 +391,17 @@ mod tests {
             } else {
                 Tensor::seeded(&[2, 6], 23, 1.0)
             };
+            let mut row_shape = x.shape().to_vec();
+            row_shape[0] = 1;
+            let rows = x.data().split_at(x.len() / 2);
+            let halves = [rows.0, rows.1].map(|r| Tensor::from_vec(&row_shape, r.to_vec()));
             let full = layer.forward(&x);
-            let a = layer.forward(&x.slice_rows(0, 1));
-            let b = layer.forward(&x.slice_rows(1, 2));
-            assert_eq!(full, Tensor::cat_rows(&[&a, &b]), "{layer:?}");
+            let parts = [0, 1].map(|h| layer.forward(&halves[h]));
+            assert_eq!(full.data(), [parts[0].data(), parts[1].data()].concat());
+            let ones = |t: &Tensor| Tensor::from_vec(t.shape(), vec![1.0; t.len()]);
+            let full = layer.backward(&x, &ones(&full)).input;
+            let parts = [0, 1].map(|h| layer.backward(&halves[h], &ones(&parts[h])).input);
+            assert_eq!(full.data(), [parts[0].data(), parts[1].data()].concat());
         }
     }
 

@@ -68,23 +68,16 @@ impl EngineNet {
         &self.layers
     }
 
-    /// Forward through layers `[start, end)`. A 4-D conv input is flattened
-    /// automatically when a dense layer follows.
+    /// Forward through layers `[start, end)`. A dense layer after a conv
+    /// reads each 4-D sample flattened.
     ///
     /// Returns the per-layer inputs (needed for backward) and the final output.
     pub fn forward_range(&self, start: usize, end: usize, x: &Tensor) -> (Vec<Tensor>, Tensor) {
         let mut inputs = Vec::with_capacity(end - start);
         let mut cur = x.clone();
         for layer in &self.layers[start..end] {
-            if let EngineLayer::Dense { .. } = layer {
-                if cur.shape().len() > 2 {
-                    let b = cur.shape()[0];
-                    let rest: usize = cur.shape()[1..].iter().product();
-                    cur = Tensor::from_vec(&[b, rest], cur.data().to_vec());
-                }
-            }
-            inputs.push(cur.clone());
-            cur = layer.forward(&cur);
+            let next = layer.forward(&cur);
+            inputs.push(std::mem::replace(&mut cur, next));
         }
         (inputs, cur)
     }
@@ -102,15 +95,11 @@ impl EngineNet {
         let mut per_layer = vec![(Tensor::zeros(&[0]), Tensor::zeros(&[0])); end - start];
         let mut grad = grad_out.clone();
         for (offset, layer) in self.layers[start..end].iter().enumerate().rev() {
-            let x = &inputs[offset];
-            // Re-shape the gradient back to the stored input's view if the forward
-            // pass flattened after this layer (handled by shape of x vs grad on
-            // the *input* side below).
             let LayerGrads {
                 weight,
                 bias,
                 input,
-            } = layer.backward(x, &grad);
+            } = layer.backward(&inputs[offset], &grad);
             per_layer[offset] = (weight, bias);
             grad = input;
         }

@@ -3,6 +3,13 @@
 //! Deliberately simple: contiguous `f32` storage, row-major, shape checked at the
 //! operation level. No SIMD, no blocking — bit-exact, portable arithmetic is the
 //! point here, not speed.
+//!
+//! The first dimension is the batch, and a sample's elements are contiguous:
+//! a `[b, c, h, w]` conv activation is `b` rows of `c·h·w`, the same bytes as
+//! its flattened `[b, c·h·w]` view. So a block of samples is a plain
+//! sub-slice, and the layer kernels (`layers.rs`) run over such row slices:
+//! the token executor hands them sub-slices of its full-batch buffers, the
+//! [`crate::EngineLayer`] `forward`/`backward` methods whole tensors.
 
 /// A dense row-major `f32` tensor.
 #[derive(Clone, Debug, PartialEq)]
@@ -105,42 +112,6 @@ impl Tensor {
             *a -= lr * g;
         }
     }
-
-    /// Splits a batched tensor (first dimension = batch) into row ranges,
-    /// returning the sub-tensor for rows `[start, end)`.
-    ///
-    /// # Panics
-    /// Panics if the range exceeds the batch dimension.
-    pub fn slice_rows(&self, start: usize, end: usize) -> Tensor {
-        let batch = self.shape[0];
-        assert!(start <= end && end <= batch, "row range out of bounds");
-        let row_elems: usize = self.shape[1..].iter().product();
-        let mut shape = self.shape.clone();
-        shape[0] = end - start;
-        Tensor {
-            shape,
-            data: self.data[start * row_elems..end * row_elems].to_vec(),
-        }
-    }
-
-    /// Concatenates tensors along the batch (first) dimension.
-    ///
-    /// # Panics
-    /// Panics if trailing shapes differ or the list is empty.
-    pub fn cat_rows(parts: &[&Tensor]) -> Tensor {
-        assert!(!parts.is_empty(), "cat of nothing");
-        let tail = &parts[0].shape[1..];
-        let mut batch = 0;
-        let mut data = Vec::new();
-        for p in parts {
-            assert_eq!(&p.shape[1..], tail, "cat trailing-shape mismatch");
-            batch += p.shape[0];
-            data.extend_from_slice(&p.data);
-        }
-        let mut shape = parts[0].shape.clone();
-        shape[0] = batch;
-        Tensor { shape, data }
-    }
 }
 
 #[cfg(test)]
@@ -180,23 +151,5 @@ mod tests {
         assert_eq!(a.data(), &[11.0, 22.0]);
         a.saxpy_neg(0.1, &b);
         assert_eq!(a.data(), &[10.0, 20.0]);
-    }
-
-    #[test]
-    fn slice_and_cat_round_trip() {
-        let t = Tensor::from_vec(&[4, 2], (0..8).map(|x| x as f32).collect());
-        let a = t.slice_rows(0, 1);
-        let b = t.slice_rows(1, 3);
-        let c = t.slice_rows(3, 4);
-        assert_eq!(a.shape(), &[1, 2]);
-        assert_eq!(b.shape(), &[2, 2]);
-        let back = Tensor::cat_rows(&[&a, &b, &c]);
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn slice_bounds_checked() {
-        Tensor::zeros(&[2, 2]).slice_rows(0, 3);
     }
 }

@@ -87,10 +87,7 @@ pub fn engine_setup(plan: &TokenPlan) -> EngineSetup {
     let target = Tensor::seeded(&[batch, 4], DATA_SEED_T, 1.0);
     EngineSetup {
         net,
-        exec: TokenExecutor {
-            plan: split,
-            lr: LIVE_LR,
-        },
+        exec: TokenExecutor::new(split, LIVE_LR),
         x,
         target,
     }
@@ -212,10 +209,11 @@ mod tests {
     fn engine_setup_matches_plan_shape() {
         let plan = plan_for(&[1, 2, 4]);
         let setup = engine_setup(&plan);
-        assert_eq!(setup.exec.plan.levels.len(), plan.num_levels());
+        assert_eq!(setup.exec.plan().levels.len(), plan.num_levels());
         for (l, lp) in plan.levels.iter().enumerate() {
             assert_eq!(
-                setup.exec.plan.tokens[l], lp.tokens_per_iteration as usize,
+                setup.exec.plan().tokens[l],
+                lp.tokens_per_iteration as usize,
                 "level {l} token count"
             );
         }

@@ -20,10 +20,7 @@ fn main() {
     };
     let x = Tensor::seeded(&[16, 16], 1, 1.0);
     let target = Tensor::seeded(&[16, 8], 2, 1.0);
-    let exec = TokenExecutor {
-        plan: plan.clone(),
-        lr: 0.1,
-    };
+    let mut exec = TokenExecutor::new(plan.clone(), 0.1);
 
     // 1. Train under four different token schedules (different interleavings of
     //    the same token DAG — what different cluster timings would produce).
@@ -46,10 +43,7 @@ fn main() {
         levels: vec![(0, 5)],
         tokens: vec![1],
     };
-    let serial_exec = TokenExecutor {
-        plan: serial_plan.clone(),
-        lr: 0.1,
-    };
+    let mut serial_exec = TokenExecutor::new(serial_plan.clone(), 0.1);
     let mut serial = net0.clone();
     let mut single = net0.clone();
     for step in 0..10 {

@@ -119,29 +119,40 @@ proptest! {
     }
 
     /// The engine's reproducibility theorem, property-tested: any two valid
-    /// schedules of any seeded MLP/token split train to bit-identical models.
+    /// schedules of any seeded MLP/token split train to bit-identical models,
+    /// for a 2-level split and a 3-level one whose dependency ratios are each
+    /// 1 or 2.
     #[test]
     fn token_schedules_always_bit_identical(
         net_seed in 0u64..1000,
         sched_a in 0u64..1000,
         sched_b in 0u64..1000,
         tokens0_exp in 0u32..3, // 1, 2, or 4 root tokens
+        ratios in (1usize..3, 1usize..3), // the 3-level split's level 1 and 2 ratios
     ) {
         let tokens0 = 1usize << tokens0_exp;
-        let net0 = EngineNet::mlp(&[6, 10, 4], net_seed);
-        let plan = SplitPlan {
-            levels: vec![(0, 2), (2, 3)],
-            tokens: vec![tokens0, 1],
-        };
-        let batch = tokens0 * 2;
-        let x = Tensor::seeded(&[batch, 6], net_seed ^ 0xAB, 1.0);
-        let t = Tensor::seeded(&[batch, 4], net_seed ^ 0xCD, 1.0);
-        let exec = TokenExecutor { plan: plan.clone(), lr: 0.05 };
-        let mut a = net0.clone();
-        let mut b = net0;
-        exec.step(&mut a, &x, &t, &seeded_schedule(&plan, sched_a));
-        exec.step(&mut b, &x, &t, &seeded_schedule(&plan, sched_b));
-        prop_assert_eq!(a, b);
+        let (r1, r2) = ratios;
+        let splits = [
+            (vec![6, 10, 4], vec![(0, 2), (2, 3)], vec![tokens0, 1]),
+            (
+                vec![6, 10, 10, 4],
+                vec![(0, 2), (2, 4), (4, 5)],
+                vec![tokens0 * r1 * r2, tokens0 * r2, tokens0],
+            ),
+        ];
+        for (dims, levels, tokens) in splits {
+            let net0 = EngineNet::mlp(&dims, net_seed);
+            let batch = tokens[0] * 2;
+            let plan = SplitPlan { levels, tokens };
+            let x = Tensor::seeded(&[batch, 6], net_seed ^ 0xAB, 1.0);
+            let t = Tensor::seeded(&[batch, 4], net_seed ^ 0xCD, 1.0);
+            let mut exec = TokenExecutor::new(plan.clone(), 0.05);
+            let mut a = net0.clone();
+            let mut b = net0;
+            exec.step(&mut a, &x, &t, &seeded_schedule(&plan, sched_a));
+            exec.step(&mut b, &x, &t, &seeded_schedule(&plan, sched_b));
+            prop_assert_eq!(a, b);
+        }
     }
 
     /// Normalisation maps any series into [0, 1] with the extremes attained.
