@@ -2,14 +2,14 @@
 //! runtime and the control plane, and the crate's one state-space explorer.
 //!
 //! The Token Server's nondeterminism comes from its shells. The real-clock
-//! runtime (`fela-live`) is a single-threaded server whose poll loop sweeps
-//! nonblocking per-worker TCP/channel links, plus a timer heap for lease
-//! deadlines: *in which order do worker messages reach the server loop, and
-//! when do lease timers fire relative to them*. The simulator adds *in which
-//! order do parameter syncs finish* (its network decides). This module
-//! drives the **shipping** server, the sans-IO [`fela_core::ServerCore`] the
-//! real-clock poll loop and the simulator drive (over a
-//! [`fela_core::ControlPlane`]), through `fela-live`'s
+//! runtime (`fela-live`) is a single-threaded server that blocks on one
+//! inbox, fed by a reader thread per worker TCP/channel link, plus a timer
+//! heap for lease deadlines: *in which order do worker messages reach the
+//! inbox, and when do lease timers fire relative to them*. The simulator
+//! adds *in which order do parameter syncs finish* (its network decides).
+//! This module drives the **shipping** server, the sans-IO
+//! [`fela_core::ServerCore`] the real-clock server loop and the simulator
+//! drive (over a [`fela_core::ControlPlane`]), through `fela-live`'s
 //! [`fela_live::frame_adapter`] with the **real** wire [`Frame`]s, through
 //! every non-equivalent such interleaving of a small cluster. The checker
 //! owns only what the shells own: which message arrives next, which lease

@@ -29,8 +29,9 @@
 //! * **epilogue** — nothing is sent after `End`, no grant after `Iter`,
 //!   `Params` only after `End`, and nothing arrives after `Params`;
 //! * **inbox conservation** — each [`SyncEvent::InboxDequeued`] on the real
-//!   server matches the oldest not-yet-dequeued arrival from that worker (the
-//!   poll loop must not reorder or invent messages);
+//!   server matches the oldest not-yet-dequeued arrival from that worker,
+//!   where a link's close (recorded once, by its reader) is an arrival too
+//!   (the inbox must not reorder or invent messages);
 //! * **routing** (cross-link, needs the control-plane op log) — a grant
 //!   carries no worker id, so a grant sent down the wrong link is
 //!   locally well-formed on a fresh link; with the recorded
@@ -355,8 +356,8 @@ impl SessionVerifier {
                 // A closed link forgives its session state (crash semantics);
                 // a restart starts a fresh machine on the same worker index.
                 // The arrival queue keeps the close marker so the inbox
-                // conservation check can match the poll loop's closed-link
-                // dequeue.
+                // conservation check can match the server's dequeue of the
+                // close its link's reader forwarded.
                 link.outstanding.clear();
                 link.pending_query = None;
                 link.sent_iter = false;

@@ -980,19 +980,7 @@ fn cmd_check_mc(check: &CheckArgs) -> Result<(), String> {
 
     if check.protocol {
         let (events, ops) = fela_check::record_execution(&fela_check::McConfig::small());
-        let report = fela_check::verify_session(&events, Some(&ops));
-        println!(
-            "protocol (model): {} links, {} frames — {}",
-            report.links,
-            report.frames,
-            if report.ok() { "clean" } else { "VIOLATIONS" }
-        );
-        if !report.ok() {
-            failures += report.violations.len();
-            for v in &report.violations {
-                eprintln!("protocol: model: {v}");
-            }
-        }
+        failures += verify_protocol("model", &events, Some(&ops));
 
         // A real threaded virtual-clock run, recorded via the scheduler seam
         // and replayed through the same session machine.
@@ -1013,22 +1001,48 @@ fn cmd_check_mc(check: &CheckArgs) -> Result<(), String> {
         let sched: fela_live::SharedSched = rec.clone();
         fela_live::run_virtual_with(&config, &sc, &mut fela_live::ChanTransport, sched)
             .map_err(|e| format!("live run for protocol check failed: {e}"))?;
-        let events = rec.take();
-        let report = fela_check::verify_session(&events, None);
-        println!(
-            "protocol (live {} @ batch {}, {} workers): {} links, {} frames — {}",
-            sc.model.name,
-            sc.total_batch,
-            sc.cluster.nodes,
-            report.links,
-            report.frames,
-            if report.ok() { "clean" } else { "VIOLATIONS" }
+        let label = format!(
+            "live {} @ batch {}, {} workers",
+            sc.model.name, sc.total_batch, sc.cluster.nodes
         );
-        if !report.ok() {
-            failures += report.violations.len();
-            for v in &report.violations {
-                eprintln!("protocol: live: {v}");
-            }
+        failures += verify_protocol(&label, &rec.take(), None);
+
+        // Real-clock runs, which reach the server through its inbox, under
+        // a worker crash-restart and a server crash-restart.
+        let down = fela_sim::SimDuration::from_millis(100);
+        let crash = fela_cluster::FaultKind::CrashRestart { down };
+        let faults = [
+            (
+                "worker crash-restart",
+                fela_cluster::FaultModel::Scripted {
+                    worker: 1,
+                    iteration: 1,
+                    kind: crash,
+                },
+            ),
+            (
+                "server crash-restart",
+                fela_cluster::FaultModel::ServerCrashRestart { iteration: 3, down },
+            ),
+        ];
+        let opts = fela_live::RealOptions {
+            time_scale: 1e-3,
+            min_down: std::time::Duration::from_millis(1),
+            ..fela_live::RealOptions::default()
+        };
+        for (fault_name, fault) in faults {
+            let faulted = Scenario {
+                iterations: 8,
+                fault,
+                ..sc.clone()
+            };
+            let rec = fela_live::RecordingSched::new();
+            let sched: fela_live::SharedSched = rec.clone();
+            let mut chan = fela_live::ChanTransport;
+            fela_live::run_real_with(&config, &faulted, &mut chan, opts, sched)
+                .map_err(|e| format!("real-clock run for protocol check failed: {e}"))?;
+            let label = format!("real chan, {fault_name}, {} workers", sc.cluster.nodes);
+            failures += verify_protocol(&label, &rec.take(), None);
         }
     }
 
@@ -1038,6 +1052,26 @@ fn cmd_check_mc(check: &CheckArgs) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+/// Replays one recorded event stream through the frame-session verifier
+/// and prints its one-line verdict; returns the violation count.
+fn verify_protocol(
+    label: &str,
+    events: &[fela_live::SyncEvent],
+    ops: Option<&[fela_core::CoordOp]>,
+) -> usize {
+    let report = fela_check::verify_session(events, ops);
+    println!(
+        "protocol ({label}): {} links, {} frames — {}",
+        report.links,
+        report.frames,
+        if report.ok() { "clean" } else { "VIOLATIONS" }
+    );
+    for v in &report.violations {
+        eprintln!("protocol: {label}: {v}");
+    }
+    report.violations.len()
 }
 
 /// `fela check --wal`: the write-ahead-log replay verifier. Drives a

@@ -29,30 +29,33 @@
 //! `Hang` ships a `Hang` frame that freezes the victim long enough for its
 //! lease to expire on the server.
 //!
-//! ## The grant hot path
+//! ## The inbox
 //!
-//! The server is a **single poll loop** over nonblocking receive halves — no
-//! per-worker pump threads, no inbox channel. Each sweep fires due timers,
-//! drains every link via [`LinkRx::try_recv`], feeds each frame to the core
-//! (a report piggybacks up to [`RealOptions::pipeline`] pulls), and ships
-//! what the core queued **eagerly** — as soon as the frame that produced it
-//! is handled — as one `GrantBatch` frame + one transport write per worker,
+//! The server thread waits for input in one place: an inbox channel of
+//! `(worker, frame or close)` messages. Attaching a link moves its receive
+//! half onto a small reader thread (`LinkRx::spawn_reader`) that blocks on
+//! the link, forwards each frame, then the link's close, and exits; channel
+//! and TCP links share that one path. The loop blocks on the inbox until the
+//! next timer deadline, feeds each frame to the core (a report piggybacks up
+//! to [`RealOptions::pipeline`] pulls), fires the due timers, and ships what
+//! the core queued **eagerly** — as soon as the frame that produced it is
+//! handled — as one `GrantBatch` frame + one transport write per worker,
 //! whatever the batch length. The worker computes the batch as one
 //! coalesced sleep and answers with one `ReportBatch`, so per-token cost on
-//! both sides is `O(1/pipeline)` syscalls and wakeups.
+//! both sides is `O(1/pipeline)` writes and wakeups.
 //!
-//! Probes are pruned by protocol accounting rather than readiness syscalls:
-//! each link owes exactly one inbound frame per (re)spawn plus one reply per
-//! shipped batch (`expect_replies`), and a reply cannot arrive before the
-//! batch's scaled span has elapsed (`quiet_until`), so the sweep skips every
-//! socket that provably has nothing to say. An idle sweep yields, then
-//! sleeps with backoff capped by the next timer deadline (see the loop in
-//! `run_real_impl`).
+//! One live link per worker index: a link's frames and its close reach the
+//! inbox in order, and a worker's next link is attached only after the old
+//! one's close was dequeued. A restart timer that fires while the old link
+//! still drains waits for that close, and a server crash drains every old
+//! close before the fleet relinks. So the inbox never interleaves two links
+//! of one worker, and each link's close is recorded once, by its reader.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::io;
-use std::thread;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use fela_cluster::{FaultKind, Scenario};
@@ -65,7 +68,7 @@ use fela_sim::{SimDuration, SimTime};
 use crate::frame_adapter::{self, wire_grants};
 use crate::replay::{replay_schedules, schedules_from_completions};
 use crate::sched::{pass, Endpoint, SharedSched, SyncEvent};
-use crate::transport::{Link, LinkRx, LinkTx, Transport};
+use crate::transport::{Inbound, Link, LinkTx, Transport};
 use crate::wire::{Frame, WireGrant};
 use crate::worker::{spawn_worker, WorkerSpec};
 
@@ -184,18 +187,16 @@ struct RealServer<'a> {
     started: Instant,
     /// Send half per worker; `None` after we closed the link (crash).
     txs: Vec<Option<LinkTx>>,
-    /// Receive half per worker, polled nonblockingly by the server loop;
-    /// `None` once the link died and its close was processed.
-    rxs: Vec<Option<LinkRx>>,
-    /// Per-worker probe hint: no reply can arrive before the granted batch's
-    /// scaled span elapses, so the sweep skips the socket until then. Purely
-    /// an optimization — a stale hint only delays a probe, never loses one.
-    quiet_until: Vec<Instant>,
-    /// Inbound frames still expected per link: one for the initial `Request`
-    /// after (re)spawn plus one reply per shipped batch. A worker with zero
-    /// expected frames is silent by protocol (pulls are piggybacked
-    /// server-side), so the sweep skips its socket entirely.
-    expect_replies: Vec<u32>,
+    /// Per worker: the reader thread of its link, until the link's close
+    /// is dequeued and the reader joined.
+    readers: Vec<Option<JoinHandle<()>>>,
+    /// Per worker: a restart timer fired while the old link still drained,
+    /// so the restart waits for that close.
+    restart_on_close: Vec<bool>,
+    /// Every link's frames and closes, in arrival order.
+    inbox: Receiver<Inbound>,
+    /// The inbox's sending side, cloned into each new link's reader.
+    inbox_tx: Sender<Inbound>,
     span_cache: HashMap<(u32, u64, usize), f64>,
     /// Real deadlines, earliest first.
     timers: BinaryHeap<Reverse<(Instant, Timer)>>,
@@ -224,16 +225,18 @@ impl RealServer<'_> {
         }
     }
 
-    /// Installs the server half of `worker`'s link, which owes the worker's
-    /// opening `Request`.
+    /// Installs the server half of `worker`'s link: its receive half feeds
+    /// the inbox from a reader thread. One live link per worker index, so
+    /// the previous link's close must have been dequeued.
     fn attach(&mut self, worker: usize, mut link: Link) -> io::Result<()> {
+        debug_assert!(
+            self.readers[worker].is_none(),
+            "worker {worker} has a live link"
+        );
         link.instrument(self.sched.clone(), Endpoint::Server, worker);
-        let (tx, mut rx) = link.split();
-        rx.set_nonblocking(true)?;
+        let (tx, rx) = link.split();
+        self.readers[worker] = Some(rx.spawn_reader(worker, self.inbox_tx.clone())?);
         self.txs[worker] = Some(tx);
-        self.rxs[worker] = Some(rx);
-        self.quiet_until[worker] = Instant::now();
-        self.expect_replies[worker] = 1;
         Ok(())
     }
 
@@ -246,12 +249,69 @@ impl RealServer<'_> {
         Ok(())
     }
 
+    /// Joins `worker`'s link reader once its close has been dequeued: the
+    /// reader exits right after forwarding it.
+    fn join_reader(&mut self, worker: usize) -> io::Result<()> {
+        match self.readers[worker].take() {
+            Some(reader) => reader
+                .join()
+                .map_err(|_| io::Error::other("a link reader thread panicked")),
+            None => Ok(()),
+        }
+    }
+
+    /// Takes the next inbox message, waiting until `deadline` (with none,
+    /// until one arrives), and records its dequeue. `None` once the deadline
+    /// has passed.
+    fn dequeue(&mut self, deadline: Option<Instant>) -> Option<Inbound> {
+        let wait = deadline.map_or(Duration::MAX, |at| {
+            at.saturating_duration_since(Instant::now())
+        });
+        let (worker, msg) = self.inbox.recv_timeout(wait).ok()?;
+        self.sched.reached(&SyncEvent::InboxDequeued {
+            worker,
+            frame: msg.as_ref().ok().cloned(),
+        });
+        Some((worker, msg))
+    }
+
+    /// Handles one dequeued message. A frame goes to the core. A close ends
+    /// the link: a worker still alive died under us and is killed, and a
+    /// restart that waited for this close goes ahead.
+    fn on_inbound(
+        &mut self,
+        worker: usize,
+        msg: io::Result<Frame>,
+        transport: &mut dyn Transport,
+    ) -> io::Result<()> {
+        let Ok(frame) = msg else {
+            self.join_reader(worker)?;
+            if self.core.plane().is_alive(worker) {
+                self.kill(worker)?;
+            }
+            if std::mem::take(&mut self.restart_on_close[worker]) {
+                self.restart(worker, transport)?;
+            }
+            return Ok(());
+        };
+        let reported = matches!(frame, Frame::ReportBatch { .. });
+        let now = self.now_sim();
+        frame_adapter::on_frame(&mut self.core, worker, frame, now)
+            .and_then(|r| frame_adapter::finish_syncs(&mut self.core, &r))
+            .map_err(fatal)?;
+        // Root iterations are released only by reports.
+        if reported {
+            self.arm_faults(transport)?;
+        }
+        Ok(())
+    }
+
     /// Ships what the core queued: [`ServerCore::dispatch`] commits the log,
     /// then each worker's `GrantBatch` goes out as one write. A batch that
-    /// left sets the worker's probe hints and arms its leases,
-    /// sized to the **cumulative** batch span — the worker computes the batch
-    /// serially and reports it with one frame at the end, so every lease in
-    /// the batch must survive until the whole batch lands.
+    /// left arms its leases, sized to the **cumulative** batch span — the
+    /// worker computes the batch serially and reports it with one frame at
+    /// the end, so every lease in the batch must survive until the whole
+    /// batch lands.
     fn dispatch(&mut self) -> io::Result<()> {
         let now = self.now_sim();
         self.core
@@ -263,26 +323,19 @@ impl RealServer<'_> {
                     return;
                 };
                 let grants = wire_grants(&self.units, out.grants, &mut self.leases);
+                let frame = Frame::GrantBatch { grants };
+                // A worker that died under us: its reader's close reclaims.
+                if tx.send(&frame).is_err() {
+                    return;
+                }
+                let (Some(rec), Frame::GrantBatch { grants }) = (self.recovery, &frame) else {
+                    return;
+                };
                 let total: f64 = grants
                     .iter()
                     .map(|g| span_secs(self.scenario, &mut self.span_cache, w, g))
                     .sum();
-                let frame = Frame::GrantBatch { grants };
-                if tx.queue(&frame).and_then(|()| tx.flush()).is_err() {
-                    // Worker died under us; the sweep's close handling reclaims.
-                    return;
-                }
-                self.expect_replies[w] += 1;
-                // The worker starts sleeping the whole scaled batch span
-                // strictly after this flush, so its reply cannot arrive
-                // before the full span has elapsed — probing earlier is a
-                // guaranteed-empty syscall, and skipping until then is safe
-                // by construction.
                 let scale = self.opts.time_scale;
-                self.quiet_until[w] = Instant::now() + Duration::from_secs_f64(total * scale);
-                let Some(rec) = self.recovery else {
-                    return;
-                };
                 for &(token, attempt) in &self.leases {
                     let backoff = (1u64 << attempt.min(32)) as f64;
                     let lease = Duration::from_secs_f64(
@@ -325,23 +378,30 @@ impl RealServer<'_> {
         // Every link drops, which kills the worker threads on their next
         // recv. Replicas are only mutated by the epilogue's Iter frames, so
         // no training state is lost worker-side.
-        for worker in 0..self.txs.len() {
-            if let Some(mut tx) = self.txs[worker].take() {
-                tx.close();
+        for mut tx in self.txs.iter_mut().filter_map(Option::take) {
+            tx.close();
+        }
+        // The frames in flight die with the process: drain the inbox until
+        // every old link's close has arrived, so that no worker's next link
+        // shares the inbox with its old one.
+        while self.readers.iter().any(Option::is_some) {
+            if let Some((worker, Err(_))) = self.dequeue(None) {
+                self.join_reader(worker)?;
             }
-            self.rxs[worker] = None;
-            self.expect_replies[worker] = 0;
         }
         thread::sleep(self.real_down(down));
         self.core.server_crash().map_err(fatal)?;
         // The dropped links lost every in-flight grant: each surviving
         // worker's leases are revoked for immediate regrant as it relinks.
         // Workers downed by their own declared faults stay down until their
-        // Restart timers fire.
+        // Restart timers fire; one that already fired waited for the close
+        // drained above and goes ahead now.
         for worker in 0..self.txs.len() {
             if self.core.plane().is_alive(worker) {
                 self.core.relink(worker).map_err(fatal)?;
                 self.respawn(worker, transport)?;
+            } else if std::mem::take(&mut self.restart_on_close[worker]) {
+                self.restart(worker, transport)?;
             }
         }
         Ok(())
@@ -390,14 +450,24 @@ impl RealServer<'_> {
             }
             Timer::Restart { worker } => {
                 self.sched.reached(&SyncEvent::RestartFired { worker });
-                if self.core.plane().is_alive(worker) {
-                    return Ok(());
-                }
-                self.respawn(worker, transport)?;
-                self.core.worker_restarted(worker).map_err(fatal)?;
+                self.restart(worker, transport)?;
             }
         }
         Ok(())
+    }
+
+    /// Respawns a crashed `worker`, once its old link's close has been
+    /// dequeued; until then the restart waits for that close.
+    fn restart(&mut self, worker: usize, transport: &mut dyn Transport) -> io::Result<()> {
+        if self.core.plane().is_alive(worker) {
+            return Ok(());
+        }
+        if self.readers[worker].is_some() {
+            self.restart_on_close[worker] = true;
+            return Ok(());
+        }
+        self.respawn(worker, transport)?;
+        self.core.worker_restarted(worker).map_err(fatal)
     }
 }
 
@@ -481,6 +551,7 @@ fn run_real_impl(
         .config()
         .recovery
         .filter(|_| !scenario.fault.is_none());
+    let (inbox_tx, inbox) = channel();
     let mut rs = RealServer {
         core: ServerCore::new(plane, opts.pipeline).with_completion_log(),
         units,
@@ -490,9 +561,10 @@ fn run_real_impl(
         recovery,
         started: Instant::now(),
         txs: (0..n).map(|_| None).collect(),
-        rxs: (0..n).map(|_| None).collect(),
-        quiet_until: vec![Instant::now(); n],
-        expect_replies: vec![0; n],
+        readers: (0..n).map(|_| None).collect(),
+        restart_on_close: vec![false; n],
+        inbox,
+        inbox_tx,
         span_cache: HashMap::new(),
         timers: BinaryHeap::new(),
         faults_armed: 0,
@@ -513,23 +585,16 @@ fn run_real_impl(
     rs.arm_faults(transport)?;
     rs.dispatch()?;
 
-    // The poll loop. Each sweep: fire due timers, drain every link, ship
-    // what the core queued. An idle sweep first *yields* for a bounded
-    // streak — under a level barrier the reports are microseconds away, and
-    // on a small core count `yield_now` reschedules the worker threads
-    // directly, whereas even a 10µs sleep pays timer-slack latency per wave.
-    // Only a long idle streak (a real lease/restart wait) falls back to
-    // sleeping, exponentially backed off and capped by the next timer
-    // deadline. All deadline arithmetic saturates, so a deadline already in
-    // the past fires immediately instead of panicking.
-    const SPIN_SWEEPS: u32 = 256;
-    const IDLE_MIN: Duration = Duration::from_micros(10);
-    const IDLE_MAX: Duration = Duration::from_micros(500);
-    let mut idle_streak = 0u32;
-    let mut idle = IDLE_MIN;
+    // The server loop: block on the inbox until the next timer deadline,
+    // handle what arrived, fire every due timer (a batch's leases share one
+    // deadline), then ship what they all released with one dispatch (one
+    // commit). All deadline arithmetic saturates, so a deadline already in
+    // the past fires at once.
     while !rs.core.plane().run_complete() {
-        // A batch's leases share one deadline: fire every due timer, then
-        // ship what they released with one dispatch (one commit).
+        let deadline = rs.timers.peek().map(|&Reverse((at, _))| at);
+        if let Some((worker, msg)) = rs.dequeue(deadline) {
+            rs.on_inbound(worker, msg, transport)?;
+        }
         while let Some(&Reverse((at, timer))) = rs.timers.peek() {
             if at > Instant::now() {
                 break;
@@ -538,81 +603,6 @@ fn run_real_impl(
             rs.fire_timer(timer, transport)?;
         }
         rs.dispatch()?;
-        let mut progressed = false;
-        let sweep_now = Instant::now();
-        for worker in 0..n {
-            if rs.expect_replies[worker] == 0 || rs.quiet_until[worker] > sweep_now {
-                continue;
-            }
-            while let Some(rx) = rs.rxs[worker].as_mut() {
-                match rx.try_recv() {
-                    Ok(Some(frame)) => {
-                        rs.expect_replies[worker] = rs.expect_replies[worker].saturating_sub(1);
-                        rs.sched.reached(&SyncEvent::InboxDequeued {
-                            worker,
-                            frame: Some(frame.clone()),
-                        });
-                        let reported = matches!(frame, Frame::ReportBatch { .. });
-                        let now = rs.now_sim();
-                        frame_adapter::on_frame(&mut rs.core, worker, frame, now)
-                            .and_then(|r| frame_adapter::finish_syncs(&mut rs.core, &r))
-                            .map_err(fatal)?;
-                        // Root iterations are released only by reports.
-                        if reported {
-                            rs.arm_faults(transport)?;
-                        }
-                        // Ship eagerly: the grants this frame produced (for
-                        // this worker *and* any woken waiters) leave now
-                        // instead of after the rest of the sweep — same
-                        // number of writes, tens of µs less turnaround.
-                        rs.dispatch()?;
-                        progressed = true;
-                        if rs.core.plane().run_complete() {
-                            break;
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(_) => {
-                        // We closed the link ourselves (crash injection) — or
-                        // the thread died unexpectedly, which the server
-                        // treats the same.
-                        rs.sched.reached(&SyncEvent::InboxDequeued {
-                            worker,
-                            frame: None,
-                        });
-                        rs.rxs[worker] = None;
-                        if rs.core.plane().is_alive(worker) && rs.txs[worker].is_some() {
-                            rs.kill(worker)?;
-                            rs.dispatch()?;
-                        }
-                        progressed = true;
-                        break;
-                    }
-                }
-            }
-            if rs.core.plane().run_complete() {
-                break;
-            }
-        }
-        rs.dispatch()?;
-        if progressed {
-            idle_streak = 0;
-            idle = IDLE_MIN;
-            continue;
-        }
-        idle_streak += 1;
-        if idle_streak <= SPIN_SWEEPS && rs.timers.is_empty() {
-            thread::yield_now();
-            continue;
-        }
-        let sleep = match rs.timers.peek() {
-            Some(Reverse((at, _))) => at.saturating_duration_since(Instant::now()).min(idle),
-            None => idle,
-        };
-        if !sleep.is_zero() {
-            thread::sleep(sleep);
-        }
-        idle = (idle * 2).min(IDLE_MAX);
     }
     let elapsed = rs.started.elapsed();
 
@@ -632,43 +622,28 @@ fn run_real_impl(
         })
         .collect();
     epilogue.push(Frame::End);
-    let mut waiting = Vec::new();
+    let mut waiting = 0;
     for worker in 0..n {
         if rs.send_control(worker, &epilogue)? {
-            waiting.push(worker);
+            waiting += 1;
         }
     }
-    let mut collected = 0usize;
+    // Collect every replica's params, then every link's close, so that no
+    // reader thread outlives the run.
     let deadline = Instant::now() + Duration::from_secs(30);
-    while collected < waiting.len() {
-        let mut progressed = false;
-        for &worker in &waiting {
-            let polled = match rs.rxs[worker].as_mut() {
-                Some(rx) => rx.try_recv(),
-                None => continue,
-            };
-            match polled {
-                Ok(Some(Frame::Params { bytes })) => {
-                    assert_eq!(
-                        bytes, reference,
-                        "worker {worker}: replica parameters diverged from the reference replay"
-                    );
-                    collected += 1;
-                    progressed = true;
-                }
-                // Late reports/requests from still-draining workers.
-                Ok(Some(_)) => progressed = true,
-                Ok(None) => {}
-                // The worker closes its link on exit; buffered frames were
-                // parsed first, so a close here means no Params will come.
-                Err(_) => rs.rxs[worker] = None,
+    while waiting > 0 || rs.readers.iter().any(Option::is_some) {
+        match rs.dequeue(Some(deadline)) {
+            Some((worker, Ok(Frame::Params { bytes }))) => {
+                assert_eq!(
+                    bytes, reference,
+                    "worker {worker}: replica parameters diverged from the reference replay"
+                );
+                waiting -= 1;
             }
-        }
-        if collected < waiting.len() && !progressed {
-            if deadline.saturating_duration_since(Instant::now()).is_zero() {
-                panic!("timed out collecting final parameters");
-            }
-            thread::sleep(Duration::from_micros(200));
+            Some((worker, Err(_))) => rs.join_reader(worker)?,
+            // Late reports and requests from still-draining workers.
+            Some(_) => {}
+            None => panic!("timed out collecting final parameters and link closes"),
         }
     }
 
@@ -755,9 +730,9 @@ mod tests {
     fn already_expired_deadlines_fire_immediately_without_panicking() {
         // Regression for the timer-underflow panic: zero floors plus a tiny
         // time scale arm lease and restart deadlines that are already in the
-        // past the moment they enter the timer heap. The poll loop's
-        // saturating deadline math must fire them immediately — the old
-        // `recv_timeout(at - now)` path aborted the server thread here.
+        // past the moment they enter the timer heap. The server loop's
+        // saturating deadline math must fire them immediately — an unchecked
+        // `recv_timeout(at - now)` once aborted the server thread here.
         let (config, mut scenario) = quick();
         scenario.iterations = 4;
         scenario.fault = FaultModel::Scripted {

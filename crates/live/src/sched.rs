@@ -2,8 +2,8 @@
 //! runtime yields to a pluggable scheduler.
 //!
 //! The live runtime's sync points are frame sends/receives on a [`Link`],
-//! the server poll loop's dequeues, and wall-clock timer fires (lease expiry, worker
-//! restart). Each one calls [`Sched::reached`] with a [`SyncEvent`] describing
+//! the real-clock server's inbox dequeues, and wall-clock timer fires (lease
+//! expiry, worker restart). Each one calls [`Sched::reached`] with a [`SyncEvent`] describing
 //! the operation before/as it happens:
 //!
 //! * [`PassSched`] — the default — does nothing, preserving today's behavior
@@ -60,19 +60,20 @@ pub enum SyncEvent {
         /// The frame received.
         frame: Frame,
     },
-    /// `side` observed its link with `worker` closed: a receive failed (peer
-    /// gone) or the link was deliberately shut (crash injection).
+    /// `side` observed its link with `worker` closed: a receive failed
+    /// because the peer is gone or the link was shut under it (crash
+    /// injection). Recorded once per link, by its receive half.
     LinkClosed {
         /// Observing endpoint.
         side: Endpoint,
         /// Worker index the link belongs to.
         worker: usize,
     },
-    /// The real-clock server's poll loop took one inbound message off a
-    /// worker's link and is about to handle it. `frame` is `None` when the
-    /// link was found closed. This is the server's *processing* order —
-    /// distinct from [`SyncEvent::FrameReceived`], which the link's receive
-    /// half records as it parses the frame.
+    /// The real-clock server took one message off its inbox and is about to
+    /// handle it. `frame` is `None` for the close of the worker's link. This
+    /// is the server's *processing* order — distinct from
+    /// [`SyncEvent::FrameReceived`], which the link's reader thread records
+    /// as it parses the frame, before it forwards it into the inbox.
     InboxDequeued {
         /// Worker the message came from.
         worker: usize,

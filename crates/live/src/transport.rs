@@ -10,25 +10,25 @@
 //!   worker, identified by a `Hello` handshake frame at accept time.
 //!
 //! A link can be split into independently owned send/receive halves
-//! ([`Link::split`]) so the real-clock server can drive every receive half
-//! from its single poll loop while granting over the send halves, and it can
-//! be closed ([`LinkTx::close`]) — which is how the fault injector "drops the
+//! ([`Link::split`]): the real-clock server moves each receive half onto a
+//! small reader thread that forwards into its inbox (`LinkRx::spawn_reader`)
+//! while it grants over the send halves. A link can be closed
+//! ([`LinkTx::close`]) — which is how the fault injector "drops the
 //! connection" to a worker: the peer's next receive fails and the thread dies,
 //! exactly like a real network partition.
 //!
-//! Receive halves carry an incremental frame parser ([`FrameBuf`]): inbound
-//! bytes accumulate in a per-link buffer and complete frames are peeled off,
-//! which is what makes **nonblocking** reads possible ([`LinkRx::try_recv`] +
-//! [`LinkRx::set_nonblocking`]) — a TCP segment boundary can land anywhere in
-//! a frame. Send halves own a reusable per-link encode buffer:
-//! [`LinkTx::queue`] appends encoded frames without a syscall and
-//! [`LinkTx::flush`] moves the whole batch with one write — the grant
+//! Every read blocks. A channel message carries a flushed batch of encoded
+//! frames, which the receive half's incremental parser ([`FrameBuf`]) peels
+//! apart; a TCP receive reads one frame. Send halves own a reusable per-link
+//! encode buffer: [`LinkTx::queue`] appends encoded frames without a syscall
+//! and [`LinkTx::flush`] moves the whole batch with one write — the grant
 //! hot path of the real-clock server.
 
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 
 use crate::sched::{Endpoint, Sched, SyncEvent};
 use crate::wire::{decode_body, encode_frame, read_frame, Frame, WireError, MAX_FRAME};
@@ -87,10 +87,11 @@ enum RxKind {
     Tcp(TcpStream),
 }
 
-/// Incremental frame parser: inbound bytes accumulate here and complete
-/// `[len][tag][fields]` frames are peeled off the front. Consumed space is
-/// reclaimed lazily (one `drain` once the buffer is fully parsed), so steady
-/// traffic reuses the same allocation.
+/// Incremental frame parser of a channel link: each message (one flushed
+/// batch) accumulates here and complete `[len][tag][fields]` frames are
+/// peeled off the front. Consumed space is reclaimed lazily (one `drain`
+/// once the buffer is fully parsed), so steady traffic reuses the same
+/// allocation.
 #[derive(Default)]
 struct FrameBuf {
     buf: Vec<u8>,
@@ -143,29 +144,19 @@ pub struct LinkTx {
     pending: Vec<u8>,
 }
 
+/// One message of a server inbox: the worker whose link it came from, and
+/// the frame received or the error that ended the link.
+pub(crate) type Inbound = (usize, io::Result<Frame>);
+
+/// A reader thread's stack. It only blocks on its link and forwards what it
+/// reads, with every frame on the heap, so a wide fleet's readers stay small.
+const READER_STACK: usize = 64 * 1024;
+
 /// The receiving half of a link.
 pub struct LinkRx {
     kind: RxKind,
     tap: Option<Tap>,
     parse: FrameBuf,
-}
-
-/// Writes `bytes` fully even on a socket in nonblocking mode: `WouldBlock`
-/// (the send buffer is momentarily full) yields and retries rather than
-/// erroring out. Server and worker share one underlying socket per link via
-/// `try_clone`, so putting the receive half in nonblocking mode makes writes
-/// nonblocking too — this keeps the send path correct either way.
-fn write_all_would_block(s: &mut TcpStream, mut bytes: &[u8]) -> io::Result<()> {
-    while !bytes.is_empty() {
-        match s.write(bytes) {
-            Ok(0) => return Err(io::Error::new(ErrorKind::WriteZero, "socket wrote 0 bytes")),
-            Ok(n) => bytes = &bytes[n..],
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::yield_now(),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
 }
 
 impl LinkTx {
@@ -208,7 +199,7 @@ impl LinkTx {
             }
             TxKind::Tcp(stream) => {
                 let result = match stream {
-                    Some(s) => write_all_would_block(s, &self.pending).and_then(|()| s.flush()),
+                    Some(s) => s.write_all(&self.pending).and_then(|()| s.flush()),
                     None => Err(io::Error::new(io::ErrorKind::NotConnected, "link closed")),
                 };
                 self.pending.clear();
@@ -226,11 +217,9 @@ impl LinkTx {
 
     /// Drops the connection. The peer's next receive fails (channel
     /// disconnect / TCP reset-EOF), which is the transport-level kill switch
-    /// for fault injection.
+    /// for fault injection. It records no event: the link's close is
+    /// recorded once, by the receive half whose receive fails.
     pub fn close(&mut self) {
-        if let Some(tap) = &self.tap {
-            tap.closed();
-        }
         self.pending.clear();
         match &mut self.kind {
             TxKind::Chan(tx) => {
@@ -242,6 +231,15 @@ impl LinkTx {
                 }
             }
         }
+    }
+}
+
+impl Drop for LinkTx {
+    /// A dropped send half closes its link, on TCP too, where the receive
+    /// half may live on (on a reader thread) with its own handle on the
+    /// socket.
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -265,112 +263,39 @@ impl LinkRx {
     }
 
     fn recv_inner(&mut self) -> io::Result<Frame> {
-        loop {
-            if let Some(frame) = self.parse.next_frame().map_err(io::Error::from)? {
-                return Ok(frame);
-            }
-            match &mut self.kind {
-                RxKind::Chan(rx) => {
-                    let bytes = rx.recv().map_err(|_| {
-                        io::Error::new(io::ErrorKind::UnexpectedEof, "peer hung up")
-                    })?;
-                    self.parse.extend(&bytes);
+        match &mut self.kind {
+            RxKind::Chan(rx) => loop {
+                if let Some(frame) = self.parse.next_frame().map_err(io::Error::from)? {
+                    return Ok(frame);
                 }
-                RxKind::Tcp(stream) => {
-                    // One blocking read per wakeup; whole frames are peeled
-                    // from the parse buffer, so a single segment carrying a
-                    // batch costs a single syscall.
-                    if self.parse.start == 0 && self.parse.buf.is_empty() {
-                        let frame = read_frame(stream).map_err(io::Error::from)?;
-                        return Ok(frame);
-                    }
-                    let mut chunk = [0u8; 16 * 1024];
-                    let n = match stream.read(&mut chunk) {
-                        Ok(0) => {
-                            return Err(io::Error::new(
-                                io::ErrorKind::UnexpectedEof,
-                                "peer hung up",
-                            ))
-                        }
-                        Ok(n) => n,
-                        Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                        Err(e) => return Err(e),
-                    };
-                    self.parse.extend(&chunk[..n]);
-                }
-            }
+                let bytes = rx
+                    .recv()
+                    .map_err(|_| io::Error::new(io::ErrorKind::UnexpectedEof, "peer hung up"))?;
+                self.parse.extend(&bytes);
+            },
+            RxKind::Tcp(stream) => read_frame(stream).map_err(io::Error::from),
         }
     }
 
-    /// Receives one frame **without blocking**: `Ok(None)` means no complete
-    /// frame is available right now, `Err` means the peer is gone. The
-    /// nonblocking primitive under the real-clock server's poll loop; TCP
-    /// links must be in nonblocking mode ([`LinkRx::set_nonblocking`]).
-    pub fn try_recv(&mut self) -> io::Result<Option<Frame>> {
-        loop {
-            match self.parse.next_frame() {
-                Ok(Some(frame)) => {
-                    if let Some(tap) = &self.tap {
-                        tap.received(&frame);
-                    }
-                    return Ok(Some(frame));
+    /// Moves this receive half onto a small reader thread that forwards
+    /// each received frame into `inbox`, tagged with `worker`, then the
+    /// receive error that ends the link. The thread exits after forwarding
+    /// that error, or once the inbox is gone.
+    pub(crate) fn spawn_reader(
+        mut self,
+        worker: usize,
+        inbox: Sender<Inbound>,
+    ) -> io::Result<JoinHandle<()>> {
+        thread::Builder::new()
+            .name(format!("fela-reader-{worker}"))
+            .stack_size(READER_STACK)
+            .spawn(move || loop {
+                let msg = self.recv();
+                let closed = msg.is_err();
+                if inbox.send((worker, msg)).is_err() || closed {
+                    return;
                 }
-                Ok(None) => {}
-                Err(e) => {
-                    if let Some(tap) = &self.tap {
-                        tap.closed();
-                    }
-                    return Err(e.into());
-                }
-            }
-            match &mut self.kind {
-                RxKind::Chan(rx) => match rx.try_recv() {
-                    Ok(bytes) => self.parse.extend(&bytes),
-                    Err(TryRecvError::Empty) => return Ok(None),
-                    Err(TryRecvError::Disconnected) => {
-                        if let Some(tap) = &self.tap {
-                            tap.closed();
-                        }
-                        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "peer hung up"));
-                    }
-                },
-                RxKind::Tcp(stream) => {
-                    let mut chunk = [0u8; 16 * 1024];
-                    match stream.read(&mut chunk) {
-                        Ok(0) => {
-                            if let Some(tap) = &self.tap {
-                                tap.closed();
-                            }
-                            return Err(io::Error::new(
-                                io::ErrorKind::UnexpectedEof,
-                                "peer hung up",
-                            ));
-                        }
-                        Ok(n) => self.parse.extend(&chunk[..n]),
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
-                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                        Err(e) => {
-                            if let Some(tap) = &self.tap {
-                                tap.closed();
-                            }
-                            return Err(e);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Switches a TCP link between blocking and nonblocking reads (a no-op on
-    /// channel links, whose `try_recv` never blocks anyway). Note that the
-    /// mode is a property of the underlying socket, shared with the link's
-    /// send half — the send path tolerates `WouldBlock` for exactly this
-    /// reason.
-    pub fn set_nonblocking(&mut self, nonblocking: bool) -> io::Result<()> {
-        match &self.kind {
-            RxKind::Chan(_) => Ok(()),
-            RxKind::Tcp(stream) => stream.set_nonblocking(nonblocking),
-        }
+            })
     }
 }
 
@@ -624,16 +549,24 @@ mod tests {
 
     #[test]
     fn closing_the_server_end_kills_the_worker_recv() {
+        // Closing or dropping the send half ends the link even while the
+        // receive half lives on, as it does on a server reader thread.
         for name in ["chan", "tcp"] {
-            let mut t = transport_by_name(name).expect("known transport");
-            let (servers, mut workers) = t.establish(1).expect("establish");
-            let (mut tx, rx) = servers.into_iter().next().expect("one link").split();
-            tx.close();
-            drop(rx);
-            assert!(
-                workers[0].recv().is_err(),
-                "{name}: recv on a dropped connection must fail"
-            );
+            for close in [true, false] {
+                let mut t = transport_by_name(name).expect("known transport");
+                let (servers, mut workers) = t.establish(1).expect("establish");
+                let (mut tx, rx) = servers.into_iter().next().expect("one link").split();
+                if close {
+                    tx.close();
+                } else {
+                    drop(tx);
+                }
+                assert!(
+                    workers[0].recv().is_err(),
+                    "{name}, close={close}: recv on a dropped connection must fail"
+                );
+                drop(rx);
+            }
         }
     }
 
@@ -673,31 +606,27 @@ mod tests {
     }
 
     #[test]
-    fn queued_frames_flush_as_one_batch_and_try_recv_drains_them() {
+    fn queued_frames_flush_as_one_batch_and_recv_takes_them_in_order() {
         for name in ["chan", "tcp"] {
             let mut t = transport_by_name(name).expect("known transport");
             let (servers, workers) = t.establish(1).expect("establish");
             let (mut tx, _srx) = servers.into_iter().next().expect("one link").split();
             let (_wtx, mut rx) = workers.into_iter().next().expect("one link").split();
-            rx.set_nonblocking(true).expect("nonblocking");
-            assert!(
-                rx.try_recv().expect("idle").is_none(),
-                "{name}: nothing queued yet"
-            );
             let sent: Vec<Frame> = (0..5).map(grant).collect();
             for f in &sent {
                 tx.queue(f).expect("queue");
             }
+            assert!(
+                !tx.pending.is_empty(),
+                "{name}: queued frames wait for the flush"
+            );
             tx.flush().expect("flush");
-            let mut got = Vec::new();
-            while got.len() < sent.len() {
-                match rx.try_recv().expect("try_recv") {
-                    Some(frame) => got.push(frame),
-                    None => std::thread::yield_now(),
-                }
-            }
+            assert!(
+                tx.pending.is_empty(),
+                "{name}: one flush moves the whole batch"
+            );
+            let got: Vec<Frame> = sent.iter().map(|_| rx.recv().expect("recv")).collect();
             assert_eq!(got, sent, "{name}");
-            assert!(rx.try_recv().expect("drained").is_none(), "{name}");
         }
     }
 
@@ -707,27 +636,6 @@ mod tests {
         let (mut tx, _rx) = server.split();
         tx.flush().expect("empty flush");
         tx.flush().expect("still empty");
-    }
-
-    #[test]
-    fn try_recv_reports_a_gone_peer() {
-        for name in ["chan", "tcp"] {
-            let mut t = transport_by_name(name).expect("known transport");
-            let (servers, workers) = t.establish(1).expect("establish");
-            let (mut tx, rx) = servers.into_iter().next().expect("one link").split();
-            let (_wtx, mut wrx) = workers.into_iter().next().expect("one link").split();
-            wrx.set_nonblocking(true).expect("nonblocking");
-            tx.close();
-            drop(rx);
-            let dead = loop {
-                match wrx.try_recv() {
-                    Ok(Some(_)) => panic!("{name}: no frame was ever sent"),
-                    Ok(None) => std::thread::yield_now(),
-                    Err(_) => break true,
-                }
-            };
-            assert!(dead, "{name}: try_recv must surface the disconnect");
-        }
     }
 
     #[test]

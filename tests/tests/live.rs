@@ -169,7 +169,7 @@ fn real_clock_timer_edge_regression() {
     // Timer-underflow regression at the workspace level: zero lease/downtime
     // floors plus a tiny time scale put every lease and restart deadline in
     // the past by the time it is armed. The old server loop panicked on the
-    // unchecked `at - now`; the poll loop must fire these immediately and
+    // unchecked `at - now`; the server loop must fire these immediately and
     // still finish the faulted run on both transports.
     let (_, config, mut scenario) = zoo_configs().remove(2); // alexnet: fastest
     scenario.iterations = 4;
@@ -227,41 +227,44 @@ fn real_clock_smoke_matches_virtual_params() {
 }
 
 #[test]
-fn real_clock_completes_at_64_workers() {
-    // The pipelined poll loop at full width: 64 real-clock worker threads on
-    // each transport, SSP staleness 8 so every worker holds several tokens at
+fn real_clock_completes_at_64_and_256_workers() {
+    // The inbox at full width: 64 and 256 real-clock worker threads on each
+    // transport, each link with its own reader thread feeding the server's
+    // one inbox, SSP staleness 8 so every worker holds several tokens at
     // once. Timing is free; the accounting and the parameters are not.
-    let mut scenario = Scenario::paper(zoo::alexnet(), 256);
-    scenario.iterations = 3;
-    scenario.cluster = ClusterSpec::k40c_cluster(64);
-    let m = FelaRuntime::new(FelaConfig::new(1))
-        .partition_for(&scenario)
-        .len();
-    let config = FelaConfig::new(m).with_staleness(8);
-    let (_, sim_trace) = FelaRuntime::new(config.clone()).run_traced(&scenario);
-    let plan = plan_for(&config, &scenario).expect("plan");
-    let expected = replay_trace(&plan, &sim_trace);
-    for (tname, mut transport) in transports() {
-        let real = run_real(
-            &config,
-            &scenario,
-            transport.as_mut(),
-            RealOptions {
-                time_scale: 2e-3,
-                pipeline: 16,
-                ..RealOptions::default()
-            },
-        )
-        .expect("64-worker real run completes");
-        assert_eq!(real.iterations, 3, "{tname}");
-        assert_eq!(
-            real.trained_per_worker.iter().sum::<u64>(),
-            real.grants,
-            "{tname}: every grant is reported exactly once"
-        );
-        assert_eq!(
-            real.params, expected,
-            "{tname}: real-clock params must equal the simulated run's replay"
-        );
+    for workers in [64, 256] {
+        let mut scenario = Scenario::paper(zoo::alexnet(), 256);
+        scenario.iterations = 3;
+        scenario.cluster = ClusterSpec::k40c_cluster(workers);
+        let m = FelaRuntime::new(FelaConfig::new(1))
+            .partition_for(&scenario)
+            .len();
+        let config = FelaConfig::new(m).with_staleness(8);
+        let (_, sim_trace) = FelaRuntime::new(config.clone()).run_traced(&scenario);
+        let plan = plan_for(&config, &scenario).expect("plan");
+        let expected = replay_trace(&plan, &sim_trace);
+        for (tname, mut transport) in transports() {
+            let real = run_real(
+                &config,
+                &scenario,
+                transport.as_mut(),
+                RealOptions {
+                    time_scale: 2e-3,
+                    pipeline: 16,
+                    ..RealOptions::default()
+                },
+            )
+            .unwrap_or_else(|e| panic!("{tname}: {workers}-worker real run: {e}"));
+            assert_eq!(real.iterations, 3, "{tname}, {workers} workers");
+            assert_eq!(
+                real.trained_per_worker.iter().sum::<u64>(),
+                real.grants,
+                "{tname}, {workers} workers: every grant is reported exactly once"
+            );
+            assert_eq!(
+                real.params, expected,
+                "{tname}, {workers} workers: real-clock params must equal the simulated run's replay"
+            );
+        }
     }
 }

@@ -6,20 +6,25 @@
 //! and the session machine on the small model configurations. This suite
 //! also closes the loop with threads:
 //! a real `fela-live` virtual-clock run, recorded through the scheduler seam,
-//! must satisfy the same frame-session protocol the model checker verifies —
-//! and seeded wire mutations on that *live* trace must still be caught.
+//! must satisfy the same frame-session protocol the model checker verifies,
+//! and so must real-clock runs, fault-free and under worker and server
+//! crash-restarts — and seeded wire mutations on a *live* trace must still
+//! be caught.
+
+use std::time::Duration;
 
 use fela_check::{
     model_check, mutate_events, record_execution, run_mutation_matrix, verify_session, McConfig,
     WireMutation,
 };
-use fela_cluster::{ClusterSpec, Scenario};
+use fela_cluster::{ClusterSpec, FaultKind, FaultModel, Scenario};
 use fela_core::{FelaConfig, FelaRuntime};
 use fela_live::{
-    run_real_with, run_virtual_with, ChanTransport, RealOptions, RecordingSched, SharedSched,
-    SyncEvent,
+    run_real_with, run_virtual_with, ChanTransport, Endpoint, RealOptions, RecordingSched,
+    SharedSched, SyncEvent, TcpTransport, Transport,
 };
 use fela_model::zoo;
+use fela_sim::SimDuration;
 
 #[test]
 fn the_mutation_matrix_is_caught_with_distinct_diagnostics() {
@@ -175,27 +180,27 @@ fn a_real_threaded_run_satisfies_the_frame_session_protocol() {
     assert!(report.frames > 0);
 }
 
-/// A real-clock pull-mode run at grant pipeline depth `pipeline` (the
-/// `Request`/`GrantBatch`/`ReportBatch` dialogue the wire mutations target —
-/// virtual mode prices spans with `CostQuery` instead), recorded through the
-/// same seam.
-fn recorded_real_trace(pipeline: usize) -> Vec<SyncEvent> {
+/// A real-clock pull-mode run of 2 workers for `iterations` over
+/// `transport`, under `opts` and `fault` (the `Request`/`GrantBatch`/
+/// `ReportBatch` dialogue the wire mutations target — virtual mode prices
+/// spans with `CostQuery` instead), recorded through the same seam.
+fn recorded_real_trace(
+    transport: &mut dyn Transport,
+    opts: RealOptions,
+    fault: FaultModel,
+    iterations: u64,
+) -> Vec<SyncEvent> {
     let mut scenario = Scenario::paper(zoo::alexnet(), 128);
-    scenario.iterations = 2;
+    scenario.iterations = iterations;
     scenario.cluster = ClusterSpec::k40c_cluster(2);
+    scenario.fault = fault;
     let m = FelaRuntime::new(FelaConfig::new(1))
         .partition_for(&scenario)
         .len();
     let config = FelaConfig::new(m);
     let rec = RecordingSched::new();
     let sched: SharedSched = rec.clone();
-    let opts = RealOptions {
-        time_scale: 1e-4,
-        pipeline,
-        ..RealOptions::default()
-    };
-    run_real_with(&config, &scenario, &mut ChanTransport, opts, sched)
-        .expect("real-clock run succeeds");
+    run_real_with(&config, &scenario, transport, opts, sched).expect("real-clock run succeeds");
     rec.take()
 }
 
@@ -207,7 +212,12 @@ fn wire_mutations_on_a_live_trace_are_still_caught() {
     // by the model-side matrix instead). At depth 1 grants and reports are
     // batches of one, so each mutation empties its frame and removes it.
     for pipeline in [1, RealOptions::default().pipeline] {
-        let events = recorded_real_trace(pipeline);
+        let opts = RealOptions {
+            time_scale: 1e-4,
+            pipeline,
+            ..RealOptions::default()
+        };
+        let events = recorded_real_trace(&mut ChanTransport, opts, FaultModel::None, 2);
         let clean = verify_session(&events, None);
         assert!(
             clean.ok(),
@@ -223,6 +233,66 @@ fn wire_mutations_on_a_live_trace_are_still_caught() {
             assert!(
                 !report.ok(),
                 "pipeline {pipeline}: {mutation:?} went unnoticed on the live trace"
+            );
+        }
+    }
+}
+
+#[test]
+fn faulted_real_clock_traces_are_session_clean() {
+    // A killed link's close is recorded once, by its reader, and a worker's
+    // next link is attached only after the old one's close was dequeued. So
+    // a worker crash-restart, a server crash, and a restart timer that fires
+    // before the old close arrives (zero floors at a tiny time scale) each
+    // leave a trace whose inbox dequeues match the links' arrivals.
+    let crash = FaultModel::Scripted {
+        worker: 1,
+        iteration: 1,
+        kind: FaultKind::CrashRestart {
+            down: SimDuration::from_millis(100),
+        },
+    };
+    let server_crash = FaultModel::ServerCrashRestart {
+        iteration: 3,
+        down: SimDuration::from_millis(100),
+    };
+    let paced = RealOptions {
+        time_scale: 1e-3,
+        min_down: Duration::from_millis(1),
+        ..RealOptions::default()
+    };
+    let timer_edge = RealOptions {
+        time_scale: 1e-7,
+        min_lease: Duration::ZERO,
+        min_down: Duration::ZERO,
+        ..RealOptions::default()
+    };
+    let cases = [
+        ("crash-restart", crash, paced),
+        ("server crash-restart", server_crash, paced),
+        ("timer edge", crash, timer_edge),
+    ];
+    let transports: [Box<dyn Transport>; 2] =
+        [Box::new(ChanTransport), Box::<TcpTransport>::default()];
+    for mut transport in transports {
+        let name = transport.name();
+        for (case, fault, opts) in cases {
+            let events = recorded_real_trace(transport.as_mut(), opts, fault, 8);
+            assert!(
+                events.iter().any(|e| matches!(
+                    e,
+                    SyncEvent::LinkClosed {
+                        side: Endpoint::Server,
+                        ..
+                    }
+                )),
+                "{name}, {case}: no link closed during the run"
+            );
+            let report = verify_session(&events, None);
+            assert!(
+                report.ok(),
+                "{name}, {case}: faulted trace violations: {:?}",
+                report.violations
             );
         }
     }
