@@ -3,7 +3,7 @@
 //! At every resize boundary the elastic controller must produce a tuned
 //! configuration for the new membership. Two ways to get it: re-run the full
 //! two-phase search from scratch ([`fela_tuning::Tuner::tune_with_jobs`]),
-//! or replay the same enumeration through [`IncrementalTuner`]'s cross-epoch
+//! or run the same search through [`IncrementalTuner`]'s cross-epoch
 //! profile cache — bit-identical outcomes, but cache hits skip the profiling
 //! simulation entirely. These benches walk the *same* epoch sequence (a
 //! seeded churn plan) both ways; the committed `BENCH_elastic.json` is the
@@ -35,7 +35,6 @@ fn epoch_scenarios(rate: f64) -> Vec<Scenario> {
         .with_resize(ResizeModel::Churn { rate, seed: SEED });
     let options = ElasticOptions {
         profile_iterations: PROFILE_ITERATIONS,
-        ..ElasticOptions::default()
     };
     let plan = ElasticRuntime::new(options)
         .plan(&sc)

@@ -101,7 +101,6 @@ fn elastic_experiment(experiment: &str, model: &fela_model::Model, jobs: usize) 
     let base = scenario(model.clone(), BATCH);
     let options = ElasticOptions {
         profile_iterations: tuning_iterations(),
-        ..ElasticOptions::default()
     };
     let settings = churn_settings();
     let mut spec = fela_harness::SweepSpec::new(experiment)

@@ -373,7 +373,6 @@ mod tests {
     fn options() -> ElasticOptions {
         ElasticOptions {
             profile_iterations: 1,
-            ..ElasticOptions::default()
         }
     }
 

@@ -670,6 +670,22 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
                     other => return err(format!("unknown flag '{other}' for 'check'")),
                 }
             }
+            // Each mode is its own check; `--protocol` extends `--mc`.
+            let modes: Vec<&str> = [
+                (check.elastic, "--elastic"),
+                (check.wal, "--wal"),
+                (check.mc || check.protocol, "--mc/--protocol"),
+                (check.all, "--all"),
+            ]
+            .into_iter()
+            .filter_map(|(on, flags)| on.then_some(flags))
+            .collect();
+            if modes.len() > 1 {
+                return err(format!(
+                    "{} cannot combine: 'check' runs one mode at a time",
+                    modes.join(" with ")
+                ));
+            }
             Ok(Command::Check(check))
         }
         other => err(format!("unknown command '{other}' (try 'fela help')")),
@@ -1320,6 +1336,31 @@ mod tests {
         };
         assert!(c.elastic);
         assert!(!c.wal && !c.mc);
+    }
+
+    #[test]
+    fn check_modes_do_not_combine() {
+        for (a, b) in [
+            ("--all", "--mc"),
+            ("--all", "--protocol"),
+            ("--all", "--wal"),
+            ("--all", "--elastic"),
+            ("--wal", "--elastic"),
+            ("--wal", "--mc"),
+            ("--elastic", "--protocol"),
+        ] {
+            let ParseError(msg) = parse(&["check", a, b]).expect_err("modes conflict");
+            assert!(msg.contains(a) && msg.contains(b), "{a} {b}: {msg}");
+        }
+        let Command::Check(c) = parse(&["check", "--mc", "--protocol"]).unwrap() else {
+            panic!()
+        };
+        assert!(c.mc && c.protocol);
+        let Command::Check(c) = parse(&["check", "--all", "--staleness", "1"]).unwrap() else {
+            panic!()
+        };
+        assert!(c.all);
+        assert_eq!(c.staleness, 1);
     }
 
     #[test]

@@ -1165,7 +1165,6 @@ fn cmd_check_elastic() -> Result<(), String> {
     let mut failures = 0usize;
     let options = ElasticOptions {
         profile_iterations: 1,
-        ..ElasticOptions::default()
     };
     let base = |resize: ResizeModel| -> Result<Scenario, String> {
         let model = model_by_cli_name("googlenet").ok_or("zoo model missing")?;

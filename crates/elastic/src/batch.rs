@@ -10,54 +10,35 @@
 
 use serde::Serialize;
 
-/// How the per-epoch global batch tracks the worker count.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize)]
-pub enum BatchPolicy {
-    /// Keep the scenario's batch in every epoch (what a non-elastic system
-    /// does).
-    Fixed,
-    /// Scale linearly with `n_workers / base_workers`, rounded to the nearest
-    /// power of two (ties toward the smaller batch) and clamped to
-    /// `[base/4, base×4]`.
-    #[default]
-    Proportional,
-}
-
-/// The per-epoch batch schedule.
+/// The per-epoch batch schedule: the baseline batch scaled linearly with
+/// `n_workers / base_workers`, rounded to the nearest power of two (ties
+/// toward the smaller batch) and clamped to `[base/4, base×4]`.
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct BatchSchedule {
     /// The operator's baseline global batch.
     pub base_batch: u64,
     /// Worker count the baseline batch was chosen for.
     pub base_workers: usize,
-    /// Scaling policy.
-    pub policy: BatchPolicy,
 }
 
 impl BatchSchedule {
     /// A schedule rooted at the scenario's batch and initial cluster size.
-    pub fn new(base_batch: u64, base_workers: usize, policy: BatchPolicy) -> Self {
+    pub fn new(base_batch: u64, base_workers: usize) -> Self {
         BatchSchedule {
             base_batch,
             base_workers,
-            policy,
         }
     }
 
     /// The global batch for an epoch running on `n_workers` workers.
     pub fn batch_for(&self, n_workers: usize) -> u64 {
-        match self.policy {
-            BatchPolicy::Fixed => self.base_batch,
-            BatchPolicy::Proportional => {
-                if self.base_workers == 0 || n_workers == self.base_workers {
-                    return self.base_batch;
-                }
-                let scaled = self.base_batch as f64 * n_workers as f64 / self.base_workers as f64;
-                let lo = (self.base_batch / 4).max(1);
-                let hi = self.base_batch.saturating_mul(4);
-                round_pow2(scaled).clamp(lo, hi)
-            }
+        if self.base_workers == 0 || n_workers == self.base_workers {
+            return self.base_batch;
         }
+        let scaled = self.base_batch as f64 * n_workers as f64 / self.base_workers as f64;
+        let lo = (self.base_batch / 4).max(1);
+        let hi = self.base_batch.saturating_mul(4);
+        round_pow2(scaled).clamp(lo, hi)
     }
 }
 
@@ -81,15 +62,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fixed_policy_never_moves() {
-        let s = BatchSchedule::new(256, 8, BatchPolicy::Fixed);
-        assert_eq!(s.batch_for(2), 256);
-        assert_eq!(s.batch_for(64), 256);
-    }
-
-    #[test]
     fn proportional_scales_and_rounds_to_powers_of_two() {
-        let s = BatchSchedule::new(256, 8, BatchPolicy::Proportional);
+        let s = BatchSchedule::new(256, 8);
         assert_eq!(s.batch_for(8), 256);
         assert_eq!(s.batch_for(16), 512);
         assert_eq!(s.batch_for(4), 128);
@@ -102,7 +76,7 @@ mod tests {
 
     #[test]
     fn proportional_clamps_to_a_4x_window() {
-        let s = BatchSchedule::new(256, 8, BatchPolicy::Proportional);
+        let s = BatchSchedule::new(256, 8);
         assert_eq!(s.batch_for(1), 64, "floor at base/4");
         assert_eq!(s.batch_for(64), 1024, "ceiling at base×4");
     }
@@ -118,7 +92,7 @@ mod tests {
 
     #[test]
     fn every_schedule_output_is_a_power_of_two_times_clamp() {
-        let s = BatchSchedule::new(256, 8, BatchPolicy::Proportional);
+        let s = BatchSchedule::new(256, 8);
         for n in 1..=64 {
             let b = s.batch_for(n);
             assert!(b.is_power_of_two(), "batch_for({n}) = {b} not a power of 2");

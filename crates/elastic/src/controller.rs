@@ -14,9 +14,9 @@ use fela_core::{FelaConfig, FelaRuntime};
 use fela_tuning::TuningOutcome;
 use serde::Serialize;
 
-use crate::batch::{BatchPolicy, BatchSchedule};
+use crate::batch::BatchSchedule;
 use crate::cost;
-use crate::epoch::{cluster_for, plan_epochs, EpochSpec};
+use crate::epoch::{epoch_scenario, plan_epochs, EpochSpec};
 use crate::tune::{IncrementalTuner, RetuneStats};
 use crate::ElasticError;
 
@@ -25,15 +25,12 @@ use crate::ElasticError;
 pub struct ElasticOptions {
     /// Iterations profiled per tuning case (the paper uses 5).
     pub profile_iterations: u64,
-    /// Per-epoch batch policy.
-    pub batch_policy: BatchPolicy,
 }
 
 impl Default for ElasticOptions {
     fn default() -> Self {
         ElasticOptions {
             profile_iterations: 5,
-            batch_policy: BatchPolicy::Proportional,
         }
     }
 }
@@ -144,26 +141,13 @@ impl ElasticController {
         ElasticController { options }
     }
 
-    /// Builds the epoch sub-scenario for `spec` at `batch`.
-    fn epoch_scenario(base: &Scenario, spec: &EpochSpec, batch: u64) -> Scenario {
-        let mut sc = base.clone().with_iterations(spec.iterations);
-        sc.total_batch = batch;
-        sc.cluster = cluster_for(&base.cluster, &spec.workers);
-        sc.resize = fela_cluster::ResizeModel::None;
-        sc
-    }
-
     /// Plans the whole elastic run for `scenario`.
     ///
     /// # Errors
     /// Propagates epoch-planning failures (invalid resize model, bad leave).
     pub fn plan(&self, scenario: &Scenario) -> Result<ElasticPlan, ElasticError> {
         let specs = plan_epochs(scenario)?;
-        let schedule = BatchSchedule::new(
-            scenario.total_batch,
-            scenario.cluster.nodes,
-            self.options.batch_policy,
-        );
+        let schedule = BatchSchedule::new(scenario.total_batch, scenario.cluster.nodes);
         let param_bytes = {
             let runtime = FelaRuntime::new(FelaConfig::new(1));
             runtime.partition_for(scenario).total_param_bytes()
@@ -173,7 +157,7 @@ impl ElasticController {
         let mut total_transition_secs = 0.0;
         for spec in specs {
             let batch = schedule.batch_for(spec.n_workers());
-            let epoch_scenario = Self::epoch_scenario(scenario, &spec, batch);
+            let epoch_scenario = epoch_scenario(scenario, &spec, batch);
             let (outcome, retune) = tuner.tune(&epoch_scenario);
             let (weights, subset) = best_case(&outcome);
             let transition_secs = if spec.index == 0 {
@@ -234,7 +218,6 @@ mod tests {
     fn controller() -> ElasticController {
         ElasticController::new(ElasticOptions {
             profile_iterations: 1,
-            batch_policy: BatchPolicy::Proportional,
         })
     }
 

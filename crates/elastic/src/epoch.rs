@@ -177,6 +177,16 @@ pub fn plan_epochs(scenario: &Scenario) -> Result<Vec<EpochSpec>, ElasticError> 
     Ok(epochs)
 }
 
+/// Builds the resize-free sub-scenario one epoch executes: `spec`'s
+/// iterations on its membership's cluster, at global batch `batch`.
+pub(crate) fn epoch_scenario(base: &Scenario, spec: &EpochSpec, batch: u64) -> Scenario {
+    let mut sc = base.clone().with_iterations(spec.iterations);
+    sc.total_batch = batch;
+    sc.cluster = cluster_for(&base.cluster, &spec.workers);
+    sc.resize = fela_cluster::ResizeModel::None;
+    sc
+}
+
 /// Builds the cluster hardware spec for one epoch: the base scenario's GPU
 /// and network models, resized to the epoch's membership with the survivors'
 /// speed factors.

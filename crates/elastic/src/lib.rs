@@ -13,9 +13,10 @@
 //! * [`plan_epochs`] segments a run into constant-membership **epochs** with
 //!   stable cross-epoch worker identities.
 //! * [`IncrementalTuner`] re-runs the two-phase weight search at each
-//!   boundary with a cross-epoch profile cache; its outcome is bit-identical
-//!   to the full offline search (kept as an oracle and property-tested), so
-//!   elasticity never changes *what* is chosen, only how fast.
+//!   boundary: `fela-tuning`'s one search ([`fela_tuning::Tuner::search`])
+//!   behind a cross-epoch profile cache, so its outcome is bit-identical to
+//!   the full offline search and elasticity never changes *what* is chosen,
+//!   only how fast.
 //! * [`BatchSchedule`] adapts the global batch to the worker count.
 //! * [`ElasticController`] resolves all of the above into an
 //!   [`ElasticPlan`]; [`ElasticRuntime`] executes it through the ordinary
@@ -36,7 +37,7 @@ mod live;
 mod run;
 mod tune;
 
-pub use batch::{BatchPolicy, BatchSchedule};
+pub use batch::BatchSchedule;
 pub use controller::{ElasticController, ElasticOptions, ElasticPlan, EpochPlan, EpochSummary};
 pub use epoch::{cluster_for, plan_epochs, EpochSpec, WorkerSet};
 pub use live::{run_live_elastic, ElasticLiveOutcome};

@@ -91,7 +91,6 @@ mod tests {
     fn options() -> ElasticOptions {
         ElasticOptions {
             profile_iterations: 1,
-            ..ElasticOptions::default()
         }
     }
 

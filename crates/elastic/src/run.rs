@@ -21,7 +21,7 @@ use fela_sim::Trace;
 
 use crate::controller::{ElasticController, ElasticOptions, ElasticPlan};
 use crate::cost;
-use crate::epoch::{cluster_for, plan_epochs};
+use crate::epoch::{epoch_scenario, plan_epochs};
 use crate::ElasticError;
 
 /// Names of the gated elastic counters added to stitched reports. Only
@@ -38,7 +38,7 @@ pub const ELASTIC_COUNTERS: [&str; 5] = [
 /// The elastic training runtime.
 #[derive(Clone, Debug, Default)]
 pub struct ElasticRuntime {
-    /// Controller knobs (profiling budget, batch policy).
+    /// Controller knobs (the profiling budget).
     pub options: ElasticOptions,
 }
 
@@ -158,14 +158,11 @@ impl<R: TrainingRuntime> TrainingRuntime for StopRestartRuntime<R> {
         let mut total_transition = 0.0;
         let mut transitions = Vec::with_capacity(specs.len());
         for spec in &specs {
-            let mut sc = scenario.clone().with_iterations(spec.iterations);
-            sc.cluster = cluster_for(&scenario.cluster, &spec.workers);
-            sc.resize = fela_cluster::ResizeModel::None;
             // Restarted systems re-shard the batch evenly across the new
             // worker count (DP requires exact divisibility); the batch is
             // rounded down to the nearest multiple, as launch scripts do.
             let n = spec.n_workers() as u64;
-            sc.total_batch = (scenario.total_batch / n).max(1) * n;
+            let sc = epoch_scenario(scenario, spec, (scenario.total_batch / n).max(1) * n);
             let transition = if spec.index == 0 {
                 0.0
             } else {
@@ -271,7 +268,6 @@ mod tests {
     fn options() -> ElasticOptions {
         ElasticOptions {
             profile_iterations: 1,
-            ..ElasticOptions::default()
         }
     }
 
@@ -355,6 +351,63 @@ mod tests {
         assert!(restart.total_time_secs > fela_overhead);
         let millis = restart.counter("elastic_transition_millis");
         assert!(millis as f64 / 1e3 >= 2.0 * cost::STOP_RESTART_SECS);
+    }
+
+    /// FNV-1a over `value`'s JSON.
+    fn digest(value: &impl serde::Serialize) -> u64 {
+        let json = serde_json::to_string(value).expect("serializes");
+        json.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Pins the plans of the two scenarios `fela check --elastic` runs (every
+    /// epoch's summary plus its re-tune's search seconds, to the bit) and the
+    /// stop-and-restart DP report of the scripted one.
+    #[test]
+    fn elastic_plan_digests_are_pinned() {
+        let base = |resize| {
+            Scenario::paper(zoo::googlenet(), 256)
+                .with_iterations(6)
+                .with_resize(resize)
+        };
+        let scripted = base(ResizeModel::Scripted(vec![
+            ResizeEvent {
+                iteration: 2,
+                action: ResizeAction::Join(2),
+            },
+            ResizeEvent {
+                iteration: 4,
+                action: ResizeAction::Leave(vec![9, 3]),
+            },
+        ]));
+        let churn = base(ResizeModel::Churn {
+            rate: 0.5,
+            seed: 11,
+        });
+        let plan_digest = |sc: &Scenario| {
+            let plan = ElasticRuntime::new(options()).plan(sc).expect("plans");
+            let epochs: Vec<_> = plan
+                .epochs
+                .iter()
+                .map(|e| (e.summary(), e.retune.search_secs.to_bits()))
+                .collect();
+            digest(&epochs)
+        };
+        let restart = StopRestartRuntime::new(DpRuntime::default(), "dp-restart").run(&scripted);
+        assert_eq!(
+            [
+                plan_digest(&scripted),
+                plan_digest(&churn),
+                digest(&restart)
+            ],
+            [
+                0xc362_ed57_7b21_0de4,
+                0xca31_ff46_cff6_1756,
+                0x6c6e_8926_af0d_ece0
+            ],
+            "elastic plans or the stop-restart report moved"
+        );
     }
 
     #[test]

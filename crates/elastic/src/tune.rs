@@ -7,22 +7,18 @@
 //! profiled case's per-iteration time is a **pure function** of
 //! `(worker set, batch, weights, subset)` — the simulator is deterministic.
 //!
-//! [`IncrementalTuner`] therefore memoises every profiled case across
-//! epochs. It enumerates *exactly* the same candidates in *exactly* the same
-//! order as [`Tuner::tune_with_jobs`] and calls *the same*
-//! [`Tuner::profile`] on cache misses, so its [`TuningOutcome`] is
-//! bit-identical to a fresh full search — the full search is kept as a
-//! byte-identity oracle in the tests — while cache hits skip the profiling
-//! entirely. [`RetuneStats`] reports how much simulated search time the
-//! cache saved.
+//! [`IncrementalTuner`] is therefore a profile cache around
+//! [`Tuner::search`], the one search [`Tuner::tune_with_jobs`] runs too: it
+//! serves each candidate from the cache and sends misses to
+//! [`Tuner::profile`], so its [`TuningOutcome`] is bit-identical to a fresh
+//! full search while cache hits skip the profiling entirely. [`RetuneStats`]
+//! reports how much simulated search time the cache saved.
 
 use std::collections::BTreeMap;
 
 use fela_cluster::Scenario;
-use fela_core::{FelaConfig, FelaRuntime};
-use fela_tuning::{
-    phase1_candidates, phase2_candidates, CaseResult, Tuner, TuningCase, TuningOutcome,
-};
+use fela_core::FelaConfig;
+use fela_tuning::{Tuner, TuningOutcome};
 use serde::Serialize;
 
 /// Everything a profiled case's time depends on, in hashable form. The
@@ -61,141 +57,46 @@ impl IncrementalTuner {
         }
     }
 
-    /// Number of cached case profiles.
-    pub fn cached_cases(&self) -> usize {
-        self.cache.len()
-    }
-
-    fn key(scenario: &Scenario, weights: &[u64], subset: Option<usize>) -> CacheKey {
-        (
-            scenario.cluster.nodes,
-            scenario.total_batch,
-            scenario
-                .cluster
-                .speed_factors
-                .iter()
-                .map(|f| f.to_bits())
-                .collect(),
-            weights.to_vec(),
-            subset,
-        )
-    }
-
-    /// Profiles one case through the cache, recording hit/miss in `stats`.
-    fn profile_cached(
-        &mut self,
-        scenario: &Scenario,
-        config: &FelaConfig,
-        weights: &[u64],
-        subset: Option<usize>,
-        stats: &mut RetuneStats,
-    ) -> Option<f64> {
-        let key = Self::key(scenario, weights, subset);
-        if let Some(bits) = self.cache.get(&key) {
-            stats.reused += 1;
-            return bits.map(f64::from_bits);
-        }
-        let time = self.tuner.profile(scenario, config);
-        stats.profiled += 1;
-        if let Some(t) = time {
-            stats.search_secs += t * self.tuner.profile_iterations as f64;
-        }
-        self.cache.insert(key, time.map(f64::to_bits));
-        time
-    }
-
-    /// Runs the two-phase search for `scenario`, reusing cached profiles.
+    /// Runs [`Tuner::search`] for `scenario`, answering each candidate from
+    /// the cache and profiling the misses with [`Tuner::profile`], in
+    /// candidate order.
     ///
     /// The returned [`TuningOutcome`] is bit-identical to
-    /// [`Tuner::tune_with_jobs`] on the same scenario — same candidate
-    /// enumeration, same order, same [`Tuner::profile`] on misses, and
-    /// determinism of the simulator makes a cached value equal to a fresh
-    /// one.
-    ///
-    /// # Panics
-    /// Panics if no Phase-1 case is feasible (the all-ones weight vector
-    /// always is, matching the full tuner's invariant).
+    /// [`Tuner::tune_with_jobs`] on the same scenario: the search is the
+    /// same, and determinism of the simulator makes a cached value equal to a
+    /// fresh one.
     pub fn tune(&mut self, scenario: &Scenario) -> (TuningOutcome, RetuneStats) {
+        let IncrementalTuner { tuner, cache } = self;
         let mut stats = RetuneStats::default();
-        let n = scenario.cluster.nodes;
-        let m = {
-            let runtime = FelaRuntime::new(FelaConfig::new(1));
-            runtime.partition_for(scenario).len()
-        };
-        let phase1 = phase1_candidates(m, n);
-        let mut cases: Vec<CaseResult> = phase1
-            .into_iter()
-            .enumerate()
-            .map(|(id, weights)| {
-                let config = FelaConfig::new(m).with_weights(weights.clone());
-                let time = self.profile_cached(scenario, &config, &weights, None, &mut stats);
-                CaseResult {
-                    case: TuningCase {
-                        id,
-                        phase: 1,
-                        weights,
-                        subset: None,
-                    },
-                    per_iteration_secs: time,
-                }
-            })
+        let speed_bits: Vec<u64> = scenario
+            .cluster
+            .speed_factors
+            .iter()
+            .map(|f| f.to_bits())
             .collect();
-        let phase1_best = cases
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.per_iteration_secs.map(|t| (i, t)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(i, _)| i)
-            .expect("at least one feasible Phase-1 case (all-ones always is)");
-        let best_weights = cases[phase1_best].case.weights.clone();
-        let base = cases.len();
-        cases.extend(
-            phase2_candidates(n)
-                .into_iter()
-                .enumerate()
-                .map(|(i, subset)| {
-                    let config = FelaConfig::new(m)
-                        .with_weights(best_weights.clone())
-                        .with_ctd(subset);
-                    let time = self.profile_cached(
-                        scenario,
-                        &config,
-                        &best_weights,
-                        Some(subset),
-                        &mut stats,
-                    );
-                    CaseResult {
-                        case: TuningCase {
-                            id: base + i,
-                            phase: 2,
-                            weights: best_weights.clone(),
-                            subset: Some(subset),
-                        },
-                        per_iteration_secs: time,
-                    }
-                }),
-        );
-        let best = cases
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.per_iteration_secs.map(|t| (i, t)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(i, _)| i)
-            .expect("a best case exists");
-        let best_case = &cases[best].case;
-        let mut best_config = FelaConfig::new(m).with_weights(best_case.weights.clone());
-        if let Some(s) = best_case.subset {
-            if s < n {
-                best_config = best_config.with_ctd(s);
+        let mut profile_cached = |config: &FelaConfig| {
+            let key = (
+                scenario.cluster.nodes,
+                scenario.total_batch,
+                speed_bits.clone(),
+                config.weights.clone(),
+                config.ctd.map(|ctd| ctd.subset_size),
+            );
+            if let Some(bits) = cache.get(&key) {
+                stats.reused += 1;
+                return bits.map(f64::from_bits);
             }
-        }
-        let outcome = TuningOutcome {
-            cases,
-            phase1_best,
-            best,
-            best_config,
-            profile_iterations: self.tuner.profile_iterations,
+            let time = tuner.profile(scenario, config);
+            stats.profiled += 1;
+            if let Some(t) = time {
+                stats.search_secs += t * tuner.profile_iterations as f64;
+            }
+            cache.insert(key, time.map(f64::to_bits));
+            time
         };
+        let outcome = tuner.search(scenario, |configs| {
+            configs.iter().map(&mut profile_cached).collect()
+        });
         (outcome, stats)
     }
 }

@@ -169,9 +169,10 @@ impl Tuner {
     /// Profiles one candidate config for [`Tuner::profile_iterations`]
     /// iterations; `None` if the config is infeasible for this workload.
     ///
-    /// Public so the elastic controller's incremental re-tuner can profile
-    /// through *exactly* this code path — bit-equality between incremental and
-    /// full searches rests on both sides calling the same function.
+    /// The profiler [`Tuner::tune_with_jobs`] hands to [`Tuner::search`].
+    /// Public so a caller that drives the search with its own profiler — the
+    /// elastic re-tuner's profile cache — times its misses through this same
+    /// code path.
     pub fn profile(&self, scenario: &Scenario, config: &FelaConfig) -> Option<f64> {
         let runtime = FelaRuntime::new(config.clone());
         let partition = runtime.partition_for(scenario);
@@ -199,88 +200,91 @@ impl Tuner {
 
     /// [`Tuner::tune`] with an explicit worker-thread count.
     ///
-    /// Each phase's candidate set is profiled through the harness executor
-    /// ([`fela_harness::run_indexed`]), which preserves candidate order, so
-    /// the outcome is byte-identical for `jobs = 1` and `jobs = 32`. Phase 2
-    /// still starts only after Phase 1 completes — its candidates depend on
-    /// the Phase-1 winner.
+    /// [`Tuner::search`] profiling each phase's candidates through the
+    /// harness executor ([`fela_harness::run_indexed`]), which preserves
+    /// candidate order, so the outcome is byte-identical for `jobs = 1` and
+    /// `jobs = 32`.
     pub fn tune_with_jobs(&self, scenario: &Scenario, jobs: usize) -> TuningOutcome {
+        self.search(scenario, |configs| {
+            fela_harness::run_indexed(configs.len(), jobs, |i| self.profile(scenario, &configs[i]))
+        })
+    }
+
+    /// The two-phase search on `scenario`, with the profiling left to
+    /// `profile`: it receives one phase's candidate configs in x-axis order
+    /// and returns their per-iteration times in the same order (`None` =
+    /// infeasible). Phase 2 is enumerated only after Phase 1's times are in —
+    /// its candidates depend on the Phase-1 winner. Ties go to the earlier
+    /// case.
+    ///
+    /// # Panics
+    /// Panics if no Phase-1 case is feasible (the all-ones weight vector
+    /// always is), or if `profile` returns a different number of times than
+    /// it was given configs.
+    pub fn search(
+        &self,
+        scenario: &Scenario,
+        mut profile: impl FnMut(&[FelaConfig]) -> Vec<Option<f64>>,
+    ) -> TuningOutcome {
         let n = scenario.cluster.nodes;
         let m = {
             let runtime = FelaRuntime::new(FelaConfig::new(1));
             runtime.partition_for(scenario).len()
         };
-        // Phase 1: all weight-vector candidates are independent.
-        let phase1 = phase1_candidates(m, n);
-        let phase1_times = fela_harness::run_indexed(phase1.len(), jobs, |i| {
-            let config = FelaConfig::new(m).with_weights(phase1[i].clone());
-            self.profile(scenario, &config)
-        });
-        let mut cases: Vec<CaseResult> = phase1
+        let mut configs: Vec<FelaConfig> = phase1_candidates(m, n)
             .into_iter()
-            .zip(phase1_times)
-            .enumerate()
-            .map(|(id, (weights, time))| CaseResult {
-                case: TuningCase {
-                    id,
-                    phase: 1,
-                    weights,
-                    subset: None,
-                },
-                per_iteration_secs: time,
-            })
+            .map(|weights| FelaConfig::new(m).with_weights(weights))
             .collect();
-        let phase1_best = cases
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.per_iteration_secs.map(|t| (i, t)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(i, _)| i)
-            .expect("at least one feasible Phase-1 case (all-ones always is)");
-        let best_weights = cases[phase1_best].case.weights.clone();
-        // Phase 2: subset candidates depend on the Phase-1 winner but are
-        // independent of one another.
-        let phase2 = phase2_candidates(n);
-        let phase2_times = fela_harness::run_indexed(phase2.len(), jobs, |i| {
-            let config = FelaConfig::new(m)
-                .with_weights(best_weights.clone())
-                .with_ctd(phase2[i]);
-            self.profile(scenario, &config)
-        });
-        let base = cases.len();
-        cases.extend(phase2.into_iter().zip(phase2_times).enumerate().map(
-            |(i, (subset, time))| CaseResult {
-                case: TuningCase {
-                    id: base + i,
-                    phase: 2,
-                    weights: best_weights.clone(),
-                    subset: Some(subset),
-                },
-                per_iteration_secs: time,
-            },
-        ));
-        let best = cases
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.per_iteration_secs.map(|t| (i, t)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(i, _)| i)
-            .expect("a best case exists");
-        let best_case = &cases[best].case;
-        let mut best_config = FelaConfig::new(m).with_weights(best_case.weights.clone());
-        if let Some(s) = best_case.subset {
-            if s < n {
-                best_config = best_config.with_ctd(s);
-            }
-        }
+        let mut cases = Vec::new();
+        push_cases(&mut cases, 1, &configs, profile(&configs));
+        let phase1_best =
+            fastest(&cases).expect("at least one feasible Phase-1 case (all-ones always is)");
+        let phase2: Vec<FelaConfig> = phase2_candidates(n)
+            .into_iter()
+            .map(|subset| configs[phase1_best].clone().with_ctd(subset))
+            .collect();
+        push_cases(&mut cases, 2, &phase2, profile(&phase2));
+        configs.extend(phase2);
+        let best = fastest(&cases).expect("a best case exists");
         TuningOutcome {
             cases,
             phase1_best,
             best,
-            best_config,
+            best_config: configs.swap_remove(best),
             profile_iterations: self.profile_iterations,
         }
     }
+}
+
+/// Appends one phase's profiled `configs` to `cases`, numbering them on.
+fn push_cases(
+    cases: &mut Vec<CaseResult>,
+    phase: u8,
+    configs: &[FelaConfig],
+    times: Vec<Option<f64>>,
+) {
+    assert_eq!(times.len(), configs.len(), "one time per profiled config");
+    for (config, per_iteration_secs) in configs.iter().zip(times) {
+        cases.push(CaseResult {
+            case: TuningCase {
+                id: cases.len(),
+                phase,
+                weights: config.weights.clone(),
+                subset: config.ctd.map(|ctd| ctd.subset_size),
+            },
+            per_iteration_secs,
+        });
+    }
+}
+
+/// Index of the fastest feasible case; the earliest wins a tie.
+fn fastest(cases: &[CaseResult]) -> Option<usize> {
+    cases
+        .iter()
+        .enumerate()
+        .filter_map(|(i, c)| c.per_iteration_secs.map(|t| (i, t)))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .map(|(i, _)| i)
 }
 
 #[cfg(test)]
@@ -332,6 +336,16 @@ mod tests {
         assert!(outcome.overall_saving() >= outcome.phase1_saving() - 1e-12);
         assert!(outcome.overall_saving() >= outcome.phase2_saving() - 1e-12);
         assert!(outcome.overall_saving() > 0.0, "tuning must matter");
+    }
+
+    #[test]
+    fn outcome_is_identical_for_any_job_count() {
+        let scenario = Scenario::paper(zoo::googlenet(), 256);
+        let tuner = Tuner {
+            profile_iterations: 1,
+        };
+        let json = |jobs| serde_json::to_string(&tuner.tune_with_jobs(&scenario, jobs)).unwrap();
+        assert_eq!(json(1), json(4));
     }
 
     #[test]

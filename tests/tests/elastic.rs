@@ -26,7 +26,6 @@ use proptest::prelude::*;
 fn options() -> ElasticOptions {
     ElasticOptions {
         profile_iterations: 1,
-        ..ElasticOptions::default()
     }
 }
 
