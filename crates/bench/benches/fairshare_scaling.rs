@@ -10,7 +10,9 @@
 //! while the full oracle re-walks every link and flow. At 8 nodes (a single
 //! rack = a single component) the engine has no locality to exploit and pays
 //! two component recomputes per churn event (one for the finish, one for the
-//! start) versus the oracle's one full pass — the crossover the numbers show.
+//! start) versus the oracle's one full pass; it still wins there, because
+//! its flat tables and reused solve buffers make a recompute cheaper than the
+//! oracle's freshly allocated pass.
 //!
 //! The ring-round cases time one ring all-reduce round at 8–96 nodes on the
 //! paper testbed: K flows (node i → node i+1) started at one instant and

@@ -14,15 +14,24 @@
 //!
 //! * [`max_min_rates`] — the stateless oracle: the standard iterative
 //!   bottleneck-link algorithm over the whole flow set, O(L·F) worst case, with
-//!   deterministic tie-breaking (lowest link index first).
+//!   deterministic tie-breaking (lowest link index first). It allocates fresh
+//!   buffers on every call and stays the simple reference.
 //! * [`IncrementalMaxMin`] — the incremental engine the [`crate::Network`] hot
-//!   path uses: it keeps per-link flow sets, and on each change recomputes rates
+//!   path uses: it keeps its flows and their rates in one key-ordered vector and
+//!   each link's flows in a per-link vector, and on each change recomputes rates
 //!   only for the *connected components* of the link-sharing graph the changed
 //!   flows touch. Flows in other components keep their cached rates. Changes come
 //!   in batches — [`IncrementalMaxMin::insert_batch`] for the flows that start at
 //!   one instant (a ring round), [`IncrementalMaxMin::remove_batch`] for a
 //!   completion wave — and one batch costs one recomputation, which solves each
-//!   touched component on its own rather than their union.
+//!   touched component on its own rather than their union. The component search
+//!   and the water-filling run over buffers the engine allocates once, so a
+//!   steady-state batch allocates nothing.
+//!
+//! In the simulator's ring all-reduce a round's flows share no link, so every
+//! component is one flow over two links and the water-filling itself is
+//! trivial: the engine's cost is its bookkeeping, which is why the tables are
+//! flat vectors and the buffers are reused.
 //!
 //! ## Why the incremental engine is bit-identical to the oracle
 //!
@@ -37,9 +46,8 @@
 //! every floating-point operation sees the same operands in the same order, the
 //! computed rates are bit-identical — the property the simulator's byte-identical
 //! artifact gate rests on, and which `tests/tests/properties.rs` property-tests
-//! over random flow churn.
-
-use std::collections::{BTreeMap, BTreeSet};
+//! over random flow churn. Reusing buffers changes where the operands live, not
+//! which operands meet or in what order.
 
 /// A flow's endpoints for allocation purposes, as link indices.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,30 +77,46 @@ struct LinkState {
     active: usize,
 }
 
+/// Working storage of one [`progressive_fill`] pass. The oracle builds a
+/// fresh one per call; the incremental engine keeps one and reuses it.
+#[derive(Clone, Debug, Default)]
+struct FillBuffers {
+    state: Vec<LinkState>,
+    flow_pos: Vec<(usize, usize)>,
+    frozen: Vec<bool>,
+    /// The pass's output: one rate per input flow, in input order.
+    rates: Vec<f64>,
+}
+
 /// The shared water-filling core. `comp_links` are the participating link ids in
 /// ascending order; `flows` are `(egress link id, ingress link id)` pairs in
-/// canonical (ascending-key) order, both id spaces already unified. Returns one
-/// strictly positive rate per flow, in input order.
+/// canonical (ascending-key) order, both id spaces already unified. Leaves one
+/// strictly positive rate per flow, in input order, in `buf.rates`.
 ///
 /// Determinism contract: the bottleneck scan walks `comp_links` ascending and the
 /// freeze loop walks `flows` in input order, so every caller that presents the
 /// same component in the same canonical order gets bit-identical rates.
 fn progressive_fill(
+    buf: &mut FillBuffers,
     link_cap: impl Fn(usize) -> f64,
     comp_links: &[usize],
-    flows: &[(usize, usize)],
-) -> Vec<f64> {
+    flows: impl IntoIterator<Item = (usize, usize)>,
+) {
+    let FillBuffers {
+        state,
+        flow_pos,
+        frozen,
+        rates,
+    } = buf;
     // Dense state indexed by position in `comp_links`; since the slice is sorted
     // ascending, walking positions 0..L preserves the ascending-link-id scan the
     // determinism contract requires. Flow link ids are resolved to positions once
     // up front (binary search over the sorted slice).
-    let mut state: Vec<LinkState> = comp_links
-        .iter()
-        .map(|&l| LinkState {
-            residual: link_cap(l),
-            active: 0,
-        })
-        .collect();
+    state.clear();
+    state.extend(comp_links.iter().map(|&l| LinkState {
+        residual: link_cap(l),
+        active: 0,
+    }));
     // `comp_links` is usually contiguous (the oracle passes 0..n_links; dense
     // components too) — then position is a subtraction, no binary search.
     let first = comp_links.first().copied().unwrap_or(0);
@@ -109,16 +133,19 @@ fn progressive_fill(
         }
         panic!("flow references link {l} outside the component link set");
     };
-    let flow_pos: Vec<(usize, usize)> =
-        flows.iter().map(|&(e, g)| (pos_of(e), pos_of(g))).collect();
-    for &(pe, pg) in &flow_pos {
+    flow_pos.clear();
+    flow_pos.extend(flows.into_iter().map(|(e, g)| (pos_of(e), pos_of(g))));
+    for &(pe, pg) in flow_pos.iter() {
         state[pe].active += 1;
         state[pg].active += 1;
     }
 
-    let mut rates = vec![0.0f64; flows.len()];
-    let mut frozen = vec![false; flows.len()];
-    let mut remaining = flows.len();
+    let n_flows = flow_pos.len();
+    rates.clear();
+    rates.resize(n_flows, 0.0);
+    frozen.clear();
+    frozen.resize(n_flows, false);
+    let mut remaining = n_flows;
     while remaining > 0 {
         // Find the bottleneck link: smallest fair share among links with active
         // flows; ties resolved by lowest link index for determinism.
@@ -158,7 +185,7 @@ fn progressive_fill(
             }
         }
         // Numerical hygiene: residuals can dip epsilon-negative.
-        for st in &mut state {
+        for st in state.iter_mut() {
             if st.residual < 0.0 {
                 st.residual = 0.0;
             }
@@ -167,7 +194,6 @@ fn progressive_fill(
     for (i, r) in rates.iter().enumerate() {
         assert!(*r > 0.0, "flow {i} froze at a non-positive rate {r}");
     }
-    rates
 }
 
 /// Computes max–min fair rates (the stateless oracle).
@@ -186,14 +212,6 @@ pub fn max_min_rates(egress_cap: &[f64], ingress_cap: &[f64], flows: &[FlowLinks
     );
     let ne = egress_cap.len();
     let n_links = ne + ingress_cap.len();
-    // Link id space: [0, ne) egress, [ne, ne+ni) ingress.
-    let link_cap = |l: usize| {
-        if l < ne {
-            egress_cap[l]
-        } else {
-            ingress_cap[l - ne]
-        }
-    };
     for f in flows {
         assert!(f.egress < ne, "egress link {} out of bounds", f.egress);
         assert!(
@@ -203,31 +221,84 @@ pub fn max_min_rates(egress_cap: &[f64], ingress_cap: &[f64], flows: &[FlowLinks
         );
     }
     let all_links: Vec<usize> = (0..n_links).collect();
-    let pairs: Vec<(usize, usize)> = flows.iter().map(|f| (f.egress, ne + f.ingress)).collect();
-    progressive_fill(link_cap, &all_links, &pairs)
+    let mut buf = FillBuffers::default();
+    progressive_fill(
+        &mut buf,
+        |l| link_cap(egress_cap, ingress_cap, l),
+        &all_links,
+        flows.iter().map(|f| (f.egress, ne + f.ingress)),
+    );
+    buf.rates
+}
+
+/// Capacity of unified link `l`: `[0, ne)` are egress links, `[ne, ne+ni)`
+/// ingress links.
+fn link_cap(egress_cap: &[f64], ingress_cap: &[f64], l: usize) -> f64 {
+    let ne = egress_cap.len();
+    if l < ne {
+        egress_cap[l]
+    } else {
+        ingress_cap[l - ne]
+    }
+}
+
+/// One active flow of the engine: its key, its unified `(egress, ingress)`
+/// link ids, and its cached rate.
+#[derive(Clone, Copy, Debug)]
+struct EngineFlow {
+    key: u64,
+    links: (usize, usize),
+    rate: f64,
+}
+
+/// The engine's reusable working storage: sized by the first batches, then
+/// only cleared, so a steady-state batch allocates nothing.
+#[derive(Clone, Debug, Default)]
+struct SolveBuffers {
+    /// Links whose components a batch changed.
+    seeds: Vec<usize>,
+    /// Sorted keys of the flows a removal batch retracts.
+    doomed: Vec<u64>,
+    /// One flag per link; set while a recomputation visits the link.
+    visited: Vec<bool>,
+    /// The links `visited` is set for, so clearing it costs O(visited).
+    touched: Vec<usize>,
+    stack: Vec<usize>,
+    /// The current component's links, then sorted ascending.
+    links: Vec<usize>,
+    /// The current component's flows as `(key, egress, ingress)`, then sorted
+    /// by key.
+    comp: Vec<(u64, usize, usize)>,
+    fill: FillBuffers,
 }
 
 /// The incremental max–min fair-share engine.
 ///
 /// Holds the active flow set keyed by a caller-chosen `u64` (the simulator uses
-/// the raw `FlowId`, whose ascending order is exactly the oracle's input order)
-/// and keeps every flow's current rate cached. [`IncrementalMaxMin::insert_batch`]
-/// and [`IncrementalMaxMin::remove_batch`] (with their one-flow wrappers
-/// [`IncrementalMaxMin::insert`] and [`IncrementalMaxMin::remove`]) recompute
-/// rates only for the affected connected components of the link-sharing graph,
-/// one component at a time — O(component) instead of O(L·F) — while staying
-/// bit-identical to [`max_min_rates`] over the full set (see the module docs for
-/// the argument).
+/// the raw `FlowId`, whose ascending order is exactly the oracle's input order).
+/// Keys must ascend: each inserted key must exceed every key inserted before, as
+/// the simulator's flow ids do. That keeps the tables flat — the flows with their
+/// cached rates are one vector in ascending key order, so an insert appends —
+/// and each link lists its flows as `(key, other link)`, so the component
+/// search never looks a flow up.
+/// [`IncrementalMaxMin::insert_batch`] and [`IncrementalMaxMin::remove_batch`]
+/// (with their one-flow wrappers [`IncrementalMaxMin::insert`] and
+/// [`IncrementalMaxMin::remove`]) recompute rates only for the affected connected
+/// components of the link-sharing graph, one component at a time — O(component)
+/// instead of O(L·F) — over reused buffers, while staying bit-identical to
+/// [`max_min_rates`] over the full set (see the module docs for the argument).
 #[derive(Clone, Debug)]
 pub struct IncrementalMaxMin {
     egress_cap: Vec<f64>,
     ingress_cap: Vec<f64>,
-    /// Active flows by key; ascending key order is the canonical oracle order.
-    flows: BTreeMap<u64, FlowLinks>,
-    /// `link_flows[l]` — keys of the flows using link `l` (unified id space).
-    link_flows: Vec<BTreeSet<u64>>,
-    /// Cached rate per flow, maintained by the component recomputations.
-    rates: BTreeMap<u64, f64>,
+    /// Active flows in ascending key order, the canonical oracle order.
+    flows: Vec<EngineFlow>,
+    /// `link_flows[l]` — `(key, other link)` of each flow using link `l`
+    /// (unified id space).
+    link_flows: Vec<Vec<(u64, usize)>>,
+    /// The largest key ever inserted; the next key must exceed it.
+    last_key: Option<u64>,
+    buffers: SolveBuffers,
 }
 
 impl IncrementalMaxMin {
@@ -244,24 +315,14 @@ impl IncrementalMaxMin {
         IncrementalMaxMin {
             egress_cap,
             ingress_cap,
-            flows: BTreeMap::new(),
-            link_flows: vec![BTreeSet::new(); n_links],
-            rates: BTreeMap::new(),
+            flows: Vec::new(),
+            link_flows: vec![Vec::new(); n_links],
+            last_key: None,
+            buffers: SolveBuffers {
+                visited: vec![false; n_links],
+                ..SolveBuffers::default()
+            },
         }
-    }
-
-    fn link_cap(&self, l: usize) -> f64 {
-        let ne = self.egress_cap.len();
-        if l < ne {
-            self.egress_cap[l]
-        } else {
-            self.ingress_cap[l - ne]
-        }
-    }
-
-    /// Unified link ids of a flow: `(egress, ne + ingress)`.
-    fn link_ids(&self, f: FlowLinks) -> (usize, usize) {
-        (f.egress, self.egress_cap.len() + f.ingress)
     }
 
     /// Number of active flows.
@@ -279,21 +340,22 @@ impl IncrementalMaxMin {
     /// # Panics
     /// Panics if `key` is not an active flow.
     pub fn rate(&self, key: u64) -> f64 {
-        match self.rates.get(&key) {
-            Some(&r) => r,
-            None => panic!("rate queried for unknown flow key {key}"),
+        match self.flows.binary_search_by_key(&key, |f| f.key) {
+            Ok(i) => self.flows[i].rate,
+            Err(_) => panic!("rate queried for unknown flow key {key}"),
         }
     }
 
     /// Active flow keys and rates in ascending key order (oracle order).
     pub fn rates(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
-        self.rates.iter().map(|(&k, &r)| (k, r))
+        self.flows.iter().map(|f| (f.key, f.rate))
     }
 
     /// Adds a flow and recomputes its connected component's rates.
     ///
     /// # Panics
-    /// Panics if `key` is already active or a link index is out of bounds.
+    /// Panics if `key` does not exceed every key inserted before or a link index
+    /// is out of bounds.
     pub fn insert(&mut self, key: u64, links: FlowLinks) {
         self.insert_batch(&[(key, links)]);
     }
@@ -305,12 +367,13 @@ impl IncrementalMaxMin {
     /// one at a time or in one batch.
     ///
     /// # Panics
-    /// Panics if any key is already active or a link index is out of bounds.
+    /// Panics if a key does not exceed every key inserted before it (which
+    /// rejects a key inserted twice) or a link index is out of bounds.
     pub fn insert_batch(&mut self, batch: &[(u64, FlowLinks)]) {
-        let mut seeds = Vec::with_capacity(batch.len() * 2);
+        let ne = self.egress_cap.len();
         for &(key, links) in batch {
             assert!(
-                links.egress < self.egress_cap.len(),
+                links.egress < ne,
                 "egress link {} out of bounds",
                 links.egress
             );
@@ -319,17 +382,26 @@ impl IncrementalMaxMin {
                 "ingress link {} out of bounds",
                 links.ingress
             );
-            assert!(
-                self.flows.insert(key, links).is_none(),
-                "flow key {key} inserted twice"
-            );
-            let (e, g) = self.link_ids(links);
-            self.link_flows[e].insert(key);
-            self.link_flows[g].insert(key);
-            seeds.push(e);
-            seeds.push(g);
+            if let Some(last) = self.last_key {
+                assert!(
+                    key > last,
+                    "flow key {key} inserted twice or out of order: keys must exceed \
+                     every key inserted before (last {last})"
+                );
+            }
+            self.last_key = Some(key);
+            let (e, g) = (links.egress, ne + links.ingress);
+            self.flows.push(EngineFlow {
+                key,
+                links: (e, g),
+                rate: 0.0,
+            });
+            self.link_flows[e].push((key, g));
+            self.link_flows[g].push((key, e));
+            self.buffers.seeds.push(e);
+            self.buffers.seeds.push(g);
         }
-        self.recompute_from(seeds);
+        self.recompute();
     }
 
     /// Removes a flow and recomputes its former component's rates.
@@ -342,24 +414,32 @@ impl IncrementalMaxMin {
 
     /// Removes several flows at once, then recomputes every affected component in
     /// a single pass (a completion wave retracts many flows whose components
-    /// overlap — one recomputation covers them all).
+    /// overlap — one recomputation covers them all). The flows leave the table
+    /// in one ordered pass.
     ///
     /// # Panics
     /// Panics if any key is not an active flow.
     pub fn remove_batch(&mut self, keys: &[u64]) {
-        let mut seeds = Vec::with_capacity(keys.len() * 2);
-        for &key in keys {
-            let Some(links) = self.flows.remove(&key) else {
-                panic!("removal of unknown flow key {key}");
-            };
-            self.rates.remove(&key);
-            let (e, g) = self.link_ids(links);
-            self.link_flows[e].remove(&key);
-            self.link_flows[g].remove(&key);
-            seeds.push(e);
-            seeds.push(g);
+        let s = &mut self.buffers;
+        s.doomed.clear();
+        s.doomed.extend_from_slice(keys);
+        s.doomed.sort_unstable();
+        let mut next = 0;
+        self.flows.retain(|f| {
+            if s.doomed.get(next) != Some(&f.key) {
+                return true;
+            }
+            next += 1;
+            for l in [f.links.0, f.links.1] {
+                self.link_flows[l].retain(|&(k, _)| k != f.key);
+                s.seeds.push(l);
+            }
+            false
+        });
+        if let Some(key) = s.doomed.get(next) {
+            panic!("removal of unknown flow key {key}");
         }
-        self.recompute_from(seeds);
+        self.recompute();
     }
 
     /// Recomputes rates for the connected component(s) reachable from the seed
@@ -369,54 +449,58 @@ impl IncrementalMaxMin {
     /// decomposition argument) and costs O(Σ component²) instead of
     /// O((Σ component)²) — a ring round's K one-flow components are K trivial
     /// solves, not one K-bottleneck scan over 2K links.
-    fn recompute_from(&mut self, seeds: impl IntoIterator<Item = usize>) {
-        // Vec-based BFS over the link-sharing graph: a visited bitmap per link
-        // and at-most-twice flow duplicates resolved by one sort+dedup — far
-        // cheaper than set insertions when the component is large, and the final
-        // ascending orders (links, then flow keys) are exactly what the
-        // determinism contract of `progressive_fill` requires.
-        let mut visited = vec![false; self.link_flows.len()];
-        let mut links: Vec<usize> = Vec::new();
-        let mut keys: Vec<u64> = Vec::new();
-        let mut stack: Vec<usize> = Vec::new();
-        for seed in seeds {
-            if visited[seed] {
+    fn recompute(&mut self) {
+        let s = &mut self.buffers;
+        let ne = self.egress_cap.len();
+        for &seed in &s.seeds {
+            if s.visited[seed] {
                 continue;
             }
-            links.clear();
-            keys.clear();
-            stack.push(seed);
-            while let Some(l) = stack.pop() {
-                if std::mem::replace(&mut visited[l], true) {
+            s.links.clear();
+            s.comp.clear();
+            s.stack.push(seed);
+            while let Some(l) = s.stack.pop() {
+                if std::mem::replace(&mut s.visited[l], true) {
                     continue;
                 }
-                links.push(l);
-                for &key in &self.link_flows[l] {
-                    // Each flow is reached from at most its two links; the
-                    // second visit is dropped by the dedup below.
-                    keys.push(key);
-                    let (e, g) = self.link_ids(self.flows[&key]);
-                    stack.push(e);
-                    stack.push(g);
+                s.touched.push(l);
+                s.links.push(l);
+                for &(key, other) in &self.link_flows[l] {
+                    // Both of a flow's links are in its component; record the
+                    // flow once, from its egress side.
+                    if l < ne {
+                        s.comp.push((key, l, other));
+                    }
+                    s.stack.push(other);
                 }
             }
-            keys.sort_unstable();
-            keys.dedup();
-            if keys.is_empty() {
+            if s.comp.is_empty() {
                 continue;
             }
-            // Links with no flows contribute nothing; keep only active ones plus
-            // the seeds already collected (inactive links have active == 0 and
-            // are never selected as bottleneck, exactly as in the oracle's full
-            // scan).
-            links.sort_unstable();
-            let pairs: Vec<(usize, usize)> =
-                keys.iter().map(|k| self.link_ids(self.flows[k])).collect();
-            let rates = progressive_fill(|l| self.link_cap(l), &links, &pairs);
-            for (&key, rate) in keys.iter().zip(rates) {
-                self.rates.insert(key, rate);
+            // The ascending orders (links, then flow keys) are exactly what the
+            // determinism contract of `progressive_fill` requires. A link with
+            // no flows has active == 0 and is never selected as bottleneck,
+            // exactly as in the oracle's full scan.
+            s.links.sort_unstable();
+            s.comp.sort_unstable_by_key(|&(key, _, _)| key);
+            progressive_fill(
+                &mut s.fill,
+                |l| link_cap(&self.egress_cap, &self.ingress_cap, l),
+                &s.links,
+                s.comp.iter().map(|&(_, e, g)| (e, g)),
+            );
+            for (&(key, _, _), &rate) in s.comp.iter().zip(&s.fill.rates) {
+                let Ok(i) = self.flows.binary_search_by_key(&key, |f| f.key) else {
+                    unreachable!("component flow {key} missing from the flow table");
+                };
+                self.flows[i].rate = rate;
             }
         }
+        s.seeds.clear();
+        for &l in &s.touched {
+            s.visited[l] = false;
+        }
+        s.touched.clear();
     }
 }
 
@@ -567,8 +651,15 @@ mod tests {
     // ---- IncrementalMaxMin ----
 
     fn oracle_of(engine: &IncrementalMaxMin) -> Vec<(u64, f64)> {
-        let flows: Vec<FlowLinks> = engine.flows.values().copied().collect();
-        let keys: Vec<u64> = engine.flows.keys().copied().collect();
+        let flows: Vec<FlowLinks> = engine
+            .flows
+            .iter()
+            .map(|f| FlowLinks {
+                egress: f.links.0,
+                ingress: f.links.1 - engine.egress_cap.len(),
+            })
+            .collect();
+        let keys: Vec<u64> = engine.flows.iter().map(|f| f.key).collect();
         let rates = max_min_rates(&engine.egress_cap, &engine.ingress_cap, &flows);
         keys.into_iter().zip(rates).collect()
     }
@@ -672,6 +763,18 @@ mod tests {
         let mut engine = IncrementalMaxMin::new(e, i);
         engine.insert(0, fl(0, 1));
         engine.insert(0, fl(1, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "keys must exceed every key inserted before")]
+    fn out_of_order_key_rejected() {
+        // A key below an earlier one is rejected even after that key is gone:
+        // the flow table stays in ascending key order by appending.
+        let (e, i) = caps(2);
+        let mut engine = IncrementalMaxMin::new(e, i);
+        engine.insert(5, fl(0, 1));
+        engine.remove(5);
+        engine.insert(3, fl(1, 0));
     }
 
     #[test]

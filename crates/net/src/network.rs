@@ -19,8 +19,6 @@
 //! overweights tiny control messages — conservative for Fela, whose token RPCs are
 //! "at most hundreds of bytes").
 
-use std::collections::BTreeMap;
-
 use fela_sim::{SimDuration, SimTime};
 use serde::Serialize;
 
@@ -49,6 +47,7 @@ pub struct FlowSpec {
 
 #[derive(Clone, Debug)]
 struct Flow {
+    id: FlowId,
     spec: FlowSpec,
     remaining: f64,
     rate: f64,
@@ -87,7 +86,10 @@ impl NetworkConfig {
 #[derive(Clone, Debug)]
 pub struct Network {
     config: NetworkConfig,
-    flows: BTreeMap<FlowId, Flow>,
+    /// Active flows in ascending id order. Ids are assigned ascending, so a
+    /// start appends, and a completion wave or an abort leaves in one
+    /// `retain` pass.
+    flows: Vec<Flow>,
     /// Incremental fair-share engine holding every netted (src ≠ dst) flow,
     /// keyed by the raw `FlowId` so its canonical order matches `self.flows`.
     /// On each batch of starts or finishes it recomputes only the affected
@@ -111,7 +113,7 @@ impl Network {
         let caps = vec![config.link_bandwidth; config.nodes];
         Network {
             config,
-            flows: BTreeMap::new(),
+            flows: Vec::new(),
             shares: IncrementalMaxMin::new(caps.clone(), caps),
             next_id: 0,
             last_update: SimTime::ZERO,
@@ -172,16 +174,14 @@ impl Network {
         for &spec in specs {
             let id = FlowId(self.next_id);
             self.next_id += 1;
-            self.flows.insert(
+            self.flows.push(Flow {
                 id,
-                Flow {
-                    spec,
-                    remaining: spec.bytes as f64,
-                    rate: 0.0,
-                    ready_at,
-                    est_done: SimTime::MAX,
-                },
-            );
+                spec,
+                remaining: spec.bytes as f64,
+                rate: 0.0,
+                ready_at,
+                est_done: SimTime::MAX,
+            });
             if spec.src != spec.dst {
                 netted.push((
                     id.0,
@@ -206,7 +206,7 @@ impl Network {
             "network driven backwards: {now} < {}",
             self.last_update
         );
-        for flow in self.flows.values_mut() {
+        for flow in &mut self.flows {
             let from = if flow.ready_at > self.last_update {
                 flow.ready_at
             } else {
@@ -226,25 +226,33 @@ impl Network {
     /// flow table and recomputes completion estimates. Call after the flow set
     /// changes (start or completion).
     ///
+    /// The netted flows here and the engine's flows are the same set in the
+    /// same ascending id order, so one pass walks the engine's rates in
+    /// lockstep with the flow table, with no per-flow lookup.
+    ///
     /// The estimate pass deliberately still covers *all* flows: `est_done` is a
     /// quantised `SimTime` derived from `remaining / rate` at the current
     /// instant, so re-deriving it lazily at a different instant could drift by
     /// a nanosecond of rounding and break byte-identity of the trace artifacts.
-    /// It is O(flows) with no allocation — the O(links·flows) water-filling is
-    /// what the component-local engine amortises away.
+    /// It is one O(flows) walk of two flat vectors with no allocation; each
+    /// flow's estimate takes the same operands as it would one flow at a time.
     fn refresh_rates_and_estimates(&mut self, now: SimTime) {
-        for (id, flow) in &mut self.flows {
-            if flow.spec.src != flow.spec.dst {
-                flow.rate = self.shares.rate(id.0);
-            }
-        }
-        for flow in self.flows.values_mut() {
+        let mut rates = self.shares.rates();
+        for flow in &mut self.flows {
             if flow.spec.src == flow.spec.dst {
                 // Latency-only local delivery.
                 flow.est_done = flow.ready_at;
                 flow.remaining = 0.0;
                 continue;
             }
+            let Some((key, rate)) = rates.next() else {
+                unreachable!(
+                    "netted flow {} missing from the fair-share engine",
+                    flow.id.0
+                );
+            };
+            debug_assert_eq!(key, flow.id.0, "flow table and engine out of step");
+            flow.rate = rate;
             let drain_start = if flow.ready_at > now {
                 flow.ready_at
             } else {
@@ -265,7 +273,7 @@ impl Network {
     /// keep exactly one pending completion event at this time, cancelling and
     /// rescheduling whenever the value changes.
     pub fn next_completion(&self) -> Option<SimTime> {
-        self.flows.values().map(|f| f.est_done).min()
+        self.flows.iter().map(|f| f.est_done).min()
     }
 
     /// Aborts every active flow matching `pred`, returning them in `FlowId`
@@ -279,27 +287,7 @@ impl Network {
         pred: impl Fn(&FlowSpec) -> bool,
     ) -> Vec<(FlowId, FlowSpec)> {
         self.advance(now);
-        let doomed: Vec<FlowId> = self
-            .flows
-            .iter()
-            .filter(|(_, f)| pred(&f.spec))
-            .map(|(&id, _)| id)
-            .collect();
-        let mut specs = Vec::with_capacity(doomed.len());
-        let mut netted = Vec::with_capacity(doomed.len());
-        for id in doomed {
-            if let Some(flow) = self.flows.remove(&id) {
-                if flow.spec.src != flow.spec.dst {
-                    netted.push(id.0);
-                }
-                specs.push((id, flow.spec));
-            }
-        }
-        if !specs.is_empty() {
-            self.shares.remove_batch(&netted);
-            self.refresh_rates_and_estimates(now);
-        }
-        specs
+        self.remove_where(now, |f| pred(&f.spec))
     }
 
     /// Aborts every flow touching `node` — its NIC went dark (crash or link
@@ -313,31 +301,45 @@ impl Network {
     /// order. Recomputes the remaining flows' rates.
     pub fn take_completions(&mut self, now: SimTime) -> Vec<(FlowId, FlowSpec)> {
         self.advance(now);
-        let done: Vec<FlowId> = self
-            .flows
-            .iter()
-            .filter(|(_, f)| f.est_done <= now)
-            .map(|(&id, _)| id)
-            .collect();
-        let mut specs = Vec::with_capacity(done.len());
-        let mut netted_done = Vec::with_capacity(done.len());
-        for id in done {
-            // `done` was collected from `self.flows` above, so the entry exists.
-            if let Some(flow) = self.flows.remove(&id) {
-                // Account any residual rounding error as delivered.
+        // Account each finished flow's residual rounding error as delivered,
+        // one flow at a time in id order.
+        for flow in &self.flows {
+            if flow.est_done <= now {
                 self.bytes_delivered += flow.remaining.max(0.0);
-                if flow.spec.src != flow.spec.dst {
-                    netted_done.push(id.0);
-                }
-                specs.push((id, flow.spec));
             }
         }
-        if !specs.is_empty() {
-            // One component recomputation covers the whole completion wave.
-            self.shares.remove_batch(&netted_done);
-            self.refresh_rates_and_estimates(now);
+        self.remove_where(now, |f| f.est_done <= now)
+    }
+
+    /// Removes every flow matching `doomed` in one ordered pass, retracts the
+    /// netted ones from the fair-share engine in one batch and refreshes the
+    /// survivors. Returns the removed flows in id order.
+    fn remove_where(
+        &mut self,
+        now: SimTime,
+        doomed: impl Fn(&Flow) -> bool,
+    ) -> Vec<(FlowId, FlowSpec)> {
+        // Counted first so a wave of any size costs two allocations.
+        let n = self.flows.iter().filter(|f| doomed(f)).count();
+        if n == 0 {
+            return Vec::new();
         }
-        specs
+        let mut removed = Vec::with_capacity(n);
+        let mut netted = Vec::with_capacity(n);
+        self.flows.retain(|f| {
+            if !doomed(f) {
+                return true;
+            }
+            if f.spec.src != f.spec.dst {
+                netted.push(f.id.0);
+            }
+            removed.push((f.id, f.spec));
+            false
+        });
+        // One component recomputation covers the whole wave.
+        self.shares.remove_batch(&netted);
+        self.refresh_rates_and_estimates(now);
+        removed
     }
 }
 
