@@ -34,6 +34,8 @@
 #![forbid(unsafe_code)]
 
 pub mod frame_adapter;
+#[cfg(test)]
+mod golden;
 pub mod real;
 pub mod replay;
 pub mod sched;
