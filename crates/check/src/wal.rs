@@ -13,7 +13,8 @@
 //! proving each diagnostic actually fires — a dropped record, a duplicated
 //! record and a reordered record each produce a *distinct* [`WalViolation`].
 
-use fela_core::wal::{encode_record, read_log};
+use fela_core::codec::length_prefix;
+use fela_core::wal::{encode_record, read_log, MAX_RECORD};
 use fela_core::{
     apply_op, ControlPlane, FelaConfig, LevelMeta, MemWal, OpKind, OpOutcome, ServerSnapshot,
     TokenId, TokenPlan, WalRecord,
@@ -482,9 +483,9 @@ pub fn mutate_wal(bytes: &[u8], mutation: WalMutation) -> Vec<u8> {
         let mut out = bytes.to_vec();
         let mut bodies: Vec<usize> = Vec::new();
         let mut off = 0usize;
-        while off + 8 <= out.len() {
-            let len =
-                u32::from_le_bytes([out[off], out[off + 1], out[off + 2], out[off + 3]]) as usize;
+        while let Ok(Some(len)) =
+            length_prefix(out.get(off..off + 8).unwrap_or_default(), MAX_RECORD)
+        {
             if off + 8 + len > out.len() {
                 break;
             }

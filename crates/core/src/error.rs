@@ -112,6 +112,17 @@ pub enum ScheduleError {
     /// Every worker is dead or quarantined: no grant can ever be served again
     /// and the run cannot make progress.
     NoAliveWorkers,
+    /// A checkpoint snapshot does not fit the plane restoring it: one of its
+    /// per-level, per-worker or per-bucket tables has the wrong number of
+    /// entries (a log written under another plan or cluster shape).
+    SnapshotShape {
+        /// The mis-sized table.
+        table: String,
+        /// Entries the snapshot holds.
+        len: usize,
+        /// Entries the plane needs.
+        want: usize,
+    },
 }
 
 impl std::fmt::Display for ScheduleError {
@@ -179,6 +190,10 @@ impl std::fmt::Display for ScheduleError {
             ScheduleError::NoAliveWorkers => {
                 write!(f, "no alive workers remain to schedule onto")
             }
+            ScheduleError::SnapshotShape { table, len, want } => write!(
+                f,
+                "snapshot table {table} has {len} entries where the plane needs {want}"
+            ),
         }
     }
 }

@@ -24,6 +24,9 @@
 //!   checker all drive: its inputs (pull, report batch, finished sync, lease
 //!   fire, worker crash or restart, server crash) only queue work, and grants
 //!   leave through one [`ServerCore::dispatch`] that commits the log first;
+//! * [`codec`] — the one little-endian binary codec (cursor, writer, list
+//!   and length-prefix helpers, [`codec::DecodeError`]) under both the
+//!   write-ahead log and `fela-live`'s wire protocol;
 //! * [`FelaRuntime`] — the discrete-event world tying the server core to
 //!   workers, the GPU compute model, the flow-level network and straggler
 //!   injection; implements [`fela_cluster::TrainingRuntime`].
@@ -31,6 +34,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod codec;
 mod config;
 mod error;
 mod lease;

@@ -351,7 +351,9 @@ impl Coordinator {
     /// Restores a coordinator from a snapshot plus the token table it refers
     /// to. The result snapshots back bit-identically and continues exactly as
     /// a server that reached the snapshot live — same outcomes, conflict
-    /// flags included, and same counters.
+    /// flags included, and same counters. A snapshot or token table that
+    /// does not fit this plan and cluster is a [`ScheduleError`], not a
+    /// panic.
     pub fn restore(
         plan: TokenPlan,
         cfg: FelaConfig,
@@ -362,6 +364,7 @@ impl Coordinator {
         snap: &ServerSnapshot,
     ) -> Result<Self, ScheduleError> {
         let mut c = Self::empty(plan, cfg, meta, n_workers, max_iterations);
+        c.check_shape(&tokens, snap)?;
         c.released_roots = snap.released_roots;
         c.next_token_id = snap.next_token_id;
         c.tokens = tokens;
@@ -430,6 +433,66 @@ impl Coordinator {
             c.mark_stale(b);
         }
         Ok(c)
+    }
+
+    /// Checks that a snapshot and its token table fit this coordinator's
+    /// plan and cluster before [`Self::restore`] indexes by them: a log
+    /// written under another shape is an error, not a panic.
+    fn check_shape(
+        &self,
+        tokens: &BTreeMap<TokenId, Token>,
+        snap: &ServerSnapshot,
+    ) -> Result<(), ScheduleError> {
+        let m = self.plan.num_levels();
+        let n = self.n_workers;
+        let buckets = self.queued_all.len();
+        let tables = [
+            ("stbs", snap.stbs.len(), buckets),
+            ("helpers", snap.helpers.len(), buckets),
+            ("last_grant_at", snap.last_grant_at.len(), buckets),
+            ("pending", snap.pending.len(), m),
+            ("synced_upto", snap.synced_upto.len(), m),
+            ("synced_out_of_order", snap.synced_out_of_order.len(), m),
+            ("completed", snap.completed.len(), m),
+            ("gen_buffers", snap.gen_buffers.len(), m),
+            ("alive", snap.alive.len(), n),
+            ("quarantined", snap.quarantined.len(), n),
+            ("expiry_counts", snap.expiry_counts.len(), n),
+            ("data_home", snap.data_home.len(), n),
+            ("trained_per_worker", snap.trained_per_worker.len(), n),
+        ];
+        let rows = snap.stbs.iter().map(|row| ("stbs row", row.len(), m));
+        if let Some((table, len, want)) = tables
+            .into_iter()
+            .chain(rows)
+            .find(|&(_, len, want)| len != want)
+        {
+            return Err(ScheduleError::SnapshotShape {
+                table: table.to_string(),
+                len,
+                want,
+            });
+        }
+        let levels = tokens.values().map(|t| t.level);
+        let mut levels = levels.chain(snap.parked.iter().map(|&(level, _)| level));
+        if let Some(level) = levels.find(|&level| level >= m) {
+            return Err(ScheduleError::LevelOutOfRange { level, levels: m });
+        }
+        // Each worker index with its bound; a bucket is a worker's STB (one
+        // shared bucket without HF).
+        let workers = tokens.values().filter_map(|t| t.sample_owner);
+        let workers = workers
+            .chain(snap.holder.iter().map(|&(_, w)| w))
+            .chain(snap.waiting.iter().copied())
+            .chain(snap.data_home.iter().copied())
+            .chain(snap.leases.iter().map(|&(_, w, _)| w))
+            .map(|w| (w, n));
+        let pending = snap.pending.iter().flatten();
+        let mut indices = workers.chain(pending.map(|&(_, b)| (b, buckets)));
+        match indices.find(|&(w, bound)| w >= bound) {
+            Some((worker, n_workers)) => Err(ScheduleError::InvalidWorker { worker, n_workers }),
+            None => Ok(()),
+        }
     }
 
     /// Run configuration (read access).
@@ -854,7 +917,9 @@ impl Coordinator {
             // The shard may have been re-homed if its owner crashed.
             let home = self.data_home[owner];
             if home != worker {
-                let bytes = token.batch * self.meta[0].input_bytes_per_sample;
+                let bytes = token
+                    .batch
+                    .saturating_mul(self.meta[0].input_bytes_per_sample);
                 return Ok(vec![(home, bytes)]);
             }
             return Ok(vec![]);
@@ -875,7 +940,7 @@ impl Coordinator {
                     .get(dep)
                     .ok_or(ScheduleError::UnknownToken { token: *dep })?
                     .batch;
-                fetches.push((holder, dep_batch * per_sample));
+                fetches.push((holder, dep_batch.saturating_mul(per_sample)));
             }
         }
         Ok(fetches)

@@ -16,7 +16,8 @@
 //!
 //! ## Log format
 //!
-//! The framing reuses the `wire.rs` idioms: one record is
+//! The primitives, lists and length prefix are [`crate::codec`]'s, shared
+//! with the wire protocol. One record is
 //!
 //! ```text
 //! [body_len: u32 LE] [crc32: u32 LE] [tag: u8] [fields, LE, declaration order]
@@ -26,7 +27,7 @@
 //! record's fields are `n_workers: u32` and `max_iterations: u64`. A log
 //! whose `Begin` also carries the shard count older builds wrote before
 //! `n_workers` does not parse: its four extra bytes are a
-//! [`WalError::Trailing`] error. No run reads such a log, because
+//! [`DecodeError::Trailing`] error. No run reads such a log, because
 //! [`FileWal::create`] truncates the file it opens. Decoding **never
 //! panics** on arbitrary bytes: element counts are range-guarded before any
 //! allocation, unknown tags and short bodies are structured [`WalError`]s,
@@ -64,6 +65,10 @@ use std::rc::Rc;
 use fela_cluster::Scenario;
 use fela_sim::SimTime;
 
+use crate::codec::{
+    length_prefix, put_bool, put_bytes, put_list, put_u32, put_u64, put_u8, put_usize, Cursor,
+    DecodeError,
+};
 use crate::oplog::{apply_op, CoordOp, OpKind, OpOutcome};
 use crate::server::{LevelMeta, ServerStats};
 use crate::snapshot::ServerSnapshot;
@@ -120,40 +125,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// each corruption mode a distinct diagnostic.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum WalError {
-    /// The body ended before a field could be read.
-    Truncated {
-        /// Bytes the field needed.
-        wanted: usize,
-        /// Offset the read started at.
-        offset: usize,
-        /// Total body length.
-        body: usize,
-    },
-    /// Bytes remained after the record's last field.
-    Trailing {
-        /// Number of unconsumed bytes.
-        extra: usize,
-    },
-    /// A tag byte (record, op, outcome or error tag) is not part of the
-    /// format.
-    UnknownTag(u8),
-    /// An embedded element count is impossible for the bytes that follow it
-    /// (guards `Vec::with_capacity` against corrupt counts).
-    BadCount {
-        /// Which field carried the count.
-        what: &'static str,
-        /// The claimed element count.
-        count: usize,
-        /// Bytes actually remaining in the body.
-        remaining: usize,
-    },
-    /// A length prefix exceeded [`MAX_RECORD`].
-    Oversized {
-        /// The claimed body length.
-        len: u64,
-        /// The format bound.
-        max: u32,
-    },
+    /// A record body or length prefix is not a valid encoding (also a
+    /// duplicate `Begin` or a record too short for its header).
+    Decode(DecodeError),
     /// A full-length record's checksum does not match its body — corruption,
     /// not a torn write (torn writes only truncate).
     BadChecksum {
@@ -163,12 +137,6 @@ pub enum WalError {
         stored: u32,
         /// The checksum of the bytes actually present.
         computed: u32,
-    },
-    /// A field held a value outside its domain (bad bool byte, duplicate
-    /// `Begin`, out-of-range integer).
-    Malformed {
-        /// What was malformed.
-        what: &'static str,
     },
     /// The log does not open with a `Begin` record.
     MissingBegin,
@@ -198,29 +166,7 @@ pub enum WalError {
 impl std::fmt::Display for WalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WalError::Truncated {
-                wanted,
-                offset,
-                body,
-            } => write!(
-                f,
-                "record truncated: wanted {wanted} bytes at offset {offset}, body is {body}"
-            ),
-            WalError::Trailing { extra } => {
-                write!(f, "{extra} trailing byte(s) after record body")
-            }
-            WalError::UnknownTag(tag) => write!(f, "unknown record tag {tag}"),
-            WalError::BadCount {
-                what,
-                count,
-                remaining,
-            } => write!(
-                f,
-                "{what} count {count} is impossible with {remaining} body byte(s) remaining"
-            ),
-            WalError::Oversized { len, max } => {
-                write!(f, "record of {len} bytes exceeds the {max}-byte bound")
-            }
+            WalError::Decode(e) => e.describe(f, "record"),
             WalError::BadChecksum {
                 offset,
                 stored,
@@ -229,7 +175,6 @@ impl std::fmt::Display for WalError {
                 f,
                 "checksum mismatch at offset {offset}: stored {stored:#010x}, computed {computed:#010x}"
             ),
-            WalError::Malformed { what } => write!(f, "malformed field: {what}"),
             WalError::MissingBegin => write!(f, "log does not open with a Begin record"),
             WalError::BeginMismatch => {
                 write!(f, "Begin record disagrees with the recovering plane's config")
@@ -250,225 +195,20 @@ impl std::fmt::Display for WalError {
 
 impl std::error::Error for WalError {}
 
+impl From<DecodeError> for WalError {
+    fn from(e: DecodeError) -> WalError {
+        WalError::Decode(e)
+    }
+}
+
 impl From<io::Error> for WalError {
     fn from(e: io::Error) -> WalError {
         WalError::Io(e.kind())
     }
 }
 
-// ---- primitive codec -----------------------------------------------------
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_usize(out: &mut Vec<u8>, v: usize) {
-    put_u64(out, v as u64);
-}
-
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    put_u8(out, v as u8);
-}
-
-fn put_count(out: &mut Vec<u8>, n: usize) {
-    put_u32(out, n as u32);
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WalError> {
-        if n > self.buf.len() - self.pos {
-            return Err(WalError::Truncated {
-                wanted: n,
-                offset: self.pos,
-                body: self.buf.len(),
-            });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn u8(&mut self) -> Result<u8, WalError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WalError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, WalError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn usize(&mut self) -> Result<usize, WalError> {
-        usize::try_from(self.u64()?).map_err(|_| WalError::Malformed {
-            what: "usize out of range",
-        })
-    }
-
-    fn boolean(&mut self) -> Result<bool, WalError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(WalError::Malformed { what: "bool byte" }),
-        }
-    }
-
-    /// Reads an element count and guards it against the bytes remaining
-    /// (`min_elem` = smallest possible encoded element).
-    fn count(&mut self, what: &'static str, min_elem: usize) -> Result<usize, WalError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_elem) > self.remaining() {
-            return Err(WalError::BadCount {
-                what,
-                count: n,
-                remaining: self.remaining(),
-            });
-        }
-        Ok(n)
-    }
-
-    fn done(&self) -> Result<(), WalError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WalError::Trailing {
-                extra: self.buf.len() - self.pos,
-            })
-        }
-    }
-}
-
-// ---- list codecs ---------------------------------------------------------
-
-fn put_u64_list(out: &mut Vec<u8>, list: &[u64]) {
-    put_count(out, list.len());
-    for &v in list {
-        put_u64(out, v);
-    }
-}
-
-fn get_u64_list(c: &mut Cursor<'_>, what: &'static str) -> Result<Vec<u64>, WalError> {
-    let n = c.count(what, 8)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(c.u64()?);
-    }
-    Ok(out)
-}
-
-fn put_usize_list(out: &mut Vec<u8>, list: &[usize]) {
-    put_count(out, list.len());
-    for &v in list {
-        put_usize(out, v);
-    }
-}
-
-fn get_usize_list(c: &mut Cursor<'_>, what: &'static str) -> Result<Vec<usize>, WalError> {
-    let n = c.count(what, 8)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(c.usize()?);
-    }
-    Ok(out)
-}
-
-fn put_bool_list(out: &mut Vec<u8>, list: &[bool]) {
-    put_count(out, list.len());
-    for &v in list {
-        put_bool(out, v);
-    }
-}
-
-fn get_bool_list(c: &mut Cursor<'_>, what: &'static str) -> Result<Vec<bool>, WalError> {
-    let n = c.count(what, 1)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(c.boolean()?);
-    }
-    Ok(out)
-}
-
-fn put_u64_usize_pairs(out: &mut Vec<u8>, list: &[(u64, usize)]) {
-    put_count(out, list.len());
-    for &(a, b) in list {
-        put_u64(out, a);
-        put_usize(out, b);
-    }
-}
-
-fn get_u64_usize_pairs(
-    c: &mut Cursor<'_>,
-    what: &'static str,
-) -> Result<Vec<(u64, usize)>, WalError> {
-    let n = c.count(what, 16)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push((c.u64()?, c.usize()?));
-    }
-    Ok(out)
-}
-
-fn put_usize_u64_pairs(out: &mut Vec<u8>, list: &[(usize, u64)]) {
-    put_count(out, list.len());
-    for &(a, b) in list {
-        put_usize(out, a);
-        put_u64(out, b);
-    }
-}
-
-fn get_usize_u64_pairs(
-    c: &mut Cursor<'_>,
-    what: &'static str,
-) -> Result<Vec<(usize, u64)>, WalError> {
-    let n = c.count(what, 16)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push((c.usize()?, c.u64()?));
-    }
-    Ok(out)
-}
-
-fn put_u64_u64_pairs(out: &mut Vec<u8>, list: &[(u64, u64)]) {
-    put_count(out, list.len());
-    for &(a, b) in list {
-        put_u64(out, a);
-        put_u64(out, b);
-    }
-}
-
-fn get_u64_u64_pairs(c: &mut Cursor<'_>, what: &'static str) -> Result<Vec<(u64, u64)>, WalError> {
-    let n = c.count(what, 16)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push((c.u64()?, c.u64()?));
-    }
-    Ok(out)
+fn malformed(what: &'static str) -> WalError {
+    WalError::Decode(DecodeError::Malformed { what })
 }
 
 // ---- ScheduleError codec -------------------------------------------------
@@ -488,6 +228,7 @@ const ERR_STALE_REPORT: u8 = 12;
 const ERR_WORKER_UNAVAILABLE: u8 = 13;
 const ERR_BAD_LIVENESS: u8 = 14;
 const ERR_NO_ALIVE_WORKERS: u8 = 15;
+const ERR_SNAPSHOT_SHAPE: u8 = 16;
 
 fn put_schedule_error(out: &mut Vec<u8>, e: &ScheduleError) {
     match e {
@@ -561,10 +302,16 @@ fn put_schedule_error(out: &mut Vec<u8>, e: &ScheduleError) {
             put_bool(out, *alive);
         }
         ScheduleError::NoAliveWorkers => put_u8(out, ERR_NO_ALIVE_WORKERS),
+        ScheduleError::SnapshotShape { table, len, want } => {
+            put_u8(out, ERR_SNAPSHOT_SHAPE);
+            put_bytes(out, table.as_bytes());
+            put_usize(out, *len);
+            put_usize(out, *want);
+        }
     }
 }
 
-fn get_schedule_error(c: &mut Cursor<'_>) -> Result<ScheduleError, WalError> {
+fn get_schedule_error(c: &mut Cursor<'_>) -> Result<ScheduleError, DecodeError> {
     Ok(match c.u8()? {
         ERR_INVALID_WORKER => ScheduleError::InvalidWorker {
             worker: c.usize()?,
@@ -612,7 +359,16 @@ fn get_schedule_error(c: &mut Cursor<'_>) -> Result<ScheduleError, WalError> {
             alive: c.boolean()?,
         },
         ERR_NO_ALIVE_WORKERS => ScheduleError::NoAliveWorkers,
-        tag => return Err(WalError::UnknownTag(tag)),
+        ERR_SNAPSHOT_SHAPE => ScheduleError::SnapshotShape {
+            table: String::from_utf8(c.bytes("snapshot table name")?.to_vec()).map_err(|_| {
+                DecodeError::Malformed {
+                    what: "snapshot table name",
+                }
+            })?,
+            len: c.usize()?,
+            want: c.usize()?,
+        },
+        tag => return Err(DecodeError::UnknownTag(tag)),
     })
 }
 
@@ -663,7 +419,7 @@ fn put_op_kind(out: &mut Vec<u8>, kind: &OpKind) {
     }
 }
 
-fn get_op_kind(c: &mut Cursor<'_>) -> Result<OpKind, WalError> {
+fn get_op_kind(c: &mut Cursor<'_>) -> Result<OpKind, DecodeError> {
     Ok(match c.u8()? {
         KIND_REQUEST => OpKind::Request {
             worker: c.usize()?,
@@ -686,7 +442,7 @@ fn get_op_kind(c: &mut Cursor<'_>) -> Result<OpKind, WalError> {
             token: c.u64()?,
             attempt: c.u64()?,
         },
-        tag => return Err(WalError::UnknownTag(tag)),
+        tag => return Err(DecodeError::UnknownTag(tag)),
     })
 }
 
@@ -713,16 +469,16 @@ fn put_op_outcome(out: &mut Vec<u8>, outcome: &OpOutcome) {
             put_u64(out, *token);
             put_u64(out, *attempt);
             put_bool(out, *conflict);
-            put_usize_u64_pairs(out, fetches);
+            put_list(out, fetches, put_usize_u64);
         }
         OpOutcome::NoGrant => put_u8(out, OUT_NO_GRANT),
         OpOutcome::Synced { syncs } => {
             put_u8(out, OUT_SYNCED);
-            put_usize_u64_pairs(out, syncs);
+            put_list(out, syncs, put_usize_u64);
         }
         OpOutcome::Revoked { tokens } => {
             put_u8(out, OUT_REVOKED);
-            put_u64_list(out, tokens);
+            put_list(out, tokens, |o, &v| put_u64(o, v));
         }
         OpOutcome::Expired {
             worker,
@@ -731,7 +487,7 @@ fn put_op_outcome(out: &mut Vec<u8>, outcome: &OpOutcome) {
         } => {
             put_u8(out, OUT_EXPIRED);
             put_usize(out, *worker);
-            put_u64_list(out, revoked);
+            put_list(out, revoked, |o, &v| put_u64(o, v));
             put_bool(out, *quarantined);
         }
         OpOutcome::NoLease => put_u8(out, OUT_NO_LEASE),
@@ -743,31 +499,31 @@ fn put_op_outcome(out: &mut Vec<u8>, outcome: &OpOutcome) {
     }
 }
 
-fn get_op_outcome(c: &mut Cursor<'_>) -> Result<OpOutcome, WalError> {
+fn get_op_outcome(c: &mut Cursor<'_>) -> Result<OpOutcome, DecodeError> {
     Ok(match c.u8()? {
         OUT_GRANTED => OpOutcome::Granted {
             worker: c.usize()?,
             token: c.u64()?,
             attempt: c.u64()?,
             conflict: c.boolean()?,
-            fetches: get_usize_u64_pairs(c, "fetches")?,
+            fetches: c.list("fetches", 16, get_usize_u64)?,
         },
         OUT_NO_GRANT => OpOutcome::NoGrant,
         OUT_SYNCED => OpOutcome::Synced {
-            syncs: get_usize_u64_pairs(c, "syncs")?,
+            syncs: c.list("syncs", 16, get_usize_u64)?,
         },
         OUT_REVOKED => OpOutcome::Revoked {
-            tokens: get_u64_list(c, "revoked tokens")?,
+            tokens: c.list("revoked tokens", 8, Cursor::u64)?,
         },
         OUT_EXPIRED => OpOutcome::Expired {
             worker: c.usize()?,
-            revoked: get_u64_list(c, "expired revocations")?,
+            revoked: c.list("expired revocations", 8, Cursor::u64)?,
             quarantined: c.boolean()?,
         },
         OUT_NO_LEASE => OpOutcome::NoLease,
         OUT_DONE => OpOutcome::Done,
         OUT_FAILED => OpOutcome::Failed(get_schedule_error(c)?),
-        tag => return Err(WalError::UnknownTag(tag)),
+        tag => return Err(DecodeError::UnknownTag(tag)),
     })
 }
 
@@ -776,14 +532,47 @@ fn put_coord_op(out: &mut Vec<u8>, op: &CoordOp) {
     put_op_outcome(out, &op.outcome);
 }
 
-fn get_coord_op(c: &mut Cursor<'_>) -> Result<CoordOp, WalError> {
+fn get_coord_op(c: &mut Cursor<'_>) -> Result<CoordOp, DecodeError> {
     Ok(CoordOp {
         kind: get_op_kind(c)?,
         outcome: get_op_outcome(c)?,
     })
 }
 
+// ---- element codecs ------------------------------------------------------
+
+fn put_usize_u64(out: &mut Vec<u8>, &(a, b): &(usize, u64)) {
+    put_usize(out, a);
+    put_u64(out, b);
+}
+
+fn get_usize_u64(c: &mut Cursor<'_>) -> Result<(usize, u64), DecodeError> {
+    Ok((c.usize()?, c.u64()?))
+}
+
+fn put_u64_usize(out: &mut Vec<u8>, &(a, b): &(u64, usize)) {
+    put_u64(out, a);
+    put_usize(out, b);
+}
+
+fn get_u64_usize(c: &mut Cursor<'_>) -> Result<(u64, usize), DecodeError> {
+    Ok((c.u64()?, c.usize()?))
+}
+
+fn put_u64_u64(out: &mut Vec<u8>, &(a, b): &(u64, u64)) {
+    put_u64(out, a);
+    put_u64(out, b);
+}
+
+fn get_u64_u64(c: &mut Cursor<'_>) -> Result<(u64, u64), DecodeError> {
+    Ok((c.u64()?, c.u64()?))
+}
+
 // ---- Token codec ---------------------------------------------------------
+
+/// The smallest encoded [`Token`]: five 8-byte fields, an empty deps list
+/// and an absent sample owner.
+const MIN_TOKEN_BYTES: usize = 5 * 8 + 4 + 1;
 
 fn put_token(out: &mut Vec<u8>, t: &Token) {
     put_u64(out, t.id.0);
@@ -791,10 +580,7 @@ fn put_token(out: &mut Vec<u8>, t: &Token) {
     put_u64(out, t.iteration);
     put_u64(out, t.seq);
     put_u64(out, t.batch);
-    put_count(out, t.deps.len());
-    for d in &t.deps {
-        put_u64(out, d.0);
-    }
+    put_list(out, &t.deps, |o, d| put_u64(o, d.0));
     match t.sample_owner {
         Some(w) => {
             put_u8(out, 1);
@@ -804,34 +590,23 @@ fn put_token(out: &mut Vec<u8>, t: &Token) {
     }
 }
 
-fn get_token(c: &mut Cursor<'_>) -> Result<Token, WalError> {
-    let id = TokenId(c.u64()?);
-    let level = c.usize()?;
-    let iteration = c.u64()?;
-    let seq = c.u64()?;
-    let batch = c.u64()?;
-    let n_deps = c.count("token deps", 8)?;
-    let mut deps = Vec::with_capacity(n_deps);
-    for _ in 0..n_deps {
-        deps.push(TokenId(c.u64()?));
-    }
-    let sample_owner = match c.u8()? {
-        0 => None,
-        1 => Some(c.usize()?),
-        _ => {
-            return Err(WalError::Malformed {
-                what: "sample_owner flag",
-            })
-        }
-    };
+fn get_token(c: &mut Cursor<'_>) -> Result<Token, DecodeError> {
     Ok(Token {
-        id,
-        level,
-        iteration,
-        seq,
-        batch,
-        deps,
-        sample_owner,
+        id: TokenId(c.u64()?),
+        level: c.usize()?,
+        iteration: c.u64()?,
+        seq: c.u64()?,
+        batch: c.u64()?,
+        deps: c.list("token deps", 8, |c| c.u64().map(TokenId))?,
+        sample_owner: match c.u8()? {
+            0 => None,
+            1 => Some(c.usize()?),
+            _ => {
+                return Err(DecodeError::Malformed {
+                    what: "sample_owner flag",
+                })
+            }
+        },
     })
 }
 
@@ -840,55 +615,46 @@ fn get_token(c: &mut Cursor<'_>) -> Result<Token, WalError> {
 fn put_snapshot(out: &mut Vec<u8>, s: &ServerSnapshot) {
     put_u64(out, s.released_roots);
     put_u64(out, s.next_token_id);
-    put_count(out, s.stbs.len());
-    for bucket in &s.stbs {
-        put_count(out, bucket.len());
-        for level in bucket {
-            put_u64_list(out, level);
-        }
-    }
-    put_count(out, s.pending.len());
-    for level in &s.pending {
-        put_u64_usize_pairs(out, level);
-    }
-    put_u64_list(out, &s.synced_upto);
-    put_count(out, s.synced_out_of_order.len());
-    for level in &s.synced_out_of_order {
-        put_u64_list(out, level);
-    }
-    put_count(out, s.completed.len());
-    for level in &s.completed {
-        put_u64_u64_pairs(out, level);
-    }
-    put_count(out, s.gen_buffers.len());
-    for level in &s.gen_buffers {
-        put_count(out, level.len());
-        for (iteration, ids) in level {
-            put_u64(out, *iteration);
-            put_u64_list(out, ids);
-        }
-    }
-    put_u64_usize_pairs(out, &s.holder);
-    put_usize_list(out, &s.waiting);
-    put_u64_list(out, &s.helpers);
-    put_bool_list(out, &s.alive);
-    put_bool_list(out, &s.quarantined);
-    put_count(out, s.leases.len());
-    for &(token, worker, attempt) in &s.leases {
-        put_u64(out, token);
-        put_usize(out, worker);
-        put_u64(out, attempt);
-    }
-    put_u64_u64_pairs(out, &s.attempts);
-    put_u64_list(out, &s.expiry_counts);
-    put_usize_list(out, &s.data_home);
-    put_usize_u64_pairs(out, &s.parked);
-    put_count(out, s.last_grant_at.len());
-    for at in &s.last_grant_at {
-        put_bool(out, at.is_some());
-        put_u64(out, at.unwrap_or(0));
-    }
-    put_u64_list(out, &s.trained_per_worker);
+    put_list(out, &s.stbs, |o, bucket| {
+        put_list(o, bucket, |o, level| {
+            put_list(o, level, |o, &v| put_u64(o, v))
+        })
+    });
+    put_list(out, &s.pending, |o, level| {
+        put_list(o, level, put_u64_usize)
+    });
+    put_list(out, &s.synced_upto, |o, &v| put_u64(o, v));
+    put_list(out, &s.synced_out_of_order, |o, level| {
+        put_list(o, level, |o, &v| put_u64(o, v))
+    });
+    put_list(out, &s.completed, |o, level| {
+        put_list(o, level, put_u64_u64)
+    });
+    put_list(out, &s.gen_buffers, |o, level| {
+        put_list(o, level, |o, (iteration, ids)| {
+            put_u64(o, *iteration);
+            put_list(o, ids, |o, &v| put_u64(o, v));
+        })
+    });
+    put_list(out, &s.holder, put_u64_usize);
+    put_list(out, &s.waiting, |o, &w| put_usize(o, w));
+    put_list(out, &s.helpers, |o, &v| put_u64(o, v));
+    put_list(out, &s.alive, |o, &b| put_bool(o, b));
+    put_list(out, &s.quarantined, |o, &b| put_bool(o, b));
+    put_list(out, &s.leases, |o, &(token, worker, attempt)| {
+        put_u64(o, token);
+        put_usize(o, worker);
+        put_u64(o, attempt);
+    });
+    put_list(out, &s.attempts, put_u64_u64);
+    put_list(out, &s.expiry_counts, |o, &v| put_u64(o, v));
+    put_list(out, &s.data_home, |o, &w| put_usize(o, w));
+    put_list(out, &s.parked, put_usize_u64);
+    put_list(out, &s.last_grant_at, |o, at| {
+        put_bool(o, at.is_some());
+        put_u64(o, at.unwrap_or(0));
+    });
+    put_list(out, &s.trained_per_worker, |o, &v| put_u64(o, v));
     let st = &s.stats;
     for v in [
         st.grants,
@@ -902,98 +668,52 @@ fn put_snapshot(out: &mut Vec<u8>, s: &ServerSnapshot) {
     }
 }
 
-fn get_snapshot(c: &mut Cursor<'_>) -> Result<ServerSnapshot, WalError> {
-    let released_roots = c.u64()?;
-    let next_token_id = c.u64()?;
-    let n_buckets = c.count("stb buckets", 4)?;
-    let mut stbs = Vec::with_capacity(n_buckets);
-    for _ in 0..n_buckets {
-        let n_levels = c.count("stb levels", 4)?;
-        let mut bucket = Vec::with_capacity(n_levels);
-        for _ in 0..n_levels {
-            bucket.push(get_u64_list(c, "stb queue")?);
-        }
-        stbs.push(bucket);
-    }
-    let n_pending = c.count("pending levels", 4)?;
-    let mut pending = Vec::with_capacity(n_pending);
-    for _ in 0..n_pending {
-        pending.push(get_u64_usize_pairs(c, "pending tokens")?);
-    }
-    let synced_upto = get_u64_list(c, "synced_upto")?;
-    let n_ooo = c.count("out-of-order levels", 4)?;
-    let mut synced_out_of_order = Vec::with_capacity(n_ooo);
-    for _ in 0..n_ooo {
-        synced_out_of_order.push(get_u64_list(c, "out-of-order syncs")?);
-    }
-    let n_completed = c.count("completed levels", 4)?;
-    let mut completed = Vec::with_capacity(n_completed);
-    for _ in 0..n_completed {
-        completed.push(get_u64_u64_pairs(c, "completion counts")?);
-    }
-    let n_gen = c.count("gen-buffer levels", 4)?;
-    let mut gen_buffers = Vec::with_capacity(n_gen);
-    for _ in 0..n_gen {
-        let n_iters = c.count("gen-buffer iterations", 12)?;
-        let mut level = Vec::with_capacity(n_iters);
-        for _ in 0..n_iters {
-            let iteration = c.u64()?;
-            level.push((iteration, get_u64_list(c, "gen-buffer tokens")?));
-        }
-        gen_buffers.push(level);
-    }
-    let holder = get_u64_usize_pairs(c, "holders")?;
-    let waiting = get_usize_list(c, "waiting workers")?;
-    let helpers = get_u64_list(c, "helpers")?;
-    let alive = get_bool_list(c, "alive flags")?;
-    let quarantined = get_bool_list(c, "quarantine flags")?;
-    let n_leases = c.count("leases", 24)?;
-    let mut leases = Vec::with_capacity(n_leases);
-    for _ in 0..n_leases {
-        leases.push((c.u64()?, c.usize()?, c.u64()?));
-    }
-    let attempts = get_u64_u64_pairs(c, "attempts")?;
-    let expiry_counts = get_u64_list(c, "expiry counts")?;
-    let data_home = get_usize_list(c, "data homes")?;
-    let parked = get_usize_u64_pairs(c, "parked tokens")?;
-    let n_buckets = c.count("last-grant instants", 9)?;
-    let mut last_grant_at = Vec::with_capacity(n_buckets);
-    for _ in 0..n_buckets {
-        let present = c.boolean()?;
-        let at = c.u64()?;
-        last_grant_at.push(present.then_some(at));
-    }
-    let trained_per_worker = get_u64_list(c, "trained per worker")?;
-    let stats = ServerStats {
-        grants: c.u64()?,
-        local_grants: c.u64()?,
-        steals: c.u64()?,
-        conflicts: c.u64()?,
-        remote_fetch_bytes: c.u64()?,
-        starved_requests: c.u64()?,
-    };
+fn get_snapshot(c: &mut Cursor<'_>) -> Result<ServerSnapshot, DecodeError> {
     Ok(ServerSnapshot {
-        released_roots,
-        next_token_id,
-        stbs,
-        pending,
-        synced_upto,
-        synced_out_of_order,
-        completed,
-        gen_buffers,
-        holder,
-        waiting,
-        helpers,
-        alive,
-        quarantined,
-        leases,
-        attempts,
-        expiry_counts,
-        data_home,
-        parked,
-        last_grant_at,
-        trained_per_worker,
-        stats,
+        released_roots: c.u64()?,
+        next_token_id: c.u64()?,
+        stbs: c.list("stb buckets", 4, |c| {
+            c.list("stb levels", 4, |c| c.list("stb queue", 8, Cursor::u64))
+        })?,
+        pending: c.list("pending levels", 4, |c| {
+            c.list("pending tokens", 16, get_u64_usize)
+        })?,
+        synced_upto: c.list("synced_upto", 8, Cursor::u64)?,
+        synced_out_of_order: c.list("out-of-order levels", 4, |c| {
+            c.list("out-of-order syncs", 8, Cursor::u64)
+        })?,
+        completed: c.list("completed levels", 4, |c| {
+            c.list("completion counts", 16, get_u64_u64)
+        })?,
+        gen_buffers: c.list("gen-buffer levels", 4, |c| {
+            c.list("gen-buffer iterations", 12, |c| {
+                Ok((c.u64()?, c.list("gen-buffer tokens", 8, Cursor::u64)?))
+            })
+        })?,
+        holder: c.list("holders", 16, get_u64_usize)?,
+        waiting: c.list("waiting workers", 8, Cursor::usize)?,
+        helpers: c.list("helpers", 8, Cursor::u64)?,
+        alive: c.list("alive flags", 1, Cursor::boolean)?,
+        quarantined: c.list("quarantine flags", 1, Cursor::boolean)?,
+        leases: c.list("leases", 24, |c| Ok((c.u64()?, c.usize()?, c.u64()?)))?,
+        attempts: c.list("attempts", 16, get_u64_u64)?,
+        expiry_counts: c.list("expiry counts", 8, Cursor::u64)?,
+        data_home: c.list("data homes", 8, Cursor::usize)?,
+        parked: c.list("parked tokens", 16, get_usize_u64)?,
+        last_grant_at: c.list("last-grant instants", 9, |c| {
+            let present = c.boolean()?;
+            let at = c.u64()?;
+            Ok(present.then_some(at))
+        })?,
+        trained_per_worker: c.list("trained per worker", 8, Cursor::u64)?,
+        stats: ServerStats {
+            grants: c.u64()?,
+            local_grants: c.u64()?,
+            steals: c.u64()?,
+            conflicts: c.u64()?,
+            remote_fetch_bytes: c.u64()?,
+            starved_requests: c.u64()?,
+        },
     })
 }
 
@@ -1060,19 +780,15 @@ fn encode_body(rec: &WalRecord) -> Vec<u8> {
         } => {
             put_u8(&mut body, TAG_CHECKPOINT);
             put_u64(&mut body, *seq);
-            put_count(&mut body, payload.len());
-            body.extend_from_slice(payload);
-            put_count(&mut body, tokens.len());
-            for t in tokens {
-                put_token(&mut body, t);
-            }
+            put_bytes(&mut body, payload);
+            put_list(&mut body, tokens, put_token);
             put_snapshot(&mut body, snapshot);
         }
     }
     body
 }
 
-fn decode_body(body: &[u8]) -> Result<WalRecord, WalError> {
+fn decode_body(body: &[u8]) -> Result<WalRecord, DecodeError> {
     let mut c = Cursor::new(body);
     let rec = match c.u8()? {
         TAG_BEGIN => WalRecord::Begin {
@@ -1083,24 +799,13 @@ fn decode_body(body: &[u8]) -> Result<WalRecord, WalError> {
             seq: c.u64()?,
             op: get_coord_op(&mut c)?,
         },
-        TAG_CHECKPOINT => {
-            let seq = c.u64()?;
-            let n_payload = c.count("checkpoint payload", 1)?;
-            let payload = c.take(n_payload)?.to_vec();
-            let n_tokens = c.count("checkpoint tokens", 41)?;
-            let mut tokens = Vec::with_capacity(n_tokens);
-            for _ in 0..n_tokens {
-                tokens.push(get_token(&mut c)?);
-            }
-            let snapshot = Box::new(get_snapshot(&mut c)?);
-            WalRecord::Checkpoint {
-                seq,
-                payload,
-                tokens,
-                snapshot,
-            }
-        }
-        tag => return Err(WalError::UnknownTag(tag)),
+        TAG_CHECKPOINT => WalRecord::Checkpoint {
+            seq: c.u64()?,
+            payload: c.bytes("checkpoint payload")?.to_vec(),
+            tokens: c.list("checkpoint tokens", MIN_TOKEN_BYTES, get_token)?,
+            snapshot: Box::new(get_snapshot(&mut c)?),
+        },
+        tag => return Err(DecodeError::UnknownTag(tag)),
     };
     c.done()?;
     Ok(rec)
@@ -1147,30 +852,17 @@ fn scan_frames<'a>(
 ) -> Result<usize, WalError> {
     let mut pos = 0usize;
     while pos < bytes.len() {
-        let remaining = bytes.len() - pos;
-        if remaining < 8 {
+        let rest = &bytes[pos..];
+        let Some(len) = length_prefix(rest.get(..8).unwrap_or_default(), MAX_RECORD)? else {
             // Crash landed inside the prefix or checksum of the last record.
-            return Ok(remaining);
-        }
-        let len = u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]]);
-        if len > MAX_RECORD {
-            return Err(WalError::Oversized {
-                len: len as u64,
-                max: MAX_RECORD,
-            });
-        }
-        let len = len as usize;
-        if remaining - 8 < len {
+            return Ok(rest.len());
+        };
+        let mut c = Cursor::new(&rest[4..]);
+        let stored = c.u32()?;
+        let Ok(body) = c.take(len) else {
             // Crash landed inside the body of the last record.
-            return Ok(remaining);
-        }
-        let stored = u32::from_le_bytes([
-            bytes[pos + 4],
-            bytes[pos + 5],
-            bytes[pos + 6],
-            bytes[pos + 7],
-        ]);
-        let body = &bytes[pos + 8..pos + 8 + len];
+            return Ok(rest.len());
+        };
         let computed = crc32(body);
         if stored != computed {
             return Err(WalError::BadChecksum {
@@ -1487,11 +1179,10 @@ pub fn recover(
     let mut expected_seq = 0u64;
     let mut checkpoint_at: Option<usize> = None;
     for (i, body) in frames.iter().enumerate().skip(1) {
-        match body.first().copied() {
-            Some(tag @ (TAG_OP | TAG_CHECKPOINT)) if body.len() >= 9 => {
-                let seq = u64::from_le_bytes([
-                    body[1], body[2], body[3], body[4], body[5], body[6], body[7], body[8],
-                ]);
+        let mut c = Cursor::new(body);
+        match c.u8()? {
+            tag @ (TAG_OP | TAG_CHECKPOINT) => {
+                let seq = c.u64()?;
                 if seq != expected_seq {
                     return Err(WalError::SeqBroken {
                         expected: expected_seq,
@@ -1504,20 +1195,8 @@ pub fn recover(
                     checkpoint_at = Some(i);
                 }
             }
-            Some(TAG_BEGIN) => {
-                return Err(WalError::Malformed {
-                    what: "duplicate Begin record",
-                })
-            }
-            Some(TAG_OP) | Some(TAG_CHECKPOINT) | None => {
-                // Too short for its seq header (or empty) — decode for the
-                // precise malformed-record error.
-                decode_body(body)?;
-                return Err(WalError::Malformed {
-                    what: "truncated record header",
-                });
-            }
-            Some(tag) => return Err(WalError::UnknownTag(tag)),
+            TAG_BEGIN => return Err(malformed("duplicate Begin record")),
+            tag => return Err(DecodeError::UnknownTag(tag).into()),
         }
     }
     // Pass 2: decode only what recovery needs — the latest checkpoint and
@@ -1531,11 +1210,7 @@ pub fn recover(
                 snapshot,
                 ..
             } => Some((payload, tokens, snapshot)),
-            _ => {
-                return Err(WalError::Malformed {
-                    what: "checkpoint header on a non-checkpoint body",
-                })
-            }
+            _ => return Err(malformed("checkpoint header on a non-checkpoint body")),
         },
         None => None,
     };
@@ -1543,11 +1218,7 @@ pub fn recover(
     for body in &frames[suffix_start..] {
         match decode_body(body)? {
             WalRecord::Op { op, .. } => suffix.push(op),
-            _ => {
-                return Err(WalError::Malformed {
-                    what: "op header on a non-op body",
-                })
-            }
+            _ => return Err(malformed("op header on a non-op body")),
         }
     }
     let (payload, mut plane) = match checkpoint {
@@ -1600,14 +1271,14 @@ pub fn recover(
 /// runtime stores its committed `(iteration, level)` completions this way).
 pub fn encode_u64_pairs(pairs: &[(u64, u64)]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + 16 * pairs.len());
-    put_u64_u64_pairs(&mut out, pairs);
+    put_list(&mut out, pairs, put_u64_u64);
     out
 }
 
 /// Decodes a payload written by [`encode_u64_pairs`].
 pub fn decode_u64_pairs(bytes: &[u8]) -> Result<Vec<(u64, u64)>, WalError> {
     let mut c = Cursor::new(bytes);
-    let pairs = get_u64_u64_pairs(&mut c, "payload pairs")?;
+    let pairs = c.list("payload pairs", 16, get_u64_u64)?;
     c.done()?;
     Ok(pairs)
 }
@@ -1986,7 +1657,10 @@ mod tests {
     fn oversized_prefix_is_rejected() {
         let mut bytes = u32::MAX.to_le_bytes().to_vec();
         bytes.extend_from_slice(&[0; 12]);
-        assert!(matches!(read_log(&bytes), Err(WalError::Oversized { .. })));
+        assert!(matches!(
+            read_log(&bytes),
+            Err(WalError::Decode(DecodeError::Oversized { .. }))
+        ));
     }
 
     #[test]
@@ -1997,7 +1671,10 @@ mod tests {
             let mut bytes = (body.len() as u32).to_le_bytes().to_vec();
             bytes.extend_from_slice(&crc32(&body).to_le_bytes());
             bytes.extend_from_slice(&body);
-            assert_eq!(read_log(&bytes), Err(WalError::UnknownTag(tag)));
+            assert_eq!(
+                read_log(&bytes),
+                Err(WalError::Decode(DecodeError::UnknownTag(tag)))
+            );
         }
     }
 
@@ -2047,6 +1724,47 @@ mod tests {
     }
 
     #[test]
+    fn a_shape_mismatched_checkpoint_is_a_restore_error() {
+        // `checkpoint_skips_the_prefix_on_recovery`'s log with one level
+        // dropped from the checkpoint's `synced_upto`, re-checksummed: what a
+        // log written under another level count with the same
+        // `(n_workers, max_iterations)` looks like to recovery.
+        let mut p = plane();
+        let mem = attach(&mut p);
+        step(&mut p);
+        p.checkpoint_wal(&[7, 7, 7]).expect("checkpoint");
+        drive(&mut p, &mut |_| {});
+        let mut records = read_log(&mem.bytes()).expect("read").records;
+        for rec in &mut records {
+            if let WalRecord::Checkpoint { snapshot, .. } = rec {
+                snapshot.synced_upto.pop();
+            }
+        }
+        let bytes: Vec<u8> = records.iter().flat_map(encode_record).collect();
+        assert!(matches!(
+            recover(&bytes, p.plan(), p.config(), &meta(), 2, 2).map(|_| ()),
+            Err(WalError::Restore(_))
+        ));
+    }
+
+    #[test]
+    fn a_snapshot_shape_error_round_trips() {
+        let rec = WalRecord::Op {
+            seq: 3,
+            op: CoordOp {
+                kind: OpKind::WorkerCrashed { worker: 1 },
+                outcome: OpOutcome::Failed(ScheduleError::SnapshotShape {
+                    table: "synced_upto".to_string(),
+                    len: 1,
+                    want: 2,
+                }),
+            },
+        };
+        let bytes = encode_record(&rec);
+        assert_eq!(read_log(&bytes).map(|log| log.records), Ok(vec![rec]));
+    }
+
+    #[test]
     fn an_older_three_field_begin_does_not_parse() {
         // The older three-field `Begin`: shard count, cluster size,
         // iterations.
@@ -2058,7 +1776,10 @@ mod tests {
         put_u32(&mut bytes, body.len() as u32);
         put_u32(&mut bytes, crc32(&body));
         bytes.extend_from_slice(&body);
-        assert_eq!(read_log(&bytes), Err(WalError::Trailing { extra: 4 }));
+        assert_eq!(
+            read_log(&bytes),
+            Err(WalError::Decode(DecodeError::Trailing { extra: 4 }))
+        );
     }
 
     #[test]

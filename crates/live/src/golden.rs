@@ -3,13 +3,23 @@
 //! `Begin`, ten ops, one checkpoint with a payload, and a torn tail. Each
 //! fixture decodes to the value written out below and re-encodes byte for
 //! byte, so any change to either format shows up here as a fixture diff.
+//!
+//! The same fixtures seed the decode proptest: seeded bit flips,
+//! truncations, splices and re-checksummed record edits must leave every
+//! reader — `read_log`, `recover`, `decode_frame`, `read_frame` and a
+//! channel link's frame parser — returning a value or a typed error, never
+//! panicking.
 
-use fela_core::wal::{encode_record, read_log, ReadLog};
+use fela_core::codec::length_prefix;
+use fela_core::wal::{crc32, encode_record, read_log, recover, ReadLog, MAX_RECORD};
 use fela_core::{
-    CoordOp, OpKind, OpOutcome, ServerSnapshot, ServerStats, Token, TokenId, WalRecord,
+    CoordOp, FelaConfig, LevelMeta, LevelPlan, OpKind, OpOutcome, ServerSnapshot, ServerStats,
+    Token, TokenId, TokenPlan, WalRecord,
 };
 use fela_sim::SimTime;
+use proptest::prelude::*;
 
+use crate::transport::FrameBuf;
 use crate::wire::{decode_frame, encode_frame, read_frame, Frame, WireGrant};
 
 /// One encoded frame of each variant, in `Frame` declaration order.
@@ -231,4 +241,143 @@ fn the_wal_fixture_decodes_and_re_encodes_byte_for_byte() {
     );
     let encoded: Vec<u8> = records.iter().flat_map(encode_record).collect();
     assert_eq!(encoded, WAL_FIXTURE[..WAL_FIXTURE.len() - WAL_TORN_BYTES]);
+}
+
+// ---- mutation proptest ----------------------------------------------------
+
+/// The plane [`WAL_FIXTURE`] was written under: two workers, two iterations,
+/// two levels.
+fn fixture_plane() -> (TokenPlan, FelaConfig, Vec<LevelMeta>) {
+    let plan = TokenPlan {
+        levels: vec![
+            LevelPlan {
+                level: 0,
+                tokens_per_iteration: 2,
+                batch_per_token: 4,
+                gen_ratio: 1,
+            },
+            LevelPlan {
+                level: 1,
+                tokens_per_iteration: 1,
+                batch_per_token: 8,
+                gen_ratio: 2,
+            },
+        ],
+        total_batch: 8,
+    };
+    let meta = [(4096, 64), (8192, 32)]
+        .map(|(param_bytes, output_bytes_per_sample)| LevelMeta {
+            param_bytes,
+            output_bytes_per_sample,
+            input_bytes_per_sample: 64,
+            comm_intensive: false,
+        })
+        .to_vec();
+    (plan, FelaConfig::new(2).with_weights(vec![1, 2]), meta)
+}
+
+/// Mutations applied per proptest case.
+const ROUNDS: usize = 64;
+
+/// One SplitMix64 step: the mutation stream of a seed.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A uniform index below `n` (0 when `n` is 0).
+fn below(rng: &mut u64, n: usize) -> usize {
+    (next(rng) % n.max(1) as u64) as usize
+}
+
+/// The body offsets and lengths of every complete record in a log.
+fn record_bodies(log: &[u8]) -> Vec<(usize, usize)> {
+    let mut bodies = Vec::new();
+    let mut off = 0;
+    while let Ok(Some(len)) = length_prefix(log.get(off..off + 8).unwrap_or_default(), MAX_RECORD) {
+        if off + 8 + len > log.len() {
+            break;
+        }
+        bodies.push((off + 8, len));
+        off += 8 + len;
+    }
+    bodies
+}
+
+/// One to three seeded mutations of `bytes`: a bit flip, a truncation, a
+/// splice onto a suffix of `donor`, or a re-checksummed edit. On a log that
+/// last one flips a bit inside one record body and rewrites its checksum,
+/// so the edit reaches the decoder and the restore behind the checksum; a
+/// frame has no checksum, so there it flips a bit past the length prefix.
+fn mutate(bytes: &[u8], donor: &[u8], log: bool, rng: &mut u64) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    for _ in 0..1 + below(rng, 3) {
+        match next(rng) % 4 {
+            0 if !out.is_empty() => {
+                let at = below(rng, out.len());
+                out[at] ^= 1 << (next(rng) % 8);
+            }
+            1 => out.truncate(below(rng, out.len() + 1)),
+            2 => {
+                out.truncate(below(rng, out.len() + 1));
+                out.extend_from_slice(&donor[below(rng, donor.len() + 1)..]);
+            }
+            _ if log => {
+                let bodies = record_bodies(&out);
+                let picked = bodies.get(below(rng, bodies.len()));
+                if let Some(&(start, len)) = picked.filter(|&&(_, len)| len > 0) {
+                    let at = start + below(rng, len);
+                    out[at] ^= 1 << (next(rng) % 8);
+                    let crc = crc32(&out[start..start + len]);
+                    out[start - 4..start].copy_from_slice(&crc.to_le_bytes());
+                }
+            }
+            _ if out.len() > 4 => {
+                let at = 4 + below(rng, out.len() - 4);
+                out[at] ^= 1 << (next(rng) % 8);
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// Every frame reader over `bytes`; each must return, not panic.
+fn read_frames(bytes: &[u8]) {
+    let _ = decode_frame(bytes);
+    let _ = read_frame(&mut &bytes[..]);
+    let mut buf = FrameBuf::default();
+    buf.extend(bytes);
+    while let Ok(Some(_)) = buf.next_frame() {}
+}
+
+#[test]
+fn the_wal_fixture_recovers_on_its_plane() {
+    let (plan, cfg, meta) = fixture_plane();
+    let rec = match recover(WAL_FIXTURE, &plan, &cfg, &meta, 2, 2) {
+        Ok(rec) => rec,
+        Err(e) => panic!("the fixture must recover: {e}"),
+    };
+    assert_eq!(rec.torn_bytes, WAL_TORN_BYTES);
+    assert_eq!(rec.next_seq, 10);
+    assert_eq!(rec.ops.len(), 5);
+}
+
+proptest! {
+    #[test]
+    fn mutated_fixtures_decode_to_a_value_or_a_typed_error(seed in any::<u64>()) {
+        let (plan, cfg, meta) = fixture_plane();
+        let mut rng = seed;
+        for _ in 0..ROUNDS {
+            let log = mutate(WAL_FIXTURE, WAL_FIXTURE, true, &mut rng);
+            let _ = read_log(&log);
+            let _ = recover(&log, &plan, &cfg, &meta, 2, 2);
+            let frame = FRAME_FIXTURES[below(&mut rng, FRAME_FIXTURES.len())];
+            let donor = FRAME_FIXTURES[below(&mut rng, FRAME_FIXTURES.len())];
+            read_frames(&mutate(frame, donor, false, &mut rng));
+        }
+    }
 }

@@ -30,6 +30,8 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
+use fela_core::codec::length_prefix;
+
 use crate::sched::{Endpoint, Sched, SyncEvent};
 use crate::wire::{decode_body, encode_frame, read_frame, Frame, WireError, MAX_FRAME};
 
@@ -93,13 +95,13 @@ enum RxKind {
 /// once the buffer is fully parsed), so steady traffic reuses the same
 /// allocation.
 #[derive(Default)]
-struct FrameBuf {
+pub(crate) struct FrameBuf {
     buf: Vec<u8>,
     start: usize,
 }
 
 impl FrameBuf {
-    fn extend(&mut self, bytes: &[u8]) {
+    pub(crate) fn extend(&mut self, bytes: &[u8]) {
         if self.start == self.buf.len() {
             self.buf.clear();
             self.start = 0;
@@ -109,23 +111,15 @@ impl FrameBuf {
 
     /// Peels one complete frame off the front, or `None` if more bytes are
     /// needed. Corrupt prefixes and bodies surface as [`WireError`]s.
-    fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
+    pub(crate) fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
         let avail = &self.buf[self.start..];
-        if avail.len() < 4 {
+        let Some(len) = length_prefix(avail, MAX_FRAME)? else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes([avail[0], avail[1], avail[2], avail[3]]);
-        if len > MAX_FRAME {
-            return Err(WireError::Oversized {
-                len: u64::from(len),
-                max: MAX_FRAME,
-            });
-        }
-        let len = len as usize;
-        if avail.len() < 4 + len {
+        };
+        let Some(body) = avail.get(4..4 + len) else {
             return Ok(None);
-        }
-        let frame = decode_body(&avail[4..4 + len])?;
+        };
+        let frame = decode_body(body)?;
         self.start += 4 + len;
         if self.start == self.buf.len() {
             self.buf.clear();

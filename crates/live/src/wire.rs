@@ -4,14 +4,19 @@
 //! transports, including the in-process channel one — is one [`Frame`],
 //! serialized by [`encode_frame`] as a little-endian `u32` body length
 //! followed by a one-byte frame tag and the fields in declaration order.
-//! Hand-rolled (std-only, no serde): the frame set is small, fixed, and the
-//! explicit codec is itself under test (round-trip property tests below).
+//! The primitives, lists and length prefix are [`fela_core::codec`]'s,
+//! shared with the write-ahead log; this module holds only the tags and the
+//! frame layouts.
 //!
 //! `f64` values (compute-span seconds) travel as raw IEEE-754 bits so a value
 //! crosses the wire without any formatting round-trip — bit-exactness of the
 //! virtual clock depends on it.
 
 use std::io::{self, Read, Write};
+
+use fela_core::codec::{
+    length_prefix, put_bytes, put_list, put_u32, put_u64, put_u8, Cursor, DecodeError,
+};
 
 /// Maximum accepted frame body, a defensive bound against corrupt length
 /// prefixes (the largest legitimate frame is a `Params` payload of a few KB).
@@ -122,22 +127,8 @@ const WIRE_GRANT_BYTES: usize = 8 + 4 + 8 + 8 + 4 + 4;
 /// without string matching.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum WireError {
-    /// The body ended before a field could be read.
-    Truncated {
-        /// Bytes the field needed.
-        wanted: usize,
-        /// Offset the read started at.
-        offset: usize,
-        /// Total body length.
-        body: usize,
-    },
-    /// Bytes remained after the frame's last field.
-    Trailing {
-        /// Number of unconsumed bytes.
-        extra: usize,
-    },
-    /// The frame tag byte is not part of the protocol.
-    UnknownTag(u8),
+    /// The frame body or its length prefix is not a valid encoding.
+    Decode(DecodeError),
     /// The buffer is too short to even hold the length prefix.
     MissingPrefix,
     /// The length prefix disagrees with the buffer handed to `decode_frame`.
@@ -147,24 +138,6 @@ pub enum WireError {
         /// Bytes actually present after the prefix.
         actual: usize,
     },
-    /// A length prefix exceeded [`MAX_FRAME`] — a corrupt or adversarial peer
-    /// trying to drive an unbounded allocation.
-    Oversized {
-        /// The claimed body length.
-        len: u64,
-        /// The protocol bound.
-        max: u32,
-    },
-    /// An embedded element count is impossible for the bytes that follow it
-    /// (guards `Vec::with_capacity` against attacker-controlled counts).
-    BadCount {
-        /// Which field carried the count.
-        what: &'static str,
-        /// The claimed element count.
-        count: usize,
-        /// Bytes actually remaining in the body.
-        remaining: usize,
-    },
     /// The underlying stream failed (peer gone, reset, short read).
     Io(io::ErrorKind),
 }
@@ -172,34 +145,11 @@ pub enum WireError {
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WireError::Truncated {
-                wanted,
-                offset,
-                body,
-            } => write!(
-                f,
-                "frame truncated: wanted {wanted} bytes at offset {offset}, body is {body}"
-            ),
-            WireError::Trailing { extra } => {
-                write!(f, "{extra} trailing byte(s) after frame body")
-            }
-            WireError::UnknownTag(tag) => write!(f, "unknown frame tag {tag}"),
+            WireError::Decode(e) => e.describe(f, "frame"),
             WireError::MissingPrefix => write!(f, "missing length prefix"),
             WireError::LengthMismatch { prefix, actual } => write!(
                 f,
                 "length prefix {prefix} disagrees with buffer size {actual}"
-            ),
-            WireError::Oversized { len, max } => write!(
-                f,
-                "frame of {len} bytes exceeds the {max}-byte protocol bound"
-            ),
-            WireError::BadCount {
-                what,
-                count,
-                remaining,
-            } => write!(
-                f,
-                "{what} count {count} is impossible with {remaining} body byte(s) remaining"
             ),
             WireError::Io(kind) => write!(f, "stream failed mid-frame: {kind}"),
         }
@@ -223,57 +173,9 @@ impl From<io::Error> for WireError {
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if n > self.buf.len() - self.pos {
-            return Err(WireError::Truncated {
-                wanted: n,
-                offset: self.pos,
-                body: self.buf.len(),
-            });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn done(&self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::Trailing {
-                extra: self.buf.len() - self.pos,
-            })
-        }
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> WireError {
+        WireError::Decode(e)
     }
 }
 
@@ -318,6 +220,17 @@ fn put_grant(out: &mut Vec<u8>, g: &WireGrant) {
     put_u32(out, g.unit_end);
 }
 
+fn get_grant(c: &mut Cursor<'_>) -> Result<WireGrant, DecodeError> {
+    Ok(WireGrant {
+        token: c.u64()?,
+        level: c.u32()?,
+        iteration: c.u64()?,
+        batch: c.u64()?,
+        unit_start: c.u32()?,
+        unit_end: c.u32()?,
+    })
+}
+
 /// Serializes one frame — `[body_len: u32 LE][tag: u8][fields...]` — by
 /// *appending* to `out`, reserving the exact encoded size up front
 /// ([`body_len`]). This is the hot-path entry: a link keeps one buffer alive
@@ -330,7 +243,7 @@ pub fn encode_frame_into(out: &mut Vec<u8>, frame: &Frame) {
     put_u32(out, body as u32);
     match frame {
         Frame::Hello { worker } => {
-            out.push(TAG_HELLO);
+            put_u8(out, TAG_HELLO);
             put_u32(out, *worker);
         }
         Frame::CostQuery {
@@ -342,7 +255,7 @@ pub fn encode_frame_into(out: &mut Vec<u8>, frame: &Frame) {
             batch,
             iteration,
         } => {
-            out.push(TAG_COST_QUERY);
+            put_u8(out, TAG_COST_QUERY);
             put_u32(out, *worker);
             put_u64(out, *token);
             put_u32(out, *level);
@@ -352,50 +265,42 @@ pub fn encode_frame_into(out: &mut Vec<u8>, frame: &Frame) {
             put_u64(out, *iteration);
         }
         Frame::CostReply { token, secs_bits } => {
-            out.push(TAG_COST_REPLY);
+            put_u8(out, TAG_COST_REPLY);
             put_u64(out, *token);
             put_u64(out, *secs_bits);
         }
         Frame::Request { worker } => {
-            out.push(TAG_REQUEST);
+            put_u8(out, TAG_REQUEST);
             put_u32(out, *worker);
         }
         Frame::GrantBatch { grants } => {
-            out.push(TAG_GRANT_BATCH);
-            put_u32(out, grants.len() as u32);
-            for g in grants {
-                put_grant(out, g);
-            }
+            put_u8(out, TAG_GRANT_BATCH);
+            put_list(out, grants, put_grant);
         }
         Frame::ReportBatch { worker, tokens } => {
-            out.push(TAG_REPORT_BATCH);
+            put_u8(out, TAG_REPORT_BATCH);
             put_u32(out, *worker);
-            put_u32(out, tokens.len() as u32);
-            for &t in tokens {
-                put_u64(out, t);
-            }
+            put_list(out, tokens, |o, &t| put_u64(o, t));
         }
         Frame::Iter {
             iteration,
             schedule,
         } => {
-            out.push(TAG_ITER);
+            put_u8(out, TAG_ITER);
             put_u64(out, *iteration);
-            put_u32(out, schedule.len() as u32);
-            for &(level, idx) in schedule {
-                put_u32(out, level);
-                put_u32(out, idx);
-            }
+            put_list(out, schedule, |o, &(level, idx)| {
+                put_u32(o, level);
+                put_u32(o, idx);
+            });
         }
         Frame::Hang { nanos } => {
-            out.push(TAG_HANG);
+            put_u8(out, TAG_HANG);
             put_u64(out, *nanos);
         }
-        Frame::End => out.push(TAG_END),
+        Frame::End => put_u8(out, TAG_END),
         Frame::Params { bytes } => {
-            out.push(TAG_PARAMS);
-            put_u32(out, bytes.len() as u32);
-            out.extend_from_slice(bytes);
+            put_u8(out, TAG_PARAMS);
+            put_bytes(out, bytes);
         }
     }
     debug_assert_eq!(out.len() - start, 4 + body, "body_len must be exact");
@@ -411,9 +316,8 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 
 /// Decodes one frame body (the bytes *after* the length prefix).
 pub fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
-    let mut c = Cursor { buf: body, pos: 0 };
-    let tag = c.take(1)?[0];
-    let frame = match tag {
+    let mut c = Cursor::new(body);
+    let frame = match c.u8()? {
         TAG_HELLO => Frame::Hello { worker: c.u32()? },
         TAG_COST_QUERY => Frame::CostQuery {
             worker: c.u32()?,
@@ -429,81 +333,23 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
             secs_bits: c.u64()?,
         },
         TAG_REQUEST => Frame::Request { worker: c.u32()? },
-        TAG_GRANT_BATCH => {
-            let n = c.u32()? as usize;
-            if n > c.remaining() / WIRE_GRANT_BYTES {
-                return Err(WireError::BadCount {
-                    what: "GrantBatch grants",
-                    count: n,
-                    remaining: c.remaining(),
-                });
-            }
-            let mut grants = Vec::with_capacity(n);
-            for _ in 0..n {
-                grants.push(WireGrant {
-                    token: c.u64()?,
-                    level: c.u32()?,
-                    iteration: c.u64()?,
-                    batch: c.u64()?,
-                    unit_start: c.u32()?,
-                    unit_end: c.u32()?,
-                });
-            }
-            Frame::GrantBatch { grants }
-        }
-        TAG_REPORT_BATCH => {
-            let worker = c.u32()?;
-            let n = c.u32()? as usize;
-            if n > c.remaining() / 8 {
-                return Err(WireError::BadCount {
-                    what: "ReportBatch tokens",
-                    count: n,
-                    remaining: c.remaining(),
-                });
-            }
-            let mut tokens = Vec::with_capacity(n);
-            for _ in 0..n {
-                tokens.push(c.u64()?);
-            }
-            Frame::ReportBatch { worker, tokens }
-        }
-        TAG_ITER => {
-            let iteration = c.u64()?;
-            let n = c.u32()? as usize;
-            // Each pair is 8 bytes; refuse counts the body cannot possibly
-            // hold before sizing the allocation off an untrusted value.
-            if n > c.remaining() / 8 {
-                return Err(WireError::BadCount {
-                    what: "Iter schedule",
-                    count: n,
-                    remaining: c.remaining(),
-                });
-            }
-            let mut schedule = Vec::with_capacity(n);
-            for _ in 0..n {
-                schedule.push((c.u32()?, c.u32()?));
-            }
-            Frame::Iter {
-                iteration,
-                schedule,
-            }
-        }
+        TAG_GRANT_BATCH => Frame::GrantBatch {
+            grants: c.list("GrantBatch grants", WIRE_GRANT_BYTES, get_grant)?,
+        },
+        TAG_REPORT_BATCH => Frame::ReportBatch {
+            worker: c.u32()?,
+            tokens: c.list("ReportBatch tokens", 8, Cursor::u64)?,
+        },
+        TAG_ITER => Frame::Iter {
+            iteration: c.u64()?,
+            schedule: c.list("Iter schedule", 8, |c| Ok((c.u32()?, c.u32()?)))?,
+        },
         TAG_HANG => Frame::Hang { nanos: c.u64()? },
         TAG_END => Frame::End,
-        TAG_PARAMS => {
-            let n = c.u32()? as usize;
-            if n > c.remaining() {
-                return Err(WireError::BadCount {
-                    what: "Params payload",
-                    count: n,
-                    remaining: c.remaining(),
-                });
-            }
-            Frame::Params {
-                bytes: c.take(n)?.to_vec(),
-            }
-        }
-        other => return Err(WireError::UnknownTag(other)),
+        TAG_PARAMS => Frame::Params {
+            bytes: c.bytes("Params payload")?.to_vec(),
+        },
+        other => return Err(DecodeError::UnknownTag(other).into()),
     };
     c.done()?;
     Ok(frame)
@@ -511,23 +357,15 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
 
 /// Decodes one length-prefixed frame from a full byte buffer.
 pub fn decode_frame(bytes: &[u8]) -> Result<Frame, WireError> {
-    if bytes.len() < 4 {
-        return Err(WireError::MissingPrefix);
-    }
-    let len = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-    if len > MAX_FRAME {
-        return Err(WireError::Oversized {
-            len: u64::from(len),
-            max: MAX_FRAME,
-        });
-    }
-    if bytes.len() - 4 != len as usize {
+    let len = length_prefix(bytes, MAX_FRAME)?.ok_or(WireError::MissingPrefix)?;
+    let body = &bytes[4..];
+    if body.len() != len {
         return Err(WireError::LengthMismatch {
-            prefix: len as usize,
-            actual: bytes.len() - 4,
+            prefix: len,
+            actual: body.len(),
         });
     }
-    decode_body(&bytes[4..])
+    decode_body(body)
 }
 
 /// Queues one frame on a byte stream **without flushing** — the mid-batch
@@ -560,14 +398,8 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
     let mut prefix = [0u8; 4];
     r.read_exact(&mut prefix)?;
-    let len = u32::from_le_bytes(prefix);
-    if len > MAX_FRAME {
-        return Err(WireError::Oversized {
-            len: u64::from(len),
-            max: MAX_FRAME,
-        });
-    }
-    let mut body = vec![0u8; len as usize];
+    let len = length_prefix(&prefix, MAX_FRAME)?.ok_or(WireError::MissingPrefix)?;
+    let mut body = vec![0u8; len];
     r.read_exact(&mut body)?;
     decode_body(&body)
 }
@@ -669,17 +501,20 @@ mod tests {
             Err(WireError::LengthMismatch { .. })
         ));
         for tag in [5, 6, 99] {
-            assert_eq!(decode_body(&[tag]), Err(WireError::UnknownTag(tag)));
+            assert_eq!(
+                decode_body(&[tag]),
+                Err(WireError::Decode(DecodeError::UnknownTag(tag)))
+            );
         }
         assert!(matches!(
             decode_body(&bytes[4..bytes.len() - 1]),
-            Err(WireError::Truncated { .. })
+            Err(WireError::Decode(DecodeError::Truncated { .. }))
         ));
         let mut body_padded = bytes[4..].to_vec();
         body_padded.push(0);
         assert!(matches!(
             decode_body(&body_padded),
-            Err(WireError::Trailing { extra: 1 })
+            Err(WireError::Decode(DecodeError::Trailing { extra: 1 }))
         ));
         assert_eq!(decode_frame(&[1, 2]), Err(WireError::MissingPrefix));
     }
@@ -692,16 +527,16 @@ mod tests {
         let mut r = &bytes[..];
         assert_eq!(
             read_frame(&mut r),
-            Err(WireError::Oversized {
+            Err(WireError::Decode(DecodeError::Oversized {
                 len: u64::from(u32::MAX),
                 max: MAX_FRAME,
-            })
+            }))
         );
         let mut buf = bytes.to_vec();
         buf.push(0);
         assert!(matches!(
             decode_frame(&buf),
-            Err(WireError::Oversized { .. })
+            Err(WireError::Decode(DecodeError::Oversized { .. }))
         ));
     }
 
@@ -713,10 +548,10 @@ mod tests {
         body.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             decode_body(&body),
-            Err(WireError::BadCount {
+            Err(WireError::Decode(DecodeError::BadCount {
                 what: "Iter schedule",
                 ..
-            })
+            }))
         ));
         // Params claiming more payload bytes than the body holds.
         let mut body = vec![TAG_PARAMS];
@@ -724,20 +559,20 @@ mod tests {
         body.push(1);
         assert!(matches!(
             decode_body(&body),
-            Err(WireError::BadCount {
+            Err(WireError::Decode(DecodeError::BadCount {
                 what: "Params payload",
                 ..
-            })
+            }))
         ));
         // GrantBatch claiming u32::MAX records in a near-empty body.
         let mut body = vec![TAG_GRANT_BATCH];
         body.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             decode_body(&body),
-            Err(WireError::BadCount {
+            Err(WireError::Decode(DecodeError::BadCount {
                 what: "GrantBatch grants",
                 ..
-            })
+            }))
         ));
         // ReportBatch claiming more token ids than bytes remain.
         let mut body = vec![TAG_REPORT_BATCH];
@@ -745,10 +580,10 @@ mod tests {
         body.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             decode_body(&body),
-            Err(WireError::BadCount {
+            Err(WireError::Decode(DecodeError::BadCount {
                 what: "ReportBatch tokens",
                 ..
-            })
+            }))
         ));
     }
 
@@ -761,7 +596,7 @@ mod tests {
         );
         let err = io::Error::from(WireError::Io(io::ErrorKind::ConnectionReset));
         assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
-        let err = io::Error::from(WireError::UnknownTag(42));
+        let err = io::Error::from(WireError::Decode(DecodeError::UnknownTag(42)));
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
