@@ -23,7 +23,7 @@ use crate::transport::FrameBuf;
 use crate::wire::{decode_frame, encode_frame, read_frame, Frame, WireGrant};
 
 /// One encoded frame of each variant, in `Frame` declaration order.
-pub(crate) const FRAME_FIXTURES: [&[u8]; 10] = [
+const FRAME_FIXTURES: [&[u8]; 10] = [
     include_bytes!("../fixtures/hello.frame"),
     include_bytes!("../fixtures/cost_query.frame"),
     include_bytes!("../fixtures/cost_reply.frame"),
@@ -38,7 +38,7 @@ pub(crate) const FRAME_FIXTURES: [&[u8]; 10] = [
 
 /// A log written by a two-worker, two-iteration plane, cut 11 bytes into the
 /// record after its last commit.
-pub(crate) const WAL_FIXTURE: &[u8] = include_bytes!("../fixtures/golden.wal");
+const WAL_FIXTURE: &[u8] = include_bytes!("../fixtures/golden.wal");
 
 /// The torn tail of [`WAL_FIXTURE`].
 const WAL_TORN_BYTES: usize = 11;
