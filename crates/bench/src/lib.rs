@@ -114,12 +114,6 @@ pub fn verify_fela_config(config: &FelaConfig, scenario: &Scenario) {
     // runtime surfaces that itself, so only DAG violations are fatal here.
 }
 
-/// Runs tuned Fela on a scenario.
-pub fn run_tuned_fela(scenario: &Scenario) -> RunReport {
-    use fela_cluster::TrainingRuntime as _;
-    FelaRuntime::new(tuned_fela(scenario)).run(scenario)
-}
-
 /// Harness factory for tuned Fela: the §IV-B search runs *per job*, so each
 /// scenario in a sweep gets its own winning configuration (as in Figure 8,
 /// where the tuned weight vector differs across batch sizes).

@@ -27,10 +27,10 @@
 //!   an undeclared lock is itself a finding, so the order stays complete as
 //!   code grows. This is the static half of the deadlock-freedom argument
 //!   the `fela-mc` model checker makes dynamically.
-//! * **`no-blocking-under-lock`** — no `read_frame`/`write_frame`/`sleep`
-//!   while a `MutexGuard` is live: a blocking wire read under a lock turns a
-//!   slow peer into a stalled server. (`Condvar::wait` is fine — it releases
-//!   the guard.)
+//! * **`no-blocking-under-lock`** — no link receive or flush (`.recv(` /
+//!   `.flush(`) and no `sleep` while a `MutexGuard` is live: a blocking wire
+//!   read under a lock turns a slow peer into a stalled server. (`Condvar::wait`
+//!   is fine — it releases the guard.)
 //! * **`no-unflushed-wal`** — the group-commit rule, in two halves. Only the
 //!   control plane and the log writer (`impl ControlPlane` / `impl
 //!   WalWriter`) may leave a `WalWriter` append
@@ -451,7 +451,7 @@ pub fn lint_source(path: &str, crate_name: &str, content: &str) -> Vec<LintFindi
                     }
                 }
                 if !guards.is_empty()
-                    && ["read_frame(", "write_frame(", "sleep("]
+                    && [".recv(", ".flush(", "sleep("]
                         .iter()
                         .any(|p| line.contains(p))
                 {
@@ -880,11 +880,21 @@ fn f(&self) {
         let src = "\
 fn f(&self) {
     let g = self.events.lock().unwrap_or_else(|p| p.into_inner());
-    let frame = read_frame(&mut stream);
+    let frame = link.recv();
 }
 ";
         let findings = lint_source("a.rs", "fela-live", src);
         assert_eq!(rules(&findings), ["no-blocking-under-lock"]);
+        let src = "\
+fn f(&self) {
+    let g = self.events.lock().unwrap_or_else(|p| p.into_inner());
+    tx.flush()?;
+}
+";
+        assert_eq!(
+            rules(&lint_source("a.rs", "fela-live", src)),
+            ["no-blocking-under-lock"]
+        );
         let src = "\
 fn f(&self) {
     let g = self.events.lock().unwrap_or_else(|p| p.into_inner());

@@ -325,7 +325,9 @@ fn build_config(cfg: &McConfig) -> FelaConfig {
     if cfg.recovery {
         fc.recovery = Some(RecoveryConfig::default());
     }
-    fc.validate(cfg.workers);
+    if let Err(e) = fc.validate(cfg.workers) {
+        panic!("invalid Fela config: {e}");
+    }
     fc
 }
 

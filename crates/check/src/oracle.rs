@@ -156,7 +156,9 @@ impl TokenServer {
             "level metadata must match plan levels"
         );
         assert!(max_iterations > 0, "need at least one iteration");
-        cfg.validate(n_workers);
+        if let Err(e) = cfg.validate(n_workers) {
+            panic!("invalid Fela config: {e}");
+        }
         let m = plan.num_levels();
         let buckets = if cfg.hf { n_workers } else { 1 };
         let mut server = TokenServer {
@@ -619,7 +621,9 @@ impl TokenServer {
             "level metadata must match plan levels"
         );
         assert!(max_iterations > 0, "need at least one iteration");
-        cfg.validate(n_workers);
+        if let Err(e) = cfg.validate(n_workers) {
+            panic!("invalid Fela config: {e}");
+        }
         let m = plan.num_levels();
         let buckets = if cfg.hf { n_workers } else { 1 };
         let mut s = TokenServer {

@@ -165,6 +165,26 @@ fn take_value<'a>(
         .ok_or_else(|| ParseError(format!("{flag} expects a value")))
 }
 
+/// Parses a `--weights` list such as `1,2,4`.
+fn parse_weights(spec: &str) -> Result<Vec<u64>, ParseError> {
+    spec.split(',')
+        .map(str::parse)
+        .collect::<Result<_, _>>()
+        .map_err(|_| ParseError(format!("bad weight list '{spec}' (use e.g. 1,2,4)")))
+}
+
+/// Parses a `--ctd` subset size.
+fn parse_ctd(s: &str) -> Result<usize, ParseError> {
+    s.parse()
+        .map_err(|_| ParseError("--ctd expects an integer subset size".into()))
+}
+
+/// Parses a `--staleness` bound.
+fn parse_staleness(s: &str) -> Result<u64, ParseError> {
+    s.parse()
+        .map_err(|_| ParseError("--staleness expects an integer".into()))
+}
+
 /// Parses a duration given as (possibly fractional) seconds, rejecting
 /// non-finite and negative values at parse time rather than panicking deep in
 /// the simulator.
@@ -523,23 +543,9 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
                     continue;
                 }
                 match flag {
-                    "--weights" => {
-                        let spec = take_value(flag, &mut it)?;
-                        let ws: Result<Vec<u64>, _> = spec.split(',').map(str::parse).collect();
-                        run.weights = Some(ws.map_err(|_| {
-                            ParseError(format!("bad weight list '{spec}' (use e.g. 1,2,4)"))
-                        })?);
-                    }
-                    "--ctd" => {
-                        run.ctd = Some(take_value(flag, &mut it)?.parse().map_err(|_| {
-                            ParseError("--ctd expects an integer subset size".into())
-                        })?)
-                    }
-                    "--staleness" => {
-                        run.staleness = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ParseError("--staleness expects an integer".into()))?
-                    }
+                    "--weights" => run.weights = Some(parse_weights(take_value(flag, &mut it)?)?),
+                    "--ctd" => run.ctd = Some(parse_ctd(take_value(flag, &mut it)?)?),
+                    "--staleness" => run.staleness = parse_staleness(take_value(flag, &mut it)?)?,
                     "--no-pipelining" => run.no_pipelining = true,
                     "--json" => run.json = true,
                     other => return err(format!("unknown flag '{other}' for 'run'")),
@@ -566,13 +572,7 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
                     continue;
                 }
                 match flag {
-                    "--weights" => {
-                        let spec = take_value(flag, &mut it)?;
-                        let ws: Result<Vec<u64>, _> = spec.split(',').map(str::parse).collect();
-                        live.weights = Some(ws.map_err(|_| {
-                            ParseError(format!("bad weight list '{spec}' (use e.g. 1,2,4)"))
-                        })?);
-                    }
+                    "--weights" => live.weights = Some(parse_weights(take_value(flag, &mut it)?)?),
                     "--workers" => {
                         let workers: usize = take_value(flag, &mut it)?
                             .parse()
@@ -645,23 +645,9 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
                         }
                         check.policy = policy.to_owned();
                     }
-                    "--weights" => {
-                        let spec = take_value(flag, &mut it)?;
-                        let ws: Result<Vec<u64>, _> = spec.split(',').map(str::parse).collect();
-                        check.weights = Some(ws.map_err(|_| {
-                            ParseError(format!("bad weight list '{spec}' (use e.g. 1,2,4)"))
-                        })?);
-                    }
-                    "--ctd" => {
-                        check.ctd = Some(take_value(flag, &mut it)?.parse().map_err(|_| {
-                            ParseError("--ctd expects an integer subset size".into())
-                        })?)
-                    }
-                    "--staleness" => {
-                        check.staleness = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ParseError("--staleness expects an integer".into()))?
-                    }
+                    "--weights" => check.weights = Some(parse_weights(take_value(flag, &mut it)?)?),
+                    "--ctd" => check.ctd = Some(parse_ctd(take_value(flag, &mut it)?)?),
+                    "--staleness" => check.staleness = parse_staleness(take_value(flag, &mut it)?)?,
                     "--all" => check.all = true,
                     "--mc" => check.mc = true,
                     "--protocol" => check.protocol = true,

@@ -270,7 +270,7 @@ fn cmd_run(run: &RunArgs) -> Result<(), String> {
     config = config
         .with_staleness(run.staleness)
         .with_pipelining(!run.no_pipelining);
-    config.validate(sc.cluster.nodes);
+    config.validate(sc.cluster.nodes)?;
 
     let mut runtime = FelaRuntime::new(config.clone());
     if let Some(d) = durability_from(&run.common) {
@@ -523,7 +523,7 @@ fn cmd_live(live: &LiveArgs) -> Result<(), String> {
         }
         None => FelaConfig::new(m),
     };
-    config.validate(sc.cluster.nodes);
+    config.validate(sc.cluster.nodes)?;
     let mut transport = fela_live::transport_by_name(&live.transport)
         .ok_or_else(|| format!("unknown transport '{}'", live.transport))?;
 
@@ -790,7 +790,7 @@ fn cmd_check(check: &CheckArgs) -> Result<(), String> {
         let cfg = policy_config(&check.policy, m, nodes, check.ctd)
             .with_weights(w.clone())
             .with_staleness(check.staleness);
-        cfg.validate(nodes);
+        cfg.validate(nodes)?;
         match fela_check::verify_config(&partition, &cfg, sc.total_batch, nodes, sc.iterations) {
             Ok(summary) => {
                 table.row(vec![
@@ -996,7 +996,7 @@ fn cmd_check_mc(check: &CheckArgs) -> Result<(), String> {
             .partition_for(&sc)
             .len();
         let config = FelaConfig::new(m);
-        config.validate(sc.cluster.nodes);
+        config.validate(sc.cluster.nodes)?;
         let rec = fela_live::RecordingSched::new();
         let sched: fela_live::SharedSched = rec.clone();
         fela_live::run_virtual_with(&config, &sc, &mut fela_live::ChanTransport, sched)
@@ -1307,7 +1307,7 @@ fn cmd_check_all(check: &CheckArgs) -> Result<(), String> {
                 let cfg = policy_config(policy, m, nodes, check.ctd)
                     .with_weights(w.clone())
                     .with_staleness(check.staleness);
-                cfg.validate(nodes);
+                cfg.validate(nodes)?;
                 match fela_check::verify_config(&partition, &cfg, batch, nodes, sc.iterations) {
                     Ok(_) => verified += 1,
                     Err(fela_check::CheckError::Plan(_)) => infeasible += 1,
@@ -1410,6 +1410,38 @@ mod tests {
                 err.contains("--wal-dir/--checkpoint-every"),
                 "{argv}: {err}"
             );
+        }
+    }
+
+    #[test]
+    fn invalid_weights_and_ctd_are_errors_not_panics() {
+        for (argv, reason) in [
+            (
+                "run --model vgg19 --batch 256 --iters 1 --weights 1,3,4",
+                "weight 3 must be a power of two",
+            ),
+            (
+                "run --model vgg19 --batch 256 --iters 1 --weights 1,2,4 --ctd 3",
+                "CTD subset must be a power of two",
+            ),
+            (
+                "live --model vgg19 --batch 256 --iters 1 --weights 1,3,4",
+                "weight 3 must be a power of two",
+            ),
+            (
+                "check --model vgg19 --batch 256 --weights 1,3,4",
+                "weight 3 must be a power of two",
+            ),
+        ] {
+            let result = match args::parse(&argv.split(' ').collect::<Vec<_>>()) {
+                Ok(Command::Run(run)) => cmd_run(&run),
+                Ok(Command::Live(live)) => cmd_live(&live),
+                Ok(Command::Check(check)) => cmd_check(&check),
+                other => panic!("{argv}: unexpected parse {other:?}"),
+            };
+            let err = result.expect_err("an invalid config must be rejected");
+            assert!(err.contains(reason), "{argv}: {err}");
+            assert!(!err.contains('\n'), "{argv}: one-line error, got {err}");
         }
     }
 }

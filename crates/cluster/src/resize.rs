@@ -34,17 +34,6 @@ pub enum ResizeAction {
     Leave(Vec<usize>),
 }
 
-impl ResizeAction {
-    /// The signed worker-count delta this action requests, before the
-    /// applier drops out-of-range ranks or enforces the ≥1-survivor floor.
-    pub fn requested_delta(&self) -> i64 {
-        match self {
-            ResizeAction::Join(n) => *n as i64,
-            ResizeAction::Leave(ranks) => -(ranks.len() as i64),
-        }
-    }
-}
-
 /// One scripted resize: `action` takes effect at the start of `iteration`.
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct ResizeEvent {

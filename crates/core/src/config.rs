@@ -152,46 +152,57 @@ impl FelaConfig {
 
     /// Validates the configuration against a cluster size.
     ///
-    /// # Panics
-    /// Panics on: empty weights, non-power-of-two or decreasing weights, weights
-    /// exceeding `2^⌊log₂ N⌋`, or a CTD subset that is zero, larger than the
-    /// cluster, or not a power of two.
-    pub fn validate(&self, n_workers: usize) {
-        assert!(!self.weights.is_empty(), "weights must be non-empty");
-        assert_eq!(
-            self.weights[0], 1,
-            "w_1 = 1 is the base weight (§IV-B); deeper weights are relative to it"
-        );
+    /// Rejects, with a one-line reason: empty weights, non-power-of-two or
+    /// decreasing weights, weights exceeding `2^⌊log₂ N⌋`, a CTD subset that
+    /// is zero, larger than the cluster, or not a power of two, and a
+    /// recovery policy whose lease slack or quarantine threshold cannot work.
+    pub fn validate(&self, n_workers: usize) -> Result<(), String> {
+        if self.weights.is_empty() {
+            return Err("weights must be non-empty".into());
+        }
+        if self.weights[0] != 1 {
+            return Err(
+                "w_1 = 1 is the base weight (§IV-B); deeper weights are relative to it".into(),
+            );
+        }
         let cap = 1u64 << (usize::BITS - 1 - n_workers.leading_zeros()); // 2^⌊log₂N⌋
         let mut prev = 0u64;
         for &w in &self.weights {
-            assert!(w.is_power_of_two(), "weight {w} must be a power of two");
-            assert!(w >= prev, "weights must be nondecreasing (w_{{i+1}} ≥ w_i)");
-            assert!(w <= cap, "weight {w} exceeds 2^⌊log₂ N⌋ = {cap}");
+            if !w.is_power_of_two() {
+                return Err(format!("weight {w} must be a power of two"));
+            }
+            if w < prev {
+                return Err("weights must be nondecreasing (w_{i+1} ≥ w_i)".into());
+            }
+            if w > cap {
+                return Err(format!("weight {w} exceeds 2^⌊log₂ N⌋ = {cap}"));
+            }
             prev = w;
         }
         if let Some(ctd) = self.ctd {
-            assert!(ctd.subset_size > 0, "CTD subset must be non-empty");
-            assert!(
-                ctd.subset_size <= n_workers,
-                "CTD subset larger than cluster"
-            );
-            assert!(
-                ctd.subset_size.is_power_of_two(),
-                "CTD subset must be a power of two for even sharing (§IV-B)"
-            );
+            if ctd.subset_size == 0 {
+                return Err("CTD subset must be non-empty".into());
+            }
+            if ctd.subset_size > n_workers {
+                return Err("CTD subset larger than cluster".into());
+            }
+            if !ctd.subset_size.is_power_of_two() {
+                return Err("CTD subset must be a power of two for even sharing (§IV-B)".into());
+            }
         }
         if let Some(rec) = self.recovery {
-            assert!(
-                rec.lease_slack.is_finite() && rec.lease_slack > 1.0,
-                "lease slack must be finite and > 1 (a deadline tighter than the \
-                 estimated cost revokes every healthy token)"
-            );
-            assert!(
-                rec.quarantine_after > 0,
-                "quarantine threshold must be at least one expiry"
-            );
+            if !(rec.lease_slack.is_finite() && rec.lease_slack > 1.0) {
+                return Err(
+                    "lease slack must be finite and > 1 (a deadline tighter than the \
+                            estimated cost revokes every healthy token)"
+                        .into(),
+                );
+            }
+            if rec.quarantine_after == 0 {
+                return Err("quarantine threshold must be at least one expiry".into());
+            }
         }
+        Ok(())
     }
 }
 
@@ -201,7 +212,7 @@ mod tests {
 
     #[test]
     fn default_is_valid() {
-        FelaConfig::new(3).validate(8);
+        assert_eq!(FelaConfig::new(3).validate(8), Ok(()));
     }
 
     #[test]
@@ -211,45 +222,63 @@ mod tests {
             .with_ctd(2)
             .with_ads(false)
             .with_hf(false);
-        c.validate(8);
+        assert_eq!(c.validate(8), Ok(()));
         assert_eq!(c.weights, vec![1, 2, 4]);
         assert_eq!(c.ctd, Some(CtdConfig { subset_size: 2 }));
         assert!(!c.ads && !c.hf);
     }
 
     #[test]
-    #[should_panic(expected = "power of two")]
     fn rejects_non_pow2_weight() {
-        FelaConfig::new(2).with_weights(vec![1, 3]).validate(8);
+        let err = FelaConfig::new(2)
+            .with_weights(vec![1, 3])
+            .validate(8)
+            .expect_err("must be rejected");
+        assert!(err.contains("power of two"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "nondecreasing")]
     fn rejects_decreasing_weights() {
-        FelaConfig::new(3).with_weights(vec![1, 4, 2]).validate(8);
+        let err = FelaConfig::new(3)
+            .with_weights(vec![1, 4, 2])
+            .validate(8)
+            .expect_err("must be rejected");
+        assert!(err.contains("nondecreasing"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "base weight")]
     fn rejects_non_unit_base_weight() {
-        FelaConfig::new(2).with_weights(vec![2, 4]).validate(8);
+        let err = FelaConfig::new(2)
+            .with_weights(vec![2, 4])
+            .validate(8)
+            .expect_err("must be rejected");
+        assert!(err.contains("base weight"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "exceeds")]
     fn rejects_weight_above_cluster_cap() {
-        FelaConfig::new(2).with_weights(vec![1, 16]).validate(8);
+        let err = FelaConfig::new(2)
+            .with_weights(vec![1, 16])
+            .validate(8)
+            .expect_err("must be rejected");
+        assert!(err.contains("exceeds"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "subset larger")]
     fn rejects_oversized_subset() {
-        FelaConfig::new(1).with_ctd(16).validate(8);
+        let err = FelaConfig::new(1)
+            .with_ctd(16)
+            .validate(8)
+            .expect_err("must be rejected");
+        assert!(err.contains("subset larger"), "{err}");
     }
 
     #[test]
     fn weight_cap_is_floor_log2() {
         // N = 12 → cap 8.
-        FelaConfig::new(2).with_weights(vec![1, 8]).validate(12);
+        assert_eq!(
+            FelaConfig::new(2).with_weights(vec![1, 8]).validate(12),
+            Ok(())
+        );
     }
 }

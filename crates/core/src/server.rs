@@ -286,7 +286,9 @@ impl Coordinator {
             "level metadata must match plan levels"
         );
         assert!(max_iterations > 0, "need at least one iteration");
-        cfg.validate(n_workers);
+        if let Err(e) = cfg.validate(n_workers) {
+            panic!("invalid Fela config: {e}");
+        }
         let m = plan.num_levels();
         let buckets = if cfg.hf { n_workers } else { 1 };
         let levels = LevelTable::new(m, buckets, n_workers, cfg.ads && cfg.hf);
@@ -628,12 +630,6 @@ impl Coordinator {
     /// number its *next* grant will carry).
     pub fn attempt_of(&self, token: TokenId) -> u64 {
         self.leases.attempt_of(token)
-    }
-
-    /// Where `worker`'s durable data (shard, checkpointed outputs) currently
-    /// lives — `worker` itself until a crash re-homes it.
-    pub fn data_home_of(&self, worker: usize) -> usize {
-        self.data_home[worker]
     }
 
     /// The smallest-id eligible worker — the deterministic re-home target.

@@ -234,7 +234,9 @@ mod tests {
             vec![(8, 256), (10, 256), (9, 256)]
         );
         for e in &plan.epochs {
-            e.config.validate(e.spec.n_workers());
+            e.config
+                .validate(e.spec.n_workers())
+                .expect("epoch config is valid");
             assert_eq!(e.scenario.iterations, e.spec.iterations);
             assert!(e.scenario.resize.is_none());
         }

@@ -6,9 +6,9 @@
 //!
 //! The same fixtures seed the decode proptest: seeded bit flips,
 //! truncations, splices and re-checksummed record edits must leave every
-//! reader — `read_log`, `recover`, `decode_frame`, `read_frame` and a
-//! channel link's frame parser — returning a value or a typed error, never
-//! panicking.
+//! reader — `read_log`, `recover`, `decode_frame`, and a link's frame
+//! parser fed a stream or a channel message — returning a value or a typed
+//! error, never panicking.
 
 use fela_core::codec::length_prefix;
 use fela_core::wal::{crc32, encode_record, read_log, recover, ReadLog, MAX_RECORD};
@@ -20,7 +20,7 @@ use fela_sim::SimTime;
 use proptest::prelude::*;
 
 use crate::transport::FrameBuf;
-use crate::wire::{decode_frame, encode_frame, read_frame, Frame, WireGrant};
+use crate::wire::{decode_frame, encode_frame, Frame, WireGrant};
 
 /// One encoded frame of each variant, in `Frame` declaration order.
 const FRAME_FIXTURES: [&[u8]; 10] = [
@@ -224,7 +224,10 @@ fn expected_wal() -> Vec<WalRecord> {
 fn every_frame_fixture_decodes_and_re_encodes_byte_for_byte() {
     for (bytes, frame) in FRAME_FIXTURES.into_iter().zip(expected_frames()) {
         assert_eq!(decode_frame(bytes).as_ref(), Ok(&frame));
-        assert_eq!(read_frame(&mut &bytes[..]).as_ref(), Ok(&frame));
+        assert_eq!(
+            FrameBuf::default().recv_from(&mut &bytes[..]).as_ref(),
+            Ok(&frame)
+        );
         assert_eq!(encode_frame(&frame), bytes, "{frame:?}");
     }
 }
@@ -348,7 +351,7 @@ fn mutate(bytes: &[u8], donor: &[u8], log: bool, rng: &mut u64) -> Vec<u8> {
 /// Every frame reader over `bytes`; each must return, not panic.
 fn read_frames(bytes: &[u8]) {
     let _ = decode_frame(bytes);
-    let _ = read_frame(&mut &bytes[..]);
+    let _ = FrameBuf::default().recv_from(&mut &bytes[..]);
     let mut buf = FrameBuf::default();
     buf.extend(bytes);
     while let Ok(Some(_)) = buf.next_frame() {}

@@ -52,7 +52,7 @@
 //! of one worker, and each link's close is recorded once, by its reader.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::io;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::{self, JoinHandle};
@@ -66,11 +66,11 @@ use fela_core::{
 use fela_sim::{SimDuration, SimTime};
 
 use crate::frame_adapter::{self, wire_grants};
-use crate::replay::{replay_schedules, schedules_from_completions};
+use crate::replay::{epilogue, replay_schedules, schedules_from_completions};
 use crate::sched::{pass, Endpoint, SharedSched, SyncEvent};
 use crate::transport::{Inbound, Link, LinkTx, Transport};
-use crate::wire::{Frame, WireGrant};
-use crate::worker::{spawn_worker, WorkerSpec};
+use crate::wire::Frame;
+use crate::worker::{granted_span_secs, spawn_worker, SpanCache, WorkerSpec};
 
 /// Tuning knobs for a real-clock run.
 #[derive(Clone, Copy, Debug)]
@@ -153,27 +153,6 @@ fn fatal(e: CoreError) -> io::Error {
     }
 }
 
-/// Modeled compute seconds for one grant on `worker`, straggler included —
-/// what the worker will sleep (before `time_scale`). The analytic model walk
-/// is deterministic, so it is memoized per `(level, batch, worker)`.
-fn span_secs(
-    scenario: &Scenario,
-    cache: &mut HashMap<(u32, u64, usize), f64>,
-    worker: usize,
-    g: &WireGrant,
-) -> f64 {
-    let compute = *cache.entry((g.level, g.batch, worker)).or_insert_with(|| {
-        scenario.cluster.compute_secs(
-            &scenario.model,
-            g.unit_start as usize,
-            g.unit_end as usize,
-            g.batch,
-            worker,
-        )
-    });
-    compute + scenario.straggler_delay(g.iteration, worker).as_secs_f64()
-}
-
 struct RealServer<'a> {
     core: ServerCore,
     /// `(unit_start, unit_end)` of each level's sub-model, stamped on every
@@ -197,7 +176,7 @@ struct RealServer<'a> {
     inbox: Receiver<Inbound>,
     /// The inbox's sending side, cloned into each new link's reader.
     inbox_tx: Sender<Inbound>,
-    span_cache: HashMap<(u32, u64, usize), f64>,
+    span_cache: SpanCache,
     /// Real deadlines, earliest first.
     timers: BinaryHeap<Reverse<(Instant, Timer)>>,
     faults_armed: u64,
@@ -333,7 +312,7 @@ impl RealServer<'_> {
                 };
                 let total: f64 = grants
                     .iter()
-                    .map(|g| span_secs(self.scenario, &mut self.span_cache, w, g))
+                    .map(|g| granted_span_secs(self.scenario, &mut self.span_cache, w, g))
                     .sum();
                 let scale = self.opts.time_scale;
                 for &(token, attempt) in &self.leases {
@@ -565,7 +544,7 @@ fn run_real_impl(
         restart_on_close: vec![false; n],
         inbox,
         inbox_tx,
-        span_cache: HashMap::new(),
+        span_cache: SpanCache::new(),
         timers: BinaryHeap::new(),
         faults_armed: 0,
         sched,
@@ -611,17 +590,7 @@ fn run_real_impl(
     // epilogue ships as one queued batch and a single flush.
     let schedules = schedules_from_completions(rs.core.completions());
     let reference = replay_schedules(rs.core.plane().plan(), &schedules);
-    let mut epilogue: Vec<Frame> = (0u64..)
-        .zip(&schedules)
-        .map(|(iteration, schedule)| Frame::Iter {
-            iteration,
-            schedule: schedule
-                .iter()
-                .map(|&(l, j)| (l as u32, j as u32))
-                .collect(),
-        })
-        .collect();
-    epilogue.push(Frame::End);
+    let epilogue = epilogue(&schedules);
     let mut waiting = 0;
     for worker in 0..n {
         if rs.send_control(worker, &epilogue)? {

@@ -27,6 +27,8 @@ use fela_core::TokenPlan;
 use fela_engine::{EngineLayer, EngineNet, SplitPlan, Tensor, TokenExecutor};
 use fela_sim::{EventKind, Trace};
 
+use crate::wire::Frame;
+
 /// Learning rate used by every live engine replica and reference replay.
 pub const LIVE_LR: f32 = 0.05;
 /// Seed for the replica network weights.
@@ -152,6 +154,23 @@ pub fn schedules_from_completions(completions: &[(u64, usize)]) -> Vec<Vec<(usiz
         *rank += 1;
     }
     schedules
+}
+
+/// The replica epilogue the server ships every worker once a run is over:
+/// one `Iter` frame per iteration's schedule, then `End`.
+pub(crate) fn epilogue(schedules: &[Vec<(usize, usize)>]) -> Vec<Frame> {
+    let mut frames: Vec<Frame> = (0u64..)
+        .zip(schedules)
+        .map(|(iteration, schedule)| Frame::Iter {
+            iteration,
+            schedule: schedule
+                .iter()
+                .map(|&(l, j)| (l as u32, j as u32))
+                .collect(),
+        })
+        .collect();
+    frames.push(Frame::End);
+    frames
 }
 
 /// Serializes the replica's parameters as little-endian `f32` bytes

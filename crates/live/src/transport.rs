@@ -1,28 +1,33 @@
 //! Server ↔ worker links: the [`Transport`] trait and its two implementations.
 //!
 //! A transport establishes one bidirectional, ordered, reliable frame [`Link`]
-//! per worker. Both implementations push every message through the same wire
-//! codec ([`crate::wire`]):
+//! per worker. A link is the same code on every transport: it sends through
+//! a byte `Sink` and receives from a byte `Source`, and every message goes
+//! through the same wire codec ([`crate::wire`]). The transports differ only
+//! in how a pair of pipes is made and how bytes move:
 //!
-//! * [`ChanTransport`] — in-process `std::sync::mpsc` channels carrying the
-//!   *encoded* frame bytes (the codec is exercised even without sockets);
+//! * [`ChanTransport`] — in-process `std::sync::mpsc` channels, one message
+//!   per flushed batch of *encoded* frames (the codec is exercised even
+//!   without sockets);
 //! * [`TcpTransport`] — `std::net` TCP over loopback, one connection per
-//!   worker, identified by a `Hello` handshake frame at accept time.
+//!   worker, identified by a `Hello` handshake frame sent over the new link.
 //!
 //! A link can be split into independently owned send/receive halves
 //! ([`Link::split`]): the real-clock server moves each receive half onto a
 //! small reader thread that forwards into its inbox (`LinkRx::spawn_reader`)
 //! while it grants over the send halves. A link can be closed
-//! ([`LinkTx::close`]) — which is how the fault injector "drops the
-//! connection" to a worker: the peer's next receive fails and the thread dies,
-//! exactly like a real network partition.
+//! ([`LinkTx::close`]), which drops its sink — how the fault injector "drops
+//! the connection" to a worker: the peer's next receive fails and the thread
+//! dies, exactly like a real network partition.
 //!
-//! Every read blocks. A channel message carries a flushed batch of encoded
-//! frames, which the receive half's incremental parser ([`FrameBuf`]) peels
-//! apart; a TCP receive reads one frame. Send halves own a reusable per-link
-//! encode buffer: [`LinkTx::queue`] appends encoded frames without a syscall
-//! and [`LinkTx::flush`] moves the whole batch with one write — the grant
-//! hot path of the real-clock server.
+//! Send halves own a reusable per-link encode buffer: [`LinkTx::queue`]
+//! appends encoded frames without moving any bytes and [`LinkTx::flush`]
+//! moves the whole batch with one write — one channel message, or one
+//! syscall on TCP — the grant hot path of the real-clock server. Every
+//! receive goes through one incremental parser (`FrameBuf`): it peels a
+//! complete frame if it holds one, and otherwise blocks for more bytes. A
+//! channel message always ends on a frame boundary; a TCP read may stop
+//! mid-frame, and the parser keeps the partial frame for the next read.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -33,7 +38,7 @@ use std::thread::{self, JoinHandle};
 use fela_core::codec::length_prefix;
 
 use crate::sched::{Endpoint, Sched, SyncEvent};
-use crate::wire::{decode_body, encode_frame, read_frame, Frame, WireError, MAX_FRAME};
+use crate::wire::{decode_body, encode_frame_into, Frame, WireError, MAX_FRAME};
 
 /// One endpoint of a bidirectional frame link.
 pub struct Link {
@@ -75,44 +80,126 @@ impl Tap {
     }
 }
 
-enum TxKind {
-    /// In-process channel of encoded frame batches.
-    Chan(Option<Sender<Vec<u8>>>),
-    /// TCP stream (a `try_clone` of the connection).
-    Tcp(Option<TcpStream>),
+/// The sending end of a byte pipe. Dropping it closes the pipe.
+trait Sink: Send {
+    /// Moves one flushed batch of encoded frames to the peer, leaving
+    /// `batch` empty for reuse.
+    fn send_batch(&mut self, batch: &mut Vec<u8>) -> io::Result<()>;
 }
 
-enum RxKind {
-    /// In-process channel of encoded frame batches.
-    Chan(Receiver<Vec<u8>>),
-    /// TCP stream.
-    Tcp(TcpStream),
+impl Sink for Sender<Vec<u8>> {
+    fn send_batch(&mut self, batch: &mut Vec<u8>) -> io::Result<()> {
+        // The channel owns its message, so the batch is moved out; the
+        // allocation cost amortizes over every queued frame.
+        self.send(std::mem::take(batch))
+            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer hung up"))
+    }
 }
 
-/// Incremental frame parser of a channel link: each message (one flushed
-/// batch) accumulates here and complete `[len][tag][fields]` frames are
-/// peeled off the front. Consumed space is reclaimed lazily (one `drain`
-/// once the buffer is fully parsed), so steady traffic reuses the same
-/// allocation.
+/// A TCP connection's sending end: one write per batch. The receive half
+/// keeps its own handle on the socket (on a server reader thread, say), so
+/// dropping the sink shuts the socket down instead of waiting for the last
+/// handle to close.
+struct TcpSink(TcpStream);
+
+impl Sink for TcpSink {
+    fn send_batch(&mut self, batch: &mut Vec<u8>) -> io::Result<()> {
+        let result = self.0.write_all(batch);
+        batch.clear();
+        result
+    }
+}
+
+impl Drop for TcpSink {
+    fn drop(&mut self) {
+        let _ = self.0.shutdown(Shutdown::Both);
+    }
+}
+
+/// The receiving end of a byte pipe.
+pub(crate) trait Source {
+    /// Blocks until bytes arrive and appends them to `buf`. Returns how many
+    /// arrived; `0` means the peer is gone.
+    fn fill(&mut self, buf: &mut FrameBuf) -> io::Result<usize>;
+}
+
+/// A byte stream (a TCP connection) reads into the parser's heap buffer.
+impl<R: Read> Source for R {
+    fn fill(&mut self, buf: &mut FrameBuf) -> io::Result<usize> {
+        buf.read_from(self)
+    }
+}
+
+/// A channel's receiving end: each message is one flushed batch.
+struct ChanSource(Receiver<Vec<u8>>);
+
+impl Source for ChanSource {
+    fn fill(&mut self, buf: &mut FrameBuf) -> io::Result<usize> {
+        Ok(self.0.recv().map_or(0, |bytes| {
+            buf.extend(&bytes);
+            bytes.len()
+        }))
+    }
+}
+
+/// Bytes one stream read asks for. Reads land in [`FrameBuf`]'s heap buffer,
+/// never on the stack: reader threads run on [`READER_STACK`].
+const READ_CHUNK: usize = 4 * 1024;
+
+/// The incremental frame parser every receive goes through: bytes
+/// accumulate in `buf[start..end]` and complete `[len][tag][fields]` frames
+/// are peeled off the front. Consumed bytes are reclaimed before more are
+/// added, and bytes are added only once no complete frame is left, so the
+/// buffer stays within one frame plus one read and steady traffic reuses
+/// one allocation.
 #[derive(Default)]
 pub(crate) struct FrameBuf {
     buf: Vec<u8>,
     start: usize,
+    end: usize,
 }
 
 impl FrameBuf {
+    /// Moves the unconsumed bytes to the front of the buffer.
+    fn reclaim(&mut self) {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+    }
+
+    /// Appends `bytes` (one channel message).
     pub(crate) fn extend(&mut self, bytes: &[u8]) {
-        if self.start == self.buf.len() {
-            self.buf.clear();
-            self.start = 0;
-        }
+        self.reclaim();
+        self.buf.truncate(self.end);
         self.buf.extend_from_slice(bytes);
+        self.end = self.buf.len();
+    }
+
+    /// Reads at most [`READ_CHUNK`] bytes from `r` into the buffer and
+    /// returns how many arrived (`0` at end of stream). The read space is
+    /// zero-filled once, then reused.
+    fn read_from(&mut self, r: &mut impl Read) -> io::Result<usize> {
+        self.reclaim();
+        let want = self.end + READ_CHUNK;
+        if self.buf.len() < want {
+            self.buf.resize(want, 0);
+        }
+        loop {
+            match r.read(&mut self.buf[self.end..want]) {
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(n);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
     }
 
     /// Peels one complete frame off the front, or `None` if more bytes are
     /// needed. Corrupt prefixes and bodies surface as [`WireError`]s.
     pub(crate) fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        let avail = &self.buf[self.start..];
+        let avail = &self.buf[self.start..self.end];
         let Some(len) = length_prefix(avail, MAX_FRAME)? else {
             return Ok(None);
         };
@@ -121,17 +208,31 @@ impl FrameBuf {
         };
         let frame = decode_body(body)?;
         self.start += 4 + len;
-        if self.start == self.buf.len() {
-            self.buf.clear();
-            self.start = 0;
-        }
         Ok(Some(frame))
+    }
+
+    /// Receives one frame, blocking: peels a buffered frame if there is one,
+    /// and otherwise pulls more bytes from `src`. The length prefix is
+    /// checked against [`MAX_FRAME`] before its body is waited for, so a
+    /// corrupt prefix cannot grow the buffer. A source that runs dry,
+    /// mid-frame or not, surfaces as `Io(UnexpectedEof)`, and any other
+    /// stream failure as [`WireError::Io`] of its kind.
+    pub(crate) fn recv_from(&mut self, src: &mut dyn Source) -> Result<Frame, WireError> {
+        loop {
+            if let Some(frame) = self.next_frame()? {
+                return Ok(frame);
+            }
+            if src.fill(self)? == 0 {
+                return Err(WireError::Io(io::ErrorKind::UnexpectedEof));
+            }
+        }
     }
 }
 
 /// The sending half of a link.
 pub struct LinkTx {
-    kind: TxKind,
+    /// `None` once the link is closed.
+    sink: Option<Box<dyn Sink>>,
     tap: Option<Tap>,
     /// Reusable per-link encode buffer: [`LinkTx::queue`] appends frames
     /// here; [`LinkTx::flush`] moves the whole batch in one write.
@@ -148,9 +249,13 @@ const READER_STACK: usize = 64 * 1024;
 
 /// The receiving half of a link.
 pub struct LinkRx {
-    kind: RxKind,
+    src: Box<dyn Source + Send>,
     tap: Option<Tap>,
     parse: FrameBuf,
+}
+
+fn link_closed() -> io::Error {
+    io::Error::new(io::ErrorKind::NotConnected, "link closed")
 }
 
 impl LinkTx {
@@ -159,45 +264,27 @@ impl LinkTx {
     /// scheduler (if instrumented) at queue time, which is the frame's send
     /// sync point. Pair with [`LinkTx::flush`].
     pub fn queue(&mut self, frame: &Frame) -> io::Result<()> {
-        let connected = match &self.kind {
-            TxKind::Chan(tx) => tx.is_some(),
-            TxKind::Tcp(stream) => stream.is_some(),
-        };
-        if !connected {
-            return Err(io::Error::new(io::ErrorKind::NotConnected, "link closed"));
+        if self.sink.is_none() {
+            return Err(link_closed());
         }
         if let Some(tap) = &self.tap {
             tap.sent(frame);
         }
-        crate::wire::encode_frame_into(&mut self.pending, frame);
+        encode_frame_into(&mut self.pending, frame);
         Ok(())
     }
 
-    /// Flushes every queued frame with one write (and, on TCP, one syscall).
-    /// A no-op when nothing is queued.
+    /// Flushes every queued frame with one write (one channel message, or
+    /// one syscall on TCP). A no-op when nothing is queued.
     pub fn flush(&mut self) -> io::Result<()> {
         if self.pending.is_empty() {
             return Ok(());
         }
-        match &mut self.kind {
-            TxKind::Chan(tx) => {
-                // The channel owns its message, so the batch is moved out;
-                // the allocation cost amortizes over every queued frame.
-                let batch = std::mem::take(&mut self.pending);
-                match tx {
-                    Some(tx) => tx
-                        .send(batch)
-                        .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer hung up")),
-                    None => Err(io::Error::new(io::ErrorKind::NotConnected, "link closed")),
-                }
-            }
-            TxKind::Tcp(stream) => {
-                let result = match stream {
-                    Some(s) => s.write_all(&self.pending).and_then(|()| s.flush()),
-                    None => Err(io::Error::new(io::ErrorKind::NotConnected, "link closed")),
-                };
+        match &mut self.sink {
+            Some(sink) => sink.send_batch(&mut self.pending),
+            None => {
                 self.pending.clear();
-                result
+                Err(link_closed())
             }
         }
     }
@@ -209,66 +296,33 @@ impl LinkTx {
         self.flush()
     }
 
-    /// Drops the connection. The peer's next receive fails (channel
-    /// disconnect / TCP reset-EOF), which is the transport-level kill switch
-    /// for fault injection. It records no event: the link's close is
-    /// recorded once, by the receive half whose receive fails.
+    /// Drops the connection by dropping the sink, as dropping the send half
+    /// does: the peer's next receive fails (channel disconnect / TCP
+    /// reset-EOF), which is the transport-level kill switch for fault
+    /// injection. It records no event: the link's close is recorded once,
+    /// by the receive half whose receive fails.
     pub fn close(&mut self) {
         self.pending.clear();
-        match &mut self.kind {
-            TxKind::Chan(tx) => {
-                tx.take();
-            }
-            TxKind::Tcp(stream) => {
-                if let Some(s) = stream.take() {
-                    let _ = s.shutdown(Shutdown::Both);
-                }
-            }
-        }
-    }
-}
-
-impl Drop for LinkTx {
-    /// A dropped send half closes its link, on TCP too, where the receive
-    /// half may live on (on a reader thread) with its own handle on the
-    /// socket.
-    fn drop(&mut self) {
-        self.close();
+        self.sink = None;
     }
 }
 
 impl LinkRx {
-    fn tap_result(&self, result: &io::Result<Frame>) {
-        if let Some(tap) = &self.tap {
-            match result {
-                Ok(frame) => tap.received(frame),
-                Err(_) => tap.closed(),
-            }
-        }
-    }
-
     /// Receives one frame, blocking. An error means the peer is gone (or the
     /// link was closed under us, or it sent garbage — see
     /// [`crate::wire::WireError`]).
     pub fn recv(&mut self) -> io::Result<Frame> {
-        let result = self.recv_inner();
-        self.tap_result(&result);
-        result
-    }
-
-    fn recv_inner(&mut self) -> io::Result<Frame> {
-        match &mut self.kind {
-            RxKind::Chan(rx) => loop {
-                if let Some(frame) = self.parse.next_frame().map_err(io::Error::from)? {
-                    return Ok(frame);
-                }
-                let bytes = rx
-                    .recv()
-                    .map_err(|_| io::Error::new(io::ErrorKind::UnexpectedEof, "peer hung up"))?;
-                self.parse.extend(&bytes);
-            },
-            RxKind::Tcp(stream) => read_frame(stream).map_err(io::Error::from),
+        let result = self
+            .parse
+            .recv_from(self.src.as_mut())
+            .map_err(io::Error::from);
+        if let Some(tap) = &self.tap {
+            match &result {
+                Ok(frame) => tap.received(frame),
+                Err(_) => tap.closed(),
+            }
         }
+        result
     }
 
     /// Moves this receive half onto a small reader thread that forwards
@@ -294,8 +348,20 @@ impl LinkRx {
 }
 
 impl Link {
-    fn new(tx: LinkTx, rx: LinkRx) -> Self {
-        Link { tx, rx }
+    /// A link that sends into `sink` and receives from `src`.
+    fn new(sink: impl Sink + 'static, src: impl Source + Send + 'static) -> Self {
+        Link {
+            tx: LinkTx {
+                sink: Some(Box::new(sink)),
+                tap: None,
+                pending: Vec::new(),
+            },
+            rx: LinkRx {
+                src: Box::new(src),
+                tap: None,
+                parse: FrameBuf::default(),
+            },
+        }
     }
 
     /// Attaches a scheduler tap to both halves: every send, receive, and
@@ -345,34 +411,12 @@ pub trait Transport {
 #[derive(Default)]
 pub struct ChanTransport;
 
-fn bare_tx(kind: TxKind) -> LinkTx {
-    LinkTx {
-        kind,
-        tap: None,
-        pending: Vec::new(),
-    }
-}
-
-fn bare_rx(kind: RxKind) -> LinkRx {
-    LinkRx {
-        kind,
-        tap: None,
-        parse: FrameBuf::default(),
-    }
-}
-
 fn chan_pair() -> (Link, Link) {
     let (a_tx, b_rx) = channel();
     let (b_tx, a_rx) = channel();
     (
-        Link::new(
-            bare_tx(TxKind::Chan(Some(a_tx))),
-            bare_rx(RxKind::Chan(a_rx)),
-        ),
-        Link::new(
-            bare_tx(TxKind::Chan(Some(b_tx))),
-            bare_rx(RxKind::Chan(b_rx)),
-        ),
+        Link::new(a_tx, ChanSource(a_rx)),
+        Link::new(b_tx, ChanSource(b_rx)),
     )
 }
 
@@ -382,14 +426,7 @@ impl Transport for ChanTransport {
     }
 
     fn establish(&mut self, n: usize) -> io::Result<(Vec<Link>, Vec<Link>)> {
-        let mut servers = Vec::with_capacity(n);
-        let mut workers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (s, w) = chan_pair();
-            servers.push(s);
-            workers.push(w);
-        }
-        Ok((servers, workers))
+        Ok((0..n).map(|_| chan_pair()).unzip())
     }
 
     fn extra_link(&mut self, _worker: usize) -> io::Result<(Link, Link)> {
@@ -404,6 +441,11 @@ pub struct TcpTransport {
     listener: Option<TcpListener>,
 }
 
+fn tcp_link(stream: TcpStream) -> io::Result<Link> {
+    stream.set_nodelay(true)?;
+    Ok(Link::new(TcpSink(stream.try_clone()?), stream))
+}
+
 impl TcpTransport {
     fn listener(&mut self) -> io::Result<&TcpListener> {
         if self.listener.is_none() {
@@ -415,27 +457,16 @@ impl TcpTransport {
         }
     }
 
-    /// Connects one worker end and performs the `Hello` handshake; returns
-    /// the accepted (server) stream and the connecting (worker) stream.
-    fn connect_one(&mut self, worker: usize) -> io::Result<(TcpStream, TcpStream)> {
+    /// Connects one worker and performs the `Hello` handshake over the new
+    /// links; returns `(server_end, worker_end)`.
+    fn connect_one(&mut self, worker: usize) -> io::Result<(Link, Link)> {
         let listener = self.listener()?;
-        let addr = listener.local_addr()?;
-        let worker_stream = TcpStream::connect(addr)?;
-        worker_stream.set_nodelay(true)?;
-        {
-            let mut w = &worker_stream;
-            w.write_all(&encode_frame(&Frame::Hello {
-                worker: worker as u32,
-            }))?;
-            w.flush()?;
-        }
-        let (server_stream, _) = listener.accept()?;
-        server_stream.set_nodelay(true)?;
-        let hello = {
-            let mut r = &server_stream;
-            read_one(&mut r)?
-        };
-        match hello {
+        let mut worker_end = tcp_link(TcpStream::connect(listener.local_addr()?)?)?;
+        worker_end.send(&Frame::Hello {
+            worker: worker as u32,
+        })?;
+        let mut server_end = tcp_link(listener.accept()?.0)?;
+        match server_end.recv()? {
             Frame::Hello { worker: got } if got as usize == worker => {}
             other => {
                 return Err(io::Error::new(
@@ -444,20 +475,8 @@ impl TcpTransport {
                 ))
             }
         }
-        Ok((server_stream, worker_stream))
+        Ok((server_end, worker_end))
     }
-}
-
-fn read_one(r: &mut impl Read) -> io::Result<Frame> {
-    read_frame(r).map_err(io::Error::from)
-}
-
-fn tcp_link(stream: TcpStream) -> io::Result<Link> {
-    let write_half = stream.try_clone()?;
-    Ok(Link::new(
-        bare_tx(TxKind::Tcp(Some(write_half))),
-        bare_rx(RxKind::Tcp(stream)),
-    ))
 }
 
 impl Transport for TcpTransport {
@@ -466,19 +485,11 @@ impl Transport for TcpTransport {
     }
 
     fn establish(&mut self, n: usize) -> io::Result<(Vec<Link>, Vec<Link>)> {
-        let mut servers = Vec::with_capacity(n);
-        let mut workers = Vec::with_capacity(n);
-        for w in 0..n {
-            let (server_stream, worker_stream) = self.connect_one(w)?;
-            servers.push(tcp_link(server_stream)?);
-            workers.push(tcp_link(worker_stream)?);
-        }
-        Ok((servers, workers))
+        (0..n).map(|w| self.connect_one(w)).collect()
     }
 
     fn extra_link(&mut self, worker: usize) -> io::Result<(Link, Link)> {
-        let (server_stream, worker_stream) = self.connect_one(worker)?;
-        Ok((tcp_link(server_stream)?, tcp_link(worker_stream)?))
+        self.connect_one(worker)
     }
 }
 
@@ -597,6 +608,80 @@ mod tests {
         }
         assert_eq!(got, frames);
         assert!(buf.next_frame().expect("empty").is_none());
+    }
+
+    #[test]
+    fn frame_buf_stays_within_one_frame_plus_one_read() {
+        // A long stream whose reads and channel messages both split frames:
+        // the parser reclaims what it consumed before it takes more bytes.
+        let frames: Vec<Frame> = (0..2000u64)
+            .map(|i| Frame::Iter {
+                iteration: i,
+                schedule: vec![(1, 2); (i % 97) as usize],
+            })
+            .collect();
+        let mut bytes = Vec::new();
+        for f in &frames {
+            crate::wire::encode_frame_into(&mut bytes, f);
+        }
+        let largest = frames
+            .iter()
+            .map(|f| 4 + crate::wire::body_len(f))
+            .max()
+            .unwrap_or(0);
+        let chunk = 777;
+        let (tx, rx) = channel();
+        for piece in bytes.chunks(chunk) {
+            tx.send(piece.to_vec()).expect("queue chunk");
+        }
+        drop(tx);
+        let sources: [(Box<dyn Source>, usize); 2] = [
+            (Box::new(&bytes[..]), READ_CHUNK),
+            (Box::new(ChanSource(rx)), chunk),
+        ];
+        for (mut src, read) in sources {
+            let mut parse = FrameBuf::default();
+            for f in &frames {
+                assert_eq!(&parse.recv_from(src.as_mut()).expect("frame"), f);
+                assert!(
+                    parse.buf.len() <= largest + read,
+                    "buffer {} exceeds one frame ({largest}) plus one read ({read})",
+                    parse.buf.len()
+                );
+            }
+            assert_eq!(
+                parse.recv_from(src.as_mut()),
+                Err(WireError::Io(io::ErrorKind::UnexpectedEof))
+            );
+        }
+    }
+
+    #[test]
+    fn a_thousand_frames_in_one_tcp_flush_arrive_in_order() {
+        let (servers, workers) = TcpTransport::default().establish(1).expect("establish");
+        let (mut tx, _srx) = servers.into_iter().next().expect("one link").split();
+        let (_wtx, mut rx) = workers.into_iter().next().expect("one link").split();
+        let mut sent: Vec<Frame> = (0..1000u32)
+            .map(|i| Frame::Iter {
+                iteration: u64::from(i),
+                schedule: vec![(0, i), (1, i / 2)],
+            })
+            .collect();
+        sent.push(Frame::End);
+        thread::scope(|s| {
+            let reader = s.spawn(|| sent.iter().map(|_| rx.recv()).collect::<Vec<_>>());
+            for f in &sent {
+                tx.queue(f).expect("queue");
+            }
+            tx.flush().expect("one flush");
+            let got: Vec<Frame> = reader
+                .join()
+                .expect("reader thread")
+                .into_iter()
+                .map(|r| r.expect("recv"))
+                .collect();
+            assert_eq!(got, sent);
+        });
     }
 
     #[test]

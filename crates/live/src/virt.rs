@@ -23,7 +23,7 @@ use fela_core::{ComputeBackend, ComputeRequest, FelaConfig, FelaRuntime, TokenPl
 use fela_metrics::RunReport;
 use fela_sim::Trace;
 
-use crate::replay::{replay_schedules, schedules_from_trace};
+use crate::replay::{epilogue, replay_schedules, schedules_from_trace};
 use crate::sched::{pass, Endpoint, SharedSched};
 use crate::transport::{Link, Transport};
 use crate::wire::Frame;
@@ -137,23 +137,23 @@ pub fn run_virtual_with(
     let runtime = FelaRuntime::new(config.clone());
     let (report, trace) = runtime.run_traced_with(scenario, &mut backend);
 
-    // Drive the engine replicas and collect their final parameters.
+    // Drive the engine replicas: every worker's epilogue ships as one queued
+    // batch and a single flush, to every worker before any `Params` is
+    // collected, so the replicas replay in parallel.
     let schedules = schedules_from_trace(&trace);
     let reference = replay_schedules(&plan, &schedules);
-    let mut params = Vec::with_capacity(n);
-    for (w, link) in backend.links.iter_mut().enumerate() {
-        for (iteration, schedule) in schedules.iter().enumerate() {
-            link.send(&Frame::Iter {
-                iteration: iteration as u64,
-                schedule: schedule
-                    .iter()
-                    .map(|&(l, j)| (l as u32, j as u32))
-                    .collect(),
-            })?;
-        }
-        link.send(&Frame::End)?;
-        match link.recv()? {
-            Frame::Params { bytes } => params.push(bytes),
+    let epilogue = epilogue(&schedules);
+    let mut halves: Vec<_> = backend.links.into_iter().map(Link::split).collect();
+    for (tx, _) in &mut halves {
+        epilogue.iter().try_for_each(|f| tx.queue(f))?;
+        tx.flush()?;
+    }
+    for (w, (_, rx)) in halves.iter_mut().enumerate() {
+        match rx.recv()? {
+            Frame::Params { bytes } => assert_eq!(
+                bytes, reference,
+                "worker {w}: replica parameters diverged from the reference replay"
+            ),
             other => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -161,12 +161,6 @@ pub fn run_virtual_with(
                 ))
             }
         }
-    }
-    for (w, p) in params.iter().enumerate() {
-        assert_eq!(
-            p, &reference,
-            "worker {w}: replica parameters diverged from the reference replay"
-        );
     }
     for handle in handles {
         if handle.join().is_err() {

@@ -6,13 +6,15 @@
 //! followed by a one-byte frame tag and the fields in declaration order.
 //! The primitives, lists and length prefix are [`fela_core::codec`]'s,
 //! shared with the write-ahead log; this module holds only the tags and the
-//! frame layouts.
+//! frame layouts. It does no I/O: a link encodes into its send buffer with
+//! [`encode_frame_into`] and decodes every received frame in its one
+//! incremental parser ([`crate::transport`]), which calls [`decode_body`].
 //!
 //! `f64` values (compute-span seconds) travel as raw IEEE-754 bits so a value
 //! crosses the wire without any formatting round-trip — bit-exactness of the
 //! virtual clock depends on it.
 
-use std::io::{self, Read, Write};
+use std::io;
 
 use fela_core::codec::{
     length_prefix, put_bytes, put_list, put_u32, put_u64, put_u8, Cursor, DecodeError,
@@ -368,46 +370,12 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame, WireError> {
     decode_body(body)
 }
 
-/// Queues one frame on a byte stream **without flushing** — the mid-batch
-/// path. The caller owns the flush: pair with [`flush_frames`] once the batch
-/// is complete so one flush (and, on a buffered writer, one syscall)
-/// amortizes over every queued frame.
-pub fn queue_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    w.write_all(&encode_frame(frame))
-}
-
-/// Flushes a stream previously fed by [`queue_frame`], ending a batch.
-pub fn flush_frames(w: &mut impl Write) -> io::Result<()> {
-    w.flush()
-}
-
-/// Writes one frame to a byte stream and flushes it — the single-frame path
-/// ([`queue_frame`] + [`flush_frames`]). Callers mid-batch must use
-/// [`queue_frame`] instead so the batch flushes once.
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    queue_frame(w, frame)?;
-    flush_frames(w)
-}
-
-/// Reads one frame from a byte stream (blocking).
-///
-/// The length prefix is validated against [`MAX_FRAME`] *before* the body
-/// buffer is allocated, so a corrupt or adversarial prefix cannot drive an
-/// unbounded allocation. Stream failures surface as [`WireError::Io`];
-/// `io::Result` callers can convert with `?` via `From<WireError>`.
-pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
-    let mut prefix = [0u8; 4];
-    r.read_exact(&mut prefix)?;
-    let len = length_prefix(&prefix, MAX_FRAME)?.ok_or(WireError::MissingPrefix)?;
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    decode_body(&body)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::FrameBuf;
     use proptest::prelude::*;
+    use std::io::Read;
 
     fn sample_frames() -> Vec<Frame> {
         vec![
@@ -475,11 +443,12 @@ mod tests {
         let frames = sample_frames();
         let mut buf = Vec::new();
         for f in &frames {
-            write_frame(&mut buf, f).expect("write");
+            encode_frame_into(&mut buf, f);
         }
         let mut r = &buf[..];
+        let mut parse = FrameBuf::default();
         for f in &frames {
-            assert_eq!(&read_frame(&mut r).expect("read"), f);
+            assert_eq!(&parse.recv_from(&mut r).expect("read"), f);
         }
         assert!(r.is_empty());
     }
@@ -526,7 +495,7 @@ mod tests {
         let bytes = u32::MAX.to_le_bytes();
         let mut r = &bytes[..];
         assert_eq!(
-            read_frame(&mut r),
+            FrameBuf::default().recv_from(&mut r),
             Err(WireError::Decode(DecodeError::Oversized {
                 len: u64::from(u32::MAX),
                 max: MAX_FRAME,
@@ -591,7 +560,7 @@ mod tests {
     fn stream_failures_surface_as_io_kind() {
         let mut empty: &[u8] = &[];
         assert_eq!(
-            read_frame(&mut empty),
+            FrameBuf::default().recv_from(&mut empty),
             Err(WireError::Io(io::ErrorKind::UnexpectedEof))
         );
         let err = io::Error::from(WireError::Io(io::ErrorKind::ConnectionReset));
@@ -634,19 +603,20 @@ mod tests {
 
     #[test]
     fn frames_survive_arbitrarily_segmented_streams() {
-        // Regression for the TCP short-read case: `read_frame` must
+        // Regression for the TCP short-read case: a link's receive must
         // reassemble a frame delivered one byte at a time, and a stream that
         // dies mid-body must surface as an EOF error, never a panic or a
         // mis-framed success.
         let frames = sample_frames();
         let mut buf = Vec::new();
         for f in &frames {
-            write_frame(&mut buf, f).expect("write");
+            encode_frame_into(&mut buf, f);
         }
         for chunk in [1, 2, 3, 7] {
             let mut r = Chunked { data: &buf, chunk };
+            let mut parse = FrameBuf::default();
             for f in &frames {
-                assert_eq!(&read_frame(&mut r).expect("chunked read"), f);
+                assert_eq!(&parse.recv_from(&mut r).expect("chunked read"), f);
             }
         }
         let cut = encode_frame(&Frame::Iter {
@@ -659,7 +629,7 @@ mod tests {
                 chunk: 1,
             };
             assert_eq!(
-                read_frame(&mut r),
+                FrameBuf::default().recv_from(&mut r),
                 Err(WireError::Io(io::ErrorKind::UnexpectedEof)),
                 "short read at {short}/{} bytes",
                 cut.len()
@@ -747,17 +717,16 @@ mod tests {
             let _ = decode_frame(&bytes);
             let _ = decode_body(&bytes);
             let mut r = &bytes[..];
-            let _ = read_frame(&mut r);
+            let _ = FrameBuf::default().recv_from(&mut r);
         }
 
         #[test]
         fn every_variant_round_trips_bit_exactly(f in arb_frame()) {
             prop_assert_eq!(decode_frame(&encode_frame(&f)).unwrap(), f.clone());
             // And through the stream path, including a 1-byte-chunk reader.
-            let mut buf = Vec::new();
-            write_frame(&mut buf, &f).unwrap();
+            let buf = encode_frame(&f);
             let mut r = Chunked { data: &buf, chunk: 1 };
-            prop_assert_eq!(read_frame(&mut r).unwrap(), f);
+            prop_assert_eq!(FrameBuf::default().recv_from(&mut r).unwrap(), f);
         }
 
         #[test]
@@ -789,10 +758,9 @@ mod tests {
         ) {
             let f = Frame::GrantBatch { grants };
             prop_assert_eq!(decode_frame(&encode_frame(&f)).unwrap(), f.clone());
-            let mut buf = Vec::new();
-            write_frame(&mut buf, &f).unwrap();
+            let buf = encode_frame(&f);
             let mut r = Chunked { data: &buf, chunk: 1 };
-            prop_assert_eq!(read_frame(&mut r).unwrap(), f);
+            prop_assert_eq!(FrameBuf::default().recv_from(&mut r).unwrap(), f);
         }
 
         #[test]

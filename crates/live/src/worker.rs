@@ -20,6 +20,7 @@
 //! shutdown): the thread exits silently, exactly like a killed process. A
 //! frame no server sends is treated the same way.
 
+use std::collections::HashMap;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -29,7 +30,7 @@ use fela_core::TokenPlan;
 use crate::replay::{engine_setup, flatten_params};
 use crate::sched::{Endpoint, SharedSched};
 use crate::transport::Link;
-use crate::wire::Frame;
+use crate::wire::{Frame, WireGrant};
 
 /// Everything a worker thread needs to start.
 pub struct WorkerSpec {
@@ -49,18 +50,45 @@ pub struct WorkerSpec {
     pub sched: SharedSched,
 }
 
-/// Base compute seconds for a span, priced by the worker's own scenario copy.
-/// Exactly what [`fela_core::LocalCompute`] would return — straggler delays
-/// are NOT included (the simulator applies them as a start-time floor, and the
-/// real-clock path adds them at grant time).
-fn span_secs(spec: &WorkerSpec, unit_start: usize, unit_end: usize, batch: u64) -> f64 {
-    spec.scenario.cluster.compute_secs(
-        &spec.scenario.model,
-        unit_start,
-        unit_end,
+/// Base compute seconds for a span on `worker`, priced by the worker's own
+/// scenario copy. Exactly what [`fela_core::LocalCompute`] would return —
+/// straggler delays are NOT included (the simulator applies them as a
+/// start-time floor, and a real-clock grant adds them in
+/// [`granted_span_secs`]).
+fn span_secs(
+    scenario: &Scenario,
+    worker: usize,
+    unit_start: u32,
+    unit_end: u32,
+    batch: u64,
+) -> f64 {
+    scenario.cluster.compute_secs(
+        &scenario.model,
+        unit_start as usize,
+        unit_end as usize,
         batch,
-        spec.index,
+        worker,
     )
+}
+
+/// Memoized analytic compute seconds, keyed by `(unit_start, unit_end,
+/// batch, worker)`.
+pub(crate) type SpanCache = HashMap<(u32, u32, u64, usize), f64>;
+
+/// Modeled seconds of one granted span on `worker`, straggler delay
+/// included: what the worker sleeps (before `time_scale`) and what the
+/// real-clock server sizes the grant's lease to. The analytic model walk is
+/// deterministic, so it is memoized in `cache`.
+pub(crate) fn granted_span_secs(
+    scenario: &Scenario,
+    cache: &mut SpanCache,
+    worker: usize,
+    g: &WireGrant,
+) -> f64 {
+    let compute = *cache
+        .entry((g.unit_start, g.unit_end, g.batch, worker))
+        .or_insert_with(|| span_secs(scenario, worker, g.unit_start, g.unit_end, g.batch));
+    compute + scenario.straggler_delay(g.iteration, worker).as_secs_f64()
 }
 
 fn scaled_sleep(secs: f64, time_scale: f64) {
@@ -77,21 +105,9 @@ pub fn spawn_worker(spec: WorkerSpec, mut link: Link) -> JoinHandle<()> {
         .name(format!("fela-worker-{}", spec.index))
         .spawn(move || {
             let mut setup = engine_setup(&spec.plan);
-            // Memoized span pricing: the analytic model walk repeats for
-            // every token of a level, and the batched hot path prices whole
-            // grant batches at once.
-            let mut spans: std::collections::HashMap<(u32, u32, u64), f64> =
-                std::collections::HashMap::new();
-            let mut priced = |spec: &WorkerSpec, us: u32, ue: u32, batch: u64, iteration: u64| {
-                let base = *spans
-                    .entry((us, ue, batch))
-                    .or_insert_with(|| span_secs(spec, us as usize, ue as usize, batch));
-                base + spec
-                    .scenario
-                    .straggler
-                    .delay_for(iteration, spec.index, spec.scenario.cluster.nodes)
-                    .as_secs_f64()
-            };
+            // The analytic model walk repeats for every token of a level,
+            // and the batched hot path prices whole grant batches at once.
+            let mut spans = SpanCache::new();
             if spec.pull
                 && link
                     .send(&Frame::Request {
@@ -114,7 +130,8 @@ pub fn spawn_worker(spec: WorkerSpec, mut link: Link) -> JoinHandle<()> {
                         batch,
                         ..
                     } => {
-                        let secs = span_secs(&spec, unit_start as usize, unit_end as usize, batch);
+                        let secs =
+                            span_secs(&spec.scenario, spec.index, unit_start, unit_end, batch);
                         if link
                             .send(&Frame::CostReply {
                                 token,
@@ -131,7 +148,7 @@ pub fn spawn_worker(spec: WorkerSpec, mut link: Link) -> JoinHandle<()> {
                         // worker-side half of the batched hot path.
                         let secs: f64 = grants
                             .iter()
-                            .map(|g| priced(&spec, g.unit_start, g.unit_end, g.batch, g.iteration))
+                            .map(|g| granted_span_secs(&spec.scenario, &mut spans, spec.index, g))
                             .sum();
                         scaled_sleep(secs, spec.time_scale);
                         let reply = Frame::ReportBatch {

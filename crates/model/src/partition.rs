@@ -53,13 +53,6 @@ pub struct SubModel {
     pub comm_intensive: bool,
 }
 
-impl SubModel {
-    /// Number of units (including attached pools).
-    pub fn unit_count(&self) -> usize {
-        self.unit_end - self.unit_start
-    }
-}
-
 /// A complete partitioning of a model.
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct Partition {
@@ -83,15 +76,6 @@ impl Partition {
     /// The sub-models.
     pub fn sub_models(&self) -> &[SubModel] {
         &self.sub_models
-    }
-
-    /// Indices of communication-intensive sub-models (CTD candidates).
-    pub fn comm_intensive_indices(&self) -> Vec<usize> {
-        self.sub_models
-            .iter()
-            .filter(|s| s.comm_intensive)
-            .map(|s| s.index)
-            .collect()
     }
 
     /// Total parameter bytes across sub-models (= the model's).

@@ -115,11 +115,6 @@ impl<W: World> Engine<W> {
         &self.world
     }
 
-    /// Mutable access to the world (e.g. to inspect or reset between phases).
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
     /// Consumes the engine, returning the world and the final time.
     pub fn into_world(self) -> (W, SimTime) {
         (self.world, self.now)

@@ -327,7 +327,10 @@ mod tests {
         let outcome = tuner.tune(&scenario);
         assert_eq!(outcome.cases.len(), 13);
         assert!(outcome.cases[outcome.best].per_iteration_secs.is_some());
-        outcome.best_config.validate(8);
+        outcome
+            .best_config
+            .validate(8)
+            .expect("tuned config is valid");
         // Normalised times span [0, 1].
         let norm = outcome.normalized_times();
         assert!(norm.iter().cloned().fold(f64::NAN, f64::min).abs() < 1e-12);

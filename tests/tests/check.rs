@@ -48,7 +48,7 @@ proptest! {
             let candidates = fela_tuning::phase1_candidates(m, 8);
             let weights = candidates[cand_pick % candidates.len()].clone();
             let cfg = policy_config(policy, m).with_weights(weights.clone());
-            cfg.validate(8);
+            cfg.validate(8).expect("phase-1 candidate is valid");
             match verify_config(&partition, &cfg, 1u64 << batch_exp, 8, 2) {
                 Ok(summary) => {
                     prop_assert!(summary.train_tokens > 0);
