@@ -1,10 +1,11 @@
 //! # fela-bench — experiment drivers
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4 for the index);
-//! each binary is a thin wrapper over the matching [`figures`] module, which
-//! declares its runs as a [`fela_harness::SweepSpec`] and executes them through
-//! the harness — in parallel, with per-run [`fela_harness::RunRecord`] JSONL
-//! artifacts under `results/` next to the ASCII tables and JSON summaries.
+//! One [`figures`] module per table/figure of the paper (see DESIGN.md §4 for
+//! the index). Each declares its runs as a [`fela_harness::SweepSpec`] and
+//! executes them through the harness — in parallel, with per-run
+//! [`fela_harness::RunRecord`] JSONL artifacts under `results/` next to the
+//! ASCII tables and JSON summaries. The one binary, `regen_all`, runs every
+//! experiment, or the ones named on its command line.
 //!
 //! Environment knobs:
 //!
@@ -12,6 +13,9 @@
 //! * `FELA_QUICK=1` — shorthand for a 10-iteration smoke run of every experiment;
 //! * `FELA_JOBS` — worker threads per sweep (default: available parallelism);
 //! * `FELA_RESULTS_DIR` — artifact directory (default `results/`).
+//!
+//! `FELA_ITERS` and `FELA_JOBS` must be positive integers when set
+//! ([`fela_harness::positive_count`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -30,15 +34,14 @@ use fela_tuning::Tuner;
 use serde::Serialize;
 use std::sync::Arc;
 
-/// Iterations per measured run (`FELA_ITERS`, `FELA_QUICK`, default 100).
-pub fn iterations() -> u64 {
+/// Iterations per measured run: 10 under `FELA_QUICK=1`, else `FELA_ITERS`,
+/// else 100. A malformed `FELA_ITERS` is an error even in quick mode.
+pub fn iterations() -> Result<u64, String> {
+    let iters = fela_harness::env_count("FELA_ITERS")?;
     if std::env::var("FELA_QUICK").is_ok_and(|v| v == "1") {
-        return 10;
+        return Ok(10);
     }
-    std::env::var("FELA_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100)
+    Ok(iters.map_or(100, |n| n as u64))
 }
 
 /// Tuning iterations per profiled case (5 in the paper; 2 in quick mode).
@@ -71,9 +74,14 @@ pub fn save_json<T: Serialize>(name: &str, value: &T) {
     }
 }
 
-/// A paper-style scenario on the 8-node testbed.
+/// A paper-style scenario on the 8-node testbed, run for [`iterations`].
+///
+/// # Panics
+/// Panics on a malformed `FELA_ITERS`, which `regen_all` reports as an error
+/// before any experiment starts.
 pub fn scenario(model: Model, batch: u64) -> Scenario {
-    Scenario::paper(model, batch).with_iterations(iterations())
+    let iterations = iterations().unwrap_or_else(|e| panic!("{e}"));
+    Scenario::paper(model, batch).with_iterations(iterations)
 }
 
 /// Tunes Fela for a scenario (the §IV-B two-phase search) and returns the
@@ -96,7 +104,7 @@ pub fn tuned_fela(scenario: &Scenario) -> FelaConfig {
 /// Every configuration a bench binary measures flows through here (tuned or
 /// fixed), so a scheduling regression fails the experiment loudly instead of
 /// producing a plausible-looking but invalid result.
-pub fn verify_fela_config(config: &FelaConfig, scenario: &Scenario) {
+fn verify_fela_config(config: &FelaConfig, scenario: &Scenario) {
     let partition = FelaRuntime::new(FelaConfig::new(1)).partition_for(scenario);
     if let Err(fela_check::CheckError::Dag(violations)) = fela_check::verify_config(
         &partition,

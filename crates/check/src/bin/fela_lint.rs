@@ -1,8 +1,11 @@
 //! `fela-lint` — the workspace lint gate.
 //!
-//! Walks every `crates/*/src` tree, applies the rules in
-//! [`fela_check::lint`], filters findings through `fela-lint.allow` at the
-//! workspace root, prints the survivors and exits non-zero if any remain.
+//! Walks every `crates/*/src` tree and applies the per-file rules in
+//! [`fela_check::lint`], then runs the workspace rule (`no-dead-pub`) over
+//! those files plus its other caller roots: the rest of `crates/`, `tests/`,
+//! `examples/` and `fela_benchmark/src`. Findings go through
+//! `fela-lint.allow` at the workspace root; the survivors are printed and
+//! the exit code is non-zero if any remain.
 //!
 //! Usage: `fela-lint [workspace-root]` (default: the current directory, or its
 //! nearest ancestor containing `crates/`).
@@ -10,7 +13,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use fela_check::lint::{lint_source, Allowlist, LintFinding};
+use fela_check::lint::{lint_source, lint_workspace, Allowlist, LintFinding, SourceFile};
 
 fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     let mut dir = start.to_path_buf();
@@ -69,58 +72,54 @@ fn main() -> ExitCode {
         Err(_) => Allowlist::default(),
     };
 
-    let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<PathBuf> = match std::fs::read_dir(&crates_dir) {
-        Ok(rd) => rd.filter_map(|e| e.ok().map(|e| e.path())).collect(),
-        Err(e) => {
-            eprintln!("fela-lint: cannot read {}: {e}", crates_dir.display());
-            return ExitCode::from(2);
-        }
-    };
-    crate_dirs.sort();
-
-    let mut findings: Vec<LintFinding> = Vec::new();
-    let mut suppressed = 0usize;
-    let mut files_scanned = 0usize;
-    for crate_dir in crate_dirs {
-        let src = crate_dir.join("src");
-        if !src.is_dir() {
+    // `crates/` is required; the other caller roots of `no-dead-pub` are
+    // read when present.
+    let mut files = Vec::new();
+    for name in ["crates", "tests", "examples", "fela_benchmark/src"] {
+        let dir = root.join(name);
+        if name != "crates" && !dir.is_dir() {
             continue;
         }
-        let dir_name = crate_dir
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        // Crate package names are `fela-<dir>` throughout the workspace.
-        let crate_name = format!("fela-{dir_name}");
-        let mut files = Vec::new();
-        if let Err(e) = rust_files(&src, &mut files) {
-            eprintln!("fela-lint: cannot walk {}: {e}", src.display());
+        if let Err(e) = rust_files(&dir, &mut files) {
+            eprintln!("fela-lint: cannot walk {}: {e}", dir.display());
             return ExitCode::from(2);
         }
-        for file in files {
-            let content = match std::fs::read_to_string(&file) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("fela-lint: cannot read {}: {e}", file.display());
-                    return ExitCode::from(2);
-                }
-            };
-            files_scanned += 1;
-            let label = file
-                .strip_prefix(&root)
-                .unwrap_or(&file)
-                .to_string_lossy()
-                .into_owned();
-            for finding in lint_source(&label, &crate_name, &content) {
-                if allow.permits(&finding) {
-                    suppressed += 1;
-                } else {
-                    findings.push(finding);
-                }
-            }
-        }
     }
+    let mut sources = Vec::with_capacity(files.len());
+    for file in files {
+        let content = match std::fs::read_to_string(&file) {
+            Ok(c) => c,
+            Err(e) => {
+                eprintln!("fela-lint: cannot read {}: {e}", file.display());
+                return ExitCode::from(2);
+            }
+        };
+        let rel = file.strip_prefix(&root).unwrap_or(&file);
+        let parts: Vec<_> = rel.iter().map(|p| p.to_string_lossy()).collect();
+        // Files under `crates/<dir>/src` are linted; package names are
+        // `fela-<dir>` throughout the workspace. Every other file only
+        // counts as a caller.
+        let krate = match parts.as_slice() {
+            [crates, dir, src, ..] if crates == "crates" && src == "src" => {
+                Some(format!("fela-{dir}"))
+            }
+            _ => None,
+        };
+        sources.push(SourceFile {
+            path: rel.to_string_lossy().into_owned(),
+            krate,
+            content,
+        });
+    }
+
+    let files_scanned = sources.iter().filter(|s| s.krate.is_some()).count();
+    let per_file = sources
+        .iter()
+        .filter_map(|s| Some(lint_source(&s.path, s.krate.as_deref()?, &s.content)))
+        .flatten();
+    let (suppressed, findings): (Vec<LintFinding>, Vec<LintFinding>) = per_file
+        .chain(lint_workspace(&sources))
+        .partition(|finding| allow.permits(finding));
 
     for finding in &findings {
         println!("{finding}");
@@ -129,7 +128,7 @@ fn main() -> ExitCode {
         "fela-lint: {} file(s), {} finding(s), {} allowlisted",
         files_scanned,
         findings.len(),
-        suppressed
+        suppressed.len()
     );
     if findings.is_empty() {
         ExitCode::SUCCESS

@@ -359,7 +359,7 @@ impl ScheduleDag {
     }
 
     /// Total edge count.
-    pub fn edge_count(&self) -> usize {
+    fn edge_count(&self) -> usize {
         self.edges.iter().map(Vec::len).sum()
     }
 

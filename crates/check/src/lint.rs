@@ -2,7 +2,7 @@
 //! crash-safety arguments depend on.
 //!
 //! The rules are deliberately narrow — this is not a general style checker but
-//! a guard for three repository invariants:
+//! a guard for the repository invariants below:
 //!
 //! * **`no-unwrap`** — runtime crates (`core`, `sim`, `net`, `cluster`) must not
 //!   call `.unwrap()` / `.expect(...)` outside tests: scheduler faults must
@@ -22,7 +22,7 @@
 //!   iterated must be `BTreeMap`/`BTreeSet` (or the iteration must be
 //!   allowlisted with a justification).
 //! * **`lock-order`** — mutex acquisitions in the concurrency crates
-//!   (`live`, `core`) must follow the declared total order [`LOCK_ORDER`]
+//!   (`live`, `core`) must follow the declared total order `LOCK_ORDER`
 //!   while another guard is live, and every mutex must be *in* the table:
 //!   an undeclared lock is itself a finding, so the order stays complete as
 //!   code grows. This is the static half of the deadlock-freedom argument
@@ -44,13 +44,20 @@
 //!   or sit inside the closure passed to the core's `.dispatch(`, which
 //!   commits first: no decision leaves the server before the ops behind it
 //!   are durable.
+//! * **`no-dead-pub`** — a `pub fn`, `pub const` or `pub static` under
+//!   `crates/*/src` must be named by some other file: public surface nothing
+//!   outside its file uses is deleted or made private. The caller roots are
+//!   `crates/` (tests, benches and examples included), `tests/`, `examples/`
+//!   and `fela_benchmark/src`, the benchmark's own workspace. This is the one
+//!   rule that reads the whole workspace at once ([`lint_workspace`]); the
+//!   others read one file ([`lint_source`]).
 //!
 //! The checker is line-based and intentionally simple: it strips `//` comments
 //! and string literals, skips `#[cfg(test)]` modules by brace counting, and
 //! matches fixed patterns. False positives are handled by `fela-lint.allow`
 //! (see [`Allowlist`]), never by weakening a rule.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One lint finding.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -84,7 +91,7 @@ impl std::fmt::Display for LintFinding {
 /// an anonymous panic inside the checker itself. `fela-live` is included
 /// because its server/worker threads run unsupervised: a panic there deadlocks
 /// the peer ends of the wire protocol instead of failing loudly.
-pub const NO_UNWRAP_CRATES: &[&str] = &[
+const NO_UNWRAP_CRATES: &[&str] = &[
     "fela-core",
     "fela-sim",
     "fela-net",
@@ -97,13 +104,13 @@ pub const NO_UNWRAP_CRATES: &[&str] = &[
 /// the reproducibility argument. Crates whose job *is* real time — the live
 /// runtime's real-clock mode, the harness's stderr-only timing — opt out with
 /// a crate-scoped allowlist entry, never by weakening the rule.)
-pub const DETERMINISM_CRATES: &[&str] = &["fela-core", "fela-sim"];
+const DETERMINISM_CRATES: &[&str] = &["fela-core", "fela-sim"];
 
 /// Crates whose mutex usage is held to the lock discipline (`lock-order`,
 /// `no-blocking-under-lock`). The live runtime is *mutex-free by design*
 /// outside its scheduler seam (threads communicate through channels), so the
 /// table below is tiny — these rules exist to keep it that way.
-pub const LOCK_DISCIPLINE_CRATES: &[&str] = &["fela-live", "fela-core"];
+const LOCK_DISCIPLINE_CRATES: &[&str] = &["fela-live", "fela-core"];
 
 /// Crates whose `WalWriter` usage is held to the fsync discipline
 /// (`no-unflushed-wal`): only these touch the control plane's write-ahead
@@ -111,7 +118,7 @@ pub const LOCK_DISCIPLINE_CRATES: &[&str] = &["fela-live", "fela-core"];
 /// committed before the staging scope ends, and a grant or frame the server
 /// sends must follow a `commit_wal` — otherwise a grant can become
 /// externally visible backed by a record that only exists in memory.
-pub const WAL_DISCIPLINE_CRATES: &[&str] = &["fela-core", "fela-live"];
+const WAL_DISCIPLINE_CRATES: &[&str] = &["fela-core", "fela-live"];
 
 /// The types whose methods may stage log records and leave them for the
 /// plane's group commit.
@@ -171,7 +178,7 @@ fn impl_self_type(line: &str) -> Option<&str> {
 /// Current table (all in `fela-live`'s scheduler seam):
 /// `events` (RecordingSched buffer), then `seen` (GateSched observation log),
 /// then `open` (GateSched gate flag, held across `Condvar::wait`).
-pub const LOCK_ORDER: &[&str] = &["events", "seen", "open"];
+const LOCK_ORDER: &[&str] = &["events", "seen", "open"];
 
 /// Parsed `fela-lint.allow` file: lines of `<rule> <path-suffix> [substring]`,
 /// `#`-comments and blanks ignored. A finding is suppressed when a rule+path
@@ -282,24 +289,15 @@ fn scrubbed(line: &str) -> String {
     out
 }
 
-/// Lints one source file. `crate_name` selects which rules apply; `path` only
-/// labels findings.
-pub fn lint_source(path: &str, crate_name: &str, content: &str) -> Vec<LintFinding> {
-    let unwrap_rule = NO_UNWRAP_CRATES.contains(&crate_name);
-    let determinism_rule = DETERMINISM_CRATES.contains(&crate_name);
-    let mut findings = Vec::new();
-
-    // Pass 1: find `#[cfg(test)]`-gated regions by brace counting, and collect
-    // identifiers bound to hash containers.
-    let lines: Vec<&str> = content.lines().collect();
-    let scrubbed_lines: Vec<String> = lines.iter().map(|l| scrubbed(l)).collect();
-    let mut in_test = vec![false; lines.len()];
+/// Marks the scrubbed lines inside `#[cfg(test)]`-gated items, found by
+/// brace counting.
+fn test_regions(scrubbed_lines: &[String]) -> Vec<bool> {
+    let mut in_test = vec![false; scrubbed_lines.len()];
     let mut pending_cfg_test = false;
     let mut depth_stack: Vec<i64> = Vec::new(); // brace depth at which each test region opened
     let mut depth: i64 = 0;
     for (i, line) in scrubbed_lines.iter().enumerate() {
-        let trimmed = line.trim();
-        if trimmed.contains("#[cfg(test)]") {
+        if line.trim().contains("#[cfg(test)]") {
             pending_cfg_test = true;
         }
         in_test[i] = !depth_stack.is_empty() || pending_cfg_test;
@@ -322,6 +320,115 @@ pub fn lint_source(path: &str, crate_name: &str, content: &str) -> Vec<LintFindi
             }
         }
     }
+    in_test
+}
+
+/// One source file of the workspace, as [`lint_workspace`] reads it.
+#[derive(Clone, Debug)]
+pub struct SourceFile {
+    /// Path label findings are reported under.
+    pub path: String,
+    /// Package name for a file under `crates/*/src`, whose public items the
+    /// `no-dead-pub` rule checks; `None` for a file that only counts as a
+    /// caller (a test, an example, a bench or the benchmark crate).
+    pub krate: Option<String>,
+    /// The file's text.
+    pub content: String,
+}
+
+/// The name a scrubbed line declares public, for `no-dead-pub`: the item of
+/// a `pub fn`, `pub const` or `pub static` (qualified as in `pub const fn` or
+/// `pub static mut`). Restricted visibility (`pub(crate)`) is not public.
+fn pub_item_name(line: &str) -> Option<&str> {
+    let mut words = line
+        .trim_start()
+        .strip_prefix("pub ")?
+        .split_whitespace()
+        .peekable();
+    loop {
+        match words.next()? {
+            "fn" => return words.next().map(ident_prefix),
+            "async" | "unsafe" => {}
+            "const" | "static" => match *words.peek()? {
+                "fn" | "async" | "unsafe" => {}
+                "mut" => {
+                    words.next();
+                    return words.next().map(ident_prefix);
+                }
+                name => return Some(ident_prefix(name)),
+            },
+            _ => return None,
+        }
+    }
+}
+
+/// The leading identifier of `s` (`name<T>(` → `name`).
+fn ident_prefix(s: &str) -> &str {
+    let end = s
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(s.len());
+    &s[..end]
+}
+
+/// The workspace-level rule, which needs every file at once:
+///
+/// **`no-dead-pub`** — a `pub fn`, `pub const` or `pub static` outside the
+/// test modules of a `crates/*/src` file (a [`SourceFile`] with a crate)
+/// whose name no other file names. Names are matched on scrubbed text, so a
+/// mention in a comment or a string is not a caller. The caller roots are
+/// every file passed in: `fela-lint` passes `crates/`, `tests/`, `examples/`
+/// and `fela_benchmark/src` (its own workspace, which the workspace build
+/// never compiles).
+pub fn lint_workspace(files: &[SourceFile]) -> Vec<LintFinding> {
+    let scrubbed_files: Vec<Vec<String>> = files
+        .iter()
+        .map(|f| f.content.lines().map(scrubbed).collect())
+        .collect();
+    // Which files name each identifier.
+    let mut named_in: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
+    for (i, lines) in scrubbed_files.iter().enumerate() {
+        for line in lines {
+            for word in line.split(|c: char| !(c.is_alphanumeric() || c == '_')) {
+                named_in.entry(word).or_default().insert(i);
+            }
+        }
+    }
+    let mut findings = Vec::new();
+    for (i, (file, lines)) in files.iter().zip(&scrubbed_files).enumerate() {
+        let Some(krate) = &file.krate else {
+            continue;
+        };
+        let in_test = test_regions(lines);
+        for ((l, line), raw) in lines.iter().enumerate().zip(file.content.lines()) {
+            let Some(name) = pub_item_name(line).filter(|n| !n.is_empty() && !in_test[l]) else {
+                continue;
+            };
+            if named_in[name].iter().all(|&user| user == i) {
+                findings.push(LintFinding {
+                    rule: "no-dead-pub",
+                    krate: krate.clone(),
+                    path: file.path.clone(),
+                    line: l + 1,
+                    snippet: raw.trim().to_owned(),
+                });
+            }
+        }
+    }
+    findings
+}
+
+/// Lints one source file. `crate_name` selects which rules apply; `path` only
+/// labels findings.
+pub fn lint_source(path: &str, crate_name: &str, content: &str) -> Vec<LintFinding> {
+    let unwrap_rule = NO_UNWRAP_CRATES.contains(&crate_name);
+    let determinism_rule = DETERMINISM_CRATES.contains(&crate_name);
+    let mut findings = Vec::new();
+
+    // Pass 1: find `#[cfg(test)]`-gated regions, and collect identifiers
+    // bound to hash containers.
+    let lines: Vec<&str> = content.lines().collect();
+    let scrubbed_lines: Vec<String> = lines.iter().map(|l| scrubbed(l)).collect();
+    let in_test = test_regions(&scrubbed_lines);
 
     let mut hash_idents: BTreeSet<String> = BTreeSet::new();
     for (i, line) in scrubbed_lines.iter().enumerate() {
@@ -1161,6 +1268,71 @@ impl RealServer {
         let finding = &lint_source("src/x.rs", "fela-core", src)[0];
         let allow = Allowlist::parse("no-unflushed-wal src/x.rs append_op\n");
         assert!(allow.permits(finding));
+    }
+
+    fn file(path: &str, krate: Option<&str>, content: &str) -> SourceFile {
+        SourceFile {
+            path: path.into(),
+            krate: krate.map(str::to_owned),
+            content: content.into(),
+        }
+    }
+
+    const DEAD_PUB_LIB: &str = "\
+pub fn orphan() {}
+pub const LIMIT: u8 = 1;
+pub static mut SLOT: u8 = 0;
+pub const fn used_here() -> u8 { 1 }
+fn private() -> u8 { used_here() }
+pub(crate) fn scoped() {}
+#[cfg(test)]
+mod tests {
+    pub fn helper() { super::orphan(); }
+}
+";
+
+    #[test]
+    fn dead_pub_flags_public_items_no_other_file_names() {
+        // Comments and strings elsewhere are not callers.
+        let other = "// orphan LIMIT SLOT used_here\nlet s = \"orphan\";\n";
+        let findings = lint_workspace(&[
+            file("crates/x/src/lib.rs", Some("fela-x"), DEAD_PUB_LIB),
+            file("crates/x/src/other.rs", Some("fela-x"), other),
+        ]);
+        assert!(findings.iter().all(|f| f.rule == "no-dead-pub"));
+        assert!(findings.iter().all(|f| f.krate == "fela-x"));
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [1, 2, 3, 4], "{findings:?}");
+    }
+
+    #[test]
+    fn dead_pub_counts_every_caller_root() {
+        let lib = file("crates/x/src/lib.rs", Some("fela-x"), DEAD_PUB_LIB);
+        // A sibling crate, a workspace test and the benchmark's own
+        // workspace each name some of the items; none of them is linted.
+        let sibling = file("crates/y/src/lib.rs", Some("fela-y"), "x::orphan();\n");
+        let test = file("tests/tests/x.rs", None, "assert_eq!(x::LIMIT, 1);\n");
+        let bench = file(
+            "fela_benchmark/src/main.rs",
+            None,
+            "x::SLOT = x::used_here();\n",
+        );
+        assert!(lint_workspace(&[lib.clone(), sibling.clone(), test.clone(), bench]).is_empty());
+        // Without the benchmark, the two items only it names are dead.
+        let findings = lint_workspace(&[lib, sibling, test]);
+        assert_eq!(findings.iter().map(|f| f.line).collect::<Vec<_>>(), [3, 4]);
+    }
+
+    #[test]
+    fn dead_pub_findings_are_allowlistable() {
+        let findings = lint_workspace(&[file("crates/x/src/lib.rs", Some("fela-x"), DEAD_PUB_LIB)]);
+        let allow = Allowlist::parse("no-dead-pub x/src/lib.rs orphan\n");
+        let kept: Vec<usize> = findings
+            .iter()
+            .filter(|f| !allow.permits(f))
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(kept, [2, 3, 4]);
     }
 
     #[test]

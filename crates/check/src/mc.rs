@@ -135,7 +135,7 @@ impl McConfig {
     }
 
     /// Builder: seeds a model-level mutation.
-    pub fn with_mutation(mut self, mutation: McMutation) -> McConfig {
+    fn with_mutation(mut self, mutation: McMutation) -> McConfig {
         self.mutation = Some(mutation);
         self
     }

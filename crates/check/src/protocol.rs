@@ -307,7 +307,7 @@ impl SessionVerifier {
 
     /// A verifier that knows, from the control-plane op log, which worker
     /// each grant was issued to — enabling [`SessionViolation::MisroutedGrant`].
-    pub fn with_grant_intents(ops: &[CoordOp]) -> Self {
+    fn with_grant_intents(ops: &[CoordOp]) -> Self {
         let mut v = SessionVerifier {
             intents: Some(BTreeMap::new()),
             ..SessionVerifier::default()

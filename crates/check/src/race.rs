@@ -161,7 +161,7 @@ pub struct RaceSummary {
 }
 
 /// The happens-before analysis of one trace: per-event vector clocks plus any
-/// violations. Built by [`HbAnalysis::analyze`]; [`check_trace`] is the
+/// violations. Built by `HbAnalysis::analyze`; [`check_trace`] is the
 /// pass/fail wrapper.
 pub struct HbAnalysis {
     /// Indices into the trace's event list, in analysis order (structured
@@ -179,7 +179,7 @@ pub struct HbAnalysis {
 impl HbAnalysis {
     /// Replays `trace` and computes vector clocks and violations under the given
     /// SSP `staleness` bound (0 = BSP).
-    pub fn analyze(trace: &Trace, staleness: u64) -> HbAnalysis {
+    fn analyze(trace: &Trace, staleness: u64) -> HbAnalysis {
         // Infer the process space from the events themselves.
         let mut n_workers = 0usize;
         let mut n_levels = 0usize;
@@ -421,19 +421,6 @@ impl HbAnalysis {
         analysis
     }
 
-    /// Whether analysed event `a` happens-before analysed event `b` (indices
-    /// into [`HbAnalysis::analyzed`]).
-    pub fn happens_before(&self, a: usize, b: usize) -> bool {
-        let ca = &self.clocks[a];
-        let cb = &self.clocks[b];
-        ca.iter().zip(cb).all(|(x, y)| x <= y) && ca != cb
-    }
-
-    /// Whether analysed events `a` and `b` are causally concurrent.
-    pub fn concurrent(&self, a: usize, b: usize) -> bool {
-        !self.happens_before(a, b) && !self.happens_before(b, a) && self.clocks[a] != self.clocks[b]
-    }
-
     /// Number of worker processes inferred from the trace.
     pub fn n_workers(&self) -> usize {
         self.n_workers
@@ -522,8 +509,11 @@ mod tests {
                 match first {
                     None => first = Some((i, worker)),
                     Some((j, w)) if w != worker => {
+                        // Neither vector clock dominates the other.
+                        let (a, b) = (&analysis.clocks[i], &analysis.clocks[j]);
+                        let le = |x: &[u64], y: &[u64]| x.iter().zip(y).all(|(p, q)| p <= q);
                         assert!(
-                            analysis.concurrent(i, j),
+                            !le(a, b) && !le(b, a),
                             "independent gradients must be concurrent"
                         );
                         return;

@@ -201,7 +201,7 @@ fn parse_secs(what: &str, s: &str) -> Result<SimDuration, ParseError> {
 /// Parses `--straggler` values: `none`, `round-robin:<d_secs>` or
 /// `prob:<p>:<d_secs>[:<seed>]`. Delays may be fractional seconds; `p` must
 /// lie in `[0, 1]` and delays must be finite and non-negative.
-pub fn parse_straggler(spec: &str) -> Result<StragglerModel, ParseError> {
+fn parse_straggler(spec: &str) -> Result<StragglerModel, ParseError> {
     let parts: Vec<&str> = spec.split(':').collect();
     match parts.as_slice() {
         ["none"] => Ok(StragglerModel::None),
@@ -232,7 +232,7 @@ pub fn parse_straggler(spec: &str) -> Result<StragglerModel, ParseError> {
 /// `link-down:<iter>:<worker>:<secs>`, `chaos:<p>:<down_secs>[:<seed>]` or
 /// `server-crash-restart:<iter>:<down_secs>` (kills the Token Server itself;
 /// the run recovers from the write-ahead log).
-pub fn parse_fault(spec: &str) -> Result<FaultModel, ParseError> {
+fn parse_fault(spec: &str) -> Result<FaultModel, ParseError> {
     let parts: Vec<&str> = spec.split(':').collect();
     let cell = |it: &str, w: &str| -> Result<(u64, usize), ParseError> {
         let iteration = it
@@ -313,7 +313,7 @@ pub fn parse_fault(spec: &str) -> Result<FaultModel, ParseError> {
 /// `leave:<iter>:<w,…>` or `churn:<rate>[:<seed>]`. Every spec is validated
 /// at parse time through [`ResizeModel::validate`], so a bad script fails
 /// before any run starts.
-pub fn parse_resize(spec: &str) -> Result<ResizeModel, ParseError> {
+fn parse_resize(spec: &str) -> Result<ResizeModel, ParseError> {
     let parts: Vec<&str> = spec.split(':').collect();
     let iter_of = |it: &str| -> Result<u64, ParseError> {
         it.parse()
@@ -364,7 +364,7 @@ pub fn parse_resize(spec: &str) -> Result<ResizeModel, ParseError> {
 /// Folds a freshly parsed `--resize` value into the model accumulated so far:
 /// repeated scripted specs compose into one sorted script; `churn` stands
 /// alone; `none` resets.
-pub fn merge_resize(base: ResizeModel, next: ResizeModel) -> Result<ResizeModel, ParseError> {
+fn merge_resize(base: ResizeModel, next: ResizeModel) -> Result<ResizeModel, ParseError> {
     let merged = match (base, next) {
         (_, ResizeModel::None) => ResizeModel::None,
         (ResizeModel::None, next) => next,
@@ -387,7 +387,7 @@ pub fn merge_resize(base: ResizeModel, next: ResizeModel) -> Result<ResizeModel,
 /// the flag wins (it was validated at parse time); otherwise `env`, the value
 /// of the variable `var` if it is set, goes through `parse`; otherwise
 /// `default()`. Every `FELA_*` fallback of the CLI goes through here.
-pub fn resolve<T>(
+fn resolve<T>(
     flag: Option<T>,
     var: &str,
     env: Option<&str>,
@@ -415,16 +415,6 @@ pub fn resolve_env<T>(
         parse,
         default,
     )
-}
-
-/// Parses a count variable such as `FELA_JOBS`. A value that
-/// is set but not a positive integer is rejected here rather than silently
-/// clamped downstream.
-pub fn positive_count(var: &str, text: &str) -> Result<usize, ParseError> {
-    match text.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => err(format!("{var} must be a positive integer, got '{text}'")),
-    }
 }
 
 /// Parses `FELA_RESIZE`: whitespace-separated specs, composed exactly like
@@ -512,6 +502,10 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
     let Some((&cmd, rest)) = args.split_first() else {
         return Ok(Command::Help);
     };
+    // `--help` after a subcommand asks for the usage, not for a flag.
+    if rest.iter().any(|a| matches!(*a, "--help" | "-h")) {
+        return Ok(Command::Help);
+    }
     let mut it = rest.iter().copied();
     match cmd {
         "models" => Ok(Command::Models),
@@ -780,6 +774,13 @@ mod tests {
     fn empty_is_help() {
         assert_eq!(parse(&[]).unwrap(), Command::Help);
         assert_eq!(parse(&["help"]).unwrap(), Command::Help);
+        for cmd in ["run", "live", "check", "compare", "tune", "models"] {
+            for help in ["--help", "-h"] {
+                assert_eq!(parse(&[cmd, help]).unwrap(), Command::Help, "{cmd} {help}");
+                let late = [cmd, "--model", "vgg19", help];
+                assert_eq!(parse(&late).unwrap(), Command::Help, "{cmd} ... {help}");
+            }
+        }
     }
 
     #[test]
@@ -1052,7 +1053,7 @@ mod tests {
             flag,
             "FELA_JOBS",
             env,
-            positive_count,
+            |var, text| fela_harness::positive_count(var, text).map_err(ParseError),
             fela_harness::default_jobs,
         )
     }

@@ -25,7 +25,7 @@ fn jobs_from(common: &CommonArgs) -> Result<usize, String> {
     args::resolve_env(
         common.jobs,
         "FELA_JOBS",
-        args::positive_count,
+        |var, text| fela_harness::positive_count(var, text).map_err(args::ParseError),
         fela_harness::default_jobs,
     )
     .map_err(|e| e.to_string())

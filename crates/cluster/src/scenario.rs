@@ -176,7 +176,7 @@ impl Scenario {
     /// How long a worker replaced after a permanent crash takes to come back,
     /// as seen by runtimes without token recovery (an operator swapping the
     /// machine and restoring from checkpoint).
-    pub const CRASH_REPLACEMENT: SimDuration = SimDuration::from_secs(3600);
+    const CRASH_REPLACEMENT: SimDuration = SimDuration::from_secs(3600);
 
     /// Total downtime a fault-stalled runtime must absorb when `worker` faults
     /// in `iteration`.
@@ -185,7 +185,7 @@ impl Scenario {
     /// work: a crash-restart, hang or link outage stalls the iteration until
     /// the victim is back, modelled as extra compute delay the same way
     /// straggler sleeps are. A *permanent* crash would wedge them forever; we
-    /// charge [`Scenario::CRASH_REPLACEMENT`] instead — the operator replaces
+    /// charge `Scenario::CRASH_REPLACEMENT` instead — the operator replaces
     /// the dead machine — so the comparison against Fela's online recovery
     /// stays finite.
     pub fn fault_stall(&self, iteration: u64, worker: usize) -> SimDuration {

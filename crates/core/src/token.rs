@@ -32,13 +32,6 @@ pub struct Token {
     pub sample_owner: Option<usize>,
 }
 
-impl Token {
-    /// True if this is a first-level token (no model-parameter dependencies).
-    pub fn is_root(&self) -> bool {
-        self.level == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -46,21 +39,5 @@ mod tests {
     #[test]
     fn token_ids_order() {
         assert!(TokenId(3) < TokenId(10));
-    }
-
-    #[test]
-    fn root_detection() {
-        let t = Token {
-            id: TokenId(0),
-            level: 0,
-            iteration: 0,
-            seq: 0,
-            batch: 16,
-            deps: vec![],
-            sample_owner: Some(3),
-        };
-        assert!(t.is_root());
-        let t2 = Token { level: 1, ..t };
-        assert!(!t2.is_root());
     }
 }

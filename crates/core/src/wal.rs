@@ -832,13 +832,6 @@ pub struct ReadLog {
     pub torn_bytes: usize,
 }
 
-impl ReadLog {
-    /// Byte length of the valid log prefix (everything before the torn tail).
-    pub fn valid_len(&self, total: usize) -> usize {
-        total - self.torn_bytes
-    }
-}
-
 /// The one frame scanner: walks `bytes` record by record, checking each
 /// length prefix against [`MAX_RECORD`] and each body against its checksum,
 /// and hands every complete body to `visit` in log order. Returns the length
@@ -1637,7 +1630,6 @@ mod tests {
             let complete = boundaries.iter().position(|&b| b == boundary).expect("idx");
             assert_eq!(log.records.len(), complete, "cut at {cut}");
             assert_eq!(log.torn_bytes, cut - boundary, "cut at {cut}");
-            assert_eq!(log.valid_len(cut), boundary, "cut at {cut}");
             assert_eq!(log.records[..], records[..complete]);
         }
     }

@@ -21,7 +21,7 @@ use crate::tune::RetuneStats;
 /// Control-plane rebind at a Fela resize boundary: re-binning (cached
 /// partition application), shard rebalancing and lease migration. A small
 /// constant — the paper's thesis is that this path is cheap.
-pub const REBIND_SECS: f64 = 2.0;
+const REBIND_SECS: f64 = 2.0;
 
 /// Fixed cost of tearing down and relaunching a non-elastic job: scheduler
 /// round-trip, process start, framework re-initialisation.

@@ -81,7 +81,7 @@ impl SplitPlan {
     }
 
     /// All `(level, index)` pairs — the token DAG's nodes.
-    pub fn all_tokens(&self) -> Vec<(usize, usize)> {
+    fn all_tokens(&self) -> Vec<(usize, usize)> {
         self.tokens
             .iter()
             .enumerate()
@@ -227,7 +227,7 @@ impl TokenExecutor {
 
     /// Trains one iteration executing tokens in `schedule` order.
     ///
-    /// `schedule` must be a permutation of [`SplitPlan::all_tokens`] that respects
+    /// `schedule` must be a permutation of `SplitPlan::all_tokens` that respects
     /// dependencies (checked).
     ///
     /// # Panics

@@ -17,7 +17,7 @@
 //! Times are returned as `f64` seconds; callers at the simulation boundary convert
 //! to `SimDuration`.
 
-use fela_model::{saturation_fraction, Layer, Model, SubModel, ThresholdProfile};
+use fela_model::{saturation_fraction, Layer, Model, ThresholdProfile};
 use serde::Serialize;
 
 use crate::device::DeviceProfile;
@@ -61,7 +61,7 @@ impl ComputeModel {
     /// FLOP-limited training throughput of `layer` at `batch`, in samples/second
     /// (saturation curve only; the fixed launch overhead is added by
     /// [`ComputeModel::layer_time`]).
-    pub fn layer_throughput(&self, layer: &Layer, batch: u64) -> f64 {
+    fn layer_throughput(&self, layer: &Layer, batch: u64) -> f64 {
         let threshold = self.profile.threshold_for(layer).unwrap_or(1);
         self.layer_max_throughput(layer) * saturation_fraction(batch, threshold)
     }
@@ -87,16 +87,6 @@ impl ComputeModel {
             .iter()
             .map(|l| self.layer_time(l, batch))
             .sum()
-    }
-
-    /// Wall time in seconds to train one sub-model on a batch.
-    pub fn sub_model_time(&self, model: &Model, sm: &SubModel, batch: u64) -> f64 {
-        self.range_time(model, sm.unit_start, sm.unit_end, batch)
-    }
-
-    /// Wall time in seconds for a full forward+backward pass of the whole model.
-    pub fn model_time(&self, model: &Model, batch: u64) -> f64 {
-        self.range_time(model, 0, model.len(), batch)
     }
 
     /// [`ComputeModel::range_time`] under a memory constraint: if `batch` does not
@@ -129,14 +119,6 @@ impl ComputeModel {
         }
         t
     }
-
-    /// Effective whole-model training throughput at `batch`, in samples/second.
-    pub fn model_throughput(&self, model: &Model, batch: u64) -> f64 {
-        if batch == 0 {
-            return 0.0;
-        }
-        batch as f64 / self.model_time(model, batch)
-    }
 }
 
 #[cfg(test)]
@@ -146,6 +128,11 @@ mod tests {
 
     fn model() -> Model {
         zoo::vgg19()
+    }
+
+    /// A full forward+backward pass of the whole model, in seconds.
+    fn model_time(cm: &ComputeModel, m: &Model, batch: u64) -> f64 {
+        cm.range_time(m, 0, m.len(), batch)
     }
 
     fn layer<'m>(m: &'m Model, name: &str) -> &'m Layer {
@@ -228,7 +215,7 @@ mod tests {
         // VGG19 on a K40c trains around 20–60 samples/s at saturation; the model
         // should land in that regime rather than being off by orders of magnitude.
         let cm = ComputeModel::k40c();
-        let thr = cm.model_throughput(&model(), 64);
+        let thr = 64.0 / model_time(&cm, &model(), 64);
         assert!(
             (10.0..100.0).contains(&thr),
             "VGG19 throughput {thr} samples/s out of plausible range"
@@ -239,7 +226,7 @@ mod tests {
     fn range_time_adds_up() {
         let cm = ComputeModel::k40c();
         let m = model();
-        let total = cm.model_time(&m, 32);
+        let total = model_time(&cm, &m, 32);
         let split: f64 = cm.range_time(&m, 0, 10, 32) + cm.range_time(&m, 10, m.len(), 32);
         assert!((total - split).abs() < 1e-9 * total);
     }
@@ -249,7 +236,7 @@ mod tests {
         let cm = ComputeModel::k40c();
         let m = model();
         assert_eq!(cm.layer_time(layer(&m, "fc6"), 0), 0.0);
-        assert_eq!(cm.model_throughput(&m, 0), 0.0);
+        assert_eq!(model_time(&cm, &m, 0), 0.0);
     }
 
     #[test]
@@ -260,9 +247,9 @@ mod tests {
         let sum: f64 = p
             .sub_models()
             .iter()
-            .map(|sm| cm.sub_model_time(&m, sm, 64))
+            .map(|sm| cm.range_time(&m, sm.unit_start, sm.unit_end, 64))
             .sum();
-        let total = cm.model_time(&m, 64);
+        let total = model_time(&cm, &m, 64);
         assert!((sum - total).abs() < 1e-9 * total);
     }
 
@@ -272,17 +259,17 @@ mod tests {
         let mm = crate::MemoryModel::k40c();
         let m = model();
         // Below the 32-sample limit: identical to the plain range time.
-        let plain = cm.model_time(&m, 32);
+        let plain = model_time(&cm, &m, 32);
         let chunked = cm.chunked_range_time(&mm, &m, 0, m.len(), 32);
         assert_eq!(plain, chunked);
         // Above it: 128 = 4 chunks of 32 — strictly slower than a hypothetical
         // unchunked 128 (which would saturate conv5/fc better).
         let c128 = cm.chunked_range_time(&mm, &m, 0, m.len(), 128);
         assert!((c128 - 4.0 * plain).abs() < 1e-9 * c128);
-        assert!(c128 > cm.model_time(&m, 128));
+        assert!(c128 > model_time(&cm, &m, 128));
         // Non-multiple remainder handled.
         let c40 = cm.chunked_range_time(&mm, &m, 0, m.len(), 40);
-        assert!((c40 - (plain + cm.model_time(&m, 8))).abs() < 1e-9 * c40);
+        assert!((c40 - (plain + model_time(&cm, &m, 8))).abs() < 1e-9 * c40);
     }
 
     #[test]
@@ -290,6 +277,6 @@ mod tests {
         let cm = ComputeModel::k40c();
         let g = zoo::googlenet();
         // Per-sample cost difference shows up as time difference at equal batch.
-        assert!(cm.model_time(&g, 64) < cm.model_time(&model(), 64) / 5.0);
+        assert!(model_time(&cm, &g, 64) < model_time(&cm, &model(), 64) / 5.0);
     }
 }

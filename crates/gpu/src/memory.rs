@@ -14,7 +14,7 @@
 //! 32 but not above. The memory model is what makes "just raise the data-parallel
 //! batch size" impossible, forcing the multi-node regime the paper studies.
 
-use fela_model::{Model, SubModel};
+use fela_model::Model;
 use serde::Serialize;
 
 use crate::device::DeviceProfile;
@@ -43,39 +43,13 @@ impl MemoryModel {
     }
 
     /// Bytes needed to train the unit range `[start, end)` at `batch`.
-    pub fn range_bytes(&self, model: &Model, start: usize, end: usize, batch: u64) -> u64 {
+    fn range_bytes(&self, model: &Model, start: usize, end: usize, batch: u64) -> u64 {
         let param_bytes: u64 = model.param_bytes_in(start..end);
         let act_bytes_per_sample: u64 = model.layers()[start..end]
             .iter()
             .map(|l| l.activation_bytes())
             .sum();
         3 * param_bytes + ACTIVATION_FACTOR * act_bytes_per_sample * batch + self.framework_reserve
-    }
-
-    /// Bytes needed to train one sub-model at `batch`.
-    pub fn sub_model_bytes(&self, model: &Model, sm: &SubModel, batch: u64) -> u64 {
-        self.range_bytes(model, sm.unit_start, sm.unit_end, batch)
-    }
-
-    /// Bytes needed to train the full model at `batch`.
-    pub fn model_bytes(&self, model: &Model, batch: u64) -> u64 {
-        self.range_bytes(model, 0, model.len(), batch)
-    }
-
-    /// Whether the full model fits in device memory at `batch`.
-    pub fn model_fits(&self, model: &Model, batch: u64) -> bool {
-        self.model_bytes(model, batch) <= self.device.mem_bytes
-    }
-
-    /// Whether one sub-model fits at `batch`.
-    pub fn sub_model_fits(&self, model: &Model, sm: &SubModel, batch: u64) -> bool {
-        self.sub_model_bytes(model, sm, batch) <= self.device.mem_bytes
-    }
-
-    /// Largest power-of-two batch at which the full model fits (0 if even batch 1
-    /// does not fit).
-    pub fn max_pow2_batch(&self, model: &Model) -> u64 {
-        self.max_pow2_batch_range(model, 0, model.len())
     }
 
     /// Largest power-of-two batch at which the unit range fits (0 if even batch 1
@@ -104,16 +78,21 @@ mod tests {
     fn footnote3_vgg19_fits_at_32_not_64() {
         let mm = MemoryModel::k40c();
         let vgg = zoo::vgg19();
-        assert!(mm.model_fits(&vgg, 32), "paper: batch 32 still fits");
-        assert!(!mm.model_fits(&vgg, 64), "paper: batch >32 exceeds 12 GB");
-        assert_eq!(mm.max_pow2_batch(&vgg), 32);
+        assert_eq!(
+            mm.max_pow2_batch_range(&vgg, 0, vgg.len()),
+            32,
+            "paper: batch 32 still fits, batch >32 exceeds 12 GB"
+        );
     }
 
     #[test]
     fn googlenet_at_32px_fits_large_batches() {
         let mm = MemoryModel::k40c();
         let g = zoo::googlenet();
-        assert!(mm.model_fits(&g, 1024), "tiny inputs leave plenty of room");
+        assert!(
+            mm.max_pow2_batch_range(&g, 0, g.len()) >= 1024,
+            "tiny inputs leave plenty of room"
+        );
     }
 
     #[test]
@@ -127,7 +106,7 @@ mod tests {
             fela_model::bin_partition(&vgg, &cm.profile, fela_model::PartitionOptions::default());
         for sm in p.sub_models() {
             assert!(
-                mm.sub_model_fits(&vgg, sm, sm.threshold_batch),
+                mm.max_pow2_batch_range(&vgg, sm.unit_start, sm.unit_end) >= sm.threshold_batch,
                 "sub-model {} must fit at its threshold batch {}",
                 sm.index,
                 sm.threshold_batch
@@ -139,9 +118,7 @@ mod tests {
     fn memory_grows_linearly_with_batch() {
         let mm = MemoryModel::k40c();
         let vgg = zoo::vgg19();
-        let b8 = mm.model_bytes(&vgg, 8);
-        let b16 = mm.model_bytes(&vgg, 16);
-        let b24 = mm.model_bytes(&vgg, 24);
+        let [b8, b16, b24] = [8, 16, 24].map(|b| mm.range_bytes(&vgg, 0, vgg.len(), b));
         assert_eq!(b24 - b16, b16 - b8, "activation term is linear in batch");
     }
 

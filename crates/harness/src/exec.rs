@@ -58,17 +58,28 @@ where
         .collect()
 }
 
-/// The default worker count: `FELA_JOBS` if set, else the machine's available
+/// The worker count when `FELA_JOBS` is unset: the machine's available
 /// parallelism, else 1.
 pub fn default_jobs() -> usize {
-    if let Ok(v) = std::env::var("FELA_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Reads the count variable `var` through [`positive_count`]; `None` when it
+/// is unset.
+pub fn env_count(var: &str) -> Result<Option<usize>, String> {
+    std::env::var(var)
+        .ok()
+        .map(|text| positive_count(var, &text))
+        .transpose()
+}
+
+/// Parses a count variable such as `FELA_JOBS` or `FELA_ITERS`. A value that
+/// is set but not a positive integer is an error, never clamped or ignored.
+pub fn positive_count(var: &str, text: &str) -> Result<usize, String> {
+    match text.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("{var} must be a positive integer, got '{text}'")),
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 #[cfg(test)]
@@ -100,6 +111,18 @@ mod tests {
             i
         });
         assert_eq!(out, (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn counts_must_be_positive_integers() {
+        assert_eq!(positive_count("FELA_JOBS", " 4 "), Ok(4));
+        for bad in ["0", "-2", "abc", "1e2", ""] {
+            let e = positive_count("FELA_ITERS", bad).unwrap_err();
+            assert_eq!(
+                e,
+                format!("FELA_ITERS must be a positive integer, got '{bad}'")
+            );
+        }
     }
 
     #[test]

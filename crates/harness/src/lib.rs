@@ -23,6 +23,6 @@ pub mod exec;
 pub mod record;
 pub mod sweep;
 
-pub use exec::{default_jobs, run_indexed};
+pub use exec::{default_jobs, env_count, positive_count, run_indexed};
 pub use record::{config_hash, results_dir, to_jsonl, write_jsonl, write_jsonl_to, RunRecord};
 pub use sweep::{share_runtime, RunJob, RuntimeFactory, SweepResult, SweepSpec};

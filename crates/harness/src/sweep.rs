@@ -75,7 +75,7 @@ pub struct RunJob {
 
 impl RunJob {
     /// Executes the job: builds the runtime, runs the scenario.
-    pub fn execute(&self) -> RunReport {
+    fn execute(&self) -> RunReport {
         let runtime = (self.factory)(&self.scenario);
         runtime.run(&self.scenario)
     }

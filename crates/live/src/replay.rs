@@ -30,13 +30,13 @@ use fela_sim::{EventKind, Trace};
 use crate::wire::Frame;
 
 /// Learning rate used by every live engine replica and reference replay.
-pub const LIVE_LR: f32 = 0.05;
+const LIVE_LR: f32 = 0.05;
 /// Seed for the replica network weights.
-pub const NET_SEED: u64 = 17;
+const NET_SEED: u64 = 17;
 /// Seeds for the (fixed) training batch and targets.
-pub const DATA_SEED_X: u64 = 100;
+const DATA_SEED_X: u64 = 100;
 /// Target tensor seed.
-pub const DATA_SEED_T: u64 = 200;
+const DATA_SEED_T: u64 = 200;
 
 /// A deterministic engine replica sized to mirror a [`TokenPlan`]: one
 /// `Dense(+Relu)` block per token level, token counts copied from the plan.

@@ -1,13 +1,5 @@
 //! Small statistics helpers shared by the experiment harnesses.
 
-/// Arithmetic mean; 0 for an empty slice.
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.iter().sum::<f64>() / xs.len() as f64
-}
-
 /// Minimum; `None` for an empty slice (NaNs are ignored).
 pub fn min(xs: &[f64]) -> Option<f64> {
     xs.iter().copied().filter(|x| !x.is_nan()).reduce(f64::min)
@@ -42,16 +34,6 @@ pub fn best_worst_saving(xs: &[f64]) -> f64 {
     }
 }
 
-/// Sample standard deviation; 0 for fewer than two points.
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    let var = xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
-    var.sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -59,10 +41,8 @@ mod tests {
     #[test]
     fn mean_min_max_basics() {
         let xs = [3.0, 1.0, 2.0];
-        assert_eq!(mean(&xs), 2.0);
         assert_eq!(min(&xs), Some(1.0));
         assert_eq!(max(&xs), Some(3.0));
-        assert_eq!(mean(&[]), 0.0);
         assert_eq!(min(&[]), None);
     }
 
@@ -82,11 +62,5 @@ mod tests {
         // If the worst case takes 2.0 s and the best 1.0 s the best saves 50%.
         assert!((best_worst_saving(&[1.0, 1.5, 2.0]) - 0.5).abs() < 1e-12);
         assert_eq!(best_worst_saving(&[]), 0.0);
-    }
-
-    #[test]
-    fn stddev_basics() {
-        assert_eq!(stddev(&[1.0]), 0.0);
-        assert!((stddev(&[2.0, 4.0]) - std::f64::consts::SQRT_2).abs() < 1e-12);
     }
 }

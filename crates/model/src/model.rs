@@ -69,16 +69,6 @@ impl Model {
         self.input.elems() * BYTES_PER_ELEM
     }
 
-    /// Indices of layers that carry parameters.
-    pub fn weighted_layer_indices(&self) -> Vec<usize> {
-        self.layers
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.kind.weighted_depth() > 0)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Index of the first fully connected layer, if any. Used by the HP (Stanza)
     /// baseline to split the model into a CONV part and an FC part.
     pub fn first_fc_index(&self) -> Option<usize> {
@@ -149,7 +139,12 @@ mod tests {
 
     #[test]
     fn weighted_indices_skip_pooling() {
-        assert_eq!(tiny().weighted_layer_indices(), vec![0, 2]);
+        let weighted: Vec<bool> = tiny()
+            .layers()
+            .iter()
+            .map(|l| l.kind.weighted_depth() > 0)
+            .collect();
+        assert_eq!(weighted, [true, false, true]);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use serde::Serialize;
 use crate::layer::LayerKind;
 
 /// Rounds to the nearest power of two (ties round up); 0 maps to 1.
-pub fn round_to_pow2(x: u64) -> u64 {
+fn round_to_pow2(x: u64) -> u64 {
     if x <= 1 {
         return 1;
     }
@@ -201,19 +201,6 @@ impl ThresholdProfile {
         let rounded = round_to_pow2(raw.round() as u64);
         Some(rounded.clamp(self.min_threshold, self.max_threshold))
     }
-
-    /// Relative throughput (fraction of the layer's maximum) at a given batch size,
-    /// following the saturation shape of Figure 1: a concave rise that reaches ~95%
-    /// of peak at the threshold batch and asymptotes to 1.
-    ///
-    /// This is the single curve shape shared with `fela-gpu`; it lives here so the
-    /// profile fully describes a layer's batch behaviour.
-    pub fn relative_throughput(&self, kind: &LayerKind, batch: u64) -> f64 {
-        let Some(threshold) = self.threshold_batch(kind) else {
-            return 1.0;
-        };
-        saturation_fraction(batch, threshold)
-    }
 }
 
 /// The saturation curve: fraction of peak throughput at `batch` given the threshold
@@ -302,7 +289,6 @@ mod tests {
             stride: 2,
         };
         assert_eq!(p.threshold_batch(&pool), None);
-        assert_eq!(p.relative_throughput(&pool, 1), 1.0);
     }
 
     #[test]
@@ -344,7 +330,8 @@ mod tests {
         let back = conv(512, 512, 14); // threshold 64
                                        // At batch 16 the front layer is ~saturated while the back one is not —
                                        // the §II-B observation motivating flexible parallelism.
-        assert!(p.relative_throughput(&front, 16) > 0.94);
-        assert!(p.relative_throughput(&back, 16) < 0.85);
+        let at_16 = |kind| saturation_fraction(16, p.threshold_batch(kind).unwrap());
+        assert!(at_16(&front) > 0.94);
+        assert!(at_16(&back) < 0.85);
     }
 }

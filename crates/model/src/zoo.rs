@@ -182,7 +182,7 @@ pub fn alexnet() -> Model {
 // The builders thread a mutable shape through each layer constructor, which
 // cannot move into a single `vec![]` expression.
 #[allow(clippy::vec_init_then_push)]
-pub fn zf_net() -> Model {
+fn zf_net() -> Model {
     let mut s = SpatialShape::new(3, 224, 224);
     let input = s;
     let mut layers = Vec::new();
@@ -339,7 +339,7 @@ fn inception_out_channels(branches: &[InceptionBranch; 4]) -> u64 {
 /// (§V-A footnote 17); [`googlenet`] uses that. Weighted depth is 22 regardless of
 /// extent: 3 stem convs + 9 inception blocks (deepest path 2) + final FC.
 #[allow(clippy::vec_init_then_push)]
-pub fn googlenet_for(extent: u64) -> Model {
+fn googlenet_for(extent: u64) -> Model {
     let mut s = SpatialShape::new(3, extent, extent);
     let input = s;
     let mut layers = Vec::new();

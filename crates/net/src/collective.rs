@@ -102,11 +102,6 @@ impl RingAllReduce {
         self.tag
     }
 
-    /// Rounds completed so far (of `2·(K−1)`).
-    pub fn rounds_done(&self) -> usize {
-        self.rounds_done
-    }
-
     fn launch_round(&mut self, net: &mut Network, now: SimTime) {
         debug_assert_eq!(self.outstanding, 0);
         let k = self.participants.len();
@@ -149,23 +144,6 @@ impl RingAllReduce {
             CollectiveProgress::RoundStarted
         }
     }
-
-    /// Analytic lower bound on the collective's duration with no competing
-    /// traffic: `2·(K−1) · (chunk_time + latency)`. Used by tests and by quick
-    /// estimators; the simulated time can only be larger under contention.
-    pub fn ideal_duration_secs(
-        participants: usize,
-        total_bytes: u64,
-        bandwidth: f64,
-        latency_secs: f64,
-    ) -> f64 {
-        if participants <= 1 || total_bytes == 0 {
-            return 0.0;
-        }
-        let k = participants as f64;
-        let chunk = total_bytes as f64 / k;
-        2.0 * (k - 1.0) * (chunk / bandwidth + latency_secs)
-    }
 }
 
 /// Completion-map helper: drives collectives to completion synchronously when the
@@ -196,7 +174,7 @@ impl RingAllReduce {
     /// drops in-flight ids the network no longer tracks and advances rounds.
     /// Returns `true` if the collective finished. Prefer
     /// [`RingAllReduce::on_flow_complete`] when flow ids are routed explicitly.
-    pub fn reconcile(&mut self, net: &mut Network, now: SimTime) -> bool {
+    fn reconcile(&mut self, net: &mut Network, now: SimTime) -> bool {
         if self.done {
             return true;
         }
@@ -249,7 +227,8 @@ mod tests {
         let participants: Vec<_> = (0..8).map(NodeId).collect();
         let bytes = 800_000_000u64; // 100 MB chunks
         let end = run_allreduce_alone(&mut n, SimTime::ZERO, participants, bytes);
-        let ideal = RingAllReduce::ideal_duration_secs(8, bytes, 1e9, 10e-6);
+        // 2·(K−1) rounds of one chunk at 1 GB/s plus 10 µs latency each.
+        let ideal = 2.0 * 7.0 * (bytes as f64 / 8.0 / 1e9 + 10e-6);
         assert!(
             (end.as_secs_f64() - ideal).abs() / ideal < 1e-3,
             "simulated {end} vs ideal {ideal}"
@@ -265,11 +244,11 @@ mod tests {
         while !ar.is_done() {
             let t = n.next_completion().unwrap();
             n.take_completions(t);
-            if ar.reconcile(&mut n, t) || ar.rounds_done() > rounds {
-                rounds = ar.rounds_done();
+            if ar.reconcile(&mut n, t) || ar.rounds_done > rounds {
+                rounds = ar.rounds_done;
             }
         }
-        assert_eq!(ar.rounds_done(), 6);
+        assert_eq!(ar.rounds_done, 6);
     }
 
     #[test]
@@ -326,7 +305,7 @@ mod tests {
                 assert_ne!(ar.on_flow_complete(&mut n, t, id), P::NotMine);
             }
         }
-        assert_eq!((a.rounds_done(), b.rounds_done()), (4, 4));
+        assert_eq!((a.rounds_done, b.rounds_done), (4, 4));
         assert_eq!(n.active_flows(), 0);
         assert_eq!(a.on_flow_complete(&mut n, t, a.round_first), P::NotMine);
     }
@@ -349,9 +328,14 @@ mod tests {
     #[test]
     fn ideal_duration_scales_with_participants() {
         // Ring all-reduce total traffic per node ≈ 2·bytes regardless of K, so
-        // duration is nearly K-independent for large transfers (the DP property).
-        let d4 = RingAllReduce::ideal_duration_secs(4, 1 << 30, 1e9, 0.0);
-        let d8 = RingAllReduce::ideal_duration_secs(8, 1 << 30, 1e9, 0.0);
-        assert!((d4 / d8 - (2.0 * 3.0 / 4.0) / (2.0 * 7.0 / 8.0)).abs() < 1e-9);
+        // duration is nearly K-independent for large transfers (the DP property):
+        // 2·(K−1)/K chunks of the payload, plus a per-round latency too small to
+        // show at this size.
+        let ring = |k: u64| {
+            let participants = (0..k as usize).map(NodeId).collect();
+            run_allreduce_alone(&mut net(8), SimTime::ZERO, participants, 1 << 30).as_secs_f64()
+        };
+        let (d4, d8) = (ring(4), ring(8));
+        assert!((d4 / d8 - (2.0 * 3.0 / 4.0) / (2.0 * 7.0 / 8.0)).abs() < 1e-4);
     }
 }

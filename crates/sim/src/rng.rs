@@ -38,22 +38,8 @@ impl SimRng {
         SimRng { s }
     }
 
-    /// Derives an independent child stream, e.g. one per worker, so adding a consumer
-    /// of randomness in one component never perturbs another component's stream.
-    pub fn fork(&self, stream: u64) -> SimRng {
-        // Mix the stream id through SplitMix64 against the parent state.
-        let mut sm = self.s[0] ^ stream.wrapping_mul(0xA24B_AED4_963E_E407);
-        let s = [
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-        ];
-        SimRng { s }
-    }
-
     /// Next raw 64-bit output.
-    pub fn next_raw(&mut self) -> u64 {
+    fn next_raw(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
@@ -66,7 +52,7 @@ impl SimRng {
     }
 
     /// Uniform float in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    fn next_f64(&mut self) -> f64 {
         // 53 high bits → uniform double in [0,1).
         (self.next_raw() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
@@ -136,22 +122,6 @@ mod tests {
         let mut b = SimRng::seed_from_u64(2);
         let same = (0..64).filter(|_| a.next_raw() == b.next_raw()).count();
         assert!(same < 2, "streams should be effectively independent");
-    }
-
-    #[test]
-    fn forked_streams_are_independent_of_parent_consumption() {
-        let parent = SimRng::seed_from_u64(42);
-        let child1 = parent.fork(3);
-        let mut parent2 = SimRng::seed_from_u64(42);
-        // Consuming from a clone of the parent must not change what fork(3) yields.
-        parent2.next_raw();
-        let child2 = SimRng::seed_from_u64(42).fork(3);
-        let mut c1 = child1;
-        let mut c2 = child2;
-        for _ in 0..16 {
-            assert_eq!(c1.next_raw(), c2.next_raw());
-        }
-        let _ = parent2;
     }
 
     #[test]

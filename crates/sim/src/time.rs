@@ -126,23 +126,9 @@ impl SimDuration {
         self.0 == 0
     }
 
-    /// Checked addition; `None` on overflow.
-    pub fn checked_add(self, rhs: SimDuration) -> Option<SimDuration> {
-        self.0.checked_add(rhs.0).map(SimDuration)
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Multiplies the duration by an integer factor.
-    pub fn mul_u64(self, factor: u64) -> SimDuration {
-        SimDuration(
-            self.0
-                .checked_mul(factor)
-                .expect("SimDuration multiplication overflow"),
-        )
     }
 }
 
@@ -269,7 +255,7 @@ mod tests {
             .map(|&s| SimDuration::from_secs(s))
             .sum();
         assert_eq!(total, SimDuration::from_secs(6));
-        assert_eq!(total.mul_u64(2), SimDuration::from_secs(12));
+        assert_eq!(total + total, SimDuration::from_secs(12));
         assert_eq!(
             total.saturating_sub(SimDuration::from_secs(10)),
             SimDuration::ZERO

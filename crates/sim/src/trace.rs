@@ -138,11 +138,6 @@ impl Trace {
         }
     }
 
-    /// Whether events are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records an event if enabled. `message` is built lazily so disabled traces pay
     /// no formatting cost.
     pub fn record(&mut self, time: SimTime, source: &str, message: impl FnOnce() -> String) {
@@ -171,18 +166,6 @@ impl Trace {
     /// All recorded events in order.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
-    }
-
-    /// Events whose source matches `source` exactly.
-    pub fn from_source<'a>(&'a self, source: &'a str) -> impl Iterator<Item = &'a TraceEvent> {
-        self.events.iter().filter(move |e| e.source == source)
-    }
-
-    /// Events whose message contains `needle`.
-    pub fn containing<'a>(&'a self, needle: &'a str) -> impl Iterator<Item = &'a TraceEvent> {
-        self.events
-            .iter()
-            .filter(move |e| e.message.contains(needle))
     }
 }
 
@@ -247,24 +230,9 @@ impl BusyTracker {
         }
     }
 
-    /// Whether the resource is currently busy.
-    pub fn is_busy(&self) -> bool {
-        self.busy_since.is_some()
-    }
-
     /// Total accumulated busy time (not counting an open interval).
     pub fn busy_time(&self) -> SimDuration {
         self.busy
-    }
-
-    /// Utilization over `[0, horizon]` as a fraction in `[0, 1]`.
-    ///
-    /// Returns 0 for a zero horizon.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            return 0.0;
-        }
-        self.busy.as_secs_f64() / horizon.as_secs_f64()
     }
 }
 
@@ -281,7 +249,6 @@ mod tests {
         let mut trace = Trace::disabled();
         trace.record(t(1), "x", || "should not appear".into());
         assert!(trace.events().is_empty());
-        assert!(!trace.is_enabled());
     }
 
     #[test]
@@ -290,9 +257,9 @@ mod tests {
         trace.record(t(1), "worker0", || "train token 3".into());
         trace.record(t(2), "ts", || "generate token 8".into());
         trace.record(t(3), "worker0", || "report token 3".into());
-        assert_eq!(trace.events().len(), 3);
-        assert_eq!(trace.from_source("worker0").count(), 2);
-        assert_eq!(trace.containing("token 8").count(), 1);
+        let sources: Vec<&str> = trace.events().iter().map(|e| e.source.as_str()).collect();
+        assert_eq!(sources, ["worker0", "ts", "worker0"]);
+        assert_eq!(trace.events()[1].message, "generate token 8");
         let shown = trace.events()[0].to_string();
         assert!(shown.contains("worker0") && shown.contains("train token 3"));
     }
@@ -301,12 +268,10 @@ mod tests {
     fn busy_tracker_accumulates() {
         let mut tracker = BusyTracker::new();
         tracker.begin(t(0));
-        assert!(tracker.is_busy());
         tracker.end(t(10));
         tracker.begin(t(20));
         tracker.end(t(25));
         assert_eq!(tracker.busy_time(), SimDuration::from_millis(15));
-        assert!((tracker.utilization(t(30)) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -314,7 +279,6 @@ mod tests {
         let mut tracker = BusyTracker::new();
         tracker.begin(t(0));
         tracker.abort(t(10));
-        assert!(!tracker.is_busy());
         assert_eq!(tracker.busy_time(), SimDuration::from_millis(10));
         // A fresh interval may start right at the abort instant.
         tracker.begin(t(10));
@@ -330,7 +294,6 @@ mod tests {
         // Armed at a future straggler floor, aborted before it started.
         tracker.begin(t(20));
         tracker.abort(t(15));
-        assert!(!tracker.is_busy());
         assert_eq!(tracker.busy_time(), SimDuration::from_millis(5));
         // The discarded interval must not poison later bookkeeping.
         tracker.begin(t(15));
@@ -343,11 +306,6 @@ mod tests {
         let mut tracker = BusyTracker::new();
         tracker.abort(t(3));
         assert_eq!(tracker.busy_time(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn utilization_of_zero_horizon_is_zero() {
-        assert_eq!(BusyTracker::new().utilization(SimTime::ZERO), 0.0);
     }
 
     #[test]

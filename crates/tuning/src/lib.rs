@@ -137,7 +137,7 @@ pub fn phase1_candidates(m: usize, n_workers: usize) -> Vec<Vec<u64>> {
 
 /// Enumerates Phase-2 subset sizes by halving: `N/2, N/4, …, 1` (the size-`N`
 /// case is the Phase-1 winner itself).
-pub fn phase2_candidates(n_workers: usize) -> Vec<usize> {
+fn phase2_candidates(n_workers: usize) -> Vec<usize> {
     let mut out = Vec::new();
     let mut s = n_workers.next_power_of_two() / 2;
     while s >= 1 {
@@ -192,8 +192,9 @@ impl Tuner {
     /// Runs the two-phase search on `scenario` (its iteration count is ignored;
     /// each case runs for [`Tuner::profile_iterations`]).
     ///
-    /// Profiling parallelism defaults to the harness's job count; results are
-    /// identical for any job count (see [`Tuner::tune_with_jobs`]).
+    /// Profiling runs on the machine's available parallelism
+    /// ([`fela_harness::default_jobs`]); results are identical for any job
+    /// count (see [`Tuner::tune_with_jobs`]).
     pub fn tune(&self, scenario: &Scenario) -> TuningOutcome {
         self.tune_with_jobs(scenario, fela_harness::default_jobs())
     }
