@@ -1,7 +1,8 @@
 //! Fair-share scaling: per-event rate updates from the full
 //! progressive-filling oracle (`max_min_rates`) against the incremental
-//! engine (`IncrementalMaxMin`) at 8–64 nodes, and one ring all-reduce round
-//! started flow by flow against one batched start at 8–96 nodes.
+//! engine (`IncrementalMaxMin`) at 8–64 nodes, one ring all-reduce round
+//! started flow by flow against one batched start at 8–96 nodes, and one
+//! whole-fleet ring all-reduce at 256–2048 nodes.
 //!
 //! The fair-share churn uses rack-local traffic (groups of 8 nodes, 4 flows
 //! per node), so the link-sharing graph splits into one connected component
@@ -17,9 +18,18 @@
 //! The ring-round cases time one ring all-reduce round at 8–96 nodes on the
 //! paper testbed: K flows (node i → node i+1) started at one instant and
 //! drained to completion, once with K `start_flow` calls (one fair-share
-//! update and estimate refresh per flow) and once with one `start_flows` call
-//! (one update for the round). A round's flows share no link, so each is its
-//! own component and the batched start solves K one-flow components once.
+//! update and estimate refresh per flow) and once with one `start_flows` call.
+//! Started one at a time, each flow enters the fair-share engine as its own
+//! one-flow component. Started together, the round's K flows carry equal
+//! bytes over 2K links no other flow uses, so the network holds them as one
+//! flow group: one one-flow solve, one entry to advance, re-estimate and
+//! complete.
+//!
+//! The all-reduce cases run `run_allreduce_alone` over a 548 MB payload on
+//! the paper testbed: 2(K−1) rounds, each one flow group, so 2K(K−1) flows
+//! in all (8.4 M at 2048 nodes). What is left per flow is what the network's
+//! interface hands out: an id at the start, an `f64` add of its drained
+//! bytes and one of its residual, and a `(FlowId, FlowSpec)` completion.
 //!
 //! Run with `FELA_BENCH_DIR=<dir>` to emit `BENCH_fairshare_scaling.json`;
 //! `FELA_BENCH_QUICK=1` shortens the measurement for CI smoke runs.
@@ -28,7 +38,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use fela_net::fairshare::{max_min_rates, FlowLinks, IncrementalMaxMin};
-use fela_net::{FlowSpec, Network, NetworkConfig, NodeId};
+use fela_net::{run_allreduce_alone, FlowSpec, Network, NetworkConfig, NodeId};
 use fela_sim::SimTime;
 
 /// Rack-local flow pattern: `nodes` must be a multiple of 8; each rack of 8
@@ -156,5 +166,25 @@ fn bench_ring_round(c: &mut Criterion) {
     }
 }
 
-criterion_group!(fairshare_scaling, bench_fairshare_scaling, bench_ring_round);
+fn bench_ring_allreduce(c: &mut Criterion) {
+    for nodes in [256usize, 1024, 2048] {
+        let config = NetworkConfig::paper_testbed(nodes);
+        c.bench_function(&format!("net/ring_allreduce_{nodes}nodes"), |b| {
+            b.iter_batched(
+                || (Network::new(config), (0..nodes).map(NodeId).collect()),
+                |(mut net, participants)| {
+                    run_allreduce_alone(&mut net, SimTime::ZERO, participants, 548_000_000)
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
+}
+
+criterion_group!(
+    fairshare_scaling,
+    bench_fairshare_scaling,
+    bench_ring_round,
+    bench_ring_allreduce
+);
 criterion_main!(fairshare_scaling);

@@ -1,5 +1,7 @@
 //! Whole-model container and aggregate accounting.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::layer::{Layer, SpatialShape, BYTES_PER_ELEM};
@@ -11,7 +13,10 @@ pub struct Model {
     pub name: String,
     /// Per-sample input shape fed to the first layer.
     pub input: SpatialShape,
-    layers: Vec<Layer>,
+    /// Shared by every clone: a model never changes once built, and a
+    /// scenario carrying it is cloned per simulated run and per elastic
+    /// epoch.
+    layers: Arc<[Layer]>,
 }
 
 impl Model {
@@ -24,7 +29,7 @@ impl Model {
         Model {
             name: name.into(),
             input,
-            layers,
+            layers: layers.into(),
         }
     }
 

@@ -6,7 +6,18 @@
 //! ring neighbours — a reduce-scatter phase followed by an all-gather phase. Each
 //! round is a set of `K` concurrent flows started by one [`Network::start_flows`]
 //! call, so the fair share is updated once per round, not once per flow; rounds
-//! are serialised by the data dependency.
+//! are serialised by the data dependency. Every round is the same `K` specs, so
+//! they are built once.
+//!
+//! A round's flows carry equal bytes, and each participant is the source of one
+//! and the destination of one. When no other flow uses the ring's NICs, the
+//! network therefore holds the round as one flow group: one rate, one drain and
+//! one completion estimate for all `K` flows. It splits the group into `K`
+//! ordinary flows the moment other traffic lands on a ring NIC or an abort takes
+//! some of its flows but not all. Both rules are exact: until the split every
+//! member would have seen the same `f64` operations on its own, and after it
+//! each carries on from the same state (see the flow table in `network.rs`).
+//! Completions still arrive one `(FlowId, FlowSpec)` per flow, in id order.
 //!
 //! [`RingAllReduce`] is a passive state machine: the owning simulation world starts
 //! it, forwards flow completions to it, and asks it to launch the next round when a
@@ -35,8 +46,9 @@ pub enum CollectiveProgress {
 /// A flow-level ring all-reduce.
 #[derive(Clone, Debug)]
 pub struct RingAllReduce {
-    participants: Vec<NodeId>,
-    chunk_bytes: u64,
+    /// Every round's flows: each participant sends one chunk to its ring
+    /// successor, the last wrapping to the first. All rounds are the same.
+    round: Vec<FlowSpec>,
     rounds_total: usize,
     rounds_done: usize,
     /// The current round's flows are `round_first .. round_first + K`: one
@@ -76,9 +88,20 @@ impl RingAllReduce {
         let k = participants.len();
         let rounds_total = if k > 1 { 2 * (k - 1) } else { 0 };
         let chunk_bytes = if k > 1 { total_bytes / k as u64 } else { 0 };
+        // Each participant sends to its successor; the last wraps to the first.
+        let successors = participants[1..].iter().chain(&participants[..1]);
+        let round = participants
+            .iter()
+            .zip(successors)
+            .map(|(&src, &dst)| FlowSpec {
+                src,
+                dst,
+                bytes: chunk_bytes,
+                tag,
+            })
+            .collect();
         let mut ar = RingAllReduce {
-            participants,
-            chunk_bytes,
+            round,
             rounds_total,
             rounds_done: 0,
             round_first: FlowId(0),
@@ -104,16 +127,7 @@ impl RingAllReduce {
 
     fn launch_round(&mut self, net: &mut Network, now: SimTime) {
         debug_assert_eq!(self.outstanding, 0);
-        let k = self.participants.len();
-        let specs: Vec<FlowSpec> = (0..k)
-            .map(|i| FlowSpec {
-                src: self.participants[i],
-                dst: self.participants[(i + 1) % k],
-                bytes: self.chunk_bytes,
-                tag: self.tag,
-            })
-            .collect();
-        let ids = net.start_flows(now, &specs);
+        let ids = net.start_flows(now, &self.round);
         self.round_first = ids[0];
         self.outstanding = ids.len();
     }
@@ -127,7 +141,7 @@ impl RingAllReduce {
         flow: FlowId,
     ) -> CollectiveProgress {
         let first = self.round_first.0;
-        let in_round = (first..first + self.participants.len() as u64).contains(&flow.0);
+        let in_round = (first..first + self.round.len() as u64).contains(&flow.0);
         if !in_round || self.outstanding == 0 {
             return CollectiveProgress::NotMine;
         }

@@ -28,10 +28,21 @@
 //!   and the water-filling run over buffers the engine allocates once, so a
 //!   steady-state batch allocates nothing.
 //!
-//! In the simulator's ring all-reduce a round's flows share no link, so every
-//! component is one flow over two links and the water-filling itself is
-//! trivial: the engine's cost is its bookkeeping, which is why the tables are
-//! flat vectors and the buffers are reused.
+//! The simulator's ring all-reduce rounds mostly never reach the engine. A
+//! round whose K flows carry equal bytes over 2K links that no other flow
+//! uses would be K one-flow, two-link components here, each solved to the
+//! same rate. [`crate::Network`] holds such a round as one flow group
+//! instead, and gets that rate once from `lone_rate`, which presents
+//! `progressive_fill` the operands `recompute` would present for any member.
+//! When a later flow lands on one of the group's links, or an abort takes
+//! some of its members but not all, the network splits the group, and
+//! `insert_split` admits the members at their place in key order, each
+//! solved as its own component. That is exactly the state inserting them at
+//! the group's start would have left, since nothing touched their links in
+//! between. So the engine carries the contended traffic: grant fetches,
+//! incast, and rounds that share a NIC with other flows. Its cost there is
+//! bookkeeping more than water-filling, which is why the tables are flat
+//! vectors and the buffers are reused.
 //!
 //! ## Why the incremental engine is bit-identical to the oracle
 //!
@@ -390,18 +401,78 @@ impl IncrementalMaxMin {
                 );
             }
             self.last_key = Some(key);
-            let (e, g) = (links.egress, ne + links.ingress);
-            self.flows.push(EngineFlow {
-                key,
-                links: (e, g),
-                rate: 0.0,
-            });
-            self.link_flows[e].push((key, g));
-            self.link_flows[g].push((key, e));
-            self.buffers.seeds.push(e);
-            self.buffers.seeds.push(g);
+            let flow = self.attach(key, links);
+            self.flows.push(flow);
         }
         self.recompute();
+    }
+
+    /// Lists a new flow on its two links and seeds both for the next
+    /// recomputation; returns its table entry for the caller to place.
+    fn attach(&mut self, key: u64, links: FlowLinks) -> EngineFlow {
+        let (e, g) = (links.egress, self.egress_cap.len() + links.ingress);
+        self.link_flows[e].push((key, g));
+        self.link_flows[g].push((key, e));
+        self.buffers.seeds.push(e);
+        self.buffers.seeds.push(g);
+        EngineFlow {
+            key,
+            links: (e, g),
+            rate: 0.0,
+        }
+    }
+
+    /// Re-admits a split flow group's members: keys that were assigned before
+    /// later inserts but never held by the engine, so they go in at their
+    /// place in key order rather than at the end. Each member is solved in
+    /// its own component, as if it had been inserted when its key was given.
+    ///
+    /// # Panics
+    /// Panics if `members` is empty, its keys are not consecutive or one of
+    /// them is active.
+    pub(crate) fn insert_split(&mut self, members: &[(u64, FlowLinks)]) {
+        let (first, last) = (members[0].0, members[members.len() - 1].0);
+        assert_eq!(
+            last - first + 1,
+            members.len() as u64,
+            "split keys not consecutive"
+        );
+        let at = self.flows.partition_point(|f| f.key < first);
+        if let Some(next) = self.flows.get(at) {
+            assert!(
+                next.key > last,
+                "split member key {} already active",
+                next.key
+            );
+        }
+        let flows: Vec<EngineFlow> = members
+            .iter()
+            .map(|&(key, links)| self.attach(key, links))
+            .collect();
+        self.flows.splice(at..at, flows);
+        self.last_key = self.last_key.max(Some(last));
+        self.recompute();
+    }
+
+    /// Whether no active flow uses `links.egress` or `links.ingress`.
+    pub(crate) fn links_idle(&self, links: FlowLinks) -> bool {
+        self.link_flows[links.egress].is_empty()
+            && self.link_flows[self.egress_cap.len() + links.ingress].is_empty()
+    }
+
+    /// The rate one flow over `links` would get with no other flow on either
+    /// link: the solve of a one-flow, two-link component, through the same
+    /// [`progressive_fill`] operands `recompute` would present for it.
+    pub(crate) fn lone_rate(&mut self, links: FlowLinks) -> f64 {
+        let (e, g) = (links.egress, self.egress_cap.len() + links.ingress);
+        let fill = &mut self.buffers.fill;
+        progressive_fill(
+            fill,
+            |l| link_cap(&self.egress_cap, &self.ingress_cap, l),
+            &[e, g],
+            [(e, g)],
+        );
+        fill.rates[0]
     }
 
     /// Removes a flow and recomputes its former component's rates.

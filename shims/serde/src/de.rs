@@ -157,6 +157,12 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     }
 }
 
+impl<T: Deserialize> Deserialize for std::sync::Arc<[T]> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        Vec::<T>::from_value(v).map(Into::into)
+    }
+}
+
 impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
     fn from_value(v: &Value) -> Result<Self, Error> {
         let items = Vec::<T>::from_value(v)?;

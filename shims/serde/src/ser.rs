@@ -112,6 +112,12 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
     }
 }
 
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         self.as_slice().to_value()

@@ -11,6 +11,11 @@ use fela_sim::{EventQueue, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// The exact bits of a network's delivered-bytes accumulator.
+fn delivered_bits(net: &Network) -> u64 {
+    net.bytes_delivered_exact().to_bits()
+}
+
 fn pow2_weight() -> impl Strategy<Value = u64> {
     prop_oneof![Just(1u64), Just(2), Just(4), Just(8)]
 }
@@ -341,7 +346,7 @@ proptest! {
             }
             prop_assert_eq!(batched.next_completion(), per_flow.next_completion());
             prop_assert_eq!(batched.active_flows(), per_flow.active_flows());
-            prop_assert_eq!(batched.bytes_delivered(), per_flow.bytes_delivered());
+            prop_assert_eq!(delivered_bits(&batched), delivered_bits(&per_flow));
         }
         // Drain both, wave by wave.
         while let Some(t) = batched.next_completion() {
@@ -351,7 +356,186 @@ proptest! {
                 flat(batched.take_completions(now)),
                 flat(per_flow.take_completions(now))
             );
-            prop_assert_eq!(batched.bytes_delivered(), per_flow.bytes_delivered());
+            prop_assert_eq!(delivered_bits(&batched), delivered_bits(&per_flow));
+        }
+        prop_assert!(per_flow.next_completion().is_none());
+    }
+
+    /// A ring round started with one `start_flows` call is held as one flow
+    /// group, and stays bit-identical to starting its flows one `start_flow`
+    /// at a time. Random rings of 2–8 of 12 nodes run round after round
+    /// (the next round starts when the last flow of the current one
+    /// completes), interleaved with cross traffic that lands on ring NICs
+    /// mid-round, `fail_node`, `abort_matching` by tag and completion waves.
+    /// At every step the two networks agree on ids, the next completion
+    /// instant, every completion and abort (ids, specs, order), the active
+    /// flow count and the exact bits of the bytes delivered.
+    #[test]
+    fn grouped_rings_are_bit_identical_to_per_flow(
+        ops in prop::collection::vec(
+            (
+                0usize..6,
+                0u64..2_000_000,
+                prop::collection::vec(0usize..12, 1..9),
+                prop_oneof![Just(0u64), 1u64..20_000_000],
+            ),
+            1..60,
+        ),
+        // Two NIC rates. Under the paper testbed's, a flow that completes
+        // still holds a residual; under a full-mantissa rate, drains are not
+        // short binary fractions. Between them, adding a group's drain or
+        // residual in any other order than once per member changes the bits.
+        link_bandwidth in prop_oneof![Just(0.875e9), Just(1e9 / 3.0)],
+    ) {
+        let config = NetworkConfig {
+            nodes: 12,
+            link_bandwidth,
+            latency: SimDuration::from_micros(20),
+        };
+        let mut grouped = Network::new(config);
+        let mut per_flow = Network::new(config);
+        let mut now = SimTime::ZERO;
+        let mut next_tag = 0u64;
+        // Active rings: (participants, chunk bytes, rounds left, tag, flows
+        // of the current round still in flight).
+        let mut rings: Vec<(Vec<usize>, u64, usize, u64, usize)> = Vec::new();
+        type Done = Vec<(FlowId, NodeId, NodeId, u64, u64)>;
+        let flat = |done: Vec<(FlowId, FlowSpec)>| -> Done {
+            done.into_iter().map(|(id, s)| (id, s.src, s.dst, s.bytes, s.tag)).collect()
+        };
+        // Starts `specs` as one batch on the grouped network and one flow at
+        // a time on the reference; both must assign the same ids.
+        let start = |grouped: &mut Network, per_flow: &mut Network, now, specs: &[FlowSpec]| {
+            let ids = grouped.start_flows(now, specs);
+            let one_by_one: Vec<FlowId> =
+                specs.iter().map(|&s| per_flow.start_flow(now, s)).collect();
+            (ids, one_by_one)
+        };
+        let round = |nodes: &[usize], chunk: u64, tag: u64| -> Vec<FlowSpec> {
+            (0..nodes.len())
+                .map(|i| FlowSpec {
+                    src: NodeId(nodes[i]),
+                    dst: NodeId(nodes[(i + 1) % nodes.len()]),
+                    bytes: chunk,
+                    tag,
+                })
+                .collect()
+        };
+        // Drops the rings an abort touched: the aborted flows are gone, so the
+        // ring's remaining flows are aborted by its tag too.
+        let drop_aborted = |grouped: &mut Network,
+                            per_flow: &mut Network,
+                            rings: &mut Vec<(Vec<usize>, u64, usize, u64, usize)>,
+                            now,
+                            aborted: &Done| {
+            for ring in std::mem::take(rings) {
+                if aborted.iter().any(|&(.., tag)| tag == ring.3) {
+                    prop_assert_eq!(
+                        flat(grouped.abort_matching(now, |s| s.tag == ring.3)),
+                        flat(per_flow.abort_matching(now, |s| s.tag == ring.3))
+                    );
+                } else {
+                    rings.push(ring);
+                }
+            }
+        };
+        for (kind, dt_ns, picks, bytes) in ops {
+            match kind {
+                // A new ring over the distinct picked nodes, if at least two.
+                0 => {
+                    let mut nodes = picks.clone();
+                    nodes.sort_unstable();
+                    nodes.dedup();
+                    // Ring order follows the draw, not the node ids.
+                    nodes.sort_by_key(|n| picks.iter().position(|p| p == n));
+                    if nodes.len() >= 2 {
+                        next_tag += 1;
+                        let k = nodes.len();
+                        let (ids, one_by_one) =
+                            start(&mut grouped, &mut per_flow, now, &round(&nodes, bytes, next_tag));
+                        prop_assert_eq!(ids, one_by_one);
+                        rings.push((nodes, bytes, 2 * (k - 1) - 1, next_tag, k));
+                    }
+                }
+                // Cross traffic after `dt_ns`: one flow per picked pair.
+                1 => {
+                    now += SimDuration::from_nanos(dt_ns);
+                    let specs: Vec<FlowSpec> = picks
+                        .chunks(2)
+                        .map(|pair| {
+                            next_tag += 1;
+                            FlowSpec {
+                                src: NodeId(pair[0]),
+                                dst: NodeId(*pair.last().unwrap_or(&pair[0]) ^ 1),
+                                bytes,
+                                tag: next_tag,
+                            }
+                        })
+                        .collect();
+                    let (ids, one_by_one) = start(&mut grouped, &mut per_flow, now, &specs);
+                    prop_assert_eq!(ids, one_by_one);
+                }
+                // A crashed node.
+                2 => {
+                    let node = NodeId(picks[0]);
+                    let aborted = flat(grouped.fail_node(now, node));
+                    prop_assert_eq!(&aborted, &flat(per_flow.fail_node(now, node)));
+                    drop_aborted(&mut grouped, &mut per_flow, &mut rings, now, &aborted);
+                }
+                // Abort every flow with a tag in one residue class.
+                3 => {
+                    let class = dt_ns % 3;
+                    let aborted = flat(grouped.abort_matching(now, |s| s.tag % 3 == class));
+                    prop_assert_eq!(
+                        &aborted,
+                        &flat(per_flow.abort_matching(now, |s| s.tag % 3 == class))
+                    );
+                    drop_aborted(&mut grouped, &mut per_flow, &mut rings, now, &aborted);
+                }
+                // A completion wave; every ring whose round drained starts its
+                // next round at the same instant.
+                _ => {
+                    if let Some(t) = grouped.next_completion() {
+                        now = now.max(t);
+                        let done = flat(grouped.take_completions(now));
+                        prop_assert_eq!(&done, &flat(per_flow.take_completions(now)));
+                        let mut finished = Vec::new();
+                        for (i, ring) in rings.iter_mut().enumerate() {
+                            ring.4 -= done.iter().filter(|&&(.., tag)| tag == ring.3).count();
+                            if ring.4 == 0 {
+                                finished.push(i);
+                            }
+                        }
+                        for &i in finished.iter().rev() {
+                            let (nodes, chunk, left, tag, _) = rings.remove(i);
+                            if left > 0 {
+                                let (ids, one_by_one) = start(
+                                    &mut grouped,
+                                    &mut per_flow,
+                                    now,
+                                    &round(&nodes, chunk, tag),
+                                );
+                                prop_assert_eq!(ids, one_by_one);
+                                let k = nodes.len();
+                                rings.push((nodes, chunk, left - 1, tag, k));
+                            }
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(grouped.next_completion(), per_flow.next_completion());
+            prop_assert_eq!(grouped.active_flows(), per_flow.active_flows());
+            prop_assert_eq!(delivered_bits(&grouped), delivered_bits(&per_flow));
+        }
+        // Drain both, wave by wave.
+        while let Some(t) = grouped.next_completion() {
+            prop_assert_eq!(per_flow.next_completion(), Some(t));
+            now = now.max(t);
+            prop_assert_eq!(
+                flat(grouped.take_completions(now)),
+                flat(per_flow.take_completions(now))
+            );
+            prop_assert_eq!(delivered_bits(&grouped), delivered_bits(&per_flow));
         }
         prop_assert!(per_flow.next_completion().is_none());
     }
