@@ -1,12 +1,13 @@
 //! Frame-protocol session verifier for the live runtime.
 //!
 //! The server ↔ worker dialogue over a [`Link`] follows a strict session
-//! discipline (DESIGN.md §"live runtime"): an optional `Hello`, then —
-//! virtual mode — blocking `CostQuery`/`CostReply` round trips, or — real
-//! mode — an initial `Request` followed by `GrantBatch`/`ReportBatch` cycles,
-//! and an epilogue of `Iter*`, `End`, `Params` with `Params` the link's last
-//! frame. Grants and reports are checked token by token, whatever the batch
-//! length.
+//! discipline (DESIGN.md §"live runtime"): an optional `Hello`, then — real
+//! clock — an initial `Request` followed by `GrantBatch`/`ReportBatch`
+//! cycles, and an epilogue of `Iter*`, `End`, `Params` with `Params` the
+//! link's last frame. A virtual-clock run prices spans with the simulator's
+//! own model, so its links carry the `Hello` and the epilogue only, and one
+//! rule set checks both clock modes. Grants and reports are checked token by
+//! token, whatever the batch length.
 //! This module encodes that discipline as one state machine per link
 //! ([`SessionVerifier`]) and replays it over a stream of recorded
 //! [`SyncEvent`]s — either captured from a real run by
@@ -16,16 +17,15 @@
 //! Checked per link (= per worker index), from the server's perspective:
 //!
 //! * **direction** — only worker-type frames arrive (`Hello`, `Request`,
-//!   `ReportBatch`, `CostReply`, `Params`), only server-type frames depart
-//!   (`CostQuery`, `GrantBatch`, `Iter`, `Hang`, `End`);
+//!   `ReportBatch`, `Params`), only server-type frames depart (`GrantBatch`,
+//!   `Iter`, `Hang`, `End`); a frame no runtime sends (`CostQuery`,
+//!   `CostReply`) is in the wrong direction either way;
 //! * **identity** — `Request`/`ReportBatch` frames carry the link's worker
 //!   index;
 //! * **grant/report matching** — every reported token pops the *oldest*
 //!   outstanding grant on its link (per-direction FIFO means reports cannot
 //!   overtake each other), and a token with no outstanding grant is a
 //!   violation;
-//! * **cost round trips** — a `CostReply` answers exactly the pending
-//!   `CostQuery`, and queries never nest;
 //! * **epilogue** — nothing is sent after `End`, no grant after `Iter`,
 //!   `Params` only after `End`, and nothing arrives after `Params`;
 //! * **inbox conservation** — each [`SyncEvent::InboxDequeued`] on the real
@@ -84,23 +84,6 @@ pub enum SessionViolation {
         expected: u64,
         /// Token actually reported.
         got: u64,
-    },
-    /// A `CostReply` did not answer the pending `CostQuery`.
-    CostReplyMismatch {
-        /// Link the reply arrived on.
-        worker: usize,
-        /// Token of the pending query, if any.
-        expected: Option<u64>,
-        /// Token the reply carried.
-        got: u64,
-    },
-    /// A `CostQuery` was sent while another query was still unanswered on the
-    /// same link (the virtual server's round trips are strictly blocking).
-    NestedCostQuery {
-        /// Link the query went down.
-        worker: usize,
-        /// Token of the new query.
-        token: u64,
     },
     /// A frame was sent on a link after its `End`.
     SendAfterEnd {
@@ -180,17 +163,6 @@ impl std::fmt::Display for SessionViolation {
                 f,
                 "link {worker}: Report({got}) overtook outstanding grant {expected}"
             ),
-            SessionViolation::CostReplyMismatch {
-                worker,
-                expected,
-                got,
-            } => write!(
-                f,
-                "link {worker}: CostReply({got}) does not answer pending query {expected:?}"
-            ),
-            SessionViolation::NestedCostQuery { worker, token } => {
-                write!(f, "link {worker}: CostQuery({token}) nested inside another")
-            }
             SessionViolation::SendAfterEnd { worker, frame } => {
                 write!(f, "link {worker}: sent after End: {frame}")
             }
@@ -254,8 +226,6 @@ fn check_report_token(
 struct LinkSession {
     /// Tokens granted but not yet reported, oldest first.
     outstanding: VecDeque<u64>,
-    /// Token of the unanswered `CostQuery`, if any.
-    pending_query: Option<u64>,
     /// Whether the epilogue (`Iter`) has begun on this link.
     sent_iter: bool,
     /// Whether `End` was sent on this link.
@@ -359,7 +329,6 @@ impl SessionVerifier {
                 // conservation check can match the server's dequeue of the
                 // close its link's reader forwarded.
                 link.outstanding.clear();
-                link.pending_query = None;
                 link.sent_iter = false;
                 link.sent_end = false;
                 link.got_params = false;
@@ -373,8 +342,8 @@ impl SessionVerifier {
     }
 
     /// Finishes the stream and returns the report. End-of-stream link state
-    /// (outstanding grants, unanswered queries, undrained arrivals) is *not*
-    /// flagged: streams may legitimately be truncated mid-run.
+    /// (outstanding grants, undrained arrivals) is *not* flagged: streams may
+    /// legitimately be truncated mid-run.
     pub fn finish(self) -> SessionReport {
         SessionReport {
             links: self.links.len(),
@@ -429,15 +398,6 @@ impl SessionVerifier {
                     link.outstanding.push_back(g.token);
                 }
             }
-            Frame::CostQuery { token, .. } => {
-                if link.pending_query.is_some() {
-                    self.violations.push(SessionViolation::NestedCostQuery {
-                        worker,
-                        token: *token,
-                    });
-                }
-                link.pending_query = Some(*token);
-            }
             Frame::Iter { .. } => link.sent_iter = true,
             Frame::End => link.sent_end = true,
             Frame::Hang { .. } => {}
@@ -483,17 +443,6 @@ impl SessionVerifier {
                 // pop the oldest outstanding grant, in batch order.
                 for token in tokens {
                     check_report_token(&mut self.violations, link, worker, *token);
-                }
-            }
-            Frame::CostReply { token, .. } => {
-                if link.pending_query == Some(*token) {
-                    link.pending_query = None;
-                } else {
-                    self.violations.push(SessionViolation::CostReplyMismatch {
-                        worker,
-                        expected: link.pending_query,
-                        got: *token,
-                    });
                 }
             }
             Frame::Params { .. } => {
@@ -1072,8 +1021,9 @@ mod tests {
     }
 
     #[test]
-    fn cost_round_trips_must_match() {
-        let q = Frame::CostQuery {
+    fn cost_frames_are_in_the_wrong_direction() {
+        // No runtime speaks the cost round trip, so neither end may carry it.
+        let query = Frame::CostQuery {
             worker: 0,
             token: 5,
             level: 0,
@@ -1082,34 +1032,25 @@ mod tests {
             batch: 4,
             iteration: 0,
         };
-        let stream = vec![
-            sent(0, q.clone()),
-            received(
-                0,
-                Frame::CostReply {
-                    token: 6,
-                    secs_bits: 0,
-                },
+        let reply = Frame::CostReply {
+            token: 5,
+            secs_bits: 0,
+        };
+        let stream = vec![sent(0, query), received(1, reply)];
+        let rep = verify_session(&stream, None);
+        match &rep.violations[..] {
+            [SessionViolation::WrongDirection {
+                worker: 0,
+                frame: q,
+            }, SessionViolation::WrongDirection {
+                worker: 1,
+                frame: r,
+            }] => assert!(
+                q.starts_with("CostQuery") && r.starts_with("CostReply"),
+                "{q} / {r}"
             ),
-        ];
-        let rep = verify_session(&stream, None);
-        assert!(matches!(
-            rep.violations.first(),
-            Some(SessionViolation::CostReplyMismatch {
-                worker: 0,
-                expected: Some(5),
-                got: 6
-            })
-        ));
-        let stream = vec![sent(0, q.clone()), sent(0, q)];
-        let rep = verify_session(&stream, None);
-        assert!(matches!(
-            rep.violations.first(),
-            Some(SessionViolation::NestedCostQuery {
-                worker: 0,
-                token: 5
-            })
-        ));
+            other => panic!("expected two WrongDirection violations, got {other:?}"),
+        }
     }
 
     #[test]

@@ -34,6 +34,17 @@ pub struct RecoveryConfig {
     pub quarantine_after: u64,
 }
 
+impl RecoveryConfig {
+    /// A lease's length in seconds before [`RecoveryConfig::lease_grace`] is
+    /// added: the estimated span × slack, doubled per prior expiry of the
+    /// token (exponential backoff, capped at 2^32). Both runtimes size their
+    /// leases with it, in this operand order, so they agree to the bit.
+    pub fn lease_secs(&self, span_secs: f64, attempt: u64) -> f64 {
+        let backoff = (1u64 << attempt.min(32)) as f64;
+        span_secs * self.lease_slack * backoff
+    }
+}
+
 impl Default for RecoveryConfig {
     fn default() -> Self {
         RecoveryConfig {
@@ -271,6 +282,26 @@ mod tests {
             .validate(8)
             .expect_err("must be rejected");
         assert!(err.contains("subset larger"), "{err}");
+    }
+
+    #[test]
+    fn lease_secs_caps_the_backoff_at_2_pow_32_and_keeps_the_old_bits() {
+        let rec = RecoveryConfig {
+            lease_slack: 4.3,
+            ..RecoveryConfig::default()
+        };
+        // Full-mantissa operands, so a changed operand order would show.
+        let span = 0.1f64 / 3.0;
+        for attempt in [0, 1, 5, 31, 32, 33, 64, u64::MAX] {
+            let backoff = (1u64 << attempt.min(32)) as f64;
+            let old = span * rec.lease_slack * backoff;
+            let new = rec.lease_secs(span, attempt);
+            assert_eq!(new.to_bits(), old.to_bits(), "attempt {attempt}");
+        }
+        let capped = rec.lease_secs(span, 32);
+        assert_eq!(rec.lease_secs(span, 33).to_bits(), capped.to_bits());
+        assert_eq!(rec.lease_secs(span, u64::MAX).to_bits(), capped.to_bits());
+        assert_eq!(capped, span * rec.lease_slack * 4_294_967_296.0);
     }
 
     #[test]

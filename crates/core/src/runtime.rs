@@ -104,36 +104,28 @@ enum Ev {
     ServerCrash { down: SimDuration },
 }
 
-/// One compute-span query: everything a worker (local or remote) needs to
-/// price a granted token on its GPU. All fields are plain data so the request
-/// can cross a process or wire boundary unchanged.
+/// One compute span to price: a granted token's sub-model on its worker.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ComputeRequest {
     /// The worker the token was granted to.
     pub worker: usize,
-    /// Token id (for correlation on asynchronous backends).
-    pub token: u64,
-    /// Sub-model level the token trains.
-    pub level: usize,
     /// First model unit of the sub-model (inclusive).
     pub unit_start: usize,
     /// Last model unit of the sub-model (exclusive).
     pub unit_end: usize,
     /// Samples the token covers.
     pub batch: u64,
-    /// BSP iteration the token belongs to.
-    pub iteration: u64,
 }
 
-/// Where compute spans come from.
+/// The span-pricing seam: where compute spans come from.
 ///
-/// The simulation's event loop is backend-agnostic: when a worker starts a
-/// token it asks the backend how many seconds the span costs and schedules
-/// `ComputeDone` accordingly. [`LocalCompute`] answers inline from the
-/// scenario's analytic GPU model; `fela-live` answers by round-tripping the
-/// request to a real worker thread over a transport. The contract that keeps
-/// every backend bit-identical: the returned value is the *raw* `f64` seconds
-/// of [`fela_cluster::ClusterSpec::compute_secs`] — the runtime converts to
+/// When a worker starts a token the event loop asks the backend how many
+/// seconds the span costs and schedules `ComputeDone` accordingly.
+/// Every runtime uses [`LocalCompute`], the scenario's analytic GPU model;
+/// the seam lets a probe substitute a wrapper around it (`fela_benchmark`
+/// times span pricing this way). The contract that keeps a substitute
+/// bit-identical: it returns the *raw* `f64` seconds of
+/// [`fela_cluster::ClusterSpec::compute_secs`] — the runtime converts to
 /// virtual time itself (lease deadlines multiply the raw seconds before any
 /// nanosecond rounding, so a backend must not round first).
 pub trait ComputeBackend {
@@ -183,7 +175,7 @@ struct ActiveSync {
 
 struct FelaWorld<'a> {
     trace: Trace,
-    /// Compute-span oracle: inline analytic model, or a live worker fleet.
+    /// Compute-span pricing: [`LocalCompute`], or a probe around it.
     backend: &'a mut dyn ComputeBackend,
     scenario: Scenario,
     partition: Partition,
@@ -296,12 +288,9 @@ impl FelaWorld<'_> {
         let sm = &self.partition.sub_models()[grant.token.level];
         let req = ComputeRequest {
             worker,
-            token: grant.token.id.0,
-            level: grant.token.level,
             unit_start: sm.unit_start,
             unit_end: sm.unit_end,
             batch: grant.token.batch,
-            iteration: grant.token.iteration,
         };
         let token = grant.token.id;
         let attempt = grant.attempt;
@@ -318,11 +307,8 @@ impl FelaWorld<'_> {
         self.workers[worker].compute_ev = Some((ev, done_at));
         if self.leases_armed() {
             if let Some(rec) = self.plane().config().recovery {
-                // Deadline = estimated cost × slack, doubled per prior expiry
-                // (exponential backoff), plus flat control-plane grace.
-                let backoff = (1u64 << attempt.min(32)) as f64;
                 let deadline = start
-                    + SimDuration::from_secs_f64(secs * rec.lease_slack * backoff)
+                    + SimDuration::from_secs_f64(rec.lease_secs(secs, attempt))
                     + rec.lease_grace;
                 sched.schedule_at(deadline, Ev::LeaseExpire { token, attempt });
             }
@@ -896,8 +882,6 @@ impl FelaWorld<'_> {
 pub struct FelaRuntime {
     /// Scheduling/tuning configuration.
     pub config: FelaConfig,
-    /// Partitioning options (defaults reproduce the paper's 3-way splits).
-    pub partition_options: PartitionOptions,
     /// Control-plane durability (write-ahead log + checkpoints). `None`
     /// keeps the plane purely in-memory — unless the scenario declares a
     /// server fault, which implies an in-memory WAL (the crash cannot be
@@ -911,7 +895,6 @@ impl FelaRuntime {
     pub fn new(config: FelaConfig) -> Self {
         FelaRuntime {
             config,
-            partition_options: PartitionOptions::default(),
             durability: None,
         }
     }
@@ -923,13 +906,11 @@ impl FelaRuntime {
         self
     }
 
-    /// Builds the partition this runtime would use for a scenario's model.
+    /// Builds the partition this runtime would use for a scenario's model
+    /// (the default options reproduce the paper's 3-way splits).
     pub fn partition_for(&self, scenario: &Scenario) -> Partition {
-        bin_partition(
-            &scenario.model,
-            &scenario.cluster.compute.profile,
-            self.partition_options,
-        )
+        let profile = &scenario.cluster.compute.profile;
+        bin_partition(&scenario.model, profile, PartitionOptions::default())
     }
 
     /// Validates `scenario` and builds the Token Server's plane for it, with
@@ -968,14 +949,12 @@ impl FelaRuntime {
         self.run_impl(scenario, Trace::enabled(), &mut LocalCompute)
     }
 
-    /// Like [`FelaRuntime::run_traced`] but with compute spans priced by an
-    /// explicit [`ComputeBackend`] instead of the inline analytic model.
+    /// Like [`FelaRuntime::run_traced`] but with compute spans priced through
+    /// an explicit [`ComputeBackend`], the seam a timing probe substitutes.
     ///
-    /// The event machinery — grants, fetches, syncs, straggler floors, leases,
-    /// faults — is *shared* with the local path; only the span oracle differs.
-    /// A backend that returns the same seconds as [`LocalCompute`] therefore
-    /// produces a byte-identical trace and report (this is how `fela-live`
-    /// proves virtual-clock conformance).
+    /// Everything else — grants, fetches, syncs, straggler floors, leases,
+    /// faults — is the same code, so a backend that returns the same seconds
+    /// as [`LocalCompute`] produces a byte-identical trace and report.
     pub fn run_traced_with(
         &self,
         scenario: &Scenario,

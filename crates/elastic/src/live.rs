@@ -7,9 +7,10 @@
 //! epilogue of the epoch they depart — the wire-level counterpart of the
 //! simulator's iteration-boundary drain.
 //!
-//! Conformance: every epoch's live report is byte-identical to the
-//! simulator's for the same epoch (that is [`fela_live::run_virtual`]'s
-//! contract), so the stitched elastic live report is byte-identical to
+//! Conformance: every epoch's live report is the simulator's for the same
+//! epoch ([`fela_live::run_virtual`] prices spans with the simulator's own
+//! model and ships only the replicas' training over the wire), so the
+//! stitched elastic live report is byte-identical to
 //! [`crate::ElasticRuntime::run_elastic`]'s — the sim-vs-live elastic
 //! conformance tests pin this across both transports.
 

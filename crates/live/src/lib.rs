@@ -10,11 +10,12 @@
 //! Two clock modes:
 //!
 //! * **Virtual** ([`run_virtual`]) — the server side is the *unmodified*
-//!   [`fela_core::FelaRuntime`] event loop; only the compute-span oracle is
-//!   swapped for a fleet of live worker threads that price each span over the
-//!   wire ([`fela_core::ComputeBackend`]). Traces and reports are
-//!   **byte-identical** to the simulator, so `fela-check`'s race detector and
-//!   recovery verifier run unchanged on live output. Deterministic.
+//!   [`fela_core::FelaRuntime`] event loop, spans priced by its own model, and
+//!   the live worker threads train their replicas from the traced schedule.
+//!   Traces and reports are **byte-identical** to the simulator, so
+//!   `fela-check`'s race detector and recovery verifier run unchanged on live
+//!   output, and the wire carries only frames the real-clock run sends too.
+//!   Deterministic.
 //! * **Real** ([`run_real`]) — the Token Server runs against the wall clock:
 //!   workers pull tokens, sleep the modeled span scaled by `time_scale`, and
 //!   report; leases, crash/restart injection and hang faults run off real

@@ -316,11 +316,8 @@ impl RealServer<'_> {
                     .sum();
                 let scale = self.opts.time_scale;
                 for &(token, attempt) in &self.leases {
-                    let backoff = (1u64 << attempt.min(32)) as f64;
-                    let lease = Duration::from_secs_f64(
-                        (total * rec.lease_slack * backoff + rec.lease_grace.as_secs_f64()) * scale,
-                    )
-                    .max(self.opts.min_lease);
+                    let secs = rec.lease_secs(total, attempt) + rec.lease_grace.as_secs_f64();
+                    let lease = Duration::from_secs_f64(secs * scale).max(self.opts.min_lease);
                     let timer = Timer::Lease { token, attempt };
                     self.timers.push(Reverse((Instant::now() + lease, timer)));
                 }

@@ -1,25 +1,23 @@
-//! Virtual-clock live runs: real threads, real wire protocol, simulated time.
+//! Virtual-clock live runs: real threads, simulated time.
 //!
 //! The Token Server side *is* the simulator: [`fela_core::FelaRuntime`] runs
 //! its full discrete-event loop (grants, fetches, syncs, straggler floors,
-//! leases, faults), but every compute span is priced by shipping a
-//! `CostQuery` frame to the owning worker thread and blocking on its
-//! bit-exact `CostReply` ([`LiveBackend`]). Because the event machinery is
-//! shared code and the workers evaluate the same pure analytic model on their
-//! own [`Scenario`] clones, the emitted trace and report are **byte-identical**
-//! to `FelaRuntime::run_traced` — that is the conformance argument, and the
-//! conformance tests byte-diff both.
+//! leases, faults) and prices every compute span with its own analytic
+//! model, so the emitted trace and report are **byte-identical** to
+//! `FelaRuntime::run_traced` by construction.
 //!
-//! After the simulated run drains, the server extracts one engine schedule
-//! per iteration from the trace (completion-order relabeling, see
-//! [`crate::replay`]), broadcasts them as `Iter` frames, and collects every
-//! worker's final parameters, asserting they agree bit-for-bit with a local
-//! reference replay.
+//! What crosses the wire is the replicas' training: after the simulated run
+//! drains, the server extracts one engine schedule per iteration from the
+//! trace (completion-order relabeling, see [`crate::replay`]), broadcasts
+//! them as `Iter` frames, and collects every worker's final parameters,
+//! asserting they agree bit-for-bit with a local reference replay. A virtual
+//! run therefore sends only frames the real-clock run sends too (`Hello`,
+//! `Iter`, `End`, `Params`).
 
 use std::io;
 
 use fela_cluster::Scenario;
-use fela_core::{ComputeBackend, ComputeRequest, FelaConfig, FelaRuntime, TokenPlan};
+use fela_core::{FelaConfig, FelaRuntime, TokenPlan};
 use fela_metrics::RunReport;
 use fela_sim::Trace;
 
@@ -40,38 +38,6 @@ pub struct LiveOutcome {
     pub params: Vec<u8>,
     /// Transport the run used (`"chan"` / `"tcp"`).
     pub transport: &'static str,
-}
-
-/// A [`ComputeBackend`] that prices spans by round-tripping a `CostQuery`
-/// over the worker's link.
-struct LiveBackend {
-    links: Vec<Link>,
-}
-
-impl ComputeBackend for LiveBackend {
-    fn compute_secs(&mut self, _scenario: &Scenario, req: &ComputeRequest) -> f64 {
-        let link = &mut self.links[req.worker];
-        link.send(&Frame::CostQuery {
-            worker: req.worker as u32,
-            token: req.token,
-            level: req.level as u32,
-            unit_start: req.unit_start as u32,
-            unit_end: req.unit_end as u32,
-            batch: req.batch,
-            iteration: req.iteration,
-        })
-        .unwrap_or_else(|e| panic!("live worker link closed during cost query: {e}"));
-        let reply = link
-            .recv()
-            .unwrap_or_else(|e| panic!("live worker died during cost query: {e}"));
-        match reply {
-            Frame::CostReply { token, secs_bits } => {
-                assert_eq!(token, req.token, "cost reply for the wrong token");
-                f64::from_bits(secs_bits)
-            }
-            other => panic!("expected CostReply, got {other:?}"),
-        }
-    }
 }
 
 /// Builds the token plan the runtime will use for `scenario` (needed to size
@@ -131,11 +97,7 @@ pub fn run_virtual_with(
         })
         .collect();
 
-    let mut backend = LiveBackend {
-        links: server_links,
-    };
-    let runtime = FelaRuntime::new(config.clone());
-    let (report, trace) = runtime.run_traced_with(scenario, &mut backend);
+    let (report, trace) = FelaRuntime::new(config.clone()).run_traced(scenario);
 
     // Drive the engine replicas: every worker's epilogue ships as one queued
     // batch and a single flush, to every worker before any `Params` is
@@ -143,7 +105,7 @@ pub fn run_virtual_with(
     let schedules = schedules_from_trace(&trace);
     let reference = replay_schedules(&plan, &schedules);
     let epilogue = epilogue(&schedules);
-    let mut halves: Vec<_> = backend.links.into_iter().map(Link::split).collect();
+    let mut halves: Vec<_> = server_links.into_iter().map(Link::split).collect();
     for (tx, _) in &mut halves {
         epilogue.iter().try_for_each(|f| tx.queue(f))?;
         tx.flush()?;

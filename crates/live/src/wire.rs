@@ -10,9 +10,8 @@
 //! [`encode_frame_into`] and decodes every received frame in its one
 //! incremental parser ([`crate::transport`]), which calls [`decode_body`].
 //!
-//! `f64` values (compute-span seconds) travel as raw IEEE-754 bits so a value
-//! crosses the wire without any formatting round-trip — bit-exactness of the
-//! virtual clock depends on it.
+//! `f64` values travel as raw IEEE-754 bits, so a value crosses the wire
+//! without any formatting round trip.
 
 use std::io;
 
@@ -32,7 +31,9 @@ pub enum Frame {
         /// Worker index.
         worker: u32,
     },
-    /// Virtual-clock mode, server → worker: price this compute span.
+    /// Server → worker: price this compute span. No runtime sends it (a
+    /// virtual-clock run prices spans with the simulator's own model); a
+    /// worker drops a link that delivers one. ROADMAP item 1 removes it.
     CostQuery {
         /// Worker the token was granted to.
         worker: u32,
@@ -49,7 +50,8 @@ pub enum Frame {
         /// Iteration the token belongs to.
         iteration: u64,
     },
-    /// Virtual-clock mode, worker → server: the span costs these seconds.
+    /// Worker → server: the span costs these seconds. No runtime sends it;
+    /// ROADMAP item 1 removes it.
     CostReply {
         /// Token id being answered.
         token: u64,

@@ -1,14 +1,10 @@
 //! The live worker: one OS thread per worker node.
 //!
 //! A worker owns its own [`Scenario`] clone (the analytic compute model it
-//! prices spans with) and its own engine replica (the model it actually
+//! sizes its sleeps with) and its own engine replica (the model it actually
 //! trains). It is a pure token-puller: everything it does is a reaction to a
 //! frame from the Token Server.
 //!
-//! * `CostQuery` — price a compute span with the worker's *own* copy of the
-//!   analytic model and reply bit-exactly (`f64::to_bits`). In virtual-clock
-//!   mode this is the only thing that feeds the server's event loop, which is
-//!   why live runs are conformant: the server never consults its local model.
 //! * `GrantBatch` — "compute" the granted tokens as one sleep of their summed
 //!   spans scaled by `time_scale`, then answer with one `ReportBatch` naming
 //!   them in grant order.
@@ -43,32 +39,12 @@ pub struct WorkerSpec {
     /// Real seconds slept per modeled second (0.0 = virtual clock).
     pub time_scale: f64,
     /// Send an initial `Request` on startup (real-clock pull mode). Virtual
-    /// mode leaves this off: the simulated event loop injects requests.
+    /// mode leaves this off: the simulator grants every token, and its
+    /// workers only replay the epilogue.
     pub pull: bool,
     /// Scheduler the worker's link yields to at every frame send/receive
     /// ([`crate::sched::pass`] for the uninstrumented default).
     pub sched: SharedSched,
-}
-
-/// Base compute seconds for a span on `worker`, priced by the worker's own
-/// scenario copy. Exactly what [`fela_core::LocalCompute`] would return —
-/// straggler delays are NOT included (the simulator applies them as a
-/// start-time floor, and a real-clock grant adds them in
-/// [`granted_span_secs`]).
-fn span_secs(
-    scenario: &Scenario,
-    worker: usize,
-    unit_start: u32,
-    unit_end: u32,
-    batch: u64,
-) -> f64 {
-    scenario.cluster.compute_secs(
-        &scenario.model,
-        unit_start as usize,
-        unit_end as usize,
-        batch,
-        worker,
-    )
 }
 
 /// Memoized analytic compute seconds, keyed by `(unit_start, unit_end,
@@ -77,8 +53,9 @@ pub(crate) type SpanCache = HashMap<(u32, u32, u64, usize), f64>;
 
 /// Modeled seconds of one granted span on `worker`, straggler delay
 /// included: what the worker sleeps (before `time_scale`) and what the
-/// real-clock server sizes the grant's lease to. The analytic model walk is
-/// deterministic, so it is memoized in `cache`.
+/// real-clock server sizes the grant's lease to. The compute part is what
+/// [`fela_core::LocalCompute`] returns for the span; the analytic model walk
+/// is deterministic, so it is memoized in `cache`.
 pub(crate) fn granted_span_secs(
     scenario: &Scenario,
     cache: &mut SpanCache,
@@ -87,7 +64,15 @@ pub(crate) fn granted_span_secs(
 ) -> f64 {
     let compute = *cache
         .entry((g.unit_start, g.unit_end, g.batch, worker))
-        .or_insert_with(|| span_secs(scenario, worker, g.unit_start, g.unit_end, g.batch));
+        .or_insert_with(|| {
+            scenario.cluster.compute_secs(
+                &scenario.model,
+                g.unit_start as usize,
+                g.unit_end as usize,
+                g.batch,
+                worker,
+            )
+        });
     compute + scenario.straggler_delay(g.iteration, worker).as_secs_f64()
 }
 
@@ -123,25 +108,6 @@ pub fn spawn_worker(spec: WorkerSpec, mut link: Link) -> JoinHandle<()> {
                     Err(_) => return, // server dropped us: die like a killed process
                 };
                 match frame {
-                    Frame::CostQuery {
-                        token,
-                        unit_start,
-                        unit_end,
-                        batch,
-                        ..
-                    } => {
-                        let secs =
-                            span_secs(&spec.scenario, spec.index, unit_start, unit_end, batch);
-                        if link
-                            .send(&Frame::CostReply {
-                                token,
-                                secs_bits: secs.to_bits(),
-                            })
-                            .is_err()
-                        {
-                            return;
-                        }
-                    }
                     Frame::GrantBatch { grants } => {
                         // The whole pipelined batch "computes" as one coalesced
                         // sleep, then reports with a single frame — the
@@ -206,42 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_answers_cost_queries_bit_exactly() {
-        let spec = test_spec(0);
-        let expect = spec
-            .scenario
-            .cluster
-            .compute_secs(&spec.scenario.model, 0, 3, 16, 0);
-        let mut t = ChanTransport;
-        let (mut servers, workers) = t.establish(1).expect("establish");
-        let handle = spawn_worker(spec, workers.into_iter().next().expect("one"));
-        servers[0]
-            .send(&Frame::CostQuery {
-                worker: 0,
-                token: 7,
-                level: 0,
-                unit_start: 0,
-                unit_end: 3,
-                batch: 16,
-                iteration: 0,
-            })
-            .expect("send");
-        match servers[0].recv().expect("reply") {
-            Frame::CostReply { token, secs_bits } => {
-                assert_eq!(token, 7);
-                assert_eq!(secs_bits, expect.to_bits());
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        servers[0].send(&Frame::End).expect("send end");
-        match servers[0].recv().expect("params") {
-            Frame::Params { bytes } => assert!(!bytes.is_empty()),
-            other => panic!("unexpected {other:?}"),
-        }
-        handle.join().expect("worker exits cleanly");
-    }
-
-    #[test]
     fn grant_batch_reports_every_token_with_one_frame() {
         use crate::wire::WireGrant;
         let spec = test_spec(1);
@@ -298,15 +228,27 @@ mod tests {
 
     #[test]
     fn worker_exits_cleanly_on_a_frame_no_server_sends() {
-        let spec = test_spec(0);
-        let mut t = ChanTransport;
-        let (mut servers, workers) = t.establish(1).expect("establish");
-        let handle = spawn_worker(spec, workers.into_iter().next().expect("one"));
-        servers[0]
-            .send(&Frame::Request { worker: 0 })
-            .expect("send request");
-        handle.join().expect("worker exits, not panics");
-        assert!(servers[0].recv().is_err(), "worker dropped its link");
+        let cost_query = Frame::CostQuery {
+            worker: 0,
+            token: 7,
+            level: 0,
+            unit_start: 0,
+            unit_end: 3,
+            batch: 16,
+            iteration: 0,
+        };
+        for frame in [Frame::Request { worker: 0 }, cost_query] {
+            let spec = test_spec(0);
+            let mut t = ChanTransport;
+            let (mut servers, workers) = t.establish(1).expect("establish");
+            let handle = spawn_worker(spec, workers.into_iter().next().expect("one"));
+            servers[0].send(&frame).expect("send frame");
+            handle.join().expect("worker exits, not panics");
+            assert!(
+                servers[0].recv().is_err(),
+                "{frame:?}: worker dropped its link"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Live-runtime conformance: a `fela-live` virtual-clock run — real worker
-//! threads, real wire protocol, on both transports — must be **byte-identical**
-//! to the discrete-event simulator, so the whole `fela-check` verification
-//! stack (race detector, recovery verifier) applies to live traces unchanged.
+//! Live-runtime conformance: a `fela-live` virtual-clock run — the
+//! simulator's event loop, with real worker threads training their replicas
+//! over the wire on both transports — must be **byte-identical** to the
+//! discrete-event simulator, so the whole `fela-check` verification stack
+//! (race detector, recovery verifier) applies to live traces unchanged.
 //!
 //! The real-clock smoke at the bottom checks the complementary guarantee:
 //! wall-clock runs are nondeterministic in *timing*, but the executor's
@@ -11,8 +12,8 @@
 use fela_cluster::{ClusterSpec, FaultKind, FaultModel, Scenario};
 use fela_core::{FelaConfig, FelaRuntime};
 use fela_live::{
-    plan_for, replay_trace, run_real, run_virtual, ChanTransport, RealOptions, TcpTransport,
-    Transport,
+    plan_for, replay_trace, run_real, run_virtual, run_virtual_with, ChanTransport, Frame,
+    RealOptions, RecordingSched, SharedSched, SyncEvent, TcpTransport, Transport,
 };
 use fela_model::zoo;
 use fela_sim::SimDuration;
@@ -161,6 +162,42 @@ fn virtual_conformance_holds_at_64_workers() {
             "{tname}: counters must match at 64 workers"
         );
         assert!(!live.params.is_empty(), "{tname}: params collected");
+    }
+}
+
+#[test]
+fn virtual_runs_send_only_epilogue_frames() {
+    // A virtual run prices its spans with the simulator's own model, so its
+    // links carry the replicas' training and nothing else: every frame either
+    // end sends is one the real-clock run sends too, and the session verifier
+    // checks the recording with its one rule set.
+    let (_, config, scenario) = zoo_configs().remove(2);
+    for (tname, mut transport) in transports() {
+        let rec = RecordingSched::new();
+        let sched: SharedSched = rec.clone();
+        run_virtual_with(&config, &scenario, transport.as_mut(), sched).expect("virtual run");
+        let events = rec.take();
+        let mut sent = 0;
+        for event in &events {
+            if let SyncEvent::FrameSent { side, frame, .. } = event {
+                sent += 1;
+                assert!(
+                    matches!(
+                        frame,
+                        Frame::Hello { .. }
+                            | Frame::Iter { .. }
+                            | Frame::End
+                            | Frame::Params { .. }
+                    ),
+                    "{tname}: {side:?} sent {frame:?}"
+                );
+            }
+        }
+        // Per worker: one `Iter` per iteration, then `End` and `Params`.
+        let workers = scenario.cluster.nodes as u64;
+        assert_eq!(sent, workers * (scenario.iterations + 2), "{tname}");
+        let report = fela_check::verify_session(&events, None);
+        assert!(report.ok(), "{tname}: {:?}", report.violations);
     }
 }
 

@@ -182,8 +182,8 @@ fn a_real_threaded_run_satisfies_the_frame_session_protocol() {
 
 /// A real-clock pull-mode run of 2 workers for `iterations` over
 /// `transport`, under `opts` and `fault` (the `Request`/`GrantBatch`/
-/// `ReportBatch` dialogue the wire mutations target — virtual mode prices
-/// spans with `CostQuery` instead), recorded through the same seam.
+/// `ReportBatch` dialogue the wire mutations target — a virtual run sends
+/// only its `Hello` and epilogue frames), recorded through the same seam.
 fn recorded_real_trace(
     transport: &mut dyn Transport,
     opts: RealOptions,
