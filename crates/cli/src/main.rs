@@ -116,19 +116,21 @@ fn cmd_models() {
     print!("{}", table.render());
 }
 
-/// Elastic runs write no write-ahead log: each epoch is its own run, and
-/// no log spans a resize boundary. Durability flags would be dropped
-/// silently, so they are rejected.
-fn reject_durability_with_resize(common: &CommonArgs) -> Result<(), String> {
-    if durability_from(common).is_some() {
-        return Err(
-            "--wal-dir/--checkpoint-every cannot combine with --resize: elastic runs \
-             keep no write-ahead log across resize boundaries"
-                .into(),
-        );
+/// Rejects the durability flags on a run that keeps no write-ahead log,
+/// which `why` names and explains: they would be dropped silently.
+fn reject_durability(common: &CommonArgs, why: &str) -> Result<(), String> {
+    match durability_from(common) {
+        Some(_) => Err(format!(
+            "--wal-dir/--checkpoint-every cannot combine with {why}"
+        )),
+        None => Ok(()),
     }
-    Ok(())
 }
+
+/// Elastic runs write no write-ahead log: each epoch is its own run, and no
+/// log spans a resize boundary.
+const RESIZE_KEEPS_NO_WAL: &str =
+    "--resize: elastic runs keep no write-ahead log across resize boundaries";
 
 /// `fela run --resize …`: the elastic path. The controller re-bins and
 /// re-tunes at every boundary, so per-epoch weights are chosen online —
@@ -141,7 +143,7 @@ fn cmd_run_elastic(run: &RunArgs, sc: &Scenario) -> Result<(), String> {
                 .into(),
         );
     }
-    reject_durability_with_resize(&run.common)?;
+    reject_durability(&run.common, RESIZE_KEEPS_NO_WAL)?;
     let runtime = fela_elastic::ElasticRuntime::new(fela_elastic::ElasticOptions::default());
     let outcome = runtime.run_elastic(sc).map_err(|e| e.to_string())?;
     if run.json {
@@ -505,7 +507,7 @@ fn cmd_live(live: &LiveArgs) -> Result<(), String> {
     }
     let sc = scenario_from(&common)?;
     if !sc.resize.is_none() {
-        return cmd_live_elastic(live, &common, &sc);
+        return cmd_live_elastic(live, &sc);
     }
     let m = {
         let probe = FelaRuntime::new(FelaConfig::new(1));
@@ -527,25 +529,25 @@ fn cmd_live(live: &LiveArgs) -> Result<(), String> {
     let mut transport = fela_live::transport_by_name(&live.transport)
         .ok_or_else(|| format!("unknown transport '{}'", live.transport))?;
 
-    let scenario_label = format!("{}/b{}", sc.model.name, sc.total_batch);
     let durability = durability_from(&common);
     let mut extra_rows: Vec<(String, String)> = Vec::new();
     let (runtime_label, report) = if live.mode == "virtual" {
-        if durability.is_some() {
-            eprintln!("warning: --wal-dir/--checkpoint-every only apply to --mode real; ignored");
-        }
-        let outcome = fela_live::run_virtual(&config, &sc, transport.as_mut())
-            .map_err(|e| format!("live run failed: {e}"))?;
-        let label = format!("fela-live:virtual:{}", outcome.transport);
+        reject_durability(
+            &common,
+            "--mode virtual: a virtual-clock run keeps no write-ahead log",
+        )?;
+        let (report, _, params) =
+            fela_live::run_virtual_with(&config, &sc, transport.as_mut(), fela_live::pass())
+                .map_err(|e| format!("live run failed: {e}"))?;
         extra_rows.push((
             "conformance".into(),
             "trace + report byte-identical to the simulator".into(),
         ));
         extra_rows.push((
             "replica params".into(),
-            format!("{} bytes, all workers agree", outcome.params.len()),
+            format!("{} bytes, all workers agree", params.len()),
         ));
-        (label, outcome.report)
+        (format!("fela-live:virtual:{}", transport.name()), report)
     } else {
         let opts = fela_live::RealOptions {
             time_scale: live.time_scale,
@@ -583,25 +585,7 @@ fn cmd_live(live: &LiveArgs) -> Result<(), String> {
         (label, report)
     };
 
-    let record = fela_harness::RunRecord::new(
-        "live",
-        &runtime_label,
-        &scenario_label,
-        &sc,
-        common.seed,
-        report.clone(),
-    );
-    let dir = results_dir_from(&common)?;
-    match fela_harness::write_jsonl_to(&dir, "live", std::slice::from_ref(&record)) {
-        Ok(path) => eprintln!("[live] 1 run -> {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write live artifacts: {e}"),
-    }
-
-    if live.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&record).map_err(|e| e.to_string())?
-        );
+    if record_live(live, &sc, &runtime_label, &report)? {
         return Ok(());
     }
     let mut table = Table::new(
@@ -646,12 +630,44 @@ fn cmd_live(live: &LiveArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// `fela live --resize …`: each epoch runs as its own live session over a
-/// fresh transport — joiners genuinely perform the `Hello` handshake when
-/// their epoch begins, leavers drain through the epoch's `End` epilogue. The
-/// stitched report is byte-identical to the simulated elastic run, so only
-/// virtual-clock mode is supported.
-fn cmd_live_elastic(live: &LiveArgs, common: &CommonArgs, sc: &Scenario) -> Result<(), String> {
+/// Records one live run as a [`fela_harness::RunRecord`] in `live.jsonl`
+/// and, under `--json`, prints it; returns whether it printed (the caller
+/// then prints no table).
+fn record_live(
+    live: &LiveArgs,
+    sc: &Scenario,
+    runtime_label: &str,
+    report: &RunReport,
+) -> Result<bool, String> {
+    let scenario_label = format!("{}/b{}", sc.model.name, sc.total_batch);
+    let record = fela_harness::RunRecord::new(
+        "live",
+        runtime_label,
+        &scenario_label,
+        sc,
+        live.common.seed,
+        report.clone(),
+    );
+    let dir = results_dir_from(&live.common)?;
+    match fela_harness::write_jsonl_to(&dir, "live", std::slice::from_ref(&record)) {
+        Ok(path) => eprintln!("[live] 1 run -> {}", path.display()),
+        Err(e) => eprintln!("warning: cannot write live artifacts: {e}"),
+    }
+    if live.json {
+        println!(
+            "{}",
+            serde_json::to_string_pretty(&record).map_err(|e| e.to_string())?
+        );
+    }
+    Ok(live.json)
+}
+
+/// `fela live --resize …`: the simulated elastic run plus one replica
+/// training per epoch over a fresh transport — joiners genuinely perform the
+/// `Hello` handshake when their epoch begins, leavers drain through the
+/// epoch's `End` epilogue. The stitched report is the simulated elastic
+/// run's, so only virtual-clock mode is supported.
+fn cmd_live_elastic(live: &LiveArgs, sc: &Scenario) -> Result<(), String> {
     if live.mode != "virtual" {
         return Err(
             "--resize with 'fela live' supports --mode virtual only (per-epoch \
@@ -666,7 +682,7 @@ fn cmd_live_elastic(live: &LiveArgs, common: &CommonArgs, sc: &Scenario) -> Resu
                 .into(),
         );
     }
-    reject_durability_with_resize(common)?;
+    reject_durability(&live.common, RESIZE_KEEPS_NO_WAL)?;
     let outcome = fela_elastic::run_live_elastic(
         fela_elastic::ElasticOptions::default(),
         sc,
@@ -674,25 +690,7 @@ fn cmd_live_elastic(live: &LiveArgs, common: &CommonArgs, sc: &Scenario) -> Resu
     )
     .map_err(|e| format!("live elastic run failed: {e}"))?;
     let runtime_label = format!("fela-live-elastic:virtual:{}", live.transport);
-    let scenario_label = format!("{}/b{}", sc.model.name, sc.total_batch);
-    let record = fela_harness::RunRecord::new(
-        "live",
-        &runtime_label,
-        &scenario_label,
-        sc,
-        common.seed,
-        outcome.report.clone(),
-    );
-    let dir = results_dir_from(common)?;
-    match fela_harness::write_jsonl_to(&dir, "live", std::slice::from_ref(&record)) {
-        Ok(path) => eprintln!("[live] 1 run -> {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write live artifacts: {e}"),
-    }
-    if live.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&record).map_err(|e| e.to_string())?
-        );
+    if record_live(live, sc, &runtime_label, &outcome.report)? {
         return Ok(());
     }
     let mut table = Table::new(
@@ -1399,6 +1397,8 @@ mod tests {
             "run --model googlenet --iters 4 --resize join:2:1 --checkpoint-every 2",
             "live --model googlenet --iters 4 --resize join:2:1 --wal-dir x",
             "live --model googlenet --iters 4 --resize join:2:1 --checkpoint-every 3",
+            "live --model alexnet --iters 1 --mode virtual --wal-dir x",
+            "live --model alexnet --iters 1 --mode virtual --checkpoint-every 2",
         ] {
             let result = match args::parse(&argv.split(' ').collect::<Vec<_>>()) {
                 Ok(Command::Run(run)) => cmd_run(&run),

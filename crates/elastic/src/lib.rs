@@ -22,9 +22,10 @@
 //!   [`ElasticPlan`]; [`ElasticRuntime`] executes it through the ordinary
 //!   `FelaRuntime` — resize-free scenarios delegate byte-exactly — and
 //!   [`StopRestartRuntime`] gives the non-elastic comparison point.
-//! * [`run_live_elastic`] executes the same plan as per-epoch live sessions:
-//!   joiners hot-join via the `Hello` handshake of a fresh transport,
-//!   leavers drain through the epoch's `End` epilogue.
+//! * [`run_live_elastic`] is [`ElasticRuntime::run_elastic_traced`] plus one
+//!   [`fela_live::train_replicas`] per epoch: joiners hot-join via the
+//!   `Hello` handshake of a fresh transport, leavers drain through the
+//!   epoch's `End` epilogue.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,27 +1,21 @@
-//! Live elasticity: per-epoch live sessions over a real wire protocol.
+//! Live elasticity: [`ElasticRuntime::run_elastic_traced`] plus one
+//! [`fela_live::train_replicas`] per epoch, each over a **fresh transport**.
 //!
-//! A live elastic run executes each planned epoch as its own live session:
-//! a **fresh transport** is established per epoch, so joiners genuinely
-//! perform the `Hello` handshake when their epoch begins (over TCP this is
-//! a real connect + handshake), and leavers drain through the `End`-frame
-//! epilogue of the epoch they depart — the wire-level counterpart of the
-//! simulator's iteration-boundary drain.
-//!
-//! Conformance: every epoch's live report is the simulator's for the same
-//! epoch ([`fela_live::run_virtual`] prices spans with the simulator's own
-//! model and ships only the replicas' training over the wire), so the
-//! stitched elastic live report is byte-identical to
-//! [`crate::ElasticRuntime::run_elastic`]'s — the sim-vs-live elastic
-//! conformance tests pin this across both transports.
+//! Joiners genuinely perform the `Hello` handshake when their epoch's
+//! replicas start (over TCP a real connect + handshake), and leavers drain
+//! through the `End`-frame epilogue of the epoch they depart — the
+//! wire-level counterpart of the simulator's iteration-boundary drain. The
+//! stitched report *is* the simulated elastic run's, so it is byte-identical
+//! to [`ElasticRuntime::run_elastic`]'s on both transports.
 
 use std::io;
 
 use fela_cluster::Scenario;
-use fela_live::{run_virtual, transport_by_name, LiveOutcome};
+use fela_live::{pass, plan_for, schedules_from_trace, train_replicas, transport_by_name};
 use fela_metrics::RunReport;
 
 use crate::controller::{ElasticOptions, ElasticPlan};
-use crate::run::{stitch_reports, ElasticRuntime};
+use crate::run::{ElasticOutcome, ElasticRuntime};
 
 /// Result of a live elastic run.
 pub struct ElasticLiveOutcome {
@@ -29,42 +23,53 @@ pub struct ElasticLiveOutcome {
     pub report: RunReport,
     /// The plan the run executed.
     pub plan: ElasticPlan,
-    /// Per-epoch live outcomes (report, trace, final parameters).
-    pub epochs: Vec<LiveOutcome>,
+    /// Each epoch's final replica parameters, in epoch order.
+    pub params: Vec<Vec<u8>>,
 }
 
-/// Runs `scenario` elastically in virtual-clock live mode, one live session
-/// per epoch over transport `transport_name` (`"chan"` / `"tcp"`).
+/// Runs `scenario` elastically in virtual-clock live mode, training each
+/// epoch's replicas over a fresh `transport_name` (`"chan"` / `"tcp"`).
 ///
 /// # Errors
-/// Fails on an unknown transport, an invalid resize model, or any wire-level
-/// error inside an epoch session.
+/// Fails on an unknown transport (before planning), an invalid resize
+/// model, or any wire-level error while an epoch's replicas train.
 pub fn run_live_elastic(
     options: ElasticOptions,
     scenario: &Scenario,
     transport_name: &str,
 ) -> io::Result<ElasticLiveOutcome> {
-    let plan = ElasticRuntime::new(options)
-        .plan(scenario)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-    let mut epochs = Vec::with_capacity(plan.epochs.len());
-    let mut reports = Vec::with_capacity(plan.epochs.len());
-    for e in &plan.epochs {
-        let mut transport = transport_by_name(transport_name).ok_or_else(|| {
+    let transport = || {
+        transport_by_name(transport_name).ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!("unknown transport {transport_name:?}"),
             )
-        })?;
-        let outcome = run_virtual(&e.config, &e.scenario, transport.as_mut())?;
-        reports.push(outcome.report.clone());
-        epochs.push(outcome);
-    }
-    let report = stitch_reports(scenario, &plan, reports, "fela-elastic");
+        })
+    };
+    // An unknown name fails here, before planning; every epoch below then
+    // trains over a fresh transport of the resolved kind.
+    transport()?;
+    let (ElasticOutcome { report, plan }, traces) = ElasticRuntime::new(options)
+        .run_elastic_traced(scenario)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+    let params = plan
+        .epochs
+        .iter()
+        .zip(&traces)
+        .map(|(e, trace)| {
+            train_replicas(
+                &plan_for(&e.config, &e.scenario)?,
+                &e.scenario,
+                &schedules_from_trace(trace),
+                transport()?.as_mut(),
+                pass(),
+            )
+        })
+        .collect::<io::Result<_>>()?;
     Ok(ElasticLiveOutcome {
         report,
         plan,
-        epochs,
+        params,
     })
 }
 
@@ -107,10 +112,11 @@ mod tests {
             serde_json::to_string(&sim.report).expect("serializes"),
             "live elastic must conform to the simulator bytewise"
         );
-        assert_eq!(live.epochs.len(), 3);
+        assert_eq!(live.params.len(), live.plan.epochs.len());
+        assert_eq!(live.params.len(), 3);
         // Every epoch produced agreed-upon final parameters.
-        for e in &live.epochs {
-            assert!(!e.params.is_empty());
+        for params in &live.params {
+            assert!(!params.is_empty());
         }
     }
 

@@ -195,7 +195,7 @@ impl<R: TrainingRuntime> TrainingRuntime for StopRestartRuntime<R> {
 
 /// Stitches per-epoch reports into one, charging the plan's transitions and
 /// adding the gated elastic counters.
-pub(crate) fn stitch_reports(
+fn stitch_reports(
     base: &Scenario,
     plan: &ElasticPlan,
     reports: Vec<RunReport>,

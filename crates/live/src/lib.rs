@@ -9,13 +9,13 @@
 //!
 //! Two clock modes:
 //!
-//! * **Virtual** ([`run_virtual`]) — the server side is the *unmodified*
-//!   [`fela_core::FelaRuntime`] event loop, spans priced by its own model, and
-//!   the live worker threads train their replicas from the traced schedule.
-//!   Traces and reports are **byte-identical** to the simulator, so
-//!   `fela-check`'s race detector and recovery verifier run unchanged on live
-//!   output, and the wire carries only frames the real-clock run sends too.
-//!   Deterministic.
+//! * **Virtual** ([`run_virtual_with`]) — the simulator plus
+//!   [`train_replicas`]: the *unmodified* [`fela_core::FelaRuntime`] event
+//!   loop runs the job, spans priced by its own model, then live worker
+//!   threads train their replicas from the traced schedule. Traces and
+//!   reports *are* the simulator's, so `fela-check`'s race detector and
+//!   recovery verifier run unchanged on live output, and the wire carries
+//!   only frames the real-clock run sends too. Deterministic.
 //! * **Real** ([`run_real`]) — the Token Server runs against the wall clock:
 //!   workers pull tokens, sleep the modeled span scaled by `time_scale`, and
 //!   report; leases, crash/restart injection and hang faults run off real
@@ -41,14 +41,13 @@ pub mod real;
 pub mod replay;
 pub mod sched;
 pub mod transport;
-pub mod virt;
 pub mod wire;
 mod worker;
 
 pub use real::{run_real, run_real_durable, run_real_with, RealOptions, RealOutcome};
 pub use replay::{
-    engine_setup, flatten_params, replay_schedules, replay_trace, schedules_from_completions,
-    schedules_from_trace,
+    engine_setup, flatten_params, plan_for, replay_schedules, replay_trace, run_virtual_with,
+    schedules_from_completions, schedules_from_trace, train_replicas,
 };
 pub use sched::{
     pass, Endpoint, GateSched, PassSched, RecordingSched, Sched, SharedSched, SyncEvent,
@@ -56,6 +55,4 @@ pub use sched::{
 pub use transport::{
     transport_by_name, ChanTransport, Link, LinkRx, LinkTx, TcpTransport, Transport,
 };
-pub use virt::{plan_for, run_virtual, run_virtual_with, LiveOutcome};
 pub use wire::{Frame, WireError, WireGrant};
-pub use worker::{spawn_worker, WorkerSpec};

@@ -1,13 +1,13 @@
 //! Real-clock live runs: the Token Server as a wall-clock service.
 //!
-//! Unlike virtual mode (which *is* the simulator), real mode drives the
-//! sans-IO [`fela_core::ServerCore`] — the core the simulator drives too —
-//! through its [`frame_adapter`] against the wall clock: worker
-//! threads pull tokens over the wire, sleep the modeled compute span scaled
-//! by `time_scale`, and report. Data movement is not emulated — this is a
-//! **control-plane** runtime: parameter syncs commit the moment a level's
-//! last report lands, so the measured quantity is pure token-protocol
-//! throughput.
+//! Unlike virtual mode (the simulator plus [`crate::train_replicas`]), real
+//! mode drives the sans-IO [`fela_core::ServerCore`] — the core the
+//! simulator drives too — through its [`frame_adapter`] against the wall
+//! clock: worker threads pull tokens over the wire, sleep the modeled
+//! compute span scaled by `time_scale`, and report. Data movement is not
+//! emulated — this is a **control-plane** runtime: parameter syncs commit
+//! the moment a level's last report lands, so the measured quantity is pure
+//! token-protocol throughput.
 //!
 //! This module is the core's shell. Every protocol decision (pulls, reports,
 //! leases, crash recovery, the group commit before any frame leaves) is the
@@ -63,10 +63,11 @@ use fela_core::{
     ControlPlane, CoreError, DurabilityOptions, FelaConfig, FelaRuntime, RecoveryConfig,
     ServerCore, TokenId,
 };
+use fela_model::Partition;
 use fela_sim::{SimDuration, SimTime};
 
 use crate::frame_adapter::{self, wire_grants};
-use crate::replay::{epilogue, replay_schedules, schedules_from_completions};
+use crate::replay::{check_params, epilogue, replay_schedules, schedules_from_completions};
 use crate::sched::{pass, Endpoint, SharedSched, SyncEvent};
 use crate::transport::{Inbound, Link, LinkTx, Transport};
 use crate::wire::Frame;
@@ -468,9 +469,7 @@ pub fn run_real_with(
     opts: RealOptions,
     sched: SharedSched,
 ) -> io::Result<RealOutcome> {
-    run_real_impl(config, scenario, transport, opts, sched, |server| {
-        open_declared_wal(server, None, scenario)
-    })
+    run_real_impl(config, scenario, transport, opts, sched, None)
 }
 
 /// [`run_real`] with a durable control plane: every control-plane transition
@@ -486,37 +485,38 @@ pub fn run_real_durable(
     opts: RealOptions,
     durability: &DurabilityOptions,
 ) -> io::Result<RealOutcome> {
-    run_real_impl(config, scenario, transport, opts, pass(), |server| {
-        open_declared_wal(server, Some(durability), scenario)
-    })
+    run_real_impl(config, scenario, transport, opts, pass(), Some(durability))
 }
 
-/// Opens the plane's log when the caller asked for durability or the
-/// scenario declares a server fault: the run cannot survive that crash
-/// without a log to recover from.
-fn open_declared_wal(
-    server: &mut ControlPlane,
-    explicit: Option<&DurabilityOptions>,
-    scenario: &Scenario,
-) -> io::Result<()> {
-    match DurabilityOptions::for_run(explicit, scenario) {
-        Some(durability) => server.open_wal(&durability),
-        None => Ok(()),
-    }
-}
-
-/// The run itself; `open_wal` attaches the plane's log, if any.
+/// Builds the run's plane and runs it. The plane's log opens when the
+/// caller asked for `durability` or the scenario declares a server fault:
+/// the run cannot survive that crash without a log to recover from.
 fn run_real_impl(
     config: &FelaConfig,
     scenario: &Scenario,
     transport: &mut dyn Transport,
     opts: RealOptions,
     sched: SharedSched,
-    open_wal: impl FnOnce(&mut ControlPlane) -> io::Result<()>,
+    durability: Option<&DurabilityOptions>,
 ) -> io::Result<RealOutcome> {
     let (mut plane, partition) = FelaRuntime::new(config.clone()).plane_for(scenario)?;
+    if let Some(durability) = DurabilityOptions::for_run(durability, scenario) {
+        plane.open_wal(&durability)?;
+    }
+    serve(plane, &partition, scenario, transport, opts, sched)
+}
+
+/// The run itself, on `scenario`'s plane and partition with the plane's log
+/// (if any) attached.
+fn serve(
+    plane: ControlPlane,
+    partition: &Partition,
+    scenario: &Scenario,
+    transport: &mut dyn Transport,
+    opts: RealOptions,
+    sched: SharedSched,
+) -> io::Result<RealOutcome> {
     let n = scenario.cluster.nodes;
-    open_wal(&mut plane)?;
     let units = partition
         .sub_models()
         .iter()
@@ -600,16 +600,22 @@ fn run_real_impl(
     while waiting > 0 || rs.readers.iter().any(Option::is_some) {
         match rs.dequeue(Some(deadline)) {
             Some((worker, Ok(Frame::Params { bytes }))) => {
-                assert_eq!(
-                    bytes, reference,
-                    "worker {worker}: replica parameters diverged from the reference replay"
-                );
+                check_params(worker, &bytes, &reference)?;
                 waiting -= 1;
             }
             Some((worker, Err(_))) => rs.join_reader(worker)?,
             // Late reports and requests from still-draining workers.
             Some(_) => {}
-            None => panic!("timed out collecting final parameters and link closes"),
+            None => {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    format!(
+                        "timed out collecting final parameters: {waiting} Params missing, \
+                         {} link(s) still open",
+                        rs.readers.iter().filter(|r| r.is_some()).count()
+                    ),
+                ))
+            }
         }
     }
 
@@ -638,8 +644,8 @@ fn run_real_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::{plan_for, run_virtual_with};
     use crate::transport::{ChanTransport, TcpTransport};
-    use crate::virt::plan_for;
     use fela_cluster::{ClusterSpec, FaultModel};
     use fela_core::OpOutcome;
     use fela_model::zoo;
@@ -687,9 +693,9 @@ mod tests {
         let (config, scenario) = quick();
         let real =
             run_real(&config, &scenario, &mut ChanTransport, fast()).expect("real run succeeds");
-        let virt = crate::virt::run_virtual(&config, &scenario, &mut ChanTransport)
+        let (_, _, virt_params) = run_virtual_with(&config, &scenario, &mut ChanTransport, pass())
             .expect("virtual run succeeds");
-        assert_eq!(real.params, virt.params);
+        assert_eq!(real.params, virt_params);
     }
 
     #[test]
@@ -983,13 +989,18 @@ mod tests {
                 syncs_left: syncs,
             };
             let recorder = crate::sched::RecordingSched::new();
-            let err = run_real_impl(
-                &config,
+            let runtime = FelaRuntime::new(config.clone());
+            let (mut plane, partition) = runtime.plane_for(&scenario).expect("plane builds");
+            plane
+                .attach_wal(Box::new(sink))
+                .expect("the opening record syncs");
+            let err = serve(
+                plane,
+                &partition,
                 &scenario,
                 &mut ChanTransport,
                 fast(),
                 recorder.clone(),
-                |server| server.attach_wal(Box::new(sink)),
             )
             .expect_err("a failed commit must stop the run");
             assert_eq!(err.to_string(), "injected fsync failure", "syncs={syncs}");

@@ -20,14 +20,24 @@
 //! Faulted runs work too: a `Complete` whose report the server rejected
 //! (matched [`EventKind::StaleReport`]) never mutated server state, so it is
 //! skipped; only *applied* completions drive the relabeling.
+//!
+//! [`train_replicas`] is the one place replicas train from given schedules
+//! over the wire; a virtual-clock live run ([`run_virtual_with`]) is the
+//! simulator followed by `train_replicas` on its trace's schedules.
 
 use std::collections::{HashMap, VecDeque};
+use std::io;
 
-use fela_core::TokenPlan;
+use fela_cluster::Scenario;
+use fela_core::{FelaConfig, FelaRuntime, TokenPlan};
 use fela_engine::{EngineLayer, EngineNet, SplitPlan, Tensor, TokenExecutor};
+use fela_metrics::RunReport;
 use fela_sim::{EventKind, Trace};
 
+use crate::sched::{Endpoint, SharedSched};
+use crate::transport::Transport;
 use crate::wire::Frame;
+use crate::worker::{spawn_worker, WorkerSpec};
 
 /// Learning rate used by every live engine replica and reference replay.
 const LIVE_LR: f32 = 0.05;
@@ -207,10 +217,117 @@ pub fn replay_schedules(plan: &TokenPlan, schedules: &[Vec<(usize, usize)>]) -> 
     flatten_params(&setup.net)
 }
 
+/// Checks one worker's final parameters against the reference replay: an
+/// [`io::ErrorKind::InvalidData`] error naming `worker` when they differ.
+pub(crate) fn check_params(worker: usize, bytes: &[u8], reference: &[u8]) -> io::Result<()> {
+    if bytes == reference {
+        return Ok(());
+    }
+    Err(io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("worker {worker}: replica parameters diverged from the reference replay"),
+    ))
+}
+
+/// Trains one engine replica per cluster node of `scenario` on `schedules`
+/// and returns the parameters they all agreed on: spawns epilogue-only
+/// workers over `transport`, ships the epilogue to every worker before
+/// collecting any `Params` (so the replicas replay in parallel), checks
+/// each reply against [`replay_schedules`] and joins the workers. Every
+/// link on both endpoints yields its frame traffic to `sched`.
+pub fn train_replicas(
+    plan: &TokenPlan,
+    scenario: &Scenario,
+    schedules: &[Vec<(usize, usize)>],
+    transport: &mut dyn Transport,
+    sched: SharedSched,
+) -> io::Result<Vec<u8>> {
+    let (server_links, worker_links) = transport.establish(scenario.cluster.nodes)?;
+    let handles: Vec<_> = worker_links
+        .into_iter()
+        .enumerate()
+        .map(|(index, link)| {
+            spawn_worker(
+                WorkerSpec {
+                    index,
+                    scenario: scenario.clone(),
+                    plan: plan.clone(),
+                    time_scale: 0.0,
+                    pull: false,
+                    sched: sched.clone(),
+                },
+                link,
+            )
+        })
+        .collect();
+    let reference = replay_schedules(plan, schedules);
+    let epilogue = epilogue(schedules);
+    let mut halves: Vec<_> = server_links
+        .into_iter()
+        .enumerate()
+        .map(|(w, mut link)| {
+            link.instrument(sched.clone(), Endpoint::Server, w);
+            link.split()
+        })
+        .collect();
+    for (tx, _) in &mut halves {
+        epilogue.iter().try_for_each(|f| tx.queue(f))?;
+        tx.flush()?;
+    }
+    for (w, (_, rx)) in halves.iter_mut().enumerate() {
+        match rx.recv()? {
+            Frame::Params { bytes } => check_params(w, &bytes, &reference)?,
+            other => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("worker {w}: expected Params, got {other:?}"),
+                ))
+            }
+        }
+    }
+    for handle in handles {
+        if handle.join().is_err() {
+            panic!("worker thread panicked instead of exiting cleanly");
+        }
+    }
+    Ok(reference)
+}
+
+/// Builds the token plan the runtime will use for `scenario` (needed to size
+/// the worker engine replicas identically).
+pub fn plan_for(config: &FelaConfig, scenario: &Scenario) -> io::Result<TokenPlan> {
+    let runtime = FelaRuntime::new(config.clone());
+    let partition = runtime.partition_for(scenario);
+    TokenPlan::build(
+        &partition,
+        config,
+        scenario.total_batch,
+        scenario.cluster.nodes,
+    )
+    .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))
+}
+
+/// Runs `scenario` live in virtual-clock mode: [`FelaRuntime::run_traced`],
+/// then [`train_replicas`] on the trace's schedules over `transport`.
+/// Returns the simulator's report and trace and the replicas' parameters.
+pub fn run_virtual_with(
+    config: &FelaConfig,
+    scenario: &Scenario,
+    transport: &mut dyn Transport,
+    sched: SharedSched,
+) -> io::Result<(RunReport, Trace, Vec<u8>)> {
+    let plan = plan_for(config, scenario)?;
+    let (report, trace) = FelaRuntime::new(config.clone()).run_traced(scenario);
+    let schedules = schedules_from_trace(&trace);
+    let params = train_replicas(&plan, scenario, &schedules, transport, sched)?;
+    Ok((report, trace, params))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fela_core::FelaConfig;
+    use crate::sched::pass;
+    use crate::transport::{ChanTransport, TcpTransport};
     use fela_model::{bin_partition, zoo, PartitionOptions, ThresholdProfile};
     use fela_sim::SimTime;
 
@@ -335,5 +452,57 @@ mod tests {
         assert_eq!(schedules, schedules_from_trace(&clean));
         let params = replay_schedules(&plan, &schedules);
         assert!(!params.is_empty());
+    }
+
+    #[test]
+    fn matching_params_pass_the_check() {
+        let reference = vec![1u8, 2, 3, 4];
+        assert!(check_params(5, &reference.clone(), &reference).is_ok());
+    }
+
+    #[test]
+    fn one_flipped_byte_is_invalid_data_naming_the_worker() {
+        let reference = vec![1u8, 2, 3, 4];
+        let mut bytes = reference.clone();
+        bytes[2] ^= 0x01;
+        let err = check_params(5, &bytes, &reference).expect_err("diverged params");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("worker 5"), "{err}");
+    }
+
+    fn quick_scenario() -> (FelaConfig, Scenario) {
+        let mut scenario = Scenario::paper(zoo::vgg19(), 128);
+        scenario.iterations = 3;
+        scenario.cluster = fela_cluster::ClusterSpec::k40c_cluster(4);
+        let config = FelaConfig::new(3).with_weights(vec![1, 2, 4]);
+        (config, scenario)
+    }
+
+    #[test]
+    fn virtual_chan_run_is_byte_identical_to_sim() {
+        let (config, scenario) = quick_scenario();
+        let sim = FelaRuntime::new(config.clone()).run_traced(&scenario);
+        let (report, trace, params) =
+            run_virtual_with(&config, &scenario, &mut ChanTransport, pass())
+                .expect("live run succeeds");
+        assert_eq!(sim.1.events(), trace.events(), "traces must match");
+        assert_eq!(
+            sim.0.total_time_secs.to_bits(),
+            report.total_time_secs.to_bits(),
+            "makespans must be bit-identical"
+        );
+        assert_eq!(sim.0.per_iteration_secs, report.per_iteration_secs);
+        assert_eq!(sim.0.counters, report.counters);
+        assert!(!params.is_empty());
+    }
+
+    #[test]
+    fn virtual_tcp_run_is_byte_identical_to_sim() {
+        let (config, scenario) = quick_scenario();
+        let sim = FelaRuntime::new(config.clone()).run_traced(&scenario);
+        let (_, trace, _) =
+            run_virtual_with(&config, &scenario, &mut TcpTransport::default(), pass())
+                .expect("live run succeeds");
+        assert_eq!(sim.1.events(), trace.events(), "traces must match");
     }
 }

@@ -111,10 +111,13 @@ fn live_elastic_conforms_to_the_simulated_run_on_both_transports() {
     for transport in ["chan", "tcp"] {
         let live = run_live_elastic(options(), &sc, transport).expect("live elastic run");
         assert_eq!(
-            live.epochs.len(),
+            live.params.len(),
             simulated.plan.epochs.len(),
             "{transport}: one live session per epoch"
         );
+        for params in &live.params {
+            assert!(!params.is_empty(), "{transport}: every epoch trained");
+        }
         assert_eq!(
             serde_json::to_string(&live.report).expect("serializes"),
             sim_json,

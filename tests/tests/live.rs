@@ -12,8 +12,8 @@
 use fela_cluster::{ClusterSpec, FaultKind, FaultModel, Scenario};
 use fela_core::{FelaConfig, FelaRuntime};
 use fela_live::{
-    plan_for, replay_trace, run_real, run_virtual, run_virtual_with, ChanTransport, Frame,
-    RealOptions, RecordingSched, SharedSched, SyncEvent, TcpTransport, Transport,
+    pass, plan_for, replay_trace, run_real, run_virtual_with, ChanTransport, Frame, RealOptions,
+    RecordingSched, SharedSched, SyncEvent, TcpTransport, Transport,
 };
 use fela_model::zoo;
 use fela_sim::SimDuration;
@@ -54,24 +54,25 @@ fn virtual_runs_are_byte_identical_to_the_simulator_across_the_zoo() {
     for (name, config, scenario) in zoo_configs() {
         let (sim_report, sim_trace) = FelaRuntime::new(config.clone()).run_traced(&scenario);
         for (tname, mut transport) in transports() {
-            let live =
-                run_virtual(&config, &scenario, transport.as_mut()).expect("live run succeeds");
+            let (report, trace, params) =
+                run_virtual_with(&config, &scenario, transport.as_mut(), pass())
+                    .expect("live run succeeds");
             assert_eq!(
                 sim_trace.events(),
-                live.trace.events(),
+                trace.events(),
                 "{name}/{tname}: live trace must be event-for-event equal to the simulator"
             );
             assert_eq!(
                 sim_report.total_time_secs.to_bits(),
-                live.report.total_time_secs.to_bits(),
+                report.total_time_secs.to_bits(),
                 "{name}/{tname}: makespan must be bit-identical"
             );
             assert_eq!(
-                sim_report.per_iteration_secs, live.report.per_iteration_secs,
+                sim_report.per_iteration_secs, report.per_iteration_secs,
                 "{name}/{tname}"
             );
-            assert_eq!(sim_report.counters, live.report.counters, "{name}/{tname}");
-            assert!(!live.params.is_empty(), "{name}/{tname}: params collected");
+            assert_eq!(sim_report.counters, report.counters, "{name}/{tname}");
+            assert!(!params.is_empty(), "{name}/{tname}: params collected");
         }
     }
 }
@@ -81,8 +82,9 @@ fn fela_check_accepts_live_traces_unchanged() {
     // The race detector and its happens-before analysis were written against
     // simulator traces; byte-conformance means they run on live traces as-is.
     for (name, config, scenario) in zoo_configs() {
-        let live = run_virtual(&config, &scenario, &mut ChanTransport).expect("live run");
-        let summary = fela_check::check_trace(&live.trace, 0)
+        let (_, trace, _) =
+            run_virtual_with(&config, &scenario, &mut ChanTransport, pass()).expect("live run");
+        let summary = fela_check::check_trace(&trace, 0)
             .unwrap_or_else(|v| panic!("{name}: race check rejected a live trace: {v:?}"));
         assert!(summary.grants > 0, "{name}: trace carries grants");
         assert!(summary.completions > 0, "{name}: trace carries completions");
@@ -92,15 +94,15 @@ fn fela_check_accepts_live_traces_unchanged() {
 #[test]
 fn params_are_bit_identical_across_transports() {
     // Same config, two different wire substrates: the replicas must land on
-    // exactly the same bytes (and `run_virtual` already asserted every worker
-    // matched its local reference replay).
+    // exactly the same bytes (and `run_virtual_with` already checked every
+    // worker matched its local reference replay).
     for (name, config, scenario) in zoo_configs() {
-        let chan = run_virtual(&config, &scenario, &mut ChanTransport).expect("chan run");
-        let tcp = run_virtual(&config, &scenario, &mut TcpTransport::default()).expect("tcp run");
-        assert_eq!(
-            chan.params, tcp.params,
-            "{name}: params diverge across transports"
-        );
+        let (_, _, chan) =
+            run_virtual_with(&config, &scenario, &mut ChanTransport, pass()).expect("chan run");
+        let (_, _, tcp) =
+            run_virtual_with(&config, &scenario, &mut TcpTransport::default(), pass())
+                .expect("tcp run");
+        assert_eq!(chan, tcp, "{name}: params diverge across transports");
     }
 }
 
@@ -120,17 +122,18 @@ fn recovery_verifier_accepts_a_faulted_live_trace() {
     };
     let (_, sim_trace) = FelaRuntime::new(config.clone()).run_traced(&scenario);
     for (tname, mut transport) in transports() {
-        let live = run_virtual(&config, &scenario, transport.as_mut()).expect("faulted live run");
+        let (_, trace, _) = run_virtual_with(&config, &scenario, transport.as_mut(), pass())
+            .expect("faulted live run");
         assert_eq!(
             sim_trace.events(),
-            live.trace.events(),
+            trace.events(),
             "{tname}: faulted live trace must match the simulator"
         );
-        let summary = fela_check::check_recovery(&live.trace)
+        let summary = fela_check::check_recovery(&trace)
             .unwrap_or_else(|v| panic!("{tname}: recovery verifier rejected live trace: {v:?}"));
         assert!(summary.crashes >= 1, "{tname}: the crash is in the trace");
         assert_eq!(
-            fela_check::check_trace(&live.trace, 0).map(|s| s.revocations >= 1),
+            fela_check::check_trace(&trace, 0).map(|s| s.revocations >= 1),
             Ok(true),
             "{tname}: race check passes and sees the revocation"
         );
@@ -151,17 +154,19 @@ fn virtual_conformance_holds_at_64_workers() {
     let config = FelaConfig::new(m);
     let (sim_report, sim_trace) = FelaRuntime::new(config.clone()).run_traced(&scenario);
     for (tname, mut transport) in transports() {
-        let live = run_virtual(&config, &scenario, transport.as_mut()).expect("64-worker live run");
+        let (report, trace, params) =
+            run_virtual_with(&config, &scenario, transport.as_mut(), pass())
+                .expect("64-worker live run");
         assert_eq!(
             sim_trace.events(),
-            live.trace.events(),
+            trace.events(),
             "{tname}: 64-worker live trace must be event-for-event equal to the simulator"
         );
         assert_eq!(
-            sim_report.counters, live.report.counters,
+            sim_report.counters, report.counters,
             "{tname}: counters must match at 64 workers"
         );
-        assert!(!live.params.is_empty(), "{tname}: params collected");
+        assert!(!params.is_empty(), "{tname}: params collected");
     }
 }
 
@@ -242,7 +247,8 @@ fn real_clock_smoke_matches_virtual_params() {
     // deterministic outcome. Every replica (and the server's reference
     // replay, asserted inside run_real) must agree with the virtual run.
     let (_, config, scenario) = zoo_configs().remove(2); // alexnet: fastest
-    let virt = run_virtual(&config, &scenario, &mut ChanTransport).expect("virtual run");
+    let (_, _, virt_params) =
+        run_virtual_with(&config, &scenario, &mut ChanTransport, pass()).expect("virtual run");
     for (tname, mut transport) in transports() {
         let real = run_real(
             &config,
@@ -256,7 +262,7 @@ fn real_clock_smoke_matches_virtual_params() {
         .expect("real run completes");
         assert_eq!(real.iterations, scenario.iterations, "{tname}");
         assert_eq!(
-            real.params, virt.params,
+            real.params, virt_params,
             "{tname}: real-clock params must be bit-equal to the virtual run"
         );
         assert!(real.tokens_per_sec > 0.0, "{tname}");
