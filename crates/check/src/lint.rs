@@ -1263,6 +1263,27 @@ impl RealServer {
     }
 
     #[test]
+    fn a_link_write_after_the_core_s_serve_is_flagged() {
+        // `serve` queues the waiters' grants and commits nothing, so it is
+        // never a second way out: a write after it still needs the commit.
+        let src = "\
+struct RealServer { core: ServerCore }
+impl RealServer {
+    fn ship(&mut self, now: SimTime) -> io::Result<()> {
+        self.core.serve(now).map_err(fatal)?;
+        if let Some(tx) = self.txs[0].as_mut() {
+            let _ = tx.send(&frame);
+        }
+        Ok(())
+    }
+}
+";
+        let findings = lint_source("real.rs", "fela-live", src);
+        assert_eq!(rules(&findings), ["no-unflushed-wal"]);
+        assert_eq!(findings[0].line, 6);
+    }
+
+    #[test]
     fn unflushed_wal_findings_are_allowlistable() {
         let src = "fn f(w: &mut WalWriter) { w.append_op(&op); }\n";
         let finding = &lint_source("src/x.rs", "fela-core", src)[0];

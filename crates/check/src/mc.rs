@@ -497,6 +497,14 @@ impl Mc<'_> {
     /// its deadline ticking, which is what makes a dropped wakeup
     /// recoverable. Then every grant the core let out, lost or not, meets
     /// the dependency and staleness checks.
+    ///
+    /// Called after every input. The real-clock shell dispatches once per
+    /// drained inbox instead, but it serves the waiters after every input,
+    /// so its plane takes the same ops in the same order as here; only its
+    /// grant frames leave later. A later send only delays when a worker's
+    /// next report can arrive, and this exploration already tries every
+    /// order in which reports arrive, so flushing after every input covers
+    /// the batched shell.
     fn dispatch(&mut self, state: &mut McState) {
         let recovery = state.core.plane().recovery_on();
         let cfg = self.cfg;

@@ -571,6 +571,10 @@ fn cmd_live(live: &LiveArgs) -> Result<(), String> {
         report.bump("revocations", outcome.revocations);
         report.bump("server_crashes", outcome.server_crashes);
         report.bump("server_restarts", outcome.server_restarts);
+        if fela_core::DurabilityOptions::for_run(durability.as_ref(), &sc).is_some() {
+            report.bump("wal_commits", outcome.wal_commits);
+            extra_rows.push(("WAL commits".into(), outcome.wal_commits.to_string()));
+        }
         for (w, trained) in outcome.trained_per_worker.iter().enumerate() {
             report.bump(&format!("trained_worker_{w}"), *trained);
         }
@@ -1411,6 +1415,42 @@ mod tests {
                 "{argv}: {err}"
             );
         }
+    }
+
+    /// Runs `fela live <argv> --results-dir <dir>` and returns its record.
+    fn live_record(argv: &str, dir: &std::path::Path) -> fela_harness::RunRecord {
+        let mut argv: Vec<&str> = argv.split(' ').collect();
+        let dir_arg = dir.to_str().expect("a UTF-8 temp path");
+        argv.extend(["--results-dir", dir_arg]);
+        let Ok(Command::Live(live)) = args::parse(&argv) else {
+            panic!("{argv:?} parses as a live run");
+        };
+        cmd_live(&live).expect("the live run succeeds");
+        let jsonl = std::fs::read_to_string(dir.join("live.jsonl")).expect("live.jsonl");
+        serde_json::from_str(jsonl.trim_end()).expect("the record parses")
+    }
+
+    #[test]
+    fn a_logged_real_clock_run_reports_its_wal_commits() {
+        let dir = std::env::temp_dir().join(format!("fela-cli-wal-commits-{}", std::process::id()));
+        let run = "live --model alexnet --batch 128 --workers 4 --iters 4 --mode real --time-scale 0.0002";
+        let wal = dir.join("wal");
+        let logged = live_record(
+            &format!("{run} --wal-dir {}", wal.display()),
+            &dir.join("logged"),
+        );
+        let (commits, grants) = (
+            logged.report.counter("wal_commits"),
+            logged.report.counter("grants"),
+        );
+        assert!(
+            commits > 0 && commits < grants,
+            "{commits} commits for {grants} grants"
+        );
+        // A run with no log has no commits to report.
+        let unlogged = live_record(run, &dir.join("unlogged"));
+        assert!(!unlogged.report.counters.contains_key("wal_commits"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -9,11 +9,18 @@
 //! core then checkpoints it and rebuilds it from the log after a crash. Its inputs (a pull, a report batch, a finished
 //! parameter sync, a lease fire, a worker crash or restart, a dropped link,
 //! the server crash) only queue work. Grants leave
-//! through one call, [`ServerCore::dispatch`]: it serves the waiters an input
-//! made servable, writes a checkpoint when one is due, commits the
+//! through one call, [`ServerCore::dispatch`]: it serves the waiters the
+//! inputs made servable, writes a checkpoint when one is due, commits the
 //! write-ahead log once, and only then hands each worker its grants, in the
 //! order the plane issued them, so "nothing leaves the server before the ops
 //! behind it are durable" holds in one place.
+//!
+//! Serving the waiters is its own call, [`ServerCore::serve`]: the re-scan of
+//! the waiting queue, which `dispatch` makes first. The simulator and the
+//! model checker dispatch after every input. The real-clock shell serves
+//! after every input and dispatches once per drained inbox, so one commit
+//! covers every input it took; the plane sees the same ops either way, and
+//! only the commit and the sends move.
 //!
 //! The waiting queue is re-scanned only after inputs that can release a
 //! token: a report that minted a token or committed a sync, a finished sync,
@@ -363,18 +370,13 @@ impl ServerCore {
         self.plane.commit_wal().map_err(CoreError::Wal)
     }
 
-    /// The one way out. Serves every waiting worker an input made servable
-    /// (at `now`) and writes a checkpoint when one is due, its payload the
-    /// kept completion log. Then, if any grant
-    /// is queued, commits the log once — the group commit covering every op
-    /// staged so far — and hands each worker's grants to `deliver`, workers
-    /// in the order of their first grant. A failed commit returns the error
-    /// with nothing delivered.
-    pub fn dispatch(
-        &mut self,
-        now: SimTime,
-        mut deliver: impl FnMut(Outbound<'_>),
-    ) -> Result<(), CoreError> {
+    /// Serves every waiting worker the inputs so far made servable, at
+    /// `now`: their grants join the queue for the next dispatch. Nothing
+    /// commits and nothing leaves. [`Self::dispatch`] calls it first; a shell
+    /// that takes several inputs before one dispatch calls it after each, so
+    /// every input's waiters are served exactly as a dispatch per input
+    /// would serve them.
+    pub fn serve(&mut self, now: SimTime) -> Result<(), CoreError> {
         if std::mem::take(&mut self.drain_due) {
             let mut ready = std::mem::take(&mut self.ready);
             self.plane.drain_ready_grants(now, &mut ready)?;
@@ -383,6 +385,21 @@ impl ServerCore {
             }
             self.ready = ready;
         }
+        Ok(())
+    }
+
+    /// The one way out. [`Self::serve`]s at `now` and writes a checkpoint
+    /// when one is due, its payload the kept completion log. Then, if any
+    /// grant is queued, commits the log once — the group commit covering
+    /// every op staged so far — and hands each worker's grants to
+    /// `deliver`, workers in the order of their first grant. A failed
+    /// commit returns the error with nothing delivered.
+    pub fn dispatch(
+        &mut self,
+        now: SimTime,
+        mut deliver: impl FnMut(Outbound<'_>),
+    ) -> Result<(), CoreError> {
+        self.serve(now)?;
         let log = self.completions.as_deref();
         self.plane
             .checkpoint_due(|| {
@@ -453,6 +470,11 @@ mod tests {
     /// A two-level, `workers`-worker, two-iteration plane: level 0 has two
     /// tokens per iteration, level 1 one token minted from both.
     fn plane(workers: usize) -> ControlPlane {
+        plane_of(workers, 2)
+    }
+
+    /// [`plane`] over `iterations` iterations.
+    fn plane_of(workers: usize, iterations: u64) -> ControlPlane {
         let level = |level, tokens_per_iteration, batch_per_token, gen_ratio| LevelPlan {
             level,
             tokens_per_iteration,
@@ -470,7 +492,7 @@ mod tests {
             comm_intensive: false,
         };
         let config = FelaConfig::new(2).with_weights(vec![1, 2]);
-        ControlPlane::new(plan, config, vec![meta; 2], workers, 2)
+        ControlPlane::new(plan, config, vec![meta; 2], workers, iterations)
     }
 
     /// A two-worker core, keeping the completion log, whose log fails after
@@ -699,6 +721,147 @@ mod tests {
             core.server_crash(),
             Err(CoreError::ReplayNotPrefix)
         ));
+    }
+
+    /// One input of [`batched_dispatch_is_exact`]'s seeded drive.
+    enum Input {
+        /// A worker's opening pull.
+        Pull(usize),
+        /// A report batch and its piggybacked pull.
+        Report(usize, Vec<TokenId>),
+        /// The parameter sync of `(level, iteration)` finished.
+        Sync(usize, u64),
+    }
+
+    /// Feeds `input` to `core` at `now`; returns the syncs it left open.
+    fn feed(core: &mut ServerCore, input: &Input, now: SimTime) -> Vec<(usize, u64)> {
+        match *input {
+            Input::Pull(worker) => core.pull(worker, now).expect("pull"),
+            Input::Report(worker, ref tokens) => {
+                let reported = core.report(worker, tokens.iter().copied()).expect("report");
+                core.pull(worker, now).expect("pull");
+                return reported
+                    .syncs
+                    .iter()
+                    .filter(|s| !s.is_degenerate())
+                    .map(|s| (s.level, s.iteration))
+                    .collect();
+            }
+            Input::Sync(level, iteration) => core.sync_finished(level, iteration).expect("sync"),
+        }
+        Vec::new()
+    }
+
+    /// A three-worker core over `plane_of(3, 6)` with its op log on, writing
+    /// to an in-memory log whose committed bytes the returned handle reads.
+    fn exact_core() -> (ServerCore, crate::MemWal) {
+        let mut plane = plane_of(3, 6);
+        plane.enable_op_log();
+        let wal = crate::MemWal::new();
+        plane
+            .attach_wal(Box::new(wal.clone()))
+            .expect("the opening record syncs");
+        (ServerCore::new(plane, 2).with_completion_log(), wal)
+    }
+
+    #[test]
+    fn batched_dispatch_is_exact() {
+        // Two cores take one seeded input sequence. One dispatches after
+        // every input, as the simulator does; the other serves after every
+        // input and dispatches once per seeded batch, as the real-clock
+        // shell does per drained inbox. The workers answer the batched
+        // core's deliveries, which every input then valid for it is for the
+        // eager core too: it delivered the same grants no later.
+        for seed in 0..32 {
+            let mut rng = fela_sim::SimRng::seed_from_u64(seed);
+            let (mut eager, eager_wal) = exact_core();
+            let (mut batched, batched_wal) = exact_core();
+            let mut eager_grants = vec![Vec::new(); 3];
+            let mut batched_grants = vec![Vec::new(); 3];
+            let mut held: Vec<Vec<TokenId>> = vec![Vec::new(); 3];
+            let mut opened = [false; 3];
+            let mut open_syncs: VecDeque<(usize, u64)> = VecDeque::new();
+            let mut now = SimTime::ZERO;
+            let mut batches = 0;
+            while !batched.plane().run_complete() {
+                let size = 1 + rng.next_below(4);
+                let mut inputs = 0;
+                for _ in 0..size {
+                    let mut choices: Vec<usize> = (0..3)
+                        .filter(|&w| !opened[w] || !held[w].is_empty())
+                        .collect();
+                    // Choice 3, past the workers: finish the oldest open sync.
+                    if !open_syncs.is_empty() {
+                        choices.push(3);
+                    }
+                    if choices.is_empty() {
+                        break;
+                    }
+                    let input = match choices[rng.next_below(choices.len() as u64) as usize] {
+                        3 => {
+                            let (level, iteration) = open_syncs.pop_front().expect("open");
+                            Input::Sync(level, iteration)
+                        }
+                        w if !opened[w] => {
+                            opened[w] = true;
+                            Input::Pull(w)
+                        }
+                        w => {
+                            let n = 1 + rng.next_below(held[w].len() as u64) as usize;
+                            Input::Report(w, held[w].drain(..n).collect())
+                        }
+                    };
+                    now += SimDuration::from_millis(1);
+                    let opened_syncs = feed(&mut eager, &input, now);
+                    eager
+                        .dispatch(now, |out| {
+                            eager_grants[out.worker].extend(out.grants.map(|g| g.token.id))
+                        })
+                        .expect("eager dispatch");
+                    assert_eq!(feed(&mut batched, &input, now), opened_syncs);
+                    batched.serve(now).expect("serve");
+                    open_syncs.extend(opened_syncs);
+                    inputs += 1;
+                }
+                assert!(inputs > 0, "seed {seed}: the run stalled");
+                let commits = batched.plane().wal_commits();
+                let mut delivered = false;
+                batched
+                    .dispatch(now, |out| {
+                        delivered = true;
+                        let tokens: Vec<TokenId> = out.grants.map(|g| g.token.id).collect();
+                        batched_grants[out.worker].extend(tokens.iter().copied());
+                        held[out.worker].extend(tokens);
+                    })
+                    .expect("batched dispatch");
+                assert_eq!(
+                    batched.plane().wal_commits() - commits,
+                    u64::from(delivered),
+                    "seed {seed}: one commit per batch that ships, none otherwise"
+                );
+                batches += 1;
+            }
+            assert!(eager.plane().run_complete(), "seed {seed}");
+            eager.commit_wal().expect("commit");
+            batched.commit_wal().expect("commit");
+            assert_eq!(eager.take_op_log(), batched.take_op_log(), "seed {seed}");
+            assert_eq!(
+                eager.plane().snapshot(),
+                batched.plane().snapshot(),
+                "seed {seed}"
+            );
+            assert_eq!(eager_wal.bytes(), batched_wal.bytes(), "seed {seed}");
+            assert_eq!(eager.completions(), batched.completions(), "seed {seed}");
+            assert_eq!(eager_grants, batched_grants, "seed {seed}");
+            assert!(
+                batched.plane().wal_commits() <= batches + 2,
+                "seed {seed}: at most one commit per batch, plus the opening record and the last"
+            );
+            assert!(
+                batched.plane().wal_commits() < eager.plane().wal_commits(),
+                "seed {seed}: batching saves commits"
+            );
+        }
     }
 
     #[test]

@@ -42,8 +42,8 @@
 //! staged bytes to the [`WalSink`] and syncs it in one step, and an empty
 //! stage costs nothing. The control plane only stages: it commits **once per
 //! batch**, when the runtime calls [`ControlPlane::commit_wal`] just before
-//! results leave the process — the live server before every grant flush,
-//! `Hang` frame and epilogue, the simulator at the end of every event — and
+//! results leave the process — the live server before every grant flush
+//! (one per drained inbox), `Hang` frame and epilogue, the simulator at the end of every event — and
 //! with every checkpoint. The rule "no decision is visible outside the
 //! process before it is durable" therefore holds per batch instead of per
 //! op. A crash loses the stage: ops whose results no worker has seen.

@@ -36,13 +36,24 @@
 //! half onto a small reader thread (`LinkRx::spawn_reader`) that blocks on
 //! the link, forwards each frame, then the link's close, and exits; channel
 //! and TCP links share that one path. The loop blocks on the inbox until the
-//! next timer deadline, feeds each frame to the core (a report piggybacks up
-//! to [`RealOptions::pipeline`] pulls), fires the due timers, and ships what
-//! the core queued **eagerly** — as soon as the frame that produced it is
-//! handled — as one `GrantBatch` frame + one transport write per worker,
-//! whatever the batch length. The worker computes the batch as one
-//! coalesced sleep and answers with one `ReportBatch`, so per-token cost on
-//! both sides is `O(1/pipeline)` writes and wakeups.
+//! next timer deadline, then **drains** it: it keeps taking the messages
+//! already waiting, without waiting for more, until the inbox is empty, a
+//! timer is due or the run is complete. It feeds each frame to the core (a
+//! report piggybacks up to [`RealOptions::pipeline`] pulls) and serves the
+//! waiters after each ([`ServerCore::serve`]), fires the due timers, and
+//! ships what the whole drain released with one dispatch: one write-ahead
+//! log commit (one `sync_data` with a file log), then one `GrantBatch` frame
+//! and one transport write per worker, whatever the batch length. A busy
+//! inbox thus shares one fsync among many reports, while a lone frame is
+//! still answered at once. The worker computes the batch as one coalesced
+//! sleep and answers with one `ReportBatch`, so per-token cost on both sides
+//! is `O(1/pipeline)` writes and wakeups.
+//!
+//! The core sees the same inputs, and serves after each one, as under a
+//! dispatch per input (the model checker's); only the commit and the sends
+//! move to the end of the drain. A later send only delays when a worker's
+//! next report can arrive, so the shell's executions stay inside the
+//! interleavings the `fela-mc` model checker explores.
 //!
 //! One live link per worker index: a link's frames and its close reach the
 //! inbox in order, and a worker's next link is attached only after the old
@@ -128,8 +139,9 @@ pub struct RealOutcome {
     /// Token Server recoveries completed.
     pub server_restarts: u64,
     /// Write-ahead log commits that synced data (0 without a log): one per
-    /// grant flush that followed new ops, plus the opening record and every
-    /// checkpoint.
+    /// dispatch (a drained inbox) that shipped grants after new ops, plus
+    /// the opening record, every checkpoint and every control frame sent
+    /// after new ops.
     pub wal_commits: u64,
     /// Final model parameters (bit-identical on every surviving replica and
     /// to the server's reference replay).
@@ -255,6 +267,13 @@ impl RealServer<'_> {
         Some((worker, msg))
     }
 
+    /// Whether the earliest timer deadline has passed.
+    fn timer_due(&self) -> bool {
+        self.timers
+            .peek()
+            .is_some_and(|&Reverse((at, _))| at <= Instant::now())
+    }
+
     /// Handles one dequeued message. A frame goes to the core. A close ends
     /// the link: a worker still alive died under us and is killed, and a
     /// restart that waited for this close goes ahead.
@@ -286,8 +305,9 @@ impl RealServer<'_> {
         Ok(())
     }
 
-    /// Ships what the core queued: [`ServerCore::dispatch`] commits the log,
-    /// then each worker's `GrantBatch` goes out as one write. A batch that
+    /// Ships what the core queued since the last dispatch (a whole drained
+    /// inbox): [`ServerCore::dispatch`] commits the log once, then each
+    /// worker's `GrantBatch` goes out as one write. A batch that
     /// left arms its leases, sized to the **cumulative** batch span — the
     /// worker computes the batch serially and reports it with one frame at
     /// the end, so every lease in the batch must survive until the whole
@@ -562,14 +582,22 @@ fn serve(
     rs.dispatch()?;
 
     // The server loop: block on the inbox until the next timer deadline,
-    // handle what arrived, fire every due timer (a batch's leases share one
-    // deadline), then ship what they all released with one dispatch (one
-    // commit). All deadline arithmetic saturates, so a deadline already in
+    // then keep taking what is already waiting (a zero-wait dequeue) until
+    // the inbox is empty, a timer is due or the run is complete, serving the
+    // waiters after each message. Fire every due timer (a batch's leases
+    // share one deadline), then ship what they all released with one
+    // dispatch: one commit and one `GrantBatch` per worker for the whole
+    // drain. All deadline arithmetic saturates, so a deadline already in
     // the past fires at once.
     while !rs.core.plane().run_complete() {
         let deadline = rs.timers.peek().map(|&Reverse((at, _))| at);
-        if let Some((worker, msg)) = rs.dequeue(deadline) {
+        let mut next = rs.dequeue(deadline);
+        while let Some((worker, msg)) = next.take() {
             rs.on_inbound(worker, msg, transport)?;
+            rs.core.serve(rs.now_sim()).map_err(fatal)?;
+            if !rs.timer_due() && !rs.core.plane().run_complete() {
+                next = rs.dequeue(Some(Instant::now()));
+            }
         }
         while let Some(&Reverse((at, timer))) = rs.timers.peek() {
             if at > Instant::now() {
@@ -943,6 +971,76 @@ mod tests {
                 out.wal_commits
             );
         }
+    }
+
+    #[test]
+    fn server_crash_at_16_workers_mid_drain_matches_the_uninterrupted_run() {
+        // The shape of the benchmark's `live-tcp-wal-w16`: 16 workers keep
+        // the inbox busy, so a drain holds several frames, and the server
+        // crash lands mid-drain. Reports staged and grants served but not
+        // yet sent die with the process, and the run still lands on the
+        // uninterrupted parameters, over a file log and both transports.
+        let mut scenario = Scenario::paper(zoo::alexnet(), 256).with_iterations(20);
+        scenario.cluster = ClusterSpec::k40c_cluster(16);
+        let levels = FelaRuntime::new(FelaConfig::new(1))
+            .partition_for(&scenario)
+            .len();
+        let config = FelaConfig::new(levels).with_staleness(8);
+        let opts = RealOptions {
+            time_scale: 2e-4,
+            pipeline: 16,
+            ..RealOptions::default()
+        };
+        let baseline = run_real(&config, &scenario, &mut ChanTransport, opts)
+            .expect("uninterrupted run succeeds");
+        let tokens = plan_for(&config, &scenario)
+            .expect("plan")
+            .tokens_per_iteration()
+            * scenario.iterations;
+        scenario.fault = FaultModel::ServerCrashRestart {
+            iteration: 10,
+            down: fela_sim::SimDuration::from_secs(10),
+        };
+        let dir = std::env::temp_dir().join(format!(
+            "fela-live-w16-wal-{}-{:?}",
+            std::process::id(),
+            thread::current().id()
+        ));
+        let transports: [Box<dyn Transport>; 2] =
+            [Box::new(ChanTransport), Box::new(TcpTransport::default())];
+        for mut transport in transports {
+            let durability = DurabilityOptions {
+                wal_dir: Some(dir.join(transport.name())),
+                checkpoint_every: 8,
+            };
+            let recorder = crate::sched::RecordingSched::new();
+            let out = run_real_impl(
+                &config,
+                &scenario,
+                transport.as_mut(),
+                opts,
+                recorder.clone(),
+                Some(&durability),
+            )
+            .expect("durable run survives the server crash");
+            let name = out.transport;
+            assert_eq!(out.iterations, 20, "{name}");
+            assert_eq!((out.server_crashes, out.server_restarts), (1, 1), "{name}");
+            assert_eq!(out.params, baseline.params, "{name}");
+            let accepted: u64 = out.trained_per_worker.iter().sum();
+            assert_eq!(accepted, tokens, "{name}: every token accepted once");
+            let frames = recorder
+                .take()
+                .iter()
+                .filter(|e| matches!(e, SyncEvent::InboxDequeued { frame: Some(_), .. }))
+                .count() as u64;
+            assert!(
+                out.wal_commits < frames,
+                "{name}: {} commits for {frames} frames, so no drain held two",
+                out.wal_commits
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A log whose `sync` fails once `syncs_left` syncs have succeeded. The
