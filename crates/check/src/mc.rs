@@ -668,8 +668,8 @@ impl Mc<'_> {
             let holder: BTreeSet<u64> = plane.snapshot().holder.iter().map(|(t, _)| *t).collect();
             let missing: Vec<u64> = plane
                 .tokens()
-                .keys()
-                .map(|id| id.0)
+                .iter()
+                .map(|t| t.id.0)
                 .filter(|id| !holder.contains(id))
                 .collect();
             if !missing.is_empty() {

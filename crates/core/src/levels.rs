@@ -2,16 +2,19 @@
 //! sync/generation bookkeeping ([`LevelState`]) plus its segment of every
 //! bucket's STB queue and distribution indices.
 //!
-//! The table is deliberately dumb: it answers O(log) pick/push/remove queries
-//! per level and never sees the cluster-wide picture (liveness, leases,
-//! helper counts, the token table). Every decision that spans levels or
-//! buckets — which bucket to steal from, where a revoked token re-homes, when
-//! a sync barrier closes — lives in the [`Coordinator`](crate::Coordinator).
+//! The table is deliberately dumb: a pick is one `first()` on an ordered
+//! index, a push or a remove is O(log) in the level's queued tokens plus a
+//! scan of the bucket's queue for the removed id, and the per-token columns
+//! it keeps are indexed by token id. It never sees the cluster-wide picture
+//! (liveness, leases, helper counts, the token table). Every decision that
+//! spans levels or buckets — which bucket to steal from, where a revoked
+//! token re-homes, when a sync barrier closes — lives in the
+//! [`Coordinator`](crate::Coordinator).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::error::ScheduleError;
-use crate::token::{Token, TokenId};
+use crate::token::{row_of, Token, TokenId};
 
 /// One `(encoded score, token id)` index: ascending set order is descending
 /// locality score, ties to the smallest id (Principle 2).
@@ -95,9 +98,7 @@ struct LevelSlot {
 pub(crate) struct LevelTable {
     use_score_index: bool,
     levels: Vec<LevelSlot>,
-    /// Sparse `(worker, score key)` index entries of every STB-resident token,
-    /// kept so `remove` can drop them without recomputing scores.
-    score_keys: BTreeMap<TokenId, Vec<(usize, u64)>>,
+    score_keys: ScoreKeys,
 }
 
 impl LevelTable {
@@ -118,7 +119,11 @@ impl LevelTable {
                     by_score: vec![vec![BTreeSet::new(); n_workers]; buckets],
                 })
                 .collect(),
-            score_keys: BTreeMap::new(),
+            score_keys: ScoreKeys {
+                by_id: Vec::new(),
+                spare: Vec::new(),
+                held: vec![0; n_workers],
+            },
         }
     }
 
@@ -170,18 +175,14 @@ impl LevelTable {
         bucket: usize,
         level: usize,
         token: &Token,
-        holder: &BTreeMap<TokenId, usize>,
+        holder: &[Option<usize>],
     ) {
         let slot = &mut self.levels[level];
         slot.stbs[bucket].push_back(token.id);
         slot.grantable[bucket].insert(token.id);
         if self.use_score_index {
-            index_scores(
-                &mut slot.by_score[bucket],
-                &mut self.score_keys,
-                token,
-                holder,
-            );
+            self.score_keys
+                .index(&mut slot.by_score[bucket], token, holder);
         }
     }
 
@@ -200,7 +201,6 @@ impl LevelTable {
         level: usize,
         id: TokenId,
     ) -> Result<(), ScheduleError> {
-        let keys = self.score_keys.remove(&id);
         let slot = &mut self.levels[level];
         let q = &mut slot.stbs[bucket];
         let Some(pos) = q.iter().position(|&x| x == id) else {
@@ -213,11 +213,7 @@ impl LevelTable {
         };
         q.remove(pos);
         slot.grantable[bucket].remove(&id);
-        if let Some(keys) = keys {
-            for (w, k) in keys {
-                slot.by_score[bucket][w].remove(&(k, id));
-            }
-        }
+        self.score_keys.unindex(&mut slot.by_score[bucket], id);
         Ok(())
     }
 
@@ -226,8 +222,8 @@ impl LevelTable {
     /// insertion time). Crash-path only.
     pub(crate) fn rebuild_scores(
         &mut self,
-        tokens: &BTreeMap<TokenId, Token>,
-        holder: &BTreeMap<TokenId, usize>,
+        tokens: &[Token],
+        holder: &[Option<usize>],
     ) -> Result<(), ScheduleError> {
         if !self.use_score_index {
             return Ok(());
@@ -235,15 +231,9 @@ impl LevelTable {
         for slot in &mut self.levels {
             for (queue, by_score) in slot.stbs.iter().zip(&mut slot.by_score) {
                 for &id in queue {
-                    if let Some(keys) = self.score_keys.remove(&id) {
-                        for (w, k) in keys {
-                            by_score[w].remove(&(k, id));
-                        }
-                    }
-                    let t = tokens
-                        .get(&id)
-                        .ok_or(ScheduleError::UnknownToken { token: id })?;
-                    index_scores(by_score, &mut self.score_keys, t, holder);
+                    self.score_keys.unindex(by_score, id);
+                    let t = row_of(tokens, id).ok_or(ScheduleError::UnknownToken { token: id })?;
+                    self.score_keys.index(by_score, t, holder);
                 }
             }
         }
@@ -251,34 +241,77 @@ impl LevelTable {
     }
 }
 
-/// Adds `token`'s positive locality scores to one bucket's per-worker
-/// `by_score` sets and records the entries in `score_keys`. A single walk
-/// over the token's dependency holders yields every worker's held count;
-/// only workers with a positive count get an entry (Equation 1's
-/// `held / len`).
-fn index_scores(
-    by_score: &mut [ScoreSet],
-    score_keys: &mut BTreeMap<TokenId, Vec<(usize, u64)>>,
-    token: &Token,
-    holder: &BTreeMap<TokenId, usize>,
-) {
-    let mut counts = vec![0usize; by_score.len()];
-    for d in &token.deps {
-        if let Some(&w) = holder.get(d) {
-            counts[w] += 1;
+/// The score index's per-token bookkeeping: which `by_score` entries each
+/// STB-resident token owns, so a remove drops them without recomputing
+/// scores. Indexing allocates nothing in steady state: entry lists are
+/// recycled and the per-worker tally is one reused scratch row.
+#[derive(Clone)]
+struct ScoreKeys {
+    /// Per-id column: the sparse `(worker, score key)` entries of token `i`
+    /// while it sits in an STB, empty otherwise.
+    by_id: Vec<Vec<(usize, u64)>>,
+    /// Emptied entry lists, kept for the next push.
+    spare: Vec<Vec<(usize, u64)>>,
+    /// Scratch: dependencies held per worker, all zero between calls.
+    held: Vec<usize>,
+}
+
+impl ScoreKeys {
+    /// Adds `token`'s positive locality scores to one bucket's per-worker
+    /// `by_score` sets and records the entries. Two walks over the token's
+    /// dependency holders: the first tallies each worker's held count, the
+    /// second turns every worker's tally into its entry (Equation 1's
+    /// `held / len`) the first time it meets that worker and zeroes it, so
+    /// only workers with a positive count get an entry.
+    fn index(&mut self, by_score: &mut [ScoreSet], token: &Token, holder: &[Option<usize>]) {
+        let holders = || {
+            token
+                .deps
+                .iter()
+                .filter_map(|&d| row_of(holder, d).copied().flatten())
+        };
+        for w in holders() {
+            self.held[w] += 1;
+        }
+        let len = token.deps.len();
+        let mut keys = self.spare.pop().unwrap_or_default();
+        for w in holders() {
+            let c = std::mem::take(&mut self.held[w]);
+            if c > 0 {
+                let k = score_key(c as f64 / len as f64);
+                by_score[w].insert((k, token.id));
+                keys.push((w, k));
+            }
+        }
+        match token.id.row() {
+            Some(row) if !keys.is_empty() => {
+                if self.by_id.len() <= row {
+                    self.by_id.resize_with(row + 1, Vec::new);
+                }
+                self.by_id[row] = keys;
+            }
+            _ => self.recycle(keys),
         }
     }
-    let len = token.deps.len();
-    let mut keys: Vec<(usize, u64)> = Vec::new();
-    for (w, &c) in counts.iter().enumerate() {
-        if c > 0 {
-            let k = score_key(c as f64 / len as f64);
-            by_score[w].insert((k, token.id));
-            keys.push((w, k));
+
+    /// Drops the `by_score` entries [`Self::index`] recorded for `id`.
+    fn unindex(&mut self, by_score: &mut [ScoreSet], id: TokenId) {
+        let Some(keys) = id.row().and_then(|row| self.by_id.get_mut(row)) else {
+            return;
+        };
+        let mut keys = std::mem::take(keys);
+        for (w, k) in keys.drain(..) {
+            by_score[w].remove(&(k, id));
         }
+        self.recycle(keys);
     }
-    if !keys.is_empty() {
-        score_keys.insert(token.id, keys);
+
+    /// Keeps an emptied entry list for reuse (one that never allocated is
+    /// not worth keeping).
+    fn recycle(&mut self, keys: Vec<(usize, u64)>) {
+        if keys.capacity() > 0 {
+            self.spare.push(keys);
+        }
     }
 }
 
@@ -289,8 +322,9 @@ mod tests {
     #[test]
     fn push_pick_remove_round_trip() {
         let mut table = LevelTable::new(3, 4, 4, true);
-        let holder: BTreeMap<TokenId, usize> =
-            [(TokenId(10), 2), (TokenId(11), 0)].into_iter().collect();
+        let mut holder = vec![None; 43];
+        holder[10] = Some(2);
+        holder[11] = Some(0);
         let t = Token {
             id: TokenId(42),
             level: 2,

@@ -5,7 +5,6 @@
 //! for every runtime: [`ControlPlane::open_wal`],
 //! [`ControlPlane::checkpoint_due`] and [`ControlPlane::crash_restart`].
 
-use std::collections::BTreeMap;
 use std::io;
 use std::ops::Deref;
 
@@ -92,8 +91,8 @@ impl ControlPlane {
         Self::wrap(Coordinator::new(plan, cfg, meta, n_workers, max_iterations))
     }
 
-    /// Rebuilds a plane from a snapshot + token table (the WAL recovery
-    /// path).
+    /// Rebuilds a plane from a snapshot + token table in id order (the WAL
+    /// recovery path; see [`Coordinator::restore`]).
     #[allow(clippy::too_many_arguments)]
     pub fn restore(
         plan: TokenPlan,
@@ -101,7 +100,7 @@ impl ControlPlane {
         meta: Vec<LevelMeta>,
         n_workers: usize,
         max_iterations: u64,
-        tokens: BTreeMap<TokenId, Token>,
+        tokens: Vec<Token>,
         snap: &ServerSnapshot,
     ) -> Result<Self, ScheduleError> {
         Coordinator::restore(plan, cfg, meta, n_workers, max_iterations, tokens, snap)

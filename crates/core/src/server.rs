@@ -13,7 +13,7 @@
 //!   [`Coordinator::report`] groups completed level-`i` tokens in completion
 //!   order (as in Figure 3) and generates one level-`i+1` token per `ratio`
 //!   completions, with the group as its dependency set.
-//! * **Info Mapping** — the `holder` map (which worker holds a completed
+//! * **Info Mapping** — the `holder` column (which worker holds a completed
 //!   token's output); locality scores (Equation 1) are computed from it.
 //! * **Token Distributor** — [`Coordinator::request`] / the waiting queue.
 //!   With HF on, each worker owns an STB and steals only when its own STB is
@@ -44,8 +44,9 @@
 //! Each level's STB queue segments, pick indices and sync/generation
 //! bookkeeping live in one per-level table (`levels.rs`). The coordinator
 //! keeps everything that spans levels or buckets itself: the token table and
-//! Info Mapping, liveness/quarantine, the lease ledger, helper counts, the
-//! waiting queue, and two per-bucket occupancy indices (below). The
+//! Info Mapping (flat vectors indexed by token id, since ids are dense),
+//! liveness/quarantine, the lease ledger, helper counts, the waiting queue,
+//! and two per-bucket occupancy indices (below). The
 //! conformance suite drives the coordinator in lockstep with `fela-check`'s
 //! reference `TokenServer` (the original single-loop implementation, kept as
 //! the oracle) under random churn, including crash/restart faults, to
@@ -73,11 +74,12 @@
 //! Every internal invariant breach surfaces as a typed [`ScheduleError`]
 //! instead of a panic, so callers (the simulation runtime, the `fela-check`
 //! verifier, tests) decide how to react. Scheduling state lives in ordered
-//! containers (`BTreeMap`/`BTreeSet`/`VecDeque`) only: no code path's
-//! observable behaviour can depend on hash-iteration order, which keeps
-//! emitted reports and artifacts byte-identical across runs.
+//! containers (`BTreeMap`/`BTreeSet`/`VecDeque`) and id- or worker-indexed
+//! vectors only: no code path's observable behaviour can depend on
+//! hash-iteration order, which keeps emitted reports and artifacts
+//! byte-identical across runs.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use fela_model::Partition;
 use fela_sim::SimTime;
@@ -89,7 +91,7 @@ use crate::lease::{ExpiredLease, LeaseInfo, LeaseTable};
 use crate::levels::{score_key, LevelTable};
 use crate::plan::TokenPlan;
 use crate::snapshot::ServerSnapshot;
-use crate::token::{Token, TokenId};
+use crate::token::{row_of, Token, TokenId};
 
 /// Static per-level facts the scheduler needs (derived from the partition).
 #[derive(Clone, Copy, Debug, Serialize)]
@@ -192,12 +194,13 @@ pub struct Coordinator {
     max_iterations: u64,
     /// Iterations whose root tokens have been released (0..count).
     released_roots: u64,
-    /// Global token-id allocator.
-    next_token_id: u64,
-    /// All generated tokens (dependencies span level boundaries).
-    tokens: BTreeMap<TokenId, Token>,
-    /// Completed-token outputs: token → holding worker (Info Mapping).
-    holder: BTreeMap<TokenId, usize>,
+    /// Every token minted so far, indexed by id: ids are minted densely from
+    /// 0 and never dropped, so row `i` holds token `i` and the length is the
+    /// next id to mint. Dependencies span level boundaries.
+    tokens: Vec<Token>,
+    /// The Info Mapping, a per-id column beside `tokens`: the worker holding
+    /// token `i`'s output once it is reported, `None` before.
+    holder: Vec<Option<usize>>,
     /// Per-level STB segments, pick indices and sync bookkeeping.
     levels: LevelTable,
     /// Static per-level CTD flag (`ctd` on and the level is comm-intensive).
@@ -323,9 +326,8 @@ impl Coordinator {
             n_workers,
             max_iterations,
             released_roots: 0,
-            next_token_id: 0,
-            tokens: BTreeMap::new(),
-            holder: BTreeMap::new(),
+            tokens: Vec::new(),
+            holder: Vec::new(),
             levels,
             cond_level,
             member_order,
@@ -351,26 +353,30 @@ impl Coordinator {
     }
 
     /// Restores a coordinator from a snapshot plus the token table it refers
-    /// to. The result snapshots back bit-identically and continues exactly as
-    /// a server that reached the snapshot live — same outcomes, conflict
-    /// flags included, and same counters. A snapshot or token table that
-    /// does not fit this plan and cluster is a [`ScheduleError`], not a
-    /// panic.
+    /// to (`tokens[i]` is token `i`, as [`Self::tokens`] returns it). The
+    /// result snapshots back bit-identically and continues exactly as a
+    /// server that reached the snapshot live — same outcomes, conflict flags
+    /// included, and same counters. A snapshot or token table that does not
+    /// fit this plan and cluster, or names a token the table does not hold,
+    /// is a [`ScheduleError`], not a panic.
     pub fn restore(
         plan: TokenPlan,
         cfg: FelaConfig,
         meta: Vec<LevelMeta>,
         n_workers: usize,
         max_iterations: u64,
-        tokens: BTreeMap<TokenId, Token>,
+        tokens: Vec<Token>,
         snap: &ServerSnapshot,
     ) -> Result<Self, ScheduleError> {
         let mut c = Self::empty(plan, cfg, meta, n_workers, max_iterations);
         c.check_shape(&tokens, snap)?;
         c.released_roots = snap.released_roots;
-        c.next_token_id = snap.next_token_id;
+        // `check_shape` bounded every id below the table's length.
+        c.holder = vec![None; tokens.len()];
+        for &(t, w) in &snap.holder {
+            c.holder[t as usize] = Some(w);
+        }
         c.tokens = tokens;
-        c.holder = snap.holder.iter().map(|&(t, w)| (TokenId(t), w)).collect();
         let m = c.plan.num_levels();
         for level in 0..m {
             let st = c.levels.state_mut(level);
@@ -390,7 +396,7 @@ impl Coordinator {
         // generator and never dropped from the token table.
         let gen_pairs: Vec<(usize, u64)> = c
             .tokens
-            .values()
+            .iter()
             .filter(|t| t.level >= 1)
             .map(|t| (t.level, t.iteration))
             .collect();
@@ -440,11 +446,7 @@ impl Coordinator {
     /// Checks that a snapshot and its token table fit this coordinator's
     /// plan and cluster before [`Self::restore`] indexes by them: a log
     /// written under another shape is an error, not a panic.
-    fn check_shape(
-        &self,
-        tokens: &BTreeMap<TokenId, Token>,
-        snap: &ServerSnapshot,
-    ) -> Result<(), ScheduleError> {
+    fn check_shape(&self, tokens: &[Token], snap: &ServerSnapshot) -> Result<(), ScheduleError> {
         let m = self.plan.num_levels();
         let n = self.n_workers;
         let buckets = self.queued_all.len();
@@ -475,14 +477,15 @@ impl Coordinator {
                 want,
             });
         }
-        let levels = tokens.values().map(|t| t.level);
+        Self::check_ids(tokens, snap)?;
+        let levels = tokens.iter().map(|t| t.level);
         let mut levels = levels.chain(snap.parked.iter().map(|&(level, _)| level));
         if let Some(level) = levels.find(|&level| level >= m) {
             return Err(ScheduleError::LevelOutOfRange { level, levels: m });
         }
         // Each worker index with its bound; a bucket is a worker's STB (one
         // shared bucket without HF).
-        let workers = tokens.values().filter_map(|t| t.sample_owner);
+        let workers = tokens.iter().filter_map(|t| t.sample_owner);
         let workers = workers
             .chain(snap.holder.iter().map(|&(_, w)| w))
             .chain(snap.waiting.iter().copied())
@@ -493,6 +496,51 @@ impl Coordinator {
         let mut indices = workers.chain(pending.map(|&(_, b)| (b, buckets)));
         match indices.find(|&(w, bound)| w >= bound) {
             Some((worker, n_workers)) => Err(ScheduleError::InvalidWorker { worker, n_workers }),
+            None => Ok(()),
+        }
+    }
+
+    /// Checks the token table against the dense-id contract before
+    /// [`Self::restore`] indexes by ids: it holds exactly the ids
+    /// `0..next_token_id`, in order, every dependency is an earlier token,
+    /// and every id the snapshot names is in the table. Only lengths are
+    /// compared, so a corrupt id sizes no allocation.
+    fn check_ids(tokens: &[Token], snap: &ServerSnapshot) -> Result<(), ScheduleError> {
+        if tokens.len() as u64 != snap.next_token_id {
+            return Err(ScheduleError::SnapshotShape {
+                table: "tokens".to_string(),
+                len: tokens.len(),
+                want: usize::try_from(snap.next_token_id).unwrap_or(usize::MAX),
+            });
+        }
+        let mut rows = tokens.iter().enumerate();
+        if let Some((i, _)) = rows.find(|&(i, t)| t.id.0 != i as u64) {
+            return Err(ScheduleError::UnknownToken {
+                token: TokenId(i as u64),
+            });
+        }
+        let deps = tokens
+            .iter()
+            .flat_map(|t| t.deps.iter().filter(move |d| **d >= t.id));
+        let named = snap
+            .holder
+            .iter()
+            .map(|&(t, _)| t)
+            .chain(snap.stbs.iter().flatten().flatten().copied())
+            .chain(snap.pending.iter().flatten().map(|&(t, _)| t))
+            .chain(
+                snap.gen_buffers
+                    .iter()
+                    .flatten()
+                    .flat_map(|(_, ids)| ids.iter().copied()),
+            )
+            .chain(snap.leases.iter().map(|&(t, _, _)| t))
+            .chain(snap.attempts.iter().map(|&(t, _)| t))
+            .chain(snap.parked.iter().map(|&(_, t)| t))
+            .filter(|&t| t >= snap.next_token_id)
+            .map(TokenId);
+        match deps.copied().chain(named).next() {
+            Some(token) => Err(ScheduleError::UnknownToken { token }),
             None => Ok(()),
         }
     }
@@ -524,11 +572,23 @@ impl Coordinator {
 
     /// A generated token by id (introspection for checkers).
     pub fn token(&self, id: TokenId) -> Option<&Token> {
-        self.tokens.get(&id)
+        row_of(&self.tokens, id)
     }
 
-    /// The full token table (pair with [`Self::snapshot`] for restore).
-    pub fn tokens(&self) -> &BTreeMap<TokenId, Token> {
+    /// [`Self::token`], with an unknown id as its typed error.
+    fn known(&self, id: TokenId) -> Result<&Token, ScheduleError> {
+        self.token(id)
+            .ok_or(ScheduleError::UnknownToken { token: id })
+    }
+
+    /// The worker holding `id`'s output, once it is reported.
+    fn holder_of(&self, id: TokenId) -> Option<usize> {
+        row_of(&self.holder, id).copied().flatten()
+    }
+
+    /// The full token table in id order, `tokens()[i]` being token `i` (pair
+    /// with [`Self::snapshot`] for restore).
+    pub fn tokens(&self) -> &[Token] {
         &self.tokens
     }
 
@@ -584,21 +644,26 @@ impl Coordinator {
 
     /// Eligible participants for a conditional level: the alive part of the
     /// CTD subset, or — when the whole subset is down — every eligible worker
-    /// (the CTD restriction lapses until a subset member rejoins).
-    fn ctd_participants(&self, level: usize) -> Result<Vec<usize>, ScheduleError> {
+    /// (the CTD restriction lapses until a subset member rejoins). Never
+    /// empty; ascending.
+    fn ctd_participants(
+        &self,
+        level: usize,
+    ) -> Result<impl Iterator<Item = usize> + '_, ScheduleError> {
         let ctd = self
             .cfg
             .ctd
             .ok_or(ScheduleError::CtdConfigMissing { level })?;
-        let members: Vec<usize> = (0..ctd.subset_size).filter(|&w| self.eligible(w)).collect();
-        if !members.is_empty() {
-            return Ok(members);
-        }
-        let alive: Vec<usize> = (0..self.n_workers).filter(|&w| self.eligible(w)).collect();
-        if alive.is_empty() {
+        let pool = if self.ctd_subset_alive() {
+            ctd.subset_size
+        } else {
+            self.n_workers
+        };
+        let mut eligible = (0..pool).filter(|&w| self.eligible(w)).peekable();
+        if eligible.peek().is_none() {
             return Err(ScheduleError::NoAliveWorkers);
         }
-        Ok(alive)
+        Ok(eligible)
     }
 
     /// Whether lease-based recovery is enabled.
@@ -655,17 +720,14 @@ impl Coordinator {
     /// affinity is expressed only through STB placement (§III-E), which is
     /// exactly why HF matters so much for them.
     pub fn locality_score(&self, worker: usize, token: TokenId) -> Result<f64, ScheduleError> {
-        let t = self
-            .tokens
-            .get(&token)
-            .ok_or(ScheduleError::UnknownToken { token })?;
+        let t = self.known(token)?;
         if t.deps.is_empty() {
             return Ok(0.0);
         }
         let held = t
             .deps
             .iter()
-            .filter(|d| self.holder.get(d) == Some(&worker))
+            .filter(|&&d| self.holder_of(d) == Some(worker))
             .count();
         Ok(held as f64 / t.deps.len() as f64)
     }
@@ -715,10 +777,7 @@ impl Coordinator {
 
     /// Inserts a token into its level's queue and bumps the occupancy indices.
     fn stb_push(&mut self, bucket: usize, level: usize, id: TokenId) -> Result<(), ScheduleError> {
-        let token = self
-            .tokens
-            .get(&id)
-            .ok_or(ScheduleError::UnknownToken { token: id })?;
+        let token = row_of(&self.tokens, id).ok_or(ScheduleError::UnknownToken { token: id })?;
         self.levels.push(bucket, level, token, &self.holder);
         self.queued_all[bucket] += 1;
         if !self.cond_level[level] {
@@ -825,11 +884,7 @@ impl Coordinator {
             self.stats.local_grants += 1;
         }
         self.stats.grants += 1;
-        let token = self
-            .tokens
-            .get(&id)
-            .ok_or(ScheduleError::UnknownToken { token: id })?
-            .clone();
+        let token = self.known(id)?.clone();
         let fetches = self.fetches_for(&token, worker)?;
         for &(_, bytes) in &fetches {
             self.stats.remote_fetch_bytes += bytes;
@@ -922,20 +977,15 @@ impl Coordinator {
         }
         let per_sample = self.meta[token.level].input_bytes_per_sample;
         let mut fetches = Vec::new();
-        for dep in &token.deps {
-            let holder = *self
-                .holder
-                .get(dep)
+        for &dep in &token.deps {
+            let holder = self
+                .holder_of(dep)
                 .ok_or(ScheduleError::MissingDependencyHolder {
                     token: token.id,
-                    dep: *dep,
+                    dep,
                 })?;
             if holder != worker {
-                let dep_batch = self
-                    .tokens
-                    .get(dep)
-                    .ok_or(ScheduleError::UnknownToken { token: *dep })?
-                    .batch;
+                let dep_batch = self.known(dep)?.batch;
                 fetches.push((holder, dep_batch.saturating_mul(per_sample)));
             }
         }
@@ -957,10 +1007,7 @@ impl Coordinator {
     ) -> Result<Vec<SyncSpec>, ScheduleError> {
         self.check_worker(worker)?;
         let (level, iteration) = {
-            let t = self
-                .tokens
-                .get(&token)
-                .ok_or(ScheduleError::UnknownToken { token })?;
+            let t = self.known(token)?;
             (t.level, t.iteration)
         };
         if self.recovery_on() {
@@ -975,10 +1022,13 @@ impl Coordinator {
                 _ => return Err(ScheduleError::StaleReport { worker, token }),
             }
         }
-        if self.holder.contains_key(&token) {
+        // `known` above put the id inside the table, and `holder` runs
+        // beside it.
+        let held = &mut self.holder[token.0 as usize];
+        if held.is_some() {
             return Err(ScheduleError::DuplicateReport { token });
         }
-        self.holder.insert(token, worker);
+        *held = Some(worker);
         self.trained_per_worker[worker] += 1;
         // Token generation: group completions in completion order, per
         // iteration (under SSP staleness two iterations of a level can be in
@@ -1015,7 +1065,7 @@ impl Coordinator {
             // an iteration closes with fewer workers rather than waiting on a
             // dead or quarantined one.
             let participants: Vec<usize> = if self.cond_level[level] {
-                self.ctd_participants(level)?
+                self.ctd_participants(level)?.collect()
             } else {
                 let alive: Vec<usize> = (0..self.n_workers).filter(|&w| self.eligible(w)).collect();
                 if alive.is_empty() {
@@ -1057,11 +1107,7 @@ impl Coordinator {
         let bound = self.levels.state(level).release_bound(self.cfg.staleness);
         let mut still_pending = VecDeque::new();
         while let Some((id, bucket)) = self.levels.state_mut(level).pending.pop_front() {
-            let token_iter = self
-                .tokens
-                .get(&id)
-                .ok_or(ScheduleError::UnknownToken { token: id })?
-                .iteration;
+            let token_iter = self.known(id)?.iteration;
             if token_iter <= bound {
                 self.stb_push(bucket, level, id)?;
             } else {
@@ -1097,9 +1143,7 @@ impl Coordinator {
             .generated
             .entry(iteration)
             .or_insert(0) += 1;
-        let id = TokenId(self.next_token_id);
-        self.next_token_id += 1;
-        let token = Token {
+        let id = self.mint(|id| Token {
             id,
             level,
             iteration,
@@ -1107,8 +1151,7 @@ impl Coordinator {
             batch: lp.batch_per_token,
             deps,
             sample_owner: None,
-        };
-        self.tokens.insert(id, token);
+        });
         // Placement: the reporter's STB (it holds ≥ 1/ratio of the deps —
         // Principle 1's locality argument); conditional tokens go to a subset
         // member instead (the one with the fewest queued conditional tokens).
@@ -1116,7 +1159,6 @@ impl Coordinator {
             0
         } else if self.cond_level[level] && !self.in_ctd_subset(reporter) {
             self.ctd_participants(level)?
-                .into_iter()
                 .min_by_key(|&w| (self.levels.queue_len(w, level), w))
                 .ok_or(ScheduleError::EmptyCtdSubset { level })?
         } else {
@@ -1129,6 +1171,15 @@ impl Coordinator {
             self.levels.state_mut(level).pending.push_back((id, bucket));
         }
         Ok(())
+    }
+
+    /// Appends the token built for the next id to the token table, with an
+    /// empty Info Mapping row, and returns the id.
+    fn mint(&mut self, token: impl FnOnce(TokenId) -> Token) -> TokenId {
+        let id = TokenId(self.tokens.len() as u64);
+        self.tokens.push(token(id));
+        self.holder.push(None);
+        id
     }
 
     /// Releases root tokens for every iteration currently allowed by the
@@ -1167,9 +1218,7 @@ impl Coordinator {
         let batch = self.plan.levels[0].batch_per_token;
         for seq in 0..n0 {
             let owner = (seq % self.n_workers as u64) as usize;
-            let id = TokenId(self.next_token_id);
-            self.next_token_id += 1;
-            let token = Token {
+            let id = self.mint(|id| Token {
                 id,
                 level: 0,
                 iteration: iter,
@@ -1177,8 +1226,7 @@ impl Coordinator {
                 batch,
                 deps: vec![],
                 sample_owner: Some(owner),
-            };
-            self.tokens.insert(id, token);
+            });
             // Sample affinity: the root starts in the STB of whoever serves its
             // shard — the owner, unless a crash re-homed the shard (or the home
             // is quarantined, in which case the smallest eligible worker hosts
@@ -1226,7 +1274,7 @@ impl Coordinator {
                     *home = fb;
                 }
             }
-            for holder in self.holder.values_mut() {
+            for holder in self.holder.iter_mut().flatten() {
                 if *holder == worker {
                     *holder = fb;
                 }
@@ -1280,7 +1328,7 @@ impl Coordinator {
         self.leases.clear_expiries(worker);
         let orphaned = !self.parked.is_empty()
             || self.data_home.iter().any(|&h| !self.alive[h])
-            || self.holder.values().any(|&h| !self.alive[h]);
+            || self.holder.iter().flatten().any(|&h| !self.alive[h]);
         if orphaned {
             let fb = self.fallback_worker()?; // the rejoining worker at worst
             for home in &mut self.data_home {
@@ -1289,7 +1337,7 @@ impl Coordinator {
                 }
             }
             let alive = &self.alive;
-            for holder in self.holder.values_mut() {
+            for holder in self.holder.iter_mut().flatten() {
                 if !alive[*holder] {
                     *holder = fb;
                 }
@@ -1366,11 +1414,7 @@ impl Coordinator {
         if !self.leases.revoke(token) {
             return Err(ScheduleError::UnknownToken { token });
         }
-        let level = self
-            .tokens
-            .get(&token)
-            .ok_or(ScheduleError::UnknownToken { token })?
-            .level;
+        let level = self.known(token)?.level;
         self.place_token(level, token)
     }
 
@@ -1385,7 +1429,7 @@ impl Coordinator {
             return self.stb_push(0, level, id);
         }
         let candidates: Vec<usize> = if self.cond_level[level] {
-            match self.ctd_participants(level) {
+            match self.ctd_participants(level).map(Iterator::collect) {
                 Ok(c) => c,
                 Err(ScheduleError::NoAliveWorkers) => {
                     self.parked.push((level, id));
@@ -1430,14 +1474,14 @@ impl Coordinator {
             meta: _,
             n_workers: _,
             max_iterations: _,
-            // Saved beside the snapshot as the checkpoint's token table.
-            tokens: _,
+            // Saved beside the snapshot as the checkpoint's token table; its
+            // length is the next id to mint.
+            tokens,
             // Saved: the level table's queues and level states (its locality
             // index and the steal indices are rebuilt by `stb_push`).
             levels: _,
             // Saved.
             released_roots,
-            next_token_id,
             holder,
             last_grant_at,
             helpers,
@@ -1466,7 +1510,7 @@ impl Coordinator {
         let buckets = queued_all.len();
         ServerSnapshot {
             released_roots: *released_roots,
-            next_token_id: *next_token_id,
+            next_token_id: tokens.len() as u64,
             stbs: (0..buckets)
                 .map(|b| (0..m).map(|l| self.levels.queue_row(b, l)).collect())
                 .collect(),
@@ -1511,7 +1555,11 @@ impl Coordinator {
                         .collect()
                 })
                 .collect(),
-            holder: holder.iter().map(|(&t, &w)| (t.0, w)).collect(),
+            holder: holder
+                .iter()
+                .enumerate()
+                .filter_map(|(t, w)| w.map(|w| (t as u64, w)))
+                .collect(),
             waiting: waiting.iter().copied().collect(),
             helpers: helpers.clone(),
             alive: alive.clone(),
@@ -1653,7 +1701,7 @@ mod tests {
         let generated = lvl1(&ts);
         assert_eq!(generated.len(), 1, "2 T-1 completions generate 1 T-2 token");
         assert_eq!(
-            ts.tokens[&generated[0]].deps,
+            ts.token(generated[0]).unwrap().deps,
             vec![g0.token.id, g1.token.id]
         );
         assert_eq!(
@@ -1692,46 +1740,46 @@ mod tests {
     #[test]
     fn principle2_locality_and_tie_break() {
         let mut ts = server(|c| c);
-        let mk = |id: u64, level: usize, deps: Vec<TokenId>| Token {
-            id: TokenId(id),
-            level,
-            iteration: 0,
-            seq: 0,
-            batch: 32,
-            deps,
-            sample_owner: if level == 0 { Some(0) } else { None },
+        let mk = |level: usize, deps: Vec<TokenId>| {
+            move |id| Token {
+                id,
+                level,
+                iteration: 0,
+                seq: 0,
+                batch: 32,
+                deps,
+                sample_owner: if level == 0 { Some(0) } else { None },
+            }
         };
-        for id in [20u64, 21, 22, 23] {
-            ts.tokens.insert(TokenId(id), mk(id, 0, vec![]));
+        // Four reported level-0 tokens: two held by worker 0, two by worker 4.
+        let mut done = Vec::new();
+        for w in [0, 0, 4, 4] {
+            let id = ts.mint(mk(0, vec![]));
+            ts.holder[id.0 as usize] = Some(w);
+            done.push(id);
         }
-        ts.holder.insert(TokenId(20), 0);
-        ts.holder.insert(TokenId(21), 0);
-        ts.holder.insert(TokenId(22), 4);
-        ts.holder.insert(TokenId(23), 4);
-        let t9 = mk(29, 1, vec![TokenId(20), TokenId(21)]);
-        let t10 = mk(30, 1, vec![TokenId(22), TokenId(23)]);
-        ts.tokens.insert(TokenId(29), t9);
-        ts.tokens.insert(TokenId(30), t10);
+        let a = ts.mint(mk(1, vec![done[0], done[1]]));
+        let b = ts.mint(mk(1, vec![done[2], done[3]]));
+        assert!(a < b);
         drain_level(&mut ts, 0, 0);
-        push_token(&mut ts, 0, 1, TokenId(30)); // deliberately out of id order
-        push_token(&mut ts, 0, 1, TokenId(29));
-        assert_eq!(ts.locality_score(0, TokenId(29)).unwrap(), 1.0);
-        assert_eq!(ts.locality_score(0, TokenId(30)).unwrap(), 0.0);
+        push_token(&mut ts, 0, 1, b); // deliberately out of id order
+        push_token(&mut ts, 0, 1, a);
+        assert_eq!(ts.locality_score(0, a).unwrap(), 1.0);
+        assert_eq!(ts.locality_score(0, b).unwrap(), 0.0);
         let g = ts.request(0, t(0)).unwrap().unwrap();
-        assert_eq!(g.token.id, TokenId(29));
+        assert_eq!(g.token.id, a);
         assert!(g.fetches.is_empty(), "all deps local");
         for w in 0..N {
             drain_level(&mut ts, w, 0);
         }
         let g3 = ts.request(4, t(2_000_000)).unwrap().unwrap();
-        assert_eq!(g3.token.id, TokenId(30), "score 1 beats score 0");
+        assert_eq!(g3.token.id, b, "score 1 beats score 0");
         assert!(g3.fetches.is_empty());
-        push_token(&mut ts, 0, 1, TokenId(29));
-        push_token(&mut ts, 0, 1, TokenId(30));
+        push_token(&mut ts, 0, 1, a);
+        push_token(&mut ts, 0, 1, b);
         let g4 = ts.request(6, t(3_000_000)).unwrap().unwrap();
         assert_eq!(
-            g4.token.id,
-            TokenId(29),
+            g4.token.id, a,
             "equal scores tie-break to the smallest token id"
         );
         assert_eq!(g4.fetches.len(), 2);
@@ -1739,11 +1787,11 @@ mod tests {
             g4.fetches.iter().all(|&(h, _)| h == 0),
             "deps held by worker 0"
         );
-        // Bucket 0 now queues [30, 29]: worker 4 holds 30's deps, so locality
+        // Bucket 0 now queues [b, a]: worker 4 holds b's deps, so locality
         // beats the older id.
-        push_token(&mut ts, 0, 1, TokenId(29));
+        push_token(&mut ts, 0, 1, a);
         let g5 = ts.request(4, t(4_000_000)).unwrap().unwrap();
-        assert_eq!(g5.token.id, TokenId(30), "score 1 beats a smaller id");
+        assert_eq!(g5.token.id, b, "score 1 beats a smaller id");
         assert!(g5.fetches.is_empty());
     }
 
@@ -2135,5 +2183,110 @@ mod tests {
         ts.report(0, g.token.id).unwrap();
         let after_report = ts.snapshot();
         assert_eq!(after_report.holder, vec![(g.token.id.0, 0)]);
+    }
+
+    /// A server part-way through iteration 0 (grants, reports and a
+    /// generated level-1 token), its snapshot and its token table.
+    fn mid_run() -> (Coordinator, ServerSnapshot, Vec<Token>) {
+        let mut ts = server(|c| c.with_recovery(Default::default()));
+        for w in 0..N {
+            let g = ts.request(w, t(w as u64 * 1000)).unwrap().unwrap();
+            if w < 4 {
+                ts.report(w, g.token.id).unwrap();
+            }
+        }
+        let snap = ts.snapshot();
+        let tokens = ts.tokens().to_vec();
+        (ts, snap, tokens)
+    }
+
+    fn restore(snap: &ServerSnapshot, tokens: Vec<Token>) -> Result<Coordinator, ScheduleError> {
+        let (plan, meta) = meta_from_vgg();
+        let cfg = FelaConfig::new(3)
+            .with_weights(vec![1, 2, 4])
+            .with_recovery(Default::default());
+        Coordinator::restore(plan, cfg, meta, N, 100, tokens, snap)
+    }
+
+    #[test]
+    fn restore_round_trips_the_dense_table() {
+        let (ts, snap, tokens) = mid_run();
+        let r = restore(&snap, tokens).unwrap();
+        assert_eq!(r.snapshot(), snap);
+        assert_eq!(r.tokens(), ts.tokens());
+    }
+
+    #[test]
+    fn restore_rejects_a_table_that_is_not_the_ids_in_order() {
+        let (_, snap, tokens) = mid_run();
+        let shape = |len: usize, want: usize| ScheduleError::SnapshotShape {
+            table: "tokens".to_string(),
+            len,
+            want,
+        };
+        let n = tokens.len();
+        // An id skipped: one row short of `next_token_id`.
+        let mut skipped = tokens.clone();
+        skipped.remove(3);
+        assert_eq!(restore(&snap, skipped).err(), Some(shape(n - 1, n)));
+        // A duplicate in place of id 3 (a map would have dropped it).
+        let mut dup = tokens.clone();
+        dup[3] = dup[2].clone();
+        assert_eq!(
+            restore(&snap, dup).err(),
+            Some(ScheduleError::UnknownToken { token: TokenId(3) })
+        );
+        // Out of order.
+        let mut swapped = tokens.clone();
+        swapped.swap(4, 5);
+        assert_eq!(
+            restore(&snap, swapped).err(),
+            Some(ScheduleError::UnknownToken { token: TokenId(4) })
+        );
+        // A `next_token_id` far past the table sizes nothing.
+        let far = 1u64 << 62;
+        let mut huge = snap.clone();
+        huge.next_token_id = far;
+        assert_eq!(restore(&huge, tokens).err(), Some(shape(n, far as usize)));
+    }
+
+    #[test]
+    fn restore_rejects_a_snapshot_naming_an_unminted_id() {
+        let (_, snap, tokens) = mid_run();
+        let far = 1u64 << 62;
+        let edits: [fn(&mut ServerSnapshot, u64); 7] = [
+            |s, id| s.holder.push((id, 0)),
+            |s, id| s.stbs[1][0].push(id),
+            |s, id| s.pending[1].push((id, 0)),
+            |s, id| s.gen_buffers[0].push((5, vec![id])),
+            |s, id| s.leases.push((id, 0, 0)),
+            |s, id| s.attempts.push((id, 1)),
+            |s, id| s.parked.push((0, id)),
+        ];
+        for (i, edit) in edits.iter().enumerate() {
+            for id in [snap.next_token_id, far] {
+                let mut bad = snap.clone();
+                edit(&mut bad, id);
+                assert_eq!(
+                    restore(&bad, tokens.clone()).err(),
+                    Some(ScheduleError::UnknownToken { token: TokenId(id) }),
+                    "edit {i}, id {id}"
+                );
+            }
+        }
+        // A dependency on a token minted later (or never).
+        let mut forward = tokens.clone();
+        let last = forward.len() - 1;
+        assert!(
+            forward[last].level >= 1,
+            "the table ends in a generated token"
+        );
+        forward[last].deps.push(TokenId(far));
+        assert_eq!(
+            restore(&snap, forward).err(),
+            Some(ScheduleError::UnknownToken {
+                token: TokenId(far)
+            })
+        );
     }
 }

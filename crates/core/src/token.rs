@@ -9,8 +9,25 @@ use serde::Serialize;
 
 /// Globally unique token identifier (monotone in generation order, which the
 /// paper's tie-breaking "smallest token ID" rule relies on).
+///
+/// Ids are dense indices: the Token Server mints them from 0 with no gaps
+/// and never drops a token, so id `i` is row `i` of every per-token table.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
 pub struct TokenId(pub u64);
+
+impl TokenId {
+    /// The id's row in an id-indexed table, or `None` for an id no table on
+    /// this target can reach.
+    pub(crate) fn row(self) -> Option<usize> {
+        usize::try_from(self.0).ok()
+    }
+}
+
+/// The row of an id-indexed table (row `i` belongs to token `i`) for `id`,
+/// if the table reaches it.
+pub(crate) fn row_of<T>(table: &[T], id: TokenId) -> Option<&T> {
+    table.get(id.row()?)
+}
 
 /// One unit of schedulable work.
 #[derive(Clone, PartialEq, Eq, Debug, Serialize)]

@@ -56,7 +56,6 @@
 //! `commit_wal`.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -1077,14 +1076,14 @@ impl WalWriter {
     pub fn append_checkpoint(
         &mut self,
         payload: &[u8],
-        tokens: &BTreeMap<TokenId, Token>,
+        tokens: &[Token],
         snapshot: &ServerSnapshot,
     ) {
         self.staged
             .extend_from_slice(&encode_record(&WalRecord::Checkpoint {
                 seq: self.seq,
                 payload: payload.to_vec(),
-                tokens: tokens.values().cloned().collect(),
+                tokens: tokens.to_vec(),
                 snapshot: Box::new(snapshot.clone()),
             }));
     }
@@ -1216,14 +1215,13 @@ pub fn recover(
     }
     let (payload, mut plane) = match checkpoint {
         Some((payload, tokens, snapshot)) => {
-            let table: BTreeMap<TokenId, Token> = tokens.into_iter().map(|t| (t.id, t)).collect();
             let plane = ControlPlane::restore(
                 plan.clone(),
                 cfg.clone(),
                 meta.to_vec(),
                 n_workers,
                 max_iterations,
-                table,
+                tokens,
                 &snapshot,
             )
             .map_err(WalError::Restore)?;
@@ -1737,6 +1735,53 @@ mod tests {
             recover(&bytes, p.plan(), p.config(), &meta(), 2, 2).map(|_| ()),
             Err(WalError::Restore(_))
         ));
+    }
+
+    #[test]
+    fn a_checkpoint_naming_a_token_outside_its_table_is_a_restore_error() {
+        // Token ids are dense rows, so a checkpoint whose table skips an id,
+        // or whose snapshot names an id the table never minted (here 2^62),
+        // must fail recovery with a typed error before anything indexes by
+        // the id — not panic out of bounds or allocate to its size.
+        let mut p = plane();
+        let mem = attach(&mut p);
+        step(&mut p);
+        p.checkpoint_wal(&[7]).expect("checkpoint");
+        drive(&mut p, &mut |_| {});
+        let records = read_log(&mem.bytes()).expect("read").records;
+        type Edit = fn(&mut Vec<Token>, &mut ServerSnapshot);
+        let corrupt = |edit: Edit| {
+            let mut records = records.clone();
+            for rec in &mut records {
+                if let WalRecord::Checkpoint {
+                    tokens, snapshot, ..
+                } = rec
+                {
+                    edit(tokens, snapshot);
+                }
+            }
+            let bytes: Vec<u8> = records.iter().flat_map(encode_record).collect();
+            recover(&bytes, p.plan(), p.config(), &meta(), 2, 2).map(|_| ())
+        };
+        assert!(corrupt(|_, _| {}).is_ok(), "the unedited log recovers");
+        const FAR: u64 = 1 << 62;
+        let edits: [Edit; 4] = [
+            |tokens, _| {
+                tokens.remove(1);
+            },
+            |tokens, snap| {
+                tokens.remove(1);
+                snap.next_token_id -= 1;
+            },
+            |_, snap| snap.holder.push((FAR, 0)),
+            |_, snap| snap.stbs[0][0].push(FAR),
+        ];
+        for (i, &edit) in edits.iter().enumerate() {
+            assert!(
+                matches!(corrupt(edit), Err(WalError::Restore(_))),
+                "edit {i} must be a restore error"
+            );
+        }
     }
 
     #[test]

@@ -55,8 +55,10 @@ impl Bencher {
         self.iter_batched(|| (), |()| routine(), BatchSize::SmallInput);
     }
 
-    /// Times `routine` with a fresh `setup` input per iteration; setup time is
-    /// excluded from the measurement.
+    /// Times `routine` with a fresh `setup` input per iteration. As in
+    /// `criterion`, the measurement excludes the setup and dropping the
+    /// routine's output: a routine that returns what it built is not timed
+    /// tearing it down.
     pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
     where
         S: FnMut() -> I,
@@ -71,8 +73,9 @@ impl Bencher {
         for _ in 0..measure {
             let input = setup();
             let start = Instant::now();
-            std::hint::black_box(routine(input));
+            let output = std::hint::black_box(routine(input));
             self.samples.push(start.elapsed());
+            drop(output);
         }
     }
 }
@@ -275,6 +278,26 @@ mod tests {
             let max = samples.iter().max().unwrap().as_nanos() as f64;
             assert!(min <= s.p10_ns && s.p90_ns <= max, "{s:?}");
         }
+    }
+
+    #[test]
+    fn dropping_the_output_is_not_timed() {
+        struct SlowDrop;
+        impl Drop for SlowDrop {
+            fn drop(&mut self) {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        }
+        let mut b = Bencher {
+            samples: Vec::new(),
+        };
+        b.iter_batched(|| (), |()| SlowDrop, BatchSize::SmallInput);
+        assert!(!b.samples.is_empty());
+        assert!(
+            b.samples.iter().all(|&d| d < Duration::from_millis(20)),
+            "{:?}",
+            b.samples
+        );
     }
 
     #[test]

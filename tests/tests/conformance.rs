@@ -6,8 +6,10 @@
 //!
 //! 1. **Lockstep churn** — both planes consume an identical random operation
 //!    stream (requests, reports, syncs, crashes, restarts, lease expiries)
-//!    across the policy matrix; every grant, sync spec, error and final
-//!    [`ServerSnapshot`] must compare bit-for-bit.
+//!    across the policy matrix; every grant, sync spec, error, the final
+//!    [`ServerSnapshot`] and every token of the token table must compare
+//!    bit-for-bit. A long pipelined run at 16 workers does the same over a
+//!    table of thousands of token ids.
 //! 2. **Full-run identity** — each complete simulated run on a zoo scenario
 //!    (including a faulted one) writes a write-ahead log that replays op for
 //!    op through the oracle, and its trace passes `fela-check`'s race and
@@ -22,7 +24,7 @@ use fela_check::TokenServer;
 use fela_cluster::{FaultModel, Scenario};
 use fela_core::{
     wal_path, ControlPlane, Coordinator, DurabilityOptions, FelaConfig, FelaRuntime, LevelMeta,
-    RecoveryConfig, TokenId, TokenPlan,
+    RecoveryConfig, Token, TokenId, TokenPlan,
 };
 use fela_model::{bin_partition, zoo, PartitionOptions, ThresholdProfile};
 use fela_sim::{SimDuration, SimTime};
@@ -55,6 +57,13 @@ fn build_cfg(hf: bool, ads: bool, ctd: bool, recovery: bool) -> FelaConfig {
         cfg = cfg.with_recovery(RecoveryConfig::default());
     }
     cfg
+}
+
+/// The oracle's token table in id order: the row form the coordinator
+/// keeps, so the two compare token for token (id, level, iteration, seq,
+/// batch, deps and sample owner).
+fn token_rows(oracle: &TokenServer) -> Vec<Token> {
+    oracle.tokens().values().cloned().collect()
 }
 
 /// Driver bookkeeping shared by both planes of a lockstep pair. Updated from
@@ -204,6 +213,7 @@ proptest! {
             lockstep_op!(oracle, coord, st, action, pick, dt);
         }
         prop_assert_eq!(oracle.snapshot(), coord.snapshot());
+        prop_assert_eq!(token_rows(&oracle), coord.tokens());
         prop_assert_eq!(
             format!("{:?}", oracle.stats()),
             format!("{:?}", coord.stats())
@@ -240,6 +250,7 @@ proptest! {
         }
         let snap = oracle.snapshot();
         prop_assert_eq!(&snap, &coord.snapshot());
+        prop_assert_eq!(token_rows(&oracle), coord.tokens());
 
         let mut restored_oracle = TokenServer::restore(
             plan.clone(),
@@ -258,11 +269,12 @@ proptest! {
             meta,
             N_WORKERS,
             ITERATIONS,
-            coord.tokens().clone(),
+            coord.tokens().to_vec(),
             &snap,
         )
         .expect("coordinator restore");
         prop_assert_eq!(&restored_coord.snapshot(), &snap, "coordinator round-trip");
+        prop_assert_eq!(restored_coord.tokens(), coord.tokens(), "token table round-trip");
 
         // Continuation: the restored pair must replay the original pair's
         // future behaviour op for op.
@@ -277,6 +289,8 @@ proptest! {
         prop_assert_eq!(&orig.log, &rest.log, "restored continuation diverged");
         prop_assert_eq!(oracle.snapshot(), restored_oracle.snapshot());
         prop_assert_eq!(coord.snapshot(), restored_coord.snapshot());
+        prop_assert_eq!(token_rows(&oracle), coord.tokens());
+        prop_assert_eq!(token_rows(&restored_oracle), restored_coord.tokens());
     }
 
     /// A checkpoint taken while a lock window is open restores a plane that
@@ -319,7 +333,7 @@ proptest! {
             meta,
             N_WORKERS,
             ITERATIONS,
-            coord.tokens().clone(),
+            coord.tokens().to_vec(),
             &snap,
         )
         .expect("coordinator restore");
@@ -478,7 +492,8 @@ fn faulted_mid_run_snapshot_restores_on_both_planes() {
         &snap,
     )
     .expect("oracle restore");
-    let r2 = Coordinator::restore(plan, cfg, meta, N_WORKERS, ITERATIONS, tokens, &snap)
+    let rows = tokens.into_values().collect();
+    let r2 = Coordinator::restore(plan, cfg, meta, N_WORKERS, ITERATIONS, rows, &snap)
         .expect("coordinator restore");
     assert_eq!(r1.snapshot(), snap);
     assert_eq!(r2.snapshot(), snap);
@@ -566,4 +581,116 @@ fn drain_ready_grants_matches_repeated_pop_on_both_planes() {
         "stats must not diverge between the batched and single-pop paths"
     );
     assert_eq!(drained.snapshot(), popped.snapshot());
+}
+
+/// A long run at 16 workers and staleness 8, oracle and coordinator in
+/// lockstep: every worker keeps up to three grants in flight (pipelined
+/// pulls), reports and sync finishes arrive in seeded random order, the
+/// waiting queue is drained after each, and a worker crashes or restarts now
+/// and then (with lease recovery on). Every result must match, and every
+/// 256 steps and at the end so must the snapshots and the token tables —
+/// over a table of thousands of ids, where the id-indexed columns are long.
+#[test]
+fn long_pipelined_run_matches_oracle_at_16_workers() {
+    const WORKERS: usize = 16;
+    const ITERS: u64 = 200;
+    const PIPELINE: usize = 3;
+    let cfg = FelaConfig::new(3)
+        .with_weights(vec![1, 2, 4])
+        .with_staleness(8)
+        .with_recovery(RecoveryConfig::default());
+    let p = bin_partition(
+        &zoo::vgg19(),
+        &ThresholdProfile::k40c(),
+        PartitionOptions::default(),
+    );
+    let plan = TokenPlan::build(&p, &cfg, 256, WORKERS).expect("plan must be feasible");
+    let meta = LevelMeta::for_partition(&p);
+    let mut oracle = TokenServer::new(plan.clone(), cfg.clone(), meta.clone(), WORKERS, ITERS);
+    let mut coord = Coordinator::new(plan, cfg, meta, WORKERS, ITERS);
+
+    let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move |n: usize| {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        (rng % n as u64) as usize
+    };
+    let mut clock = 0u64;
+    let mut outstanding: Vec<(usize, TokenId)> = Vec::new();
+    let mut syncs: Vec<(usize, u64)> = Vec::new();
+    let mut step = 0u64;
+    while !coord.run_complete() {
+        step += 1;
+        assert!(step < 400_000, "the run must finish");
+        clock += 1 + next(2_000_000) as u64;
+        let now = SimTime::from_nanos(clock);
+        match next(16) {
+            0..=5 if !outstanding.is_empty() => {
+                let (w, t) = outstanding.swap_remove(next(outstanding.len()));
+                let r = oracle.report(w, t);
+                assert_eq!(r, coord.report(w, t), "step {step}: report({w}, {t:?})");
+                syncs.extend(r.into_iter().flatten().map(|s| (s.level, s.iteration)));
+            }
+            6..=8 if !syncs.is_empty() => {
+                let (level, iteration) = syncs.swap_remove(next(syncs.len()));
+                let r = oracle.sync_finished(level, iteration);
+                assert_eq!(
+                    r,
+                    coord.sync_finished(level, iteration),
+                    "step {step}: sync"
+                );
+            }
+            9 if next(32) == 0 => {
+                let w = next(WORKERS);
+                if oracle.is_alive(w) {
+                    let r = oracle.worker_crashed(w);
+                    assert_eq!(r, coord.worker_crashed(w), "step {step}: crash({w})");
+                } else {
+                    let r = oracle.worker_restarted(w);
+                    assert_eq!(r, coord.worker_restarted(w), "step {step}: restart({w})");
+                }
+            }
+            _ => {
+                let w = next(WORKERS);
+                let held = outstanding.iter().filter(|&&(o, _)| o == w).count();
+                if held < PIPELINE {
+                    let r = oracle.request(w, now);
+                    assert_eq!(
+                        format!("{r:?}"),
+                        format!("{:?}", coord.request(w, now)),
+                        "step {step}: request({w})"
+                    );
+                    if let Ok(Some(g)) = r {
+                        outstanding.push((w, g.token.id));
+                    }
+                }
+            }
+        }
+        loop {
+            let r = oracle.pop_ready_grant(now);
+            assert_eq!(
+                format!("{r:?}"),
+                format!("{:?}", coord.pop_ready_grant(now)),
+                "step {step}: pop_ready_grant"
+            );
+            match r {
+                Ok(Some((w, g))) => outstanding.push((w, g.token.id)),
+                _ => break,
+            }
+        }
+        if step % 256 == 0 {
+            assert_eq!(oracle.snapshot(), coord.snapshot(), "step {step}");
+            assert_eq!(token_rows(&oracle), coord.tokens(), "step {step}");
+        }
+    }
+    assert_eq!(oracle.completed_iterations(), ITERS);
+    assert_eq!(oracle.snapshot(), coord.snapshot());
+    assert_eq!(token_rows(&oracle), coord.tokens());
+    assert_eq!(oracle.stats(), coord.stats());
+    assert!(
+        coord.tokens().len() > 2_000,
+        "the table spans thousands of ids: {}",
+        coord.tokens().len()
+    );
 }
