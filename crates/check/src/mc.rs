@@ -16,10 +16,12 @@
 //! fires, which sync finishes, and what happens to the frames the core
 //! dispatches.
 //!
-//! **Partial-order reduction.** Worker reactions run *eagerly*: the instant
-//! the core dispatches a grant (a `GrantBatch` of one at pipeline depth 1),
-//! the model computes the worker's report and parks it in that worker's
-//! link queue. This is sound because a worker's
+//! **Partial-order reduction.** Each worker is the **shipping** worker, a
+//! [`WorkerCore`] (the sans-IO core the live worker threads drive), whose
+//! `Request` opens its link queue and whose reactions run *eagerly*: the
+//! instant the server core dispatches a grant (a `GrantBatch` of one at
+//! pipeline depth 1), the worker's core steps on it and its `ReportBatch`
+//! is parked in that worker's link queue. This is sound because a worker's
 //! local step is invisible to the server until its message is *delivered* —
 //! delaying the reaction commutes with every other transition (Mazurkiewicz
 //! equivalence), so only three action kinds branch: `Deliver(worker)` (the
@@ -28,10 +30,14 @@
 //! `Drain(i)` (the `i`-th uncommitted parameter sync finishes). The live
 //! shell commits a frame's syncs at once ([`record_execution`] follows it);
 //! that order is one path of the space. States are memoized on
-//! [`ServerSnapshot`] + link queues + armed timers + uncommitted syncs —
+//! [`ServerSnapshot`] + link queues (each queued frame's wire encoding) +
+//! armed timers + uncommitted syncs —
 //! interleavings that converge share their futures, collapsing the
 //! factorially many schedules to a small state graph that is still *complete*
-//! for every property checked on a transition or a terminal state.
+//! for every property checked on a transition or a terminal state. The
+//! worker cores sit outside the states and the key: a `GrantBatch` leaves a
+//! core as it was (only `Iter` and `End` touch its replica, and only
+//! [`record_execution`] sends them), so one core per worker serves them all.
 //!
 //! **Checked on every explored path:**
 //!
@@ -60,8 +66,9 @@
 //!
 //! **Checked on the terminal report orders** (the engine check, the paper's
 //! Table II reproducibility claim): each must be a linearization of the
-//! static [`ScheduleDag`], and `fela-engine`'s [`TokenExecutor`] running
-//! real token-split SGD in that order must train parameters bit-identical
+//! static [`ScheduleDag`], and the live workers' engine replica
+//! ([`engine_setup`]) running real token-split SGD in that order (through
+//! `fela-engine`'s `TokenExecutor`) must train parameters bit-identical
 //! to every other order's and within `1e-4` of serial BSP. The memo key
 //! excludes the report order, so the engine runs the order of the first
 //! path to reach each distinct terminal state ([`McOutcome::schedules`]),
@@ -79,9 +86,12 @@ use fela_core::{
     apply_op, ControlPlane, CoordOp, CoreError, FelaConfig, OpDivergence, RecoveryConfig,
     ServerCore, ServerSnapshot, SyncSpec, Token, TokenId,
 };
-use fela_engine::{serial_step, EngineLayer, EngineNet, SplitPlan, Tensor, TokenExecutor};
+use fela_engine::{serial_step, EngineLayer, EngineNet};
 use fela_live::frame_adapter::{finish_syncs, on_frame, wire_grants};
-use fela_live::{Endpoint, Frame, SyncEvent};
+use fela_live::wire::encode_frame;
+use fela_live::{
+    engine_setup, epilogue, schedules_from_completions, Endpoint, Frame, SyncEvent, WorkerCore,
+};
 use fela_sim::SimTime;
 
 use crate::protocol::{verify_session, SessionVerifier, SessionViolation, WireMutation};
@@ -358,32 +368,34 @@ fn build_oracle(cfg: &McConfig) -> TokenServer {
     )
 }
 
-/// A worker's message in flight to the server.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-enum Msg {
-    /// The opening pull.
-    Request,
-    /// The eager answer to one granted token.
-    Report(u64),
+/// One shipping worker core per worker, over the model plan.
+fn worker_cores(workers: usize) -> Vec<WorkerCore> {
+    let plan = crate::small_plan();
+    (0..workers).map(|w| WorkerCore::new(w, &plan)).collect()
 }
 
-impl Msg {
-    /// The wire frame `worker` sends for this message.
-    fn frame(self, worker: usize) -> Frame {
-        let worker = worker as u32;
-        match self {
-            Msg::Request => Frame::Request { worker },
-            Msg::Report(token) => Frame::ReportBatch {
-                worker,
-                tokens: vec![token],
-            },
-        }
-    }
+/// The link queues `workers` open: each core's pull.
+fn opening_pulls(workers: &[WorkerCore]) -> Vec<VecDeque<Frame>> {
+    workers
+        .iter()
+        .map(|w| w.start(true).into_iter().collect())
+        .collect()
 }
 
-fn initial_queues(workers: usize) -> Vec<VecDeque<Msg>> {
-    (0..workers)
-        .map(|_| VecDeque::from([Msg::Request]))
+/// The eager reaction: `worker` steps on `frame` (the model ships workers
+/// only server frames, which a core always steps on) and its reply, if
+/// any, joins its link `queue`.
+fn react(worker: &mut WorkerCore, queue: &mut VecDeque<Frame>, frame: Frame) {
+    let step = worker.on_frame(frame).unwrap_or_else(|e| panic!("{e}"));
+    queue.extend(step.reply);
+}
+
+/// Each link's bytes in flight: its queued frames' wire encodings, oldest
+/// first. Encodings are length-prefixed, so equal bytes mean equal queues.
+fn link_bytes(queues: &[VecDeque<Frame>]) -> Vec<Vec<u8>> {
+    queues
+        .iter()
+        .map(|q| q.iter().flat_map(encode_frame).collect())
         .collect()
 }
 
@@ -400,8 +412,9 @@ struct McState {
     core: ServerCore,
     /// The lockstep reference oracle.
     oracle: TokenServer,
-    /// Per-worker link queue: messages sent by the worker, not yet delivered.
-    queues: Vec<VecDeque<Msg>>,
+    /// Per-worker link queue: frames the worker's core sent, not yet
+    /// delivered.
+    queues: Vec<VecDeque<Frame>>,
     /// Armed lease timers `(token, attempt)` the adversary may fire.
     armed: BTreeSet<(u64, u64)>,
     /// Parameter syncs released but not yet finished, in release order.
@@ -432,7 +445,7 @@ struct McState {
 /// completion log).
 type McKey = (
     ServerSnapshot,
-    Vec<Vec<Msg>>,
+    Vec<Vec<u8>>,
     Vec<(u64, u64)>,
     Vec<(usize, u64)>,
     bool,
@@ -449,6 +462,9 @@ enum Action {
 /// Shared per-exploration context.
 struct Mc<'a> {
     cfg: &'a McConfig,
+    /// One worker core per worker, shared by every state: the explorer ships
+    /// them only `GrantBatch`es, which leave a core as it was.
+    workers: &'a mut [WorkerCore],
     outcome: McOutcome,
     violations_seen: BTreeSet<String>,
     /// The distinct terminal report orders found so far.
@@ -491,8 +507,8 @@ impl Mc<'_> {
     }
 
     /// Ships what the core queued, as `fela-live`'s shell does: each grant
-    /// frame reaches its worker, which reacts eagerly by parking one report
-    /// per token on its link; with recovery on, each lease arms (bounded by
+    /// frame reaches its worker's core, which reacts eagerly by parking its
+    /// report on its link; with recovery on, each lease arms (bounded by
     /// `max_attempts`) — after the send, so a frame lost in flight still has
     /// its deadline ticking, which is what makes a dropped wakeup
     /// recoverable. Then every grant the core let out, lost or not, meets
@@ -508,6 +524,7 @@ impl Mc<'_> {
     fn dispatch(&mut self, state: &mut McState) {
         let recovery = state.core.plane().recovery_on();
         let cfg = self.cfg;
+        let workers = &mut *self.workers;
         let mut leases = Vec::new();
         let mut granted = Vec::new();
         let shipped = state.core.dispatch(SimTime::ZERO, |out| {
@@ -530,12 +547,17 @@ impl Mc<'_> {
             }
             for &(token, _) in &leases {
                 state.verifier.add_grant_intent(token.0, worker);
-                state.queues[worker].push_back(Msg::Report(token.0));
             }
+            let frame = Frame::GrantBatch { grants };
+            react(
+                &mut workers[worker],
+                &mut state.queues[worker],
+                frame.clone(),
+            );
             state.verifier.observe(&SyncEvent::FrameSent {
                 side: Endpoint::Server,
                 worker,
-                frame: Frame::GrantBatch { grants },
+                frame,
             });
         });
         if let Err(e) = shipped {
@@ -554,31 +576,30 @@ impl Mc<'_> {
         }
     }
 
-    /// The server dequeues `worker`'s oldest in-flight message and hands it
+    /// The server dequeues `worker`'s oldest in-flight frame and hands it
     /// to the core, parks the syncs its reports released, then ships.
     fn deliver(&mut self, state: &mut McState, worker: usize) {
-        let Some(msg) = state.queues[worker].pop_front() else {
+        let Some(frame) = state.queues[worker].pop_front() else {
             return;
         };
-        let frame = msg.frame(worker);
-        state.verifier.observe(&SyncEvent::FrameReceived {
-            side: Endpoint::Server,
-            worker,
-            frame: frame.clone(),
-        });
-        match on_frame(&mut state.core, worker, frame, SimTime::ZERO) {
+        match on_frame(&mut state.core, worker, frame.clone(), SimTime::ZERO) {
             Ok(reported) => {
                 self.outcome.stale_reports += reported.stale.len() as u64;
-                if let Msg::Report(token) = msg {
-                    if reported.stale.is_empty() {
-                        state.reported.push(TokenId(token));
-                    }
+                if let Frame::ReportBatch { tokens, .. } = &frame {
+                    let accepted = tokens.iter().map(|&t| TokenId(t));
+                    let accepted = accepted.filter(|t| !reported.stale.contains(t));
+                    state.reported.extend(accepted);
                 }
                 let syncs = reported.syncs.into_iter().filter(|s| !s.is_degenerate());
                 state.syncs.extend(syncs);
             }
             Err(e) => self.push_violation(scheduler_error(e)),
         }
+        state.verifier.observe(&SyncEvent::FrameReceived {
+            side: Endpoint::Server,
+            worker,
+            frame,
+        });
         self.dispatch(state);
     }
 
@@ -622,11 +643,7 @@ impl Mc<'_> {
     fn key_of(state: &McState) -> McKey {
         (
             state.core.plane().snapshot().without_counters(),
-            state
-                .queues
-                .iter()
-                .map(|q| q.iter().copied().collect())
-                .collect(),
+            link_bytes(&state.queues),
             state.armed.iter().copied().collect(),
             state.undelivered.clone(),
             state.mutation_armed,
@@ -721,24 +738,18 @@ fn grant_violations(
     violations
 }
 
-/// The engine model's SGD learning rate.
+/// The live replicas' SGD learning rate.
 const LR: f32 = 0.05;
 
-/// Trains the engine model of [`crate::small_plan`] — a 3-layer MLP split
-/// into the same 2 sub-models with 2 and 1 tokens — for `iterations`: each
-/// iteration's tokens in `schedule`'s order, or serial BSP with none.
+/// Trains the worker replica of [`crate::small_plan`] ([`engine_setup`]: a
+/// 3-layer MLP split into the same 2 sub-models with 2 and 1 tokens) for
+/// `iterations`: each iteration's tokens in `schedule`'s order, or serial
+/// BSP with none.
 fn train(schedule: Option<&[(usize, u64, u64)]>, iterations: u64) -> EngineNet {
-    let plan = SplitPlan {
-        levels: vec![(0, 2), (2, 3)],
-        tokens: vec![2, 1],
-    };
-    let mut exec = TokenExecutor::new(plan, LR);
-    let mut net = EngineNet::mlp(&[6, 8, 4], 17);
-    let x = Tensor::seeded(&[8, 6], 100, 1.0);
-    let t = Tensor::seeded(&[8, 4], 200, 1.0);
+    let mut replica = engine_setup(&crate::small_plan());
     for k in 0..iterations {
         let Some(schedule) = schedule else {
-            serial_step(&mut net, &x, &t, LR);
+            serial_step(&mut replica.net, &replica.x, &replica.target, LR);
             continue;
         };
         let tokens: Vec<(usize, usize)> = schedule
@@ -746,9 +757,9 @@ fn train(schedule: Option<&[(usize, u64, u64)]>, iterations: u64) -> EngineNet {
             .filter(|&&(_, iteration, _)| iteration == k)
             .map(|&(level, _, seq)| (level, seq as usize))
             .collect();
-        exec.step(&mut net, &x, &t, &tokens);
+        replica.step(&tokens);
     }
-    net
+    replica.net
 }
 
 /// How `net` differs from `first`, bit for bit, or from `serial` beyond
@@ -795,8 +806,15 @@ fn check_schedules(cfg: &McConfig, schedules: &[Vec<(usize, u64, u64)>]) -> Vec<
 /// Explores every non-equivalent interleaving of `cfg`, returning the
 /// outcome and the memoization keys of the states visited.
 fn explore(cfg: &McConfig) -> (McOutcome, BTreeSet<McKey>) {
+    explore_with(cfg, &mut worker_cores(cfg.workers))
+}
+
+/// [`explore`] over the given worker cores, one per worker.
+fn explore_with(cfg: &McConfig, workers: &mut [WorkerCore]) -> (McOutcome, BTreeSet<McKey>) {
+    let queues = opening_pulls(workers);
     let mut mc = Mc {
         cfg,
+        workers,
         outcome: McOutcome {
             states: 0,
             transitions: 0,
@@ -811,11 +829,10 @@ fn explore(cfg: &McConfig) -> (McOutcome, BTreeSet<McKey>) {
         violations_seen: BTreeSet::new(),
         schedules: BTreeSet::new(),
     };
-    // Pull protocol: every worker opens with a Request.
     let initial = McState {
         core: build_core(cfg),
         oracle: build_oracle(cfg),
-        queues: initial_queues(cfg.workers),
+        queues,
         armed: BTreeSet::new(),
         syncs: Vec::new(),
         reported: Vec::new(),
@@ -872,34 +889,36 @@ pub fn model_check(cfg: &McConfig) -> McOutcome {
 
 /// Runs one deterministic round-robin execution of `cfg`'s model as the
 /// live shell runs it (lowest nonempty link first, a frame's syncs
-/// committed at once, no adversarial lease fires) and returns the
-/// synthesized server-side [`SyncEvent`] stream plus the op log — the input
-/// to the protocol session verifier and its wire-mutation matrix.
+/// committed at once, no adversarial lease fires), then the replica
+/// epilogue, and returns the synthesized server-side [`SyncEvent`] stream
+/// plus the op log — the input to the protocol session verifier and its
+/// wire-mutation matrix.
 pub fn record_execution(cfg: &McConfig) -> (Vec<SyncEvent>, Vec<CoordOp>) {
     live_path(cfg, |_, _| {})
 }
 
-/// [`record_execution`], handing the core and link queues of each state on
-/// its path (the initial one, then one per delivered frame) to `visit`.
+/// [`record_execution`], handing the core and each link's bytes in flight
+/// ([`link_bytes`]) of each state on its path (the initial one, then one
+/// per delivered frame) to `visit`.
 fn live_path(
     cfg: &McConfig,
-    mut visit: impl FnMut(&ServerCore, &[VecDeque<Msg>]),
+    mut visit: impl FnMut(&ServerCore, &[Vec<u8>]),
 ) -> (Vec<SyncEvent>, Vec<CoordOp>) {
-    let mut core = build_core(cfg);
-    let mut queues = initial_queues(cfg.workers);
+    let mut core = build_core(cfg).with_completion_log();
+    let mut workers = worker_cores(cfg.workers);
+    let mut queues = opening_pulls(&workers);
     let mut events = Vec::new();
     let mut ops = Vec::new();
     let mut guard = 0usize;
-    visit(&core, &queues);
+    visit(&core, &link_bytes(&queues));
     while !core.plane().run_complete() && guard < 100_000 {
         guard += 1;
         let Some(w) = (0..cfg.workers).find(|w| !queues[*w].is_empty()) else {
             break;
         };
-        let Some(msg) = queues[w].pop_front() else {
+        let Some(frame) = queues[w].pop_front() else {
             break;
         };
-        let frame = msg.frame(w);
         events.push(SyncEvent::FrameReceived {
             side: Endpoint::Server,
             worker: w,
@@ -909,34 +928,44 @@ fn live_path(
             .and_then(|reported| finish_syncs(&mut core, &reported));
         let mut leases = Vec::new();
         let _ = core.dispatch(SimTime::ZERO, |out| {
-            let grants = wire_grants(&UNITS, out.grants, &mut leases);
-            for &(token, _) in &leases {
-                queues[out.worker].push_back(Msg::Report(token.0));
-            }
+            let frame = Frame::GrantBatch {
+                grants: wire_grants(&UNITS, out.grants, &mut leases),
+            };
+            react(
+                &mut workers[out.worker],
+                &mut queues[out.worker],
+                frame.clone(),
+            );
             events.push(SyncEvent::FrameSent {
                 side: Endpoint::Server,
                 worker: out.worker,
-                frame: Frame::GrantBatch { grants },
+                frame,
             });
         });
         ops.append(&mut core.take_op_log());
-        visit(&core, &queues);
+        visit(&core, &link_bytes(&queues));
     }
-    // Epilogue: End down every link, Params back up — the session close.
-    for w in 0..cfg.workers {
-        events.push(SyncEvent::FrameSent {
+    // Epilogue: the relabeled schedules' `Iter`s and `End` down every link,
+    // each worker core's `Params` back up — the session close.
+    let frames = epilogue(&schedules_from_completions(core.completions()));
+    let mut params = Vec::new();
+    for (w, worker) in workers.iter_mut().enumerate() {
+        let mut replies = VecDeque::new();
+        for frame in &frames {
+            react(worker, &mut replies, frame.clone());
+            events.push(SyncEvent::FrameSent {
+                side: Endpoint::Server,
+                worker: w,
+                frame: frame.clone(),
+            });
+        }
+        params.extend(replies.into_iter().map(|frame| SyncEvent::FrameReceived {
             side: Endpoint::Server,
             worker: w,
-            frame: Frame::End,
-        });
+            frame,
+        }));
     }
-    for w in 0..cfg.workers {
-        events.push(SyncEvent::FrameReceived {
-            side: Endpoint::Server,
-            worker: w,
-            frame: Frame::Params { bytes: Vec::new() },
-        });
-    }
+    events.extend(params);
     (events, ops)
 }
 
@@ -1008,7 +1037,7 @@ mod tests {
             live_path(&cfg, |core, queues| {
                 let key: McKey = (
                     core.plane().snapshot().without_counters(),
-                    queues.iter().map(|q| q.iter().copied().collect()).collect(),
+                    queues.to_vec(),
                     Vec::new(),
                     Vec::new(),
                     false,
@@ -1155,6 +1184,74 @@ mod tests {
         assert!(report.ok(), "{:?}", report.violations);
         let mut oracle = build_oracle(&cfg);
         fela_core::replay_oplog(&ops, &mut oracle).expect("history must replay");
+        // The epilogue is the shipping one: each link's `Iter`s carry the
+        // accepted reports' relabeled schedules, taken here from the
+        // dialogue itself (no report is stale without recovery), and each
+        // `Params` is a worker core's replica trained on them.
+        let mut granted = std::collections::BTreeMap::new();
+        let mut completions = Vec::new();
+        for event in &events {
+            match event {
+                SyncEvent::FrameSent {
+                    frame: Frame::GrantBatch { grants },
+                    ..
+                } => granted.extend(grants.iter().map(|g| (g.token, g))),
+                SyncEvent::FrameReceived {
+                    frame: Frame::ReportBatch { tokens, .. },
+                    ..
+                } => completions.extend(
+                    tokens
+                        .iter()
+                        .map(|t| (granted[t].iteration, granted[t].level as usize)),
+                ),
+                _ => {}
+            }
+        }
+        let schedules = schedules_from_completions(&completions);
+        assert_eq!(completions.len() as u64, 3 * cfg.iterations);
+        let iters = epilogue(&schedules);
+        let reference = fela_live::replay_schedules(&crate::small_plan(), &schedules);
+        for w in 0..cfg.workers {
+            let (mut shipped, mut params) = (Vec::new(), None);
+            for event in &events {
+                match event {
+                    SyncEvent::FrameSent {
+                        worker,
+                        frame: frame @ (Frame::Iter { .. } | Frame::End),
+                        ..
+                    } if *worker == w => shipped.push(frame.clone()),
+                    SyncEvent::FrameReceived {
+                        worker,
+                        frame: Frame::Params { bytes },
+                        ..
+                    } if *worker == w => params = Some(bytes),
+                    _ => {}
+                }
+            }
+            assert_eq!(shipped, iters, "worker {w}'s epilogue");
+            assert_eq!(params, Some(&reference), "worker {w}'s Params");
+        }
+    }
+
+    #[test]
+    fn grants_leave_the_shared_worker_cores_untouched() {
+        // The cores sit outside the memo key: this holds them to it, over
+        // the largest space, revocations and stale reports included.
+        let cfg = McConfig::small().with_recovery();
+        let mut workers = worker_cores(cfg.workers);
+        let (outcome, _) = explore_with(&cfg, &mut workers);
+        assert!(outcome.ok(), "{:?}", outcome.violations);
+        let fresh = fela_live::flatten_params(&fela_live::engine_setup(&crate::small_plan()).net);
+        for (w, core) in workers.iter_mut().enumerate() {
+            let step = core.on_frame(Frame::End).expect("End is a server frame");
+            assert_eq!(
+                step.reply,
+                Some(Frame::Params {
+                    bytes: fresh.clone()
+                }),
+                "worker {w}"
+            );
+        }
     }
 
     #[test]

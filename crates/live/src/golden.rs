@@ -43,7 +43,8 @@ const WAL_FIXTURE: &[u8] = include_bytes!("../fixtures/golden.wal");
 /// The torn tail of [`WAL_FIXTURE`].
 const WAL_TORN_BYTES: usize = 11;
 
-fn expected_frames() -> [Frame; 10] {
+/// The values of [`FRAME_FIXTURES`], one per `Frame` variant.
+pub(crate) fn expected_frames() -> [Frame; 10] {
     [
         Frame::Hello { worker: 3 },
         Frame::CostQuery {

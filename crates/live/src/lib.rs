@@ -25,6 +25,11 @@
 //!   this crate's [`frame_adapter`], which `fela-check`'s model checker uses
 //!   as well; [`real`] is the core's wall-clock shell.
 //!
+//! In both modes a worker thread is the shell of one sans-IO [`WorkerCore`]:
+//! the core turns each server frame into what to wait, what to send and
+//! whether to exit, and `fela-check`'s model checker drives the same core as
+//! its workers.
+//!
 //! In both modes every worker trains a real [`fela_engine`] model replica:
 //! the server relabels the run's accepted completions into per-iteration
 //! token schedules ([`replay`]) and broadcasts them; the executor's canonical
@@ -46,8 +51,8 @@ mod worker;
 
 pub use real::{run_real, run_real_durable, run_real_with, RealOptions, RealOutcome};
 pub use replay::{
-    engine_setup, flatten_params, plan_for, replay_schedules, replay_trace, run_virtual_with,
-    schedules_from_completions, schedules_from_trace, train_replicas,
+    engine_setup, epilogue, flatten_params, plan_for, replay_schedules, replay_trace,
+    run_virtual_with, schedules_from_completions, schedules_from_trace, train_replicas,
 };
 pub use sched::{
     pass, Endpoint, GateSched, PassSched, RecordingSched, Sched, SharedSched, SyncEvent,
@@ -56,3 +61,4 @@ pub use transport::{
     transport_by_name, ChanTransport, Link, LinkRx, LinkTx, TcpTransport, Transport,
 };
 pub use wire::{Frame, WireError, WireGrant};
+pub use worker::{WorkerCore, WorkerError, WorkerStep, WorkerWait};

@@ -237,7 +237,7 @@ impl RealServer<'_> {
     fn respawn(&mut self, worker: usize, transport: &mut dyn Transport) -> io::Result<()> {
         let (server_link, worker_link) = transport.extra_link(worker)?;
         self.attach(worker, server_link)?;
-        let _ = spawn_worker(self.worker_spec(worker), worker_link);
+        spawn_worker(self.worker_spec(worker), worker_link)?;
         Ok(())
     }
 
@@ -575,7 +575,7 @@ fn serve(
     // startup artifact (64 spawns cost a couple of milliseconds on a small
     // box) and would otherwise be billed to token-protocol throughput.
     for (index, link) in worker_links.into_iter().enumerate() {
-        let _ = spawn_worker(rs.worker_spec(index), link);
+        spawn_worker(rs.worker_spec(index), link)?;
     }
     rs.started = Instant::now();
     rs.arm_faults(transport)?;

@@ -168,7 +168,7 @@ pub fn schedules_from_completions(completions: &[(u64, usize)]) -> Vec<Vec<(usiz
 
 /// The replica epilogue the server ships every worker once a run is over:
 /// one `Iter` frame per iteration's schedule, then `End`.
-pub(crate) fn epilogue(schedules: &[Vec<(usize, usize)>]) -> Vec<Frame> {
+pub fn epilogue(schedules: &[Vec<(usize, usize)>]) -> Vec<Frame> {
     let mut frames: Vec<Frame> = (0u64..)
         .zip(schedules)
         .map(|(iteration, schedule)| Frame::Iter {
@@ -233,7 +233,8 @@ pub(crate) fn check_params(worker: usize, bytes: &[u8], reference: &[u8]) -> io:
 /// and returns the parameters they all agreed on: spawns epilogue-only
 /// workers over `transport`, ships the epilogue to every worker before
 /// collecting any `Params` (so the replicas replay in parallel), checks
-/// each reply against [`replay_schedules`] and joins the workers. Every
+/// each reply against [`replay_schedules`] and joins the workers: a worker
+/// that returned an error or panicked is an error naming it. Every
 /// link on both endpoints yields its frame traffic to `sched`.
 pub fn train_replicas(
     plan: &TokenPlan,
@@ -243,7 +244,7 @@ pub fn train_replicas(
     sched: SharedSched,
 ) -> io::Result<Vec<u8>> {
     let (server_links, worker_links) = transport.establish(scenario.cluster.nodes)?;
-    let handles: Vec<_> = worker_links
+    let handles = worker_links
         .into_iter()
         .enumerate()
         .map(|(index, link)| {
@@ -259,7 +260,7 @@ pub fn train_replicas(
                 link,
             )
         })
-        .collect();
+        .collect::<io::Result<Vec<_>>>()?;
     let reference = replay_schedules(plan, schedules);
     let epilogue = epilogue(schedules);
     let mut halves: Vec<_> = server_links
@@ -285,9 +286,10 @@ pub fn train_replicas(
             }
         }
     }
-    for handle in handles {
-        if handle.join().is_err() {
-            panic!("worker thread panicked instead of exiting cleanly");
+    for (w, handle) in handles.into_iter().enumerate() {
+        match handle.join() {
+            Ok(exit) => exit.map_err(io::Error::other)?,
+            Err(_) => return Err(io::Error::other(format!("worker {w}: thread panicked"))),
         }
     }
     Ok(reference)

@@ -1,29 +1,31 @@
-//! The live worker: one OS thread per worker node.
+//! The live worker: the transport-free [`WorkerCore`], and the OS thread
+//! ([`spawn_worker`]) that drives it over a [`Link`]; `fela-check`'s model
+//! checker drives the same core.
 //!
-//! A worker owns its own [`Scenario`] clone (the analytic compute model it
-//! sizes its sleeps with) and its own engine replica (the model it actually
-//! trains). It is a pure token-puller: everything it does is a reaction to a
-//! frame from the Token Server.
+//! A worker is a pure token-puller: everything it does is a reaction to a
+//! server frame, over its own engine replica (the model it actually trains).
 //!
-//! * `GrantBatch` — "compute" the granted tokens as one sleep of their summed
-//!   spans scaled by `time_scale`, then answer with one `ReportBatch` naming
-//!   them in grant order.
+//! * `GrantBatch` — answer with one `ReportBatch` naming the grants in order,
+//!   once the thread has slept their summed spans ([`granted_span_secs`],
+//!   priced with its own [`Scenario`] clone) scaled by `time_scale`.
 //! * `Iter` — apply one iteration's relabeled schedule to the engine replica.
 //! * `Hang` — injected fault: freeze for the given real nanos, keeping state.
 //! * `End` — reply with the replica's flattened parameters and exit.
-//!
-//! A failed receive means the server dropped the link (crash injection or
-//! shutdown): the thread exits silently, exactly like a killed process. A
-//! frame no server sends is treated the same way.
+//! * Any other frame — no server sends it: a [`WorkerError`], which the
+//!   thread returns, dropping its link like a dead peer. A failed receive or
+//!   send (the server dropped the link) ends the thread cleanly, exactly
+//!   like a killed process.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::io;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use fela_cluster::Scenario;
 use fela_core::TokenPlan;
 
-use crate::replay::{engine_setup, flatten_params};
+use crate::replay::{engine_setup, flatten_params, EngineSetup};
 use crate::sched::{Endpoint, SharedSched};
 use crate::transport::Link;
 use crate::wire::{Frame, WireGrant};
@@ -45,6 +47,106 @@ pub struct WorkerSpec {
     /// Scheduler the worker's link yields to at every frame send/receive
     /// ([`crate::sched::pass`] for the uninstrumented default).
     pub sched: SharedSched,
+}
+
+/// The sans-IO worker: one worker's reactions to server frames, over its
+/// engine replica.
+pub struct WorkerCore {
+    index: usize,
+    replica: EngineSetup,
+}
+
+/// What a worker waits before it sends a step's reply.
+#[derive(Debug, PartialEq)]
+pub enum WorkerWait {
+    /// Nothing: send at once.
+    Nothing,
+    /// Compute these granted spans, in grant order: the grants of the
+    /// `GrantBatch`, moved out of it. Pricing them is the shell's.
+    Compute(Vec<WireGrant>),
+    /// Freeze for these real nanoseconds (an injected `Hang`).
+    Hang(u64),
+}
+
+/// A [`WorkerCore`]'s reaction to one server frame.
+#[derive(Debug, PartialEq)]
+pub struct WorkerStep {
+    /// What to wait before sending `reply`.
+    pub wait: WorkerWait,
+    /// The frame to send, if any.
+    pub reply: Option<Frame>,
+    /// Whether the worker exits once `reply` is sent.
+    pub exit: bool,
+}
+
+/// A frame a worker cannot react to.
+#[derive(PartialEq, Debug)]
+pub enum WorkerError {
+    /// The server link delivered a frame no server sends.
+    UnexpectedFrame {
+        /// The receiving worker.
+        worker: usize,
+        /// The frame, in its `Debug` form.
+        frame: String,
+    },
+}
+
+impl fmt::Display for WorkerError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let WorkerError::UnexpectedFrame { worker, frame } = self;
+        write!(f, "worker {worker}: unexpected frame: {frame}")
+    }
+}
+
+impl std::error::Error for WorkerError {}
+
+impl WorkerCore {
+    /// Worker `index`, with a fresh engine replica sized to `plan`.
+    pub fn new(index: usize, plan: &TokenPlan) -> WorkerCore {
+        WorkerCore {
+            index,
+            replica: engine_setup(plan),
+        }
+    }
+
+    /// The opening frame: a `Request` in pull mode, nothing otherwise.
+    pub fn start(&self, pull: bool) -> Option<Frame> {
+        pull.then_some(Frame::Request {
+            worker: self.index as u32,
+        })
+    }
+
+    /// Reacts to one frame from the server. A `GrantBatch` never touches the
+    /// replica: only `Iter` and `End` read or change it.
+    pub fn on_frame(&mut self, frame: Frame) -> Result<WorkerStep, WorkerError> {
+        let step = |wait, reply, exit| Ok(WorkerStep { wait, reply, exit });
+        match frame {
+            Frame::GrantBatch { grants } => {
+                let reply = Frame::ReportBatch {
+                    worker: self.index as u32,
+                    tokens: grants.iter().map(|g| g.token).collect(),
+                };
+                step(WorkerWait::Compute(grants), Some(reply), false)
+            }
+            Frame::Iter { schedule, .. } => {
+                let schedule: Vec<(usize, usize)> = schedule
+                    .iter()
+                    .map(|&(l, j)| (l as usize, j as usize))
+                    .collect();
+                self.replica.step(&schedule);
+                step(WorkerWait::Nothing, None, false)
+            }
+            Frame::Hang { nanos } => step(WorkerWait::Hang(nanos), None, false),
+            Frame::End => {
+                let bytes = flatten_params(&self.replica.net);
+                step(WorkerWait::Nothing, Some(Frame::Params { bytes }), true)
+            }
+            frame => Err(WorkerError::UnexpectedFrame {
+                worker: self.index,
+                frame: format!("{frame:?}"),
+            }),
+        }
+    }
 }
 
 /// Memoized analytic compute seconds, keyed by `(unit_start, unit_end,
@@ -83,70 +185,50 @@ fn scaled_sleep(secs: f64, time_scale: f64) {
     }
 }
 
-/// Spawns the worker thread. It runs until `End` or until its link dies.
-pub fn spawn_worker(spec: WorkerSpec, mut link: Link) -> JoinHandle<()> {
+/// Spawns the worker thread: receive, [`WorkerCore::on_frame`], wait, send,
+/// until `End` or until its link dies. The thread returns the core's error
+/// on a frame no server sends.
+pub fn spawn_worker(
+    spec: WorkerSpec,
+    mut link: Link,
+) -> io::Result<JoinHandle<Result<(), WorkerError>>> {
     link.instrument(spec.sched.clone(), Endpoint::Worker, spec.index);
     thread::Builder::new()
         .name(format!("fela-worker-{}", spec.index))
         .spawn(move || {
-            let mut setup = engine_setup(&spec.plan);
+            let mut core = WorkerCore::new(spec.index, &spec.plan);
             // The analytic model walk repeats for every token of a level,
             // and the batched hot path prices whole grant batches at once.
             let mut spans = SpanCache::new();
-            if spec.pull
-                && link
-                    .send(&Frame::Request {
-                        worker: spec.index as u32,
-                    })
-                    .is_err()
-            {
-                return;
+            if let Some(open) = core.start(spec.pull) {
+                if link.send(&open).is_err() {
+                    return Ok(());
+                }
             }
-            loop {
-                let frame = match link.recv() {
-                    Ok(frame) => frame,
-                    Err(_) => return, // server dropped us: die like a killed process
-                };
-                match frame {
-                    Frame::GrantBatch { grants } => {
-                        // The whole pipelined batch "computes" as one coalesced
-                        // sleep, then reports with a single frame — the
-                        // worker-side half of the batched hot path.
+            // A failed receive or send means the server dropped us: die
+            // like a killed process.
+            while let Ok(frame) = link.recv() {
+                let step = core.on_frame(frame)?;
+                match step.wait {
+                    WorkerWait::Nothing => {}
+                    // The whole pipelined batch "computes" as one coalesced
+                    // sleep — the worker-side half of the batched hot path.
+                    WorkerWait::Compute(grants) => {
                         let secs: f64 = grants
                             .iter()
                             .map(|g| granted_span_secs(&spec.scenario, &mut spans, spec.index, g))
                             .sum();
                         scaled_sleep(secs, spec.time_scale);
-                        let reply = Frame::ReportBatch {
-                            worker: spec.index as u32,
-                            tokens: grants.iter().map(|g| g.token).collect(),
-                        };
-                        if link.send(&reply).is_err() {
-                            return;
-                        }
                     }
-                    Frame::Iter { schedule, .. } => {
-                        let schedule: Vec<(usize, usize)> = schedule
-                            .iter()
-                            .map(|&(l, j)| (l as usize, j as usize))
-                            .collect();
-                        setup.step(&schedule);
-                    }
-                    Frame::Hang { nanos } => {
-                        thread::sleep(Duration::from_nanos(nanos));
-                    }
-                    Frame::End => {
-                        let _ = link.send(&Frame::Params {
-                            bytes: flatten_params(&setup.net),
-                        });
-                        return;
-                    }
-                    // A frame no server sends: drop the link like a dead peer.
-                    _ => return,
+                    WorkerWait::Hang(nanos) => thread::sleep(Duration::from_nanos(nanos)),
+                }
+                let sent = step.reply.map_or(Ok(()), |reply| link.send(&reply));
+                if step.exit || sent.is_err() {
+                    break;
                 }
             }
+            Ok(())
         })
-        .unwrap_or_else(|e| panic!("spawn worker thread: {e}"))
 }
 
 #[cfg(test)]
@@ -177,7 +259,7 @@ mod tests {
         let spec = test_spec(1);
         let mut t = ChanTransport;
         let (mut servers, workers) = t.establish(1).expect("establish");
-        let handle = spawn_worker(spec, workers.into_iter().next().expect("one"));
+        let handle = spawn_worker(spec, workers.into_iter().next().expect("one")).expect("spawn");
         let grant = |token| WireGrant {
             token,
             level: 0,
@@ -213,7 +295,8 @@ mod tests {
         );
         servers[0].send(&Frame::End).expect("send end");
         assert!(matches!(servers[0].recv(), Ok(Frame::Params { .. })));
-        handle.join().expect("worker exits cleanly");
+        let exit = handle.join().expect("worker exits, not panics");
+        assert_eq!(exit, Ok(()));
     }
 
     #[test]
@@ -221,9 +304,10 @@ mod tests {
         let spec = test_spec(0);
         let mut t = ChanTransport;
         let (servers, workers) = t.establish(1).expect("establish");
-        let handle = spawn_worker(spec, workers.into_iter().next().expect("one"));
+        let handle = spawn_worker(spec, workers.into_iter().next().expect("one")).expect("spawn");
         drop(servers);
-        handle.join().expect("worker exits, not panics");
+        let exit = handle.join().expect("worker exits, not panics");
+        assert_eq!(exit, Ok(()));
     }
 
     #[test]
@@ -241,9 +325,14 @@ mod tests {
             let spec = test_spec(0);
             let mut t = ChanTransport;
             let (mut servers, workers) = t.establish(1).expect("establish");
-            let handle = spawn_worker(spec, workers.into_iter().next().expect("one"));
+            let handle =
+                spawn_worker(spec, workers.into_iter().next().expect("one")).expect("spawn");
             servers[0].send(&frame).expect("send frame");
-            handle.join().expect("worker exits, not panics");
+            let exit = handle.join().expect("worker exits, not panics");
+            assert!(
+                matches!(exit, Err(WorkerError::UnexpectedFrame { worker: 0, .. })),
+                "{frame:?}: {exit:?}"
+            );
             assert!(
                 servers[0].recv().is_err(),
                 "{frame:?}: worker dropped its link"
@@ -256,7 +345,7 @@ mod tests {
         let spec = test_spec(2);
         let mut t = ChanTransport;
         let (mut servers, workers) = t.establish(1).expect("establish");
-        let handle = spawn_worker(spec, workers.into_iter().next().expect("one"));
+        let handle = spawn_worker(spec, workers.into_iter().next().expect("one")).expect("spawn");
         servers[0]
             .send(&Frame::GrantBatch {
                 grants: vec![crate::wire::WireGrant {
@@ -284,6 +373,72 @@ mod tests {
         // No Iter frames were sent, so the replica still holds seed weights.
         let fresh = crate::replay::engine_setup(&test_spec(2).plan);
         assert_eq!(params, crate::replay::flatten_params(&fresh.net));
-        handle.join().expect("worker exits cleanly");
+        let exit = handle.join().expect("worker exits, not panics");
+        assert_eq!(exit, Ok(()));
+    }
+
+    #[test]
+    fn spawn_worker_s_handle_yields_the_typed_error() {
+        let mut t = ChanTransport;
+        let (mut servers, workers) = t.establish(1).expect("establish");
+        let link = workers.into_iter().next().expect("one");
+        let handle = spawn_worker(test_spec(0), link).expect("spawn");
+        servers[0]
+            .send(&Frame::Request { worker: 0 })
+            .expect("send frame");
+        let exit = handle.join().expect("worker exits, not panics");
+        assert_eq!(
+            exit,
+            Err(WorkerError::UnexpectedFrame {
+                worker: 0,
+                frame: "Request { worker: 0 }".into(),
+            })
+        );
+    }
+
+    /// The plan the golden `Iter` frame's schedule covers: two level-0
+    /// tokens and one level-1 token per iteration.
+    fn golden_plan() -> TokenPlan {
+        let level =
+            |level, tokens_per_iteration, batch_per_token, gen_ratio| fela_core::LevelPlan {
+                level,
+                tokens_per_iteration,
+                batch_per_token,
+                gen_ratio,
+            };
+        TokenPlan {
+            levels: vec![level(0, 2, 4, 1), level(1, 1, 8, 2)],
+            total_batch: 8,
+        }
+    }
+
+    #[test]
+    fn a_worker_core_steps_on_every_server_frame_and_names_every_other() {
+        let step = |wait, reply, exit| Ok(WorkerStep { wait, reply, exit });
+        for frame in crate::golden::expected_frames() {
+            let mut core = WorkerCore::new(1, &golden_plan());
+            let got = core.on_frame(frame.clone());
+            let want = match frame {
+                Frame::GrantBatch { grants } => {
+                    let tokens = grants.iter().map(|g| g.token).collect();
+                    let reply = Frame::ReportBatch { worker: 1, tokens };
+                    step(WorkerWait::Compute(grants), Some(reply), false)
+                }
+                Frame::Iter { .. } => step(WorkerWait::Nothing, None, false),
+                Frame::Hang { nanos } => step(WorkerWait::Hang(nanos), None, false),
+                Frame::End => {
+                    let bytes = flatten_params(&engine_setup(&golden_plan()).net);
+                    step(WorkerWait::Nothing, Some(Frame::Params { bytes }), true)
+                }
+                other => {
+                    let frame = format!("{other:?}");
+                    let variant = frame.split([' ', '{']).next().unwrap_or_default();
+                    let err = got.as_ref().expect_err("not a server frame");
+                    assert!(err.to_string().contains(variant), "{err}");
+                    Err(WorkerError::UnexpectedFrame { worker: 1, frame })
+                }
+            };
+            assert_eq!(got, want);
+        }
     }
 }

@@ -147,7 +147,10 @@ fn the_model_protocol_recordings_are_pinned() {
     let (events, ops) = record_execution(&McConfig::small());
     let report = verify_session(&events, Some(&ops));
     assert!(report.ok(), "{:?}", report.violations);
-    assert_eq!((report.links, report.frames), (2, 17));
+    // Link 0 serves the whole round-robin run: its Request and six
+    // grant/report pairs. Both links close with the epilogue's two Iters,
+    // End and Params (17 frames before the epilogue carried its Iters).
+    assert_eq!((report.links, report.frames), (2, 21));
 }
 
 /// A real threaded virtual-clock run over the in-process channel transport,
