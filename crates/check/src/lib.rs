@@ -51,9 +51,9 @@
 //!   scheduler, which no run executes, kept as an independent implementation
 //!   the [`fela_core::Coordinator`] must match bit for bit.
 //! * [`lint`] — the source-level rules behind the determinism and crash-safety
-//!   arguments (`no-unwrap`, `no-wallclock`, `no-unseeded-rng`,
-//!   `hashmap-order`, `lock-order`, `no-blocking-under-lock`), enforced by the
-//!   `fela-lint` binary and CI.
+//!   arguments that clippy cannot express (`hashmap-order`,
+//!   `no-unflushed-wal`, `no-dead-pub`), enforced by the `fela-lint` binary
+//!   and CI. The rest are clippy lints (see the workspace `clippy.toml`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -75,7 +75,7 @@ pub use elastic::{
 };
 pub use mc::{
     model_check, record_execution, run_mutation_matrix, McConfig, McMutation, McOutcome,
-    McViolation, MutationRun,
+    McViolation,
 };
 pub use oracle::TokenServer;
 pub use protocol::{
@@ -87,7 +87,7 @@ pub use recovery::{
 };
 pub use wal::{
     check_wal, mutate_wal, reference_logged_run, reference_wal_check, run_wal_mutation_matrix,
-    WalMutation, WalMutationRun, WalSummary, WalViolation,
+    WalMutation, WalSummary, WalViolation,
 };
 
 use fela_core::{FelaConfig, LevelMeta, LevelPlan, PlanError, TokenPlan};
@@ -119,6 +119,21 @@ impl std::fmt::Display for CheckError {
 }
 
 impl std::error::Error for CheckError {}
+
+/// One row of a seeded-mutation matrix ([`run_mutation_matrix`],
+/// [`run_wal_mutation_matrix`]): a seeded mutation, whether its checker
+/// caught it, and the diagnostic that fired.
+#[derive(Clone, Debug)]
+pub struct MutationRun {
+    /// Mutation name.
+    pub name: &'static str,
+    /// Whether the checker caught it with the expected diagnostic kind.
+    pub caught: bool,
+    /// The matching diagnostic (or the first one found instead).
+    pub diagnostic: String,
+    /// The diagnostic kind this mutation must produce — distinct per row.
+    pub kind: &'static str,
+}
 
 /// End-to-end static verification of one configuration: build the token plan,
 /// materialise `iterations` of its dependency DAG, and verify every invariant.

@@ -1,36 +1,31 @@
-//! Workspace source lint: the rules the simulator's determinism and
-//! crash-safety arguments depend on.
+//! Workspace source lint: the determinism and crash-safety rules that no
+//! existing tool checks.
 //!
-//! The rules are deliberately narrow — this is not a general style checker but
-//! a guard for the repository invariants below:
+//! Most of the repository's source rules are clippy lints, set in the
+//! workspace `clippy.toml` and in the `[lints.clippy]` tables of the runtime
+//! crates, and CI runs clippy with `-D warnings`:
 //!
-//! * **`no-unwrap`** — runtime crates (`core`, `sim`, `net`, `cluster`) must not
-//!   call `.unwrap()` / `.expect(...)` outside tests: scheduler faults must
-//!   surface as typed [`fela_core::ScheduleError`]s or deliberate
-//!   invariant-message panics, not anonymous option/result unwraps.
-//! * **`no-wallclock`** — no workspace crate may read host time
-//!   (`SystemTime`, `Instant::now`): simulations are virtual-time-only, and a
-//!   wall-clock read silently breaks run-to-run reproducibility. Code whose
-//!   purpose is real time (the live runtime's real-clock shell) is exempted
-//!   by a path allowlist entry, or a crate-scoped `crate:no-wallclock <crate>`
-//!   one.
-//! * **`no-unseeded-rng`** — `sim` and `core` must not use ambient-entropy
-//!   randomness (`thread_rng`, `rand::random`, `from_entropy`); all randomness
-//!   flows from explicit seeds recorded in run artifacts.
+//! * no `.unwrap()` / `.expect(..)` outside tests in `core`, `sim`, `net`,
+//!   `cluster`, `check` and `live` (`unwrap_used`, `expect_used`): scheduler
+//!   faults surface as typed errors or deliberate invariant-message panics;
+//! * no host time in any crate (`Instant::now` and `SystemTime::now` are
+//!   `disallowed-methods`, `SystemTime` a `disallowed-types` entry):
+//!   simulations are virtual-time-only;
+//! * no lock in any crate (`Mutex`, `RwLock` and `Condvar` are
+//!   `disallowed-types`): threads share state through channels, so there is
+//!   no lock order to keep and no guard to block under;
+//! * no ambient-entropy randomness: the vendored `rand` shim has no entropy
+//!   source, so such a call does not compile.
+//!
+//! A site whose purpose breaks one of them carries a narrow
+//! `#[allow(clippy::…)]` that says why. This module keeps the three rules
+//! clippy cannot express:
+//!
 //! * **`hashmap-order`** — iterating a `HashMap`/`HashSet` local feeds
 //!   nondeterministic order into whatever consumes it; containers that are
 //!   iterated must be `BTreeMap`/`BTreeSet` (or the iteration must be
-//!   allowlisted with a justification).
-//! * **`lock-order`** — mutex acquisitions in the concurrency crates
-//!   (`live`, `core`) must follow the declared total order `LOCK_ORDER`
-//!   while another guard is live, and every mutex must be *in* the table:
-//!   an undeclared lock is itself a finding, so the order stays complete as
-//!   code grows. This is the static half of the deadlock-freedom argument
-//!   the `fela-mc` model checker makes dynamically.
-//! * **`no-blocking-under-lock`** — no link receive or flush (`.recv(` /
-//!   `.flush(`) and no `sleep` while a `MutexGuard` is live: a blocking wire
-//!   read under a lock turns a slow peer into a stalled server. (`Condvar::wait`
-//!   is fine — it releases the guard.)
+//!   allowlisted with a justification). Clippy's `iter_over_hash_type`
+//!   misses an explicit `map.into_iter()`.
 //! * **`no-unflushed-wal`** — the group-commit rule, in two halves. Only the
 //!   control plane and the log writer (`impl ControlPlane` / `impl
 //!   WalWriter`) may leave a `WalWriter` append
@@ -53,7 +48,7 @@
 //!   others read one file ([`lint_source`]).
 //!
 //! The checker is line-based and intentionally simple: it strips `//` comments
-//! and string literals, skips `#[cfg(test)]` modules by brace counting, and
+//! and string literals, skips `#[cfg(test)]` items by brace counting, and
 //! matches fixed patterns. False positives are handled by `fela-lint.allow`
 //! (see [`Allowlist`]), never by weakening a rule.
 
@@ -62,11 +57,8 @@ use std::collections::{BTreeMap, BTreeSet};
 /// One lint finding.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct LintFinding {
-    /// Rule identifier (e.g. `no-unwrap`).
+    /// Rule identifier (e.g. `hashmap-order`).
     pub rule: &'static str,
-    /// Crate the finding belongs to (package name, e.g. `fela-live`) — the
-    /// scope crate-scoped allowlist entries match against.
-    pub krate: String,
     /// Path label the finding is reported under.
     pub path: String,
     /// 1-based line number.
@@ -84,33 +76,6 @@ impl std::fmt::Display for LintFinding {
         )
     }
 }
-
-/// Crates whose non-test code must be free of `.unwrap()` / `.expect(...)`.
-/// `fela-check` is included because its verifiers (race, recovery, schedule)
-/// gate CI: a malformed trace must surface as a reported violation, never as
-/// an anonymous panic inside the checker itself. `fela-live` is included
-/// because its server/worker threads run unsupervised: a panic there deadlocks
-/// the peer ends of the wire protocol instead of failing loudly.
-const NO_UNWRAP_CRATES: &[&str] = &[
-    "fela-core",
-    "fela-sim",
-    "fela-net",
-    "fela-cluster",
-    "fela-check",
-    "fela-live",
-];
-/// Crates that must not use ambient-entropy randomness. (`no-wallclock` is
-/// enforced **workspace-wide**: a wall-clock read anywhere silently undermines
-/// the reproducibility argument. Crates whose job *is* real time — the live
-/// runtime's real-clock mode, the harness's stderr-only timing — opt out with
-/// a crate-scoped allowlist entry, never by weakening the rule.)
-const DETERMINISM_CRATES: &[&str] = &["fela-core", "fela-sim"];
-
-/// Crates whose mutex usage is held to the lock discipline (`lock-order`,
-/// `no-blocking-under-lock`). The live runtime is *mutex-free by design*
-/// outside its scheduler seam (threads communicate through channels), so the
-/// table below is tiny — these rules exist to keep it that way.
-const LOCK_DISCIPLINE_CRATES: &[&str] = &["fela-live", "fela-core"];
 
 /// Crates whose `WalWriter` usage is held to the fsync discipline
 /// (`no-unflushed-wal`): only these touch the control plane's write-ahead
@@ -170,25 +135,9 @@ fn impl_self_type(line: &str) -> Option<&str> {
     header.rsplit(" for ").next()?.split_whitespace().last()
 }
 
-/// The declared total acquisition order of every named mutex in the
-/// lock-discipline crates, outermost first. A lock may only be taken while
-/// guards strictly *earlier* in this table are held; taking one out of order
-/// — or taking a mutex not listed here at all — is a `lock-order` finding.
-///
-/// Current table (all in `fela-live`'s scheduler seam):
-/// `events` (RecordingSched buffer), then `seen` (GateSched observation log),
-/// then `open` (GateSched gate flag, held across `Condvar::wait`).
-const LOCK_ORDER: &[&str] = &["events", "seen", "open"];
-
 /// Parsed `fela-lint.allow` file: lines of `<rule> <path-suffix> [substring]`,
 /// `#`-comments and blanks ignored. A finding is suppressed when a rule+path
 /// entry matches and (if given) the substring occurs in the offending line.
-///
-/// A rule written as `crate:<rule>` is **crate-scoped**: its second field is a
-/// crate package name (matched exactly against [`LintFinding::krate`]) instead
-/// of a path suffix, exempting a whole crate from one rule — e.g.
-/// `crate:no-wallclock fela-harness Instant::now` lets the sweep harness time
-/// itself while every unlisted crate still fails the gate.
 #[derive(Clone, Debug, Default)]
 pub struct Allowlist {
     entries: Vec<(String, String, Option<String>)>,
@@ -217,14 +166,9 @@ impl Allowlist {
 
     /// Whether `finding` is suppressed.
     pub fn permits(&self, finding: &LintFinding) -> bool {
-        self.entries.iter().any(|(rule, scope, needle)| {
-            let scope_match = match rule.strip_prefix("crate:") {
-                // Crate-scoped entry: the scope is a crate name, matched
-                // exactly — `fela-live` must not also exempt `fela-live-x`.
-                Some(rule) => rule == finding.rule && finding.krate == *scope,
-                None => rule == finding.rule && finding.path.ends_with(scope.as_str()),
-            };
-            scope_match
+        self.entries.iter().any(|(rule, path, needle)| {
+            rule == finding.rule
+                && finding.path.ends_with(path.as_str())
                 && needle
                     .as_ref()
                     .is_none_or(|n| finding.snippet.contains(n.as_str()))
@@ -290,19 +234,27 @@ fn scrubbed(line: &str) -> String {
 }
 
 /// Marks the scrubbed lines inside `#[cfg(test)]`-gated items, found by
-/// brace counting.
+/// brace counting. A brace-less item (`mod golden;`, `use …;`) ends at its
+/// `;`, so the attribute gates nothing after it.
 fn test_regions(scrubbed_lines: &[String]) -> Vec<bool> {
     let mut in_test = vec![false; scrubbed_lines.len()];
     let mut pending_cfg_test = false;
+    // `(`/`[` nesting since the attribute: a `;` inside (`[u8; 4]`) does not
+    // end the item.
+    let mut nesting: i64 = 0;
     let mut depth_stack: Vec<i64> = Vec::new(); // brace depth at which each test region opened
     let mut depth: i64 = 0;
     for (i, line) in scrubbed_lines.iter().enumerate() {
         if line.trim().contains("#[cfg(test)]") {
             pending_cfg_test = true;
+            nesting = 0;
         }
         in_test[i] = !depth_stack.is_empty() || pending_cfg_test;
         for c in line.chars() {
             match c {
+                '(' | '[' => nesting += 1,
+                ')' | ']' => nesting -= 1,
+                ';' if nesting == 0 => pending_cfg_test = false,
                 '{' => {
                     if pending_cfg_test {
                         depth_stack.push(depth);
@@ -395,9 +347,9 @@ pub fn lint_workspace(files: &[SourceFile]) -> Vec<LintFinding> {
     }
     let mut findings = Vec::new();
     for (i, (file, lines)) in files.iter().zip(&scrubbed_files).enumerate() {
-        let Some(krate) = &file.krate else {
+        if file.krate.is_none() {
             continue;
-        };
+        }
         let in_test = test_regions(lines);
         for ((l, line), raw) in lines.iter().enumerate().zip(file.content.lines()) {
             let Some(name) = pub_item_name(line).filter(|n| !n.is_empty() && !in_test[l]) else {
@@ -406,7 +358,6 @@ pub fn lint_workspace(files: &[SourceFile]) -> Vec<LintFinding> {
             if named_in[name].iter().all(|&user| user == i) {
                 findings.push(LintFinding {
                     rule: "no-dead-pub",
-                    krate: krate.clone(),
                     path: file.path.clone(),
                     line: l + 1,
                     snippet: raw.trim().to_owned(),
@@ -420,8 +371,6 @@ pub fn lint_workspace(files: &[SourceFile]) -> Vec<LintFinding> {
 /// Lints one source file. `crate_name` selects which rules apply; `path` only
 /// labels findings.
 pub fn lint_source(path: &str, crate_name: &str, content: &str) -> Vec<LintFinding> {
-    let unwrap_rule = NO_UNWRAP_CRATES.contains(&crate_name);
-    let determinism_rule = DETERMINISM_CRATES.contains(&crate_name);
     let mut findings = Vec::new();
 
     // Pass 1: find `#[cfg(test)]`-gated regions, and collect identifiers
@@ -447,36 +396,19 @@ pub fn lint_source(path: &str, crate_name: &str, content: &str) -> Vec<LintFindi
         }
     }
 
-    // Pass 2: per-line rules.
+    // Pass 2: ordered iteration over a hash container local.
+    let push = |findings: &mut Vec<LintFinding>, rule: &'static str, l: usize| {
+        findings.push(LintFinding {
+            rule,
+            path: path.to_owned(),
+            line: l + 1,
+            snippet: lines[l].trim().to_owned(),
+        });
+    };
     for (i, line) in scrubbed_lines.iter().enumerate() {
         if in_test[i] {
             continue;
         }
-        let mut push = |rule: &'static str| {
-            findings.push(LintFinding {
-                rule,
-                krate: crate_name.to_owned(),
-                path: path.to_owned(),
-                line: i + 1,
-                snippet: lines[i].trim().to_owned(),
-            });
-        };
-        if unwrap_rule && (line.contains(".unwrap()") || line.contains(".expect(")) {
-            push("no-unwrap");
-        }
-        // Workspace-global: any crate reading the wall clock needs a
-        // crate-scoped allowlist entry (see [`Allowlist`]).
-        if line.contains("SystemTime") || line.contains("Instant::now") {
-            push("no-wallclock");
-        }
-        if determinism_rule
-            && (line.contains("thread_rng(")
-                || line.contains("rand::random")
-                || line.contains("from_entropy"))
-        {
-            push("no-unseeded-rng");
-        }
-        // Ordered iteration over a hash container local.
         for method in [
             ".iter()",
             ".iter_mut()",
@@ -489,7 +421,7 @@ pub fn lint_source(path: &str, crate_name: &str, content: &str) -> Vec<LintFindi
                 let receiver = receiver_ident(&line[..pos]);
                 if let Some(r) = receiver {
                     if hash_idents.contains(&r) {
-                        push("hashmap-order");
+                        push(&mut findings, "hashmap-order", i);
                         break;
                     }
                 }
@@ -497,88 +429,7 @@ pub fn lint_source(path: &str, crate_name: &str, content: &str) -> Vec<LintFindi
         }
     }
 
-    // Pass 3 (lock-discipline crates only): track live `MutexGuard`s by brace
-    // depth and check acquisition order plus blocking calls under a guard.
-    if LOCK_DISCIPLINE_CRATES.contains(&crate_name) {
-        // Live let-bound guards: (brace depth at binding, lock name, binding name).
-        let mut guards: Vec<(i64, String, String)> = Vec::new();
-        let mut depth: i64 = 0;
-        for (i, line) in scrubbed_lines.iter().enumerate() {
-            if !in_test[i] {
-                let mut push = |rule: &'static str| {
-                    findings.push(LintFinding {
-                        rule,
-                        krate: crate_name.to_owned(),
-                        path: path.to_owned(),
-                        line: i + 1,
-                        snippet: lines[i].trim().to_owned(),
-                    });
-                };
-                // `drop(guard)` releases a guard early.
-                if let Some(pos) = line.find("drop(") {
-                    let inner: String = line[pos + 5..]
-                        .chars()
-                        .take_while(|c| c.is_alphanumeric() || *c == '_')
-                        .collect();
-                    guards.retain(|(_, _, binding)| *binding != inner);
-                }
-                if let Some(pos) = line.find(".lock()") {
-                    match receiver_ident(&line[..pos]) {
-                        Some(lock) => match LOCK_ORDER.iter().position(|l| *l == lock) {
-                            None => push("lock-order"),
-                            Some(idx) => {
-                                let held_out_of_order = guards.iter().any(|(_, held, _)| {
-                                    LOCK_ORDER
-                                        .iter()
-                                        .position(|l| l == held)
-                                        .is_some_and(|h| h >= idx)
-                                });
-                                if held_out_of_order {
-                                    push("lock-order");
-                                }
-                                // A `let`-bound guard lives to the end of its
-                                // block; a temporary dies at the statement.
-                                if line[..pos].contains("let ") {
-                                    let binding = line[..pos]
-                                        .rfind("let ")
-                                        .map(|l| {
-                                            line[l + 4..]
-                                                .trim_start()
-                                                .trim_start_matches("mut ")
-                                                .chars()
-                                                .take_while(|c| c.is_alphanumeric() || *c == '_')
-                                                .collect::<String>()
-                                        })
-                                        .unwrap_or_default();
-                                    guards.push((depth, lock, binding));
-                                }
-                            }
-                        },
-                        None => push("lock-order"),
-                    }
-                }
-                if !guards.is_empty()
-                    && [".recv(", ".flush(", "sleep("]
-                        .iter()
-                        .any(|p| line.contains(p))
-                {
-                    push("no-blocking-under-lock");
-                }
-            }
-            for c in line.chars() {
-                match c {
-                    '{' => depth += 1,
-                    '}' => {
-                        depth -= 1;
-                        guards.retain(|(d, _, _)| *d <= depth);
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-
-    // Pass 4 (WAL-discipline crates only): the group-commit rule. Inside
+    // Pass 3 (WAL-discipline crates only): the group-commit rule. Inside
     // `impl ControlPlane` / `impl WalWriter` an append may stay staged (the
     // plane commits the batch in `commit_wal`); anywhere else it must be
     // committed before its enclosing block closes — `.commit(` flushes the
@@ -603,15 +454,6 @@ pub fn lint_source(path: &str, crate_name: &str, content: &str) -> Vec<LintFindi
         // Depth outside the open `impl ControlPlane` / `impl WalWriter`.
         let mut staging_impl: Option<i64> = None;
         let mut depth: i64 = 0;
-        let push = |findings: &mut Vec<LintFinding>, l: usize| {
-            findings.push(LintFinding {
-                rule: "no-unflushed-wal",
-                krate: crate_name.to_owned(),
-                path: path.to_owned(),
-                line: l + 1,
-                snippet: lines[l].trim().to_owned(),
-            });
-        };
         for (i, line) in scrubbed_lines.iter().enumerate() {
             if !in_test[i] {
                 if staging_impl.is_none()
@@ -659,7 +501,7 @@ pub fn lint_source(path: &str, crate_name: &str, content: &str) -> Vec<LintFindi
                     if let Some((_, committed)) = fns.last_mut() {
                         if let Some(w) = write_at {
                             if !*committed && !in_dispatch && commit_wal_at.is_none_or(|c| c > w) {
-                                push(&mut findings, i);
+                                push(&mut findings, "no-unflushed-wal", i);
                             }
                         }
                         *committed |= commit_wal_at.is_some();
@@ -673,7 +515,7 @@ pub fn lint_source(path: &str, crate_name: &str, content: &str) -> Vec<LintFindi
                         depth -= 1;
                         while let Some(pos) = pending.iter().position(|&(_, d)| d > depth) {
                             let (l, _) = pending.remove(pos);
-                            push(&mut findings, l);
+                            push(&mut findings, "no-unflushed-wal", l);
                         }
                         while fns.last().is_some_and(|&(d, _)| d >= depth) {
                             fns.pop();
@@ -690,7 +532,7 @@ pub fn lint_source(path: &str, crate_name: &str, content: &str) -> Vec<LintFindi
             }
         }
         for (l, _) in pending {
-            push(&mut findings, l);
+            push(&mut findings, "no-unflushed-wal", l);
         }
     }
     findings
@@ -750,17 +592,71 @@ mod tests {
         findings.iter().map(|f| f.rule).collect()
     }
 
+    /// A file of the workspace, read by the tests that pin the clippy
+    /// configuration carrying the source rules clippy checks.
+    fn workspace_file(rel: &str) -> String {
+        let path = format!("{}/../../{rel}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    }
+
+    /// The lines of crate `dir`'s `[lints.clippy]` table, trimmed.
+    fn clippy_lints(dir: &str) -> Vec<String> {
+        workspace_file(&format!("crates/{dir}/Cargo.toml"))
+            .lines()
+            .skip_while(|l| l.trim() != "[lints.clippy]")
+            .skip(1)
+            .take_while(|l| !l.starts_with('['))
+            .map(|l| l.trim().to_owned())
+            .filter(|l| !l.is_empty() && !l.starts_with('#'))
+            .collect()
+    }
+
+    /// Every crate directory under `crates/`, sorted.
+    fn crate_dirs() -> Vec<String> {
+        let root = format!("{}/..", env!("CARGO_MANIFEST_DIR"));
+        let mut dirs: Vec<String> = std::fs::read_dir(&root)
+            .unwrap_or_else(|e| panic!("{root}: {e}"))
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        dirs.sort();
+        dirs
+    }
+
+    /// Whether the root `clippy.toml` holds a `disallowed-*` entry for `path`.
+    /// Clippy reads only the nearest `clippy.toml`, so no crate or shim may
+    /// carry its own: that would drop every root entry for that crate.
+    fn disallowed_in_every_crate(path: &str) -> bool {
+        for parent in ["crates", "shims"] {
+            let dir = format!("{}/../../{parent}", env!("CARGO_MANIFEST_DIR"));
+            for entry in std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{dir}: {e}")) {
+                let entry = entry.unwrap().path();
+                for name in ["clippy.toml", ".clippy.toml"] {
+                    assert!(!entry.join(name).exists(), "{}", entry.display());
+                }
+            }
+        }
+        workspace_file("clippy.toml").contains(&format!("{{ path = \"{path}\""))
+    }
+
+    const RUNTIME_CRATES: [&str; 6] = ["check", "cluster", "core", "live", "net", "sim"];
+
     #[test]
     fn unwrap_flagged_in_runtime_crates_only() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
-        assert_eq!(rules(&lint_source("a.rs", "fela-core", src)), ["no-unwrap"]);
-        assert!(lint_source("a.rs", "fela-bench", src).is_empty());
+        // Denied in the runtime crates and nowhere else; test code is exempt.
+        for dir in crate_dirs() {
+            let denied = clippy_lints(&dir).contains(&r#"unwrap_used = "deny""#.to_owned());
+            assert_eq!(denied, RUNTIME_CRATES.contains(&dir.as_str()), "{dir}");
+        }
+        assert!(workspace_file("clippy.toml").contains("allow-unwrap-in-tests = true"));
     }
 
     #[test]
     fn expect_flagged() {
-        let src = "let v = map.get(&k).expect(\"present\");\n";
-        assert_eq!(rules(&lint_source("a.rs", "fela-sim", src)), ["no-unwrap"]);
+        for dir in crate_dirs() {
+            let denied = clippy_lints(&dir).contains(&r#"expect_used = "deny""#.to_owned());
+            assert_eq!(denied, RUNTIME_CRATES.contains(&dir.as_str()), "{dir}");
+        }
+        assert!(workspace_file("clippy.toml").contains("allow-expect-in-tests = true"));
     }
 
     #[test]
@@ -770,7 +666,7 @@ fn ok() {}
 #[cfg(test)]
 mod tests {
     #[test]
-    fn t() { Some(1).unwrap(); }
+    fn t(w: &mut WalWriter) { w.append_op(&op); }
 }
 fn also_ok() {}
 ";
@@ -782,9 +678,9 @@ fn also_ok() {}
         let src = "\
 #[cfg(test)]
 mod tests {
-    fn t() { Some(1).unwrap(); }
+    fn t(w: &mut WalWriter) { w.append_op(&op); }
 }
-fn bad() { Some(1).unwrap(); }
+fn bad(w: &mut WalWriter) { w.append_op(&op); }
 ";
         let findings = lint_source("a.rs", "fela-core", src);
         assert_eq!(findings.len(), 1);
@@ -792,75 +688,60 @@ fn bad() { Some(1).unwrap(); }
     }
 
     #[test]
+    fn a_brace_less_test_item_ends_at_its_semicolon() {
+        // `mod golden;` and `use …;` gate no block: what follows them is
+        // real code, not a test region that opens at the next `{`.
+        let lib = "\
+#[cfg(test)]
+mod golden;
+
+pub fn real() {}
+#[cfg(test)]
+use std::fmt;
+pub fn also_real() {}
+#[cfg(test)]
+pub fn helper() -> [u8; 4] {
+    [0; 4]
+}
+";
+        let findings = lint_workspace(&[file("crates/x/src/lib.rs", Some("fela-x"), lib)]);
+        assert_eq!(findings.iter().map(|f| f.line).collect::<Vec<_>>(), [4, 7]);
+        let src = "#[cfg(test)]\nmod golden;\nfn f(w: &mut WalWriter) { w.append_op(&op); }\n";
+        assert_eq!(
+            rules(&lint_source("a.rs", "fela-core", src)),
+            ["no-unflushed-wal"]
+        );
+    }
+
+    #[test]
     fn comments_and_strings_do_not_match() {
         let src = "\
-// calling .unwrap() here would be bad
-let msg = \"never .unwrap() in prod\";
+// calling w.append_op(&op) here would be bad
+let msg = \"never w.append_op(&op) in prod\";
 ";
         assert!(lint_source("a.rs", "fela-core", src).is_empty());
     }
 
     #[test]
     fn wallclock_flagged_in_every_crate() {
-        // no-wallclock is workspace-global: exemptions go through crate-scoped
-        // allowlist entries, not through the rule's crate list.
-        let src = "let t = std::time::Instant::now();\n";
-        for krate in ["fela-sim", "fela-net", "fela-live", "fela-bench"] {
-            assert_eq!(
-                rules(&lint_source("a.rs", krate, src)),
-                ["no-wallclock"],
-                "{krate}"
-            );
+        for path in [
+            "std::time::Instant::now",
+            "std::time::SystemTime::now",
+            "std::time::SystemTime",
+        ] {
+            assert!(disallowed_in_every_crate(path), "{path}");
         }
-        let finding = &lint_source("a.rs", "fela-live", src)[0];
-        assert_eq!(finding.krate, "fela-live");
     }
 
     #[test]
-    fn crate_scoped_allowlist_exempts_only_the_listed_crate() {
-        let allow = Allowlist::parse(
-            "# real-clock mode is fela-live's whole point\ncrate:no-wallclock fela-live\n",
-        );
-        let src = "let t = std::time::Instant::now();\n";
-        let live = &lint_source("a.rs", "fela-live", src)[0];
-        assert!(allow.permits(live));
-        // An unlisted crate with the identical finding still fails the gate.
-        let net = &lint_source("a.rs", "fela-net", src)[0];
-        assert!(!allow.permits(net));
-        // Exact crate-name match: no prefix bleed.
-        let lookalike = LintFinding {
-            krate: "fela-live-extras".into(),
-            ..live.clone()
-        };
-        assert!(!allow.permits(&lookalike));
-        // A crate-scoped entry does not suppress other rules in that crate.
-        let other_rule = LintFinding {
-            rule: "no-unwrap",
-            ..live.clone()
-        };
-        assert!(!allow.permits(&other_rule));
-    }
-
-    #[test]
-    fn crate_scoped_entry_with_substring_narrows_the_exemption() {
-        let allow = Allowlist::parse("crate:no-wallclock fela-harness Instant::now\n");
-        let timing = &lint_source(
-            "sweep.rs",
-            "fela-harness",
-            "let started = Instant::now();\n",
-        )[0];
-        assert!(allow.permits(timing));
-        let systime = &lint_source("sweep.rs", "fela-harness", "let t = SystemTime::now();\n")[0];
-        assert!(!allow.permits(systime), "substring must still gate");
-    }
-
-    #[test]
-    fn unseeded_rng_flagged() {
-        let src = "let mut rng = rand::thread_rng();\n";
-        assert_eq!(
-            rules(&lint_source("a.rs", "fela-core", src)),
-            ["no-unseeded-rng"]
-        );
+    fn every_lock_type_is_flagged_in_every_crate() {
+        for path in [
+            "std::sync::Mutex",
+            "std::sync::RwLock",
+            "std::sync::Condvar",
+        ] {
+            assert!(disallowed_in_every_crate(path), "{path}");
+        }
     }
 
     #[test]
@@ -896,139 +777,32 @@ for (k, v) in seen.iter() { out.push((k, v)); }
     #[test]
     fn allowlist_suppresses_by_rule_path_and_substring() {
         let finding = LintFinding {
-            rule: "no-unwrap",
-            krate: "fela-sim".into(),
-            path: "crates/sim/src/time.rs".into(),
+            rule: "hashmap-order",
+            path: "crates/metrics/src/merge.rs".into(),
             line: 10,
-            snippet: "self.nanos.checked_add(d.nanos).expect(\"overflow\")".into(),
+            snippet: "for (k, v) in seen.iter() {".into(),
         };
         let allow = Allowlist::parse(
-            "# overflow guards are deliberate\nno-unwrap sim/src/time.rs checked_add\n",
+            "# the merge sorts its output\nhashmap-order metrics/src/merge.rs seen.iter\n",
         );
         assert_eq!(allow.len(), 1);
         assert!(allow.permits(&finding));
-        // Different rule or non-matching substring: not suppressed.
+        // Different rule, path or non-matching substring: not suppressed.
         let other = LintFinding {
-            rule: "no-wallclock",
+            rule: "no-dead-pub",
             ..finding.clone()
         };
         assert!(!allow.permits(&other));
+        let other_path = LintFinding {
+            path: "crates/metrics/src/other.rs".into(),
+            ..finding.clone()
+        };
+        assert!(!allow.permits(&other_path));
         let different_line = LintFinding {
-            snippet: "x.expect(\"other\")".into(),
+            snippet: "for k in other.iter() {".into(),
             ..finding
         };
         assert!(!allow.permits(&different_line));
-    }
-
-    #[test]
-    fn lock_order_violation_is_flagged() {
-        // `open` precedes `seen` in LOCK_ORDER — acquiring `seen` while the
-        // `open` guard is live inverts the declared order.
-        let src = "\
-fn f(&self) {
-    let mut open = self.open.lock().unwrap_or_else(|p| p.into_inner());
-    let mut seen = self.seen.lock().unwrap_or_else(|p| p.into_inner());
-}
-";
-        let findings = lint_source("a.rs", "fela-live", src);
-        assert_eq!(rules(&findings), ["lock-order"]);
-        assert_eq!(findings[0].line, 3);
-        // The correct order is clean.
-        let src = "\
-fn f(&self) {
-    let mut seen = self.seen.lock().unwrap_or_else(|p| p.into_inner());
-    let mut open = self.open.lock().unwrap_or_else(|p| p.into_inner());
-}
-";
-        assert!(lint_source("a.rs", "fela-live", src).is_empty());
-    }
-
-    #[test]
-    fn undeclared_mutex_is_a_lock_order_finding() {
-        let src = "let g = self.mystery.lock().unwrap_or_else(|p| p.into_inner());\n";
-        assert_eq!(
-            rules(&lint_source("a.rs", "fela-live", src)),
-            ["lock-order"]
-        );
-        // Outside the discipline crates the rule does not apply.
-        assert!(lint_source("a.rs", "fela-harness", src).is_empty());
-    }
-
-    #[test]
-    fn scoped_guards_end_at_their_block() {
-        // sched.rs's actual shape: the `seen` guard dies with its block, so
-        // the later `open` acquisition is a fresh (ordered) one.
-        let src = "\
-fn reached(&self) {
-    {
-        let mut seen = self.seen.lock().unwrap_or_else(|p| p.into_inner());
-        seen.push(1);
-    }
-    let mut open = self.open.lock().unwrap_or_else(|p| p.into_inner());
-}
-";
-        assert!(lint_source("a.rs", "fela-live", src).is_empty());
-    }
-
-    #[test]
-    fn dropping_a_guard_releases_it() {
-        let src = "\
-fn f(&self) {
-    let g = self.open.lock().unwrap_or_else(|p| p.into_inner());
-    drop(g);
-    let s = self.seen.lock().unwrap_or_else(|p| p.into_inner());
-}
-";
-        assert!(lint_source("a.rs", "fela-live", src).is_empty());
-    }
-
-    #[test]
-    fn blocking_under_a_live_guard_is_flagged() {
-        let src = "\
-fn f(&self) {
-    let g = self.events.lock().unwrap_or_else(|p| p.into_inner());
-    let frame = link.recv();
-}
-";
-        let findings = lint_source("a.rs", "fela-live", src);
-        assert_eq!(rules(&findings), ["no-blocking-under-lock"]);
-        let src = "\
-fn f(&self) {
-    let g = self.events.lock().unwrap_or_else(|p| p.into_inner());
-    tx.flush()?;
-}
-";
-        assert_eq!(
-            rules(&lint_source("a.rs", "fela-live", src)),
-            ["no-blocking-under-lock"]
-        );
-        let src = "\
-fn f(&self) {
-    let g = self.events.lock().unwrap_or_else(|p| p.into_inner());
-    std::thread::sleep(d);
-}
-";
-        assert_eq!(
-            rules(&lint_source("a.rs", "fela-live", src)),
-            ["no-blocking-under-lock"]
-        );
-        // A transient guard (temporary, dies at the statement) does not hold
-        // anything across the next line.
-        let src = "\
-fn f(&self) {
-    self.events.lock().unwrap_or_else(|p| p.into_inner()).push(e);
-    std::thread::sleep(d);
-}
-";
-        assert!(lint_source("a.rs", "fela-live", src).is_empty());
-    }
-
-    #[test]
-    fn lock_rules_are_allowlistable() {
-        let src = "let g = self.mystery.lock().unwrap_or_else(|p| p.into_inner());\n";
-        let finding = &lint_source("src/x.rs", "fela-live", src)[0];
-        let allow = Allowlist::parse("lock-order src/x.rs mystery\n");
-        assert!(allow.permits(finding));
     }
 
     #[test]
@@ -1321,7 +1095,6 @@ mod tests {
             file("crates/x/src/other.rs", Some("fela-x"), other),
         ]);
         assert!(findings.iter().all(|f| f.rule == "no-dead-pub"));
-        assert!(findings.iter().all(|f| f.krate == "fela-x"));
         let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
         assert_eq!(lines, [1, 2, 3, 4], "{findings:?}");
     }
@@ -1363,10 +1136,10 @@ mod outer {
     #[cfg(test)]
     mod tests {
         mod inner {
-            fn t() { Some(1).unwrap(); }
+            fn t(w: &mut WalWriter) { w.append_op(&op); }
         }
     }
-    fn bad() { Some(1).unwrap(); }
+    fn bad(w: &mut WalWriter) { w.append_op(&op); }
 }
 ";
         let findings = lint_source("a.rs", "fela-core", src);

@@ -95,7 +95,7 @@ use fela_live::{
 use fela_sim::SimTime;
 
 use crate::protocol::{verify_session, SessionVerifier, SessionViolation, WireMutation};
-use crate::{ScheduleDag, TokenServer};
+use crate::{MutationRun, ScheduleDag, TokenServer};
 
 /// The small configuration under exploration, plus bounds.
 #[derive(Clone, Debug)]
@@ -314,19 +314,6 @@ impl McOutcome {
     pub fn ok(&self) -> bool {
         self.violations.is_empty() && !self.truncated
     }
-}
-
-/// One row of the seeded-mutation matrix.
-#[derive(Clone, Debug)]
-pub struct MutationRun {
-    /// Mutation name.
-    pub name: &'static str,
-    /// Whether the checker caught it.
-    pub caught: bool,
-    /// The (first) diagnostic it produced.
-    pub diagnostic: String,
-    /// Discriminant of the diagnostic kind, for distinctness assertions.
-    pub kind: &'static str,
 }
 
 fn build_config(cfg: &McConfig) -> FelaConfig {

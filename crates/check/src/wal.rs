@@ -20,7 +20,7 @@ use fela_core::{
     TokenId, TokenPlan, WalRecord,
 };
 
-use crate::TokenServer;
+use crate::{MutationRun, TokenServer};
 use fela_sim::SimTime;
 use std::collections::BTreeSet;
 
@@ -352,25 +352,11 @@ pub fn reference_wal_check(checkpoint_every: u64) -> Result<WalSummary, Vec<WalV
     )
 }
 
-/// One row of [`run_wal_mutation_matrix`]: a seeded log corruption, whether
-/// the replay caught it, and the diagnostic that fired.
-#[derive(Clone, Debug)]
-pub struct WalMutationRun {
-    /// Human-readable mutation name.
-    pub name: &'static str,
-    /// The violation kind this mutation must produce — distinct per row.
-    pub kind: &'static str,
-    /// Whether [`check_wal`] rejected the mutated log with that kind.
-    pub caught: bool,
-    /// The matching diagnostic (or the first violation found instead).
-    pub diagnostic: String,
-}
-
 /// Applies every [`WalMutation`] to the reference log and replays each
 /// mutated log through [`check_wal`], recording whether the expected —
 /// and *distinct* — [`WalViolation`] fired. `fela check --wal` renders
 /// these rows and fails if any mutation is missed or two rows share a kind.
-pub fn run_wal_mutation_matrix() -> Vec<WalMutationRun> {
+pub fn run_wal_mutation_matrix() -> Vec<MutationRun> {
     /// One matrix row: `(name, kind, mutation, expected-violation matcher)`.
     type MutationCase = (
         &'static str,
@@ -417,7 +403,7 @@ pub fn run_wal_mutation_matrix() -> Vec<WalMutationRun> {
             2,
             None,
         ) {
-            Ok(_) => WalMutationRun {
+            Ok(_) => MutationRun {
                 name,
                 kind,
                 caught: false,
@@ -425,7 +411,7 @@ pub fn run_wal_mutation_matrix() -> Vec<WalMutationRun> {
             },
             Err(violations) => {
                 let hit = violations.iter().find(|v| expect(v));
-                WalMutationRun {
+                MutationRun {
                     name,
                     kind,
                     caught: hit.is_some(),

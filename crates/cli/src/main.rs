@@ -949,35 +949,11 @@ fn cmd_check_mc(check: &CheckArgs) -> Result<(), String> {
         }
         print!("{}", table.render());
 
-        let matrix = fela_check::run_mutation_matrix();
-        let mut mutation_table = Table::new(
+        failures += render_mutation_matrix(
+            "mc",
             "Seeded-mutation matrix — every mutation must be caught, distinctly",
-            &["mutation", "caught", "diagnostic"],
+            &fela_check::run_mutation_matrix(),
         );
-        let mut kinds = std::collections::BTreeSet::new();
-        for row in &matrix {
-            mutation_table.row(vec![
-                row.name.into(),
-                if row.caught {
-                    "yes".into()
-                } else {
-                    "MISSED".into()
-                },
-                row.diagnostic.clone(),
-            ]);
-            if !row.caught {
-                failures += 1;
-                eprintln!("mc: mutation '{}' was not caught", row.name);
-            }
-            if !kinds.insert(row.kind) {
-                failures += 1;
-                eprintln!(
-                    "mc: mutation '{}' shares diagnostic kind '{}' with an earlier row",
-                    row.name, row.kind
-                );
-            }
-        }
-        print!("{}", mutation_table.render());
     }
 
     if check.protocol {
@@ -1118,14 +1094,26 @@ fn cmd_check_wal() -> Result<(), String> {
     }
     print!("{}", table.render());
 
-    let matrix = fela_check::run_wal_mutation_matrix();
-    let mut mutation_table = Table::new(
+    failures += render_mutation_matrix(
+        "wal",
         "Seeded log-mutation matrix — every corruption caught, distinctly",
-        &["mutation", "caught", "diagnostic"],
+        &fela_check::run_wal_mutation_matrix(),
     );
+    if failures > 0 {
+        return Err(format!("check --wal failed: {failures} problem(s)"));
+    }
+    Ok(())
+}
+
+/// Prints a seeded-mutation matrix under `title` and returns its failures: a
+/// mutation the checker missed, or one whose diagnostic kind an earlier row
+/// already produced. `tag` prefixes each failure line on stderr.
+fn render_mutation_matrix(tag: &str, title: &str, matrix: &[fela_check::MutationRun]) -> usize {
+    let mut table = Table::new(title, &["mutation", "caught", "diagnostic"]);
     let mut kinds = std::collections::BTreeSet::new();
-    for row in &matrix {
-        mutation_table.row(vec![
+    let mut failures = 0;
+    for row in matrix {
+        table.row(vec![
             row.name.into(),
             if row.caught {
                 "yes".into()
@@ -1136,21 +1124,18 @@ fn cmd_check_wal() -> Result<(), String> {
         ]);
         if !row.caught {
             failures += 1;
-            eprintln!("wal: mutation '{}' was not caught", row.name);
+            eprintln!("{tag}: mutation '{}' was not caught", row.name);
         }
         if !kinds.insert(row.kind) {
             failures += 1;
             eprintln!(
-                "wal: mutation '{}' shares diagnostic kind '{}' with an earlier row",
+                "{tag}: mutation '{}' shares diagnostic kind '{}' with an earlier row",
                 row.name, row.kind
             );
         }
     }
-    print!("{}", mutation_table.render());
-    if failures > 0 {
-        return Err(format!("check --wal failed: {failures} problem(s)"));
-    }
-    Ok(())
+    print!("{}", table.render());
+    failures
 }
 
 /// `fela check --elastic`: the elastic-run verifier. Traces real resized runs

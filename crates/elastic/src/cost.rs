@@ -2,7 +2,8 @@
 //!
 //! Everything here is **simulated seconds** — a pure function of the plan —
 //! never wall-clock, so elastic runs stay byte-reproducible for any `--jobs`
-//! value (the workspace-wide `no-wallclock` lint applies to this crate too).
+//! value (the workspace-wide clippy ban on host-time reads applies to this
+//! crate too).
 //!
 //! Two models are charged at each boundary:
 //!

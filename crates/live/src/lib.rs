@@ -54,9 +54,7 @@ pub use replay::{
     engine_setup, epilogue, flatten_params, plan_for, replay_schedules, replay_trace,
     run_virtual_with, schedules_from_completions, schedules_from_trace, train_replicas,
 };
-pub use sched::{
-    pass, Endpoint, GateSched, PassSched, RecordingSched, Sched, SharedSched, SyncEvent,
-};
+pub use sched::{pass, Endpoint, PassSched, RecordingSched, Sched, SharedSched, SyncEvent};
 pub use transport::{
     transport_by_name, ChanTransport, Link, LinkRx, LinkTx, TcpTransport, Transport,
 };

@@ -62,6 +62,14 @@
 //! close before the fleet relinks. So the inbox never interleaves two links
 //! of one worker, and each link's close is recorded once, by its reader.
 
+// This shell is the one place in the workspace whose purpose is wall-clock
+// execution: lease deadlines, restart timers and throughput measurements are
+// real `Instant`s by design. The rest of fela-live is held to the rule: the
+// sans-IO server core takes its time from the caller, and the virtual-clock
+// mode stays deterministic (conformance-tested against the simulator
+// byte-for-byte).
+#![allow(clippy::disallowed_methods)]
+
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::io;

@@ -10,22 +10,22 @@
 //!   bit-for-bit (the conformance suites run against it unchanged);
 //! * [`RecordingSched`] captures the event stream for `fela-check`'s frame
 //!   protocol session verifier (`fela check --protocol` replays it against
-//!   the per-link state machine);
-//! * test schedulers may block inside `reached` to freeze a thread at a sync
-//!   point and force a specific interleaving ([`GateSched`]).
+//!   the per-link state machine).
 //!
 //! There is deliberately no mutex-acquire event: the runtime is mutex-free by
-//! design (threads communicate only through channels/sockets), and the
-//! `lock-order` / `no-blocking-under-lock` lint rules in `fela-check` keep it
-//! that way. Exhaustive interleaving exploration lives in `fela-check`'s
-//! model checker (`mc.rs`), which drives this crate's own
+//! design (threads communicate only through channels/sockets), and clippy's
+//! ban on `Mutex`, `RwLock` and `Condvar` (`disallowed-types` in the
+//! workspace `clippy.toml`) keeps it that way. [`RecordingSched`]'s buffer,
+//! an observer's rather than the runtime's, is the one lock it allows.
+//! Exhaustive interleaving exploration lives in `fela-check`'s model checker
+//! (`mc.rs`), which drives this crate's own
 //! [`frame_adapter`](crate::frame_adapter) and [`Frame`] protocol without OS
-//! threads; this seam is the
-//! *observation* side — it ties real executions back to the model.
+//! threads; this seam is the *observation* side — it ties real executions
+//! back to the model.
 //!
 //! [`Link`]: crate::transport::Link
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 use crate::wire::Frame;
 
@@ -124,7 +124,11 @@ pub fn pass() -> SharedSched {
 /// verifier needs).
 #[derive(Default)]
 pub struct RecordingSched {
-    events: Mutex<Vec<SyncEvent>>,
+    // The runtime's one lock, allowed past the workspace ban: it is held only
+    // for a `push` or a `take`, so there is no other lock to order it against
+    // and nothing blocks under it.
+    #[allow(clippy::disallowed_types)]
+    events: std::sync::Mutex<Vec<SyncEvent>>,
 }
 
 impl RecordingSched {
@@ -144,57 +148,6 @@ impl Sched for RecordingSched {
     fn reached(&self, event: &SyncEvent) {
         let mut events = self.events.lock().unwrap_or_else(|p| p.into_inner());
         events.push(event.clone());
-    }
-}
-
-/// A gate scheduler: blocks every thread that reaches a sync point matching
-/// `hold` until [`GateSched::release`] — the primitive for forcing one
-/// specific adversarial interleaving in integration tests (e.g. freezing a
-/// worker's Report send until its lease has fired).
-pub struct GateSched {
-    hold: Box<dyn Fn(&SyncEvent) -> bool + Send + Sync>,
-    open: Mutex<bool>,
-    cv: Condvar,
-    seen: Mutex<Vec<SyncEvent>>,
-}
-
-impl GateSched {
-    /// New gate holding every event `hold` matches.
-    pub fn new(hold: impl Fn(&SyncEvent) -> bool + Send + Sync + 'static) -> Arc<Self> {
-        Arc::new(GateSched {
-            hold: Box::new(hold),
-            open: Mutex::new(false),
-            cv: Condvar::new(),
-            seen: Mutex::new(Vec::new()),
-        })
-    }
-
-    /// Opens the gate; all held threads (and future matches) proceed.
-    pub fn release(&self) {
-        let mut open = self.open.lock().unwrap_or_else(|p| p.into_inner());
-        *open = true;
-        self.cv.notify_all();
-    }
-
-    /// Events observed so far (held or not).
-    pub fn seen(&self) -> Vec<SyncEvent> {
-        self.seen.lock().unwrap_or_else(|p| p.into_inner()).clone()
-    }
-}
-
-impl Sched for GateSched {
-    fn reached(&self, event: &SyncEvent) {
-        {
-            let mut seen = self.seen.lock().unwrap_or_else(|p| p.into_inner());
-            seen.push(event.clone());
-        }
-        if !(self.hold)(event) {
-            return;
-        }
-        let mut open = self.open.lock().unwrap_or_else(|p| p.into_inner());
-        while !*open {
-            open = self.cv.wait(open).unwrap_or_else(|p| p.into_inner());
-        }
     }
 }
 
@@ -218,25 +171,5 @@ mod tests {
         assert_eq!(events.len(), 2);
         assert!(matches!(events[0], SyncEvent::FrameSent { worker: 0, .. }));
         assert!(rec.take().is_empty(), "take drains");
-    }
-
-    #[test]
-    fn gate_sched_holds_matching_threads_until_release() {
-        let gate = GateSched::new(|e| matches!(e, SyncEvent::LeaseFired { .. }));
-        // Non-matching events pass straight through.
-        gate.reached(&SyncEvent::RestartFired { worker: 0 });
-        let g2 = Arc::clone(&gate);
-        let held = std::thread::spawn(move || {
-            g2.reached(&SyncEvent::LeaseFired {
-                token: 1,
-                attempt: 0,
-            });
-        });
-        // The held thread cannot have finished before release.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert!(!held.is_finished(), "matching event must block");
-        gate.release();
-        held.join().expect("held thread resumes");
-        assert_eq!(gate.seen().len(), 2);
     }
 }

@@ -53,6 +53,11 @@ impl SimTime {
     /// # Panics
     /// Panics if `earlier` is later than `self`: asking for a negative elapsed time
     /// always indicates corrupted event ordering.
+    // The checked-arithmetic guards in this file are deliberate invariant
+    // panics: virtual-time arithmetic overflowing u64 nanoseconds is a
+    // simulation bug, not a recoverable condition, and each expect message
+    // states the invariant. They are not anonymous Option/Result unwraps.
+    #[allow(clippy::expect_used)]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0
@@ -134,6 +139,8 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    // A deliberate invariant panic, as in `SimTime::since`.
+    #[allow(clippy::expect_used)]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
@@ -151,6 +158,8 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    // A deliberate invariant panic, as in `SimTime::since`.
+    #[allow(clippy::expect_used)]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0
@@ -168,6 +177,8 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    // A deliberate invariant panic, as in `SimTime::since`.
+    #[allow(clippy::expect_used)]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0
