@@ -10,8 +10,10 @@
 
 use fela_cluster::{Scenario, TrainingRuntime};
 use fela_metrics::RunReport;
-use fela_net::{FlowSpec, Network, NodeId, RingAllReduce};
-use fela_sim::{BusyTracker, Engine, EventId, RunOutcome, Scheduler, SimDuration, SimTime, World};
+use fela_net::{CollectiveProgress, FlowSpec, NodeId, RingAllReduce};
+use fela_sim::{SimDuration, SimTime};
+
+use crate::frame::{self, Done, Ev::Local, Frame, Protocol, Sched};
 
 /// How the DP baseline synchronises gradients.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -31,196 +33,128 @@ pub enum DpSync {
 }
 
 enum Ev {
-    IterationStart,
     ComputeDone { worker: usize },
-    NetWake,
 }
 
 enum SyncPhase {
     Idle,
     Ring(RingAllReduce),
-    /// PS push in flight: remaining push flows.
-    PsPush(usize),
+    /// PS push in flight to `servers` shards: remaining push flows.
+    PsPush {
+        remaining: usize,
+        servers: usize,
+    },
     /// PS pull in flight: remaining pull flows.
     PsPull(usize),
 }
 
 struct DpWorld {
-    scenario: Scenario,
     sync_mode: DpSync,
-    net: Network,
-    net_ev: Option<EventId>,
-    busy: Vec<BusyTracker>,
     compute_done: usize,
     sync: SyncPhase,
-    iteration: u64,
-    iteration_start: SimTime,
-    per_iteration_secs: Vec<f64>,
-    finished_at: Option<SimTime>,
 }
 
-impl DpWorld {
-    fn n(&self) -> usize {
-        self.scenario.cluster.nodes
-    }
-
-    fn reschedule_net(&mut self, sched: &mut Scheduler<'_, Ev>) {
-        if let Some(ev) = self.net_ev.take() {
-            sched.cancel(ev);
-        }
-        if let Some(t) = self.net.next_completion() {
-            self.net_ev = Some(sched.schedule_at(t.max(sched.now()), Ev::NetWake));
-        }
-    }
-
-    /// Starts the PS push phase: each worker ships `params/servers` bytes to
-    /// every PS shard. Returns the number of flows started.
-    fn start_ps_push(&mut self, now: SimTime, servers: usize) -> usize {
-        self.start_ps_phase(now, servers, |w, srv| (w, srv))
-    }
-
-    /// Starts the PS pull phase (mirror image of the push).
-    fn start_ps_pull(&mut self, now: SimTime, servers: usize) -> usize {
-        self.start_ps_phase(now, servers, |w, srv| (srv, w))
-    }
-
-    /// Starts one shard flow per (worker, server) pair with one batched start;
-    /// `ends` maps the pair to the flow's `(src, dst)`.
-    fn start_ps_phase(
-        &mut self,
-        now: SimTime,
-        servers: usize,
-        ends: impl Fn(usize, usize) -> (usize, usize),
-    ) -> usize {
-        let shard = self.scenario.model.param_bytes() / servers as u64;
-        let specs: Vec<FlowSpec> = (0..self.n())
-            .flat_map(|w| (0..servers).map(move |srv| (w, srv)))
-            .map(|(w, srv)| {
-                let (src, dst) = ends(w, srv);
-                FlowSpec {
-                    src: NodeId(src),
-                    dst: NodeId(dst),
-                    bytes: shard,
-                    tag: 0,
-                }
-            })
-            .collect();
-        self.net.start_flows(now, &specs).len()
-    }
-
-    fn finish_iteration(&mut self, sched: &mut Scheduler<'_, Ev>) {
-        let now = sched.now();
-        self.per_iteration_secs
-            .push(now.since(self.iteration_start).as_secs_f64());
-        self.iteration += 1;
-        if self.iteration < self.scenario.iterations {
-            sched.schedule_now(Ev::IterationStart);
-        } else {
-            self.finished_at = Some(now);
-        }
-    }
+/// Starts one PS shard flow per (worker, server) pair with one batched
+/// start: the push ships each worker's `params/servers` bytes to every
+/// shard, the pull (its mirror image) ships them back. Returns the number
+/// of flows started.
+fn start_ps_phase(f: &mut Frame, now: SimTime, servers: usize, push: bool) -> usize {
+    let shard = f.scenario.model.param_bytes() / servers as u64;
+    let specs: Vec<FlowSpec> = (0..f.nodes())
+        .flat_map(|w| (0..servers).map(move |srv| (w, srv)))
+        .map(|(w, srv)| {
+            let (src, dst) = if push { (w, srv) } else { (srv, w) };
+            FlowSpec {
+                src: NodeId(src),
+                dst: NodeId(dst),
+                bytes: shard,
+                tag: 0,
+            }
+        })
+        .collect();
+    f.net.start_flows(now, &specs).len()
 }
 
-impl World for DpWorld {
+impl Protocol for DpWorld {
     type Event = Ev;
 
-    fn handle(&mut self, now: SimTime, event: Ev, sched: &mut Scheduler<'_, Ev>) {
-        match event {
-            Ev::IterationStart => {
-                self.iteration_start = now;
-                self.compute_done = 0;
-                let model = &self.scenario.model;
-                let per_worker = self.scenario.total_batch / self.n() as u64;
-                for worker in 0..self.n() {
-                    let mut secs = self.scenario.cluster.chunked_compute_secs(
-                        model,
-                        0,
-                        model.len(),
-                        per_worker,
-                        worker,
-                    );
-                    secs += self
-                        .scenario
-                        .straggler_delay(self.iteration, worker)
-                        .as_secs_f64();
-                    // No token recovery: a fault stalls the victim (and so the
-                    // whole BSP iteration) until it is back.
-                    secs += self
-                        .scenario
-                        .fault_stall(self.iteration, worker)
-                        .as_secs_f64();
-                    self.busy[worker].begin(now);
-                    sched.schedule_in(SimDuration::from_secs_f64(secs), Ev::ComputeDone { worker });
+    fn start_iteration(&mut self, f: &mut Frame, sched: &mut Sched<'_, Self>) {
+        let now = sched.now();
+        self.compute_done = 0;
+        let (sc, iteration) = (&f.scenario, f.iteration);
+        let per_worker = sc.total_batch / f.nodes() as u64;
+        for worker in 0..f.nodes() {
+            let mut secs =
+                sc.cluster
+                    .chunked_compute_secs(&sc.model, 0, sc.model.len(), per_worker, worker);
+            secs += sc.straggler_delay(iteration, worker).as_secs_f64();
+            // No token recovery: a fault stalls the victim (and so the whole
+            // BSP iteration) until it is back. DP folds both delays into its
+            // compute seconds rather than using the frame's compute floor.
+            secs += sc.fault_stall(iteration, worker).as_secs_f64();
+            f.busy[worker].begin(now);
+            sched.schedule_in(
+                SimDuration::from_secs_f64(secs),
+                Local(Ev::ComputeDone { worker }),
+            );
+        }
+    }
+
+    fn on_event(&mut self, f: &mut Frame, now: SimTime, event: Ev, sched: &mut Sched<'_, Self>) {
+        let Ev::ComputeDone { worker } = event;
+        f.busy[worker].end(now);
+        self.compute_done += 1;
+        if self.compute_done < f.nodes() {
+            return;
+        }
+        match self.sync_mode {
+            DpSync::Ring => {
+                // All gradients ready: all-reduce every parameter.
+                let participants = (0..f.nodes()).map(NodeId).collect();
+                let bytes = f.scenario.model.param_bytes();
+                let ar = RingAllReduce::start(&mut f.net, now, participants, bytes, 0);
+                if ar.is_done() {
+                    // Single-node cluster: no sync needed.
+                    f.finish_iteration(sched);
+                } else {
+                    self.sync = SyncPhase::Ring(ar);
+                    f.rearm_net(sched);
                 }
             }
-            Ev::ComputeDone { worker } => {
-                self.busy[worker].end(now);
-                self.compute_done += 1;
-                if self.compute_done == self.n() {
-                    match self.sync_mode {
-                        DpSync::Ring => {
-                            // All gradients ready: all-reduce every parameter.
-                            let participants = (0..self.n()).map(NodeId).collect();
-                            let ar = RingAllReduce::start(
-                                &mut self.net,
-                                now,
-                                participants,
-                                self.scenario.model.param_bytes(),
-                                0,
-                            );
-                            if ar.is_done() {
-                                // Single-node cluster: no sync needed.
-                                self.finish_iteration(sched);
-                            } else {
-                                self.sync = SyncPhase::Ring(ar);
-                                self.reschedule_net(sched);
-                            }
-                        }
-                        DpSync::ParameterServer { servers } => {
-                            let flows = self.start_ps_push(now, servers);
-                            self.sync = SyncPhase::PsPush(flows);
-                            self.reschedule_net(sched);
-                        }
-                    }
-                }
+            DpSync::ParameterServer { servers } => {
+                let remaining = start_ps_phase(f, now, servers, true);
+                self.sync = SyncPhase::PsPush { remaining, servers };
+                f.rearm_net(sched);
             }
-            Ev::NetWake => {
-                self.net_ev = None;
-                let completions = self.net.take_completions(now);
-                for (id, _spec) in completions {
-                    match &mut self.sync {
-                        SyncPhase::Ring(ar) => {
-                            if ar.on_flow_complete(&mut self.net, now, id)
-                                == fela_net::CollectiveProgress::Done
-                            {
-                                self.sync = SyncPhase::Idle;
-                                self.finish_iteration(sched);
-                                break;
-                            }
-                        }
-                        SyncPhase::PsPush(remaining) => {
-                            *remaining -= 1;
-                            if *remaining == 0 {
-                                let servers = match self.sync_mode {
-                                    DpSync::ParameterServer { servers } => servers,
-                                    DpSync::Ring => unreachable!("push implies PS"),
-                                };
-                                let flows = self.start_ps_pull(now, servers);
-                                self.sync = SyncPhase::PsPull(flows);
-                            }
-                        }
-                        SyncPhase::PsPull(remaining) => {
-                            *remaining -= 1;
-                            if *remaining == 0 {
-                                self.sync = SyncPhase::Idle;
-                                self.finish_iteration(sched);
-                                break;
-                            }
-                        }
-                        SyncPhase::Idle => unreachable!("flow completed with no sync"),
+        }
+    }
+
+    fn on_flows(&mut self, f: &mut Frame, now: SimTime, done: Done, sched: &mut Sched<'_, Self>) {
+        for (id, _spec) in done {
+            match &mut self.sync {
+                SyncPhase::Ring(ar) => {
+                    if ar.on_flow_complete(&mut f.net, now, id) == CollectiveProgress::Done {
+                        self.sync = SyncPhase::Idle;
+                        f.finish_iteration(sched);
+                        break;
                     }
                 }
-                self.reschedule_net(sched);
+                SyncPhase::PsPush { remaining, servers } => {
+                    *remaining -= 1;
+                    if *remaining == 0 {
+                        let flows = start_ps_phase(f, now, *servers, false);
+                        self.sync = SyncPhase::PsPull(flows);
+                    }
+                }
+                SyncPhase::PsPull(remaining) => {
+                    *remaining -= 1;
+                    if *remaining == 0 {
+                        self.sync = SyncPhase::Idle;
+                        f.finish_iteration(sched);
+                        break;
+                    }
+                }
+                SyncPhase::Idle => unreachable!("flow completed with no sync"),
             }
         }
     }
@@ -239,13 +173,30 @@ impl Default for DpRuntime {
     }
 }
 
-#[allow(non_upper_case_globals)]
 impl DpRuntime {
     /// A PS-based DP runtime with `servers` shards.
     pub fn parameter_server(servers: usize) -> Self {
         DpRuntime {
             sync: DpSync::ParameterServer { servers },
         }
+    }
+
+    /// DP's protocol state for `scenario`, or why DP cannot run it.
+    fn world(&self, scenario: &Scenario) -> Result<DpWorld, String> {
+        let (batch, nodes) = (scenario.total_batch, scenario.cluster.nodes);
+        if batch.checked_rem(nodes as u64) != Some(0) {
+            return Err(format!("batch {batch} must divide evenly by {nodes} nodes"));
+        }
+        if let DpSync::ParameterServer { servers } = self.sync {
+            if !(1..=nodes).contains(&servers) {
+                return Err(format!("PS shard count {servers} outside 1..={nodes}"));
+            }
+        }
+        Ok(DpWorld {
+            sync_mode: self.sync,
+            compute_done: 0,
+            sync: SyncPhase::Idle,
+        })
     }
 }
 
@@ -254,49 +205,12 @@ impl TrainingRuntime for DpRuntime {
         "dp"
     }
 
-    fn run(&self, scenario: &Scenario) -> RunReport {
-        scenario.cluster.validate();
-        assert!(
-            scenario.total_batch % scenario.cluster.nodes as u64 == 0,
-            "DP requires the batch to divide evenly across workers"
-        );
-        if let DpSync::ParameterServer { servers } = self.sync {
-            assert!(
-                servers >= 1 && servers <= scenario.cluster.nodes,
-                "PS shard count must be in 1..=nodes"
-            );
-        }
-        let n = scenario.cluster.nodes;
-        let world = DpWorld {
-            scenario: scenario.clone(),
-            sync_mode: self.sync,
-            net: Network::new(scenario.cluster.network),
-            net_ev: None,
-            busy: vec![BusyTracker::new(); n],
-            compute_done: 0,
-            sync: SyncPhase::Idle,
-            iteration: 0,
-            iteration_start: SimTime::ZERO,
-            per_iteration_secs: Vec::new(),
-            finished_at: None,
-        };
-        let mut engine = Engine::new(world);
-        engine.prime(Ev::IterationStart);
-        assert_eq!(engine.run(1 << 32), RunOutcome::Drained);
-        let (world, _) = engine.into_world();
-        let end = world.finished_at.expect("all iterations completed");
+    fn check(&self, scenario: &Scenario) -> Result<(), String> {
+        self.world(scenario).map(drop)
+    }
 
-        let mut report = RunReport::new("dp", &scenario.model.name, scenario.total_batch);
-        report.iterations = world.iteration;
-        report.total_time_secs = end.as_secs_f64();
-        report.per_iteration_secs = world.per_iteration_secs;
-        report.network_bytes = world.net.bytes_delivered();
-        report.worker_busy_secs = world
-            .busy
-            .iter()
-            .map(|b| b.busy_time().as_secs_f64())
-            .collect();
-        report
+    fn run(&self, scenario: &Scenario) -> RunReport {
+        frame::run(self.name(), scenario, self.world(scenario))
     }
 }
 

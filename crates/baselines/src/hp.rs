@@ -19,15 +19,16 @@
 
 use fela_cluster::{Scenario, TrainingRuntime};
 use fela_metrics::RunReport;
-use fela_net::{FlowSpec, Network, NodeId, RingAllReduce};
-use fela_sim::{BusyTracker, Engine, EventId, RunOutcome, Scheduler, SimDuration, SimTime, World};
+use fela_net::{CollectiveProgress, FlowSpec, NodeId, RingAllReduce};
+use fela_sim::{SimDuration, SimTime};
 
+use crate::frame::{self, Done, Ev::Local, Frame, Protocol, Sched};
+
+/// A compute pass finished.
 enum Ev {
-    IterationStart,
-    ConvFwdDone { worker: usize },
-    FcDone,
-    ConvBwdDone { worker: usize },
-    NetWake,
+    ConvFwd { worker: usize },
+    Fc,
+    ConvBwd { worker: usize },
 }
 
 const TAG_ACT: u64 = 1;
@@ -39,207 +40,132 @@ fn tag(kind: u64, worker: usize) -> u64 {
 }
 
 struct HpWorld {
-    scenario: Scenario,
     /// Units `[0, fc_start)` are the CONV part; `[fc_start, len)` the FC part.
     fc_start: usize,
-    net: Network,
-    net_ev: Option<EventId>,
-    busy: Vec<BusyTracker>,
+    /// Samples per CONV worker; the FC worker is the last, `shards.len()`.
+    shards: Vec<u64>,
+    /// Boundary activation bytes per sample between the two parts.
+    boundary: u64,
     acts_arrived: usize,
-    grads_back: usize,
     bwd_done: usize,
     sync: Option<RingAllReduce>,
-    iteration: u64,
-    iteration_start: SimTime,
-    per_iteration_secs: Vec<f64>,
-    finished_at: Option<SimTime>,
 }
 
 impl HpWorld {
-    fn n(&self) -> usize {
-        self.scenario.cluster.nodes
-    }
-
-    fn conv_workers(&self) -> usize {
-        self.n() - 1
-    }
-
     fn fc_worker(&self) -> usize {
-        self.n() - 1
+        self.shards.len()
     }
 
-    /// Samples assigned to CONV worker `w` (remainder spread over the first
-    /// workers, since the batch rarely divides by N−1).
-    fn shard(&self, w: usize) -> u64 {
-        let k = self.conv_workers() as u64;
-        let base = self.scenario.total_batch / k;
-        let extra = self.scenario.total_batch % k;
-        base + u64::from((w as u64) < extra)
-    }
-
-    fn boundary_bytes_per_sample(&self) -> u64 {
-        self.scenario.model.boundary_bytes(self.fc_start - 1)
-    }
-
-    fn reschedule_net(&mut self, sched: &mut Scheduler<'_, Ev>) {
-        if let Some(ev) = self.net_ev.take() {
-            sched.cancel(ev);
-        }
-        if let Some(t) = self.net.next_completion() {
-            self.net_ev = Some(sched.schedule_at(t.max(sched.now()), Ev::NetWake));
-        }
-    }
-
-    /// A straggler cannot start computing before `iteration_start + d` (§V-C2:
-    /// the sleep delays the worker's computation start, so it overlaps with any
-    /// idle time the worker had anyway). Faults stall the victim the same way —
-    /// HP has no token recovery, so the iteration waits the downtime out.
-    fn compute_floor(&self, worker: usize) -> SimTime {
-        self.iteration_start
-            + self.scenario.straggler_delay(self.iteration, worker)
-            + self.scenario.fault_stall(self.iteration, worker)
-    }
-
-    fn finish_iteration(&mut self, sched: &mut Scheduler<'_, Ev>) {
-        let now = sched.now();
-        self.per_iteration_secs
-            .push(now.since(self.iteration_start).as_secs_f64());
-        self.iteration += 1;
-        if self.iteration < self.scenario.iterations {
-            sched.schedule_now(Ev::IterationStart);
+    /// Schedules CONV worker `w`'s forward (a third of its train time) or
+    /// backward (the other two thirds) pass.
+    fn start_conv(&self, f: &mut Frame, w: usize, backward: bool, sched: &mut Sched<'_, Self>) {
+        let (model, cluster) = (&f.scenario.model, &f.scenario.cluster);
+        let secs = cluster.chunked_compute_secs(model, 0, self.fc_start, self.shards[w], w);
+        let (secs, done) = if backward {
+            (secs * 2.0 / 3.0, Ev::ConvBwd { worker: w })
         } else {
-            self.finished_at = Some(now);
-        }
+            (secs / 3.0, Ev::ConvFwd { worker: w })
+        };
+        let start = sched.now().max(f.compute_floor(w));
+        f.busy[w].begin(start);
+        sched.schedule_at(start + SimDuration::from_secs_f64(secs), Local(done));
     }
 }
 
-impl World for HpWorld {
+impl Protocol for HpWorld {
     type Event = Ev;
 
-    fn handle(&mut self, now: SimTime, event: Ev, sched: &mut Scheduler<'_, Ev>) {
+    fn start_iteration(&mut self, f: &mut Frame, sched: &mut Sched<'_, Self>) {
+        self.acts_arrived = 0;
+        self.bwd_done = 0;
+        for w in 0..self.shards.len() {
+            self.start_conv(f, w, false, sched);
+        }
+    }
+
+    fn on_event(&mut self, f: &mut Frame, now: SimTime, event: Ev, sched: &mut Sched<'_, Self>) {
         match event {
-            Ev::IterationStart => {
-                self.iteration_start = now;
-                self.acts_arrived = 0;
-                self.grads_back = 0;
-                self.bwd_done = 0;
-                for w in 0..self.conv_workers() {
-                    let secs = self.scenario.cluster.chunked_compute_secs(
-                        &self.scenario.model,
-                        0,
-                        self.fc_start,
-                        self.shard(w),
-                        w,
-                    ) / 3.0; // forward only
-                    let start = now.max(self.compute_floor(w));
-                    self.busy[w].begin(start);
-                    sched.schedule_at(
-                        start + SimDuration::from_secs_f64(secs),
-                        Ev::ConvFwdDone { worker: w },
-                    );
-                }
-            }
-            Ev::ConvFwdDone { worker } => {
-                self.busy[worker].end(now);
-                let bytes = self.shard(worker) * self.boundary_bytes_per_sample();
-                self.net.start_flow(
+            Ev::ConvFwd { worker } => {
+                f.busy[worker].end(now);
+                f.net.start_flow(
                     now,
                     FlowSpec {
                         src: NodeId(worker),
                         dst: NodeId(self.fc_worker()),
-                        bytes,
+                        bytes: self.shards[worker] * self.boundary,
                         tag: tag(TAG_ACT, worker),
                     },
                 );
-                self.reschedule_net(sched);
+                f.rearm_net(sched);
             }
-            Ev::FcDone => {
+            Ev::Fc => {
                 let fc = self.fc_worker();
-                self.busy[fc].end(now);
+                f.busy[fc].end(now);
                 // Boundary gradients fan back out to every CONV worker.
-                let specs: Vec<FlowSpec> = (0..self.conv_workers())
+                let specs: Vec<FlowSpec> = (0..self.shards.len())
                     .map(|w| FlowSpec {
                         src: NodeId(fc),
                         dst: NodeId(w),
-                        bytes: self.shard(w) * self.boundary_bytes_per_sample(),
+                        bytes: self.shards[w] * self.boundary,
                         tag: tag(TAG_GRAD, w),
                     })
                     .collect();
-                self.net.start_flows(now, &specs);
-                self.reschedule_net(sched);
+                f.net.start_flows(now, &specs);
+                f.rearm_net(sched);
             }
-            Ev::ConvBwdDone { worker } => {
-                self.busy[worker].end(now);
+            Ev::ConvBwd { worker } => {
+                f.busy[worker].end(now);
                 self.bwd_done += 1;
-                if self.bwd_done == self.conv_workers() {
-                    let participants = (0..self.conv_workers()).map(NodeId).collect();
-                    let conv_params = self.scenario.model.param_bytes_in(0..self.fc_start);
+                if self.bwd_done == self.shards.len() {
+                    let participants = (0..self.shards.len()).map(NodeId).collect();
+                    let conv_params = f.scenario.model.param_bytes_in(0..self.fc_start);
                     let ar = RingAllReduce::start(
-                        &mut self.net,
+                        &mut f.net,
                         now,
                         participants,
                         conv_params,
                         tag(TAG_SYNC, 0),
                     );
                     if ar.is_done() {
-                        self.finish_iteration(sched);
+                        f.finish_iteration(sched);
                     } else {
                         self.sync = Some(ar);
-                        self.reschedule_net(sched);
+                        f.rearm_net(sched);
                     }
                 }
             }
-            Ev::NetWake => {
-                self.net_ev = None;
-                let completions = self.net.take_completions(now);
-                for (id, spec) in completions {
-                    let kind = spec.tag >> 48;
-                    if kind == TAG_SYNC {
-                        let sync = self.sync.as_mut().expect("sync in progress");
-                        if sync.on_flow_complete(&mut self.net, now, id)
-                            == fela_net::CollectiveProgress::Done
-                        {
-                            self.sync = None;
-                            self.finish_iteration(sched);
-                        }
-                    } else if kind == TAG_ACT {
-                        self.acts_arrived += 1;
-                        if self.acts_arrived == self.conv_workers() {
-                            // Full batch assembled: FC fwd+bwd in one go.
-                            let fc = self.fc_worker();
-                            let model = &self.scenario.model;
-                            let secs = self.scenario.cluster.chunked_compute_secs(
-                                model,
-                                self.fc_start,
-                                model.len(),
-                                self.scenario.total_batch,
-                                fc,
-                            );
-                            let start = now.max(self.compute_floor(fc));
-                            self.busy[fc].begin(start);
-                            sched.schedule_at(start + SimDuration::from_secs_f64(secs), Ev::FcDone);
-                        }
-                    } else {
-                        debug_assert_eq!(kind, TAG_GRAD);
-                        self.grads_back += 1;
-                        let w = spec.dst.0;
-                        let secs = self.scenario.cluster.chunked_compute_secs(
-                            &self.scenario.model,
-                            0,
-                            self.fc_start,
-                            self.shard(w),
-                            w,
-                        ) * 2.0
-                            / 3.0; // backward only
-                        let start = now.max(self.compute_floor(w));
-                        self.busy[w].begin(start);
-                        sched.schedule_at(
-                            start + SimDuration::from_secs_f64(secs),
-                            Ev::ConvBwdDone { worker: w },
-                        );
-                    }
+        }
+    }
+
+    fn on_flows(&mut self, f: &mut Frame, now: SimTime, done: Done, sched: &mut Sched<'_, Self>) {
+        for (id, spec) in done {
+            let kind = spec.tag >> 48;
+            if kind == TAG_SYNC {
+                let sync = self.sync.as_mut().expect("sync in progress");
+                if sync.on_flow_complete(&mut f.net, now, id) == CollectiveProgress::Done {
+                    self.sync = None;
+                    f.finish_iteration(sched);
                 }
-                self.reschedule_net(sched);
+            } else if kind == TAG_ACT {
+                self.acts_arrived += 1;
+                if self.acts_arrived == self.shards.len() {
+                    // Full batch assembled: FC fwd+bwd in one go.
+                    let fc = self.fc_worker();
+                    let model = &f.scenario.model;
+                    let secs = f.scenario.cluster.chunked_compute_secs(
+                        model,
+                        self.fc_start,
+                        model.len(),
+                        f.scenario.total_batch,
+                        fc,
+                    );
+                    let start = now.max(f.compute_floor(fc));
+                    f.busy[fc].begin(start);
+                    sched.schedule_at(start + SimDuration::from_secs_f64(secs), Local(Ev::Fc));
+                }
+            } else {
+                debug_assert_eq!(kind, TAG_GRAD);
+                self.start_conv(f, spec.dst.0, true, sched);
             }
         }
     }
@@ -249,51 +175,43 @@ impl World for HpWorld {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HpRuntime;
 
+impl HpRuntime {
+    /// HP's protocol state for `scenario`, or why HP cannot run it.
+    fn world(scenario: &Scenario) -> Result<HpWorld, String> {
+        let nodes = scenario.cluster.nodes;
+        if nodes < 2 {
+            return Err(format!("needs ≥ 2 workers, got {nodes}"));
+        }
+        let fc_start = scenario
+            .model
+            .first_fc_index()
+            .ok_or("requires a model with FC layers")?;
+        // The batch rarely divides by N−1: the remainder goes one sample
+        // each to the first CONV workers.
+        let k = nodes as u64 - 1;
+        let (base, extra) = (scenario.total_batch / k, scenario.total_batch % k);
+        Ok(HpWorld {
+            fc_start,
+            shards: (0..k).map(|w| base + u64::from(w < extra)).collect(),
+            boundary: scenario.model.boundary_bytes(fc_start - 1),
+            acts_arrived: 0,
+            bwd_done: 0,
+            sync: None,
+        })
+    }
+}
+
 impl TrainingRuntime for HpRuntime {
     fn name(&self) -> &'static str {
         "hp"
     }
 
-    fn run(&self, scenario: &Scenario) -> RunReport {
-        scenario.cluster.validate();
-        assert!(scenario.cluster.nodes >= 2, "HP needs ≥ 2 workers");
-        let fc_start = scenario
-            .model
-            .first_fc_index()
-            .expect("HP requires a model with FC layers");
-        let n = scenario.cluster.nodes;
-        let world = HpWorld {
-            scenario: scenario.clone(),
-            fc_start,
-            net: Network::new(scenario.cluster.network),
-            net_ev: None,
-            busy: vec![BusyTracker::new(); n],
-            acts_arrived: 0,
-            grads_back: 0,
-            bwd_done: 0,
-            sync: None,
-            iteration: 0,
-            iteration_start: SimTime::ZERO,
-            per_iteration_secs: Vec::new(),
-            finished_at: None,
-        };
-        let mut engine = Engine::new(world);
-        engine.prime(Ev::IterationStart);
-        assert_eq!(engine.run(1 << 32), RunOutcome::Drained);
-        let (world, _) = engine.into_world();
-        let end = world.finished_at.expect("all iterations completed");
+    fn check(&self, scenario: &Scenario) -> Result<(), String> {
+        Self::world(scenario).map(drop)
+    }
 
-        let mut report = RunReport::new("hp", &scenario.model.name, scenario.total_batch);
-        report.iterations = world.iteration;
-        report.total_time_secs = end.as_secs_f64();
-        report.per_iteration_secs = world.per_iteration_secs;
-        report.network_bytes = world.net.bytes_delivered();
-        report.worker_busy_secs = world
-            .busy
-            .iter()
-            .map(|b| b.busy_time().as_secs_f64())
-            .collect();
-        report
+    fn run(&self, scenario: &Scenario) -> RunReport {
+        frame::run(self.name(), scenario, Self::world(scenario))
     }
 }
 

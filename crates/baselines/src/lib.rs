@@ -9,11 +9,18 @@
 //!   micro-batches (PipeDream/GPipe-style under BSP flushes);
 //! * [`HpRuntime`] — hybrid parallelism: Stanza's layer separation with N−1 CONV
 //!   workers and one FC worker.
+//!
+//! All three run in one crate-private frame that owns the scenario, the
+//! network and its wake-up, per-worker busy time, the BSP iteration clock and
+//! the report, so each keeps only its own protocol state and events. Each
+//! states what it needs of a scenario once, in its
+//! [`TrainingRuntime::check`](fela_cluster::TrainingRuntime::check).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod dp;
+mod frame;
 mod hp;
 mod mp;
 

@@ -15,8 +15,10 @@ use std::collections::VecDeque;
 use fela_cluster::{Scenario, TrainingRuntime};
 use fela_metrics::RunReport;
 use fela_model::Model;
-use fela_net::{FlowSpec, Network, NodeId};
-use fela_sim::{BusyTracker, Engine, EventId, RunOutcome, Scheduler, SimDuration, SimTime, World};
+use fela_net::{FlowSpec, NodeId};
+use fela_sim::{SimDuration, SimTime};
+
+use crate::frame::{self, Done, Ev::Local, Frame, Protocol, Sched};
 
 /// One pipeline stage: a contiguous unit range on one worker.
 #[derive(Clone, Copy, Debug)]
@@ -86,9 +88,7 @@ enum Task {
 }
 
 enum Ev {
-    IterationStart,
     ComputeDone { stage: usize, task: Task },
-    NetWake,
 }
 
 const KIND_FWD: u64 = 1 << 48;
@@ -98,8 +98,11 @@ fn tag(kind: u64, stage: usize, micro: u64) -> u64 {
     kind | ((stage as u64) << 24) | micro
 }
 
+/// The fixed micro-batch size (the paper notes MP keeps this "small and
+/// fixed" to amortise the bubble; 16 matches its Figure 3 granularity).
+const MICRO_BATCH: u64 = 16;
+
 struct MpWorld {
-    scenario: Scenario,
     stages: Vec<Stage>,
     micro_batch: u64,
     n_micro: u64,
@@ -107,33 +110,17 @@ struct MpWorld {
     /// Busy seconds per stage within the current profiling period.
     period_busy: Vec<f64>,
     repartitions: u64,
-    net: Network,
-    net_ev: Option<EventId>,
-    busy: Vec<BusyTracker>,
     ready: Vec<VecDeque<Task>>,
     stage_busy: Vec<bool>,
     bwd_done_at_stage0: u64,
-    iteration: u64,
-    iteration_start: SimTime,
-    per_iteration_secs: Vec<f64>,
-    finished_at: Option<SimTime>,
 }
 
 impl MpWorld {
-    fn reschedule_net(&mut self, sched: &mut Scheduler<'_, Ev>) {
-        if let Some(ev) = self.net_ev.take() {
-            sched.cancel(ev);
-        }
-        if let Some(t) = self.net.next_completion() {
-            self.net_ev = Some(sched.schedule_at(t.max(sched.now()), Ev::NetWake));
-        }
-    }
-
     /// Forward time of a stage on one micro-batch (fwd ≈ ⅓ of train time).
-    fn fwd_secs(&self, stage: usize, worker: usize) -> f64 {
+    fn fwd_secs(&self, f: &Frame, stage: usize, worker: usize) -> f64 {
         let st = self.stages[stage];
-        self.scenario.cluster.compute_secs(
-            &self.scenario.model,
+        f.scenario.cluster.compute_secs(
+            &f.scenario.model,
             st.start,
             st.end,
             self.micro_batch,
@@ -141,12 +128,7 @@ impl MpWorld {
         ) / 3.0
     }
 
-    /// Backward time (≈ ⅔ of train time).
-    fn bwd_secs(&self, stage: usize, worker: usize) -> f64 {
-        2.0 * self.fwd_secs(stage, worker)
-    }
-
-    fn try_start(&mut self, stage: usize, sched: &mut Scheduler<'_, Ev>) {
+    fn try_start(&mut self, f: &mut Frame, stage: usize, sched: &mut Sched<'_, Self>) {
         if self.stage_busy[stage] {
             return;
         }
@@ -156,22 +138,18 @@ impl MpWorld {
         self.stage_busy[stage] = true;
         let worker = stage; // stage s runs on worker s
         let secs = match task {
-            Task::Fwd(_) => self.fwd_secs(stage, worker),
-            Task::Bwd(_) => self.bwd_secs(stage, worker),
+            Task::Fwd(_) => self.fwd_secs(f, stage, worker),
+            // Backward ≈ ⅔ of train time.
+            Task::Bwd(_) => 2.0 * self.fwd_secs(f, stage, worker),
         };
-        // A straggler cannot start computing before iteration_start + d; the
-        // sleep overlaps with the stage's ramp-up bubble (§V-C2's explanation of
-        // MP's small per-iteration delay). Faults stall the stage the same way —
-        // MP has no token recovery, so the pipeline waits the downtime out.
-        let floor = self.iteration_start
-            + self.scenario.straggler_delay(self.iteration, worker)
-            + self.scenario.fault_stall(self.iteration, worker);
-        let start = sched.now().max(floor);
+        // The sleep of a straggler overlaps with the stage's ramp-up bubble
+        // (§V-C2's explanation of MP's small per-iteration delay).
+        let start = sched.now().max(f.compute_floor(worker));
         self.period_busy[stage] += secs + start.since(sched.now()).as_secs_f64();
-        self.busy[worker].begin(start);
+        f.busy[worker].begin(start);
         sched.schedule_at(
             start + SimDuration::from_secs_f64(secs),
-            Ev::ComputeDone { stage, task },
+            Local(Ev::ComputeDone { stage, task }),
         );
     }
 
@@ -179,7 +157,7 @@ impl MpWorld {
     /// the highest profiled busy time towards its lighter neighbour, based on
     /// the *previous* period's measurements (the delayed, proactive tuning the
     /// paper contrasts with Fela's reactive pulls).
-    fn repartition(&mut self) {
+    fn repartition(&mut self, model: &Model) {
         let Some(slowest) = self
             .period_busy
             .iter()
@@ -220,123 +198,108 @@ impl MpWorld {
         }
         // Refresh boundary volumes.
         for st in &mut self.stages {
-            st.out_bytes_per_sample = self.scenario.model.boundary_bytes(st.end - 1);
+            st.out_bytes_per_sample = model.boundary_bytes(st.end - 1);
         }
         self.repartitions += 1;
         for b in &mut self.period_busy {
             *b = 0.0;
         }
     }
-
-    fn finish_iteration(&mut self, sched: &mut Scheduler<'_, Ev>) {
-        let now = sched.now();
-        self.per_iteration_secs
-            .push(now.since(self.iteration_start).as_secs_f64());
-        self.iteration += 1;
-        if self.iteration < self.scenario.iterations {
-            sched.schedule_now(Ev::IterationStart);
-        } else {
-            self.finished_at = Some(now);
-        }
-    }
 }
 
-impl World for MpWorld {
+impl Protocol for MpWorld {
     type Event = Ev;
 
-    fn handle(&mut self, now: SimTime, event: Ev, sched: &mut Scheduler<'_, Ev>) {
-        match event {
-            Ev::IterationStart => {
-                if let Some(period) = self.elastic_period {
-                    if self.iteration > 0 && self.iteration % period == 0 {
-                        self.repartition();
-                    }
-                }
-                self.iteration_start = now;
-                self.bwd_done_at_stage0 = 0;
-                for q in &mut self.ready {
-                    debug_assert!(q.is_empty(), "pipeline flushed between iterations");
-                }
-                // Stage 0 reads samples locally: all its forwards are ready.
-                for j in 0..self.n_micro {
-                    self.ready[0].push_back(Task::Fwd(j));
-                }
-                self.try_start(0, sched);
-            }
-            Ev::ComputeDone { stage, task } => {
-                self.busy[stage].end(now);
-                self.stage_busy[stage] = false;
-                let last = self.stages.len() - 1;
-                match task {
-                    Task::Fwd(j) => {
-                        if stage == last {
-                            // Loss computed locally; turn straight into backward.
-                            self.ready[stage].push_back(Task::Bwd(j));
-                        } else {
-                            let bytes = self.stages[stage].out_bytes_per_sample * self.micro_batch;
-                            self.net.start_flow(
-                                now,
-                                FlowSpec {
-                                    src: NodeId(stage),
-                                    dst: NodeId(stage + 1),
-                                    bytes,
-                                    tag: tag(KIND_FWD, stage, j),
-                                },
-                            );
-                            self.reschedule_net(sched);
-                        }
-                    }
-                    Task::Bwd(j) => {
-                        if stage == 0 {
-                            self.bwd_done_at_stage0 += 1;
-                            if self.bwd_done_at_stage0 == self.n_micro {
-                                self.finish_iteration(sched);
-                                return;
-                            }
-                        } else {
-                            // Gradient w.r.t. the boundary activations flows back.
-                            let bytes =
-                                self.stages[stage - 1].out_bytes_per_sample * self.micro_batch;
-                            self.net.start_flow(
-                                now,
-                                FlowSpec {
-                                    src: NodeId(stage),
-                                    dst: NodeId(stage - 1),
-                                    bytes,
-                                    tag: tag(KIND_BWD, stage, j),
-                                },
-                            );
-                            self.reschedule_net(sched);
-                        }
-                    }
-                }
-                self.try_start(stage, sched);
-            }
-            Ev::NetWake => {
-                self.net_ev = None;
-                let completions = self.net.take_completions(now);
-                for (_, spec) in completions {
-                    let micro = spec.tag & 0xFF_FFFF;
-                    let dst = spec.dst.0;
-                    if spec.tag & KIND_FWD != 0 {
-                        self.ready[dst].push_back(Task::Fwd(micro));
-                    } else {
-                        self.ready[dst].push_back(Task::Bwd(micro));
-                    }
-                    self.try_start(dst, sched);
-                }
-                self.reschedule_net(sched);
+    fn start_iteration(&mut self, f: &mut Frame, sched: &mut Sched<'_, Self>) {
+        if let Some(period) = self.elastic_period {
+            if f.iteration > 0 && f.iteration % period == 0 {
+                self.repartition(&f.scenario.model);
             }
         }
+        self.bwd_done_at_stage0 = 0;
+        for q in &mut self.ready {
+            debug_assert!(q.is_empty(), "pipeline flushed between iterations");
+        }
+        // Stage 0 reads samples locally: all its forwards are ready.
+        for j in 0..self.n_micro {
+            self.ready[0].push_back(Task::Fwd(j));
+        }
+        self.try_start(f, 0, sched);
+    }
+
+    fn on_event(&mut self, f: &mut Frame, now: SimTime, event: Ev, sched: &mut Sched<'_, Self>) {
+        let Ev::ComputeDone { stage, task } = event;
+        f.busy[stage].end(now);
+        self.stage_busy[stage] = false;
+        let last = self.stages.len() - 1;
+        match task {
+            Task::Fwd(j) => {
+                if stage == last {
+                    // Loss computed locally; turn straight into backward.
+                    self.ready[stage].push_back(Task::Bwd(j));
+                } else {
+                    let bytes = self.stages[stage].out_bytes_per_sample * self.micro_batch;
+                    f.net.start_flow(
+                        now,
+                        FlowSpec {
+                            src: NodeId(stage),
+                            dst: NodeId(stage + 1),
+                            bytes,
+                            tag: tag(KIND_FWD, stage, j),
+                        },
+                    );
+                    f.rearm_net(sched);
+                }
+            }
+            Task::Bwd(j) => {
+                if stage == 0 {
+                    self.bwd_done_at_stage0 += 1;
+                    if self.bwd_done_at_stage0 == self.n_micro {
+                        f.finish_iteration(sched);
+                        return;
+                    }
+                } else {
+                    // Gradient w.r.t. the boundary activations flows back.
+                    let bytes = self.stages[stage - 1].out_bytes_per_sample * self.micro_batch;
+                    f.net.start_flow(
+                        now,
+                        FlowSpec {
+                            src: NodeId(stage),
+                            dst: NodeId(stage - 1),
+                            bytes,
+                            tag: tag(KIND_BWD, stage, j),
+                        },
+                    );
+                    f.rearm_net(sched);
+                }
+            }
+        }
+        self.try_start(f, stage, sched);
+    }
+
+    fn on_flows(&mut self, f: &mut Frame, _now: SimTime, done: Done, sched: &mut Sched<'_, Self>) {
+        for (_, spec) in done {
+            let micro = spec.tag & 0xFF_FFFF;
+            let dst = spec.dst.0;
+            if spec.tag & KIND_FWD != 0 {
+                self.ready[dst].push_back(Task::Fwd(micro));
+            } else {
+                self.ready[dst].push_back(Task::Bwd(micro));
+            }
+            self.try_start(f, dst, sched);
+        }
+    }
+
+    fn count(&self, report: &mut RunReport) {
+        report.bump("stages", self.stages.len() as u64);
+        report.bump("micro_batches", self.n_micro);
+        report.bump("repartitions", self.repartitions);
     }
 }
 
 /// The MP pipeline baseline runtime.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct MpRuntime {
-    /// Fixed micro-batch size (the paper notes MP keeps this "small and fixed"
-    /// to amortise the bubble; 16 matches its Figure 3 granularity).
-    pub micro_batch: u64,
     /// ElasticPipe-style proactive re-partitioning (§II of the paper): every
     /// `Some(period)` iterations the head node moves one boundary unit from the
     /// stage with the highest profiled busy time to its lighter neighbour.
@@ -346,22 +309,34 @@ pub struct MpRuntime {
     pub elastic_period: Option<u64>,
 }
 
-impl Default for MpRuntime {
-    fn default() -> Self {
-        MpRuntime {
-            micro_batch: 16,
-            elastic_period: None,
-        }
-    }
-}
-
 impl MpRuntime {
     /// The ElasticPipe-style variant with the given re-partitioning period.
     pub fn elastic(period: u64) -> Self {
         MpRuntime {
-            micro_batch: 16,
             elastic_period: Some(period),
         }
+    }
+
+    /// MP's protocol state for `scenario`, or why MP cannot run it.
+    fn world(&self, scenario: &Scenario) -> Result<MpWorld, String> {
+        let batch = scenario.total_batch;
+        let micro = MICRO_BATCH.min(batch);
+        if batch.checked_rem(micro) != Some(0) {
+            return Err(format!("micro-batch {micro} does not divide batch {batch}"));
+        }
+        let stages = balance_stages(&scenario.model, scenario.cluster.nodes);
+        let n_stages = stages.len();
+        Ok(MpWorld {
+            stages,
+            micro_batch: micro,
+            n_micro: batch / micro,
+            elastic_period: self.elastic_period,
+            period_busy: vec![0.0; n_stages],
+            repartitions: 0,
+            ready: vec![VecDeque::new(); n_stages],
+            stage_busy: vec![false; n_stages],
+            bwd_done_at_stage0: 0,
+        })
     }
 }
 
@@ -370,55 +345,12 @@ impl TrainingRuntime for MpRuntime {
         "mp"
     }
 
-    fn run(&self, scenario: &Scenario) -> RunReport {
-        scenario.cluster.validate();
-        let micro = self.micro_batch.min(scenario.total_batch);
-        assert!(
-            scenario.total_batch % micro == 0,
-            "total batch must be a multiple of the micro-batch"
-        );
-        let stages = balance_stages(&scenario.model, scenario.cluster.nodes);
-        let n = scenario.cluster.nodes;
-        let n_stages = stages.len();
-        let world = MpWorld {
-            scenario: scenario.clone(),
-            n_micro: scenario.total_batch / micro,
-            micro_batch: micro,
-            elastic_period: self.elastic_period,
-            period_busy: vec![0.0; n_stages],
-            repartitions: 0,
-            net: Network::new(scenario.cluster.network),
-            net_ev: None,
-            busy: vec![BusyTracker::new(); n],
-            ready: vec![VecDeque::new(); stages.len()],
-            stage_busy: vec![false; stages.len()],
-            stages,
-            bwd_done_at_stage0: 0,
-            iteration: 0,
-            iteration_start: SimTime::ZERO,
-            per_iteration_secs: Vec::new(),
-            finished_at: None,
-        };
-        let mut engine = Engine::new(world);
-        engine.prime(Ev::IterationStart);
-        assert_eq!(engine.run(1 << 32), RunOutcome::Drained);
-        let (world, _) = engine.into_world();
-        let end = world.finished_at.expect("all iterations completed");
+    fn check(&self, scenario: &Scenario) -> Result<(), String> {
+        self.world(scenario).map(drop)
+    }
 
-        let mut report = RunReport::new("mp", &scenario.model.name, scenario.total_batch);
-        report.iterations = world.iteration;
-        report.total_time_secs = end.as_secs_f64();
-        report.per_iteration_secs = world.per_iteration_secs;
-        report.network_bytes = world.net.bytes_delivered();
-        report.worker_busy_secs = world
-            .busy
-            .iter()
-            .map(|b| b.busy_time().as_secs_f64())
-            .collect();
-        report.bump("stages", world.stages.len() as u64);
-        report.bump("micro_batches", world.n_micro);
-        report.bump("repartitions", world.repartitions);
-        report
+    fn run(&self, scenario: &Scenario) -> RunReport {
+        frame::run(self.name(), scenario, self.world(scenario))
     }
 }
 

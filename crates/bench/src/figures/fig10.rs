@@ -6,7 +6,9 @@ use fela_cluster::StragglerModel;
 use fela_model::zoo;
 use fela_sim::SimDuration;
 
-use crate::{model_slug, print_straggler_tables, save_json, straggler_experiment};
+use crate::{
+    model_slug, perturbation_experiment, print_perturbation_tables, save_json, Perturbation,
+};
 
 const BATCH: u64 = 256;
 /// All runtimes see the same straggler realisation (stateless hash), as on the
@@ -17,27 +19,27 @@ const SEED: u64 = 20200417;
 pub fn run(jobs: usize) {
     let mut all = Vec::new();
     for (model, d) in [(zoo::vgg19(), 6u64), (zoo::googlenet(), 3u64)] {
-        let settings: Vec<(String, StragglerModel)> = [0.1f64, 0.2, 0.3, 0.4, 0.5]
+        let settings: Vec<(String, Perturbation)> = [0.1f64, 0.2, 0.3, 0.4, 0.5]
             .iter()
             .map(|&p| {
                 (
                     format!("p={p:.1}"),
-                    StragglerModel::Probabilistic {
+                    Perturbation::Straggler(StragglerModel::Probabilistic {
                         p,
                         delay: SimDuration::from_secs(d),
                         seed: SEED,
-                    },
+                    }),
                 )
             })
             .collect();
-        let rows = straggler_experiment(
+        let (rows, _) = perturbation_experiment(
             &format!("fig10_probabilistic_{}", model_slug(&model.name)),
             &model,
             BATCH,
             &settings,
             jobs,
         );
-        print_straggler_tables(
+        print_perturbation_tables(
             &format!(
                 "Figure 10 — probability-based stragglers ({}, d={d}s)",
                 model.name

@@ -6,7 +6,9 @@ use fela_cluster::StragglerModel;
 use fela_model::zoo;
 use fela_sim::SimDuration;
 
-use crate::{model_slug, print_straggler_tables, save_json, straggler_experiment};
+use crate::{
+    model_slug, perturbation_experiment, print_perturbation_tables, save_json, Perturbation,
+};
 
 /// Batch size for the straggler experiments (mid-sweep; the paper fixes one).
 const BATCH: u64 = 256;
@@ -18,25 +20,25 @@ pub fn run(jobs: usize) {
         (zoo::vgg19(), vec![2u64, 4, 6, 8, 10]),
         (zoo::googlenet(), vec![1, 2, 3, 4, 5]),
     ] {
-        let settings: Vec<(String, StragglerModel)> = delays
+        let settings: Vec<(String, Perturbation)> = delays
             .iter()
             .map(|&d| {
                 (
                     format!("d={d}s"),
-                    StragglerModel::RoundRobin {
+                    Perturbation::Straggler(StragglerModel::RoundRobin {
                         delay: SimDuration::from_secs(d),
-                    },
+                    }),
                 )
             })
             .collect();
-        let rows = straggler_experiment(
+        let (rows, _) = perturbation_experiment(
             &format!("fig9_round_robin_{}", model_slug(&model.name)),
             &model,
             BATCH,
             &settings,
             jobs,
         );
-        print_straggler_tables(
+        print_perturbation_tables(
             &format!("Figure 9 — round-robin stragglers ({})", model.name),
             &rows,
         );

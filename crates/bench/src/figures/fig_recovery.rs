@@ -8,13 +8,13 @@
 //! every recovered run still applies each micro-batch gradient exactly once.
 
 use fela_cluster::{FaultKind, FaultModel};
-use fela_metrics::{f2, f3, RunReport, Table};
+use fela_metrics::Table;
 use fela_model::zoo;
 use fela_sim::SimDuration;
 use serde::Serialize;
 
 use crate::{
-    fixed_fela_factory, improvement, model_slug, save_json, scenario, tuned_fela, with_baselines,
+    model_slug, perturbation_experiment, print_perturbation_tables, save_json, Perturbation,
 };
 
 const BATCH: u64 = 256;
@@ -47,113 +47,68 @@ pub struct RecoveryRow {
     pub stale_reports: u64,
 }
 
-/// Label of the fault-free reference scenario.
-const BASE_LABEL: &str = "base";
-const RUNTIMES: [&str; 4] = ["fela", "dp", "mp", "hp"];
-
-fn fault_settings(iterations: u64) -> Vec<(String, FaultModel)> {
+fn fault_settings(iterations: u64) -> Vec<(String, Perturbation)> {
     let down = SimDuration::from_secs(DOWN_SECS);
     let mut settings = vec![(
         // One scripted crash-restart mid-run: the canonical recovery story.
         "crash@mid".to_owned(),
-        FaultModel::Scripted {
+        Perturbation::Fault(FaultModel::Scripted {
             worker: 2,
             iteration: iterations / 2,
             kind: FaultKind::CrashRestart { down },
-        },
+        }),
     )];
     for p in [0.02f64, 0.05, 0.10] {
         settings.push((
             format!("p={p:.2}"),
-            FaultModel::Chaos {
+            Perturbation::Fault(FaultModel::Chaos {
                 p,
                 down,
                 seed: SEED,
-            },
+            }),
         ));
     }
     settings
 }
 
-fn recovery_experiment(
-    experiment: &str,
-    model: &fela_model::Model,
-    jobs: usize,
-) -> Vec<RecoveryRow> {
-    let base_scenario = scenario(model.clone(), BATCH);
-    let fela_config = tuned_fela(&base_scenario);
-    let settings = fault_settings(base_scenario.iterations);
-    let mut spec = with_baselines(
-        fela_harness::SweepSpec::new(experiment)
-            .runtime_factory("fela", fixed_fela_factory(fela_config)),
-    )
-    .scenario(BASE_LABEL, base_scenario.clone());
-    for (label, fault) in &settings {
-        spec = spec.scenario(label.clone(), base_scenario.clone().with_fault(*fault));
-    }
-    let result = spec.run(jobs);
-    if let Err(e) = result.write_artifacts() {
-        eprintln!("warning: cannot write {experiment} artifacts: {e}");
-    }
-
-    let baselines: Vec<&RunReport> = RUNTIMES
-        .iter()
-        .map(|rt| result.report(rt, BASE_LABEL))
-        .collect();
-    settings
-        .iter()
-        .map(|(label, _)| {
-            let mut at = [0.0; 4];
-            let mut pid = [0.0; 4];
-            for (i, rt) in RUNTIMES.iter().enumerate() {
-                let report = result.report(rt, label);
-                at[i] = report.average_throughput();
-                pid[i] = fela_metrics::per_iteration_delay(report, baselines[i]);
-            }
-            let fela = result.report("fela", label);
-            RecoveryRow {
-                model: model.name.clone(),
-                batch: BATCH,
-                setting: label.clone(),
-                at,
-                pid,
-                crashes: fela.counter("crashes"),
-                restarts: fela.counter("restarts"),
-                revocations: fela.counter("revocations"),
-                stale_reports: fela.counter("stale_reports"),
-            }
-        })
-        .collect()
-}
-
-fn print_recovery_tables(title: &str, rows: &[RecoveryRow]) {
-    let mut at_table = Table::new(
-        format!("{title} — average throughput (samples/s)"),
-        &["setting", "Fela", "DP", "MP", "HP"],
+/// The perturbation sweep under each fault setting, with Fela's recovery
+/// counters added to every row and their table printed after the sweep's.
+fn recovery_experiment(model: &fela_model::Model, jobs: usize) -> Vec<RecoveryRow> {
+    let iterations = crate::iterations().unwrap_or_else(|e| panic!("{e}"));
+    let (rows, result) = perturbation_experiment(
+        &format!("fig_recovery_{}", model_slug(&model.name)),
+        model,
+        BATCH,
+        &fault_settings(iterations),
+        jobs,
     );
-    let mut pid_table = Table::new(
-        format!("{title} — per-iteration delay (s)"),
-        &["setting", "Fela", "DP", "MP", "HP"],
+    let title = format!(
+        "Recovery — crash-restart churn ({}, down={DOWN_SECS}s)",
+        model.name
     );
+    print_perturbation_tables(&title, &rows);
     let mut rec_table = Table::new(
         format!("{title} — Fela token recovery"),
         &["setting", "crashes", "restarts", "revoked", "stale"],
     );
-    for r in rows {
-        at_table.row(vec![
-            r.setting.clone(),
-            f2(r.at[0]),
-            f2(r.at[1]),
-            f2(r.at[2]),
-            f2(r.at[3]),
-        ]);
-        pid_table.row(vec![
-            r.setting.clone(),
-            f3(r.pid[0]),
-            f3(r.pid[1]),
-            f3(r.pid[2]),
-            f3(r.pid[3]),
-        ]);
+    let rows: Vec<RecoveryRow> = rows
+        .into_iter()
+        .map(|r| {
+            let fela = result.report("fela", &r.setting);
+            RecoveryRow {
+                crashes: fela.counter("crashes"),
+                restarts: fela.counter("restarts"),
+                revocations: fela.counter("revocations"),
+                stale_reports: fela.counter("stale_reports"),
+                model: r.model,
+                batch: r.batch,
+                setting: r.setting,
+                at: r.at,
+                pid: r.pid,
+            }
+        })
+        .collect();
+    for r in &rows {
         rec_table.row(vec![
             r.setting.clone(),
             r.crashes.to_string(),
@@ -162,45 +117,15 @@ fn print_recovery_tables(title: &str, rows: &[RecoveryRow]) {
             r.stale_reports.to_string(),
         ]);
     }
-    print!("{}", at_table.render());
-    print!("{}", pid_table.render());
-    print!("{}", rec_table.render());
-    let ratio_range = |idx: usize| {
-        let ratios: Vec<f64> = rows.iter().map(|r| r.at[0] / r.at[idx]).collect();
-        format!(
-            "{} ~ {}",
-            improvement(ratios.iter().cloned().fold(f64::INFINITY, f64::min), 1.0),
-            improvement(
-                ratios.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
-                1.0
-            )
-        )
-    };
-    println!(
-        "Fela AT improvement under faults: vs DP {}, vs MP {}, vs HP {}\n",
-        ratio_range(1),
-        ratio_range(2),
-        ratio_range(3)
-    );
+    println!("{}", rec_table.render());
+    rows
 }
 
 /// Runs the recovery sweeps on `jobs` worker threads.
 pub fn run(jobs: usize) {
     let mut all = Vec::new();
     for model in [zoo::vgg19(), zoo::googlenet()] {
-        let rows = recovery_experiment(
-            &format!("fig_recovery_{}", model_slug(&model.name)),
-            &model,
-            jobs,
-        );
-        print_recovery_tables(
-            &format!(
-                "Recovery — crash-restart churn ({}, down={DOWN_SECS}s)",
-                model.name
-            ),
-            &rows,
-        );
-        all.extend(rows);
+        all.extend(recovery_experiment(&model, jobs));
     }
     println!(
         "Paper shape checks: every fault charges DP/MP/HP a full downtime on the\n\
@@ -218,16 +143,19 @@ mod tests {
     fn settings_scale_with_iterations() {
         let s = fault_settings(100);
         assert_eq!(s.len(), 4);
-        assert!(matches!(s[0].1, FaultModel::Scripted { iteration: 50, .. }));
+        assert!(matches!(
+            s[0].1,
+            Perturbation::Fault(FaultModel::Scripted { iteration: 50, .. })
+        ));
         for (_, fault) in &s {
-            assert!(fault.validate().is_ok());
+            assert!(matches!(fault, Perturbation::Fault(f) if f.validate().is_ok()));
         }
     }
 
     #[test]
     fn chaos_settings_share_the_seed() {
         for (_, fault) in fault_settings(10) {
-            if let FaultModel::Chaos { seed, .. } = fault {
+            if let Perturbation::Fault(FaultModel::Chaos { seed, .. }) = fault {
                 assert_eq!(seed, SEED);
             }
         }

@@ -25,9 +25,9 @@ pub mod figures;
 use std::fs;
 
 use fela_baselines::{DpRuntime, HpRuntime, MpRuntime};
-use fela_cluster::Scenario;
+use fela_cluster::{FaultModel, Scenario, StragglerModel};
 use fela_core::{FelaConfig, FelaRuntime};
-use fela_harness::{RuntimeFactory, SweepSpec};
+use fela_harness::{RuntimeFactory, SweepResult, SweepSpec};
 use fela_metrics::RunReport;
 use fela_model::Model;
 use fela_tuning::Tuner;
@@ -132,7 +132,7 @@ pub fn tuned_fela_factory() -> RuntimeFactory {
 /// Harness factory for Fela with a fixed, pre-tuned configuration. The config
 /// is re-verified against each scenario it is applied to (straggler sweeps
 /// reuse one tuned config across many scenarios).
-pub fn fixed_fela_factory(config: FelaConfig) -> RuntimeFactory {
+fn fixed_fela_factory(config: FelaConfig) -> RuntimeFactory {
     Arc::new(move |sc: &Scenario| {
         verify_fela_config(&config, sc);
         Box::new(FelaRuntime::new(config.clone()))
@@ -158,14 +158,23 @@ pub fn improvement(ours: f64, baseline: f64) -> String {
     fela_metrics::format_speedup(ours / baseline)
 }
 
-/// AT and PID of every runtime under one straggler setting (Figures 9 and 10).
+/// What a perturbation sweep injects into its base scenario.
+#[derive(Clone, Copy, Debug)]
+pub enum Perturbation {
+    /// Stragglers (Figures 9 and 10).
+    Straggler(StragglerModel),
+    /// Faults (the recovery figure).
+    Fault(FaultModel),
+}
+
+/// AT and PID of every runtime under one perturbation setting.
 #[derive(Clone, Debug, Serialize)]
-pub struct StragglerRow {
+pub struct PerturbationRow {
     /// Benchmark model.
     pub model: String,
     /// Total batch size.
     pub batch: u64,
-    /// Scenario label, e.g. `"d=6s"` or `"p=0.3"`.
+    /// Scenario label, e.g. `"d=6s"`, `"p=0.3"` or `"crash@mid"`.
     pub setting: String,
     /// Average throughput per runtime: `[fela, dp, mp, hp]`.
     pub at: [f64; 4],
@@ -173,35 +182,38 @@ pub struct StragglerRow {
     pub pid: [f64; 4],
 }
 
-/// Label of the non-straggler reference scenario in straggler sweeps.
+/// Label of the unperturbed reference scenario in perturbation sweeps.
 const BASE_LABEL: &str = "base";
 
-/// Runs the four runtimes under each straggler setting and computes AT + PID
-/// against each runtime's own non-straggler baseline (Equation 4).
+/// Runs the four runtimes under each perturbation setting and computes AT +
+/// PID against each runtime's own unperturbed baseline (Equation 4).
 ///
 /// The whole grid — four runtimes × (base + every setting) — is declared as
 /// one [`SweepSpec`] named `experiment` and executed on `jobs` worker
 /// threads; the record stream lands in `results/<experiment>.jsonl`. Fela is
-/// tuned once on the non-straggler scenario (the paper applies the tuned
-/// configuration to every straggler case), so tuning happens before the sweep.
-pub fn straggler_experiment(
+/// tuned once on the unperturbed scenario (the paper applies the tuned
+/// configuration to every straggler case), so tuning happens before the
+/// sweep. Returns one row per setting, and the sweep for further counters.
+pub fn perturbation_experiment(
     experiment: &str,
     model: &Model,
     batch: u64,
-    settings: &[(String, fela_cluster::StragglerModel)],
+    settings: &[(String, Perturbation)],
     jobs: usize,
-) -> Vec<StragglerRow> {
+) -> (Vec<PerturbationRow>, SweepResult) {
     let base_scenario = scenario(model.clone(), batch);
     let fela_config = tuned_fela(&base_scenario);
     let mut spec = with_baselines(
         SweepSpec::new(experiment).runtime_factory("fela", fixed_fela_factory(fela_config)),
     )
     .scenario(BASE_LABEL, base_scenario.clone());
-    for (label, straggler) in settings {
-        spec = spec.scenario(
-            label.clone(),
-            base_scenario.clone().with_straggler(*straggler),
-        );
+    for (label, perturbation) in settings {
+        let sc = base_scenario.clone();
+        let sc = match *perturbation {
+            Perturbation::Straggler(straggler) => sc.with_straggler(straggler),
+            Perturbation::Fault(fault) => sc.with_fault(fault),
+        };
+        spec = spec.scenario(label.clone(), sc);
     }
     let result = spec.run(jobs);
     if let Err(e) = result.write_artifacts() {
@@ -213,7 +225,7 @@ pub fn straggler_experiment(
         .iter()
         .map(|rt| result.report(rt, BASE_LABEL))
         .collect();
-    settings
+    let rows = settings
         .iter()
         .map(|(label, _)| {
             let mut at = [0.0; 4];
@@ -223,7 +235,7 @@ pub fn straggler_experiment(
                 at[i] = report.average_throughput();
                 pid[i] = fela_metrics::per_iteration_delay(report, baselines[i]);
             }
-            StragglerRow {
+            PerturbationRow {
                 model: model.name.clone(),
                 batch,
                 setting: label.clone(),
@@ -231,11 +243,13 @@ pub fn straggler_experiment(
                 pid,
             }
         })
-        .collect()
+        .collect();
+    (rows, result)
 }
 
-/// Prints AT and PID tables for straggler rows and the Fela-vs-baseline summary.
-pub fn print_straggler_tables(title: &str, rows: &[StragglerRow]) {
+/// Prints AT and PID tables for perturbation rows and the Fela-vs-baseline
+/// summary.
+pub fn print_perturbation_tables(title: &str, rows: &[PerturbationRow]) {
     use fela_metrics::{f2, f3, Table};
     let mut at_table = Table::new(
         format!("{title} — average throughput (samples/s)"),

@@ -448,7 +448,10 @@ fn parse_common<'a>(
         "--nodes" => {
             common.nodes = take_value(flag, it)?
                 .parse()
-                .map_err(|_| ParseError("--nodes expects an integer".into()))?
+                .map_err(|_| ParseError("--nodes expects an integer".into()))?;
+            if common.nodes == 0 {
+                return err("--nodes must be at least 1");
+            }
         }
         "--straggler" => common.straggler = parse_straggler(take_value(flag, it)?)?,
         "--fault" => common.fault = parse_fault(take_value(flag, it)?)?,
@@ -1022,6 +1025,8 @@ mod tests {
         assert!(e.0.contains("unknown command"));
         let e = parse(&["run", "--weights", "1,x"]).unwrap_err();
         assert!(e.0.contains("bad weight list"));
+        let e = parse(&["compare", "--nodes", "0"]).unwrap_err();
+        assert!(e.0.contains("--nodes must be at least 1"));
         // The control plane has one layout; a shard count is not an option.
         for cmd in ["run", "live"] {
             let e = parse(&[cmd, "--shards", "2"]).unwrap_err();

@@ -127,6 +127,31 @@ fn reject_durability(common: &CommonArgs, why: &str) -> Result<(), String> {
     }
 }
 
+/// A config holding `--weights` over the scenario's partition (probed with
+/// one weight), all ones when none were given.
+///
+/// # Errors
+/// `--weights` with other than one entry per unit of the partition.
+fn weights_config(sc: &Scenario, weights: Option<&[u64]>) -> Result<FelaConfig, String> {
+    let m = FelaRuntime::new(FelaConfig::new(1)).partition_for(sc).len();
+    match weights {
+        Some(w) if w.len() != m => Err(format!(
+            "--weights needs {m} entries for this model's partition, got {}",
+            w.len()
+        )),
+        Some(w) => Ok(FelaConfig::new(m).with_weights(w.to_vec())),
+        None => Ok(FelaConfig::new(m)),
+    }
+}
+
+/// Refuses, with the runtime's one-line reason, a scenario one of
+/// `runtimes` cannot run. Called before any tuning or sweeping.
+fn check_runnable(sc: &Scenario, runtimes: &[&dyn TrainingRuntime]) -> Result<(), String> {
+    runtimes
+        .iter()
+        .try_for_each(|r| r.check(sc).map_err(|e| format!("{}: {e}", r.name())))
+}
+
 /// Elastic runs write no write-ahead log: each epoch is its own run, and no
 /// log spans a resize boundary.
 const RESIZE_KEEPS_NO_WAL: &str =
@@ -245,27 +270,15 @@ fn cmd_run(run: &RunArgs) -> Result<(), String> {
     if !sc.resize.is_none() {
         return cmd_run_elastic(run, &sc);
     }
-    let m = {
-        let probe = FelaRuntime::new(FelaConfig::new(1));
-        probe.partition_for(&sc).len()
-    };
-    let mut config = match &run.weights {
-        Some(w) => {
-            if w.len() != m {
-                return Err(format!(
-                    "--weights needs {m} entries for this model's partition, got {}",
-                    w.len()
-                ));
-            }
-            FelaConfig::new(m).with_weights(w.clone())
-        }
-        None => {
-            eprintln!("no --weights given: running the two-phase tuner first…");
-            Tuner::default()
-                .tune_with_jobs(&sc, jobs_from(&run.common)?)
-                .best_config
-        }
-    };
+    let mut config = weights_config(&sc, run.weights.as_deref())?;
+    if run.weights.is_none() {
+        // The tuner's Phase 1 profiles all-ones weights, so they must plan.
+        check_runnable(&sc, &[&FelaRuntime::new(config)])?;
+        eprintln!("no --weights given: running the two-phase tuner first…");
+        config = Tuner::default()
+            .tune_with_jobs(&sc, jobs_from(&run.common)?)
+            .best_config;
+    }
     if let Some(ctd) = run.ctd {
         config = config.with_ctd(ctd);
     }
@@ -278,6 +291,7 @@ fn cmd_run(run: &RunArgs) -> Result<(), String> {
     if let Some(d) = durability_from(&run.common) {
         runtime = runtime.with_durability(d);
     }
+    check_runnable(&sc, &[&runtime])?;
     let report = runtime.run(&sc);
     if run.json {
         println!(
@@ -354,6 +368,8 @@ fn cmd_tune(common: &CommonArgs) -> Result<(), String> {
              'fela run --resize …' (the elastic controller re-tunes per epoch)"
             .into());
     }
+    let all_ones = weights_config(&sc, None)?;
+    check_runnable(&sc, &[&FelaRuntime::new(all_ones)])?;
     let outcome = Tuner::default().tune_with_jobs(&sc, jobs_from(common)?);
     let mut table = Table::new(
         format!("Tuning {} @ batch {}", sc.model.name, sc.total_batch),
@@ -404,6 +420,14 @@ fn cmd_compare(common: &CommonArgs) -> Result<(), String> {
     let jobs = jobs_from(common)?;
     let scenario_label = format!("{}/b{}", sc.model.name, sc.total_batch);
     let result = if sc.resize.is_none() {
+        let all_ones = weights_config(&sc, None)?;
+        let runtimes: [&dyn TrainingRuntime; 4] = [
+            &FelaRuntime::new(all_ones),
+            &DpRuntime::default(),
+            &MpRuntime::default(),
+            &HpRuntime,
+        ];
+        check_runnable(&sc, &runtimes)?;
         eprintln!("tuning Fela first…");
         let fela_config = Tuner::default().tune_with_jobs(&sc, jobs).best_config;
 
@@ -432,16 +456,15 @@ fn cmd_compare(common: &CommonArgs) -> Result<(), String> {
         ElasticRuntime::new(ElasticOptions::default())
             .plan(&sc)
             .map_err(|e| e.to_string())?;
+        let dp_restart = || StopRestartRuntime::new(DpRuntime::default(), "dp-restart");
+        let hp_restart = || StopRestartRuntime::new(HpRuntime, "hp-restart");
+        check_runnable(&sc, &[&dp_restart(), &hp_restart()])?;
         SweepSpec::new("compare-elastic")
             .runtime("fela-elastic", |_| {
                 Box::new(ElasticRuntime::new(ElasticOptions::default()))
             })
-            .runtime("dp-restart", |_| {
-                Box::new(StopRestartRuntime::new(DpRuntime::default(), "dp-restart"))
-            })
-            .runtime("hp-restart", |_| {
-                Box::new(StopRestartRuntime::new(HpRuntime, "hp-restart"))
-            })
+            .runtime("dp-restart", move |_| Box::new(dp_restart()))
+            .runtime("hp-restart", move |_| Box::new(hp_restart()))
             .scenario(scenario_label.clone(), sc.clone())
             .with_seed(common.seed)
             .run(jobs)
@@ -509,22 +532,7 @@ fn cmd_live(live: &LiveArgs) -> Result<(), String> {
     if !sc.resize.is_none() {
         return cmd_live_elastic(live, &sc);
     }
-    let m = {
-        let probe = FelaRuntime::new(FelaConfig::new(1));
-        probe.partition_for(&sc).len()
-    };
-    let config = match &live.weights {
-        Some(w) => {
-            if w.len() != m {
-                return Err(format!(
-                    "--weights needs {m} entries for this model's partition, got {}",
-                    w.len()
-                ));
-            }
-            FelaConfig::new(m).with_weights(w.clone())
-        }
-        None => FelaConfig::new(m),
-    };
+    let config = weights_config(&sc, live.weights.as_deref())?;
     config.validate(sc.cluster.nodes)?;
     let mut transport = fela_live::transport_by_name(&live.transport)
         .ok_or_else(|| format!("unknown transport '{}'", live.transport))?;
@@ -764,18 +772,11 @@ fn cmd_check(check: &CheckArgs) -> Result<(), String> {
     }
     let sc = scenario_from(&check.common)?;
     let partition = FelaRuntime::new(FelaConfig::new(1)).partition_for(&sc);
+    let given = weights_config(&sc, check.weights.as_deref())?;
     let m = partition.len();
     let nodes = sc.cluster.nodes;
-    let weight_sets: Vec<Vec<u64>> = match &check.weights {
-        Some(w) => {
-            if w.len() != m {
-                return Err(format!(
-                    "--weights needs {m} entries for this model's partition, got {}",
-                    w.len()
-                ));
-            }
-            vec![w.clone()]
-        }
+    let weight_sets: Vec<Vec<u64>> = match check.weights {
+        Some(_) => vec![given.weights],
         None => fela_tuning::phase1_candidates(m, nodes),
     };
 
@@ -1457,11 +1458,37 @@ mod tests {
                 "check --model vgg19 --batch 256 --weights 1,3,4",
                 "weight 3 must be a power of two",
             ),
+            (
+                "compare --model lenet-5 --batch 64 --nodes 6",
+                "dp: batch 64 must divide evenly by 6 nodes",
+            ),
+            (
+                "compare --model lenet-5 --batch 64 --nodes 1",
+                "hp: needs ≥ 2 workers",
+            ),
+            (
+                "run --model vgg19 --batch 24",
+                "fela: scenario must admit a token plan",
+            ),
+            (
+                "tune --model vgg19 --batch 24",
+                "fela: scenario must admit a token plan",
+            ),
+            (
+                "compare --model vgg19 --batch 24",
+                "fela: scenario must admit a token plan",
+            ),
+            (
+                "compare --model lenet-5 --batch 64 --nodes 2 --resize leave:1:0",
+                "hp-restart: needs ≥ 2 workers",
+            ),
         ] {
             let result = match args::parse(&argv.split(' ').collect::<Vec<_>>()) {
                 Ok(Command::Run(run)) => cmd_run(&run),
                 Ok(Command::Live(live)) => cmd_live(&live),
                 Ok(Command::Check(check)) => cmd_check(&check),
+                Ok(Command::Tune(common)) => cmd_tune(&common),
+                Ok(Command::Compare(common)) => cmd_compare(&common),
                 other => panic!("{argv}: unexpected parse {other:?}"),
             };
             let err = result.expect_err("an invalid config must be rejected");

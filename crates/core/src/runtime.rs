@@ -210,18 +210,6 @@ impl FelaWorld<'_> {
         self.plane().config().rpc_latency
     }
 
-    fn reschedule_net(&mut self, sched: &mut Scheduler<'_, Ev>) {
-        if let Some(ev) = self.net_ev.take() {
-            sched.cancel(ev);
-        }
-        if let Some(t) = self.net.next_completion() {
-            // A flow can "complete" marginally in the past after float rounding;
-            // clamp to now.
-            let at = t.max(sched.now());
-            self.net_ev = Some(sched.schedule_at(at, Ev::NetWake));
-        }
-    }
-
     /// Whether grants are leases with armed deadlines. Requires both an active
     /// fault model *and* recovery config: a fault-free run schedules no timer
     /// events at all, which is what keeps it bit-identical to a build without
@@ -578,7 +566,7 @@ impl FelaWorld<'_> {
         for tag in broken_syncs {
             self.restart_sync(tag, sched);
         }
-        self.reschedule_net(sched);
+        self.net.rearm_wake(&mut self.net_ev, sched, Ev::NetWake);
         if let Some(down) = restart_after {
             sched.schedule_at(now + down, Ev::Restart { worker });
         }
@@ -779,7 +767,7 @@ impl FelaWorld<'_> {
                         })
                         .collect();
                     self.net.start_flows(now, &specs);
-                    self.reschedule_net(sched);
+                    self.net.rearm_wake(&mut self.net_ev, sched, Ev::NetWake);
                 }
             }
             Ev::ComputeDone { worker } => {
@@ -837,7 +825,7 @@ impl FelaWorld<'_> {
                 }
                 if !reported.syncs.is_empty() {
                     self.start_syncs(reported.syncs, sched);
-                    self.reschedule_net(sched);
+                    self.net.rearm_wake(&mut self.net_ev, sched, Ev::NetWake);
                 }
                 // Piggybacked request for the reporter; the event's dispatch
                 // then serves any other waiters (a quarantined reporter is
@@ -851,7 +839,7 @@ impl FelaWorld<'_> {
                 for (id, spec) in completions {
                     self.on_flow_done(id, spec, sched);
                 }
-                self.reschedule_net(sched);
+                self.net.rearm_wake(&mut self.net_ev, sched, Ev::NetWake);
             }
             Ev::Fault { worker, kind } => match kind {
                 FaultKind::Hang { stall } => self.on_hang(worker, stall, sched),
@@ -1093,6 +1081,13 @@ impl FelaRuntime {
 impl TrainingRuntime for FelaRuntime {
     fn name(&self) -> &'static str {
         "fela"
+    }
+
+    /// Fela runs a scenario its config admits a token plan for.
+    fn check(&self, scenario: &Scenario) -> Result<(), String> {
+        self.plane_for(scenario)
+            .map(drop)
+            .map_err(|e| e.to_string())
     }
 
     fn run(&self, scenario: &Scenario) -> RunReport {

@@ -21,7 +21,7 @@ use fela_sim::Trace;
 
 use crate::controller::{ElasticController, ElasticOptions, ElasticPlan};
 use crate::cost;
-use crate::epoch::{epoch_scenario, plan_epochs};
+use crate::epoch::{epoch_scenario, plan_epochs, EpochSpec};
 use crate::ElasticError;
 
 /// Names of the gated elastic counters added to stitched reports. Only
@@ -137,9 +137,29 @@ impl<R: TrainingRuntime> StopRestartRuntime<R> {
     }
 }
 
+/// The scenario a restarted system runs in epoch `spec`. It re-shards the
+/// batch evenly across the new worker count (DP requires exact
+/// divisibility), rounding it down to the nearest multiple, as launch
+/// scripts do.
+fn restart_scenario(scenario: &Scenario, spec: &EpochSpec) -> Scenario {
+    let n = spec.n_workers() as u64;
+    epoch_scenario(scenario, spec, (scenario.total_batch / n).max(1) * n)
+}
+
 impl<R: TrainingRuntime> TrainingRuntime for StopRestartRuntime<R> {
     fn name(&self) -> &'static str {
         self.label
+    }
+
+    /// The wrapped runtime's check on every epoch it would run.
+    fn check(&self, scenario: &Scenario) -> Result<(), String> {
+        let specs = plan_epochs(scenario).map_err(|e| format!("elastic plan failed: {e}"))?;
+        if specs.len() == 1 {
+            return self.inner.check(scenario);
+        }
+        specs
+            .iter()
+            .try_for_each(|spec| self.inner.check(&restart_scenario(scenario, spec)))
     }
 
     /// # Panics
@@ -158,11 +178,6 @@ impl<R: TrainingRuntime> TrainingRuntime for StopRestartRuntime<R> {
         let mut total_transition = 0.0;
         let mut transitions = Vec::with_capacity(specs.len());
         for spec in &specs {
-            // Restarted systems re-shard the batch evenly across the new
-            // worker count (DP requires exact divisibility); the batch is
-            // rounded down to the nearest multiple, as launch scripts do.
-            let n = spec.n_workers() as u64;
-            let sc = epoch_scenario(scenario, spec, (scenario.total_batch / n).max(1) * n);
             let transition = if spec.index == 0 {
                 0.0
             } else {
@@ -173,7 +188,7 @@ impl<R: TrainingRuntime> TrainingRuntime for StopRestartRuntime<R> {
             };
             total_transition += transition;
             transitions.push(transition);
-            reports.push(self.inner.run(&sc));
+            reports.push(self.inner.run(&restart_scenario(scenario, spec)));
         }
         let worker_sets: Vec<&crate::WorkerSet> = specs.iter().map(|s| &s.workers).collect();
         let mut report = merge_epoch_reports(scenario, &worker_sets, reports, self.label);

@@ -35,6 +35,9 @@ where
         fn name(&self) -> &'static str {
             self.0.name()
         }
+        fn check(&self, scenario: &Scenario) -> Result<(), String> {
+            self.0.check(scenario)
+        }
         fn run(&self, scenario: &Scenario) -> RunReport {
             self.0.run(scenario)
         }

@@ -11,8 +11,8 @@
 //!    starts at one instant in one call (a ring round, a grant's fetches), so
 //!    the fair share is updated once for the group; [`Network::start_flow`] is
 //!    its one-flow wrapper;
-//! 2. [`Network::next_completion`] after any change, to (re)schedule a single
-//!    "network completion" event at the right virtual time;
+//! 2. [`Network::rearm_wake`] after any change, to (re)schedule a single
+//!    "network completion" event at [`Network::next_completion`];
 //! 3. [`Network::take_completions`] when that event fires, to learn which transfers
 //!    finished.
 //!
@@ -21,7 +21,7 @@
 //! overweights tiny control messages — conservative for Fela, whose token RPCs are
 //! "at most hundreds of bytes").
 
-use fela_sim::{SimDuration, SimTime};
+use fela_sim::{EventId, Scheduler, SimDuration, SimTime};
 use serde::Serialize;
 
 use crate::fairshare::{FlowLinks, IncrementalMaxMin};
@@ -466,6 +466,20 @@ impl Network {
     /// rescheduling whenever the value changes.
     pub fn next_completion(&self) -> Option<SimTime> {
         self.entries.iter().map(|e| e.est_done).min()
+    }
+
+    /// Keeps the owner's one pending completion event at
+    /// [`Network::next_completion`]: cancels the event in `slot`, if any, and
+    /// schedules `wake` in its place while a flow is active. A flow can
+    /// "complete" marginally in the past after float rounding, so the instant
+    /// is clamped to now.
+    pub fn rearm_wake<E>(&self, slot: &mut Option<EventId>, sched: &mut Scheduler<'_, E>, wake: E) {
+        if let Some(ev) = slot.take() {
+            sched.cancel(ev);
+        }
+        if let Some(t) = self.next_completion() {
+            *slot = Some(sched.schedule_at(t.max(sched.now()), wake));
+        }
     }
 
     /// Aborts every active flow matching `pred`, returning them in `FlowId`

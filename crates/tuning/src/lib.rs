@@ -219,9 +219,12 @@ impl Tuner {
     /// case.
     ///
     /// # Panics
-    /// Panics if no Phase-1 case is feasible (the all-ones weight vector
-    /// always is), or if `profile` returns a different number of times than
-    /// it was given configs.
+    /// Panics if no Phase-1 case is feasible, or if `profile` returns a
+    /// different number of times than it was given configs. The all-ones
+    /// weights are a Phase-1 case, so a caller rules out the first by
+    /// checking that they admit a token plan
+    /// ([`TrainingRuntime::check`] on
+    /// `FelaRuntime::new(FelaConfig::new(m))`).
     pub fn search(
         &self,
         scenario: &Scenario,
@@ -239,7 +242,7 @@ impl Tuner {
         let mut cases = Vec::new();
         push_cases(&mut cases, 1, &configs, profile(&configs));
         let phase1_best =
-            fastest(&cases).expect("at least one feasible Phase-1 case (all-ones always is)");
+            fastest(&cases).expect("a feasible Phase-1 case: the caller checked all-ones weights");
         let phase2: Vec<FelaConfig> = phase2_candidates(n)
             .into_iter()
             .map(|subset| configs[phase1_best].clone().with_ctd(subset))
